@@ -23,13 +23,14 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Callable
 
 from .claimlog import MerkleLog, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SubmitError
+from .httpjson import JsonRequestHandler
 from .identity import Identity, TrustStore
-from .revision import decode_payload, rulesheet_entry_id, verify_record_signature
+from .revision import RevisionRecord, decode_payload, rulesheet_entry_id, verify_record_signature
 
 
 def _now_ms() -> int:
@@ -58,6 +59,7 @@ class ClaimDb:
         self.clock = clock
         self._lock = threading.Lock()
         self._by_id: dict[str, int] = {}
+        self._owners: dict[str, str] = {}  # revision id -> owner; rulesheets have none
         self._heads: dict[str, _HeadState] = {}
         self._superseded: set[str] = set()
         self._replay_existing()
@@ -79,7 +81,11 @@ class ClaimDb:
             self._by_id[rulesheet_entry_id(obj["text"])] = index
             return
         record, _sig = decode_payload(payload)
+        self._index_revision(record, index)
+
+    def _index_revision(self, record: RevisionRecord, index: int) -> None:
         self._by_id[record.id] = index
+        self._owners[record.id] = record.owner
         head = self._heads.get(record.owner)
         if record.supersedes is not None:
             self._superseded.add(record.supersedes)
@@ -115,13 +121,12 @@ class ClaimDb:
                 if head is not None:
                     raise SubmitError(409, f"owner {record.owner!r} already has a revision chain")
             else:
-                target_index = self._by_id.get(record.supersedes)
-                if target_index is None:
-                    raise SubmitError(400, f"supersedes target {record.supersedes} does not exist")
-                target, _ = decode_payload(self.log.payload(target_index).decode("utf-8"))
-                if target.owner != record.owner:
+                target_owner = self._owners.get(record.supersedes)
+                if target_owner is None:
+                    raise SubmitError(400, f"supersedes target {record.supersedes} is not a logged revision")
+                if target_owner != record.owner:
                     raise SubmitError(
-                        401, f"only the owner may supersede: target owned by {target.owner!r}"
+                        401, f"only the owner may supersede: target owned by {target_owner!r}"
                     )
                 if record.supersedes in self._superseded:
                     raise SubmitError(409, f"revision {record.supersedes} is already superseded")
@@ -129,10 +134,7 @@ class ClaimDb:
                 raise SubmitError(409, f"revision {record.id} already logged")
 
             index = self.log.append(payload.encode("utf-8"))
-            self._by_id[record.id] = index
-            if record.supersedes is not None:
-                self._superseded.add(record.supersedes)
-            self._heads[record.owner] = _HeadState(record.id, (head.chain_length if head else 0) + 1)
+            self._index_revision(record, index)
             return self._receipt(index, record.id)
 
     def _submit_rulesheet(self, payload: str, obj: dict) -> dict:
@@ -262,19 +264,15 @@ class HttpLogClient:
         return self._request("GET", f"/log/inclusion?index={index}&size={size}")
 
 
-class _ClaimDbHandler(BaseHTTPRequestHandler):
+def _int_params(query: dict, *names: str) -> list[int]:
+    try:
+        return [int(query[name][0]) for name in names]
+    except (KeyError, ValueError) as exc:
+        raise SubmitError(400, f"need integer query parameters {', '.join(names)}") from exc
+
+
+class _ClaimDbHandler(JsonRequestHandler):
     db: ClaimDb  # set by server factory
-
-    def log_message(self, *args):  # quiet by default
-        pass
-
-    def _send(self, code: int, obj: dict) -> None:
-        body = json.dumps(obj).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def _guard(self, fn) -> None:
         try:
@@ -290,8 +288,14 @@ class _ClaimDbHandler(BaseHTTPRequestHandler):
         if self.path != "/revisions":
             self._send(404, {"error": f"no such endpoint {self.path}"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        payload = self.rfile.read(length).decode("utf-8")
+        body = self._read_body()
+        if body is None:
+            return
+        try:
+            payload = body.decode("utf-8")
+        except UnicodeDecodeError:
+            self._send(400, {"error": "body is not UTF-8"})
+            return
         self._guard(lambda: self.db.submit_revision(payload))
 
     def do_GET(self):
@@ -307,9 +311,9 @@ class _ClaimDbHandler(BaseHTTPRequestHandler):
         elif parts == ["log", "root"]:
             self._guard(self.db.get_log_root)
         elif parts == ["log", "consistency"]:
-            self._guard(lambda: self.db.get_consistency(int(query["old"][0]), int(query["new"][0])))
+            self._guard(lambda: self.db.get_consistency(*_int_params(query, "old", "new")))
         elif parts == ["log", "inclusion"]:
-            self._guard(lambda: self.db.get_inclusion(int(query["index"][0]), int(query["size"][0])))
+            self._guard(lambda: self.db.get_inclusion(*_int_params(query, "index", "size")))
         else:
             self._send(404, {"error": f"no such endpoint {parsed.path}"})
 

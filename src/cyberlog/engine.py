@@ -369,13 +369,21 @@ class KnowledgeBase:
         self.claims: dict[GroundAtom, Claim] = {}
         self.by_id: dict[str, Claim] = {}
         self._index: dict[tuple[str, str], list[Claim]] = {}
-        self.saturated = False
+        # Claims admitted since the last fixpoint, and the standard rules
+        # that fixpoint was reached under (None: never reached).
+        self._unsaturated: list[Claim] = []
+        self._fixpoint_rules: tuple[Rule, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.claims)
 
     def __contains__(self, atom: GroundAtom) -> bool:
         return atom in self.claims
+
+    @property
+    def saturated(self) -> bool:
+        """True iff the KB is at a fixpoint of the last rules it saturated under."""
+        return self._fixpoint_rules is not None and not self._unsaturated
 
     def atoms(self) -> frozenset[GroundAtom]:
         return frozenset(self.claims)
@@ -394,7 +402,7 @@ class KnowledgeBase:
         self.claims[claim.atom] = claim
         self.by_id[claim.claim_id] = claim
         self._index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
-        self.saturated = False
+        self._unsaturated.append(claim)
         return True
 
     def check_evidence(self, claim: Claim) -> None:
@@ -430,9 +438,16 @@ class KnowledgeBase:
     # -- saturation -----------------------------------------------------
 
     def saturate(self, rs: Rulesheet) -> list[Claim]:
-        """Least fixpoint of the standard rules; returns claims added."""
-        std = [r for r in rs.rules if r.kind is RuleKind.STANDARD]
-        added: list[Claim] = []
+        """Least fixpoint of the standard rules; returns claims added.
+
+        Semi-naive: the first delta is the claims admitted since the last
+        fixpoint, since every match over older claims alone was already
+        derived there. The whole KB seeds it instead when no fixpoint was
+        reached yet or it was reached under different rules. A call that
+        raises leaves its seed, and what it derived, pending for the next.
+        """
+        std = tuple(r for r in rs.rules if r.kind is RuleKind.STANDARD)
+        start = len(self._unsaturated)
 
         def derive(rule: Rule, subst: Substitution, premises: list[Claim], sink: dict):
             atom = instantiate_head(rule.head, subst)
@@ -450,39 +465,43 @@ class KnowledgeBase:
             except EvaluationError as exc:
                 raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
 
-        # Rules without relational atoms fire once.
-        pending: dict[GroundAtom, Claim] = {}
-        for rule in std:
-            if not any(isinstance(a, RelationalAtom) for a in rule.body):
-                run_rule(rule, lambda i, a: (), pending)
-        for claim in pending.values():
-            if self.assert_claim(claim):
-                added.append(claim)
+        joins = [(r, [a for a in r.body if isinstance(a, RelationalAtom)]) for r in std]
+        if std != self._fixpoint_rules:
+            # rules without relational atoms fire once, on a full seed
+            facts: dict[GroundAtom, Claim] = {}
+            for rule, rel in joins:
+                if not rel:
+                    run_rule(rule, lambda i, a: (), facts)
+            for claim in facts.values():
+                self.assert_claim(claim)
+            delta = list(self.claims.values())
+        else:
+            delta = list(self._unsaturated)
 
-        delta: set[GroundAtom] = set(self.claims)
-        recursive = [r for r in std if any(isinstance(a, RelationalAtom) for a in r.body)]
         while delta:
-            pending = {}
-            for rule in recursive:
-                n_rel = sum(1 for a in rule.body if isinstance(a, RelationalAtom))
-                for k in range(n_rel):
+            delta_atoms = {c.atom for c in delta}
+            delta_index: dict[tuple[str, str], list[Claim]] = {}
+            for claim in delta:
+                delta_index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
+            pending: dict[GroundAtom, Claim] = {}
+            for rule, rel in joins:
+                for k, atom_k in enumerate(rel):
+                    if (atom_k.principal, atom_k.predicate) not in delta_index:
+                        continue
 
                     def candidates(i: int, atom: RelationalAtom, k=k):
+                        if i == k:
+                            return delta_index[(atom.principal, atom.predicate)]
                         pool = self.claims_for(atom.principal, atom.predicate)
                         if i < k:
-                            return [c for c in pool if c.atom not in delta]
-                        if i == k:
-                            return [c for c in pool if c.atom in delta]
+                            return [c for c in pool if c.atom not in delta_atoms]
                         return pool
 
                     run_rule(rule, candidates, pending)
-            new_delta: set[GroundAtom] = set()
-            for claim in pending.values():
-                if self.assert_claim(claim):
-                    added.append(claim)
-                    new_delta.add(claim.atom)
-            delta = new_delta
-        self.saturated = True
+            delta = [claim for claim in pending.values() if self.assert_claim(claim)]
+        added = self._unsaturated[start:]
+        self._unsaturated = []
+        self._fixpoint_rules = std
         return added
 
     # -- queries ----------------------------------------------------------

@@ -10,6 +10,7 @@ left-to-right safety condition.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -487,11 +488,14 @@ def make_rulesheet(
     return Rulesheet(self_id, tuple(identities), tuple(rules), digest)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_standalone_rule(text: str) -> Rule:
     """Parse one rule whose atoms all carry explicit principals.
 
     Used when deserializing rules from evidence records, where no self
-    principal is in scope.
+    principal is in scope. Every claim of a rulesheet's rule carries the
+    same text, so parses are memoised by text; a Rule is immutable, and
+    a text that fails to parse raises again on every call.
     """
     marker = "\x00"
     parser = _Parser(_lex(text), marker)

@@ -14,8 +14,8 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import dataclass
+from http.server import ThreadingHTTPServer
 from typing import Callable
 
 from .engine import (
@@ -29,6 +29,7 @@ from .engine import (
     resolve_term,
 )
 from .errors import ConfigError, CyberlogError, NotFoundError, SubmitError
+from .httpjson import JsonRequestHandler
 from .identity import Identity, TrustStore, sign_claim
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
@@ -90,20 +91,33 @@ class QueryAnswer:
 
 @dataclass
 class MonitorMetrics:
-    delays_ms: list[float] = field(default_factory=list)
-    facts_added: list[int] = field(default_factory=list)
+    """Running per-event figures; constant size however many events arrive."""
+
+    events: int = 0
+    delay_sum_ms: float = 0.0
+    delay_min_ms: float | None = None
+    delay_max_ms: float | None = None
+    facts_added_total: int = 0
+    facts_added_max: int = 0
+
+    def record(self, delay_ms: float, facts_added: int) -> None:
+        self.events += 1
+        self.delay_sum_ms += delay_ms
+        self.delay_min_ms = delay_ms if self.delay_min_ms is None else min(self.delay_min_ms, delay_ms)
+        self.delay_max_ms = delay_ms if self.delay_max_ms is None else max(self.delay_max_ms, delay_ms)
+        self.facts_added_total += facts_added
+        self.facts_added_max = max(self.facts_added_max, facts_added)
 
     def report(self, kb_facts: int, name: str) -> dict:
-        delays = self.delays_ms
         return {
             "monitor": name,
-            "events": len(delays),
-            "delay_min_ms": min(delays) if delays else None,
-            "delay_avg_ms": sum(delays) / len(delays) if delays else None,
-            "delay_max_ms": max(delays) if delays else None,
+            "events": self.events,
+            "delay_min_ms": self.delay_min_ms,
+            "delay_avg_ms": self.delay_sum_ms / self.events if self.events else None,
+            "delay_max_ms": self.delay_max_ms,
             "kb_facts": kb_facts,
-            "facts_added_total": sum(self.facts_added),
-            "facts_added_max": max(self.facts_added) if self.facts_added else 0,
+            "facts_added_total": self.facts_added_total,
+            "facts_added_max": self.facts_added_max,
         }
 
 
@@ -157,8 +171,8 @@ class Monitor:
             decision = self._decision()
             kb_size = len(self.kb)
         delay_ms = (time.perf_counter() - started) * 1000.0
-        self.metrics.delays_ms.append(delay_ms)
-        self.metrics.facts_added.append((1 if new_event else 0) + len(derived))
+        with self.lock:  # the running figures are read-modify-write
+            self.metrics.record(delay_ms, (1 if new_event else 0) + len(derived))
         return IngestResult(decision, atom, new_event, derived, delay_ms)
 
     def _decision(self) -> str:
@@ -261,7 +275,8 @@ class Monitor:
             return len(self.kb)
 
     def metrics_report(self) -> dict:
-        return self.metrics.report(self.kb_fact_count(), self.name)
+        with self.lock:
+            return self.metrics.report(len(self.kb), self.name)
 
     def _warn(self, message: str) -> None:
         print(f"[monitor {self.name}] {message}", flush=True)
@@ -271,24 +286,15 @@ class Monitor:
 # HTTP surface: POST /event, POST /query, GET /metrics, GET /health
 
 
-class _MonitorHandler(BaseHTTPRequestHandler):
+class _MonitorHandler(JsonRequestHandler):
     monitor: Monitor
 
-    def log_message(self, *args):
-        pass
-
-    def _send(self, code: int, obj: dict) -> None:
-        body = json.dumps(obj).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", "0"))
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            obj = json.loads(self.rfile.read(length).decode("utf-8"))
+            obj = json.loads(body.decode("utf-8"))
         except ValueError:
             self._send(400, {"error": "body must be JSON"})
             return
@@ -306,7 +312,10 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                     },
                 )
             elif self.path == "/query":
-                answers = self.monitor.handle_query(obj["pattern"])
+                pattern = obj.get("pattern") if isinstance(obj, dict) else None
+                if not isinstance(pattern, str):
+                    raise ConfigError("body must be an object with a string 'pattern'")
+                answers = self.monitor.handle_query(pattern)
                 self._send(
                     200,
                     {"answers": [{"bindings": a.bindings, "auditable": a.auditable} for a in answers]},

@@ -34,3 +34,23 @@ def db(identities, trust_store):
 @pytest.fixture
 def db_client(db):
     return InProcessLogClient(db)
+
+
+def raw_http_status(address, request: bytes) -> int:
+    """Send raw request bytes to (host, port); return the response status code.
+
+    The server must answer and close within the timeout: a dropped
+    connection or a hung handler fails the caller's test.
+    """
+    import socket
+
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while b"\r\n" not in response:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+    assert response.startswith(b"HTTP/"), f"no HTTP response: {response!r}"
+    return int(response.split(b" ", 2)[1])

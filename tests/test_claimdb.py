@@ -28,7 +28,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR
+from conftest import OPERATOR, raw_http_status
 
 SB_SHEET = "'SB': Subject: 's' Issuer: 'i'\n"
 
@@ -247,6 +247,65 @@ def test_http_consistency_endpoint(http_client, identities):
     h2 = SignedTreeHead.from_obj(r2["tree_head"])
     proof = ConsistencyProof.from_obj(http_client.get_consistency(1, 2))
     assert verify_consistency(h1.root_hash, h2.root_hash, proof)
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"POST /revisions HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        b"POST /revisions HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        b"POST /revisions HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+        b"GET /log/consistency?old=1 HTTP/1.1\r\n\r\n",
+        b"GET /log/consistency?old=1&new=two HTTP/1.1\r\n\r\n",
+        b"GET /log/inclusion?size=1 HTTP/1.1\r\n\r\n",
+        b"GET /log/inclusion?index=x&size=1 HTTP/1.1\r\n\r\n",
+    ],
+    ids=[
+        "malformed-length",
+        "negative-length",
+        "non-utf8-body",
+        "consistency-missing-param",
+        "consistency-non-integer",
+        "inclusion-missing-param",
+        "inclusion-non-integer",
+    ],
+)
+def test_http_bad_request_gets_400(db, request_bytes):
+    server, _url = serve_db_in_thread(db)
+    try:
+        assert raw_http_status(server.server_address, request_bytes) == 400
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, monkeypatch):
+    import cyberlog.claimdb as claimdb
+
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    _, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    base = db.submit_revision(payload)["revision_id"]
+    rulesheet = db.submit_revision(encode_rulesheet_payload(SB_SHEET))["revision_id"]
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 2)
+    decoded = []
+    original = claimdb.decode_payload
+    monkeypatch.setattr(claimdb, "decode_payload", lambda p: decoded.append(p) or original(p))
+    rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
+    foreign = build_record("MRM", base, (), rs.source_hash.hex(), (), 2)
+    with pytest.raises(SubmitError) as exc:
+        reopened.submit_revision(encode_payload(foreign, sign_record(foreign, identities["MRM"])))
+    assert exc.value.code == 401
+    _, onto_rulesheet = sb_payload(identities, supersedes=rulesheet, commit_time=2)
+    with pytest.raises(SubmitError) as exc:
+        reopened.submit_revision(onto_rulesheet)
+    assert exc.value.code == 400
+    _, nxt = sb_payload(identities, supersedes=base, commit_time=3)
+    reopened.submit_revision(nxt)
+    assert decoded == [encode_payload(foreign, sign_record(foreign, identities["MRM"])), onto_rulesheet, nxt]
+    reopened.log.close()
 
 
 def test_double_supersede_race_two_clients(db, identities):

@@ -19,7 +19,7 @@ from cyberlog.engine import (
 from cyberlog.errors import EvaluationError, EvidenceError, NotFoundError
 from cyberlog.lang import StringConstant, Variable, parse_query, parse_rulesheet
 
-from naive_oracle import naive_saturate, random_program
+from naive_oracle import naive_saturate, random_builtin_program, random_program
 
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'MRM': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n'CA': Subject: 's' Issuer: 'i'\n"
 
@@ -338,8 +338,6 @@ def test_canonical_injectivity_over_generated_corpus():
 
 
 def test_saturate_matches_oracle_with_builtins_and_arithmetic():
-    from naive_oracle import random_builtin_program
-
     for seed in range(60):
         rs, facts = random_builtin_program(seed)
         expected = naive_saturate(facts, rs.rules)
@@ -380,3 +378,67 @@ def test_long_chain_transitive_closure():
     kb.saturate(rs)
     paths = sum(1 for a in kb.atoms() if a.predicate == "path")
     assert paths == n * (n + 1) // 2
+
+
+# --- incremental saturation -------------------------------------------------
+
+
+def _check_against_oracle(kb, rs, asserted):
+    kb.saturate(rs)
+    assert kb.saturated
+    assert atoms_of(kb) == naive_saturate(asserted, rs.rules)
+    for claim in kb.claims.values():
+        if isinstance(claim.evidence, DerivedByRule):
+            assert kb.verify_claim_chain(claim.atom), canonical_atom(claim.atom)
+
+
+def test_interleaved_assert_and_saturate_matches_oracle():
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2000), st.booleans(), st.data())
+    def check(seed, builtins, data):
+        rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        order = data.draw(st.permutations(sorted(facts, key=repr)))
+        saturate_after = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        kb = KnowledgeBase()
+        asserted = set()
+        for fact, saturate_now in zip(order, saturate_after):
+            kb.assert_claim(claims_from_atoms([GroundAtom(*fact)])[0])
+            asserted.add(fact)
+            if saturate_now:
+                _check_against_oracle(kb, rs, asserted)
+        _check_against_oracle(kb, rs, asserted)
+
+    check()
+
+
+def test_rulesheet_change_resaturates_whole_kb():
+    for seed in range(30):
+        rs_a, facts = random_program(seed)
+        rs_b, _ = random_program(seed + 1000)
+        kb = kb_with([GroundAtom(*fact) for fact in facts])
+        kb.saturate(rs_a)
+        under_a = atoms_of(kb)
+        kb.saturate(rs_b)
+        assert atoms_of(kb) == naive_saturate(under_a, rs_b.rules), f"divergence at seed {seed}"
+
+
+def test_failed_saturate_keeps_its_seed(monkeypatch):
+    import cyberlog.engine as engine
+
+    rs = parse_rulesheet(IDS + "out(V) :- ev(P, T, D), get_param_int(D, 'a', V).", "SB")
+    kb = KnowledgeBase()
+    kb.saturate(rs)
+    kb.assert_claim(make_claim(GroundAtom("SB", "ev", ("/a", 1, '{"a": 4}')), DirectAssertion("SB", b"")))
+
+    def fail(*args, **kwargs):
+        raise EvaluationError("injected")
+
+    monkeypatch.setattr(engine, "eval_builtin", fail)
+    with pytest.raises(EvaluationError, match="injected"):
+        kb.saturate(rs)
+    assert not kb.saturated
+    monkeypatch.undo()
+    assert [c.atom for c in kb.saturate(rs)] == [GroundAtom("SB", "out", (4,))]
+    assert kb.saturated

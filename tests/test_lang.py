@@ -210,8 +210,10 @@ def test_parse_standalone_rule_roundtrip(booking):
     rule = booking.rules[1]
     text = lang.format_rule(rule, self_id=None, oneline=True)
     assert parse_standalone_rule(text) == rule
-    with pytest.raises(ParseError):
-        parse_standalone_rule("p(X) :- q(X).")
+    assert parse_standalone_rule(text) is parse_standalone_rule(text)  # memoised by text
+    for _ in range(2):  # errors are raised again, not cached
+        with pytest.raises(ParseError):
+            parse_standalone_rule("p(X) :- q(X).")
 
 
 # --- property tests: random ASTs round-trip through the formatter ----------

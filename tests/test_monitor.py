@@ -10,7 +10,7 @@ from cyberlog.errors import ConfigError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope, Monitor, QueryAnswer
 
-from conftest import OPERATOR
+from conftest import OPERATOR, raw_http_status
 
 SB_SHEET = """\
 'SB': Subject: 's' Issuer: 'i'
@@ -78,7 +78,8 @@ def test_duplicate_events_collapse(sb):
     second = sb.ingest_event(env)
     assert first.new_event and not second.new_event
     assert sb.kb_fact_count() == 2  # postRequest + request
-    assert sb.metrics.facts_added == [2, 0]
+    report = sb.metrics_report()
+    assert (report["events"], report["facts_added_total"], report["facts_added_max"]) == (2, 2, 2)
 
 
 def test_malformed_envelope_rejected(sb):
@@ -189,6 +190,95 @@ def test_metrics_report_shape(sb):
     assert report["delay_min_ms"] <= report["delay_avg_ms"] <= report["delay_max_ms"]
     assert report["kb_facts"] == sb.kb_fact_count()
     assert report["facts_added_total"] == 3
+
+
+def test_metrics_report_matches_per_event_figures(sb):
+    delays, added = [], []
+    for i in range(25):
+        path = "/servicerequest" if i % 3 else "/other"
+        result = sb.ingest_event(post(path, f'{{"request_id":{i % 10}}}', i % 10))
+        delays.append(result.delay_ms)
+        added.append((1 if result.new_event else 0) + len(result.derived))
+    report = sb.metrics_report()
+    # Python 3.12+ sums floats with compensation, so the mean may differ in the last bit
+    assert report.pop("delay_avg_ms") == pytest.approx(sum(delays) / len(delays), rel=1e-12)
+    assert report == {
+        "monitor": "SB",
+        "events": 25,
+        "delay_min_ms": min(delays),
+        "delay_max_ms": max(delays),
+        "kb_facts": sb.kb_fact_count(),
+        "facts_added_total": sum(added),
+        "facts_added_max": max(added),
+    }
+
+
+def test_metrics_count_every_concurrent_ingest(sb):
+    import sys
+    import threading
+
+    def ingest(worker):
+        for i in range(50):
+            sb.ingest_event(post("/servicerequest", f'{{"request_id":{worker * 100 + i}}}', i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ingest, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    report = sb.metrics_report()
+    assert (report["events"], report["facts_added_total"], report["kb_facts"]) == (200, 400, 400)
+
+
+def test_ingest_cost_flat_in_kb_size(identities, trust_store, db_client, monkeypatch):
+    import cyberlog.engine as engine
+
+    original = engine.eval_builtin
+    calls = []
+    counts = []
+    for size in (10, 300):
+        mon = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
+        for i in range(size):
+            mon.ingest_event(post("/servicerequest", f'{{"request_id":{i}}}', i))
+        monkeypatch.setattr(engine, "eval_builtin", lambda *args: calls.append(args) or original(*args))
+        calls.clear()
+        mon.ingest_event(post("/servicerequest", '{"request_id":-1}', size))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"POST /event HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        b"POST /event HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        b"POST /event HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+        b"POST /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]",
+        b"POST /query HTTP/1.1\r\nContent-Length: 14\r\n\r\n{\"pattern\": 5}",
+    ],
+    ids=["malformed-length", "negative-length", "non-utf8-body", "query-not-object", "query-pattern-not-string"],
+)
+def test_http_bad_request_gets_400(sb, request_bytes):
+    import threading
+
+    from cyberlog.monitor import make_monitor_server
+
+    server = make_monitor_server(sb)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert raw_http_status(server.server_address, request_bytes) == 400
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 def test_authorization_gate(identities, trust_store, db_client):
