@@ -359,8 +359,17 @@ class KnowledgeBase:
     """Set of claims keyed by atom, with first-derivation-wins evidence.
 
     Owned by a single logical actor; not safe for concurrent mutation.
-    When a trust store is supplied, direct assertions are signature-checked
-    on entry; log inclusions are proof-checked when an operator key is known.
+    Every claim's evidence is checked on entry. When a trust store is
+    supplied, direct assertions are signature-checked; log inclusions are
+    proof-checked, and their tree heads signature-checked when an operator
+    key is known.
+
+    A KB and the KBs built from it by `successor` form one lineage. Each
+    Ed25519 check that passed is memoised by its full (public key,
+    signature, message) triple, so a lineage verifies each distinct
+    signature or tree head once. Everything else in `check_evidence` runs
+    on every call. The memo holds only successes, and `successor` passes
+    on only the entries its claims use.
     """
 
     def __init__(self, trust_store: "TrustStore | None" = None, log_operator_key: bytes | None = None):
@@ -373,6 +382,10 @@ class KnowledgeBase:
         # that fixpoint was reached under (None: never reached).
         self._unsaturated: list[Claim] = []
         self._fixpoint_rules: tuple[Rule, ...] | None = None
+        # Signature checks that passed, and (only while `successor` admits
+        # its claims) the predecessor's memo to take them from.
+        self._verified: set[tuple[bytes, bytes, bytes]] = set()
+        self._inherited: set[tuple[bytes, bytes, bytes]] = set()
 
     def __len__(self) -> int:
         return len(self.claims)
@@ -390,6 +403,22 @@ class KnowledgeBase:
 
     def claims_for(self, principal: str, predicate: str) -> list[Claim]:
         return self._index.get((principal, predicate), [])
+
+    def successor(self, claims: Iterable[Claim]) -> "KnowledgeBase":
+        """A new KB under the same trust store and operator key, holding
+        `claims`, each admitted through `assert_claim`.
+
+        Signature checks this KB already passed are not repeated; the new
+        KB's memo keeps only the entries the given claims use.
+        """
+        nxt = KnowledgeBase(trust_store=self.trust_store, log_operator_key=self.log_operator_key)
+        nxt._inherited = self._verified
+        try:
+            for claim in claims:
+                nxt.assert_claim(claim)
+        finally:
+            nxt._inherited = set()
+        return nxt
 
     # -- admission ------------------------------------------------------
 
@@ -414,9 +443,7 @@ class KnowledgeBase:
                 key = self.trust_store.public_key(ev.signer)
                 if key is None:
                     raise EvidenceError(f"no trusted key for signer {ev.signer!r}")
-                from .identity import verify_bytes
-
-                if not verify_bytes(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
+                if not self._signature_ok(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
                     raise EvidenceError(f"bad signature on {canonical_atom(claim.atom)}")
         elif isinstance(ev, (DerivedByRule, CarriedByNextRule)):
             head = instantiate_head(ev.rule.head, dict(ev.substitution))
@@ -426,14 +453,30 @@ class KnowledgeBase:
                     f"claim is {canonical_atom(claim.atom)}"
                 )
         elif isinstance(ev, LogInclusion):
-            from .claimlog import verify_inclusion, verify_tree_head
+            from .claimlog import tree_head_bytes, verify_inclusion
 
             if not verify_inclusion(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
                 raise EvidenceError(f"inclusion proof failed for revision {ev.revision_id}")
-            if self.log_operator_key is not None and not verify_tree_head(ev.tree_head, self.log_operator_key):
+            head = ev.tree_head
+            if self.log_operator_key is not None and not self._signature_ok(
+                self.log_operator_key,
+                head.signature,
+                tree_head_bytes(head.tree_size, head.root_hash, head.timestamp_ms),
+            ):
                 raise EvidenceError("tree head signature invalid")
         else:
             raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
+
+    def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
+        entry = (public_key, signature, message)
+        if entry not in self._verified:
+            if entry not in self._inherited:
+                from .identity import verify_bytes
+
+                if not verify_bytes(public_key, signature, message):
+                    return False
+            self._verified.add(entry)
+        return True
 
     # -- saturation -----------------------------------------------------
 

@@ -30,6 +30,18 @@ def identity_seed(scope: str, name: str) -> bytes:
     return hashlib.sha256(f"cyberlog:{scope}:{name}".encode("utf-8")).digest()
 
 
+def scenario_identities(scenario: "Scenario") -> tuple[Identity, dict[str, Identity], TrustStore]:
+    """The log operator, each monitor's identity and a trust store of all of
+    them, with keys seeded from the scenario name so runs are reproducible."""
+
+    def make(name: str) -> Identity:
+        return generate_identity(name, f"CN={name}", "CN=R3", seed=identity_seed(scenario.name, name))
+
+    operator = make(OPERATOR_NAME)
+    identities = {spec.name: make(spec.name) for spec in scenario.monitors}
+    return operator, identities, TrustStore.from_identities([*identities.values(), operator])
+
+
 @dataclass(frozen=True)
 class MonitorSpec:
     name: str
@@ -195,16 +207,7 @@ class ScenarioRun:
         scenario.validate()
         self.scenario = scenario
         self.now = 0
-        self.operator = generate_identity(
-            OPERATOR_NAME, "CN=log-operator", "CN=R3", seed=identity_seed(scenario.name, OPERATOR_NAME)
-        )
-        self.identities: dict[str, Identity] = {
-            spec.name: generate_identity(
-                spec.name, f"CN={spec.name}", "CN=R3", seed=identity_seed(scenario.name, spec.name)
-            )
-            for spec in scenario.monitors
-        }
-        self.trust_store = TrustStore.from_identities([*self.identities.values(), self.operator])
+        self.operator, self.identities, self.trust_store = scenario_identities(scenario)
         self.db = ClaimDb(MerkleLog(log_path), self.operator, self.trust_store, clock=lambda: self.now)
         self.client = InProcessLogClient(self.db)
         self.monitors: dict[str, Monitor] = {}
@@ -310,16 +313,7 @@ def run_scenario_integration(
     """Execute over real HTTP servers; commit/poll timers run on scaled-down
     wall-clock intervals; expectations are polled until they settle."""
     scenario.validate()
-    operator = generate_identity(
-        OPERATOR_NAME, "CN=log-operator", "CN=R3", seed=identity_seed(scenario.name, OPERATOR_NAME)
-    )
-    identities = {
-        spec.name: generate_identity(
-            spec.name, f"CN={spec.name}", "CN=R3", seed=identity_seed(scenario.name, spec.name)
-        )
-        for spec in scenario.monitors
-    }
-    trust = TrustStore.from_identities([*identities.values(), operator])
+    operator, identities, trust = scenario_identities(scenario)
     db = ClaimDb(MerkleLog(log_path), operator, trust)
     db_server, db_url = serve_db_in_thread(db)
     services: dict[str, MonitorService] = {}

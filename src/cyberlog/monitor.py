@@ -9,6 +9,7 @@ it. Event timestamps always come from the envelope, never the wall clock.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 import urllib.error
@@ -40,6 +41,8 @@ from .revision import (
     include_revision,
     on_superseded,
 )
+
+_log = logging.getLogger("cyberlog.monitor")
 
 EVENT_PREDICATES = {
     "GET": "getRequest",
@@ -201,15 +204,11 @@ class Monitor:
                 )
             except (SubmitError, urllib.error.URLError, OSError) as exc:
                 # commit retried next interval; KB/staging untouched
-                self._warn(f"commit failed, keeping staging: {exc}")
+                self._warn("commit", f"commit failed, keeping staging: {exc}")
                 return None
             self._base = record.id
             self.commit_count += 1
-            rebuilt = KnowledgeBase(trust_store=self.trust_store, log_operator_key=self.operator_key)
-            for claim in fresh.claims:
-                rebuilt.assert_claim(claim)
-            for claim in included:
-                rebuilt.assert_claim(claim)
+            rebuilt = self.kb.successor([*fresh.claims, *included])
             rebuilt.saturate(self.rulesheet)
             self.kb = rebuilt
             return record
@@ -236,7 +235,7 @@ class Monitor:
                 except NotFoundError:
                     continue
                 except (SubmitError, urllib.error.URLError, OSError) as exc:
-                    self._warn(f"poll skipped ({owner}): {exc}")
+                    self._warn("poll", f"poll skipped ({owner}): {exc}")
                     continue
                 last = self.active_includes.get(owner)
                 if head == last:
@@ -248,7 +247,7 @@ class Monitor:
                     else:
                         self.kb = on_superseded(self.kb, last, head, self.rulesheet, self.db)
                 except (CyberlogError, urllib.error.URLError, OSError) as exc:
-                    self._warn(f"include of {head} from {owner} refused: {exc}")
+                    self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue
                 self.active_includes[owner] = head
                 loaded.append(head)
@@ -278,8 +277,10 @@ class Monitor:
         with self.lock:
             return self.metrics.report(len(self.kb), self.name)
 
-    def _warn(self, message: str) -> None:
-        print(f"[monitor {self.name}] {message}", flush=True)
+    def _warn(self, stage: str, message: str) -> None:
+        """Log a recoverable failure; the record carries `monitor` and
+        `stage` (commit, poll or periodic) as attributes."""
+        _log.warning("[monitor %s] %s", self.name, message, extra={"monitor": self.name, "stage": stage})
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ class MonitorService:
             try:
                 action()
             except (CyberlogError, urllib.error.URLError, OSError) as exc:
-                self.monitor._warn(f"periodic task failed: {exc}")
+                self.monitor._warn("periodic", f"periodic task failed: {exc}")
 
     def stop(self) -> None:
         self._stop.set()

@@ -304,21 +304,22 @@ def on_superseded(
     rs: Rulesheet,
     db: LogClient,
 ) -> KnowledgeBase:
-    """Rebuild the KB after a watched revision was superseded.
+    """Successor of the KB after a watched revision was superseded.
 
     Claims rooted in the replaced chain (their inclusions and every
     derivation downstream) disappear; the new revision's claims are
-    included; standard rules re-saturate from scratch.
+    included; standard rules re-saturate from scratch. The kept claims'
+    evidence is checked again in the successor, without re-verifying the
+    signatures the old KB already verified (see `KnowledgeBase.successor`).
     """
     dropped = set(supersession_chain(db, new_rev_id, old_rev_id, kb.log_operator_key))
     dropped.add(old_rev_id)
-    rebuilt = KnowledgeBase(trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
-    for claim in kb.claims.values():
-        if isinstance(claim.evidence, DerivedByRule):
-            continue  # recomputed by saturation
-        if isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped:
-            continue
-        rebuilt.assert_claim(claim)
+    rebuilt = kb.successor(
+        claim
+        for claim in kb.claims.values()
+        if not isinstance(claim.evidence, DerivedByRule)  # recomputed by saturation
+        and not (isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped)
+    )
     include_revision(rebuilt, new_rev_id, db, warn_stale=False)
     rebuilt.saturate(rs)
     return rebuilt

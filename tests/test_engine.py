@@ -442,3 +442,119 @@ def test_failed_saturate_keeps_its_seed(monkeypatch):
     monkeypatch.undo()
     assert [c.atom for c in kb.saturate(rs)] == [GroundAtom("SB", "out", (4,))]
     assert kb.saturated
+
+
+# --- signature memo along a KB lineage --------------------------------------
+
+
+@pytest.fixture
+def count_verify(monkeypatch):
+    """Record every Ed25519 check the KB makes, as (key, signature, message)."""
+    import cyberlog.identity as identity
+
+    original = identity.verify_bytes
+    calls = []
+
+    def counting(key, signature, message):
+        calls.append((key, signature, message))
+        return original(key, signature, message)
+
+    monkeypatch.setattr(identity, "verify_bytes", counting)
+    return calls
+
+
+def _logged_claim(operator, atom, timestamp_ms=7):
+    """A LogInclusion claim for `atom`, from a one-leaf log signed by `operator`."""
+    from cyberlog.claimlog import MerkleLog, leaf_hash, sign_tree_head
+    from cyberlog.engine import LogInclusion
+
+    log = MerkleLog()
+    payload = canonical_atom(atom).encode("utf-8")
+    log.append(payload)
+    head = sign_tree_head(log, operator, timestamp_ms)
+    evidence = LogInclusion("rev", leaf_hash(payload), log.prove_inclusion(0, 1), head)
+    return make_claim(atom, evidence)
+
+
+def test_lineage_verifies_each_signature_once(signed_identities, count_verify):
+    from cyberlog.identity import generate_identity, sign_claim
+
+    trust, ids = signed_identities
+    operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
+    atom = GroundAtom("SB", "p", (1,))
+    direct = make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
+    logged = _logged_claim(operator, GroundAtom("MRM", "q", (2,)))
+    kb = KnowledgeBase(trust_store=trust, log_operator_key=operator.public_key)
+    kb.assert_claim(direct)
+    kb.assert_claim(logged)
+    assert len(count_verify) == 2
+    nxt = kb.successor([direct, logged]).successor([direct, logged])
+    assert nxt.atoms() == kb.atoms()
+    assert nxt.verify_claim_chain(atom)
+    assert len(count_verify) == 2  # checked again, but not re-verified
+    # the successor keeps only the entries its own claims use
+    assert len(kb.successor([direct])._verified) == 1
+    assert kb.successor([])._verified == set()
+
+
+def test_memo_still_rejects_forgeries(signed_identities):
+    from cyberlog.claimlog import SignedTreeHead
+    from cyberlog.engine import LogInclusion
+    from cyberlog.identity import generate_identity, sign_claim
+
+    trust, ids = signed_identities
+    operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
+    atom = GroundAtom("SB", "p", (1,))
+    other = GroundAtom("SB", "p", (2,))
+    genuine = make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
+    logged = _logged_claim(operator, GroundAtom("MRM", "q", (2,)))
+    kb = KnowledgeBase(trust_store=trust, log_operator_key=operator.public_key)
+    kb.assert_claim(genuine)
+    kb.assert_claim(logged)
+    nxt = kb.successor([genuine, logged])
+
+    forgeries = {
+        "same atom, different signature": make_claim(
+            atom, DirectAssertion("SB", sign_claim(ids["SB"], other).signature)
+        ),
+        "same signature, different atom": make_claim(other, DirectAssertion("SB", genuine.evidence.signature)),
+        "same atom and signature, other signer": make_claim(
+            atom, DirectAssertion("MRM", genuine.evidence.signature)
+        ),
+    }
+    for forged in forgeries.values():
+        with pytest.raises(EvidenceError, match="bad signature"):
+            nxt.assert_claim(forged)
+        with pytest.raises(EvidenceError, match="bad signature"):
+            kb.successor([genuine, forged])
+
+    head = logged.evidence.tree_head
+    for forged_head in (
+        SignedTreeHead(head.tree_size, head.root_hash, head.timestamp_ms, bytes(64)),
+        SignedTreeHead(head.tree_size, head.root_hash, head.timestamp_ms + 1, head.signature),
+    ):
+        evidence = LogInclusion("rev", logged.evidence.leaf_hash, logged.evidence.proof, forged_head)
+        forged = Claim(logged.atom, evidence, logged.claim_id)
+        with pytest.raises(EvidenceError, match="tree head signature invalid"):
+            nxt.assert_claim(forged)
+
+    # the signer's key replaced in the trust store: the memoised check no longer applies
+    trust.add(generate_identity("SB", "s", "i", seed=b"\x07" * 32))
+    with pytest.raises(EvidenceError, match="bad signature"):
+        nxt.successor([genuine])
+    with pytest.raises(EvidenceError, match="bad signature"):
+        nxt.check_evidence(genuine)
+
+
+def test_failed_verification_is_not_memoised(signed_identities, count_verify):
+    from cyberlog.identity import sign_claim
+
+    trust, ids = signed_identities
+    kb = KnowledgeBase(trust_store=trust)
+    signature = sign_claim(ids["SB"], GroundAtom("SB", "p", (1,))).signature
+    forged = make_claim(GroundAtom("SB", "p", (2,)), DirectAssertion("SB", signature))
+    for _ in range(2):
+        with pytest.raises(EvidenceError, match="bad signature"):
+            kb.assert_claim(forged)
+    assert len(count_verify) == 2
+    assert kb._verified == set() and len(kb) == 0

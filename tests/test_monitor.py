@@ -1,6 +1,7 @@
 """Monitor runtime: ingestion, queries, polling, commit cycle."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -168,17 +169,23 @@ def test_empty_commits_grow_chain(sb, db_client):
     assert head["chain_length"] == 2
 
 
-def test_commit_survives_unreachable_db(identities, trust_store, db_client, monkeypatch):
+def test_commit_survives_unreachable_db(identities, trust_store, db_client, monkeypatch, caplog):
     sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
     sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
-    before = sb.kb_fact_count()
+    kb, before = sb.kb, sb.kb.atoms()
 
     def boom(payload):
         raise OSError("connection refused")
 
     monkeypatch.setattr(sb.db, "submit_revision", boom)
-    assert sb.commit() is None
-    assert sb.kb_fact_count() == before  # staging preserved
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        assert sb.commit() is None
+    assert sb.kb is kb and kb.atoms() == before  # staging preserved
+    [record] = caplog.records
+    assert (record.name, record.levelname, record.monitor, record.stage) == (
+        "cyberlog.monitor", "WARNING", "SB", "commit"
+    )
+    assert "connection refused" in record.getMessage()
 
 
 def test_metrics_report_shape(sb):
@@ -293,3 +300,92 @@ def test_authorization_gate(identities, trust_store, db_client):
 def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
     with pytest.raises(ConfigError, match="does not match"):
         Monitor(identities["DOM"], parse_rulesheet(SB_SHEET, "SB"), db_client, trust_store)
+
+
+# --- signature memo along each monitor's KB lineage ---------------------------
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def _steady_booking(windows: int):
+    """The uav_booking flow once per commit window, each time with a new request id."""
+    from cyberlog.harness import Scenario, ScenarioEvent, load_scenario
+
+    base = load_scenario(os.path.join(SCENARIOS, "uav_booking.jsonl"))
+    events = []
+    for k in range(windows):
+        for event in base.events:
+            env = event.envelope
+            body = env.body.replace('"request_id": 7', f'"request_id": {100 + k}')
+            at = event.at_ms + 1000 * k
+            events.append(ScenarioEvent(at, event.monitor, EventEnvelope(env.method, env.path, body, at)))
+    return Scenario("steady_booking", base.monitors, events, [])
+
+
+def _count_kb_verifications(monkeypatch, monitors):
+    """Ed25519 checks made by each monitor's KB, as (key, signature, message).
+
+    Only `identity.verify_bytes` is wrapped, the binding the KB calls; the
+    claim DB and revision fetches verify through their own bindings.
+    """
+    import cyberlog.identity as identity
+
+    original = identity.verify_bytes
+    current = [None]
+    seen = {name: [] for name in monitors}
+
+    def counting(key, signature, message):
+        seen[current[0]].append((key, signature, message))
+        return original(key, signature, message)
+
+    monkeypatch.setattr(identity, "verify_bytes", counting)
+    for method in ("ingest_event", "commit", "poll_and_include", "handle_query"):
+        unwrapped = getattr(Monitor, method)
+
+        def acting(self, *args, _unwrapped=unwrapped, **kwargs):
+            current[0] = self.name
+            return _unwrapped(self, *args, **kwargs)
+
+        monkeypatch.setattr(Monitor, method, acting)
+    return seen
+
+
+def test_each_monitor_lineage_verifies_each_signature_once(monkeypatch):
+    from cyberlog.harness import ScenarioRun
+
+    run = ScenarioRun(_steady_booking(3))
+    seen = _count_kb_verifications(monkeypatch, run.monitors)
+    try:
+        run.finish()
+        assert run.query_count("DOM", "good_rtf_exists(R, A)") == 3
+    finally:
+        run.close()
+    for name, calls in seen.items():
+        assert calls, name
+        assert len(calls) == len(set(calls)), name
+
+
+def test_signature_memo_bounded_and_supersession_matches_scratch():
+    from cyberlog.harness import ScenarioRun
+    from cyberlog.engine import KnowledgeBase
+    from cyberlog.revision import include_revision
+
+    windows = 8
+    run = ScenarioRun(_steady_booking(windows))
+    dom = run.monitors["DOM"]
+    sizes = []
+    try:
+        for k in range(1, windows + 1):
+            for now in (1000 * k - 1, 1000 * k):  # before and after the window's commits and polls
+                run.advance_to(now)
+                sizes.append({name: len(m.kb._verified) for name, m in run.monitors.items()})
+            # DOM's KB is its inclusions and their consequences: rebuild it with no memo
+            scratch = KnowledgeBase(trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+            for rev_id in dom.active_includes.values():
+                include_revision(scratch, rev_id, run.client, warn_stale=False)
+            scratch.saturate(dom.rulesheet)
+            assert dom.kb.atoms() == scratch.atoms(), f"window {k}"
+        assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
+    finally:
+        run.close()
+    assert sizes[2:4] == sizes[-2:], sizes
