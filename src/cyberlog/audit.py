@@ -1,8 +1,10 @@
 """Recursive evidence verification against the claim database.
 
-Audits reconstruct how a claim was made: rule instances are re-derived,
-direct assertions are signature-checked against the trust store, and
-foreign premises are resolved through the auditing revision's includes,
+Audits reconstruct how a claim was made. Each claim's own evidence goes
+through the engine's `check_evidence` and each rule instance's side
+conditions through `rule_premises`, the checker the knowledge base uses
+too; the auditor only fetches revisions and resolves premises. Foreign
+premises are resolved through the auditing revision's includes,
 terminating in verified log inclusions. An optional trusted-heads cache
 adds an append-only consistency check of the whole log first, which is
 what catches byte tampering outside the audited evidence path.
@@ -15,21 +17,17 @@ from dataclasses import dataclass, field
 
 from .claimlog import ConsistencyProof, SignedTreeHead, verify_consistency, verify_tree_head
 from .engine import (
-    BuiltinAtom,
     CarriedByNextRule,
     Claim,
-    ComparisonAtom,
     DerivedByRule,
     DirectAssertion,
     GroundAtom,
     LogInclusion,
-    RelationalAtom,
     canonical_atom,
-    eval_builtin,
-    instantiate_head,
-    _eval_comparison,
+    check_evidence,
+    rule_premises,
 )
-from .errors import CyberlogError, EvaluationError, LogIntegrityError, NotFoundError
+from .errors import CyberlogError, EvidenceError, LogIntegrityError, NotFoundError
 from .identity import TrustStore, verify_bytes
 from .revision import LogClient, RevisionRecord, fetch_verified_revision
 
@@ -62,6 +60,14 @@ def render_audit_tree(node: AuditNode, indent: int = 0) -> str:
     for child in node.children:
         lines.append(render_audit_tree(child, indent + 1))
     return "\n".join(lines)
+
+
+_KINDS = {
+    DirectAssertion: "direct_assertion",
+    DerivedByRule: "derived_by_rule",
+    CarriedByNextRule: "carried_by_next_rule",
+    LogInclusion: "log_inclusion",
+}
 
 
 class Auditor:
@@ -101,143 +107,77 @@ class Auditor:
     # -- recursive verification ---------------------------------------------
 
     def audit_claim(self, record: RevisionRecord, claim: Claim, depth: int = 0) -> AuditNode:
+        """Check the claim's evidence with the engine's checker, then audit
+        its premises: a rule instance's own premises in `record`, a carried
+        claim's in its source revision."""
         if depth > 500:
             return self._fail(claim.atom, "depth", "evidence chain exceeds depth limit")
         ev = claim.evidence
+        kind = _KINDS.get(type(ev), "unknown")
         try:
+            check_evidence(claim, self.trust_store, self.operator_key, verify_bytes)
+            node = AuditNode(canonical_atom(claim.atom), kind, True, "")
             if isinstance(ev, DirectAssertion):
-                return self._audit_direct(claim, ev)
-            if isinstance(ev, DerivedByRule):
-                return self._audit_derived(record, claim, ev, depth)
-            if isinstance(ev, CarriedByNextRule):
-                return self._audit_carried(claim, ev, depth)
-            if isinstance(ev, LogInclusion):
-                return self._audit_inclusion(claim, ev)
-            return self._fail(claim.atom, "unknown", f"unknown evidence type {type(ev).__name__}")
+                node.detail = f"signed by {ev.signer}"
+            elif isinstance(ev, DerivedByRule):
+                expected = rule_premises(ev.rule, ev.substitution)
+                if len(expected) != len(ev.premises):
+                    raise EvidenceError("premise count does not match rule body")
+                node.detail = "rule re-derivation checked"
+                for atom, premise_id in zip(expected, ev.premises):
+                    node.children.append(self._audit_premise(record, atom, premise_id, depth + 1))
+            elif isinstance(ev, CarriedByNextRule):
+                source = self.fetch_revision(ev.source_revision)
+                node.detail = f"carried from revision {ev.source_revision[:8]}"
+                for atom in rule_premises(ev.rule, ev.substitution):
+                    node.children.append(self._audit_premise(source, atom, None, depth + 1))
+            else:  # LogInclusion: check_evidence refused every other type
+                included = self.fetch_revision(ev.revision_id)
+                if not any(c.atom == claim.atom for c in included.claims):
+                    raise EvidenceError(f"atom absent from revision {ev.revision_id[:8]}")
+                node.detail = f"included from {ev.revision_id[:8]}, proof verified"
+            return node
         except CyberlogError as exc:
-            return self._fail(claim.atom, type(ev).__name__, str(exc))
+            return self._fail(claim.atom, kind, str(exc))
 
     def _fail(self, atom: GroundAtom, kind: str, detail: str) -> AuditNode:
         return AuditNode(canonical_atom(atom), kind, False, detail)
 
-    def _audit_direct(self, claim: Claim, ev: DirectAssertion) -> AuditNode:
-        key = self.trust_store.public_key(ev.signer)
-        if key is None:
-            return self._fail(claim.atom, "direct_assertion", f"no trusted key for {ev.signer!r}")
-        if not verify_bytes(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
-            return self._fail(claim.atom, "direct_assertion", f"signature by {ev.signer!r} invalid")
-        return AuditNode(canonical_atom(claim.atom), "direct_assertion", True, f"signed by {ev.signer}")
-
-    def _audit_derived(self, record: RevisionRecord, claim: Claim, ev: DerivedByRule, depth: int) -> AuditNode:
-        subst = dict(ev.substitution)
-        head = instantiate_head(ev.rule.head, subst)
-        if head != claim.atom:
-            return self._fail(claim.atom, "derived_by_rule", "rule instance does not reproduce the claim")
-        node = AuditNode(canonical_atom(claim.atom), "derived_by_rule", True, "rule re-derivation checked")
-        rel_atoms = [a for a in ev.rule.body if isinstance(a, RelationalAtom)]
-        if len(rel_atoms) != len(ev.premises):
-            return self._fail(claim.atom, "derived_by_rule", "premise count does not match rule body")
-        for body_atom, premise_id in zip(rel_atoms, ev.premises):
-            expected = instantiate_head(body_atom, subst)
-            node.children.append(self._resolve_premise(record, premise_id, expected, depth + 1))
-        ok, detail = self._check_side_conditions(ev.rule.body, subst)
-        if not ok:
-            node.ok = False
-            node.detail = detail
-        return node
-
-    def _audit_carried(self, claim: Claim, ev: CarriedByNextRule, depth: int) -> AuditNode:
-        source = self.fetch_revision(ev.source_revision)
-        subst = dict(ev.substitution)
-        head = instantiate_head(ev.rule.head, subst)
-        if head != claim.atom:
-            return self._fail(claim.atom, "carried_by_next_rule", "next-rule instance does not reproduce the claim")
-        node = AuditNode(
-            canonical_atom(claim.atom),
-            "carried_by_next_rule",
-            True,
-            f"carried from revision {ev.source_revision[:8]}",
-        )
-        for body_atom in ev.rule.body:
-            if not isinstance(body_atom, RelationalAtom):
-                continue
-            expected = instantiate_head(body_atom, subst)
-            premise = next((c for c in source.claims if c.atom == expected), None)
-            if premise is not None:
-                node.children.append(self.audit_claim(source, premise, depth + 1))
+    def _audit_premise(
+        self, record: RevisionRecord, expected: GroundAtom, premise_id: str | None, depth: int
+    ) -> AuditNode:
+        """Audit the premise `expected`, found by `premise_id` (by atom when
+        None): an own claim of `record` is audited in turn, and a claim of a
+        revision `record` includes rests on that revision's verified fetch."""
+        claim = _find_premise(record.claims, expected, premise_id)
+        origin = None
+        if claim is None:
+            for rev_id in record.includes:
+                try:
+                    included = self.fetch_revision(rev_id)
+                except (LogIntegrityError, NotFoundError) as exc:
+                    return self._fail(expected, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
+                claim = _find_premise(included.claims, expected, premise_id)
+                if claim is not None:
+                    origin = rev_id
+                    break
             else:
-                node.children.append(self._resolve_included_atom(source, expected))
-        ok, detail = self._check_side_conditions(ev.rule.body, subst)
-        if not ok:
-            node.ok = False
-            node.detail = detail
-        return node
-
-    def _audit_inclusion(self, claim: Claim, ev: LogInclusion) -> AuditNode:
-        from .claimlog import verify_inclusion
-
-        if not verify_inclusion(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
-            return self._fail(claim.atom, "log_inclusion", f"inclusion proof failed for {ev.revision_id[:8]}")
-        if self.operator_key is not None and not verify_tree_head(ev.tree_head, self.operator_key):
-            return self._fail(claim.atom, "log_inclusion", "tree head signature invalid")
-        record = self.fetch_revision(ev.revision_id)
-        if not any(c.atom == claim.atom for c in record.claims):
-            return self._fail(claim.atom, "log_inclusion", f"atom absent from revision {ev.revision_id[:8]}")
+                return self._fail(
+                    expected, "premise", f"premise not found in revision {record.id[:8]} or its includes"
+                )
+        if claim.atom != expected:
+            return self._fail(expected, "premise", "premise claim does not match instantiated body atom")
+        if origin is None:
+            return self.audit_claim(record, claim, depth)
         return AuditNode(
-            canonical_atom(claim.atom), "log_inclusion", True, f"included from {ev.revision_id[:8]}, proof verified"
+            canonical_atom(expected), "log_inclusion", True, f"included from {origin[:8]}, fetched with verified proof"
         )
 
-    def _resolve_premise(self, record: RevisionRecord, premise_id: str, expected: GroundAtom, depth: int) -> AuditNode:
-        for claim in record.claims:
-            if claim.claim_id == premise_id:
-                if claim.atom != expected:
-                    return self._fail(expected, "premise", "premise claim does not match instantiated body atom")
-                return self.audit_claim(record, claim, depth)
-        # not an own claim: look through the revisions this record includes
-        for rev_id in record.includes:
-            try:
-                included = self.fetch_revision(rev_id)
-            except (LogIntegrityError, NotFoundError) as exc:
-                return self._fail(expected, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
-            for claim in included.claims:
-                if claim.claim_id == premise_id:
-                    if claim.atom != expected:
-                        return self._fail(expected, "premise", "premise claim does not match instantiated body atom")
-                    return AuditNode(
-                        canonical_atom(claim.atom),
-                        "log_inclusion",
-                        True,
-                        f"included from {rev_id[:8]}, fetched with verified proof",
-                    )
-        return self._fail(expected, "premise", f"premise {premise_id[:8]} not found in record or its includes")
 
-    def _resolve_included_atom(self, record: RevisionRecord, expected: GroundAtom) -> AuditNode:
-        for rev_id in record.includes:
-            try:
-                included = self.fetch_revision(rev_id)
-            except (LogIntegrityError, NotFoundError) as exc:
-                return self._fail(expected, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
-            if any(c.atom == expected for c in included.claims):
-                return AuditNode(
-                    canonical_atom(expected),
-                    "log_inclusion",
-                    True,
-                    f"included from {rev_id[:8]}, fetched with verified proof",
-                )
-        return self._fail(expected, "premise", "next-rule premise not found in source revision or its includes")
-
-    def _check_side_conditions(self, body, subst) -> tuple[bool, str]:
-        try:
-            for atom in body:
-                if isinstance(atom, BuiltinAtom):
-                    if not eval_builtin(atom.name, atom.args, subst):
-                        return False, f"builtin {atom.name} does not hold under the stored substitution"
-                elif isinstance(atom, ComparisonAtom):
-                    if not _eval_comparison(atom, subst):
-                        return False, f"comparison {atom.op} does not hold under the stored substitution"
-        except EvaluationError as exc:
-            return False, f"side condition unevaluable: {exc}"
-        return True, ""
+def _find_premise(claims: tuple[Claim, ...], expected: GroundAtom, premise_id: str | None) -> Claim | None:
+    if premise_id is None:
+        return next((c for c in claims if c.atom == expected), None)
+    return next((c for c in claims if c.claim_id == premise_id), None)
 
 
 # ---------------------------------------------------------------------------

@@ -192,31 +192,6 @@ class ClaimDb:
             return self.log.prove_inclusion(index, size).to_obj()
 
 
-class InProcessLogClient:
-    """LogClient over a ClaimDb object in the same process."""
-
-    def __init__(self, db: ClaimDb):
-        self.db = db
-
-    def submit_revision(self, payload: str) -> dict:
-        return self.db.submit_revision(payload)
-
-    def get_revision(self, rev_id: str) -> dict:
-        return self.db.get_revision(rev_id)
-
-    def get_head(self, owner: str) -> dict:
-        return self.db.get_head(owner)
-
-    def get_log_root(self) -> dict:
-        return self.db.get_log_root()
-
-    def get_consistency(self, old_size: int, new_size: int) -> dict:
-        return self.db.get_consistency(old_size, new_size)
-
-    def get_inclusion(self, index: int, size: int) -> dict:
-        return self.db.get_inclusion(index, size)
-
-
 class HttpLogClient:
     """LogClient speaking the REST endpoints over HTTP."""
 

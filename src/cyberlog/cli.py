@@ -225,9 +225,7 @@ def _local_client(log_path: str, trust_store_path: str):
     # for reading; receipts/heads are re-derived from the file)
     trust = TrustStore.load(trust_store_path)
     operator = generate_identity(DEFAULT_OPERATOR, seed=bytes(32))
-    from .claimdb import InProcessLogClient
-
-    return InProcessLogClient(ClaimDb(MerkleLog(log_path), operator, trust))
+    return ClaimDb(MerkleLog(log_path), operator, trust)
 
 
 def cmd_verify_log(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EvaluationError, EvidenceError, NotFoundError
 from .lang import (
@@ -352,6 +352,79 @@ def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
 
 
 # ---------------------------------------------------------------------------
+# Evidence checking, shared by the knowledge base and the auditor
+
+
+def check_evidence(
+    claim: Claim,
+    trust_store: "TrustStore | None",
+    operator_key: bytes | None,
+    signature_ok: Callable[[bytes, bytes, bytes], bool],
+) -> None:
+    """Check a claim's own evidence; raises EvidenceError.
+
+    Direct assertions are signature-checked when a trust store is given;
+    rule instances (derived or carried) must reproduce the claim's atom;
+    log inclusions are proof-checked, and their tree heads
+    signature-checked when an operator key is given. `signature_ok(key,
+    signature, message)` performs each Ed25519 check. Premises and side
+    conditions are not checked here (see `rule_premises`).
+    """
+    ev = claim.evidence
+    if isinstance(ev, DirectAssertion):
+        if trust_store is not None:
+            key = trust_store.public_key(ev.signer)
+            if key is None:
+                raise EvidenceError(f"no trusted key for signer {ev.signer!r}")
+            if not signature_ok(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
+                raise EvidenceError(f"bad signature by {ev.signer!r} on {canonical_atom(claim.atom)}")
+    elif isinstance(ev, (DerivedByRule, CarriedByNextRule)):
+        try:
+            head = instantiate_head(ev.rule.head, ev.substitution)
+        except EvaluationError as exc:
+            raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
+        if head != claim.atom:
+            raise EvidenceError(
+                f"rule instance mismatch: rule head yields {canonical_atom(head)}, "
+                f"which does not reproduce the claim {canonical_atom(claim.atom)}"
+            )
+    elif isinstance(ev, LogInclusion):
+        from .claimlog import tree_head_bytes, verify_inclusion
+
+        if not verify_inclusion(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
+            raise EvidenceError(f"inclusion proof failed for revision {ev.revision_id}")
+        head = ev.tree_head
+        if operator_key is not None and not signature_ok(
+            operator_key, head.signature, tree_head_bytes(head.tree_size, head.root_hash, head.timestamp_ms)
+        ):
+            raise EvidenceError("tree head signature invalid")
+    else:
+        raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
+
+
+def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> list[GroundAtom]:
+    """The relational body atoms of a rule instance, instantiated in body
+    order, once its builtins and comparisons are checked to hold.
+
+    Raises EvidenceError when a side condition does not hold or the
+    instance cannot be evaluated.
+    """
+    premises = []
+    try:
+        for atom in rule.body:
+            if isinstance(atom, RelationalAtom):
+                premises.append(instantiate_head(atom, substitution))
+            elif isinstance(atom, BuiltinAtom):
+                if not eval_builtin(atom.name, atom.args, substitution):
+                    raise EvidenceError(f"builtin {atom.name} does not hold under the stored substitution")
+            elif not _eval_comparison(atom, substitution):
+                raise EvidenceError(f"comparison {atom.op} does not hold under the stored substitution")
+    except EvaluationError as exc:
+        raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
+    return premises
+
+
+# ---------------------------------------------------------------------------
 # Knowledge base
 
 
@@ -437,35 +510,7 @@ class KnowledgeBase:
     def check_evidence(self, claim: Claim) -> None:
         if claim.claim_id != atom_id(claim.atom):
             raise EvidenceError(f"claim id does not match atom {canonical_atom(claim.atom)}")
-        ev = claim.evidence
-        if isinstance(ev, DirectAssertion):
-            if self.trust_store is not None:
-                key = self.trust_store.public_key(ev.signer)
-                if key is None:
-                    raise EvidenceError(f"no trusted key for signer {ev.signer!r}")
-                if not self._signature_ok(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
-                    raise EvidenceError(f"bad signature on {canonical_atom(claim.atom)}")
-        elif isinstance(ev, (DerivedByRule, CarriedByNextRule)):
-            head = instantiate_head(ev.rule.head, dict(ev.substitution))
-            if head != claim.atom:
-                raise EvidenceError(
-                    f"rule instance mismatch: rule head yields {canonical_atom(head)}, "
-                    f"claim is {canonical_atom(claim.atom)}"
-                )
-        elif isinstance(ev, LogInclusion):
-            from .claimlog import tree_head_bytes, verify_inclusion
-
-            if not verify_inclusion(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
-                raise EvidenceError(f"inclusion proof failed for revision {ev.revision_id}")
-            head = ev.tree_head
-            if self.log_operator_key is not None and not self._signature_ok(
-                self.log_operator_key,
-                head.signature,
-                tree_head_bytes(head.tree_size, head.root_hash, head.timestamp_ms),
-            ):
-                raise EvidenceError("tree head signature invalid")
-        else:
-            raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
+        check_evidence(claim, self.trust_store, self.log_operator_key, self._signature_ok)
 
     def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
         entry = (public_key, signature, message)
@@ -591,40 +636,21 @@ class KnowledgeBase:
     # -- local audit -------------------------------------------------------
 
     def verify_claim_chain(self, atom: GroundAtom) -> bool:
-        """True iff the atom's local evidence tree re-checks all the way down."""
+        """True iff the atom's local evidence tree re-checks all the way down:
+        every claim's own evidence, and every rule instance's side conditions
+        and premise atoms."""
         try:
-            node = self.explain(atom)
+            stack = [self.explain(atom)]
+            while stack:
+                node = stack.pop()
+                self.check_evidence(node.claim)
+                ev = node.claim.evidence
+                if isinstance(ev, DerivedByRule):
+                    if rule_premises(ev.rule, ev.substitution) != [child.claim.atom for child in node.children]:
+                        return False
+                    stack.extend(node.children)
         except (NotFoundError, EvidenceError):
             return False
-        return self._verify_node(node)
-
-    def _verify_node(self, node: EvidenceNode) -> bool:
-        claim = node.claim
-        try:
-            self.check_evidence(claim)
-        except EvidenceError:
-            return False
-        ev = claim.evidence
-        if isinstance(ev, DerivedByRule):
-            subst = dict(ev.substitution)
-            rel_atoms = [a for a in claim.evidence.rule.body if isinstance(a, RelationalAtom)]
-            if len(rel_atoms) != len(ev.premises):
-                return False
-            for body_atom, child in zip(rel_atoms, node.children):
-                instantiated = instantiate_head(body_atom, subst)
-                if instantiated != child.claim.atom:
-                    return False
-            try:
-                for atom in ev.rule.body:
-                    if isinstance(atom, BuiltinAtom):
-                        if not eval_builtin(atom.name, atom.args, subst):
-                            return False
-                    elif isinstance(atom, ComparisonAtom):
-                        if not _eval_comparison(atom, subst):
-                            return False
-            except EvaluationError:
-                return False
-            return all(self._verify_node(child) for child in node.children)
         return True
 
 

@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .claimdb import ClaimDb, HttpLogClient, InProcessLogClient, serve_db_in_thread
+from .claimdb import ClaimDb, HttpLogClient, serve_db_in_thread
 from .claimlog import MerkleLog, SignedTreeHead
 from .errors import ConfigError, NotFoundError
 from .identity import Identity, TrustStore, generate_identity
@@ -209,7 +209,7 @@ class ScenarioRun:
         self.now = 0
         self.operator, self.identities, self.trust_store = scenario_identities(scenario)
         self.db = ClaimDb(MerkleLog(log_path), self.operator, self.trust_store, clock=lambda: self.now)
-        self.client = InProcessLogClient(self.db)
+        self.client = self.db
         self.monitors: dict[str, Monitor] = {}
         for spec in scenario.monitors:
             self.monitors[spec.name] = Monitor(

@@ -37,7 +37,8 @@ from .wire import canonical_json, claim_from_obj, claim_to_obj
 
 
 class LogClient(Protocol):
-    """Transport-agnostic claim database client (in-process or HTTP)."""
+    """Transport-agnostic claim database client: a `ClaimDb` itself, or
+    `HttpLogClient` over HTTP."""
 
     def submit_revision(self, payload: str) -> dict: ...
 
@@ -285,14 +286,11 @@ def supersession_chain(db: LogClient, new_rev_id: str, old_rev_id: str, operator
     cursor = record.supersedes
     while cursor is not None:
         chain.append(cursor)
-        if cursor == old_rev_id:
-            older, _, _, _ = fetch_verified_revision(db, cursor, operator_key)
-            if older.owner != owner:
-                raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {owner!r}")
-            return chain
         older, _, _, _ = fetch_verified_revision(db, cursor, operator_key)
         if older.owner != owner:
             raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {owner!r}")
+        if cursor == old_rev_id:
+            return chain
         cursor = older.supersedes
     raise EvidenceError(f"revision {new_rev_id} does not supersede {old_rev_id}")
 

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from cyberlog.claimdb import ClaimDb, InProcessLogClient
+from cyberlog.claimdb import ClaimDb
 from cyberlog.claimlog import MerkleLog
 from cyberlog.identity import TrustStore, generate_identity
 
@@ -33,7 +33,7 @@ def db(identities, trust_store):
 
 @pytest.fixture
 def db_client(db):
-    return InProcessLogClient(db)
+    return db
 
 
 def raw_http_status(address, request: bytes) -> int:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cyberlog.audit import Auditor, load_heads_cache, render_audit_tree, verify_log_consistency
-from cyberlog.claimdb import ClaimDb, InProcessLogClient
+from cyberlog.claimdb import ClaimDb
 from cyberlog.claimlog import MerkleLog
 from cyberlog.engine import GroundAtom
 from cyberlog.errors import NotFoundError
@@ -34,7 +34,7 @@ def reopen_db(run, log_path):
         OPERATOR_NAME, "CN=log-operator", "CN=R3", seed=identity_seed(run.scenario.name, OPERATOR_NAME)
     )
     db = ClaimDb(MerkleLog(log_path), operator, run.trust_store)
-    return InProcessLogClient(db), operator
+    return db, operator
 
 
 def payload_byte_offsets(log_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cyberlog.claimdb import ClaimDb, HttpLogClient, InProcessLogClient, serve_db_in_thread
+from cyberlog.claimdb import ClaimDb, HttpLogClient, serve_db_in_thread
 from cyberlog.claimlog import (
     ConsistencyProof,
     InclusionProof,
@@ -180,11 +180,10 @@ def test_receipts_linearizable_and_consistent(db_client, identities):
 def test_restart_rebuilds_indexes_and_root(tmp_path, identities, trust_store):
     path = str(tmp_path / "db.log")
     db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
-    client = InProcessLogClient(db)
     _, payload = sb_payload(identities)
-    base = client.submit_revision(payload)["revision_id"]
+    base = db.submit_revision(payload)["revision_id"]
     _, nxt = sb_payload(identities, supersedes=base, commit_time=2)
-    client.submit_revision(nxt)
+    db.submit_revision(nxt)
     root = db.get_log_root()["root_hash"]
     db.log.close()
 
@@ -309,30 +308,28 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
 
 
 def test_double_supersede_race_two_clients(db, identities):
-    """Two clients race to supersede the same target; appends are serialized
+    """Two threads race to supersede the same target; appends are serialized
     so exactly one wins and the loser gets a conflict."""
     import threading
 
-    client_a = InProcessLogClient(db)
-    client_b = InProcessLogClient(db)
     _, payload = sb_payload(identities)
-    base = client_a.submit_revision(payload)["revision_id"]
+    base = db.submit_revision(payload)["revision_id"]
     _, race_a = sb_payload(identities, supersedes=base, commit_time=10)
     _, race_b = sb_payload(identities, supersedes=base, commit_time=11)
 
     outcomes = {}
     barrier = threading.Barrier(2)
 
-    def submit(tag, client, body):
+    def submit(tag, body):
         barrier.wait()
         try:
-            outcomes[tag] = client.submit_revision(body)["revision_id"]
+            outcomes[tag] = db.submit_revision(body)["revision_id"]
         except SubmitError as exc:
             outcomes[tag] = exc.code
 
     threads = [
-        threading.Thread(target=submit, args=("a", client_a, race_a)),
-        threading.Thread(target=submit, args=("b", client_b, race_b)),
+        threading.Thread(target=submit, args=("a", race_a)),
+        threading.Thread(target=submit, args=("b", race_b)),
     ]
     for t in threads:
         t.start()

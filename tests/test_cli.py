@@ -148,7 +148,6 @@ def test_verify_log_cli_pass(served_scenario, capsys):
 
 def test_query_cli(tmp_path, capsys):
     from cyberlog.monitor import Monitor, MonitorService
-    from cyberlog.claimdb import InProcessLogClient
     from cyberlog.lang import parse_rulesheet
 
     ident = generate_identity("SB", seed=bytes([1]) * 32)
@@ -157,7 +156,7 @@ def test_query_cli(tmp_path, capsys):
     monitor = Monitor(
         ident,
         parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\nseen(P) :- getRequest(P, T, B).\n", "SB"),
-        InProcessLogClient(db),
+        db,
         trust,
     )
     from cyberlog.monitor import EventEnvelope

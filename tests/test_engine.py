@@ -4,6 +4,7 @@ naive fixpoint oracle."""
 import pytest
 
 from cyberlog.engine import (
+    CarriedByNextRule,
     Claim,
     DerivedByRule,
     DirectAssertion,
@@ -558,3 +559,15 @@ def test_failed_verification_is_not_memoised(signed_identities, count_verify):
             kb.assert_claim(forged)
     assert len(count_verify) == 2
     assert kb._verified == set() and len(kb) == 0
+
+
+@pytest.mark.parametrize("evidence_kind", ["derived", "carried"])
+def test_rule_evidence_missing_head_variable_is_evidence_error(evidence_kind):
+    rs = parse_rulesheet(IDS + "p(X) :- q(X).", "SB")
+    atom = GroundAtom("SB", "p", (1,))
+    if evidence_kind == "derived":
+        evidence = DerivedByRule(rs.rules[0], {}, ())
+    else:
+        evidence = CarriedByNextRule(rs.rules[0], {}, "0" * 64)
+    with pytest.raises(EvidenceError, match="unbound head variable"):
+        KnowledgeBase().assert_claim(Claim(atom, evidence, atom_id(atom)))

@@ -1,0 +1,135 @@
+"""Forged rule instances are refused by both users of the engine's evidence
+checker, a knowledge base's `verify_claim_chain` and the recursive
+`Auditor`, and honest ones pass both.
+
+Each forged claim but a head mismatch passes admission into a KB (which
+checks only a rule instance's head), and all pass submission to the claim
+DB (which checks only the revision signature); the chain re-check and the
+audit must catch them.
+"""
+
+import pytest
+
+from cyberlog.audit import Auditor, render_audit_tree
+from cyberlog.engine import (
+    CarriedByNextRule,
+    Claim,
+    DerivedByRule,
+    DirectAssertion,
+    GroundAtom,
+    KnowledgeBase,
+    atom_id,
+    make_claim,
+)
+from cyberlog.errors import EvidenceError
+from cyberlog.identity import sign_claim
+from cyberlog.lang import parse_rulesheet
+from cyberlog.revision import build_record, encode_payload, sign_record
+
+from conftest import OPERATOR
+
+SHEET = (
+    "'SB': Subject: 's' Issuer: 'i'\n"
+    "verdict(Id) :- request(Id).\n"
+    "big(Id) :- request(Id), Id > 5.\n"
+    "param(Id, V) :- body(Id, B), get_param_int(B, 'n', V).\n"
+    "next carried(Id) :- request(Id), Id > 5.\n"
+)
+RS = parse_rulesheet(SHEET, "SB")
+RULES = {rule.head.predicate: rule for rule in RS.rules}
+BODY = '{"n": 3}'
+
+
+def sb(predicate, *args):
+    return GroundAtom("SB", predicate, args)
+
+
+# name -> (claimed atom, rule, substitution, premise atoms in evidence
+# order, whether the instance is honest). The honest ones show that each
+# forged case fails for its forgery alone.
+CASES = {
+    "honest": (sb("verdict", 7), "verdict", {"Id": 7}, [sb("request", 7)], True),
+    "honest_builtin": (sb("param", 7, 3), "param", {"Id": 7, "B": BODY, "V": 3}, [sb("body", 7, BODY)], True),
+    "honest_comparison": (sb("big", 7), "big", {"Id": 7}, [sb("request", 7)], True),
+    "head_mismatch": (sb("verdict", 99), "verdict", {"Id": 7}, [sb("request", 7)], False),
+    "premise_count_mismatch": (sb("verdict", 7), "verdict", {"Id": 7}, [], False),
+    "swapped_premise_id": (sb("verdict", 7), "verdict", {"Id": 7}, [sb("unrelated", "z")], False),
+    "builtin_fails": (sb("param", 7, 4), "param", {"Id": 7, "B": BODY, "V": 4}, [sb("body", 7, BODY)], False),
+    "comparison_fails": (sb("big", 3), "big", {"Id": 3}, [sb("request", 3)], False),
+    "side_condition_unevaluable": (sb("big", "x"), "big", {"Id": "x"}, [sb("request", "x")], False),
+}
+BASE_ATOMS = [
+    sb("request", 7),
+    sb("request", 3),
+    sb("request", "x"),
+    sb("unrelated", "z"),
+    sb("body", 7, BODY),
+]
+
+
+def signed(identities, atom, signer="SB"):
+    return make_claim(atom, DirectAssertion(signer, sign_claim(identities["SB"], atom).signature))
+
+
+def derived(name):
+    atom, rule, subst, premises, _honest = CASES[name]
+    evidence = DerivedByRule(RULES[rule], dict(subst), tuple(atom_id(p) for p in premises))
+    return Claim(atom, evidence, atom_id(atom))
+
+
+def kb_holding(identities, trust_store, claim):
+    kb = KnowledgeBase(trust_store=trust_store)
+    for base in BASE_ATOMS:
+        kb.assert_claim(signed(identities, base))
+    try:
+        kb.assert_claim(claim)
+    except EvidenceError as exc:
+        # admission checks only a rule instance's head and refuses this one;
+        # hold the claim anyway, as a KB filled without admission would
+        assert "rule instance mismatch" in str(exc)
+        kb.claims[claim.atom] = claim
+        kb.by_id[claim.claim_id] = claim
+    return kb
+
+
+def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_time=1):
+    record = build_record("SB", supersedes, (), RS.source_hash.hex(), claims, commit_time)
+    db.submit_revision(encode_payload(record, sign_record(record, identities["SB"])))
+    return record, Auditor(db, trust_store, identities[OPERATOR].public_key)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rule_instance_chain_check(identities, trust_store, name):
+    claim = derived(name)
+    kb = kb_holding(identities, trust_store, claim)
+    assert kb.verify_claim_chain(claim.atom) is CASES[name][-1]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rule_instance_audit(db, identities, trust_store, name):
+    claim = derived(name)
+    base = [signed(identities, atom) for atom in BASE_ATOMS]
+    _record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
+    node = auditor.audit_atom("SB", claim.atom)
+    assert node.all_ok is CASES[name][-1], render_audit_tree(node)
+
+
+@pytest.mark.parametrize("value, holds", [(7, True), (3, False)])
+def test_carried_claim_side_condition_audited(db, identities, trust_store, value, holds):
+    source, _ = log_and_audit(db, identities, trust_store, [signed(identities, sb("request", value))])
+    atom = sb("carried", value)
+    carried = Claim(atom, CarriedByNextRule(RULES["carried"], {"Id": value}, source.id), atom_id(atom))
+    _record, auditor = log_and_audit(db, identities, trust_store, [carried], supersedes=source.id, commit_time=2)
+    node = auditor.audit_atom("SB", atom)
+    assert node.all_ok is holds, render_audit_tree(node)
+    if not holds:
+        assert "comparison > does not hold" in node.detail
+
+
+def test_direct_assertion_by_unknown_signer_fails_audit(db, identities, trust_store):
+    claim = signed(identities, sb("request", 7), signer="NOBODY")
+    _record, auditor = log_and_audit(db, identities, trust_store, [claim])
+    node = auditor.audit_atom("SB", claim.atom)
+    assert not node.all_ok
+    assert node.kind == "direct_assertion"
+    assert "no trusted key" in node.detail
