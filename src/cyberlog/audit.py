@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .claimlog import ConsistencyProof, SignedTreeHead, verify_consistency, verify_tree_head
+from .claimlog import ConsistencyProof, SignedTreeHead, verify_consistency, verify_inclusion, verify_tree_head
 from .engine import (
     CarriedByNextRule,
     Claim,
@@ -115,7 +115,7 @@ class Auditor:
         ev = claim.evidence
         kind = _KINDS.get(type(ev), "unknown")
         try:
-            check_evidence(claim, self.trust_store, self.operator_key, verify_bytes)
+            check_evidence(claim, self.trust_store, self.operator_key, verify_bytes, verify_inclusion)
             node = AuditNode(canonical_atom(claim.atom), kind, True, "")
             if isinstance(ev, DirectAssertion):
                 node.detail = f"signed by {ev.signer}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EvaluationError, EvidenceError, NotFoundError
 from .lang import (
@@ -360,6 +360,7 @@ def check_evidence(
     trust_store: "TrustStore | None",
     operator_key: bytes | None,
     signature_ok: Callable[[bytes, bytes, bytes], bool],
+    inclusion_ok: "Callable[[bytes, bytes, InclusionProof], bool]",
 ) -> None:
     """Check a claim's own evidence; raises EvidenceError.
 
@@ -367,8 +368,9 @@ def check_evidence(
     rule instances (derived or carried) must reproduce the claim's atom;
     log inclusions are proof-checked, and their tree heads
     signature-checked when an operator key is given. `signature_ok(key,
-    signature, message)` performs each Ed25519 check. Premises and side
-    conditions are not checked here (see `rule_premises`).
+    signature, message)` performs each Ed25519 check and `inclusion_ok(root,
+    leaf, proof)` each inclusion proof. Premises and side conditions are
+    not checked here (see `rule_premises`).
     """
     ev = claim.evidence
     if isinstance(ev, DirectAssertion):
@@ -389,9 +391,9 @@ def check_evidence(
                 f"which does not reproduce the claim {canonical_atom(claim.atom)}"
             )
     elif isinstance(ev, LogInclusion):
-        from .claimlog import tree_head_bytes, verify_inclusion
+        from .claimlog import tree_head_bytes
 
-        if not verify_inclusion(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
+        if not inclusion_ok(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
             raise EvidenceError(f"inclusion proof failed for revision {ev.revision_id}")
         head = ev.tree_head
         if operator_key is not None and not signature_ok(
@@ -428,8 +430,24 @@ def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> list[Gr
 # Knowledge base
 
 
+def _bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
+    """Bindings of the head's variables that make it match `atom`, or None
+    when the predicate, an arity or a constant disagrees. Arithmetic head
+    terms bind nothing; the caller re-checks the instantiated head."""
+    if (head.principal, head.predicate) != (atom.principal, atom.predicate) or len(head.args) != len(atom.args):
+        return None
+    subst: Substitution = {}
+    for term, value in zip(head.args, atom.args):
+        if isinstance(term, Variable):
+            if subst.setdefault(term.name, value) != value:
+                return None
+        elif isinstance(term, (IntConstant, StringConstant)) and term.value != value:
+            return None
+    return subst
+
+
 class KnowledgeBase:
-    """Set of claims keyed by atom, with first-derivation-wins evidence.
+    """Set of claims keyed by atom, each with the evidence that justifies it.
 
     Owned by a single logical actor; not safe for concurrent mutation.
     Every claim's evidence is checked on entry. When a trust store is
@@ -437,12 +455,15 @@ class KnowledgeBase:
     proof-checked, and their tree heads signature-checked when an operator
     key is known.
 
-    A KB and the KBs built from it by `successor` form one lineage. Each
-    Ed25519 check that passed is memoised by its full (public key,
-    signature, message) triple, so a lineage verifies each distinct
-    signature or tree head once. Everything else in `check_evidence` runs
-    on every call. The memo holds only successes, and `successor` passes
-    on only the entries its claims use.
+    A monitor keeps one KB for its lifetime. Within a commit window claims
+    enter through `assert_claim` (first evidence wins); between windows the
+    KB changes only through `revise`, which retracts atoms by
+    Delete-and-Rederive and replaces the evidence of atoms that stay.
+    Each Ed25519 check and inclusion proof that passed is memoised by its
+    full inputs, so the KB verifies each distinct signature, tree head and
+    proof once for as long as a stored claim uses it. Everything else in
+    `check_evidence` runs on every call. The memo holds only successes,
+    and only those the stored claims use.
     """
 
     def __init__(self, trust_store: "TrustStore | None" = None, log_operator_key: bytes | None = None):
@@ -450,15 +471,23 @@ class KnowledgeBase:
         self.log_operator_key = log_operator_key
         self.claims: dict[GroundAtom, Claim] = {}
         self.by_id: dict[str, Claim] = {}
-        self._index: dict[tuple[str, str], list[Claim]] = {}
-        # Claims admitted since the last fixpoint, and the standard rules
+        self._index: dict[tuple[str, str], dict[str, Claim]] = {}  # by claim id
+        # Claims admitted since the last fixpoint, atoms removed since then
+        # (each to be re-derived if it still can be), and the standard rules
         # that fixpoint was reached under (None: never reached).
         self._unsaturated: list[Claim] = []
+        self._removed: dict[GroundAtom, None] = {}
         self._fixpoint_rules: tuple[Rule, ...] | None = None
-        # Signature checks that passed, and (only while `successor` admits
-        # its claims) the predecessor's memo to take them from.
-        self._verified: set[tuple[bytes, bytes, bytes]] = set()
-        self._inherited: set[tuple[bytes, bytes, bytes]] = set()
+        # premise claim id -> ids of the claims whose recorded derivation names it
+        self._dependents: dict[str, dict[str, None]] = {}
+        # Checks that passed, each with the number of stored claims using
+        # it; the checks each stored claim uses; checks passed during the
+        # admission in progress, not yet held by a stored claim; and the
+        # checks the claim being checked has passed so far.
+        self._verified: dict[tuple, int] = {}
+        self._uses: dict[str, list[tuple]] = {}
+        self._fresh: set[tuple] = set()
+        self._checked: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self.claims)
@@ -469,59 +498,153 @@ class KnowledgeBase:
     @property
     def saturated(self) -> bool:
         """True iff the KB is at a fixpoint of the last rules it saturated under."""
-        return self._fixpoint_rules is not None and not self._unsaturated
+        return self._fixpoint_rules is not None and not self._unsaturated and not self._removed
 
     def atoms(self) -> frozenset[GroundAtom]:
         return frozenset(self.claims)
 
-    def claims_for(self, principal: str, predicate: str) -> list[Claim]:
-        return self._index.get((principal, predicate), [])
-
-    def successor(self, claims: Iterable[Claim]) -> "KnowledgeBase":
-        """A new KB under the same trust store and operator key, holding
-        `claims`, each admitted through `assert_claim`.
-
-        Signature checks this KB already passed are not repeated; the new
-        KB's memo keeps only the entries the given claims use.
-        """
-        nxt = KnowledgeBase(trust_store=self.trust_store, log_operator_key=self.log_operator_key)
-        nxt._inherited = self._verified
-        try:
-            for claim in claims:
-                nxt.assert_claim(claim)
-        finally:
-            nxt._inherited = set()
-        return nxt
+    def claims_for(self, principal: str, predicate: str) -> Collection[Claim]:
+        claims = self._index.get((principal, predicate))
+        return claims.values() if claims is not None else ()
 
     # -- admission ------------------------------------------------------
 
     def assert_claim(self, claim: Claim) -> bool:
         """Add a claim after checking its evidence; returns False if the atom
         is already present (set semantics, first evidence wins)."""
-        self.check_evidence(claim)
-        if claim.atom in self.claims:
-            return False
-        self.claims[claim.atom] = claim
-        self.by_id[claim.claim_id] = claim
-        self._index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
+        try:
+            used = self.check_evidence(claim)
+            if claim.atom in self.claims:
+                return False
+            self._store(claim, used)
+        finally:
+            self._fresh.clear()
         self._unsaturated.append(claim)
         return True
 
-    def check_evidence(self, claim: Claim) -> None:
+    def revise(self, retract: Iterable[GroundAtom], claims: Iterable[Claim]) -> list[Claim]:
+        """Update the KB in place; returns the admitted claims whose atoms
+        are new.
+
+        Every claim in `claims` is checked first: if one fails, EvidenceError
+        is raised and nothing changes. An admitted claim whose atom is
+        present replaces that atom's evidence; its atom is not new, so the
+        next `saturate` does not join it again. An atom in `retract` that
+        is not admitted is removed, and so, transitively, is every derived
+        claim whose recorded premises name a removed claim. The next
+        `saturate` looks for another derivation of each removed atom over
+        the claims that remain (Delete-and-Rederive), and joins what it
+        re-derives and the new claims as its first delta.
+        """
+        try:
+            incoming = {claim.atom: (claim, self.check_evidence(claim)) for claim in claims}
+        finally:
+            self._fresh.clear()
+        added = []
+        for atom, (claim, used) in incoming.items():
+            old = self.claims.get(atom)
+            if old is None:
+                added.append(claim)
+                self._unsaturated.append(claim)
+            else:
+                self._release(old)
+            self._store(claim, used)
+        removed: dict[GroundAtom, None] = {}
+        stack = [self.claims[atom].claim_id for atom in retract if atom in self.claims and atom not in incoming]
+        while stack:
+            claim = self.by_id.get(stack.pop())
+            if claim is None:
+                continue
+            removed[claim.atom] = None
+            self._drop(claim)
+            stack.extend(self._dependents.pop(claim.claim_id, ()))
+        if removed:
+            self._removed.update(removed)
+            self._unsaturated = [c for c in self._unsaturated if c.atom not in removed]
+            added = [c for c in added if c.atom not in removed]
+        return added
+
+    def check_evidence(self, claim: Claim) -> list[tuple]:
+        """Check a claim's own evidence (see `check_evidence`); returns the
+        memoisable checks it passed, as (key, signature, message) and
+        (root, leaf, proof) tuples. Raises EvidenceError."""
         if claim.claim_id != atom_id(claim.atom):
             raise EvidenceError(f"claim id does not match atom {canonical_atom(claim.atom)}")
-        check_evidence(claim, self.trust_store, self.log_operator_key, self._signature_ok)
+        self._checked = []
+        check_evidence(claim, self.trust_store, self.log_operator_key, self._signature_ok, self._inclusion_ok)
+        return self._checked
 
     def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
+        """One Ed25519 check, memoised by its full inputs."""
         entry = (public_key, signature, message)
-        if entry not in self._verified:
-            if entry not in self._inherited:
-                from .identity import verify_bytes
+        if entry not in self._verified and entry not in self._fresh:
+            from .identity import verify_bytes
 
-                if not verify_bytes(public_key, signature, message):
-                    return False
-            self._verified.add(entry)
+            if not verify_bytes(public_key, signature, message):
+                return False
+            self._fresh.add(entry)
+        self._checked.append(entry)
         return True
+
+    def _inclusion_ok(self, root: bytes, leaf: bytes, proof: "InclusionProof") -> bool:
+        """One inclusion proof check, memoised by its full inputs."""
+        entry = (root, leaf, proof)
+        if entry not in self._verified and entry not in self._fresh:
+            from .claimlog import verify_inclusion
+
+            if not verify_inclusion(root, leaf, proof):
+                return False
+            self._fresh.add(entry)
+        self._checked.append(entry)
+        return True
+
+    def _store(self, claim: Claim, used: list[tuple]) -> None:
+        """Store a claim whose atom is absent or whose predecessor was
+        released; `used` holds the checks its evidence passed."""
+        cid = claim.claim_id
+        self.claims[claim.atom] = claim
+        self.by_id[cid] = claim
+        key = (claim.atom.principal, claim.atom.predicate)
+        group = self._index.get(key)
+        if group is None:
+            group = self._index[key] = {}
+        group[cid] = claim
+        if used:
+            self._uses[cid] = used
+            for entry in used:
+                self._verified[entry] = self._verified.get(entry, 0) + 1
+        if isinstance(claim.evidence, DerivedByRule):
+            for premise_id in claim.evidence.premises:
+                dependents = self._dependents.get(premise_id)
+                if dependents is None:
+                    dependents = self._dependents[premise_id] = {}
+                dependents[cid] = None
+
+    def _drop(self, claim: Claim) -> None:
+        self._release(claim)
+        del self.claims[claim.atom]
+        del self.by_id[claim.claim_id]
+        key = (claim.atom.principal, claim.atom.predicate)
+        del self._index[key][claim.claim_id]
+        if not self._index[key]:
+            del self._index[key]
+
+    def _release(self, claim: Claim) -> None:
+        """Forget what a stored claim's evidence holds: its memo entries and
+        its premise edges."""
+        for entry in self._uses.pop(claim.claim_id, ()):
+            count = self._verified[entry] - 1
+            if count:
+                self._verified[entry] = count
+            else:
+                del self._verified[entry]
+        if isinstance(claim.evidence, DerivedByRule):
+            for premise_id in claim.evidence.premises:
+                dependents = self._dependents.get(premise_id)
+                if dependents is not None:
+                    dependents.pop(claim.claim_id, None)
+                    if not dependents:
+                        del self._dependents[premise_id]
 
     # -- saturation -----------------------------------------------------
 
@@ -530,9 +653,12 @@ class KnowledgeBase:
 
         Semi-naive: the first delta is the claims admitted since the last
         fixpoint, since every match over older claims alone was already
-        derived there. The whole KB seeds it instead when no fixpoint was
-        reached yet or it was reached under different rules. A call that
-        raises leaves its seed, and what it derived, pending for the next.
+        derived there. Each atom `revise` removed since then is first
+        re-derived, with the head bound, if some rule instance over the
+        remaining claims still yields it; those claims join the delta. The
+        whole KB seeds it instead when no fixpoint was reached yet or it
+        was reached under different rules. A call that raises leaves its
+        seed, and what it derived, pending for the next.
         """
         std = tuple(r for r in rs.rules if r.kind is RuleKind.STANDARD)
         start = len(self._unsaturated)
@@ -546,10 +672,20 @@ class KnowledgeBase:
             )
             sink[atom] = Claim(atom, evidence, atom_id(atom))
 
-        def run_rule(rule: Rule, candidates, sink: dict):
+        def run_rule(rule: Rule, candidates, sink: dict, target: GroundAtom | None = None):
+            """Derive every match into `sink`; with a `target` atom, bind the
+            head to it and stop at the first match that yields it."""
+            subst = None
+            if target is not None:
+                subst = _bind_head(rule.head, target)
+                if subst is None:
+                    return
             try:
-                for subst, premises in match_rule_body(rule.body, candidates):
-                    derive(rule, subst, premises, sink)
+                for full, premises in match_rule_body(rule.body, candidates, subst):
+                    if target is None or instantiate_head(rule.head, full) == target:
+                        derive(rule, full, premises, sink)
+                        if target is not None:
+                            return
             except EvaluationError as exc:
                 raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
 
@@ -564,6 +700,15 @@ class KnowledgeBase:
                 self.assert_claim(claim)
             delta = list(self.claims.values())
         else:
+            if self._removed:
+                rederived: dict[GroundAtom, Claim] = {}
+                for atom in self._removed:
+                    for rule in std:
+                        if atom in self.claims or atom in rederived:
+                            break
+                        run_rule(rule, lambda i, a: self.claims_for(a.principal, a.predicate), rederived, atom)
+                for claim in rederived.values():
+                    self.assert_claim(claim)
             delta = list(self._unsaturated)
 
         while delta:
@@ -589,6 +734,8 @@ class KnowledgeBase:
             delta = [claim for claim in pending.values() if self.assert_claim(claim)]
         added = self._unsaturated[start:]
         self._unsaturated = []
+        if self._removed:
+            self._removed = {}
         self._fixpoint_rules = std
         return added
 

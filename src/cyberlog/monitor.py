@@ -20,6 +20,7 @@ from http.server import ThreadingHTTPServer
 from typing import Callable
 
 from .engine import (
+    CarriedByNextRule,
     DirectAssertion,
     GroundAtom,
     KnowledgeBase,
@@ -187,7 +188,9 @@ class Monitor:
 
     def commit(self):
         """Commit own claims as a new revision; returns the record, or None
-        if the claim database was unreachable (staging preserved)."""
+        if the claim database was unreachable (KB untouched). After a
+        successful submit the KB keeps its inclusions and takes the
+        next-rule carry-overs as its own claims."""
         with self.lock:
             self._ensure_rulesheet_published()
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
@@ -208,9 +211,12 @@ class Monitor:
                 return None
             self._base = record.id
             self.commit_count += 1
-            rebuilt = self.kb.successor([*fresh.claims, *included])
-            rebuilt.saturate(self.rulesheet)
-            self.kb = rebuilt
+            # own claims not carried go, with what was derived from them;
+            # derived claims whose recorded premises survive stay
+            self.kb.revise(
+                [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))], fresh.claims
+            )
+            self.kb.saturate(self.rulesheet)
             return record
 
     def _ensure_rulesheet_published(self) -> None:
@@ -226,7 +232,11 @@ class Monitor:
 
     def poll_and_include(self) -> list[str]:
         """Fetch watched owners' heads, include new revisions, handle
-        supersessions; returns ids newly loaded this poll."""
+        supersessions; returns ids newly loaded this poll.
+
+        A head is included only if it belongs to the owner polled, so each
+        id in `active_includes` is known to be that owner's revision and a
+        later supersession need not fetch it again."""
         loaded: list[str] = []
         with self.lock:
             for owner in self.watched_owners:
@@ -242,10 +252,10 @@ class Monitor:
                     continue
                 try:
                     if last is None:
-                        include_revision(self.kb, head, self.db)
+                        include_revision(self.kb, head, self.db, owner)
                         self.kb.saturate(self.rulesheet)
                     else:
-                        self.kb = on_superseded(self.kb, last, head, self.rulesheet, self.db)
+                        on_superseded(self.kb, last, head, self.rulesheet, self.db, owner)
                 except (CyberlogError, urllib.error.URLError, OSError) as exc:
                     self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue

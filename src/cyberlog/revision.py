@@ -20,7 +20,6 @@ from .claimlog import InclusionProof, SignedTreeHead, leaf_hash, verify_inclusio
 from .engine import (
     CarriedByNextRule,
     Claim,
-    DerivedByRule,
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
@@ -103,11 +102,16 @@ def build_record(
     claims: Iterable[Claim],
     commit_time: int,
 ) -> RevisionRecord:
+    return _record_and_body(owner, supersedes, includes, rulesheet_hash, claims, commit_time)[0]
+
+
+def _record_and_body(owner, supersedes, includes, rulesheet_hash, claims, commit_time) -> tuple[RevisionRecord, dict]:
+    """The record and the body object its id hashes, each claim serialised once."""
     ordered_claims = tuple(sorted(claims, key=lambda c: canonical_atom(c.atom)))
     includes_t = tuple(sorted(set(includes)))
     body = _record_body_obj(owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time)
     rev_id = sha256(canonical_json(body).encode("utf-8")).hexdigest()
-    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time)
+    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time), body
 
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
@@ -119,8 +123,12 @@ def verify_record_signature(record: RevisionRecord, signature: bytes, public_key
 
 
 def encode_payload(record: RevisionRecord, signature: bytes) -> str:
+    return _encode_body(record_body_obj(record), signature)
+
+
+def _encode_body(body: dict, signature: bytes) -> str:
     obj = {"kind": "revision"}
-    obj.update(record_body_obj(record))
+    obj.update(body)
     obj["signature"] = signature.hex()
     return canonical_json(obj)
 
@@ -134,7 +142,9 @@ def rulesheet_entry_id(text: str) -> str:
 
 
 def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
-    """Parse and re-hash a logged revision payload; raises on malformed data."""
+    """Parse and re-hash a logged revision payload; raises LogIntegrityError
+    on malformed data and on a claim whose principal is not the record's
+    owner, since nobody may make claims on someone else's behalf."""
     try:
         obj = json.loads(payload)
     except ValueError as exc:
@@ -154,6 +164,11 @@ def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
         signature = bytes.fromhex(obj["signature"])
     except (KeyError, TypeError, ValueError, EvidenceError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
+    for claim in record.claims:
+        if claim.atom.principal != record.owner:
+            raise LogIntegrityError(
+                f"revision by {record.owner!r} holds a claim of {claim.atom.principal!r}: {canonical_atom(claim.atom)}"
+            )
     return record, signature
 
 
@@ -205,15 +220,10 @@ def commit_staging(
     """
     if identity.name != staging.owner or rs.self_id != staging.owner:
         raise EvidenceError(f"staging owner {staging.owner!r} does not match identity/rulesheet")
-    record = build_record(
-        owner=staging.owner,
-        supersedes=staging.base,
-        includes=staging.includes,
-        rulesheet_hash=rs.source_hash.hex(),
-        claims=staging.claims,
-        commit_time=now_ms,
+    record, body = _record_and_body(
+        staging.owner, staging.base, staging.includes, rs.source_hash.hex(), staging.claims, now_ms
     )
-    payload = encode_payload(record, sign_record(record, identity))
+    payload = _encode_body(body, sign_record(record, identity))
     receipt = db.submit_revision(payload)
     head = SignedTreeHead.from_obj(receipt["tree_head"])
     proof = InclusionProof.from_obj(receipt["inclusion_proof"])
@@ -242,18 +252,33 @@ def fetch_verified_revision(
     return record, payload, proof, head
 
 
+def _check_owner(record: RevisionRecord, owner: str) -> None:
+    if record.owner != owner:
+        raise EvidenceError(f"revision {record.id} belongs to {record.owner!r}, not to the watched {owner!r}")
+
+
+def _inclusion_claims(record: RevisionRecord, payload: str, proof: InclusionProof, head: SignedTreeHead) -> list[Claim]:
+    """The record's claims under inclusion evidence; all share one proof."""
+    leaf = leaf_hash(payload.encode("utf-8"))
+    evidence = LogInclusion(record.id, leaf, proof, head)
+    return [Claim(claim.atom, evidence, claim.claim_id) for claim in record.claims]
+
+
 def include_revision(
-    kb: KnowledgeBase, rev_id: str, db: LogClient, staging: StagingRevision | None = None,
+    kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, staging: StagingRevision | None = None,
     warn_stale: bool = True,
 ) -> list[Claim]:
-    """Import all claims of a logged revision into the KB under inclusion
-    evidence. Refuses everything if the proof chain does not verify.
+    """Import all claims of `owner`'s logged revision into the KB under
+    inclusion evidence; returns the claims whose atoms are new. Refuses
+    everything if the proof chain does not verify or the revision belongs
+    to someone else.
 
     Including a revision that its owner has already superseded is allowed
     but flagged, since its claims may be retracted knowledge. Callers that
     are themselves reconciling a supersession pass warn_stale=False.
     """
     record, payload, proof, head = fetch_verified_revision(db, rev_id, kb.log_operator_key)
+    _check_owner(record, owner)
     if warn_stale:
         try:
             owner_head = db.get_head(record.owner)["revision_id"]
@@ -265,34 +290,31 @@ def include_revision(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    leaf = leaf_hash(payload.encode("utf-8"))
-    added: list[Claim] = []
-    for claim in record.claims:
-        wrapped = Claim(claim.atom, LogInclusion(rev_id, leaf, proof, head), claim.claim_id)
-        if kb.assert_claim(wrapped):
-            added.append(wrapped)
+    added = kb.revise((), _inclusion_claims(record, payload, proof, head))
     if staging is not None and rev_id not in staging.includes:
         staging.includes.append(rev_id)
     return added
 
 
-def supersession_chain(db: LogClient, new_rev_id: str, old_rev_id: str, operator_key: bytes | None = None) -> list[str]:
-    """Revision ids from new (exclusive) back to old (inclusive), following
-    supersedes links. Raises EvidenceError if the chain never reaches old or
-    crosses owners."""
+def supersession_chain(
+    db: LogClient, new_record: RevisionRecord, old_rev_id: str, operator_key: bytes | None = None
+) -> list[str]:
+    """Revision ids from the new record (exclusive) back to old (inclusive),
+    following supersedes links. Each revision in between is fetched once and
+    must belong to the new record's owner; the old one is not fetched, since
+    its owner was checked when it was included. Raises EvidenceError if the
+    chain never reaches old or crosses owners."""
     chain: list[str] = []
-    record, _, _, _ = fetch_verified_revision(db, new_rev_id, operator_key)
-    owner = record.owner
-    cursor = record.supersedes
+    cursor = new_record.supersedes
     while cursor is not None:
         chain.append(cursor)
-        older, _, _, _ = fetch_verified_revision(db, cursor, operator_key)
-        if older.owner != owner:
-            raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {owner!r}")
         if cursor == old_rev_id:
             return chain
+        older, _, _, _ = fetch_verified_revision(db, cursor, operator_key)
+        if older.owner != new_record.owner:
+            raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
         cursor = older.supersedes
-    raise EvidenceError(f"revision {new_rev_id} does not supersede {old_rev_id}")
+    raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
 
 
 def on_superseded(
@@ -301,26 +323,39 @@ def on_superseded(
     new_rev_id: str,
     rs: Rulesheet,
     db: LogClient,
+    owner: str,
 ) -> KnowledgeBase:
-    """Successor of the KB after a watched revision was superseded.
+    """Update the KB in place after `owner`'s included revision was
+    superseded, and return it.
 
-    Claims rooted in the replaced chain (their inclusions and every
-    derivation downstream) disappear; the new revision's claims are
-    included; standard rules re-saturate from scratch. The kept claims'
-    evidence is checked again in the successor, without re-verifying the
-    signatures the old KB already verified (see `KnowledgeBase.successor`).
+    The new revision must belong to `owner`, whom the old revision was
+    checked to belong to when it was included. The new revision is fetched
+    once, each revision between it and the old one once, and the old one
+    not at all. Claims included from the replaced chain are retracted, with
+    every derivation downstream of them (see `KnowledgeBase.revise`); the
+    new revision's claims are included; standard rules re-saturate from
+    what changed. A refusal leaves the KB's claims as they were: a check
+    raises before the KB changes, and when saturation raises, the new
+    revision's atoms are retracted, the replaced chain's claims re-admitted
+    and the KB re-saturated before the error propagates.
     """
-    dropped = set(supersession_chain(db, new_rev_id, old_rev_id, kb.log_operator_key))
-    dropped.add(old_rev_id)
-    rebuilt = kb.successor(
+    record, payload, proof, head = fetch_verified_revision(db, new_rev_id, kb.log_operator_key)
+    dropped = set(supersession_chain(db, record, old_rev_id, kb.log_operator_key))
+    _check_owner(record, owner)
+    claims = _inclusion_claims(record, payload, proof, head)
+    retracted = [
         claim
         for claim in kb.claims.values()
-        if not isinstance(claim.evidence, DerivedByRule)  # recomputed by saturation
-        and not (isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped)
-    )
-    include_revision(rebuilt, new_rev_id, db, warn_stale=False)
-    rebuilt.saturate(rs)
-    return rebuilt
+        if isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped
+    ]
+    added = kb.revise([claim.atom for claim in retracted], claims)
+    try:
+        kb.saturate(rs)
+    except CyberlogError:
+        kb.revise([claim.atom for claim in added], retracted)
+        kb.saturate(rs)
+        raise
+    return kb
 
 
 def latest_revision(db: LogClient, owner: str) -> tuple[str, int]:

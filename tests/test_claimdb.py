@@ -339,3 +339,48 @@ def test_double_supersede_race_two_clients(db, identities):
     winners = [v for v in outcomes.values() if v != 409]
     assert len(winners) == 1
     assert db.get_head("SB")["revision_id"] == winners[0]
+
+
+def test_revision_holding_another_owners_claim_refused(db, http_client, identities):
+    """Nobody may make claims on someone else's behalf: a revision by SB that
+    holds a claim of MRM is refused with 400, in process and over HTTP."""
+    from cyberlog.errors import LogIntegrityError
+    from cyberlog.revision import decode_payload
+
+    atom = GroundAtom("MRM", "feasible_config", (7, 3))
+    foreign = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
+    record = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign], 1)
+    payload = encode_payload(record, sign_record(record, identities["SB"]))
+    with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
+        decode_payload(payload)
+    for client in (db, http_client):
+        with pytest.raises(SubmitError) as exc:
+            client.submit_revision(payload)
+        assert exc.value.code == 400 and "holds a claim of 'MRM'" in str(exc.value)
+    assert len(db.log) == 0
+
+
+def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path, identities, trust_store):
+    """A log written before the ownership rule may hold a revision by SB with
+    a claim of MRM. Reopening it still works; that entry is left unindexed like
+    any other entry that no longer decodes, while the tree keeps its bytes."""
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    atom = GroundAtom("MRM", "feasible_config", (7, 3))
+    foreign_claim = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
+    foreign = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign_claim], 2)
+    db.log.append(encode_payload(foreign, sign_record(foreign, identities["SB"])).encode("utf-8"))
+    root = db.get_log_root()
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(foreign.id)
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        assert reopened.get_log_root() == root
+        reopened.get_revision(base.id)
+    finally:
+        reopened.log.close()

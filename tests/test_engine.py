@@ -445,7 +445,7 @@ def test_failed_saturate_keeps_its_seed(monkeypatch):
     assert kb.saturated
 
 
-# --- signature memo along a KB lineage --------------------------------------
+# --- memo of passed checks, kept across revisions ---------------------------
 
 
 @pytest.fixture
@@ -464,22 +464,58 @@ def count_verify(monkeypatch):
     return calls
 
 
-def _logged_claim(operator, atom, timestamp_ms=7):
-    """A LogInclusion claim for `atom`, from a one-leaf log signed by `operator`."""
+@pytest.fixture
+def count_inclusion(monkeypatch):
+    """Record every inclusion proof the KB checks, as (root, leaf, proof)."""
+    import cyberlog.claimlog as claimlog
+
+    original = claimlog.verify_inclusion
+    calls = []
+
+    def counting(root, leaf, proof):
+        calls.append((root, leaf, proof))
+        return original(root, leaf, proof)
+
+    monkeypatch.setattr(claimlog, "verify_inclusion", counting)
+    return calls
+
+
+def _logged_claims(operator, atoms, timestamp_ms=7):
+    """LogInclusion claims for `atoms`, all under one leaf of a three-leaf
+    log signed by `operator`, as the claims of one included revision are."""
     from cyberlog.claimlog import MerkleLog, leaf_hash, sign_tree_head
     from cyberlog.engine import LogInclusion
 
     log = MerkleLog()
-    payload = canonical_atom(atom).encode("utf-8")
-    log.append(payload)
+    payload = "".join(canonical_atom(atom) for atom in atoms).encode("utf-8")
+    for entry in (b"before", payload, b"after"):
+        log.append(entry)
     head = sign_tree_head(log, operator, timestamp_ms)
-    evidence = LogInclusion("rev", leaf_hash(payload), log.prove_inclusion(0, 1), head)
-    return make_claim(atom, evidence)
+    evidence = LogInclusion("rev", leaf_hash(payload), log.prove_inclusion(1, 3), head)
+    return [make_claim(atom, evidence) for atom in atoms]
 
 
-def test_lineage_verifies_each_signature_once(signed_identities, count_verify):
+def _logged_claim(operator, atom, timestamp_ms=7):
+    return _logged_claims(operator, [atom], timestamp_ms)[0]
+
+
+def _state(kb):
+    """Atoms with their evidence objects, and the memo."""
+    return {atom: claim for atom, claim in kb.claims.items()}, dict(kb._verified)
+
+
+def _same_state(kb, state):
+    claims, memo = state
+    return kb.claims == claims and all(kb.claims[a] is c for a, c in claims.items()) and kb._verified == memo
+
+
+def test_lineage_verifies_each_signature_once(signed_identities, count_verify, monkeypatch):
+    import cyberlog.engine as engine
     from cyberlog.identity import generate_identity, sign_claim
 
+    checks = []
+    original_check = engine.check_evidence
+    monkeypatch.setattr(engine, "check_evidence", lambda claim, *a: checks.append(claim) or original_check(claim, *a))
     trust, ids = signed_identities
     operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
     atom = GroundAtom("SB", "p", (1,))
@@ -489,13 +525,19 @@ def test_lineage_verifies_each_signature_once(signed_identities, count_verify):
     kb.assert_claim(direct)
     kb.assert_claim(logged)
     assert len(count_verify) == 2
-    nxt = kb.successor([direct, logged]).successor([direct, logged])
-    assert nxt.atoms() == kb.atoms()
-    assert nxt.verify_claim_chain(atom)
+    for _ in range(2):
+        # re-admission: each claim is checked again, its atom is not new
+        assert kb.revise([direct.atom, logged.atom], [direct, logged]) == []
+    assert kb.atoms() == {direct.atom, logged.atom}
+    assert kb.verify_claim_chain(atom)
+    assert len(checks) == 2 + 4 + 1
     assert len(count_verify) == 2  # checked again, but not re-verified
-    # the successor keeps only the entries its own claims use
-    assert len(kb.successor([direct])._verified) == 1
-    assert kb.successor([])._verified == set()
+    # the memo keeps only the entries the remaining claims use
+    assert len(kb._verified) == 3  # the signature, the inclusion proof and the tree head
+    kb.revise([logged.atom], [])
+    assert list(kb._verified) == [(trust.public_key("SB"), direct.evidence.signature, canonical_atom(atom).encode())]
+    kb.revise([atom], [])
+    assert not kb._verified and len(kb) == 0
 
 
 def test_memo_still_rejects_forgeries(signed_identities):
@@ -512,7 +554,8 @@ def test_memo_still_rejects_forgeries(signed_identities):
     kb = KnowledgeBase(trust_store=trust, log_operator_key=operator.public_key)
     kb.assert_claim(genuine)
     kb.assert_claim(logged)
-    nxt = kb.successor([genuine, logged])
+    kb.revise([], [genuine, logged])
+    before = _state(kb)
 
     forgeries = {
         "same atom, different signature": make_claim(
@@ -525,9 +568,10 @@ def test_memo_still_rejects_forgeries(signed_identities):
     }
     for forged in forgeries.values():
         with pytest.raises(EvidenceError, match="bad signature"):
-            nxt.assert_claim(forged)
+            kb.assert_claim(forged)
         with pytest.raises(EvidenceError, match="bad signature"):
-            kb.successor([genuine, forged])
+            kb.revise([logged.atom], [genuine, forged])
+        assert _same_state(kb, before)
 
     head = logged.evidence.tree_head
     for forged_head in (
@@ -537,14 +581,18 @@ def test_memo_still_rejects_forgeries(signed_identities):
         evidence = LogInclusion("rev", logged.evidence.leaf_hash, logged.evidence.proof, forged_head)
         forged = Claim(logged.atom, evidence, logged.claim_id)
         with pytest.raises(EvidenceError, match="tree head signature invalid"):
-            nxt.assert_claim(forged)
+            kb.assert_claim(forged)
+        with pytest.raises(EvidenceError, match="tree head signature invalid"):
+            kb.revise([], [forged])
+        assert _same_state(kb, before)
 
     # the signer's key replaced in the trust store: the memoised check no longer applies
     trust.add(generate_identity("SB", "s", "i", seed=b"\x07" * 32))
     with pytest.raises(EvidenceError, match="bad signature"):
-        nxt.successor([genuine])
+        kb.revise([], [genuine])
     with pytest.raises(EvidenceError, match="bad signature"):
-        nxt.check_evidence(genuine)
+        kb.check_evidence(genuine)
+    assert _same_state(kb, before)
 
 
 def test_failed_verification_is_not_memoised(signed_identities, count_verify):
@@ -557,8 +605,147 @@ def test_failed_verification_is_not_memoised(signed_identities, count_verify):
     for _ in range(2):
         with pytest.raises(EvidenceError, match="bad signature"):
             kb.assert_claim(forged)
-    assert len(count_verify) == 2
-    assert kb._verified == set() and len(kb) == 0
+    with pytest.raises(EvidenceError, match="bad signature"):
+        kb.revise([], [forged])
+    assert len(count_verify) == 3
+    assert not kb._verified and len(kb) == 0
+
+
+def test_failed_revise_changes_nothing(signed_identities, count_verify):
+    """A refused batch leaves atoms, evidence objects, memo and pending work
+    as they were, even when an earlier claim of the batch passed a check the
+    memo did not hold yet."""
+    from cyberlog.identity import sign_claim
+
+    trust, ids = signed_identities
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")
+    kb = KnowledgeBase(trust_store=trust)
+
+    def signed(n):
+        atom = GroundAtom("SB", "p", (n,))
+        return make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
+
+    kb.revise([], [signed(1), signed(2)])
+    kb.saturate(rs)
+    before = _state(kb)
+    forged = make_claim(GroundAtom("SB", "p", (4,)), DirectAssertion("SB", signed(3).evidence.signature))
+    with pytest.raises(EvidenceError, match="bad signature"):
+        kb.revise([GroundAtom("SB", "p", (1,))], [signed(3), forged])
+    assert _same_state(kb, before) and kb.saturated
+    calls = len(count_verify)
+    kb.revise([], [signed(3)])  # the check that passed in the refused batch was not kept
+    assert len(count_verify) == calls + 1
+
+
+def test_each_inclusion_proof_checked_once(count_inclusion, count_verify):
+    from cyberlog.claimlog import InclusionProof, SignedTreeHead
+    from cyberlog.engine import LogInclusion
+    from cyberlog.identity import generate_identity
+
+    operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
+    claims = _logged_claims(operator, [GroundAtom("MRM", "q", (n,)) for n in range(5)])
+    kb = KnowledgeBase(log_operator_key=operator.public_key)
+    assert len(kb.revise([], claims)) == 5
+    kb.revise([], claims)
+    for claim in claims:
+        kb.check_evidence(claim)
+    assert len(count_inclusion) == 1 and len(count_verify) == 1
+    ev = claims[0].evidence
+    proof, head = ev.proof, ev.tree_head
+    other_root = SignedTreeHead(head.tree_size, bytes(32), head.timestamp_ms, head.signature)
+    variants = {
+        "other path": LogInclusion("rev", ev.leaf_hash, InclusionProof(1, 3, (bytes(32),) + proof.path[1:]), head),
+        "other index": LogInclusion("rev", ev.leaf_hash, InclusionProof(0, 3, proof.path), head),
+        "other leaf": LogInclusion("rev", bytes(32), proof, head),
+        "other root": LogInclusion("rev", ev.leaf_hash, proof, other_root),
+    }
+    before = _state(kb)
+    for evidence in variants.values():
+        with pytest.raises(EvidenceError, match="inclusion proof failed"):
+            kb.revise([], [Claim(claims[0].atom, evidence, claims[0].claim_id)])
+        assert _same_state(kb, before)
+    assert len(kb._verified) == 2  # the proof and the tree head
+    # once no claim uses the proof, it is checked again
+    kb.revise([c.atom for c in claims], [])
+    assert not kb._verified
+    kb.revise([], claims[:1])
+    assert len(count_inclusion) == 1 + len(variants) + 1
+
+
+# --- Delete-and-Rederive ------------------------------------------------------
+
+
+def test_readmitted_atom_is_not_joined_again():
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).\nnext p(X) :- p(X).", "SB")
+    kb = kb_with([GroundAtom("SB", "p", (n,)) for n in range(3)])
+    kb.saturate(rs)
+    derived = kb.claims[GroundAtom("SB", "r", (0,))]
+    carried = [make_claim(GroundAtom("SB", "p", (n,)), CarriedByNextRule(rs.rules[1], {"X": n}, "0" * 64)) for n in range(3)]
+    assert kb.revise([GroundAtom("SB", "p", (n,)) for n in range(3)], carried) == []
+    assert kb.saturated  # nothing new: the next saturate joins nothing
+    assert kb.claims[GroundAtom("SB", "p", (0,))] is carried[0]
+    assert kb.claims[GroundAtom("SB", "r", (0,))] is derived
+    assert kb.verify_claim_chain(derived.atom)
+
+
+def test_atom_with_two_derivations_survives_losing_one():
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).\nr(X) :- q(X).", "SB")
+    kb = kb_with([GroundAtom("SB", "p", (1,)), GroundAtom("SB", "q", (1,))])
+    kb.saturate(rs)
+    r1 = GroundAtom("SB", "r", (1,))
+    [premise_id] = kb.claims[r1].evidence.premises
+    recorded = kb.by_id[premise_id].atom
+    kb.revise([recorded], [])
+    assert r1 not in kb  # over-deleted with its recorded premise ...
+    assert [c.atom for c in kb.saturate(rs)] == [r1]  # ... and re-derived from the other
+    assert kb.by_id[kb.claims[r1].evidence.premises[0]].atom != recorded
+    assert kb.verify_claim_chain(r1)
+    assert atoms_of(kb) == naive_saturate({(a.principal, a.predicate, a.args) for a in kb.atoms() if a.predicate != "r"}, rs.rules)
+
+
+def test_transitive_closure_loses_middle_edge():
+    rs = parse_rulesheet(IDS + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).", "SB")
+    n = 6
+    kb = kb_with([GroundAtom("SB", "edge", (i, i + 1)) for i in range(n)])
+    kb.saturate(rs)
+    cut = 3  # edge(3, 4)
+    kb.revise([GroundAtom("SB", "edge", (cut, cut + 1))], [])
+    paths = {a.args for a in kb.atoms() if a.predicate == "path"}
+    assert paths == {(i, j) for i in range(n + 1) for j in range(i + 1, n + 1) if not (i <= cut < j)}
+    assert kb.saturate(rs) == []
+    base = {("SB", "edge", (i, i + 1)) for i in range(n) if i != cut}
+    _check_against_oracle(kb, rs, base)
+
+
+def _consistent(kb):
+    """The KB's indexes agree with its claims."""
+    claims = list(kb.claims.values())
+    assert kb.by_id == {c.claim_id: c for c in claims}
+    assert sorted(map(repr, (c for group in kb._index.values() for c in group.values()))) == sorted(map(repr, claims))
+    for claim in claims:
+        if isinstance(claim.evidence, DerivedByRule):
+            assert all(claim.claim_id in kb._dependents[p] for p in claim.evidence.premises)
+
+
+def test_revise_and_saturate_match_oracle():
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2000), st.booleans(), st.data())
+    def check(seed, builtins, data):
+        rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        pool = sorted(facts, key=repr)
+        kb = KnowledgeBase()
+        base: set = set()
+        for _ in range(data.draw(st.integers(1, 6))):
+            retract = data.draw(st.lists(st.sampled_from(pool), unique=True))
+            admit = data.draw(st.lists(st.sampled_from(pool), unique=True))
+            kb.revise([GroundAtom(*f) for f in retract], claims_from_atoms([GroundAtom(*f) for f in admit]))
+            base = (base - set(retract)) | set(admit)
+            _check_against_oracle(kb, rs, base)
+            _consistent(kb)
+
+    check()
 
 
 @pytest.mark.parametrize("evidence_kind", ["derived", "carried"])

@@ -1,6 +1,7 @@
 """Monitor runtime: ingestion, queries, polling, commit cycle."""
 
 import itertools
+import re
 import os
 import random
 
@@ -381,11 +382,111 @@ def test_signature_memo_bounded_and_supersession_matches_scratch():
                 sizes.append({name: len(m.kb._verified) for name, m in run.monitors.items()})
             # DOM's KB is its inclusions and their consequences: rebuild it with no memo
             scratch = KnowledgeBase(trust_store=dom.trust_store, log_operator_key=dom.operator_key)
-            for rev_id in dom.active_includes.values():
-                include_revision(scratch, rev_id, run.client, warn_stale=False)
+            for owner, rev_id in dom.active_includes.items():
+                include_revision(scratch, rev_id, run.client, owner, warn_stale=False)
             scratch.saturate(dom.rulesheet)
             assert dom.kb.atoms() == scratch.atoms(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
         run.close()
     assert sizes[2:4] == sizes[-2:], sizes
+
+
+# --- refused includes and supersessions ---------------------------------------
+
+
+class PassThroughDb:
+    """A claim DB client that answers as `inner` does, except where a test
+    overrides a method: a tampering or misreporting claim DB."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _append_directly(db, identities, owner, supersedes, atoms=()):
+    """Log a revision without the claim DB's submit checks; returns its id."""
+    from cyberlog.engine import DirectAssertion, make_claim
+    from cyberlog.identity import sign_claim
+    from cyberlog.revision import build_record, encode_payload, sign_record
+
+    claims = [make_claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
+    record = build_record(owner, supersedes, (), "0" * 64, claims, 5)
+    db.log.append(encode_payload(record, sign_record(record, identities[owner])).encode("utf-8"))
+    return record.id
+
+
+@pytest.mark.parametrize(
+    "refusal", ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation"]
+)
+def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, caplog):
+    """A refused head leaves DOM's atoms, evidence objects, memo and
+    active includes exactly as they were, and DOM's KB as saturated as it was."""
+    from cyberlog.claimdb import ClaimDb
+
+    sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
+    # an ordered comparison that raises once SB logs a non-integer time
+    late = "late(R) :- 'SB' attests request(R, Data, T), T > 3.\n"
+    dom = make_monitor(identities, trust_store, db, "DOM", DOM_SHEET + late, watched=("SB",))
+    mrm = make_monitor(identities, trust_store, db, "MRM", "'MRM': Subject: 's' Issuer: 'i'\n")
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    r1 = sb.commit()
+    other = mrm.commit()
+    wrapped = PassThroughDb(db)
+    if refusal != "foreign-first-head":
+        assert dom.poll_and_include() == [r1.id]
+    if refusal == "tampered":
+        sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
+        r2 = sb.commit()
+        wrapped.get_revision = lambda rev_id: dict(
+            db.get_revision(rev_id), payload=db.get_revision(rev_id)["payload"].replace("request(8,", "request(9,")
+        )
+        expected = f"hashes to .*, expected {r2.id}"
+    elif refusal == "unreachable":
+        r2 = sb.commit()
+        assert dom.poll_and_include() == [r2.id]
+        wrapped.get_head = lambda owner: dict(db.get_head(owner), revision_id=r1.id)  # rolled back
+        expected = f"does not supersede {r2.id}"
+    elif refusal == "foreign-first-head":
+        wrapped.get_head = lambda owner: dict(db.get_head(owner), revision_id=other.id)
+        expected = "belongs to 'MRM', not to the watched 'SB'"
+    elif refusal == "foreign-head":  # an MRM revision that supersedes r1
+        foreign = _append_directly(db, identities, "MRM", r1.id)
+        wrapped = PassThroughDb(ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000))
+        wrapped.get_head = lambda owner: dict(wrapped.inner.get_head(owner), revision_id=foreign)
+        expected = "belongs to 'MRM', not to the watched 'SB'"
+    elif refusal == "crossing":  # SB's new head supersedes a CTR revision that supersedes r1
+        crossing = _append_directly(db, identities, "CTR", r1.id)
+        _append_directly(db, identities, "SB", crossing, [GroundAtom("SB", "request", (9, "d", 1))])
+        wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
+        expected = "supersession crosses owners: 'CTR' vs 'SB'"
+    else:  # SB's new head keeps r1's request and adds one whose time is not an integer
+        atoms = [*(claim.atom for claim in r1.claims), GroundAtom("SB", "request", (9, "d", "x"))]
+        _append_directly(db, identities, "SB", r1.id, atoms)
+        wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
+        expected = "ordered comparison on non-integers"
+    claims, memo, includes = dict(dom.kb.claims), dict(dom.kb._verified), dict(dom.active_includes)
+    saturated = dom.kb.saturated
+    dom.db = wrapped
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        assert dom.poll_and_include() == []
+    assert dom.kb.claims == claims and all(dom.kb.claims[a] is c for a, c in claims.items())
+    assert dom.kb._verified == memo and dom.active_includes == includes
+    assert dom.kb.saturated == saturated
+    [record] = caplog.records
+    assert record.stage == "poll" and re.search(expected, record.getMessage()), record.getMessage()
+
+
+def test_commit_keeps_derived_claims_whose_premises_survive(identities, trust_store, db_client):
+    sheet = SB_SHEET + "known(Id) :- request(Id, Data, T).\n"
+    sb = make_monitor(identities, trust_store, db_client, "SB", sheet)
+    event = sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5)).event_atom
+    known = sb.kb.claims[GroundAtom("SB", "known", (7,))]
+    sb.commit()
+    # the event goes, the request is carried, and what was derived from the request stays
+    assert event not in sb.kb
+    assert type(sb.kb.claims[GroundAtom("SB", "request", (7, '{"request_id":7}', 5))].evidence).__name__ == "CarriedByNextRule"
+    assert sb.kb.claims[known.atom] is known and sb.kb.verify_claim_chain(known.atom)
+    assert sb.kb.saturated and len(sb.kb) == 2

@@ -19,10 +19,12 @@ from cyberlog.revision import (
     build_record,
     commit_staging,
     decode_payload,
+    encode_payload,
     fetch_verified_revision,
     include_revision,
     latest_revision,
     on_superseded,
+    sign_record,
 )
 
 from conftest import OPERATOR
@@ -154,7 +156,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
         db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
     staging = StagingRevision("DOM")
-    added = include_revision(kb, record.id, db_client, staging)
+    added = include_revision(kb, record.id, db_client, "MRM", staging)
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
     kb.saturate(rs_dom)
@@ -166,7 +168,7 @@ def test_include_empty_revision(db_client, identities, dom_setup):
     kb, _rs_dom, rs_mrm = dom_setup
     record, _, _ = mrm_commit(db_client, identities, rs_mrm, StagingRevision("MRM"), [], 1)
     staging = StagingRevision("DOM")
-    assert include_revision(kb, record.id, db_client, staging) == []
+    assert include_revision(kb, record.id, db_client, "MRM", staging) == []
     assert len(kb) == 0
     assert staging.includes == [record.id]
 
@@ -190,7 +192,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, TamperingClient(db_client), StagingRevision("DOM"))
+        include_revision(kb, record.id, TamperingClient(db_client), "MRM", StagingRevision("DOM"))
     assert len(kb) == 0
 
 
@@ -203,17 +205,17 @@ def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     r1, _, staging = mrm_commit(
         db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    include_revision(kb, r1.id, db_client)
+    include_revision(kb, r1.id, db_client, "MRM")
     kb.saturate(rs_dom)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
-    rebuilt = on_superseded(kb, r1.id, r2.id, rs_dom, db_client)
+    rebuilt = on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM")
     assert rebuilt.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
     oracle = KnowledgeBase(trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
-    include_revision(oracle, r2.id, db_client)
+    include_revision(oracle, r2.id, db_client, "MRM")
     oracle.saturate(rs_dom)
     assert rebuilt.atoms() == oracle.atoms()
 
@@ -223,11 +225,11 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     staging = StagingRevision("MRM")
     r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 1)
-    include_revision(kb, r1.id, db_client)
+    include_revision(kb, r1.id, db_client, "MRM")
     kb.saturate(rs_dom)
     before = kb.atoms()
     r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 2)
-    rebuilt = on_superseded(kb, r1.id, r2.id, rs_dom, db_client)
+    rebuilt = on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM")
     assert rebuilt.atoms() == before
 
 
@@ -235,12 +237,12 @@ def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     staging = StagingRevision("MRM")
     r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 1)
-    include_revision(kb, r1.id, db_client)
+    include_revision(kb, r1.id, db_client, "MRM")
     unrelated, _, _ = commit_staging(
         StagingRevision("CTR"), parse_rulesheet(CTR_SHEET, "CTR"), db_client, identities["CTR"], now_ms=1
     )
     with pytest.raises(EvidenceError, match="does not supersede"):
-        on_superseded(kb, r1.id, unrelated.id, rs_dom, db_client)
+        on_superseded(kb, r1.id, unrelated.id, rs_dom, db_client, "MRM")
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
@@ -249,12 +251,86 @@ def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_se
     r1, _, staging = mrm_commit(
         db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    include_revision(kb, r1.id, db_client)
+    include_revision(kb, r1.id, db_client, "MRM")
     kb.saturate(rs_dom)
     r2, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
     r3, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    rebuilt = on_superseded(kb, r1.id, r3.id, rs_dom, db_client)
+    rebuilt = on_superseded(kb, r1.id, r3.id, rs_dom, db_client, "MRM")
     assert rebuilt.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
+
+
+class CountingClient:
+    """Passes every call through to a `ClaimDb`, recording the revisions fetched."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fetched = []
+
+    def get_revision(self, rev_id):
+        self.fetched.append(rev_id)
+        return self.inner.get_revision(rev_id)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_supersession_fetches_new_and_intermediates_once(db_client, identities, dom_setup):
+    kb, rs_dom, rs_mrm = dom_setup
+    staging = StagingRevision("MRM")
+    records = []
+    for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
+        record, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, t)
+        records.append(record)
+    include_revision(kb, records[0].id, db_client, "MRM", warn_stale=False)
+    kb.saturate(rs_dom)
+    client = CountingClient(db_client)
+    assert on_superseded(kb, records[0].id, records[3].id, rs_dom, client, "MRM") is kb
+    assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
+    assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
+    client.fetched.clear()
+    on_superseded(kb, records[3].id, mrm_commit(db_client, identities, rs_mrm, staging, [], 9)[0].id, rs_dom, client, "MRM")
+    assert len(client.fetched) == 1
+
+
+def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, identities, dom_setup):
+    """A claim DB that serves a revision by MRM holding a claim of SB is refused."""
+    kb, _rs_dom, rs_mrm = dom_setup
+    record, _, _ = mrm_commit(
+        db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
+    )
+    forged = build_record(
+        "MRM", None, (), rs_mrm.source_hash.hex(), [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
+    )
+
+    class ForgingClient(CountingClient):
+        def get_revision(self, rev_id):
+            # the logged revision's proof and head, around the forged payload
+            payload = encode_payload(forged, sign_record(forged, identities["MRM"]))
+            return dict(self.inner.get_revision(record.id), payload=payload)
+
+    with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
+        include_revision(kb, forged.id, ForgingClient(db_client), "MRM")
+    assert len(kb) == 0
+
+
+def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
+    import cyberlog.revision as revision
+
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    claims = [
+        signed(identities, "SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)
+    ] + [signed(identities, "SB", GroundAtom("SB", "in_process", (1,)))]
+    original, submit = revision.claim_to_obj, db_client.submit_revision
+    calls, at_submit = [], []
+    monkeypatch.setattr(revision, "claim_to_obj", lambda claim: calls.append(claim) or original(claim))
+    monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
+    record, _, _ = commit_staging(StagingRevision("SB", claims=claims), rs, db_client, identities["SB"], now_ms=3)
+    assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
+    monkeypatch.undo()
+    payload = db_client.get_revision(record.id)["payload"]
+    assert payload == encode_payload(record, sign_record(record, identities["SB"]))
+    assert record == build_record("SB", None, (), rs.source_hash.hex(), claims, 3)
+    assert decode_payload(payload)[0] == record
 
 
 def test_latest_revision_per_owner_independent(db_client, identities):
@@ -299,7 +375,7 @@ def test_including_superseded_revision_warns(db_client, identities, dom_setup):
     mrm_commit(db_client, identities, rs_mrm, staging, [], 2)  # supersedes r1
     with warnings_mod.catch_warnings(record=True) as caught:
         warnings_mod.simplefilter("always")
-        added = include_revision(kb, r1.id, db_client)
+        added = include_revision(kb, r1.id, db_client, "MRM")
     assert len(added) == 1  # allowed, but flagged as stale
     assert any("superseded" in str(w.message) for w in caught)
 
