@@ -19,16 +19,14 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import Callable
 
 from .claimlog import MerkleLog, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SubmitError
-from .httpjson import JsonRequestHandler
+from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
 from .revision import RevisionRecord, decode_payload, rulesheet_entry_id, verify_record_signature
 
@@ -199,26 +197,8 @@ class HttpLogClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    def _request(self, method: str, path: str, body: dict | str | None = None) -> dict:
-        url = self.base_url + path
-        data = None
-        headers = {}
-        if body is not None:
-            data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(url, data=data, method=method, headers=headers)
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", errors="replace")
-            try:
-                message = json.loads(detail).get("error", detail)
-            except ValueError:
-                message = detail
-            if exc.code == 404:
-                raise NotFoundError(message) from exc
-            raise SubmitError(exc.code, message) from exc
+    def _request(self, method: str, path: str, body: str | None = None) -> dict:
+        return request_json(method, self.base_url + path, body, self.timeout)
 
     def submit_revision(self, payload: str) -> dict:
         return self._request("POST", "/revisions", payload)

@@ -16,7 +16,7 @@ from .claimdb import ClaimDb, HttpLogClient, make_db_server
 from .claimlog import MerkleLog
 from .engine import GroundAtom, resolve_term
 from .errors import CyberlogError, ParseError
-from .harness import load_scenario, run_scenario
+from .harness import load_scenario, run_scenario, scenario_identities
 from .identity import TrustStore, generate_identity
 from .lang import format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .monitor import HttpMonitorClient, Monitor, MonitorService, load_rulesheet_file
@@ -144,20 +144,9 @@ def cmd_serve_monitor(args) -> int:
 def cmd_run_scenario(args) -> int:
     scenario = load_scenario(args.file)
     mode = "integration" if args.integration else "memory"
-    if mode == "memory" and (args.log_file or args.heads_cache):
-        from .harness import ScenarioRun
-
-        run = ScenarioRun(scenario, log_path=args.log_file)
-        try:
-            report = run.run()
-            if args.heads_cache:
-                run.write_heads_cache(args.heads_cache)
-            if args.trust_store_out:
-                run.trust_store.save(args.trust_store_out)
-        finally:
-            run.close()
-    else:
-        report = run_scenario(scenario, mode=mode, log_path=args.log_file, heads_cache_path=args.heads_cache)
+    report = run_scenario(scenario, mode=mode, log_path=args.log_file, heads_cache_path=args.heads_cache)
+    if args.trust_store_out:
+        scenario_identities(scenario)[2].save(args.trust_store_out)
     print(report.render())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -799,8 +799,3 @@ class KnowledgeBase:
         except (NotFoundError, EvidenceError):
             return False
         return True
-
-
-def claims_from_atoms(atoms: Iterable[GroundAtom], signer: str = "", signature: bytes = b"") -> list[Claim]:
-    """Wrap bare atoms as directly asserted claims (test/tooling helper)."""
-    return [make_claim(a, DirectAssertion(signer or a.principal, signature)) for a in atoms]

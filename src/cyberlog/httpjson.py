@@ -1,11 +1,41 @@
-"""Request handler base shared by the monitor and claim-database servers:
-JSON responses, quiet logging, and request bodies read only when their
-Content-Length is a non-negative integer."""
+"""JSON over HTTP for the monitor and claim-database servers and their
+clients: a request handler base with JSON responses, quiet logging, and
+request bodies read only when their Content-Length is a non-negative
+integer; and one client request function."""
 
 from __future__ import annotations
 
 import json
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler
+
+from .errors import NotFoundError, SubmitError
+
+
+def request_json(method: str, url: str, body: dict | str | None, timeout: float) -> dict:
+    """Send one request (a dict body as JSON, a str body as is) and return
+    the decoded JSON response. A 404 raises NotFoundError; any other HTTP
+    error raises SubmitError with its status code. Either carries the
+    response's JSON `error` field, or the raw body when there is none."""
+    data, headers = None, {}
+    if body is not None:
+        data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        headers["Content-Type"] = "application/json"
+    req = urllib.request.Request(url, data=data, method=method, headers=headers)
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return json.loads(resp.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        detail = exc.read().decode("utf-8", errors="replace")
+        try:
+            obj = json.loads(detail)
+        except ValueError:
+            obj = None
+        message = obj.get("error", detail) if isinstance(obj, dict) else detail
+        if exc.code == 404:
+            raise NotFoundError(message) from exc
+        raise SubmitError(exc.code, message) from exc
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):

@@ -66,12 +66,6 @@ def sign_claim(identity: Identity, atom: GroundAtom) -> SignedClaim:
     return SignedClaim(atom, identity.name, signature)
 
 
-def verify_claim(identity: Identity, sc: SignedClaim) -> bool:
-    if sc.signer != identity.name:
-        return False
-    return verify_bytes(identity.public_key, sc.signature, canonical_atom(sc.atom).encode("utf-8"))
-
-
 @dataclass(frozen=True)
 class TrustEntry:
     name: str

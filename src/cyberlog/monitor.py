@@ -13,8 +13,6 @@ import logging
 import threading
 import time
 import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import Callable
@@ -31,7 +29,7 @@ from .engine import (
     resolve_term,
 )
 from .errors import ConfigError, CyberlogError, NotFoundError, SubmitError
-from .httpjson import JsonRequestHandler
+from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore, sign_claim
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
@@ -252,8 +250,7 @@ class Monitor:
                     continue
                 try:
                     if last is None:
-                        include_revision(self.kb, head, self.db, owner)
-                        self.kb.saturate(self.rulesheet)
+                        include_revision(self.kb, head, self.db, owner, self.rulesheet)
                     else:
                         on_superseded(self.kb, last, head, self.rulesheet, self.db, owner)
                 except (CyberlogError, urllib.error.URLError, OSError) as exc:
@@ -403,16 +400,7 @@ class HttpMonitorClient:
         self.timeout = timeout
 
     def _request(self, method: str, path: str, obj: dict | None = None) -> dict:
-        data = json.dumps(obj).encode("utf-8") if obj is not None else None
-        req = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", errors="replace")
-            raise SubmitError(exc.code, detail) from exc
+        return request_json(method, self.base_url + path, obj, self.timeout)
 
     def send_event(self, env: EventEnvelope) -> dict:
         return self._request(

@@ -11,7 +11,6 @@ justified by inclusion proofs.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Iterable, Protocol, Sequence
@@ -77,23 +76,6 @@ class StagingRevision:
 # Record serialization
 
 
-def _record_body_obj(owner, supersedes, includes, rulesheet_hash, claims, commit_time) -> dict:
-    return {
-        "owner": owner,
-        "supersedes": supersedes,
-        "includes": list(includes),
-        "rulesheet_hash": rulesheet_hash,
-        "claims": [claim_to_obj(c) for c in claims],
-        "commit_time": commit_time,
-    }
-
-
-def record_body_obj(record: RevisionRecord) -> dict:
-    return _record_body_obj(
-        record.owner, record.supersedes, record.includes, record.rulesheet_hash, record.claims, record.commit_time
-    )
-
-
 def build_record(
     owner: str,
     supersedes: str | None,
@@ -101,15 +83,18 @@ def build_record(
     rulesheet_hash: str,
     claims: Iterable[Claim],
     commit_time: int,
-) -> RevisionRecord:
-    return _record_and_body(owner, supersedes, includes, rulesheet_hash, claims, commit_time)[0]
-
-
-def _record_and_body(owner, supersedes, includes, rulesheet_hash, claims, commit_time) -> tuple[RevisionRecord, dict]:
+) -> tuple[RevisionRecord, dict]:
     """The record and the body object its id hashes, each claim serialised once."""
     ordered_claims = tuple(sorted(claims, key=lambda c: canonical_atom(c.atom)))
     includes_t = tuple(sorted(set(includes)))
-    body = _record_body_obj(owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time)
+    body = {
+        "owner": owner,
+        "supersedes": supersedes,
+        "includes": list(includes_t),
+        "rulesheet_hash": rulesheet_hash,
+        "claims": [claim_to_obj(c) for c in ordered_claims],
+        "commit_time": commit_time,
+    }
     rev_id = sha256(canonical_json(body).encode("utf-8")).hexdigest()
     return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time), body
 
@@ -122,15 +107,9 @@ def verify_record_signature(record: RevisionRecord, signature: bytes, public_key
     return verify_bytes(public_key, signature, bytes.fromhex(record.id))
 
 
-def encode_payload(record: RevisionRecord, signature: bytes) -> str:
-    return _encode_body(record_body_obj(record), signature)
-
-
-def _encode_body(body: dict, signature: bytes) -> str:
-    obj = {"kind": "revision"}
-    obj.update(body)
-    obj["signature"] = signature.hex()
-    return canonical_json(obj)
+def encode_payload(body: dict, signature: bytes) -> str:
+    """The logged payload of a record body from `build_record`."""
+    return canonical_json({"kind": "revision", **body, "signature": signature.hex()})
 
 
 def encode_rulesheet_payload(text: str) -> str:
@@ -153,7 +132,7 @@ def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
         raise LogIntegrityError("payload is not a revision record")
     try:
         claims = tuple(claim_from_obj(c) for c in obj["claims"])
-        record = build_record(
+        record, _body = build_record(
             obj["owner"],
             obj["supersedes"],
             obj["includes"],
@@ -220,10 +199,10 @@ def commit_staging(
     """
     if identity.name != staging.owner or rs.self_id != staging.owner:
         raise EvidenceError(f"staging owner {staging.owner!r} does not match identity/rulesheet")
-    record, body = _record_and_body(
+    record, body = build_record(
         staging.owner, staging.base, staging.includes, rs.source_hash.hex(), staging.claims, now_ms
     )
-    payload = _encode_body(body, sign_record(record, identity))
+    payload = encode_payload(body, sign_record(record, identity))
     receipt = db.submit_revision(payload)
     head = SignedTreeHead.from_obj(receipt["tree_head"])
     proof = InclusionProof.from_obj(receipt["inclusion_proof"])
@@ -264,40 +243,35 @@ def _inclusion_claims(record: RevisionRecord, payload: str, proof: InclusionProo
     return [Claim(claim.atom, evidence, claim.claim_id) for claim in record.claims]
 
 
-def include_revision(
-    kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, staging: StagingRevision | None = None,
-    warn_stale: bool = True,
-) -> list[Claim]:
-    """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence; returns the claims whose atoms are new. Refuses
-    everything if the proof chain does not verify or the revision belongs
-    to someone else.
-
-    Including a revision that its owner has already superseded is allowed
-    but flagged, since its claims may be retracted knowledge. Callers that
-    are themselves reconciling a supersession pass warn_stale=False.
-    """
-    record, payload, proof, head = fetch_verified_revision(db, rev_id, kb.log_operator_key)
-    _check_owner(record, owner)
-    if warn_stale:
-        try:
-            owner_head = db.get_head(record.owner)["revision_id"]
-        except CyberlogError:
-            owner_head = rev_id
-        if owner_head != rev_id:
-            warnings.warn(
-                f"including revision {rev_id[:8]} of {record.owner!r}, which is superseded by {owner_head[:8]}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    added = kb.revise((), _inclusion_claims(record, payload, proof, head))
-    if staging is not None and rev_id not in staging.includes:
-        staging.includes.append(rev_id)
+def _admit(kb: KnowledgeBase, rs: Rulesheet, retract: Sequence[Claim], claims: Sequence[Claim]) -> list[Claim]:
+    """Retract the atoms of `retract`, admit `claims` (see
+    `KnowledgeBase.revise`) and saturate; returns the admitted claims whose
+    atoms are new. When saturation raises, the new atoms are retracted,
+    `retract` is re-admitted and the KB re-saturated before the error
+    propagates, so the KB holds the claims it held before."""
+    added = kb.revise([claim.atom for claim in retract], claims)
+    try:
+        kb.saturate(rs)
+    except CyberlogError:
+        kb.revise([claim.atom for claim in added], retract)
+        kb.saturate(rs)
+        raise
     return added
 
 
+def include_revision(kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, rs: Rulesheet) -> list[Claim]:
+    """Import all claims of `owner`'s logged revision into the KB under
+    inclusion evidence and saturate; returns the claims whose atoms are new.
+    A refusal leaves the KB's claims as they were: it refuses before the KB
+    changes if the proof chain does not verify or the revision belongs to
+    someone else, and undoes the import if saturation raises."""
+    record, payload, proof, head = fetch_verified_revision(db, rev_id, kb.log_operator_key)
+    _check_owner(record, owner)
+    return _admit(kb, rs, (), _inclusion_claims(record, payload, proof, head))
+
+
 def supersession_chain(
-    db: LogClient, new_record: RevisionRecord, old_rev_id: str, operator_key: bytes | None = None
+    db: LogClient, new_record: RevisionRecord, old_rev_id: str, operator_key: bytes | None
 ) -> list[str]:
     """Revision ids from the new record (exclusive) back to old (inclusive),
     following supersedes links. Each revision in between is fetched once and
@@ -324,9 +298,9 @@ def on_superseded(
     rs: Rulesheet,
     db: LogClient,
     owner: str,
-) -> KnowledgeBase:
+) -> list[Claim]:
     """Update the KB in place after `owner`'s included revision was
-    superseded, and return it.
+    superseded; returns the admitted claims whose atoms are new.
 
     The new revision must belong to `owner`, whom the old revision was
     checked to belong to when it was included. The new revision is fetched
@@ -334,31 +308,15 @@ def on_superseded(
     not at all. Claims included from the replaced chain are retracted, with
     every derivation downstream of them (see `KnowledgeBase.revise`); the
     new revision's claims are included; standard rules re-saturate from
-    what changed. A refusal leaves the KB's claims as they were: a check
-    raises before the KB changes, and when saturation raises, the new
-    revision's atoms are retracted, the replaced chain's claims re-admitted
-    and the KB re-saturated before the error propagates.
+    what changed. A refusal leaves the KB's claims as they were, as for
+    `include_revision`.
     """
     record, payload, proof, head = fetch_verified_revision(db, new_rev_id, kb.log_operator_key)
     dropped = set(supersession_chain(db, record, old_rev_id, kb.log_operator_key))
     _check_owner(record, owner)
-    claims = _inclusion_claims(record, payload, proof, head)
     retracted = [
         claim
         for claim in kb.claims.values()
         if isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped
     ]
-    added = kb.revise([claim.atom for claim in retracted], claims)
-    try:
-        kb.saturate(rs)
-    except CyberlogError:
-        kb.revise([claim.atom for claim in added], retracted)
-        kb.saturate(rs)
-        raise
-    return kb
-
-
-def latest_revision(db: LogClient, owner: str) -> tuple[str, int]:
-    """Head revision id and chain length for an owner."""
-    head = db.get_head(owner)
-    return head["revision_id"], int(head["chain_length"])
+    return _admit(kb, rs, retracted, _inclusion_claims(record, payload, proof, head))

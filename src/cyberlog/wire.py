@@ -9,7 +9,6 @@ order preserved, UTF-8.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .claimlog import InclusionProof, SignedTreeHead
 from .engine import (
@@ -102,17 +101,3 @@ def claim_from_obj(obj: dict) -> Claim:
     except (KeyError, ValueError) as exc:
         raise EvidenceError(f"malformed claim object: {exc}") from exc
     return Claim(atom, evidence_from_obj(obj["evidence"]), atom_id(atom))
-
-
-def claims_to_jsonl(claims: Iterable[Claim]) -> str:
-    """Line-delimited export: one canonical atom + evidence object per line."""
-    return "".join(canonical_json(claim_to_obj(c)) + "\n" for c in claims)
-
-
-def claims_from_jsonl(text: str) -> list[Claim]:
-    claims = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            claims.append(claim_from_obj(json.loads(line)))
-    return claims

@@ -4,10 +4,17 @@ import pytest
 
 from cyberlog.claimdb import ClaimDb
 from cyberlog.claimlog import MerkleLog
+from cyberlog.engine import DirectAssertion, make_claim
 from cyberlog.identity import TrustStore, generate_identity
 
 PRINCIPALS = ("SB", "MRM", "OM", "CA", "DOM", "CTR")
 OPERATOR = "log-operator"
+
+
+def claims_from_atoms(atoms):
+    """Wrap bare atoms as claims their principals assert, with an empty
+    signature: a KB without a trust store takes them as they are."""
+    return [make_claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
 
 
 def seed_for(name: str) -> bytes:

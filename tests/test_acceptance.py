@@ -271,8 +271,8 @@ def test_criterion_5c_non_owner_supersession_rejected(db_client, identities):
     rs_sb = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
     record, _, _ = commit_staging(StagingRevision("SB"), rs_sb, db_client, identities["SB"], now_ms=1)
     rs_mrm = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    hostile = build_record("MRM", record.id, (), rs_mrm.source_hash.hex(), (), 2)
-    payload = encode_payload(hostile, sign_record(hostile, identities["MRM"]))
+    hostile, body = build_record("MRM", record.id, (), rs_mrm.source_hash.hex(), (), 2)
+    payload = encode_payload(body, sign_record(hostile, identities["MRM"]))
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(payload)
     verdict(5, exc.value.code == 401, "(c) supersession by a non-owner is rejected with 401")

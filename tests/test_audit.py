@@ -156,8 +156,8 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     forged_atom = GroundAtom("SB", "verdict", (99,))
     forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}, (base.claim_id,)), atom_id(forged_atom))
 
-    record = build_record("SB", None, (), rs.source_hash.hex(), [base, forged], 1)
-    db_client.submit_revision(encode_payload(record, sign_record(record, identities["SB"])))
+    record, body = build_record("SB", None, (), rs.source_hash.hex(), [base, forged], 1)
+    db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
 
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
     node = auditor.audit_atom("SB", forged_atom)
@@ -183,8 +183,8 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     swapped = Claim(
         verdict_atom, DerivedByRule(rule, {"Id": 7}, (claims[1].claim_id,)), atom_id(verdict_atom)
     )
-    record = build_record("SB", None, (), rs.source_hash.hex(), claims + [swapped], 1)
-    db_client.submit_revision(encode_payload(record, sign_record(record, identities["SB"])))
+    record, body = build_record("SB", None, (), rs.source_hash.hex(), claims + [swapped], 1)
+    db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
 
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
     node = auditor.audit_atom("SB", verdict_atom)

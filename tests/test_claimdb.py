@@ -39,8 +39,8 @@ def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     for atom in atoms:
         sc = sign_claim(identities["SB"], atom)
         claims.append(make_claim(atom, DirectAssertion("SB", sc.signature)))
-    record = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, commit_time)
-    return record, encode_payload(record, sign_record(record, identities["SB"]))
+    record, body = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, commit_time)
+    return record, encode_payload(body, sign_record(record, identities["SB"]))
 
 
 def test_first_submission_receipt_verifies(db, db_client, identities):
@@ -55,8 +55,8 @@ def test_first_submission_receipt_verifies(db, db_client, identities):
 
 
 def test_bad_signature_rejected(db_client, identities):
-    record, _payload = sb_payload(identities)
-    forged = encode_payload(record, b"\x00" * 64)
+    _record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), (), 1)
+    forged = encode_payload(body, b"\x00" * 64)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(forged)
     assert exc.value.code == 401
@@ -67,9 +67,9 @@ def test_unknown_owner_rejected(db_client, identities, trust_store):
 
     rogue = generate_identity("ROGUE", seed=bytes([7]) * 32)
     rs = parse_rulesheet("'ROGUE': Subject: 's' Issuer: 'i'\n", "ROGUE")
-    record = build_record("ROGUE", None, (), rs.source_hash.hex(), (), 1)
+    record, body = build_record("ROGUE", None, (), rs.source_hash.hex(), (), 1)
     with pytest.raises(SubmitError) as exc:
-        db_client.submit_revision(encode_payload(record, sign_record(record, rogue)))
+        db_client.submit_revision(encode_payload(body, sign_record(record, rogue)))
     assert exc.value.code == 401
 
 
@@ -77,9 +77,9 @@ def test_cross_owner_supersession_rejected(db_client, identities):
     _, payload = sb_payload(identities)
     receipt = db_client.submit_revision(payload)
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    record = build_record("MRM", receipt["revision_id"], (), rs.source_hash.hex(), (), 2)
+    record, body = build_record("MRM", receipt["revision_id"], (), rs.source_hash.hex(), (), 2)
     with pytest.raises(SubmitError) as exc:
-        db_client.submit_revision(encode_payload(record, sign_record(record, identities["MRM"])))
+        db_client.submit_revision(encode_payload(body, sign_record(record, identities["MRM"])))
     assert exc.value.code == 401
 
 
@@ -293,9 +293,10 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
     original = claimdb.decode_payload
     monkeypatch.setattr(claimdb, "decode_payload", lambda p: decoded.append(p) or original(p))
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    foreign = build_record("MRM", base, (), rs.source_hash.hex(), (), 2)
+    foreign, body = build_record("MRM", base, (), rs.source_hash.hex(), (), 2)
+    foreign_payload = encode_payload(body, sign_record(foreign, identities["MRM"]))
     with pytest.raises(SubmitError) as exc:
-        reopened.submit_revision(encode_payload(foreign, sign_record(foreign, identities["MRM"])))
+        reopened.submit_revision(foreign_payload)
     assert exc.value.code == 401
     _, onto_rulesheet = sb_payload(identities, supersedes=rulesheet, commit_time=2)
     with pytest.raises(SubmitError) as exc:
@@ -303,7 +304,7 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
     assert exc.value.code == 400
     _, nxt = sb_payload(identities, supersedes=base, commit_time=3)
     reopened.submit_revision(nxt)
-    assert decoded == [encode_payload(foreign, sign_record(foreign, identities["MRM"])), onto_rulesheet, nxt]
+    assert decoded == [foreign_payload, onto_rulesheet, nxt]
     reopened.log.close()
 
 
@@ -349,8 +350,8 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
 
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
-    record = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign], 1)
-    payload = encode_payload(record, sign_record(record, identities["SB"]))
+    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign], 1)
+    payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
         decode_payload(payload)
     for client in (db, http_client):
@@ -370,8 +371,8 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     db.submit_revision(payload)
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign_claim = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
-    foreign = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign_claim], 2)
-    db.log.append(encode_payload(foreign, sign_record(foreign, identities["SB"])).encode("utf-8"))
+    foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign_claim], 2)
+    db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
     root = db.get_log_root()
     db.log.close()
 

@@ -54,6 +54,18 @@ def test_run_scenario_pass_and_report(tmp_path, capsys):
     assert {m["monitor"] for m in report["metrics"]} == {"SB", "MRM", "CA", "OM", "DOM"}
 
 
+def test_run_scenario_writes_trust_store_in_memory_mode(tmp_path, capsys):
+    trust = tmp_path / "trust.jsonl"
+    assert main(["run-scenario", BOOKING, "--trust-store-out", str(trust)]) == 0
+    run = ScenarioRun(load_scenario(BOOKING))
+    try:
+        loaded = TrustStore.load(str(trust))
+        assert loaded.names() == run.trust_store.names()
+        assert [loaded.get(n) for n in loaded.names()] == [run.trust_store.get(n) for n in loaded.names()]
+    finally:
+        run.close()
+
+
 def test_run_scenario_expectation_failure_exit(tmp_path, capsys):
     scenario = load_scenario(BOOKING)
     lines = open(BOOKING).read().splitlines()

@@ -12,7 +12,6 @@ from cyberlog.engine import (
     KnowledgeBase,
     atom_id,
     canonical_atom,
-    claims_from_atoms,
     eval_builtin,
     make_claim,
     parse_canonical_atom,
@@ -20,6 +19,7 @@ from cyberlog.engine import (
 from cyberlog.errors import EvaluationError, EvidenceError, NotFoundError
 from cyberlog.lang import StringConstant, Variable, parse_query, parse_rulesheet
 
+from conftest import claims_from_atoms
 from naive_oracle import naive_saturate, random_builtin_program, random_program
 
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'MRM': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n'CA': Subject: 's' Issuer: 'i'\n"

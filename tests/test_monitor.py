@@ -289,6 +289,31 @@ def test_http_bad_request_gets_400(sb, request_bytes):
         thread.join(timeout=5)
 
 
+def test_http_client_maps_errors(sb):
+    """The monitor client raises NotFoundError on a 404 and SubmitError with
+    the server's `error` text on any other HTTP error."""
+    import threading
+
+    from cyberlog.errors import NotFoundError, SubmitError
+    from cyberlog.monitor import HttpMonitorClient, make_monitor_server
+
+    server = make_monitor_server(sb)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = "http://%s:%d" % server.server_address
+    try:
+        with pytest.raises(NotFoundError, match="no such endpoint /nowhere/health"):
+            HttpMonitorClient(url + "/nowhere").health()
+        with pytest.raises(SubmitError) as exc:
+            HttpMonitorClient(url).query(5)
+        assert exc.value.code == 400
+        assert str(exc.value) == "body must be an object with a string 'pattern'"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 def test_authorization_gate(identities, trust_store, db_client):
     sheet = SB_SHEET + "\nauthorized(Id) :- request(Id, Data, T).\n"
     mon = make_monitor(identities, trust_store, db_client, "SB", sheet, authz_predicate="authorized")
@@ -383,8 +408,7 @@ def test_signature_memo_bounded_and_supersession_matches_scratch():
             # DOM's KB is its inclusions and their consequences: rebuild it with no memo
             scratch = KnowledgeBase(trust_store=dom.trust_store, log_operator_key=dom.operator_key)
             for owner, rev_id in dom.active_includes.items():
-                include_revision(scratch, rev_id, run.client, owner, warn_stale=False)
-            scratch.saturate(dom.rulesheet)
+                include_revision(scratch, rev_id, run.client, owner, dom.rulesheet)
             assert dom.kb.atoms() == scratch.atoms(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
@@ -413,13 +437,14 @@ def _append_directly(db, identities, owner, supersedes, atoms=()):
     from cyberlog.revision import build_record, encode_payload, sign_record
 
     claims = [make_claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
-    record = build_record(owner, supersedes, (), "0" * 64, claims, 5)
-    db.log.append(encode_payload(record, sign_record(record, identities[owner])).encode("utf-8"))
+    record, body = build_record(owner, supersedes, (), "0" * 64, claims, 5)
+    db.log.append(encode_payload(body, sign_record(record, identities[owner])).encode("utf-8"))
     return record.id
 
 
 @pytest.mark.parametrize(
-    "refusal", ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation"]
+    "refusal",
+    ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation", "first-saturation"],
 )
 def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, caplog):
     """A refused head leaves DOM's atoms, evidence objects, memo and
@@ -435,7 +460,7 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
     r1 = sb.commit()
     other = mrm.commit()
     wrapped = PassThroughDb(db)
-    if refusal != "foreign-first-head":
+    if refusal not in ("foreign-first-head", "first-saturation"):
         assert dom.poll_and_include() == [r1.id]
     if refusal == "tampered":
         sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
@@ -462,6 +487,12 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         _append_directly(db, identities, "SB", crossing, [GroundAtom("SB", "request", (9, "d", 1))])
         wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
         expected = "supersession crosses owners: 'CTR' vs 'SB'"
+    elif refusal == "first-saturation":  # the first SB head DOM sees holds a request whose time is not an integer
+        dom.kb.saturate(dom.rulesheet)
+        assert len(dom.kb) == 0
+        _append_directly(db, identities, "SB", r1.id, [GroundAtom("SB", "request", (9, "d", "x"))])
+        wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
+        expected = "ordered comparison on non-integers"
     else:  # SB's new head keeps r1's request and adds one whose time is not an integer
         atoms = [*(claim.atom for claim in r1.claims), GroundAtom("SB", "request", (9, "d", "x"))]
         _append_directly(db, identities, "SB", r1.id, atoms)

@@ -22,7 +22,6 @@ from cyberlog.revision import (
     encode_payload,
     fetch_verified_revision,
     include_revision,
-    latest_revision,
     on_superseded,
     sign_record,
 )
@@ -34,6 +33,12 @@ RETAIN_SHEET = (
     "'SB': Subject: 's' Issuer: 'i'\n"
     "next request(Id, Data, TimeRequest) :- request(Id, Data, TimeRequest), in_process(Id).\n"
 )
+
+
+def latest_revision(db, owner):
+    """Head revision id and chain length for an owner."""
+    head = db.get_head(owner)
+    return head["revision_id"], int(head["chain_length"])
 
 
 def signed(identities, owner, atom):
@@ -86,7 +91,7 @@ def test_next_rule_keeps_in_process_request(identities):
         signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5))),
         signed(identities, "SB", GroundAtom("SB", "in_process", (7,))),
     ]
-    record = build_record("SB", None, (), rs.source_hash.hex(), claims, 1)
+    record, _ = build_record("SB", None, (), rs.source_hash.hex(), claims, 1)
     carried = apply_next_rules(record, rs)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7, "d", 5))]
     ev = carried[0].evidence
@@ -96,7 +101,7 @@ def test_next_rule_keeps_in_process_request(identities):
 def test_next_rule_drops_completed_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))]
-    record = build_record("SB", None, (), rs.source_hash.hex(), claims, 1)
+    record, _ = build_record("SB", None, (), rs.source_hash.hex(), claims, 1)
     assert apply_next_rules(record, rs) == []
 
 
@@ -108,7 +113,7 @@ def test_next_rule_sees_included_claims(identities):
     rs = parse_rulesheet(sheet, "SB")
     own = [signed(identities, "SB", GroundAtom("SB", "request", (7,)))]
     foreign = [signed(identities, "OM", GroundAtom("OM", "in_process", (7,)))]
-    record = build_record("SB", None, (), rs.source_hash.hex(), own, 1)
+    record, _ = build_record("SB", None, (), rs.source_hash.hex(), own, 1)
     assert apply_next_rules(record, rs) == []
     carried = apply_next_rules(record, rs, included_claims=foreign)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7,))]
@@ -155,26 +160,21 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     record, _, _ = mrm_commit(
         db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    staging = StagingRevision("DOM")
-    added = include_revision(kb, record.id, db_client, "MRM", staging)
+    added = include_revision(kb, record.id, db_client, "MRM", rs_dom)
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
-    kb.saturate(rs_dom)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
-    assert staging.includes == [record.id]
 
 
 def test_include_empty_revision(db_client, identities, dom_setup):
-    kb, _rs_dom, rs_mrm = dom_setup
+    kb, rs_dom, rs_mrm = dom_setup
     record, _, _ = mrm_commit(db_client, identities, rs_mrm, StagingRevision("MRM"), [], 1)
-    staging = StagingRevision("DOM")
-    assert include_revision(kb, record.id, db_client, "MRM", staging) == []
+    assert include_revision(kb, record.id, db_client, "MRM", rs_dom) == []
     assert len(kb) == 0
-    assert staging.includes == [record.id]
 
 
 def test_include_refuses_tampered_body(db_client, identities, dom_setup):
-    kb, _rs_dom, rs_mrm = dom_setup
+    kb, rs_dom, rs_mrm = dom_setup
     record, _, _ = mrm_commit(
         db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
@@ -192,7 +192,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, TamperingClient(db_client), "MRM", StagingRevision("DOM"))
+        include_revision(kb, record.id, TamperingClient(db_client), "MRM", rs_dom)
     assert len(kb) == 0
 
 
@@ -205,19 +205,17 @@ def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     r1, _, staging = mrm_commit(
         db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    include_revision(kb, r1.id, db_client, "MRM")
-    kb.saturate(rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
-    rebuilt = on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM")
-    assert rebuilt.query(parse_query("verdict(R)", "DOM")) == []
+    on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM")
+    assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
     oracle = KnowledgeBase(trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
-    include_revision(oracle, r2.id, db_client, "MRM")
-    oracle.saturate(rs_dom)
-    assert rebuilt.atoms() == oracle.atoms()
+    include_revision(oracle, r2.id, db_client, "MRM", rs_dom)
+    assert kb.atoms() == oracle.atoms()
 
 
 def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, dom_setup):
@@ -225,19 +223,18 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     staging = StagingRevision("MRM")
     r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 1)
-    include_revision(kb, r1.id, db_client, "MRM")
-    kb.saturate(rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
     before = kb.atoms()
     r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 2)
-    rebuilt = on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM")
-    assert rebuilt.atoms() == before
+    assert on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM") == []
+    assert kb.atoms() == before
 
 
 def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     staging = StagingRevision("MRM")
     r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 1)
-    include_revision(kb, r1.id, db_client, "MRM")
+    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
     unrelated, _, _ = commit_staging(
         StagingRevision("CTR"), parse_rulesheet(CTR_SHEET, "CTR"), db_client, identities["CTR"], now_ms=1
     )
@@ -251,12 +248,11 @@ def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_se
     r1, _, staging = mrm_commit(
         db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    include_revision(kb, r1.id, db_client, "MRM")
-    kb.saturate(rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
     r2, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
     r3, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    rebuilt = on_superseded(kb, r1.id, r3.id, rs_dom, db_client, "MRM")
-    assert rebuilt.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
+    on_superseded(kb, r1.id, r3.id, rs_dom, db_client, "MRM")
+    assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
 class CountingClient:
@@ -281,10 +277,10 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
         record, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, t)
         records.append(record)
-    include_revision(kb, records[0].id, db_client, "MRM", warn_stale=False)
-    kb.saturate(rs_dom)
+    include_revision(kb, records[0].id, db_client, "MRM", rs_dom)
     client = CountingClient(db_client)
-    assert on_superseded(kb, records[0].id, records[3].id, rs_dom, client, "MRM") is kb
+    added = on_superseded(kb, records[0].id, records[3].id, rs_dom, client, "MRM")
+    assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (9, 1))]
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
@@ -294,22 +290,22 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
 
 def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, identities, dom_setup):
     """A claim DB that serves a revision by MRM holding a claim of SB is refused."""
-    kb, _rs_dom, rs_mrm = dom_setup
+    kb, rs_dom, rs_mrm = dom_setup
     record, _, _ = mrm_commit(
         db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    forged = build_record(
+    forged, forged_body = build_record(
         "MRM", None, (), rs_mrm.source_hash.hex(), [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
     )
 
     class ForgingClient(CountingClient):
         def get_revision(self, rev_id):
             # the logged revision's proof and head, around the forged payload
-            payload = encode_payload(forged, sign_record(forged, identities["MRM"]))
+            payload = encode_payload(forged_body, sign_record(forged, identities["MRM"]))
             return dict(self.inner.get_revision(record.id), payload=payload)
 
     with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
-        include_revision(kb, forged.id, ForgingClient(db_client), "MRM")
+        include_revision(kb, forged.id, ForgingClient(db_client), "MRM", rs_dom)
     assert len(kb) == 0
 
 
@@ -328,8 +324,9 @@ def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
     assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
-    assert payload == encode_payload(record, sign_record(record, identities["SB"]))
-    assert record == build_record("SB", None, (), rs.source_hash.hex(), claims, 3)
+    rebuilt, body = build_record("SB", None, (), rs.source_hash.hex(), claims, 3)
+    assert payload == encode_payload(body, sign_record(record, identities["SB"]))
+    assert record == rebuilt
     assert decode_payload(payload)[0] == record
 
 
@@ -362,22 +359,6 @@ def test_head_matches_chain_walk_oracle(db_client, identities):
         cursor = record.supersedes
         walked.append(cursor)
     assert list(reversed(walked)) == ids
-
-
-def test_including_superseded_revision_warns(db_client, identities, dom_setup):
-    import warnings as warnings_mod
-
-    kb, _rs_dom, rs_mrm = dom_setup
-    staging = StagingRevision("MRM")
-    r1, _, staging = mrm_commit(
-        db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
-    )
-    mrm_commit(db_client, identities, rs_mrm, staging, [], 2)  # supersedes r1
-    with warnings_mod.catch_warnings(record=True) as caught:
-        warnings_mod.simplefilter("always")
-        added = include_revision(kb, r1.id, db_client, "MRM")
-    assert len(added) == 1  # allowed, but flagged as stale
-    assert any("superseded" in str(w.message) for w in caught)
 
 
 def test_decode_payload_never_crashes_on_mutations(db_client, identities):

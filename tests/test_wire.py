@@ -1,10 +1,23 @@
 """Claim/evidence wire round trips (line-delimited export)."""
 
+import json
+
 from cyberlog.engine import CarriedByNextRule, DirectAssertion, GroundAtom, make_claim
 from cyberlog.lang import parse_rulesheet
-from cyberlog.wire import claim_from_obj, claim_to_obj, claims_from_jsonl, claims_to_jsonl
+from cyberlog.wire import canonical_json, claim_from_obj, claim_to_obj
+
+from conftest import claims_from_atoms
 
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n"
+
+
+def claims_to_jsonl(claims):
+    """Line-delimited export: one canonical atom + evidence object per line."""
+    return "".join(canonical_json(claim_to_obj(c)) + "\n" for c in claims)
+
+
+def claims_from_jsonl(text):
+    return [claim_from_obj(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 def test_claims_jsonl_roundtrip():
@@ -23,7 +36,7 @@ def test_claims_jsonl_roundtrip():
 
 
 def test_derived_claim_roundtrip_preserves_rule():
-    from cyberlog.engine import KnowledgeBase, claims_from_atoms
+    from cyberlog.engine import KnowledgeBase
 
     rs = parse_rulesheet(IDS + "good(R) :- 'OM' attests t(R, A).", "SB")
     kb = KnowledgeBase()
