@@ -83,7 +83,7 @@ class Auditor:
         cached = self._revisions.get(rev_id)
         if cached is not None:
             return cached
-        record, _payload, _proof, _head = fetch_verified_revision(self.db, rev_id, self.operator_key)
+        record, _inclusion = fetch_verified_revision(self.db, rev_id, self.operator_key)
         self._revisions[rev_id] = record
         return record
 

@@ -166,9 +166,6 @@ class MerkleLog:
     def payload(self, index: int) -> bytes:
         return self._payloads[index]
 
-    def leaf_hash_at(self, index: int) -> bytes:
-        return self._leaf_hashes[index]
-
     def _subtree(self, lo: int, hi: int) -> bytes:
         if hi - lo == 1:
             return self._leaf_hashes[lo]

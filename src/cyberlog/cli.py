@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .audit import Auditor, render_audit_tree, verify_log_consistency
@@ -99,11 +100,12 @@ def cmd_serve_db(args) -> int:
     db = ClaimDb(MerkleLog(cfg.get("log_file")), operator, trust)
     host, port = _split_listen(cfg.get("listen", "127.0.0.1:8440"))
     server = make_db_server(db, host, port)
-    print(
-        f"claim database listening on http://{server.server_address[0]}:{server.server_address[1]}",
-        flush=True,
-    )
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on Ctrl-C
     try:
+        print(
+            f"claim database listening on http://{server.server_address[0]}:{server.server_address[1]}",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -136,6 +138,7 @@ def cmd_serve_monitor(args) -> int:
         host=host,
         port=port,
     )
+    signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on Ctrl-C
     print(f"monitor {name} listening on {service.url}", flush=True)
     service.run_forever()
     return 0

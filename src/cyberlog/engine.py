@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import EvaluationError, EvidenceError, NotFoundError
+from .errors import CyberlogError, EvaluationError, EvidenceError, NotFoundError
 from .lang import (
     INT64_MAX,
     INT64_MIN,
@@ -447,7 +447,8 @@ def _bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
 
 
 class KnowledgeBase:
-    """Set of claims keyed by atom, each with the evidence that justifies it.
+    """Set of claims keyed by atom, each with the evidence that justifies it,
+    under the standard rules of the rulesheet it is built with.
 
     Owned by a single logical actor; not safe for concurrent mutation.
     Every claim's evidence is checked on entry. When a trust store is
@@ -455,10 +456,10 @@ class KnowledgeBase:
     proof-checked, and their tree heads signature-checked when an operator
     key is known.
 
-    A monitor keeps one KB for its lifetime. Within a commit window claims
-    enter through `assert_claim` (first evidence wins); between windows the
-    KB changes only through `revise`, which retracts atoms by
-    Delete-and-Rederive and replaces the evidence of atoms that stay.
+    A monitor keeps one KB for its lifetime and changes it only through
+    `revise`, which retracts atoms by Delete-and-Rederive, admits claims
+    and saturates, or changes nothing; so between calls the KB is at its
+    fixpoint. `assert_claim` admits one claim without saturating.
     Each Ed25519 check and inclusion proof that passed is memoised by its
     full inputs, so the KB verifies each distinct signature, tree head and
     proof once for as long as a stored claim uses it. Everything else in
@@ -466,18 +467,17 @@ class KnowledgeBase:
     and only those the stored claims use.
     """
 
-    def __init__(self, trust_store: "TrustStore | None" = None, log_operator_key: bytes | None = None):
+    def __init__(self, rulesheet: Rulesheet, trust_store: "TrustStore | None" = None,
+                 log_operator_key: bytes | None = None):
         self.trust_store = trust_store
         self.log_operator_key = log_operator_key
         self.claims: dict[GroundAtom, Claim] = {}
         self.by_id: dict[str, Claim] = {}
         self._index: dict[tuple[str, str], dict[str, Claim]] = {}  # by claim id
-        # Claims admitted since the last fixpoint, atoms removed since then
-        # (each to be re-derived if it still can be), and the standard rules
-        # that fixpoint was reached under (None: never reached).
+        # Claims admitted since the last fixpoint, and atoms removed since
+        # then (each to be re-derived if it still can be).
         self._unsaturated: list[Claim] = []
         self._removed: dict[GroundAtom, None] = {}
-        self._fixpoint_rules: tuple[Rule, ...] | None = None
         # premise claim id -> ids of the claims whose recorded derivation names it
         self._dependents: dict[str, dict[str, None]] = {}
         # Checks that passed, each with the number of stored claims using
@@ -488,17 +488,23 @@ class KnowledgeBase:
         self._uses: dict[str, list[tuple]] = {}
         self._fresh: set[tuple] = set()
         self._checked: list[tuple] = []
+        # each standard rule with its relational body atoms, in body order
+        std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
+        self._joins = [(rule, [a for a in rule.body if isinstance(a, RelationalAtom)]) for rule in std]
+        # a rule without relational atoms fires once, here
+        facts: dict[GroundAtom, Claim] = {}
+        for rule, rel in self._joins:
+            if not rel:
+                self._fire(rule, lambda i, a: (), facts)
+        for claim in facts.values():
+            self.assert_claim(claim)
+        self.saturate()
 
     def __len__(self) -> int:
         return len(self.claims)
 
     def __contains__(self, atom: GroundAtom) -> bool:
         return atom in self.claims
-
-    @property
-    def saturated(self) -> bool:
-        """True iff the KB is at a fixpoint of the last rules it saturated under."""
-        return self._fixpoint_rules is not None and not self._unsaturated and not self._removed
 
     def atoms(self) -> frozenset[GroundAtom]:
         return frozenset(self.claims)
@@ -523,34 +529,57 @@ class KnowledgeBase:
         return True
 
     def revise(self, retract: Iterable[GroundAtom], claims: Iterable[Claim]) -> list[Claim]:
-        """Update the KB in place; returns the admitted claims whose atoms
-        are new.
+        """Retract atoms, admit claims and saturate, as one change; returns
+        the admitted claims whose atoms are new, then the claims saturation
+        derived, among them any retracted atom it derived again.
 
         Every claim in `claims` is checked first: if one fails, EvidenceError
         is raised and nothing changes. An admitted claim whose atom is
-        present replaces that atom's evidence; its atom is not new, so the
-        next `saturate` does not join it again. An atom in `retract` that
-        is not admitted is removed, and so, transitively, is every derived
-        claim whose recorded premises name a removed claim. The next
-        `saturate` looks for another derivation of each removed atom over
-        the claims that remain (Delete-and-Rederive), and joins what it
-        re-derives and the new claims as its first delta.
+        present replaces that atom's evidence; its atom is not new, so
+        saturation does not join it again. An atom in `retract` that is not
+        admitted is removed, and so, transitively, is every derived claim
+        whose recorded premises name a removed claim. Saturation then looks
+        for another derivation of each removed atom over the claims that
+        remain (Delete-and-Rederive), and joins what it re-derives and the
+        new claims as its first delta.
+
+        When saturation raises, the KB gets back the claims it held on
+        entry before the error propagates: the atoms the call added are
+        retracted, the claims it retracted or replaced are admitted again,
+        and the KB saturates again.
         """
+        added, displaced = self._apply(retract, claims)
+        try:
+            derived = self.saturate()
+        except CyberlogError:
+            self._apply([claim.atom for claim in added], displaced)
+            self.saturate()
+            raise
+        return added + derived
+
+    def _apply(self, retract: Iterable[GroundAtom], claims: Iterable[Claim]) -> tuple[list[Claim], list[Claim]]:
+        """The admission and retraction of `revise`, leaving saturation
+        pending; returns the admitted claims whose atoms are new and the
+        stored claims that were retracted or replaced."""
         try:
             incoming = {claim.atom: (claim, self.check_evidence(claim)) for claim in claims}
         finally:
             self._fresh.clear()
-        added = []
+        added: list[Claim] = []
+        displaced: list[Claim] = []  # stored claims retracted or replaced
         for atom, (claim, used) in incoming.items():
             old = self.claims.get(atom)
             if old is None:
                 added.append(claim)
                 self._unsaturated.append(claim)
             else:
+                displaced.append(old)
                 self._release(old)
             self._store(claim, used)
+        retracted = [self.claims[atom] for atom in retract if atom in self.claims and atom not in incoming]
+        displaced += retracted
+        stack = [claim.claim_id for claim in retracted]
         removed: dict[GroundAtom, None] = {}
-        stack = [self.claims[atom].claim_id for atom in retract if atom in self.claims and atom not in incoming]
         while stack:
             claim = self.by_id.get(stack.pop())
             if claim is None:
@@ -562,7 +591,7 @@ class KnowledgeBase:
             self._removed.update(removed)
             self._unsaturated = [c for c in self._unsaturated if c.atom not in removed]
             added = [c for c in added if c.atom not in removed]
-        return added
+        return added, displaced
 
     def check_evidence(self, claim: Claim) -> list[tuple]:
         """Check a claim's own evidence (see `check_evidence`); returns the
@@ -648,68 +677,28 @@ class KnowledgeBase:
 
     # -- saturation -----------------------------------------------------
 
-    def saturate(self, rs: Rulesheet) -> list[Claim]:
+    def saturate(self) -> list[Claim]:
         """Least fixpoint of the standard rules; returns claims added.
 
         Semi-naive: the first delta is the claims admitted since the last
         fixpoint, since every match over older claims alone was already
         derived there. Each atom `revise` removed since then is first
         re-derived, with the head bound, if some rule instance over the
-        remaining claims still yields it; those claims join the delta. The
-        whole KB seeds it instead when no fixpoint was reached yet or it
-        was reached under different rules. A call that raises leaves its
-        seed, and what it derived, pending for the next.
+        remaining claims still yields it; those claims join the delta. A
+        call that raises leaves its seed, and what it derived, pending for
+        the next (`revise` undoes its change instead).
         """
-        std = tuple(r for r in rs.rules if r.kind is RuleKind.STANDARD)
         start = len(self._unsaturated)
-
-        def derive(rule: Rule, subst: Substitution, premises: list[Claim], sink: dict):
-            atom = instantiate_head(rule.head, subst)
-            if atom in self.claims or atom in sink:
-                return
-            evidence = DerivedByRule(
-                rule, rule_substitution(rule, subst), tuple(c.claim_id for c in premises)
-            )
-            sink[atom] = Claim(atom, evidence, atom_id(atom))
-
-        def run_rule(rule: Rule, candidates, sink: dict, target: GroundAtom | None = None):
-            """Derive every match into `sink`; with a `target` atom, bind the
-            head to it and stop at the first match that yields it."""
-            subst = None
-            if target is not None:
-                subst = _bind_head(rule.head, target)
-                if subst is None:
-                    return
-            try:
-                for full, premises in match_rule_body(rule.body, candidates, subst):
-                    if target is None or instantiate_head(rule.head, full) == target:
-                        derive(rule, full, premises, sink)
-                        if target is not None:
-                            return
-            except EvaluationError as exc:
-                raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
-
-        joins = [(r, [a for a in r.body if isinstance(a, RelationalAtom)]) for r in std]
-        if std != self._fixpoint_rules:
-            # rules without relational atoms fire once, on a full seed
-            facts: dict[GroundAtom, Claim] = {}
-            for rule, rel in joins:
-                if not rel:
-                    run_rule(rule, lambda i, a: (), facts)
-            for claim in facts.values():
+        if self._removed:
+            rederived: dict[GroundAtom, Claim] = {}
+            for atom in self._removed:
+                for rule, _rel in self._joins:
+                    if atom in self.claims or atom in rederived:
+                        break
+                    self._fire(rule, lambda i, a: self.claims_for(a.principal, a.predicate), rederived, atom)
+            for claim in rederived.values():
                 self.assert_claim(claim)
-            delta = list(self.claims.values())
-        else:
-            if self._removed:
-                rederived: dict[GroundAtom, Claim] = {}
-                for atom in self._removed:
-                    for rule in std:
-                        if atom in self.claims or atom in rederived:
-                            break
-                        run_rule(rule, lambda i, a: self.claims_for(a.principal, a.predicate), rederived, atom)
-                for claim in rederived.values():
-                    self.assert_claim(claim)
-            delta = list(self._unsaturated)
+        delta = list(self._unsaturated)
 
         while delta:
             delta_atoms = {c.atom for c in delta}
@@ -717,7 +706,7 @@ class KnowledgeBase:
             for claim in delta:
                 delta_index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
             pending: dict[GroundAtom, Claim] = {}
-            for rule, rel in joins:
+            for rule, rel in self._joins:
                 for k, atom_k in enumerate(rel):
                     if (atom_k.principal, atom_k.predicate) not in delta_index:
                         continue
@@ -730,14 +719,35 @@ class KnowledgeBase:
                             return [c for c in pool if c.atom not in delta_atoms]
                         return pool
 
-                    run_rule(rule, candidates, pending)
+                    self._fire(rule, candidates, pending)
             delta = [claim for claim in pending.values() if self.assert_claim(claim)]
         added = self._unsaturated[start:]
         self._unsaturated = []
         if self._removed:
             self._removed = {}
-        self._fixpoint_rules = std
         return added
+
+    def _fire(self, rule: Rule, candidates, sink: dict, target: GroundAtom | None = None) -> None:
+        """Derive into `sink` each match of the rule over `candidates` whose
+        head is not stored yet; with a `target` atom, bind the head to it
+        and stop at the first match that yields it."""
+        subst = None
+        if target is not None:
+            subst = _bind_head(rule.head, target)
+            if subst is None:
+                return
+        try:
+            for full, premises in match_rule_body(rule.body, candidates, subst):
+                atom = instantiate_head(rule.head, full)
+                if target is not None and atom != target:
+                    continue
+                if atom not in self.claims and atom not in sink:
+                    evidence = DerivedByRule(rule, rule_substitution(rule, full), tuple(c.claim_id for c in premises))
+                    sink[atom] = Claim(atom, evidence, atom_id(atom))
+                if target is not None:
+                    return
+        except EvaluationError as exc:
+            raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
 
     # -- queries ----------------------------------------------------------
 

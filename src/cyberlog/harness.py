@@ -200,6 +200,19 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
+def _head_summary(db: ClaimDb | HttpLogClient, owners) -> dict[str, dict]:
+    """Each owner's head revision id and chain length; None and 0 for an
+    owner that has not committed."""
+    heads = {}
+    for owner in owners:
+        try:
+            head = db.get_head(owner)
+            heads[owner] = {"revision_id": head["revision_id"], "chain_length": head["chain_length"]}
+        except NotFoundError:
+            heads[owner] = {"revision_id": None, "chain_length": 0}
+    return heads
+
+
 class ScenarioRun:
     """Deterministic in-process execution with a stepped virtual clock."""
 
@@ -278,15 +291,8 @@ class ScenarioRun:
             ExpectationResult(e.monitor, e.query, e.count, self.query_count(e.monitor, e.query))
             for e in self.scenario.expected
         ]
-        heads = {}
-        for name in self._order:
-            try:
-                head = self.client.get_head(name)
-                heads[name] = {"revision_id": head["revision_id"], "chain_length": head["chain_length"]}
-            except NotFoundError:
-                heads[name] = {"revision_id": None, "chain_length": 0}
         metrics = [self.monitors[name].metrics_report() for name in self._order]
-        return ScenarioReport(self.scenario.name, "memory", results, metrics, heads)
+        return ScenarioReport(self.scenario.name, "memory", results, metrics, _head_summary(self.client, self._order))
 
     def run(self) -> ScenarioReport:
         self.finish()
@@ -356,15 +362,10 @@ def run_scenario_integration(
             ExpectationResult(e.monitor, e.query, e.count, a) for e, a in zip(scenario.expected, actual)
         ]
         metrics = [clients[name].metrics() for name in services]
-        heads = {}
-        for name in services:
-            try:
-                head = HttpLogClient(db_url).get_head(name)
-                heads[name] = {"revision_id": head["revision_id"], "chain_length": head["chain_length"]}
-            except NotFoundError:
-                heads[name] = {"revision_id": None, "chain_length": 0}
+        db_client = HttpLogClient(db_url)
+        heads = _head_summary(db_client, services)
         if heads_cache_path:
-            append_heads_cache(heads_cache_path, SignedTreeHead.from_obj(HttpLogClient(db_url).get_log_root()))
+            append_heads_cache(heads_cache_path, SignedTreeHead.from_obj(db_client.get_log_root()))
         return ScenarioReport(scenario.name, "integration", results, metrics, heads)
     finally:
         for service in services.values():

@@ -150,7 +150,7 @@ class Monitor:
         self.authz_predicate = authz_predicate
         self.name = identity.name
         self.lock = threading.RLock()
-        self.kb = KnowledgeBase(trust_store=trust_store, log_operator_key=operator_key)
+        self.kb = KnowledgeBase(rulesheet, trust_store, operator_key)
         self._base: str | None = None
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
@@ -168,14 +168,14 @@ class Monitor:
         signed = sign_claim(self.identity, atom)
         claim = make_claim(atom, DirectAssertion(self.name, signed.signature))
         with self.lock:
-            new_event = self.kb.assert_claim(claim)
-            derived = tuple(c.atom for c in self.kb.saturate(self.rulesheet)) if new_event else ()
+            # the event first if it is new, then its consequences; a known
+            # event adds nothing, since the KB is at its fixpoint
+            added = self.kb.revise((), [claim])
             decision = self._decision()
-            kb_size = len(self.kb)
         delay_ms = (time.perf_counter() - started) * 1000.0
         with self.lock:  # the running figures are read-modify-write
-            self.metrics.record(delay_ms, (1 if new_event else 0) + len(derived))
-        return IngestResult(decision, atom, new_event, derived, delay_ms)
+            self.metrics.record(delay_ms, len(added))
+        return IngestResult(decision, atom, bool(added), tuple(c.atom for c in added[1:]), delay_ms)
 
     def _decision(self) -> str:
         if self.authz_predicate is None:
@@ -188,7 +188,10 @@ class Monitor:
         """Commit own claims as a new revision; returns the record, or None
         if the claim database was unreachable (KB untouched). After a
         successful submit the KB keeps its inclusions and takes the
-        next-rule carry-overs as its own claims."""
+        next-rule carry-overs as its own claims. If the carry-overs make
+        saturation raise, the error propagates with the record logged, and
+        the KB drops the record's own claims without taking the carry-overs,
+        so the next commit does not log them again."""
         with self.lock:
             self._ensure_rulesheet_published()
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
@@ -211,10 +214,12 @@ class Monitor:
             self.commit_count += 1
             # own claims not carried go, with what was derived from them;
             # derived claims whose recorded premises survive stay
-            self.kb.revise(
-                [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))], fresh.claims
-            )
-            self.kb.saturate(self.rulesheet)
+            logged = [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
+            try:
+                self.kb.revise(logged, fresh.claims)
+            except CyberlogError:
+                self.kb.revise(logged, ())
+                raise
             return record
 
     def _ensure_rulesheet_published(self) -> None:
@@ -250,9 +255,9 @@ class Monitor:
                     continue
                 try:
                     if last is None:
-                        include_revision(self.kb, head, self.db, owner, self.rulesheet)
+                        include_revision(self.kb, head, self.db, owner)
                     else:
-                        on_superseded(self.kb, last, head, self.rulesheet, self.db, owner)
+                        on_superseded(self.kb, last, head, self.db, owner)
                 except (CyberlogError, urllib.error.URLError, OSError) as exc:
                     self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue
@@ -275,10 +280,6 @@ class Monitor:
                 )
                 answers.append(QueryAnswer(subst, self.kb.verify_claim_chain(atom)))
             return answers
-
-    def kb_fact_count(self) -> int:
-        with self.lock:
-            return len(self.kb)
 
     def metrics_report(self) -> dict:
         with self.lock:
@@ -380,12 +381,13 @@ class MonitorService:
 
     def stop(self) -> None:
         self._stop.set()
-        self.server.shutdown()
+        if self._threads and self._threads[0].is_alive():  # else shutdown() waits forever
+            self.server.shutdown()
         self.server.server_close()
 
     def run_forever(self) -> None:
-        self.start()
         try:
+            self.start()  # a Ctrl-C or SIGTERM may arrive while the threads start
             while True:
                 time.sleep(3600)
         except KeyboardInterrupt:

@@ -28,7 +28,7 @@ from .engine import (
     match_rule_body,
     rule_substitution,
 )
-from .errors import CyberlogError, EvidenceError, LogIntegrityError
+from .errors import EvidenceError, LogIntegrityError
 from .identity import Identity, sign_bytes, verify_bytes
 from .lang import RelationalAtom, RuleKind, Rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
@@ -215,8 +215,9 @@ def commit_staging(
 
 def fetch_verified_revision(
     db: LogClient, rev_id: str, operator_key: bytes | None = None
-) -> tuple[RevisionRecord, str, InclusionProof, SignedTreeHead]:
-    """Fetch a revision and verify payload hash, inclusion proof and head."""
+) -> tuple[RevisionRecord, LogInclusion]:
+    """Fetch a revision and verify payload hash, inclusion proof and head;
+    returns the record and the inclusion evidence its claims share."""
     response = db.get_revision(rev_id)
     payload = response["payload"]
     record, _signature = decode_payload(payload)
@@ -224,11 +225,12 @@ def fetch_verified_revision(
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
     proof = InclusionProof.from_obj(response["proof"])
     head = SignedTreeHead.from_obj(response["tree_head"])
-    if not verify_inclusion(head.root_hash, leaf_hash(payload.encode("utf-8")), proof):
+    inclusion = LogInclusion(rev_id, leaf_hash(payload.encode("utf-8")), proof, head)
+    if not verify_inclusion(head.root_hash, inclusion.leaf_hash, proof):
         raise LogIntegrityError(f"inclusion proof failed for revision {rev_id}")
     if operator_key is not None and not verify_tree_head(head, operator_key):
         raise LogIntegrityError("tree head signature invalid")
-    return record, payload, proof, head
+    return record, inclusion
 
 
 def _check_owner(record: RevisionRecord, owner: str) -> None:
@@ -236,38 +238,24 @@ def _check_owner(record: RevisionRecord, owner: str) -> None:
         raise EvidenceError(f"revision {record.id} belongs to {record.owner!r}, not to the watched {owner!r}")
 
 
-def _inclusion_claims(record: RevisionRecord, payload: str, proof: InclusionProof, head: SignedTreeHead) -> list[Claim]:
-    """The record's claims under inclusion evidence; all share one proof."""
-    leaf = leaf_hash(payload.encode("utf-8"))
-    evidence = LogInclusion(record.id, leaf, proof, head)
-    return [Claim(claim.atom, evidence, claim.claim_id) for claim in record.claims]
+def _include(
+    kb: KnowledgeBase, retract: Iterable[GroundAtom], record: RevisionRecord, inclusion: LogInclusion
+) -> list[Claim]:
+    """Admit the record's claims under its inclusion evidence through
+    `KnowledgeBase.revise`; returns the admitted claims whose atoms are new."""
+    added = kb.revise(retract, [Claim(claim.atom, inclusion, claim.claim_id) for claim in record.claims])
+    return [claim for claim in added if claim.evidence is inclusion]
 
 
-def _admit(kb: KnowledgeBase, rs: Rulesheet, retract: Sequence[Claim], claims: Sequence[Claim]) -> list[Claim]:
-    """Retract the atoms of `retract`, admit `claims` (see
-    `KnowledgeBase.revise`) and saturate; returns the admitted claims whose
-    atoms are new. When saturation raises, the new atoms are retracted,
-    `retract` is re-admitted and the KB re-saturated before the error
-    propagates, so the KB holds the claims it held before."""
-    added = kb.revise([claim.atom for claim in retract], claims)
-    try:
-        kb.saturate(rs)
-    except CyberlogError:
-        kb.revise([claim.atom for claim in added], retract)
-        kb.saturate(rs)
-        raise
-    return added
-
-
-def include_revision(kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, rs: Rulesheet) -> list[Claim]:
+def include_revision(kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str) -> list[Claim]:
     """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence and saturate; returns the claims whose atoms are new.
-    A refusal leaves the KB's claims as they were: it refuses before the KB
-    changes if the proof chain does not verify or the revision belongs to
-    someone else, and undoes the import if saturation raises."""
-    record, payload, proof, head = fetch_verified_revision(db, rev_id, kb.log_operator_key)
+    inclusion evidence; returns the claims whose atoms are new. A refusal
+    leaves the KB's claims as they were: it refuses before the KB changes
+    if the proof chain does not verify or the revision belongs to someone
+    else, and `revise` undoes the import if saturation raises."""
+    record, inclusion = fetch_verified_revision(db, rev_id, kb.log_operator_key)
     _check_owner(record, owner)
-    return _admit(kb, rs, (), _inclusion_claims(record, payload, proof, head))
+    return _include(kb, (), record, inclusion)
 
 
 def supersession_chain(
@@ -284,21 +272,14 @@ def supersession_chain(
         chain.append(cursor)
         if cursor == old_rev_id:
             return chain
-        older, _, _, _ = fetch_verified_revision(db, cursor, operator_key)
+        older, _ = fetch_verified_revision(db, cursor, operator_key)
         if older.owner != new_record.owner:
             raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
         cursor = older.supersedes
     raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
 
 
-def on_superseded(
-    kb: KnowledgeBase,
-    old_rev_id: str,
-    new_rev_id: str,
-    rs: Rulesheet,
-    db: LogClient,
-    owner: str,
-) -> list[Claim]:
+def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, db: LogClient, owner: str) -> list[Claim]:
     """Update the KB in place after `owner`'s included revision was
     superseded; returns the admitted claims whose atoms are new.
 
@@ -306,17 +287,16 @@ def on_superseded(
     checked to belong to when it was included. The new revision is fetched
     once, each revision between it and the old one once, and the old one
     not at all. Claims included from the replaced chain are retracted, with
-    every derivation downstream of them (see `KnowledgeBase.revise`); the
-    new revision's claims are included; standard rules re-saturate from
-    what changed. A refusal leaves the KB's claims as they were, as for
-    `include_revision`.
+    every derivation downstream of them, and the new revision's claims are
+    included, in one `KnowledgeBase.revise`. A refusal leaves the KB's
+    claims as they were, as for `include_revision`.
     """
-    record, payload, proof, head = fetch_verified_revision(db, new_rev_id, kb.log_operator_key)
+    record, inclusion = fetch_verified_revision(db, new_rev_id, kb.log_operator_key)
     dropped = set(supersession_chain(db, record, old_rev_id, kb.log_operator_key))
     _check_owner(record, owner)
     retracted = [
-        claim
+        claim.atom
         for claim in kb.claims.values()
         if isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped
     ]
-    return _admit(kb, rs, retracted, _inclusion_claims(record, payload, proof, head))
+    return _include(kb, retracted, record, inclusion)

@@ -17,6 +17,11 @@ def claims_from_atoms(atoms):
     return [make_claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
 
 
+def at_fixpoint(kb) -> bool:
+    """True iff the KB holds no claim or removal its saturation has not joined."""
+    return not kb._unsaturated and not kb._removed
+
+
 def seed_for(name: str) -> bytes:
     return hashlib.sha256(b"cyberlog-test-id:" + name.encode()).digest()
 

@@ -52,10 +52,10 @@ def test_criterion_1_engine_oracle_equivalence():
     for seed in range(100):
         rs, facts = random_program(seed)
         expected = naive_saturate(facts, rs.rules)
-        kb = KnowledgeBase()
+        kb = KnowledgeBase(rs)
         for principal, name, args in facts:
             kb.assert_claim(make_claim(GroundAtom(principal, name, args), DirectAssertion(principal, b"")))
-        kb.saturate(rs)
+        kb.saturate()
         got = {(a.principal, a.predicate, a.args) for a in kb.atoms()}
         assert got == expected, f"engine diverges from oracle at seed {seed}"
     elapsed = time.perf_counter() - started
@@ -226,7 +226,7 @@ def test_criterion_5a_step_counter(db_client, identities):
     k = 7
     for step in range(1, k + 1):
         record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=step)
-    fetched, _, _, _ = fetch_verified_revision(db_client, record.id)
+    fetched, _ = fetch_verified_revision(db_client, record.id)
     atoms = [c.atom for c in fetched.claims]
     verdict(
         5,
@@ -252,11 +252,11 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
     from cyberlog.engine import DerivedByRule
 
     dom = run.monitors["DOM"]
-    oracle = KnowledgeBase(trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+    oracle = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
     for claim in dom.kb.claims.values():
         if not isinstance(claim.evidence, DerivedByRule):
             oracle.assert_claim(claim)
-    oracle.saturate(dom.rulesheet)
+    oracle.saturate()
     equal = oracle.atoms() == dom.kb.atoms()
     run.close()
     verdict(
@@ -306,12 +306,12 @@ def _latest_claim_count(bookings: int) -> tuple[int, int]:
     run = ScenarioRun(_retention_scenario(bookings))
     run.run()
     head = run.client.get_head("SB")
-    record, _, _, _ = fetch_verified_revision(run.client, head["revision_id"])
+    record, _ = fetch_verified_revision(run.client, head["revision_id"])
     # sanity: requests really were carried across commits mid-flight
     carried_revisions = 0
     cursor = head["revision_id"]
     while cursor is not None:
-        rev, _, _, _ = fetch_verified_revision(run.client, cursor)
+        rev, _ = fetch_verified_revision(run.client, cursor)
         if any(c.atom.predicate == "request" for c in rev.claims):
             carried_revisions += 1
         cursor = rev.supersedes

@@ -126,9 +126,9 @@ def test_get_revision_proof_still_verifies_after_growth(db_client, identities):
     staging = StagingRevision("CTR")
     for t in range(10):
         _, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=t)
-    fetched, _, proof, head = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
+    fetched, inclusion = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
     assert fetched.id == record.id
-    assert proof.tree_size == 11
+    assert inclusion.proof.tree_size == 11
     root = SignedTreeHead.from_obj(db_client.get_log_root())
     assert root.tree_size == 11
 
@@ -213,7 +213,7 @@ def test_http_submit_fetch_roundtrip(http_client, identities):
     record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", ("x",))])
     receipt = http_client.submit_revision(payload)
     assert receipt["revision_id"] == record.id
-    fetched, _, _, _ = fetch_verified_revision(http_client, record.id, identities[OPERATOR].public_key)
+    fetched, _ = fetch_verified_revision(http_client, record.id, identities[OPERATOR].public_key)
     assert fetched.claims[0].atom == GroundAtom("SB", "p", ("x",))
     head = http_client.get_head("SB")
     assert head["revision_id"] == record.id

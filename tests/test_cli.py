@@ -184,6 +184,30 @@ def test_query_cli(tmp_path, capsys):
         service.stop()
 
 
+def spawn_server(command, config):
+    """Start `cyberlog <command> --config <config>`; returns the process and
+    the URL from its first line of output."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyberlog", command, "--config", str(config)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    return proc, proc.stdout.readline().strip().rsplit(" ", 1)[-1]
+
+
+def terminate(proc) -> int:
+    """Stop a server with SIGTERM and return its exit code; kill it if it
+    has not exited within 10 s, so that none is left listening."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        return proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=10)
+        raise
+
+
 def test_serve_db_subprocess_restart_same_root(tmp_path):
     log_path = str(tmp_path / "db.log")
     trust_path = str(tmp_path / "trust.jsonl")
@@ -204,14 +228,7 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
     )
 
     def spawn():
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cyberlog", "serve-db", "--config", str(config)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        line = proc.stdout.readline()
-        url = line.strip().rsplit(" ", 1)[-1]
+        proc, url = spawn_server("serve-db", config)
         client = HttpLogClient(url)
         deadline = time.time() + 10
         while time.time() < deadline:
@@ -221,7 +238,8 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
             except Exception:
                 time.sleep(0.1)
         proc.kill()
-        raise RuntimeError(f"server did not come up: {line}")
+        proc.wait(timeout=10)
+        raise RuntimeError(f"server did not come up at {url!r}")
 
     proc, client = spawn()
     try:
@@ -234,13 +252,44 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
         assert json.loads(fetched["payload"])["owner"] == "SB"
         root_before = client.get_log_root()["root_hash"]
     finally:
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
+        code = terminate(proc)
+    assert code == 0  # stopped through its own shutdown path, closing the log
 
     proc, client = spawn()
     try:
         assert client.get_log_root()["root_hash"] == root_before
         assert client.get_head("SB")["revision_id"] == record.id
     finally:
-        proc.send_signal(signal.SIGINT)
-        proc.wait(timeout=10)
+        code = terminate(proc)
+    assert code == 0
+
+
+def test_serve_monitor_stops_on_sigterm(tmp_path):
+    from cyberlog.monitor import HttpMonitorClient
+
+    seed = bytes([5]) * 32
+    trust_path = tmp_path / "trust.jsonl"
+    TrustStore.from_identities([generate_identity("SB", seed=seed)]).save(str(trust_path))
+    sheet = tmp_path / "sb.cyberlog"
+    sheet.write_text("'SB': Subject: 's' Issuer: 'i'\n")
+    config = tmp_path / "sb.json"
+    config.write_text(
+        json.dumps(
+            {
+                "name": "SB",
+                "seed_hex": seed.hex(),
+                "trust_store": str(trust_path),
+                "rulesheet": str(sheet),
+                "db_url": "http://127.0.0.1:9",  # never reached: no commit or poll falls due
+                "listen": "127.0.0.1:0",
+                "commit_interval_ms": 600000,
+                "poll_interval_ms": 600000,
+            }
+        )
+    )
+    proc, url = spawn_server("serve-monitor", config)
+    try:
+        assert HttpMonitorClient(url).health() == {"status": "ok", "monitor": "SB"}
+    finally:
+        code = terminate(proc)
+    assert code == 0

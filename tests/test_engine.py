@@ -19,14 +19,15 @@ from cyberlog.engine import (
 from cyberlog.errors import EvaluationError, EvidenceError, NotFoundError
 from cyberlog.lang import StringConstant, Variable, parse_query, parse_rulesheet
 
-from conftest import claims_from_atoms
+from conftest import at_fixpoint, claims_from_atoms
 from naive_oracle import naive_saturate, random_builtin_program, random_program
 
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'MRM': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n'CA': Subject: 's' Issuer: 'i'\n"
+NO_RULES = parse_rulesheet(IDS, "SB")
 
 
-def kb_with(atoms):
-    kb = KnowledgeBase()
+def kb_with(rs, atoms):
+    kb = KnowledgeBase(rs)
     for claim in claims_from_atoms(atoms):
         kb.assert_claim(claim)
     return kb
@@ -61,7 +62,7 @@ def test_canonical_ids_distinct():
 
 
 def test_assert_claim_direct():
-    kb = KnowledgeBase()
+    kb = KnowledgeBase(NO_RULES)
     atom = GroundAtom("SB", "postRequest", ("/servicerequest", 5, '{"request_id":7}'))
     assert kb.assert_claim(make_claim(atom, DirectAssertion("SB", b""))) is True
     assert len(kb) == 1
@@ -72,7 +73,7 @@ def test_assert_claim_direct():
 
 def test_assert_claim_bad_signature_rejected(signed_identities):
     trust, ids = signed_identities
-    kb = KnowledgeBase(trust_store=trust)
+    kb = KnowledgeBase(NO_RULES, trust_store=trust)
     atom = GroundAtom("SB", "p", (1,))
     from cyberlog.identity import sign_claim
 
@@ -107,6 +108,7 @@ good_rtf_exists(RequestId, AircraftId) :-
         "SB",
     )
     kb = kb_with(
+        rs,
         [
             GroundAtom("SB", "request", (7, "d", 5)),
             GroundAtom("MRM", "feasible_config", (7, 3)),
@@ -114,7 +116,7 @@ good_rtf_exists(RequestId, AircraftId) :-
             GroundAtom("OM", "ready_to_fly", (7, 3, "d", 2001)),
         ]
     )
-    added = kb.saturate(rs)
+    added = kb.saturate()
     assert [c.atom for c in added] == [GroundAtom("SB", "good_rtf_exists", (7, 3))]
     evidence = added[0].evidence
     assert isinstance(evidence, DerivedByRule)
@@ -127,31 +129,42 @@ def test_shared_variable_blocks_mismatched_data():
         "SB",
     )
     kb = kb_with(
+        rs,
         [
             GroundAtom("SB", "request", (7, "payload-one", 5)),
             GroundAtom("OM", "ready_to_fly", (7, 3, "payload-two", 9)),
         ]
     )
-    kb.saturate(rs)
+    kb.saturate()
     assert GroundAtom("SB", "v", (7,)) not in kb
 
 
 def test_empty_kb_stays_empty():
     rs = parse_rulesheet(IDS + "p(X) :- q(X).", "SB")
-    kb = KnowledgeBase()
-    assert kb.saturate(rs) == []
+    kb = KnowledgeBase(rs)
+    assert kb.saturate() == []
     assert len(kb) == 0
 
 
 def test_fact_rules_fire_once():
     rs = parse_rulesheet(IDS + "seed(1).\np(X) :- seed(X).", "SB")
-    kb = KnowledgeBase()
-    assert not kb.saturated
-    kb.saturate(rs)
+    kb = KnowledgeBase(rs)
     assert atoms_of(kb) == {("SB", "seed", (1,)), ("SB", "p", (1,))}
-    assert kb.saturated
+    assert at_fixpoint(kb)
+    assert kb.saturate() == []
     kb.assert_claim(make_claim(GroundAtom("SB", "seed", (2,)), DirectAssertion("SB", b"")))
-    assert not kb.saturated  # new base fact clears the flag
+    assert not at_fixpoint(kb)  # new base fact clears the flag
+
+
+def test_retracted_fact_rule_head_is_rederived():
+    rs = parse_rulesheet(IDS + "seed(1).\np(X) :- seed(X).", "SB")
+    kb = KnowledgeBase(rs)
+    before = atoms_of(kb)
+    # the fact rule still yields it, and its consequence follows
+    added = kb.revise([GroundAtom("SB", "seed", (1,))], [])
+    assert [c.atom for c in added] == [GroundAtom("SB", "seed", (1,)), GroundAtom("SB", "p", (1,))]
+    assert atoms_of(kb) == before and at_fixpoint(kb)
+
 
 
 def test_delay_boundary():
@@ -167,57 +180,56 @@ delayed_rtf(RequestId, DelayTime, SentTime) :-
         "SB",
     )
     base = [GroundAtom("CA", "mission_confirmed", (7, "d", 1000))]
-    over = kb_with(base + [GroundAtom("OM", "ready_to_fly", (7, 3, "d", 2001))])
-    over.saturate(rs)
+    over = kb_with(rs, base + [GroundAtom("OM", "ready_to_fly", (7, 3, "d", 2001))])
+    over.saturate()
     assert GroundAtom("SB", "delayed_rtf", (7, 1001, 1000)) in over
 
-    at = kb_with(base + [GroundAtom("OM", "ready_to_fly", (7, 3, "d", 2000))])
-    at.saturate(rs)
+    at = kb_with(rs, base + [GroundAtom("OM", "ready_to_fly", (7, 3, "d", 2000))])
+    at.saturate()
     assert not [a for a in at.atoms() if a.predicate == "delayed_rtf"]
 
 
 def test_recursive_rules_reach_fixpoint():
     rs = parse_rulesheet(IDS + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).", "SB")
-    kb = kb_with([GroundAtom("SB", "edge", (i, i + 1)) for i in range(6)])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "edge", (i, i + 1)) for i in range(6)])
+    kb.saturate()
     paths = {a.args for a in kb.atoms() if a.predicate == "path"}
     assert paths == {(i, j) for i in range(7) for j in range(7) if i < j}
 
 
 def test_arithmetic_overflow_reported():
     rs = parse_rulesheet(IDS + f"big({2**62}).\nboom(Y) :- big(X), Y == X * 4.", "SB")
-    kb = KnowledgeBase()
     with pytest.raises(EvaluationError, match="overflow"):
-        kb.saturate(rs)
+        KnowledgeBase(rs)  # the fact rule's consequence is saturated at construction
 
 
 def test_saturate_matches_oracle_on_100_random_programs():
     for seed in range(100):
         rs, facts = random_program(seed)
         expected = naive_saturate(facts, rs.rules)
-        kb = kb_with([GroundAtom(p, n, args) for (p, n, args) in facts])
-        kb.saturate(rs)
+        kb = kb_with(rs, [GroundAtom(p, n, args) for (p, n, args) in facts])
+        kb.saturate()
         assert atoms_of(kb) == expected, f"divergence at seed {seed}"
 
 
 def test_saturate_idempotent_and_monotone():
     rs, facts = random_program(7)
-    kb = kb_with([GroundAtom(p, n, args) for (p, n, args) in facts])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom(p, n, args) for (p, n, args) in facts])
+    kb.saturate()
     first = atoms_of(kb)
-    assert kb.saturate(rs) == []
+    assert kb.saturate() == []
     assert atoms_of(kb) == first
 
     # monotonicity: adding any base claim can only grow the fixpoint
     for seed in range(5):
         rs2, facts2 = random_program(seed)
-        base = kb_with([GroundAtom(p, n, args) for (p, n, args) in facts2])
-        base.saturate(rs2)
+        base = kb_with(rs2, [GroundAtom(p, n, args) for (p, n, args) in facts2])
+        base.saturate()
         smaller = atoms_of(base)
         extra = GroundAtom("A", "q", (0, 1, 2))
         widened = [GroundAtom(p, n, args) for (p, n, args) in facts2]
-        bigger = kb_with(widened + [extra])
-        bigger.saturate(rs2)
+        bigger = kb_with(rs2, widened + [extra])
+        bigger.saturate()
         assert atoms_of(bigger) >= smaller
 
 
@@ -253,8 +265,8 @@ def test_get_param_test_mode():
 @pytest.fixture
 def saturated_kb():
     rs = parse_rulesheet(IDS + "p(X, Y) :- e(X, Y).", "SB")
-    kb = kb_with([GroundAtom("SB", "e", (2, "b")), GroundAtom("SB", "e", (1, "a"))])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "e", (2, "b")), GroundAtom("SB", "e", (1, "a"))])
+    kb.saturate()
     return kb
 
 
@@ -269,7 +281,7 @@ def test_query_ground_atom(saturated_kb):
 
 
 def test_query_empty_kb():
-    assert KnowledgeBase().query(parse_query("p(X)", "SB")) == []
+    assert KnowledgeBase(NO_RULES).query(parse_query("p(X)", "SB")) == []
 
 
 # --- explain ----------------------------------------------------------------
@@ -288,6 +300,7 @@ good_rtf_exists(R, A) :-
         "SB",
     )
     kb = kb_with(
+        rs,
         [
             GroundAtom("SB", "request", (7, "d", 5)),
             GroundAtom("MRM", "feasible_config", (7, 3)),
@@ -295,7 +308,7 @@ good_rtf_exists(R, A) :-
             GroundAtom("OM", "ready_to_fly", (7, 3, "d", 9)),
         ]
     )
-    kb.saturate(rs)
+    kb.saturate()
     node = kb.explain(GroundAtom("SB", "good_rtf_exists", (7, 3)))
     assert isinstance(node.claim.evidence, DerivedByRule)
     assert len(node.children) == 4
@@ -304,20 +317,20 @@ good_rtf_exists(R, A) :-
 
 
 def test_explain_direct_assertion_is_leaf():
-    kb = kb_with([GroundAtom("SB", "postRequest", ("/x", 1, "{}"))])
+    kb = kb_with(NO_RULES, [GroundAtom("SB", "postRequest", ("/x", 1, "{}"))])
     node = kb.explain(GroundAtom("SB", "postRequest", ("/x", 1, "{}")))
     assert node.children == []
 
 
 def test_explain_absent_atom():
     with pytest.raises(NotFoundError):
-        KnowledgeBase().explain(GroundAtom("SB", "p", ()))
+        KnowledgeBase(NO_RULES).explain(GroundAtom("SB", "p", ()))
 
 
 def test_rederivation_check_catches_tampered_substitution():
     rs = parse_rulesheet(IDS + "p(X) :- q(X).", "SB")
-    kb = kb_with([GroundAtom("SB", "q", (1,))])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "q", (1,))])
+    kb.saturate()
     good = kb.claims[GroundAtom("SB", "p", (1,))]
     tampered = Claim(
         GroundAtom("SB", "p", (2,)),
@@ -325,7 +338,7 @@ def test_rederivation_check_catches_tampered_substitution():
         atom_id(GroundAtom("SB", "p", (2,))),
     )
     with pytest.raises(EvidenceError, match="rule instance mismatch"):
-        KnowledgeBase().assert_claim(tampered)
+        KnowledgeBase(NO_RULES).assert_claim(tampered)
 
 
 def test_canonical_injectivity_over_generated_corpus():
@@ -342,8 +355,8 @@ def test_saturate_matches_oracle_with_builtins_and_arithmetic():
     for seed in range(60):
         rs, facts = random_builtin_program(seed)
         expected = naive_saturate(facts, rs.rules)
-        kb = kb_with([GroundAtom(p, n, args) for (p, n, args) in facts])
-        kb.saturate(rs)
+        kb = kb_with(rs, [GroundAtom(p, n, args) for (p, n, args) in facts])
+        kb.saturate()
         assert atoms_of(kb) == expected, f"builtin-program divergence at seed {seed}"
 
 
@@ -366,8 +379,8 @@ def test_canonical_atom_roundtrip_fuzz():
 
 def test_self_join_enumerates_all_pairs():
     rs = parse_rulesheet(IDS + "both(X, Y) :- p(X), p(Y).", "SB")
-    kb = kb_with([GroundAtom("SB", "p", (i,)) for i in (1, 2, 3)])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "p", (i,)) for i in (1, 2, 3)])
+    kb.saturate()
     pairs = {a.args for a in kb.atoms() if a.predicate == "both"}
     assert pairs == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
 
@@ -375,8 +388,8 @@ def test_self_join_enumerates_all_pairs():
 def test_long_chain_transitive_closure():
     n = 40
     rs = parse_rulesheet(IDS + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).", "SB")
-    kb = kb_with([GroundAtom("SB", "edge", (i, i + 1)) for i in range(n)])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "edge", (i, i + 1)) for i in range(n)])
+    kb.saturate()
     paths = sum(1 for a in kb.atoms() if a.predicate == "path")
     assert paths == n * (n + 1) // 2
 
@@ -385,15 +398,14 @@ def test_long_chain_transitive_closure():
 
 
 def _check_against_oracle(kb, rs, asserted):
-    kb.saturate(rs)
-    assert kb.saturated
+    assert at_fixpoint(kb)
     assert atoms_of(kb) == naive_saturate(asserted, rs.rules)
     for claim in kb.claims.values():
         if isinstance(claim.evidence, DerivedByRule):
             assert kb.verify_claim_chain(claim.atom), canonical_atom(claim.atom)
 
 
-def test_interleaved_assert_and_saturate_matches_oracle():
+def test_interleaved_revise_batches_match_oracle():
     from hypothesis import given, settings, strategies as st
 
     @settings(max_examples=200, deadline=None)
@@ -401,36 +413,29 @@ def test_interleaved_assert_and_saturate_matches_oracle():
     def check(seed, builtins, data):
         rs, facts = (random_builtin_program if builtins else random_program)(seed)
         order = data.draw(st.permutations(sorted(facts, key=repr)))
-        saturate_after = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
-        kb = KnowledgeBase()
-        asserted = set()
-        for fact, saturate_now in zip(order, saturate_after):
-            kb.assert_claim(claims_from_atoms([GroundAtom(*fact)])[0])
-            asserted.add(fact)
-            if saturate_now:
+        batch_ends = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        kb = KnowledgeBase(rs)
+        asserted, batch = set(), []
+        for fact, batch_ends_here in zip(order, batch_ends):
+            batch.append(fact)
+            if batch_ends_here:
+                kb.revise((), claims_from_atoms([GroundAtom(*f) for f in batch]))
+                asserted.update(batch)
+                batch = []
                 _check_against_oracle(kb, rs, asserted)
+        kb.revise((), claims_from_atoms([GroundAtom(*f) for f in batch]))
+        asserted.update(batch)
         _check_against_oracle(kb, rs, asserted)
 
     check()
-
-
-def test_rulesheet_change_resaturates_whole_kb():
-    for seed in range(30):
-        rs_a, facts = random_program(seed)
-        rs_b, _ = random_program(seed + 1000)
-        kb = kb_with([GroundAtom(*fact) for fact in facts])
-        kb.saturate(rs_a)
-        under_a = atoms_of(kb)
-        kb.saturate(rs_b)
-        assert atoms_of(kb) == naive_saturate(under_a, rs_b.rules), f"divergence at seed {seed}"
 
 
 def test_failed_saturate_keeps_its_seed(monkeypatch):
     import cyberlog.engine as engine
 
     rs = parse_rulesheet(IDS + "out(V) :- ev(P, T, D), get_param_int(D, 'a', V).", "SB")
-    kb = KnowledgeBase()
-    kb.saturate(rs)
+    kb = KnowledgeBase(rs)
+    kb.saturate()
     kb.assert_claim(make_claim(GroundAtom("SB", "ev", ("/a", 1, '{"a": 4}')), DirectAssertion("SB", b"")))
 
     def fail(*args, **kwargs):
@@ -438,11 +443,31 @@ def test_failed_saturate_keeps_its_seed(monkeypatch):
 
     monkeypatch.setattr(engine, "eval_builtin", fail)
     with pytest.raises(EvaluationError, match="injected"):
-        kb.saturate(rs)
-    assert not kb.saturated
+        kb.saturate()
+    assert not at_fixpoint(kb)
     monkeypatch.undo()
-    assert [c.atom for c in kb.saturate(rs)] == [GroundAtom("SB", "out", (4,))]
-    assert kb.saturated
+    assert [c.atom for c in kb.saturate()] == [GroundAtom("SB", "out", (4,))]
+    assert at_fixpoint(kb)
+
+
+def test_revise_whose_saturation_raises_restores_the_kb():
+    """The claims retracted or replaced come back as the same objects, the
+    new ones go, and the KB is at its fixpoint and keeps working."""
+    rs = parse_rulesheet(IDS + "late(R) :- p(R, T), T > 3.\nr(X) :- s(X).", "SB")
+    kb = KnowledgeBase(rs)
+    kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (1, 5)), GroundAtom("SB", "s", (1,)), GroundAtom("SB", "s", (2,))]))
+    before = _state(kb)
+    replacement = make_claim(GroundAtom("SB", "s", (2,)), DirectAssertion("SB", b"other"))
+    raising = claims_from_atoms([GroundAtom("SB", "p", (9, "x"))])  # an ordered comparison on a string
+    with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
+        kb.revise([GroundAtom("SB", "s", (1,))], [replacement, *raising])
+    claims, memo = before
+    assert kb.atoms() == claims.keys() and kb._verified == memo
+    assert all(kb.claims[a] is claims[a] for a in (GroundAtom("SB", "s", (1,)), GroundAtom("SB", "s", (2,))))
+    assert at_fixpoint(kb)
+    _consistent(kb)
+    added = kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (2, 7))]))
+    assert [c.atom for c in added] == [GroundAtom("SB", "p", (2, 7)), GroundAtom("SB", "late", (2,))]
 
 
 # --- memo of passed checks, kept across revisions ---------------------------
@@ -521,7 +546,7 @@ def test_lineage_verifies_each_signature_once(signed_identities, count_verify, m
     atom = GroundAtom("SB", "p", (1,))
     direct = make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
     logged = _logged_claim(operator, GroundAtom("MRM", "q", (2,)))
-    kb = KnowledgeBase(trust_store=trust, log_operator_key=operator.public_key)
+    kb = KnowledgeBase(NO_RULES, trust_store=trust, log_operator_key=operator.public_key)
     kb.assert_claim(direct)
     kb.assert_claim(logged)
     assert len(count_verify) == 2
@@ -551,7 +576,7 @@ def test_memo_still_rejects_forgeries(signed_identities):
     other = GroundAtom("SB", "p", (2,))
     genuine = make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
     logged = _logged_claim(operator, GroundAtom("MRM", "q", (2,)))
-    kb = KnowledgeBase(trust_store=trust, log_operator_key=operator.public_key)
+    kb = KnowledgeBase(NO_RULES, trust_store=trust, log_operator_key=operator.public_key)
     kb.assert_claim(genuine)
     kb.assert_claim(logged)
     kb.revise([], [genuine, logged])
@@ -599,7 +624,7 @@ def test_failed_verification_is_not_memoised(signed_identities, count_verify):
     from cyberlog.identity import sign_claim
 
     trust, ids = signed_identities
-    kb = KnowledgeBase(trust_store=trust)
+    kb = KnowledgeBase(NO_RULES, trust_store=trust)
     signature = sign_claim(ids["SB"], GroundAtom("SB", "p", (1,))).signature
     forged = make_claim(GroundAtom("SB", "p", (2,)), DirectAssertion("SB", signature))
     for _ in range(2):
@@ -619,19 +644,19 @@ def test_failed_revise_changes_nothing(signed_identities, count_verify):
 
     trust, ids = signed_identities
     rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")
-    kb = KnowledgeBase(trust_store=trust)
+    kb = KnowledgeBase(rs, trust_store=trust)
 
     def signed(n):
         atom = GroundAtom("SB", "p", (n,))
         return make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
 
     kb.revise([], [signed(1), signed(2)])
-    kb.saturate(rs)
+    kb.saturate()
     before = _state(kb)
     forged = make_claim(GroundAtom("SB", "p", (4,)), DirectAssertion("SB", signed(3).evidence.signature))
     with pytest.raises(EvidenceError, match="bad signature"):
         kb.revise([GroundAtom("SB", "p", (1,))], [signed(3), forged])
-    assert _same_state(kb, before) and kb.saturated
+    assert _same_state(kb, before) and at_fixpoint(kb)
     calls = len(count_verify)
     kb.revise([], [signed(3)])  # the check that passed in the refused batch was not kept
     assert len(count_verify) == calls + 1
@@ -644,7 +669,7 @@ def test_each_inclusion_proof_checked_once(count_inclusion, count_verify):
 
     operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
     claims = _logged_claims(operator, [GroundAtom("MRM", "q", (n,)) for n in range(5)])
-    kb = KnowledgeBase(log_operator_key=operator.public_key)
+    kb = KnowledgeBase(NO_RULES, log_operator_key=operator.public_key)
     assert len(kb.revise([], claims)) == 5
     kb.revise([], claims)
     for claim in claims:
@@ -677,12 +702,12 @@ def test_each_inclusion_proof_checked_once(count_inclusion, count_verify):
 
 def test_readmitted_atom_is_not_joined_again():
     rs = parse_rulesheet(IDS + "r(X) :- p(X).\nnext p(X) :- p(X).", "SB")
-    kb = kb_with([GroundAtom("SB", "p", (n,)) for n in range(3)])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "p", (n,)) for n in range(3)])
+    kb.saturate()
     derived = kb.claims[GroundAtom("SB", "r", (0,))]
     carried = [make_claim(GroundAtom("SB", "p", (n,)), CarriedByNextRule(rs.rules[1], {"X": n}, "0" * 64)) for n in range(3)]
     assert kb.revise([GroundAtom("SB", "p", (n,)) for n in range(3)], carried) == []
-    assert kb.saturated  # nothing new: the next saturate joins nothing
+    assert at_fixpoint(kb)
     assert kb.claims[GroundAtom("SB", "p", (0,))] is carried[0]
     assert kb.claims[GroundAtom("SB", "r", (0,))] is derived
     assert kb.verify_claim_chain(derived.atom)
@@ -690,14 +715,13 @@ def test_readmitted_atom_is_not_joined_again():
 
 def test_atom_with_two_derivations_survives_losing_one():
     rs = parse_rulesheet(IDS + "r(X) :- p(X).\nr(X) :- q(X).", "SB")
-    kb = kb_with([GroundAtom("SB", "p", (1,)), GroundAtom("SB", "q", (1,))])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "p", (1,)), GroundAtom("SB", "q", (1,))])
+    kb.saturate()
     r1 = GroundAtom("SB", "r", (1,))
     [premise_id] = kb.claims[r1].evidence.premises
     recorded = kb.by_id[premise_id].atom
-    kb.revise([recorded], [])
-    assert r1 not in kb  # over-deleted with its recorded premise ...
-    assert [c.atom for c in kb.saturate(rs)] == [r1]  # ... and re-derived from the other
+    # over-deleted with its recorded premise, and re-derived from the other
+    assert [c.atom for c in kb.revise([recorded], [])] == [r1]
     assert kb.by_id[kb.claims[r1].evidence.premises[0]].atom != recorded
     assert kb.verify_claim_chain(r1)
     assert atoms_of(kb) == naive_saturate({(a.principal, a.predicate, a.args) for a in kb.atoms() if a.predicate != "r"}, rs.rules)
@@ -706,13 +730,13 @@ def test_atom_with_two_derivations_survives_losing_one():
 def test_transitive_closure_loses_middle_edge():
     rs = parse_rulesheet(IDS + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).", "SB")
     n = 6
-    kb = kb_with([GroundAtom("SB", "edge", (i, i + 1)) for i in range(n)])
-    kb.saturate(rs)
+    kb = kb_with(rs, [GroundAtom("SB", "edge", (i, i + 1)) for i in range(n)])
+    kb.saturate()
     cut = 3  # edge(3, 4)
     kb.revise([GroundAtom("SB", "edge", (cut, cut + 1))], [])
     paths = {a.args for a in kb.atoms() if a.predicate == "path"}
     assert paths == {(i, j) for i in range(n + 1) for j in range(i + 1, n + 1) if not (i <= cut < j)}
-    assert kb.saturate(rs) == []
+    assert kb.saturate() == []
     base = {("SB", "edge", (i, i + 1)) for i in range(n) if i != cut}
     _check_against_oracle(kb, rs, base)
 
@@ -735,7 +759,7 @@ def test_revise_and_saturate_match_oracle():
     def check(seed, builtins, data):
         rs, facts = (random_builtin_program if builtins else random_program)(seed)
         pool = sorted(facts, key=repr)
-        kb = KnowledgeBase()
+        kb = KnowledgeBase(rs)
         base: set = set()
         for _ in range(data.draw(st.integers(1, 6))):
             retract = data.draw(st.lists(st.sampled_from(pool), unique=True))
@@ -757,4 +781,4 @@ def test_rule_evidence_missing_head_variable_is_evidence_error(evidence_kind):
     else:
         evidence = CarriedByNextRule(rs.rules[0], {}, "0" * 64)
     with pytest.raises(EvidenceError, match="unbound head variable"):
-        KnowledgeBase().assert_claim(Claim(atom, evidence, atom_id(atom)))
+        KnowledgeBase(NO_RULES).assert_claim(Claim(atom, evidence, atom_id(atom)))

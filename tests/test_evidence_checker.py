@@ -78,7 +78,7 @@ def derived(name):
 
 
 def kb_holding(identities, trust_store, claim):
-    kb = KnowledgeBase(trust_store=trust_store)
+    kb = KnowledgeBase(RS, trust_store=trust_store)
     for base in BASE_ATOMS:
         kb.assert_claim(signed(identities, base))
     try:

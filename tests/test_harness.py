@@ -53,7 +53,7 @@ def test_report_kb_counts_match_query_side():
     run = ScenarioRun(scenario)
     report = run.run()
     for metric in report.metrics:
-        assert metric["kb_facts"] == run.monitors[metric["monitor"]].kb_fact_count()
+        assert metric["kb_facts"] == len(run.monitors[metric["monitor"]].kb)
     run.close()
 
 
@@ -78,11 +78,11 @@ def test_stepped_supersession_retracts_verdict():
     from cyberlog.engine import DerivedByRule, KnowledgeBase
 
     dom = run.monitors["DOM"]
-    oracle = KnowledgeBase(trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+    oracle = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
     for claim in dom.kb.claims.values():
         if not isinstance(claim.evidence, DerivedByRule):
             oracle.assert_claim(claim)
-    oracle.saturate(dom.rulesheet)
+    oracle.saturate()
     assert oracle.atoms() == dom.kb.atoms()
     run.close()
 

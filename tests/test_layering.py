@@ -1,6 +1,8 @@
-"""Module layering: no cyberlog module imports another one's private names."""
+"""Module layering: no cyberlog module imports another one's private names,
+and no public name of the package is there only for its tests."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cyberlog
@@ -28,36 +30,62 @@ def test_no_module_imports_private_names():
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _referenced_names(node, own):
+    """Names `node` refers to, other than those in `own`: loaded names,
+    attributes, imported names and string constants (perfbench's tracer
+    patches by attribute name)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.alias):
+            name = sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            name = sub.value
+        else:
+            continue
+        if name not in own:
+            yield name
+
+
+def _overrides(module_name: str, class_name: str, method: str) -> bool:
+    """True iff the method overrides a base class's, or its class extends
+    one from outside the package, which may call it by name
+    (`BaseHTTPRequestHandler` calls `do_GET`)."""
+    cls = getattr(importlib.import_module(f"cyberlog.{module_name}"), class_name)
+    return any(method in vars(base) or not base.__module__.startswith("cyberlog") for base in cls.__mro__[1:-1])
+
+
 def names_used_only_by_tests():
-    """Public top-level functions and classes of the package that neither the
-    package nor perfbench refers to, outside their own definitions. A
-    reference is a loaded name, an attribute, an imported name or a string
-    constant equal to the name (perfbench's tracer patches by attribute
-    name)."""
-    defined: dict[str, str] = {}
+    """Public top-level functions and classes of the package, and public
+    methods and properties of its classes, that neither the package nor
+    perfbench refers to outside their own definitions. A method that
+    overrides a base class's counts as used."""
+    defined: dict[str, str] = {}  # module:qualified name -> name
     referenced: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        ours = path.parent == PACKAGE
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if path.parent == PACKAGE and not own.startswith("_"):
-                    defined[own] = path.name
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    name = node.value
-                else:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                referenced.update(_referenced_names(stmt, ()))
+                continue
+            if ours and not stmt.name.startswith("_"):
+                defined[f"{path.stem}:{stmt.name}"] = stmt.name
+            if isinstance(stmt, ast.FunctionDef):
+                referenced.update(_referenced_names(stmt, {stmt.name}))
+                continue
+            for item in stmt.bases + stmt.keywords + stmt.decorator_list:
+                referenced.update(_referenced_names(item, {stmt.name}))
+            for item in stmt.body:
+                if not isinstance(item, ast.FunctionDef):
+                    referenced.update(_referenced_names(item, {stmt.name}))
                     continue
-                if name != own:
-                    referenced.add(name)
-    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in referenced)
+                if ours and not item.name.startswith("_") and not _overrides(path.stem, stmt.name, item.name):
+                    defined[f"{path.stem}:{stmt.name}.{item.name}"] = item.name
+                referenced.update(_referenced_names(item, {stmt.name, item.name}))
+    return sorted(where for where, name in defined.items() if name not in referenced)
 
 
 def test_no_public_name_is_used_only_by_tests():

@@ -8,11 +8,11 @@ import random
 import pytest
 
 from cyberlog.engine import GroundAtom
-from cyberlog.errors import ConfigError
+from cyberlog.errors import ConfigError, EvaluationError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope, Monitor, QueryAnswer
 
-from conftest import OPERATOR, raw_http_status
+from conftest import OPERATOR, at_fixpoint, raw_http_status
 
 SB_SHEET = """\
 'SB': Subject: 's' Issuer: 'i'
@@ -71,7 +71,7 @@ def test_unmatched_event_only_raw_fact(sb):
     result = sb.ingest_event(EventEnvelope("GET", "/other", "", 9))
     assert result.derived == ()
     assert result.event_atom.predicate == "getRequest"
-    assert sb.kb_fact_count() == 1
+    assert len(sb.kb) == 1
 
 
 def test_duplicate_events_collapse(sb):
@@ -79,7 +79,7 @@ def test_duplicate_events_collapse(sb):
     first = sb.ingest_event(env)
     second = sb.ingest_event(env)
     assert first.new_event and not second.new_event
-    assert sb.kb_fact_count() == 2  # postRequest + request
+    assert len(sb.kb) == 2  # postRequest + request
     report = sb.metrics_report()
     assert (report["events"], report["facts_added_total"], report["facts_added_max"]) == (2, 2, 2)
 
@@ -89,7 +89,7 @@ def test_malformed_envelope_rejected(sb):
         sb.ingest_event(EventEnvelope("PATCH", "/x", "", 1))
     with pytest.raises(ConfigError):
         sb.ingest_event(EventEnvelope("POST", "/x", "", -5))
-    assert sb.kb_fact_count() == 0
+    assert len(sb.kb) == 0
 
 
 def test_ingestion_order_independence(identities, trust_store, db_client):
@@ -196,7 +196,7 @@ def test_metrics_report_shape(sb):
     assert report["monitor"] == "SB"
     assert report["events"] == 2
     assert report["delay_min_ms"] <= report["delay_avg_ms"] <= report["delay_max_ms"]
-    assert report["kb_facts"] == sb.kb_fact_count()
+    assert report["kb_facts"] == len(sb.kb)
     assert report["facts_added_total"] == 3
 
 
@@ -215,7 +215,7 @@ def test_metrics_report_matches_per_event_figures(sb):
         "events": 25,
         "delay_min_ms": min(delays),
         "delay_max_ms": max(delays),
-        "kb_facts": sb.kb_fact_count(),
+        "kb_facts": len(sb.kb),
         "facts_added_total": sum(added),
         "facts_added_max": max(added),
     }
@@ -406,9 +406,9 @@ def test_signature_memo_bounded_and_supersession_matches_scratch():
                 run.advance_to(now)
                 sizes.append({name: len(m.kb._verified) for name, m in run.monitors.items()})
             # DOM's KB is its inclusions and their consequences: rebuild it with no memo
-            scratch = KnowledgeBase(trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+            scratch = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
             for owner, rev_id in dom.active_includes.items():
-                include_revision(scratch, rev_id, run.client, owner, dom.rulesheet)
+                include_revision(scratch, rev_id, run.client, owner)
             assert dom.kb.atoms() == scratch.atoms(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
@@ -488,7 +488,7 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
         expected = "supersession crosses owners: 'CTR' vs 'SB'"
     elif refusal == "first-saturation":  # the first SB head DOM sees holds a request whose time is not an integer
-        dom.kb.saturate(dom.rulesheet)
+        dom.kb.saturate()
         assert len(dom.kb) == 0
         _append_directly(db, identities, "SB", r1.id, [GroundAtom("SB", "request", (9, "d", "x"))])
         wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
@@ -499,13 +499,13 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
         expected = "ordered comparison on non-integers"
     claims, memo, includes = dict(dom.kb.claims), dict(dom.kb._verified), dict(dom.active_includes)
-    saturated = dom.kb.saturated
+    saturated = at_fixpoint(dom.kb)
     dom.db = wrapped
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
         assert dom.poll_and_include() == []
     assert dom.kb.claims == claims and all(dom.kb.claims[a] is c for a, c in claims.items())
     assert dom.kb._verified == memo and dom.active_includes == includes
-    assert dom.kb.saturated == saturated
+    assert at_fixpoint(dom.kb) == saturated
     [record] = caplog.records
     assert record.stage == "poll" and re.search(expected, record.getMessage()), record.getMessage()
 
@@ -520,4 +520,82 @@ def test_commit_keeps_derived_claims_whose_premises_survive(identities, trust_st
     assert event not in sb.kb
     assert type(sb.kb.claims[GroundAtom("SB", "request", (7, '{"request_id":7}', 5))].evidence).__name__ == "CarriedByNextRule"
     assert sb.kb.claims[known.atom] is known and sb.kb.verify_claim_chain(known.atom)
-    assert sb.kb.saturated and len(sb.kb) == 2
+    assert at_fixpoint(sb.kb) and len(sb.kb) == 2
+
+
+# --- events and commits whose consequences make a rule raise -------------------
+
+# `M == Id * 10` overflows for a request id of 2**62
+TENFOLD_SHEET = SB_SHEET + "tenfold(M) :- request(Id, Data, T), M == Id * 10.\n"
+HUGE = post("/servicerequest", f'{{"request_id":{2**62}}}', 5)
+SMALL = post("/servicerequest", '{"request_id":7}', 6)
+SMALL_CONSEQUENCES = (
+    GroundAtom("SB", "request", (7, '{"request_id":7}', 6)),
+    GroundAtom("SB", "tenfold", (70,)),
+)
+
+
+def test_event_whose_consequence_raises_is_refused(identities, trust_store, db_client):
+    """The event is not admitted, later events derive their consequences,
+    and the next commit logs them without the refused event."""
+    sb = make_monitor(identities, trust_store, db_client, "SB", TENFOLD_SHEET)
+    with pytest.raises(EvaluationError, match="integer overflow"):
+        sb.ingest_event(HUGE)
+    assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
+    result = sb.ingest_event(SMALL)
+    assert result.new_event and result.derived == SMALL_CONSEQUENCES
+    record = sb.commit()
+    assert {c.atom for c in record.claims} == {result.event_atom, *SMALL_CONSEQUENCES}
+    assert sb.metrics_report()["events"] == 1
+
+
+def test_http_event_whose_consequence_raises_gets_400(identities, trust_store, db_client):
+    import threading
+
+    from cyberlog.engine import canonical_atom
+    from cyberlog.errors import SubmitError
+    from cyberlog.monitor import HttpMonitorClient, make_monitor_server
+
+    sb = make_monitor(identities, trust_store, db_client, "SB", TENFOLD_SHEET)
+    server = make_monitor_server(sb)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = HttpMonitorClient("http://%s:%d" % server.server_address)
+    try:
+        with pytest.raises(SubmitError, match="integer overflow") as exc:
+            client.send_event(HUGE)
+        assert exc.value.code == 400
+        answer = client.send_event(SMALL)
+        assert answer["new"] and answer["derived"] == [canonical_atom(a) for a in SMALL_CONSEQUENCES]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def test_commit_whose_carried_claims_raise_starts_the_next_clean(identities, trust_store, db_client):
+    """The error propagates with the record logged and taken as the base; the
+    KB drops the record's claims without the carry-overs, stays at its
+    fixpoint, and ingest and the next commit work without logging them again."""
+    sheet = SB_SHEET + "next held(Id) :- request(Id, Data, T).\nheld10(M) :- held(Id), M == Id * 10.\n"
+    sb = make_monitor(identities, trust_store, db_client, "SB", sheet)
+    sb.ingest_event(HUGE)
+    committed = set(sb.kb.claims)
+    with pytest.raises(EvaluationError, match="integer overflow"):
+        sb.commit()
+    head = db_client.get_head("SB")["revision_id"]
+    assert sb._base == head and sb.commit_count == 1
+    assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
+    result = sb.ingest_event(SMALL)
+    assert result.new_event and result.derived == SMALL_CONSEQUENCES[:1]
+    record = sb.commit()
+    assert record.supersedes == head and sb._base == record.id
+    assert {c.atom for c in record.claims} == {result.event_atom, *result.derived}
+    assert not committed & sb.kb.atoms()
+
+
+def test_fact_rules_hold_from_construction(identities, trust_store, db_client):
+    sheet = "'SB': Subject: 's' Issuer: 'i'\nseed(1).\nseeded(X) :- seed(X).\n"
+    sb = make_monitor(identities, trust_store, db_client, "SB", sheet)
+    assert sb.kb.atoms() == {GroundAtom("SB", "seed", (1,)), GroundAtom("SB", "seeded", (1,))}
+    assert at_fixpoint(sb.kb)

@@ -75,9 +75,9 @@ def test_fetched_record_rehashes_to_id(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     staging = StagingRevision("CTR", claims=[signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))])
     record, _, _ = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=1)
-    fetched, payload, _proof, _head = fetch_verified_revision(db_client, record.id)
+    fetched, _inclusion = fetch_verified_revision(db_client, record.id)
     assert fetched.id == record.id
-    again, _sig = decode_payload(payload)
+    again, _sig = decode_payload(db_client.get_revision(record.id)["payload"])
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -144,7 +144,7 @@ def dom_setup(db_client, identities, trust_store):
         "verdict(R) :- 'MRM' attests feasible_config(R, A).\n"
     )
     rs_dom = parse_rulesheet(dom_sheet, "DOM")
-    kb = KnowledgeBase(trust_store=trust_store, log_operator_key=identities[OPERATOR].public_key)
+    kb = KnowledgeBase(rs_dom, trust_store=trust_store, log_operator_key=identities[OPERATOR].public_key)
     mrm_sheet = "'MRM': Subject: 's' Issuer: 'i'\n"
     rs_mrm = parse_rulesheet(mrm_sheet, "MRM")
     return kb, rs_dom, rs_mrm
@@ -160,7 +160,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     record, _, _ = mrm_commit(
         db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    added = include_revision(kb, record.id, db_client, "MRM", rs_dom)
+    added = include_revision(kb, record.id, db_client, "MRM")
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
@@ -169,7 +169,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
 def test_include_empty_revision(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     record, _, _ = mrm_commit(db_client, identities, rs_mrm, StagingRevision("MRM"), [], 1)
-    assert include_revision(kb, record.id, db_client, "MRM", rs_dom) == []
+    assert include_revision(kb, record.id, db_client, "MRM") == []
     assert len(kb) == 0
 
 
@@ -192,7 +192,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, TamperingClient(db_client), "MRM", rs_dom)
+        include_revision(kb, record.id, TamperingClient(db_client), "MRM")
     assert len(kb) == 0
 
 
@@ -205,16 +205,16 @@ def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     r1, _, staging = mrm_commit(
         db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
-    on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM")
+    on_superseded(kb, r1.id, r2.id, db_client, "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
-    oracle = KnowledgeBase(trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
-    include_revision(oracle, r2.id, db_client, "MRM", rs_dom)
+    oracle = KnowledgeBase(rs_dom, trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
+    include_revision(oracle, r2.id, db_client, "MRM")
     assert kb.atoms() == oracle.atoms()
 
 
@@ -223,10 +223,10 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     staging = StagingRevision("MRM")
     r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 1)
-    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM")
     before = kb.atoms()
     r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 2)
-    assert on_superseded(kb, r1.id, r2.id, rs_dom, db_client, "MRM") == []
+    assert on_superseded(kb, r1.id, r2.id, db_client, "MRM") == []
     assert kb.atoms() == before
 
 
@@ -234,12 +234,12 @@ def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     staging = StagingRevision("MRM")
     r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 1)
-    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM")
     unrelated, _, _ = commit_staging(
         StagingRevision("CTR"), parse_rulesheet(CTR_SHEET, "CTR"), db_client, identities["CTR"], now_ms=1
     )
     with pytest.raises(EvidenceError, match="does not supersede"):
-        on_superseded(kb, r1.id, unrelated.id, rs_dom, db_client, "MRM")
+        on_superseded(kb, r1.id, unrelated.id, db_client, "MRM")
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
@@ -248,10 +248,10 @@ def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_se
     r1, _, staging = mrm_commit(
         db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    include_revision(kb, r1.id, db_client, "MRM", rs_dom)
+    include_revision(kb, r1.id, db_client, "MRM")
     r2, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
     r3, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    on_superseded(kb, r1.id, r3.id, rs_dom, db_client, "MRM")
+    on_superseded(kb, r1.id, r3.id, db_client, "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
@@ -277,14 +277,14 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
         record, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, t)
         records.append(record)
-    include_revision(kb, records[0].id, db_client, "MRM", rs_dom)
+    include_revision(kb, records[0].id, db_client, "MRM")
     client = CountingClient(db_client)
-    added = on_superseded(kb, records[0].id, records[3].id, rs_dom, client, "MRM")
+    added = on_superseded(kb, records[0].id, records[3].id, client, "MRM")
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (9, 1))]
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
-    on_superseded(kb, records[3].id, mrm_commit(db_client, identities, rs_mrm, staging, [], 9)[0].id, rs_dom, client, "MRM")
+    on_superseded(kb, records[3].id, mrm_commit(db_client, identities, rs_mrm, staging, [], 9)[0].id, client, "MRM")
     assert len(client.fetched) == 1
 
 
@@ -305,7 +305,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
             return dict(self.inner.get_revision(record.id), payload=payload)
 
     with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
-        include_revision(kb, forged.id, ForgingClient(db_client), "MRM", rs_dom)
+        include_revision(kb, forged.id, ForgingClient(db_client), "MRM")
     assert len(kb) == 0
 
 
@@ -353,7 +353,7 @@ def test_head_matches_chain_walk_oracle(db_client, identities):
     walked = [head_id]
     cursor = head_id
     while True:
-        record, _, _, _ = fetch_verified_revision(db_client, cursor)
+        record, _ = fetch_verified_revision(db_client, cursor)
         if record.supersedes is None:
             break
         cursor = record.supersedes

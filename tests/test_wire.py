@@ -39,10 +39,10 @@ def test_derived_claim_roundtrip_preserves_rule():
     from cyberlog.engine import KnowledgeBase
 
     rs = parse_rulesheet(IDS + "good(R) :- 'OM' attests t(R, A).", "SB")
-    kb = KnowledgeBase()
+    kb = KnowledgeBase(rs)
     for claim in claims_from_atoms([GroundAtom("OM", "t", (3, "y"))]):
         kb.assert_claim(claim)
-    kb.saturate(rs)
+    kb.saturate()
     derived = kb.claims[GroundAtom("SB", "good", (3,))]
     restored = claim_from_obj(claim_to_obj(derived))
     assert restored.evidence.rule == derived.evidence.rule
