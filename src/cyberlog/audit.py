@@ -93,7 +93,7 @@ class Auditor:
         """Audit one atom of the owner's head revision."""
         head = self.db.get_head(owner)["revision_id"]
         record = self.fetch_revision(head)
-        claim = next((c for c in record.claims if c.atom == atom), None)
+        claim = record.by_atom.get(atom)
         if claim is None:
             raise NotFoundError(f"atom {canonical_atom(atom)} not in head revision {head} of {owner!r}")
         return self.audit_claim(record, claim)
@@ -133,7 +133,7 @@ class Auditor:
                     node.children.append(self._audit_premise(source, atom, None, depth + 1))
             else:  # LogInclusion: check_evidence refused every other type
                 included = self.fetch_revision(ev.revision_id)
-                if not any(c.atom == claim.atom for c in included.claims):
+                if claim.atom not in included.by_atom:
                     raise EvidenceError(f"atom absent from revision {ev.revision_id[:8]}")
                 node.detail = f"included from {ev.revision_id[:8]}, proof verified"
             return node
@@ -149,7 +149,7 @@ class Auditor:
         """Audit the premise `expected`, found by `premise_id` (by atom when
         None): an own claim of `record` is audited in turn, and a claim of a
         revision `record` includes rests on that revision's verified fetch."""
-        claim = _find_premise(record.claims, expected, premise_id)
+        claim = _find_premise(record, expected, premise_id)
         origin = None
         if claim is None:
             for rev_id in record.includes:
@@ -157,7 +157,7 @@ class Auditor:
                     included = self.fetch_revision(rev_id)
                 except (LogIntegrityError, NotFoundError) as exc:
                     return self._fail(expected, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
-                claim = _find_premise(included.claims, expected, premise_id)
+                claim = _find_premise(included, expected, premise_id)
                 if claim is not None:
                     origin = rev_id
                     break
@@ -174,10 +174,10 @@ class Auditor:
         )
 
 
-def _find_premise(claims: tuple[Claim, ...], expected: GroundAtom, premise_id: str | None) -> Claim | None:
+def _find_premise(record: RevisionRecord, expected: GroundAtom, premise_id: str | None) -> Claim | None:
     if premise_id is None:
-        return next((c for c in claims if c.atom == expected), None)
-    return next((c for c in claims if c.claim_id == premise_id), None)
+        return record.by_atom.get(expected)
+    return record.by_id.get(premise_id)
 
 
 # ---------------------------------------------------------------------------

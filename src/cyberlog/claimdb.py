@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import Callable
 
-from .claimlog import MerkleLog, sign_tree_head
+from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
@@ -60,6 +60,7 @@ class ClaimDb:
         self._owners: dict[str, str] = {}  # revision id -> owner; rulesheets have none
         self._heads: dict[str, _HeadState] = {}
         self._superseded: set[str] = set()
+        self._signed_head: SignedTreeHead | None = None  # the last head signed
         self._replay_existing()
 
     def _replay_existing(self) -> None:
@@ -148,8 +149,21 @@ class ClaimDb:
             self._by_id[entry_id] = index
             return self._receipt(index, entry_id)
 
+    def _tree_head(self) -> SignedTreeHead:
+        """The log's signed head at its current size and time; the caller
+        holds the lock. The log is append-only, so its size fixes its root,
+        and Ed25519 is deterministic: the head last signed is handed out
+        again while size and time are unchanged, the same bytes a new
+        signature would give. The clock does not go back, so repeats are
+        consecutive and one remembered head catches them all."""
+        size, now = len(self.log), self.clock()
+        head = self._signed_head
+        if head is None or (head.tree_size, head.timestamp_ms) != (size, now):
+            head = self._signed_head = sign_tree_head(self.log, self.operator, now)
+        return head
+
     def _receipt(self, index: int, entry_id: str) -> dict:
-        head = sign_tree_head(self.log, self.operator, self.clock())
+        head = self._tree_head()
         proof = self.log.prove_inclusion(index, head.tree_size)
         return {
             "leaf_index": index,
@@ -166,7 +180,7 @@ class ClaimDb:
             if index is None:
                 raise NotFoundError(f"no revision {rev_id}")
             payload = self.log.payload(index).decode("utf-8")
-            head = sign_tree_head(self.log, self.operator, self.clock())
+            head = self._tree_head()
             proof = self.log.prove_inclusion(index, head.tree_size)
         return {"payload": payload, "proof": proof.to_obj(), "tree_head": head.to_obj()}
 
@@ -179,7 +193,7 @@ class ClaimDb:
 
     def get_log_root(self) -> dict:
         with self._lock:
-            return sign_tree_head(self.log, self.operator, self.clock()).to_obj()
+            return self._tree_head().to_obj()
 
     def get_consistency(self, old_size: int, new_size: int) -> dict:
         with self._lock:

@@ -464,7 +464,9 @@ class KnowledgeBase:
     full inputs, so the KB verifies each distinct signature, tree head and
     proof once for as long as a stored claim uses it. Everything else in
     `check_evidence` runs on every call. The memo holds only successes,
-    and only those the stored claims use.
+    and only those the stored claims use; a signature the KB's owner has
+    just made counts as passed for the admission that follows
+    (`record_own_signature`).
     """
 
     def __init__(self, rulesheet: Rulesheet, trust_store: "TrustStore | None" = None,
@@ -602,6 +604,15 @@ class KnowledgeBase:
         self._checked = []
         check_evidence(claim, self.trust_store, self.log_operator_key, self._signature_ok, self._inclusion_ok)
         return self._checked
+
+    def record_own_signature(self, public_key: bytes, signature: bytes, message: bytes) -> None:
+        """Take an Ed25519 signature the KB's owner has just made with the
+        private key of `public_key` as passed, for the next `revise` or
+        `assert_claim` only: the memo keeps it if a claim that call stores
+        uses it, and forgets it otherwise. A direct assertion is checked
+        under its signer's trust-store key, so the triple is never used
+        when that key is not `public_key`."""
+        self._fresh.add((public_key, signature, message))
 
     def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
         """One Ed25519 check, memoised by its full inputs."""

@@ -1,4 +1,5 @@
-"""Principal identities, claim signing, and the static trust store.
+"""Principal identities, Ed25519 signing and verification, and the static
+trust store.
 
 Identities are Ed25519 keypairs with X.509-style subject/issuer display
 strings kept as opaque metadata. A trust store maps principal names to
@@ -9,31 +10,38 @@ from __future__ import annotations
 
 import json
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .engine import GroundAtom, canonical_atom
 from .errors import ConfigError, EvidenceError
 
 
 @dataclass(frozen=True)
 class Identity:
+    """A principal's public key and, when it may sign, the private key it
+    was made from, imported once so that each signature costs only itself.
+    Construction refuses a private key whose public key is not
+    `public_key` (ConfigError): a monitor takes its own signatures as
+    checked on that invariant."""
+
     name: str
     subject: str
     issuer: str
     public_key: bytes
-    private_key: bytes | None = None
+    private_key: Ed25519PrivateKey | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        key = self.private_key
+        if key is not None and _raw_public_key(key) != self.public_key:
+            raise ConfigError(f"identity {self.name!r}: public key does not belong to its private key")
 
 
-@dataclass(frozen=True)
-class SignedClaim:
-    atom: GroundAtom
-    signer: str
-    signature: bytes
+def _raw_public_key(key: Ed25519PrivateKey) -> bytes:
+    return key.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
 def generate_identity(name: str, subject: str = "", issuer: str = "", seed: bytes | None = None) -> Identity:
@@ -42,15 +50,14 @@ def generate_identity(name: str, subject: str = "", issuer: str = "", seed: byte
         seed = secrets.token_bytes(32)
     if len(seed) != 32:
         raise ConfigError("identity seed must be exactly 32 bytes")
-    priv = Ed25519PrivateKey.from_private_bytes(seed)
-    pub = priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return Identity(name, subject, issuer, pub, seed)
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    return Identity(name, subject, issuer, _raw_public_key(key), key)
 
 
 def sign_bytes(identity: Identity, data: bytes) -> bytes:
     if identity.private_key is None:
         raise EvidenceError(f"identity {identity.name!r} has no private key")
-    return Ed25519PrivateKey.from_private_bytes(identity.private_key).sign(data)
+    return identity.private_key.sign(data)
 
 
 def verify_bytes(public_key: bytes, signature: bytes, data: bytes) -> bool:
@@ -59,11 +66,6 @@ def verify_bytes(public_key: bytes, signature: bytes, data: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
-
-
-def sign_claim(identity: Identity, atom: GroundAtom) -> SignedClaim:
-    signature = sign_bytes(identity, canonical_atom(atom).encode("utf-8"))
-    return SignedClaim(atom, identity.name, signature)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import ConfigError, CyberlogError, NotFoundError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
-from .identity import Identity, TrustStore, sign_claim
+from .identity import Identity, TrustStore, sign_bytes
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
     LogClient,
@@ -165,9 +165,11 @@ class Monitor:
         atom = GroundAtom(
             self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body)
         )
-        signed = sign_claim(self.identity, atom)
-        claim = make_claim(atom, DirectAssertion(self.name, signed.signature))
+        message = canonical_atom(atom).encode("utf-8")
+        signature = sign_bytes(self.identity, message)
+        claim = make_claim(atom, DirectAssertion(self.name, signature))
         with self.lock:
+            self.kb.record_own_signature(self.identity.public_key, signature, message)
             # the event first if it is new, then its consequences; a known
             # event adds nothing, since the KB is at its fixpoint
             added = self.kb.revise((), [claim])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .claimlog import InclusionProof, SignedTreeHead, leaf_hash, verify_inclusion, verify_tree_head
 from .engine import (
@@ -60,6 +60,9 @@ class RevisionRecord:
     rulesheet_hash: str
     claims: tuple[Claim, ...]
     commit_time: int
+    # `claims` indexed by claim id and by atom, the first claim winning
+    by_id: Mapping[str, Claim] = field(compare=False, repr=False)
+    by_atom: Mapping[GroundAtom, Claim] = field(compare=False, repr=False)
 
 
 @dataclass
@@ -96,7 +99,12 @@ def build_record(
         "commit_time": commit_time,
     }
     rev_id = sha256(canonical_json(body).encode("utf-8")).hexdigest()
-    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time), body
+    by_id = {c.claim_id: c for c in reversed(ordered_claims)}
+    by_atom = {c.atom: c for c in reversed(ordered_claims)}
+    record = RevisionRecord(
+        rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time, by_id, by_atom
+    )
+    return record, body
 
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:

@@ -1,11 +1,12 @@
 import hashlib
+from dataclasses import dataclass
 
 import pytest
 
 from cyberlog.claimdb import ClaimDb
 from cyberlog.claimlog import MerkleLog
-from cyberlog.engine import DirectAssertion, make_claim
-from cyberlog.identity import TrustStore, generate_identity
+from cyberlog.engine import DirectAssertion, GroundAtom, canonical_atom, make_claim
+from cyberlog.identity import TrustStore, generate_identity, sign_bytes
 
 PRINCIPALS = ("SB", "MRM", "OM", "CA", "DOM", "CTR")
 OPERATOR = "log-operator"
@@ -15,6 +16,19 @@ def claims_from_atoms(atoms):
     """Wrap bare atoms as claims their principals assert, with an empty
     signature: a KB without a trust store takes them as they are."""
     return [make_claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
+
+
+@dataclass(frozen=True)
+class SignedClaim:
+    atom: GroundAtom
+    signer: str
+    signature: bytes
+
+
+def sign_claim(identity, atom: GroundAtom) -> SignedClaim:
+    """`atom` signed by `identity` over its canonical text, as a monitor
+    signs each event it ingests."""
+    return SignedClaim(atom, identity.name, sign_bytes(identity, canonical_atom(atom).encode("utf-8")))
 
 
 def at_fixpoint(kb) -> bool:

@@ -28,11 +28,12 @@ from cyberlog.harness import (
     load_scenario,
     run_scenario,
 )
-from cyberlog.identity import generate_identity, sign_claim
+from cyberlog.identity import generate_identity
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope
 from cyberlog.revision import StagingRevision, build_record, commit_staging, encode_payload, fetch_verified_revision, sign_record
 
+from conftest import sign_claim
 from merkle_oracle import brute_leaf, brute_root
 from naive_oracle import naive_saturate, random_program
 

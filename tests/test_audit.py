@@ -142,7 +142,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     derivation evidence passes submission (signatures check out) and is then
     caught by the recursive audit."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
-    from cyberlog.identity import sign_claim
+    from conftest import sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -169,7 +169,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     """Evidence whose premise reference points at a different logged claim
     than the instantiated body atom is rejected."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
-    from cyberlog.identity import sign_claim
+    from conftest import sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 

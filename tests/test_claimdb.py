@@ -15,7 +15,6 @@ from cyberlog.claimlog import (
 )
 from cyberlog.engine import DirectAssertion, GroundAtom, make_claim
 from cyberlog.errors import NotFoundError, SubmitError
-from cyberlog.identity import sign_claim
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
     StagingRevision,
@@ -28,7 +27,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, raw_http_status
+from conftest import OPERATOR, raw_http_status, sign_claim
 
 SB_SHEET = "'SB': Subject: 's' Issuer: 'i'\n"
 
@@ -131,6 +130,27 @@ def test_get_revision_proof_still_verifies_after_growth(db_client, identities):
     assert inclusion.proof.tree_size == 11
     root = SignedTreeHead.from_obj(db_client.get_log_root())
     assert root.tree_size == 11
+
+
+def test_each_tree_head_signed_once(identities, trust_store, monkeypatch):
+    """Heads at one log size and one tick are one head, byte for byte,
+    signed once; a new tick or a new entry gets a new head."""
+    import cyberlog.claimlog as claimlog
+
+    sign, signed = claimlog.sign_bytes, []
+    monkeypatch.setattr(claimlog, "sign_bytes", lambda ident, data: signed.append(data) or sign(ident, data))
+    now = [1000]
+    db = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: now[0])
+    record, payload = sb_payload(identities)
+    receipt = db.submit_revision(payload)
+    first, second = db.get_revision(record.id), db.get_revision(record.id)
+    assert first == second and first["tree_head"] == receipt["tree_head"] == db.get_log_root()
+    assert len(signed) == 1
+    now[0] += 1
+    assert db.get_log_root()["timestamp_ms"] == 1001
+    db.submit_revision(encode_rulesheet_payload(SB_SHEET))
+    assert db.get_log_root()["tree_size"] == 2
+    assert len(signed) == 3 == len(set(signed))
 
 
 def test_get_revision_not_found(db_client):

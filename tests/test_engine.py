@@ -75,7 +75,7 @@ def test_assert_claim_bad_signature_rejected(signed_identities):
     trust, ids = signed_identities
     kb = KnowledgeBase(NO_RULES, trust_store=trust)
     atom = GroundAtom("SB", "p", (1,))
-    from cyberlog.identity import sign_claim
+    from conftest import sign_claim
 
     good = sign_claim(ids["SB"], atom)
     kb.assert_claim(make_claim(atom, DirectAssertion("SB", good.signature)))
@@ -536,7 +536,9 @@ def _same_state(kb, state):
 
 def test_lineage_verifies_each_signature_once(signed_identities, count_verify, monkeypatch):
     import cyberlog.engine as engine
-    from cyberlog.identity import generate_identity, sign_claim
+    from cyberlog.identity import generate_identity
+
+    from conftest import sign_claim
 
     checks = []
     original_check = engine.check_evidence
@@ -568,7 +570,9 @@ def test_lineage_verifies_each_signature_once(signed_identities, count_verify, m
 def test_memo_still_rejects_forgeries(signed_identities):
     from cyberlog.claimlog import SignedTreeHead
     from cyberlog.engine import LogInclusion
-    from cyberlog.identity import generate_identity, sign_claim
+    from cyberlog.identity import generate_identity
+
+    from conftest import sign_claim
 
     trust, ids = signed_identities
     operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
@@ -621,7 +625,7 @@ def test_memo_still_rejects_forgeries(signed_identities):
 
 
 def test_failed_verification_is_not_memoised(signed_identities, count_verify):
-    from cyberlog.identity import sign_claim
+    from conftest import sign_claim
 
     trust, ids = signed_identities
     kb = KnowledgeBase(NO_RULES, trust_store=trust)
@@ -636,11 +640,43 @@ def test_failed_verification_is_not_memoised(signed_identities, count_verify):
     assert not kb._verified and len(kb) == 0
 
 
+def test_own_signature_spares_one_check_and_no_forgery(signed_identities, count_verify):
+    """A signature the KB's owner records as just made spares the check of
+    the claim it signs in the next admission only; a forged claim offered
+    with it is still checked and rejected, and leaves nothing in the memo."""
+    from conftest import sign_claim
+
+    trust, ids = signed_identities
+    kb = KnowledgeBase(NO_RULES, trust_store=trust)
+    key = ids["SB"].public_key
+    atom = GroundAtom("SB", "p", (1,))
+    message = canonical_atom(atom).encode("utf-8")
+    signature = sign_claim(ids["SB"], atom).signature
+    genuine = make_claim(atom, DirectAssertion("SB", signature))
+    forgeries = [
+        make_claim(GroundAtom("SB", "p", (2,)), DirectAssertion("SB", signature)),
+        make_claim(atom, DirectAssertion("SB", bytes(64))),
+        make_claim(atom, DirectAssertion("MRM", signature)),
+    ]
+    for forged in forgeries:
+        kb.record_own_signature(key, signature, message)
+        with pytest.raises(EvidenceError, match="bad signature"):
+            kb.revise([], [forged])
+        assert len(kb) == 0 and not kb._verified and not kb._fresh
+    assert len(count_verify) == 3
+    kb.revise([], [genuine])  # no record left over from the refused admissions
+    assert len(count_verify) == 4
+    kb.revise([atom], [])
+    kb.record_own_signature(key, signature, message)
+    assert kb.revise([], [genuine]) == [genuine]
+    assert len(count_verify) == 4 and kb._verified == {(key, signature, message): 1} and not kb._fresh
+
+
 def test_failed_revise_changes_nothing(signed_identities, count_verify):
     """A refused batch leaves atoms, evidence objects, memo and pending work
     as they were, even when an earlier claim of the batch passed a check the
     memo did not hold yet."""
-    from cyberlog.identity import sign_claim
+    from conftest import sign_claim
 
     trust, ids = signed_identities
     rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")

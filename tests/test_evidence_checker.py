@@ -22,11 +22,10 @@ from cyberlog.engine import (
     make_claim,
 )
 from cyberlog.errors import EvidenceError
-from cyberlog.identity import sign_claim
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import build_record, encode_payload, sign_record
 
-from conftest import OPERATOR
+from conftest import OPERATOR, sign_claim
 
 SHEET = (
     "'SB': Subject: 's' Issuer: 'i'\n"

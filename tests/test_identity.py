@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyberlog.engine import GroundAtom, canonical_atom
-from cyberlog.errors import EvidenceError
-from cyberlog.identity import (
-    SignedClaim,
-    TrustStore,
-    generate_identity,
-    sign_bytes,
-    sign_claim,
-    verify_bytes,
-)
+from cyberlog.errors import ConfigError, EvidenceError
+from cyberlog.identity import Identity, TrustStore, generate_identity, sign_bytes, verify_bytes
+
+from conftest import SignedClaim, sign_claim
 
 
 def verify_claim(identity, sc):
@@ -60,6 +55,14 @@ def test_missing_private_key():
     public_only = type(ident)(ident.name, ident.subject, ident.issuer, ident.public_key, None)
     with pytest.raises(EvidenceError, match="no private key"):
         sign_bytes(public_only, b"x")
+
+
+def test_identity_refuses_a_public_key_not_its_own():
+    sb = generate_identity("SB", seed=SEED_A)
+    mrm = generate_identity("MRM", seed=SEED_B)
+    with pytest.raises(ConfigError, match="does not belong"):
+        Identity("SB", "", "", mrm.public_key, sb.private_key)
+    assert Identity("SB", "", "", sb.public_key, sb.private_key) == sb
 
 
 def test_trust_store_roundtrip(tmp_path):

@@ -323,6 +323,21 @@ def test_authorization_gate(identities, trust_store, db_client):
     assert allow.decision == "allow"
 
 
+def test_monitor_whose_trusted_key_is_not_its_own_refuses_its_events(identities, trust_store, db_client):
+    """The KB checks an own event under the trust store's key for the
+    monitor, so the signature the monitor just made does not pass there."""
+    from cyberlog.errors import EvidenceError
+    from cyberlog.identity import TrustEntry
+
+    trust_store.add(TrustEntry("SB", "CN=SB", "CN=R3", identities["MRM"].public_key))
+    sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
+    before = sb.kb.atoms()
+    with pytest.raises(EvidenceError, match="bad signature"):
+        sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    assert sb.kb.atoms() == before and not sb.kb._verified and not sb.kb._fresh
+    assert sb.metrics_report()["events"] == 0
+
+
 def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
     with pytest.raises(ConfigError, match="does not match"):
         Monitor(identities["DOM"], parse_rulesheet(SB_SHEET, "SB"), db_client, trust_store)
@@ -348,47 +363,114 @@ def _steady_booking(windows: int):
     return Scenario("steady_booking", base.monitors, events, [])
 
 
-def _count_kb_verifications(monkeypatch, monitors):
-    """Ed25519 checks made by each monitor's KB, as (key, signature, message).
+class Ed25519Trace:
+    """The Ed25519 work of a run, each operation under the monitor method
+    acting, as (monitor name, method), or None outside any monitor:
 
-    Only `identity.verify_bytes` is wrapped, the binding the KB calls; the
-    claim DB and revision fetches verify through their own bindings.
+    - `imports`: private keys imported from their bytes;
+    - `signs`: (actor, signer name, (key, signature, message));
+    - `verifies`: (actor, module whose binding was called, (key,
+      signature, message)). The KB looks `verify_bytes` up in
+      `cyberlog.identity` at each check, so its checks are those under
+      that module.
     """
-    import cyberlog.identity as identity
 
-    original = identity.verify_bytes
-    current = [None]
-    seen = {name: [] for name in monitors}
+    def __init__(self, monkeypatch):
+        import sys
 
-    def counting(key, signature, message):
-        seen[current[0]].append((key, signature, message))
-        return original(key, signature, message)
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-    monkeypatch.setattr(identity, "verify_bytes", counting)
-    for method in ("ingest_event", "commit", "poll_and_include", "handle_query"):
-        unwrapped = getattr(Monitor, method)
+        import cyberlog.identity as identity
 
-        def acting(self, *args, _unwrapped=unwrapped, **kwargs):
-            current[0] = self.name
-            return _unwrapped(self, *args, **kwargs)
+        self.imports = 0
+        self.signs = []
+        self.verifies = []
+        self._actor = None
+        import_key = Ed25519PrivateKey.from_private_bytes
 
-        monkeypatch.setattr(Monitor, method, acting)
-    return seen
+        def counting_import(cls, data):
+            self.imports += 1
+            return import_key(data)
+
+        monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes", classmethod(counting_import))
+        sign, verify = identity.sign_bytes, identity.verify_bytes
+
+        def signing(ident, data):
+            signature = sign(ident, data)
+            self.signs.append((self._actor, ident.name, (ident.public_key, signature, data)))
+            return signature
+
+        def verifying(module):
+            def wrapper(key, signature, data):
+                self.verifies.append((self._actor, module, (key, signature, data)))
+                return verify(key, signature, data)
+
+            return wrapper
+
+        # every binding of the two functions, as perfbench's tracer patches them
+        for name, module in list(sys.modules.items()):
+            if module is None or not name.startswith("cyberlog"):
+                continue
+            for binding, value in list(vars(module).items()):
+                if value is sign:
+                    monkeypatch.setattr(module, binding, signing)
+                elif value is verify:
+                    monkeypatch.setattr(module, binding, verifying(name))
+        for method in ("ingest_event", "commit", "poll_and_include", "handle_query"):
+            unwrapped = getattr(Monitor, method)
+
+            def acting(monitor, *args, _unwrapped=unwrapped, _method=method, **kwargs):
+                outer, self._actor = self._actor, (monitor.name, _method)
+                try:
+                    return _unwrapped(monitor, *args, **kwargs)
+                finally:
+                    self._actor = outer
+
+            monkeypatch.setattr(Monitor, method, acting)
 
 
 def test_each_monitor_lineage_verifies_each_signature_once(monkeypatch):
+    """Along each monitor's lineage, each distinct (key, signature, message)
+    triple is checked by its KB or signed by the monitor at most once, so
+    in particular the KB never checks a signature the monitor made."""
     from cyberlog.harness import ScenarioRun
 
+    trace = Ed25519Trace(monkeypatch)
     run = ScenarioRun(_steady_booking(3))
-    seen = _count_kb_verifications(monkeypatch, run.monitors)
     try:
         run.finish()
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == 3
     finally:
         run.close()
-    for name, calls in seen.items():
-        assert calls, name
-        assert len(calls) == len(set(calls)), name
+    for name in run.monitors:
+        signed = [t for actor, signer, t in trace.signs if actor and actor[0] == name and signer == name]
+        checked = [
+            t for actor, module, t in trace.verifies if actor and actor[0] == name and module == "cyberlog.identity"
+        ]
+        assert signed, name
+        assert len(signed + checked) == len(set(signed + checked)), name
+
+
+def test_ed25519_work_of_a_steady_run(monkeypatch):
+    """Counts, not time: each identity imports its key once, each ingest
+    makes one signature that no check of its monitor ever sees, and the
+    claim DB signs each tree head once."""
+    from cyberlog.harness import OPERATOR_NAME, ScenarioRun
+
+    trace = Ed25519Trace(monkeypatch)
+    scenario = _steady_booking(3)
+    run = ScenarioRun(scenario)
+    try:
+        run.finish()
+    finally:
+        run.close()
+    assert trace.imports == len(run.monitors) + 1  # the monitors' and the log operator's
+    ingested = [(actor[0], t) for actor, _signer, t in trace.signs if actor and actor[1] == "ingest_event"]
+    assert len(ingested) == len(scenario.events)
+    checked = {(actor[0], t) for actor, _module, t in trace.verifies if actor}
+    assert not checked & set(ingested)
+    heads = [t for _actor, signer, t in trace.signs if signer == OPERATOR_NAME]
+    assert heads and len(heads) == len(set(heads))
 
 
 def test_signature_memo_bounded_and_supersession_matches_scratch():
@@ -433,7 +515,7 @@ class PassThroughDb:
 def _append_directly(db, identities, owner, supersedes, atoms=()):
     """Log a revision without the claim DB's submit checks; returns its id."""
     from cyberlog.engine import DirectAssertion, make_claim
-    from cyberlog.identity import sign_claim
+    from conftest import sign_claim
     from cyberlog.revision import build_record, encode_payload, sign_record
 
     claims = [make_claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
@@ -542,6 +624,7 @@ def test_event_whose_consequence_raises_is_refused(identities, trust_store, db_c
     with pytest.raises(EvaluationError, match="integer overflow"):
         sb.ingest_event(HUGE)
     assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
+    assert not sb.kb._verified and not sb.kb._fresh  # the event's signature is not kept
     result = sb.ingest_event(SMALL)
     assert result.new_event and result.derived == SMALL_CONSEQUENCES
     record = sb.commit()

@@ -11,7 +11,6 @@ from cyberlog.engine import (
     make_claim,
 )
 from cyberlog.errors import EvidenceError, LogIntegrityError
-from cyberlog.identity import sign_claim
 from cyberlog.lang import parse_query, parse_rulesheet
 from cyberlog.revision import (
     StagingRevision,
@@ -26,7 +25,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR
+from conftest import OPERATOR, sign_claim
 
 CTR_SHEET = "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n"
 RETAIN_SHEET = (
