@@ -8,6 +8,7 @@ derivation chain can be replayed later.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -42,9 +43,21 @@ Substitution = dict[str, GroundTerm]
 
 @dataclass(frozen=True)
 class GroundAtom:
+    """An immutable ground atom. Its canonical text and id are computed
+    from its fields on first use and kept (`canonical_atom`, `atom_id`)."""
+
     principal: str
     predicate: str
     args: tuple[GroundTerm, ...]
+
+    @functools.cached_property
+    def _text(self) -> str:
+        args = ",".join(_enc_term(a) for a in self.args)
+        return f"{_enc_string(self.principal)}|{self.predicate}({args})"
+
+    @functools.cached_property
+    def _id(self) -> str:
+        return hashlib.sha256(self._text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +76,24 @@ def _enc_term(value: GroundTerm) -> str:
 
 
 def canonical_atom(atom: GroundAtom) -> str:
-    args = ",".join(_enc_term(a) for a in atom.args)
-    return f"{_enc_string(atom.principal)}|{atom.predicate}({args})"
+    return atom._text
 
 
 def atom_id(atom: GroundAtom) -> str:
     """Hex SHA-256 of the canonical serialization."""
-    return hashlib.sha256(canonical_atom(atom).encode("utf-8")).hexdigest()
+    return atom._id
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_canonical_atom(text: str) -> GroundAtom:
+    """Decode canonical atom text; raises ValueError on malformed text.
+
+    Every revision that carries a claim repeats its atom's text, so decodes
+    are memoised by text, like `parse_standalone_rule`; a GroundAtom is
+    immutable, and its text and id are recomputed from its fields, never
+    taken from the input. A text that fails to decode raises again on
+    every call.
+    """
     try:
         principal, pos = _scan_string(text, 0)
         if text[pos] != "|":
@@ -465,8 +486,9 @@ class KnowledgeBase:
     proof once for as long as a stored claim uses it. Everything else in
     `check_evidence` runs on every call. The memo holds only successes,
     and only those the stored claims use; a signature the KB's owner has
-    just made counts as passed for the admission that follows
-    (`record_own_signature`).
+    just made, and a log inclusion its caller has just verified, count as
+    passed for the admission that follows (`record_own_signature`,
+    `record_verified_inclusion`).
     """
 
     def __init__(self, rulesheet: Rulesheet, trust_store: "TrustStore | None" = None,
@@ -613,6 +635,19 @@ class KnowledgeBase:
         under its signer's trust-store key, so the triple is never used
         when that key is not `public_key`."""
         self._fresh.add((public_key, signature, message))
+
+    def record_verified_inclusion(self, inclusion: LogInclusion) -> None:
+        """Take a log inclusion's proof, and its tree head's signature under
+        the KB's operator key, as passed for the next `revise` or
+        `assert_claim` only, as `record_own_signature` does: the caller has
+        just verified both under that key (`fetch_verified_revision`)."""
+        head = inclusion.tree_head
+        self._fresh.add((head.root_hash, inclusion.leaf_hash, inclusion.proof))
+        if self.log_operator_key is not None:
+            from .claimlog import tree_head_bytes
+
+            message = tree_head_bytes(head.tree_size, head.root_hash, head.timestamp_ms)
+            self._fresh.add((self.log_operator_key, head.signature, message))
 
     def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
         """One Ed25519 check, memoised by its full inputs."""

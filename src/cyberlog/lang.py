@@ -110,6 +110,13 @@ class Rule:
     def is_next(self) -> bool:
         return self.kind is RuleKind.NEXT
 
+    @functools.cached_property
+    def standalone_text(self) -> str:
+        """One-line text with explicit principals, as evidence carries it
+        (`parse_standalone_rule` reads it back); computed on first use and
+        kept."""
+        return format_rule(self, oneline=True)
+
 
 @dataclass(frozen=True)
 class IdentityDecl:

@@ -288,9 +288,12 @@ class Monitor:
             return self.metrics.report(len(self.kb), self.name)
 
     def _warn(self, stage: str, message: str) -> None:
-        """Log a recoverable failure; the record carries `monitor` and
-        `stage` (commit, poll or periodic) as attributes."""
-        _log.warning("[monitor %s] %s", self.name, message, extra={"monitor": self.name, "stage": stage})
+        """Log a recoverable failure; the record carries `monitor`, `stage`
+        (commit, poll or periodic) and `revision`, the id of the monitor's
+        last committed revision or None, as attributes."""
+        _log.warning(
+            "[monitor %s] %s", self.name, message, extra={"monitor": self.name, "stage": stage, "revision": self._base}
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,10 @@ def _include(
     kb: KnowledgeBase, retract: Iterable[GroundAtom], record: RevisionRecord, inclusion: LogInclusion
 ) -> list[Claim]:
     """Admit the record's claims under its inclusion evidence through
-    `KnowledgeBase.revise`; returns the admitted claims whose atoms are new."""
+    `KnowledgeBase.revise`; returns the admitted claims whose atoms are new.
+    `fetch_verified_revision` has verified the inclusion under the KB's
+    operator key, so `revise` does not verify it again."""
+    kb.record_verified_inclusion(inclusion)
     added = kb.revise(retract, [Claim(claim.atom, inclusion, claim.claim_id) for claim in record.claims])
     return [claim for claim in added if claim.evidence is inclusion]
 

@@ -23,7 +23,7 @@ from .engine import (
     parse_canonical_atom,
 )
 from .errors import EvidenceError, ParseError
-from .lang import format_rule, parse_standalone_rule
+from .lang import parse_standalone_rule
 
 
 def canonical_json(obj) -> str:
@@ -34,7 +34,7 @@ def evidence_to_obj(ev: Evidence) -> dict:
     if isinstance(ev, DerivedByRule):
         return {
             "kind": "derived_by_rule",
-            "rule": format_rule(ev.rule, self_id=None, oneline=True),
+            "rule": ev.rule.standalone_text,
             "substitution": _subst_obj(ev.substitution),
             "premises": list(ev.premises),
         }
@@ -43,7 +43,7 @@ def evidence_to_obj(ev: Evidence) -> dict:
     if isinstance(ev, CarriedByNextRule):
         return {
             "kind": "carried_by_next_rule",
-            "rule": format_rule(ev.rule, self_id=None, oneline=True),
+            "rule": ev.rule.standalone_text,
             "substitution": _subst_obj(ev.substitution),
             "source_revision": ev.source_revision,
         }

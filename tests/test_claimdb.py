@@ -298,6 +298,21 @@ def test_http_bad_request_gets_400(db, request_bytes):
         server.server_close()
 
 
+def test_http_oversized_body_gets_413_unread(db):
+    """A Content-Length above the cap is answered at once, without reading a
+    body the client never sends, and nothing is logged."""
+    from cyberlog.httpjson import MAX_BODY_BYTES
+
+    server, _url = serve_db_in_thread(db)
+    try:
+        request = b"POST /revisions HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+        assert raw_http_status(server.server_address, request) == 413
+        assert len(db.log) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, monkeypatch):
     import cyberlog.claimdb as claimdb
 

@@ -361,20 +361,66 @@ def test_saturate_matches_oracle_with_builtins_and_arithmetic():
 
 
 def test_canonical_atom_roundtrip_fuzz():
+    """Decoding then encoding gives the text back; and a decoded atom, which
+    may come from the decode memo, has the text and id of a freshly built
+    equal atom, the id being the SHA-256 of that text."""
+    import hashlib
+
     from hypothesis import given, settings, strategies as st
 
-    terms = st.one_of(
-        st.integers(min_value=-(2**63), max_value=2**63 - 1),
-        st.text(max_size=10),  # includes quotes, pipes, backslashes, unicode
-    )
+    strings = st.text(alphabet=st.one_of(st.sampled_from('"\\|(),'), st.characters()), max_size=10)
+    terms = st.one_of(st.integers(min_value=-(2**100), max_value=2**100), strings)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.text(max_size=8), st.sampled_from(["p", "ev", "out0"]), st.lists(terms, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    @given(strings, st.sampled_from(["p", "ev", "out0"]), st.lists(terms, max_size=4))
     def check(principal, predicate, args):
-        atom = GroundAtom(principal, predicate, tuple(args))
-        assert parse_canonical_atom(canonical_atom(atom)) == atom
+        text = canonical_atom(GroundAtom(principal, predicate, tuple(args)))
+        decoded = parse_canonical_atom(text)
+        fresh = GroundAtom(principal, predicate, tuple(args))
+        assert decoded == fresh and parse_canonical_atom(text) is decoded
+        assert canonical_atom(decoded) == text == canonical_atom(fresh)
+        assert atom_id(decoded) == atom_id(fresh) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     check()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [('"SB"|p(007)', 7), ('"SB"|p(+5)', 5), ('"SB"|p(-0)', 0), ('"SB"|p( 5)', 5)],
+)
+def test_noncanonical_text_decodes_to_canonical_text_and_id(text, value):
+    """An integer written in a non-canonical form decodes to its value; the
+    atom's text and id come from its fields, never from the input, and a
+    claim decoded from the wire gets the canonical id."""
+    import hashlib
+
+    from cyberlog.wire import claim_from_obj
+
+    atom = parse_canonical_atom(text)
+    assert atom == GroundAtom("SB", "p", (value,))
+    canonical = f'"SB"|p({value})'
+    assert canonical_atom(atom) == canonical != text
+    assert atom_id(atom) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    claim = claim_from_obj({"atom": text, "evidence": {"kind": "direct_assertion", "signer": "SB", "signature": ""}})
+    assert claim.claim_id == atom_id(GroundAtom("SB", "p", (value,)))
+    forged = Claim(atom, claim.evidence, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    with pytest.raises(EvidenceError, match="claim id does not match"):
+        KnowledgeBase(NO_RULES).check_evidence(forged)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", '"SB"', '"SB"p(1)', '"SB"|p(', '"SB"|p(x)', '"SB"|p(1,)', '"SB"|p("a)', '"SB"|p(1)z'],
+)
+def test_atom_decode_error_raises_on_every_call(text):
+    """A text that fails to decode is decoded afresh, and fails, on every
+    call: the memo holds only atoms."""
+    before = parse_canonical_atom.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_canonical_atom(text)
+    after = parse_canonical_atom.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
 def test_self_join_enumerates_all_pairs():

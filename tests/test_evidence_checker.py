@@ -8,6 +8,8 @@ DB (which checks only the revision signature); the chain re-check and the
 audit must catch them.
 """
 
+import hashlib
+
 import pytest
 
 from cyberlog.audit import Auditor, render_audit_tree
@@ -20,6 +22,7 @@ from cyberlog.engine import (
     KnowledgeBase,
     atom_id,
     make_claim,
+    parse_canonical_atom,
 )
 from cyberlog.errors import EvidenceError
 from cyberlog.lang import parse_rulesheet
@@ -132,3 +135,24 @@ def test_direct_assertion_by_unknown_signer_fails_audit(db, identities, trust_st
     assert not node.all_ok
     assert node.kind == "direct_assertion"
     assert "no trusted key" in node.detail
+
+
+@pytest.mark.parametrize("text", ['"SB"|request(007)', '"SB"|request(+7)', '"SB"|request( 7)'])
+def test_ids_of_noncanonical_text_refused(db, identities, trust_store, text):
+    """Claim ids hash canonical text only. A claim whose id hashes another
+    text of its atom is refused by the KB's check; ids do not travel on the
+    wire, so in a logged revision such an id can only name a premise, and
+    the chain check and the Auditor both refuse that instance."""
+    request = sb("request", 7)
+    assert parse_canonical_atom(text) == request
+    forged_id = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    forged = Claim(request, signed(identities, request).evidence, forged_id)
+    with pytest.raises(EvidenceError, match="claim id does not match"):
+        KnowledgeBase(RS, trust_store=trust_store).check_evidence(forged)
+    verdict = sb("verdict", 7)
+    claim = Claim(verdict, DerivedByRule(RULES["verdict"], {"Id": 7}, (forged_id,)), atom_id(verdict))
+    assert kb_holding(identities, trust_store, claim).verify_claim_chain(verdict) is False
+    base = [signed(identities, atom) for atom in BASE_ATOMS]
+    _record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
+    node = auditor.audit_atom("SB", verdict)
+    assert not node.all_ok and "premise not found" in render_audit_tree(node), render_audit_tree(node)

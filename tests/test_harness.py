@@ -25,6 +25,28 @@ def test_booking_yields_single_verdict(booking_report):
     assert by_query["delayed_rtf(R, D, S)"] == 0
 
 
+# SHA-256 over every logged payload, each preceded by its length as 4
+# little-endian bytes, after the booking scenario in memory mode. Any change
+# to what the log holds (canonical atom text, rule text, JSON layout,
+# signatures, commit order) changes it.
+BOOKING_LOG_DIGEST = (25, "f1bfbb116bdcf777048351c61c0e65e4717152433c65948578c82f07541c4280")
+
+
+def test_booking_claim_log_is_byte_identical():
+    import hashlib
+
+    run = ScenarioRun(load_scenario(scenario_path("uav_booking")))
+    try:
+        assert run.run().passed
+        digest = hashlib.sha256()
+        for index in range(len(run.db.log)):
+            payload = run.db.log.payload(index)
+            digest.update(len(payload).to_bytes(4, "little") + payload)
+        assert (len(run.db.log), digest.hexdigest()) == BOOKING_LOG_DIGEST
+    finally:
+        run.close()
+
+
 def test_booking_heads_exist_for_all_monitors(booking_report):
     assert set(booking_report.heads) == {"SB", "MRM", "CA", "OM", "DOM"}
     assert all(h["chain_length"] >= 3 for h in booking_report.heads.values())

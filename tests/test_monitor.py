@@ -262,6 +262,61 @@ def test_ingest_cost_flat_in_kb_size(identities, trust_store, db_client, monkeyp
     assert counts[0] == counts[1] == 1
 
 
+def test_ingest_encodes_the_event_atom_once(sb, monkeypatch):
+    """The signed message, the claim id and both evidence checks share one
+    canonical encoding of the event atom. Its path is in no derived atom,
+    so each encoding of the path is one encoding of the event atom."""
+    import cyberlog.engine as engine
+
+    encoded = []
+    original = engine._enc_string
+    monkeypatch.setattr(engine, "_enc_string", lambda value: encoded.append(value) or original(value))
+    result = sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    assert result.new_event and len(result.derived) == 1
+    assert encoded.count("/servicerequest") == 1
+
+
+def test_monitor_warnings_carry_the_last_committed_revision(sb, monkeypatch, caplog):
+    """A warning's `revision` is the id of the monitor's last committed
+    revision, or None before its first commit."""
+    submit = sb.db.submit_revision
+
+    def boom(payload):
+        raise OSError("connection refused")
+
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        monkeypatch.setattr(sb.db, "submit_revision", boom)
+        assert sb.commit() is None
+        monkeypatch.setattr(sb.db, "submit_revision", submit)
+        committed = sb.commit()
+        monkeypatch.setattr(sb.db, "submit_revision", boom)
+        assert sb.commit() is None
+    assert [(r.stage, r.revision) for r in caplog.records] == [("commit", None), ("commit", committed.id)]
+
+
+@pytest.mark.parametrize("path", ["/event", "/query"])
+def test_http_oversized_body_gets_413_unread(sb, path):
+    """A Content-Length above the cap is answered at once: the server does
+    not wait for a body the client never sends."""
+    import threading
+
+    from cyberlog.httpjson import MAX_BODY_BYTES
+    from cyberlog.monitor import make_monitor_server
+
+    server = make_monitor_server(sb)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        request = b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (path.encode(), MAX_BODY_BYTES + 1)
+        assert raw_http_status(server.server_address, request) == 413
+        assert len(sb.kb) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 @pytest.mark.parametrize(
     "request_bytes",
     [

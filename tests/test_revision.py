@@ -287,6 +287,50 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     assert len(client.fetched) == 1
 
 
+def test_include_and_supersession_check_each_fetched_revision_once(db_client, identities, dom_setup, monkeypatch):
+    """`fetch_verified_revision` verifies a revision's inclusion proof and
+    tree-head signature, and the `revise` that admits its claims takes
+    both as passed instead of verifying them again."""
+    import sys
+
+    import cyberlog.claimlog as claimlog
+    import cyberlog.identity as identity
+
+    kb, rs_dom, rs_mrm = dom_setup
+    staging = StagingRevision("MRM")
+    r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
+    r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (9, 1))], 2)
+    operator = identities[OPERATOR].public_key
+    proofs, heads = [], []
+    verify_inclusion, verify_bytes = claimlog.verify_inclusion, identity.verify_bytes
+
+    def counting_inclusion(root, leaf, proof):
+        proofs.append(leaf)
+        return verify_inclusion(root, leaf, proof)
+
+    def counting_bytes(key, signature, message):
+        if key == operator:
+            heads.append(message)
+        return verify_bytes(key, signature, message)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("cyberlog"):
+            continue
+        for binding, value in list(vars(module).items()):
+            if value is verify_inclusion:
+                monkeypatch.setattr(module, binding, counting_inclusion)
+            elif value is verify_bytes:
+                monkeypatch.setattr(module, binding, counting_bytes)
+    include_revision(kb, r1.id, db_client, "MRM")
+    assert (len(proofs), len(heads)) == (1, 1)
+    proofs.clear()
+    heads.clear()
+    on_superseded(kb, r1.id, r2.id, db_client, "MRM")
+    assert (len(proofs), len(heads)) == (1, 1)
+    assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
+    assert not kb._fresh and len(kb._verified) == 2  # r2's proof and the head, held by its claim
+
+
 def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, identities, dom_setup):
     """A claim DB that serves a revision by MRM holding a claim of SB is refused."""
     kb, rs_dom, rs_mrm = dom_setup
