@@ -185,13 +185,20 @@ def _find_premise(record: RevisionRecord, expected: GroundAtom, premise_id: str 
 
 
 def load_heads_cache(path: str) -> list[SignedTreeHead]:
+    """The signed tree heads cached in `path`, one JSON object a line; none
+    if the file does not exist. Raises LogIntegrityError naming the file
+    and line of an entry that is not a tree head."""
     heads = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     heads.append(SignedTreeHead.from_obj(json.loads(line)))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise LogIntegrityError(f"{path}:{number}: not a signed tree head: {exc!r}") from exc
     except FileNotFoundError:
         pass
     return heads

@@ -16,7 +16,7 @@ from .audit import Auditor, render_audit_tree, verify_log_consistency
 from .claimdb import ClaimDb, HttpLogClient, make_db_server
 from .claimlog import MerkleLog
 from .engine import GroundAtom, resolve_term
-from .errors import CyberlogError, ParseError
+from .errors import ConfigError, CyberlogError, ParseError
 from .harness import load_scenario, run_scenario, scenario_identities
 from .identity import TrustStore, generate_identity
 from .lang import format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
@@ -45,6 +45,15 @@ def _identity_from_config(cfg: dict, name: str, role: str):
     if not seed_hex:
         raise SystemExit(f"{role} config needs 'seed_hex' or 'key_file'")
     return generate_identity(name, cfg.get("subject", f"CN={name}"), cfg.get("issuer", ""), bytes.fromhex(seed_hex))
+
+
+def _operator_key(trust: TrustStore, operator: str) -> bytes:
+    """The log operator's public key; without it no tree-head signature
+    could be checked, so its absence is a configuration error."""
+    key = trust.public_key(operator)
+    if key is None:
+        raise ConfigError(f"trust store has no key for log operator {operator!r}")
+    return key
 
 
 def _split_listen(listen: str) -> tuple[str, int]:
@@ -120,7 +129,7 @@ def cmd_serve_monitor(args) -> int:
     name = cfg["name"]
     identity = _identity_from_config(cfg, name, "monitor")
     trust = TrustStore.load(cfg["trust_store"])
-    operator_key = trust.public_key(cfg.get("operator_name", DEFAULT_OPERATOR))
+    operator_key = _operator_key(trust, cfg.get("operator_name", DEFAULT_OPERATOR))
     monitor = Monitor(
         identity,
         load_rulesheet_file(cfg["rulesheet"], name),
@@ -169,7 +178,7 @@ def cmd_audit(args) -> int:
     trust = TrustStore.load(args.trust_store)
     if args.db.startswith("http"):
         client = HttpLogClient(args.db)
-        operator_key = trust.public_key(args.operator)
+        operator_key = _operator_key(trust, args.operator)
     else:
         # offline audit from a log file: heads are re-signed by a scratch
         # key, so tree-head signature checks are skipped
@@ -224,7 +233,7 @@ def cmd_verify_log(args) -> int:
     client = HttpLogClient(args.db)
     operator_key = None
     if args.trust_store:
-        operator_key = TrustStore.load(args.trust_store).public_key(args.operator)
+        operator_key = _operator_key(TrustStore.load(args.trust_store), args.operator)
     try:
         ok, checks = verify_log_consistency(client, args.heads_cache, operator_key)
     except CyberlogError as exc:
@@ -309,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}")
         return 1
+    except ConfigError as exc:
+        print(f"error: {exc}")
+        return 2
     except CyberlogError as exc:
         print(f"error: {exc}")
         return 1

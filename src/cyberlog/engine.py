@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import CyberlogError, EvaluationError, EvidenceError, NotFoundError
+from .errors import CyberlogError, EvaluationError, EvidenceError
 from .lang import (
     INT64_MAX,
     INT64_MIN,
@@ -53,7 +53,15 @@ class GroundAtom:
     @functools.cached_property
     def _text(self) -> str:
         args = ",".join(_enc_term(a) for a in self.args)
-        return f"{_enc_string(self.principal)}|{self.predicate}({args})"
+        text = f"{_enc_string(self.principal)}|{self.predicate}({args})"
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # A lone surrogate (as json.loads makes of "\ud800") has no
+                # UTF-8 bytes, so the atom could be neither hashed nor signed.
+                raise ValueError(f"atom text is not valid Unicode: {text!r}") from exc
+        return text
 
     @functools.cached_property
     def _id(self) -> str:
@@ -186,12 +194,6 @@ class Claim:
 
 def make_claim(atom: GroundAtom, evidence: Evidence) -> Claim:
     return Claim(atom, evidence, atom_id(atom))
-
-
-@dataclass
-class EvidenceNode:
-    claim: Claim
-    children: list["EvidenceNode"] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +532,6 @@ class KnowledgeBase:
     def __contains__(self, atom: GroundAtom) -> bool:
         return atom in self.claims
 
-    def atoms(self) -> frozenset[GroundAtom]:
-        return frozenset(self.claims)
-
     def claims_for(self, principal: str, predicate: str) -> Collection[Claim]:
         claims = self._index.get((principal, predicate))
         return claims.values() if claims is not None else ()
@@ -811,47 +810,50 @@ class KnowledgeBase:
         matches.sort(key=lambda pair: pair[0])
         return [subst for _, subst in matches]
 
-    # -- explanation ------------------------------------------------------
+    # -- local audit -------------------------------------------------------
 
-    def explain(self, atom: GroundAtom) -> EvidenceNode:
-        """Evidence tree for a stored atom, expanding derivation premises.
+    def verify_claim_chain(self, atom: GroundAtom) -> bool:
+        """True iff the atom's local evidence re-checks all the way down:
+        every claim's own evidence, and every rule instance's side
+        conditions and premise atoms, following premise ids through
+        `by_id` depth first. Each claim is checked once however many claims
+        name it. An absent atom, a missing premise and cyclic evidence fail.
 
-        DirectAssertion, LogInclusion and CarriedByNextRule are leaves here;
+        DirectAssertion, LogInclusion and CarriedByNextRule end the walk;
         auditing across revisions is the audit module's job.
         """
         claim = self.claims.get(atom)
         if claim is None:
-            raise NotFoundError(f"atom not in knowledge base: {canonical_atom(atom)}")
-        return self._explain_claim(claim, set())
-
-    def _explain_claim(self, claim: Claim, seen: set[str]) -> EvidenceNode:
-        if claim.claim_id in seen:
-            raise EvidenceError(f"cyclic evidence at {canonical_atom(claim.atom)}")
-        node = EvidenceNode(claim)
-        if isinstance(claim.evidence, DerivedByRule):
-            for premise_id in claim.evidence.premises:
-                premise = self.by_id.get(premise_id)
-                if premise is None:
-                    raise EvidenceError(f"premise {premise_id} missing from knowledge base")
-                node.children.append(self._explain_claim(premise, seen | {claim.claim_id}))
-        return node
-
-    # -- local audit -------------------------------------------------------
-
-    def verify_claim_chain(self, atom: GroundAtom) -> bool:
-        """True iff the atom's local evidence tree re-checks all the way down:
-        every claim's own evidence, and every rule instance's side conditions
-        and premise atoms."""
+            return False
         try:
-            stack = [self.explain(atom)]
-            while stack:
-                node = stack.pop()
-                self.check_evidence(node.claim)
-                ev = node.claim.evidence
-                if isinstance(ev, DerivedByRule):
-                    if rule_premises(ev.rule, ev.substitution) != [child.claim.atom for child in node.children]:
-                        return False
-                    stack.extend(node.children)
-        except (NotFoundError, EvidenceError):
+            path = [(claim.claim_id, iter(self._chain_premises(claim)))]  # claim id, premise ids left
+            on_path = {claim.claim_id}
+            done: set[str] = set()  # checked, with every claim below them
+            while path:
+                claim_id, premise_ids = path[-1]
+                premise_id = next(premise_ids, None)
+                if premise_id is None:
+                    path.pop()
+                    on_path.discard(claim_id)
+                    done.add(claim_id)
+                elif premise_id in on_path:
+                    return False  # cyclic evidence
+                elif premise_id not in done:
+                    path.append((premise_id, iter(self._chain_premises(self.by_id[premise_id]))))
+                    on_path.add(premise_id)
+        except EvidenceError:
             return False
         return True
+
+    def _chain_premises(self, claim: Claim) -> tuple[str, ...]:
+        """Check a claim's own evidence and, for a derivation, that its
+        premise ids name stored claims of its rule instance's premise atoms
+        in body order; returns those ids. Raises EvidenceError."""
+        self.check_evidence(claim)
+        ev = claim.evidence
+        if not isinstance(ev, DerivedByRule):
+            return ()
+        premises = [self.by_id.get(premise_id) for premise_id in ev.premises]
+        if None in premises or rule_premises(ev.rule, ev.substitution) != [p.atom for p in premises]:
+            raise EvidenceError(f"premises of {canonical_atom(claim.atom)} are missing or do not match its rule")
+        return ev.premises

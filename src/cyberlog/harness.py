@@ -309,11 +309,15 @@ class ScenarioRun:
 # Integration mode: same scenario over HTTP on loopback
 
 
+# integration runs scale the scenario's commit and poll intervals by this,
+# and wait this long for the expected answer counts to settle
+INTERVAL_SCALE = 0.1
+SETTLE_TIMEOUT_S = 30.0
+
+
 def run_scenario_integration(
     scenario: Scenario,
     log_path: str | None = None,
-    settle_timeout_s: float = 30.0,
-    interval_scale: float = 0.1,
     heads_cache_path: str | None = None,
 ) -> ScenarioReport:
     """Execute over real HTTP servers; commit/poll timers run on scaled-down
@@ -337,8 +341,8 @@ def run_scenario_integration(
             )
             service = MonitorService(
                 monitor,
-                commit_interval_ms=max(20, int(scenario.commit_interval_ms * interval_scale)),
-                poll_interval_ms=max(20, int(scenario.poll_interval_ms * interval_scale)),
+                commit_interval_ms=max(20, int(scenario.commit_interval_ms * INTERVAL_SCALE)),
+                poll_interval_ms=max(20, int(scenario.poll_interval_ms * INTERVAL_SCALE)),
             )
             service.start()
             services[spec.name] = service
@@ -350,7 +354,7 @@ def run_scenario_integration(
         def counts():
             return [len(clients[e.monitor].query(e.query)["answers"]) for e in scenario.expected]
 
-        deadline = time.monotonic() + settle_timeout_s
+        deadline = time.monotonic() + SETTLE_TIMEOUT_S
         actual = counts()
         # settle: expected counts reached and stable for one extra round
         while time.monotonic() < deadline:

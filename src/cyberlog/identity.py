@@ -68,33 +68,22 @@ def verify_bytes(public_key: bytes, signature: bytes, data: bytes) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class TrustEntry:
-    name: str
-    subject: str
-    issuer: str
-    public_key: bytes
-
-
 class TrustStore:
-    """Static principal-name -> public-key mapping, persisted as JSON lines."""
+    """Static principal-name -> public-key mapping, persisted as JSON lines.
+    It holds public-only identities: `add` drops any private key."""
 
-    def __init__(self, entries: Iterable[TrustEntry] = ()):
-        self._entries: dict[str, TrustEntry] = {}
-        for entry in entries:
-            self.add(entry)
+    def __init__(self) -> None:
+        self._entries: dict[str, Identity] = {}
 
     @classmethod
     def from_identities(cls, identities: Iterable[Identity]) -> "TrustStore":
-        return cls(TrustEntry(i.name, i.subject, i.issuer, i.public_key) for i in identities)
+        store = cls()
+        for identity in identities:
+            store.add(identity)
+        return store
 
-    def add(self, entry: TrustEntry | Identity) -> None:
-        if isinstance(entry, Identity):
-            entry = TrustEntry(entry.name, entry.subject, entry.issuer, entry.public_key)
-        self._entries[entry.name] = entry
-
-    def get(self, name: str) -> TrustEntry | None:
-        return self._entries.get(name)
+    def add(self, identity: Identity) -> None:
+        self._entries[identity.name] = Identity(identity.name, identity.subject, identity.issuer, identity.public_key)
 
     def public_key(self, name: str) -> bytes | None:
         entry = self._entries.get(name)
@@ -129,9 +118,7 @@ class TrustStore:
                     continue
                 try:
                     obj = json.loads(line)
-                    store.add(
-                        TrustEntry(obj["name"], obj["subject"], obj["issuer"], bytes.fromhex(obj["public_key"]))
-                    )
+                    store.add(Identity(obj["name"], obj["subject"], obj["issuer"], bytes.fromhex(obj["public_key"])))
                 except (ValueError, KeyError) as exc:
                     raise ConfigError(f"malformed trust store entry: {line!r}") from exc
         return store

@@ -12,7 +12,6 @@ import json
 import logging
 import threading
 import time
-import urllib.error
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import Callable
@@ -34,7 +33,6 @@ from .identity import Identity, TrustStore, sign_bytes
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
     LogClient,
-    StagingRevision,
     commit_staging,
     encode_rulesheet_payload,
     include_revision,
@@ -72,6 +70,11 @@ class EventEnvelope:
             raise ConfigError(f"unsupported method {self.method!r}")
         if not isinstance(self.path, str) or not isinstance(self.body, str):
             raise ConfigError("event path and body must be strings")
+        try:
+            self.path.encode("utf-8")
+            self.body.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError("event path and body must be valid Unicode") from exc
         if not isinstance(self.timestamp_ms, int) or self.timestamp_ms < 0:
             raise ConfigError("event timestamp must be a non-negative integer")
 
@@ -154,7 +157,6 @@ class Monitor:
         self._base: str | None = None
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
-        self.commit_count = 0
         self._rulesheet_published = False
 
     # -- ingestion ------------------------------------------------------
@@ -198,27 +200,21 @@ class Monitor:
             self._ensure_rulesheet_published()
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
-            staging = StagingRevision(
-                owner=self.name,
-                claims=own,
-                includes=sorted(set(self.active_includes.values())),
-                base=self._base,
-            )
             try:
-                record, _receipt, fresh = commit_staging(
-                    staging, self.rulesheet, self.db, self.identity, self.clock(), included_claims=included
+                record, _receipt, carried = commit_staging(
+                    self.identity, self.rulesheet, self.db, self._base, self.active_includes.values(), own,
+                    self.clock(), included,
                 )
-            except (SubmitError, urllib.error.URLError, OSError) as exc:
-                # commit retried next interval; KB/staging untouched
-                self._warn("commit", f"commit failed, keeping staging: {exc}")
+            except (SubmitError, OSError) as exc:
+                # commit retried next interval; KB untouched
+                self._warn("commit", f"commit failed, keeping own claims: {exc}")
                 return None
             self._base = record.id
-            self.commit_count += 1
             # own claims not carried go, with what was derived from them;
             # derived claims whose recorded premises survive stay
             logged = [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
             try:
-                self.kb.revise(logged, fresh.claims)
+                self.kb.revise(logged, carried)
             except CyberlogError:
                 self.kb.revise(logged, ())
                 raise
@@ -230,7 +226,7 @@ class Monitor:
         try:
             self.db.submit_revision(encode_rulesheet_payload(format_rulesheet(self.rulesheet)))
             self._rulesheet_published = True
-        except (SubmitError, urllib.error.URLError, OSError):
+        except (SubmitError, OSError):
             pass
 
     # -- polling ------------------------------------------------------------
@@ -249,7 +245,7 @@ class Monitor:
                     head = self.db.get_head(owner)["revision_id"]
                 except NotFoundError:
                     continue
-                except (SubmitError, urllib.error.URLError, OSError) as exc:
+                except (SubmitError, OSError) as exc:
                     self._warn("poll", f"poll skipped ({owner}): {exc}")
                     continue
                 last = self.active_includes.get(owner)
@@ -260,7 +256,7 @@ class Monitor:
                         include_revision(self.kb, head, self.db, owner)
                     else:
                         on_superseded(self.kb, last, head, self.db, owner)
-                except (CyberlogError, urllib.error.URLError, OSError) as exc:
+                except (CyberlogError, OSError) as exc:
                     self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue
                 self.active_includes[owner] = head
@@ -336,7 +332,7 @@ class _MonitorHandler(JsonRequestHandler):
                 )
             else:
                 self._send(404, {"error": f"no such endpoint {self.path}"})
-        except (ConfigError, CyberlogError, KeyError) as exc:
+        except (CyberlogError, KeyError) as exc:
             self._send(400, {"error": str(exc)})
 
     def do_GET(self):
@@ -381,7 +377,7 @@ class MonitorService:
         while not self._stop.wait(interval_ms / 1000.0):
             try:
                 action()
-            except (CyberlogError, urllib.error.URLError, OSError) as exc:
+            except (CyberlogError, OSError) as exc:
                 self.monitor._warn("periodic", f"periodic task failed: {exc}")
 
     def stop(self) -> None:

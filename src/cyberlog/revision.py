@@ -1,4 +1,4 @@
-"""Claim revision control: staging, commit, supersede/include, next-rules.
+"""Claim revision control: commit, supersede/include, next-rules.
 
 A committed revision is an immutable snapshot of a monitor's own claims.
 Its id is the SHA-256 of the canonical record body; the owner's signature
@@ -63,16 +63,6 @@ class RevisionRecord:
     # `claims` indexed by claim id and by atom, the first claim winning
     by_id: Mapping[str, Claim] = field(compare=False, repr=False)
     by_atom: Mapping[GroundAtom, Claim] = field(compare=False, repr=False)
-
-
-@dataclass
-class StagingRevision:
-    """Transient pre-commit claim set; never hashed or signed itself."""
-
-    owner: str
-    claims: list[Claim] = field(default_factory=list)
-    includes: list[str] = field(default_factory=list)
-    base: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +182,31 @@ def apply_next_rules(
 
 
 def commit_staging(
-    staging: StagingRevision,
+    identity: Identity,
     rs: Rulesheet,
     db: LogClient,
-    identity: Identity,
+    base: str | None,
+    includes: Iterable[str],
+    claims: Iterable[Claim],
     now_ms: int,
     included_claims: Sequence[Claim] = (),
-) -> tuple[RevisionRecord, dict, StagingRevision]:
-    """Commit the staging revision; returns (record, receipt, fresh staging).
+) -> tuple[RevisionRecord, dict, list[Claim]]:
+    """Commit `identity`'s claims as a revision superseding `base` and
+    including `includes`; returns (record, receipt, next-rule carry-overs).
 
-    The fresh staging holds the next-rule carry-overs and supersedes the
-    just-committed record. Raises SubmitError if the claim database refuses;
-    the caller keeps its staging in that case.
+    Raises SubmitError if the claim database refuses; nothing is committed
+    in that case.
     """
-    if identity.name != staging.owner or rs.self_id != staging.owner:
-        raise EvidenceError(f"staging owner {staging.owner!r} does not match identity/rulesheet")
-    record, body = build_record(
-        staging.owner, staging.base, staging.includes, rs.source_hash.hex(), staging.claims, now_ms
-    )
+    if rs.self_id != identity.name:
+        raise EvidenceError(f"rulesheet of {rs.self_id!r} does not belong to committer {identity.name!r}")
+    record, body = build_record(identity.name, base, includes, rs.source_hash.hex(), claims, now_ms)
     payload = encode_payload(body, sign_record(record, identity))
     receipt = db.submit_revision(payload)
     head = SignedTreeHead.from_obj(receipt["tree_head"])
     proof = InclusionProof.from_obj(receipt["inclusion_proof"])
     if not verify_inclusion(head.root_hash, leaf_hash(payload.encode("utf-8")), proof):
         raise LogIntegrityError("submit receipt inclusion proof does not verify")
-    carried = apply_next_rules(record, rs, included_claims)
-    fresh = StagingRevision(owner=staging.owner, claims=carried, includes=[], base=record.id)
-    return record, receipt, fresh
+    return record, receipt, apply_next_rules(record, rs, included_claims)
 
 
 def fetch_verified_revision(

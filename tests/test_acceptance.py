@@ -31,7 +31,7 @@ from cyberlog.harness import (
 from cyberlog.identity import generate_identity
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope
-from cyberlog.revision import StagingRevision, build_record, commit_staging, encode_payload, fetch_verified_revision, sign_record
+from cyberlog.revision import build_record, commit_staging, encode_payload, fetch_verified_revision, sign_record
 
 from conftest import sign_claim
 from merkle_oracle import brute_leaf, brute_root
@@ -57,7 +57,7 @@ def test_criterion_1_engine_oracle_equivalence():
         for principal, name, args in facts:
             kb.assert_claim(make_claim(GroundAtom(principal, name, args), DirectAssertion(principal, b"")))
         kb.saturate()
-        got = {(a.principal, a.predicate, a.args) for a in kb.atoms()}
+        got = {(a.principal, a.predicate, a.args) for a in kb.claims}
         assert got == expected, f"engine diverges from oracle at seed {seed}"
     elapsed = time.perf_counter() - started
     verdict(1, elapsed < 10.0, f"100 random programs equal the naive oracle in {elapsed:.2f}s (< 10s)")
@@ -222,11 +222,11 @@ def test_criterion_5a_step_counter(db_client, identities):
     )
     seed_atom = GroundAtom("CTR", "counter", (0,))
     sc = sign_claim(identities["CTR"], seed_atom)
-    staging = StagingRevision("CTR", claims=[make_claim(seed_atom, DirectAssertion("CTR", sc.signature))])
-    record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=0)
+    claims = [make_claim(seed_atom, DirectAssertion("CTR", sc.signature))]
+    record, _, claims = commit_staging(identities["CTR"], rs, db_client, None, (), claims, 0)
     k = 7
     for step in range(1, k + 1):
-        record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=step)
+        record, _, claims = commit_staging(identities["CTR"], rs, db_client, record.id, (), claims, step)
     fetched, _ = fetch_verified_revision(db_client, record.id)
     atoms = [c.atom for c in fetched.claims]
     verdict(
@@ -258,7 +258,7 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
         if not isinstance(claim.evidence, DerivedByRule):
             oracle.assert_claim(claim)
     oracle.saturate()
-    equal = oracle.atoms() == dom.kb.atoms()
+    equal = oracle.claims.keys() == dom.kb.claims.keys()
     run.close()
     verdict(
         5,
@@ -270,7 +270,7 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
 
 def test_criterion_5c_non_owner_supersession_rejected(db_client, identities):
     rs_sb = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
-    record, _, _ = commit_staging(StagingRevision("SB"), rs_sb, db_client, identities["SB"], now_ms=1)
+    record, _, _ = commit_staging(identities["SB"], rs_sb, db_client, None, (), (), 1)
     rs_mrm = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     hostile, body = build_record("MRM", record.id, (), rs_mrm.source_hash.hex(), (), 2)
     payload = encode_payload(body, sign_record(hostile, identities["MRM"]))

@@ -17,7 +17,6 @@ from cyberlog.engine import DirectAssertion, GroundAtom, make_claim
 from cyberlog.errors import NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
-    StagingRevision,
     build_record,
     commit_staging,
     encode_payload,
@@ -122,9 +121,9 @@ def test_get_revision_proof_still_verifies_after_growth(db_client, identities):
     record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db_client.submit_revision(payload)
     rs = parse_rulesheet("'CTR': Subject: 's' Issuer: 'i'\n", "CTR")
-    staging = StagingRevision("CTR")
+    base = None
     for t in range(10):
-        _, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=t)
+        base = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)[0].id
     fetched, inclusion = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
     assert fetched.id == record.id
     assert inclusion.proof.tree_size == 11
@@ -184,10 +183,10 @@ def test_rulesheet_blob_storage(db_client):
 
 def test_receipts_linearizable_and_consistent(db_client, identities):
     rs = parse_rulesheet("'CTR': Subject: 's' Issuer: 'i'\n", "CTR")
-    staging = StagingRevision("CTR")
-    receipts = []
+    base, receipts = None, []
     for t in range(6):
-        _, receipt, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=t)
+        record, receipt, _ = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)
+        base = record.id
         receipts.append(receipt)
     indices = [r["leaf_index"] for r in receipts]
     assert indices == sorted(indices) and len(set(indices)) == len(indices)

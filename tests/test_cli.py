@@ -59,9 +59,10 @@ def test_run_scenario_writes_trust_store_in_memory_mode(tmp_path, capsys):
     assert main(["run-scenario", BOOKING, "--trust-store-out", str(trust)]) == 0
     run = ScenarioRun(load_scenario(BOOKING))
     try:
-        loaded = TrustStore.load(str(trust))
-        assert loaded.names() == run.trust_store.names()
-        assert [loaded.get(n) for n in loaded.names()] == [run.trust_store.get(n) for n in loaded.names()]
+        expected = tmp_path / "expected.jsonl"
+        run.trust_store.save(str(expected))
+        assert trust.read_bytes() == expected.read_bytes()
+        assert TrustStore.load(str(trust)).names() == run.trust_store.names()
     finally:
         run.close()
 
@@ -244,10 +245,10 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
     proc, client = spawn()
     try:
         from cyberlog.lang import parse_rulesheet
-        from cyberlog.revision import StagingRevision, commit_staging
+        from cyberlog.revision import commit_staging
 
         rs = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
-        record, receipt, _ = commit_staging(StagingRevision("SB"), rs, client, sb, now_ms=1)
+        record, receipt, _ = commit_staging(sb, rs, client, None, (), (), 1)
         fetched = client.get_revision(record.id)
         assert json.loads(fetched["payload"])["owner"] == "SB"
         root_before = client.get_log_root()["root_hash"]
@@ -264,12 +265,11 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
     assert code == 0
 
 
-def test_serve_monitor_stops_on_sigterm(tmp_path):
-    from cyberlog.monitor import HttpMonitorClient
-
+def monitor_config(tmp_path, others):
+    """Config of a monitor SB whose trust store holds SB and `others`."""
     seed = bytes([5]) * 32
     trust_path = tmp_path / "trust.jsonl"
-    TrustStore.from_identities([generate_identity("SB", seed=seed)]).save(str(trust_path))
+    TrustStore.from_identities([generate_identity("SB", seed=seed), *others]).save(str(trust_path))
     sheet = tmp_path / "sb.cyberlog"
     sheet.write_text("'SB': Subject: 's' Issuer: 'i'\n")
     config = tmp_path / "sb.json"
@@ -287,9 +287,75 @@ def test_serve_monitor_stops_on_sigterm(tmp_path):
             }
         )
     )
+    return config
+
+
+def test_serve_monitor_stops_on_sigterm(tmp_path):
+    from cyberlog.monitor import HttpMonitorClient
+
+    config = monitor_config(tmp_path, [generate_identity("log-operator", seed=bytes([6]) * 32)])
     proc, url = spawn_server("serve-monitor", config)
     try:
         assert HttpMonitorClient(url).health() == {"status": "ok", "monitor": "SB"}
     finally:
         code = terminate(proc)
     assert code == 0
+
+
+# -- a missing log-operator key is a configuration error --------------------
+
+
+def test_serve_monitor_without_operator_key_exits_2(tmp_path, capsys):
+    config = monitor_config(tmp_path, [])
+    assert main(["serve-monitor", "--config", str(config)]) == 2
+    assert "no key for log operator 'log-operator'" in capsys.readouterr().out
+
+
+def test_online_audit_without_operator_key_exits_2(served_scenario, capsys):
+    argv = ["audit", "--db", served_scenario["url"], "--trust-store", served_scenario["trust"], "--owner", "OM"]
+    assert main([*argv, "--operator", "nobody"]) == 2
+    out = capsys.readouterr().out
+    assert "no key for log operator 'nobody'" in out and "audit:" not in out
+
+
+def test_verify_log_without_operator_key_exits_2(served_scenario, capsys):
+    argv = ["verify-log", "--db", served_scenario["url"], "--heads-cache", served_scenario["heads"]]
+    assert main([*argv, "--trust-store", served_scenario["trust"], "--operator", "nobody"]) == 2
+    out = capsys.readouterr().out
+    assert "no key for log operator 'nobody'" in out and "verdict" not in out
+    assert main(argv) == 0  # no trust store: no tree-head signature check is asked for
+
+
+def test_offline_audit_needs_no_operator_key(tmp_path, capsys):
+    """Offline, heads are re-signed by a scratch key, so the operator's key
+    is not looked up and a trust store without it will do."""
+    log_path = str(tmp_path / "claims.log")
+    run = ScenarioRun(load_scenario(BOOKING), log_path=log_path)
+    try:
+        assert run.run().passed
+        TrustStore.from_identities(run.identities.values()).save(str(tmp_path / "trust.jsonl"))
+    finally:
+        run.close()
+    code = main(["audit", "--db", log_path, "--trust-store", str(tmp_path / "trust.jsonl"), "--owner", "DOM"])
+    assert code == 0
+    assert "fully verified" in capsys.readouterr().out
+
+
+# -- a heads cache that is not a list of tree heads --------------------------
+
+
+@pytest.mark.parametrize("line", ['{"tree_size": 1}', "not json", "[1]"])
+def test_malformed_heads_cache_line_fails_with_its_place(served_scenario, tmp_path, capsys, line):
+    cache = tmp_path / "bad-heads.jsonl"
+    with open(served_scenario["heads"], encoding="utf-8") as fh:
+        cache.write_text(fh.read() + line + "\n")
+    where = f"{cache}:2: not a signed tree head"
+    assert main(["verify-log", "--db", served_scenario["url"], "--heads-cache", str(cache)]) == 1
+    assert where in capsys.readouterr().out
+    code = main(
+        ["audit", "--db", served_scenario["url"], "--trust-store", served_scenario["trust"], "--owner", "OM",
+         "--heads-cache", str(cache)]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert where in out and "audit:" not in out

@@ -1,5 +1,5 @@
-"""Saturation, builtins, queries and evidence trees, checked against the
-naive fixpoint oracle."""
+"""Saturation, builtins, queries and the evidence chain check, checked
+against the naive fixpoint oracle."""
 
 import pytest
 
@@ -16,7 +16,7 @@ from cyberlog.engine import (
     make_claim,
     parse_canonical_atom,
 )
-from cyberlog.errors import EvaluationError, EvidenceError, NotFoundError
+from cyberlog.errors import EvaluationError, EvidenceError
 from cyberlog.lang import StringConstant, Variable, parse_query, parse_rulesheet
 
 from conftest import at_fixpoint, claims_from_atoms
@@ -34,7 +34,7 @@ def kb_with(rs, atoms):
 
 
 def atoms_of(kb):
-    return {(a.principal, a.predicate, a.args) for a in kb.atoms()}
+    return {(a.principal, a.predicate, a.args) for a in kb.claims.keys()}
 
 
 # --- canonical serialization ------------------------------------------------
@@ -186,14 +186,14 @@ delayed_rtf(RequestId, DelayTime, SentTime) :-
 
     at = kb_with(rs, base + [GroundAtom("OM", "ready_to_fly", (7, 3, "d", 2000))])
     at.saturate()
-    assert not [a for a in at.atoms() if a.predicate == "delayed_rtf"]
+    assert not [a for a in at.claims.keys() if a.predicate == "delayed_rtf"]
 
 
 def test_recursive_rules_reach_fixpoint():
     rs = parse_rulesheet(IDS + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).", "SB")
     kb = kb_with(rs, [GroundAtom("SB", "edge", (i, i + 1)) for i in range(6)])
     kb.saturate()
-    paths = {a.args for a in kb.atoms() if a.predicate == "path"}
+    paths = {a.args for a in kb.claims.keys() if a.predicate == "path"}
     assert paths == {(i, j) for i in range(7) for j in range(7) if i < j}
 
 
@@ -284,10 +284,10 @@ def test_query_empty_kb():
     assert KnowledgeBase(NO_RULES).query(parse_query("p(X)", "SB")) == []
 
 
-# --- explain ----------------------------------------------------------------
+# --- chain check --------------------------------------------------------------
 
 
-def test_explain_tree_shape():
+def test_chain_check_walks_premises_by_id():
     rs = parse_rulesheet(
         IDS
         + """
@@ -309,22 +309,76 @@ good_rtf_exists(R, A) :-
         ]
     )
     kb.saturate()
-    node = kb.explain(GroundAtom("SB", "good_rtf_exists", (7, 3)))
-    assert isinstance(node.claim.evidence, DerivedByRule)
-    assert len(node.children) == 4
-    assert all(isinstance(c.claim.evidence, DirectAssertion) for c in node.children)
-    assert kb.verify_claim_chain(GroundAtom("SB", "good_rtf_exists", (7, 3)))
+    claim = kb.claims[GroundAtom("SB", "good_rtf_exists", (7, 3))]
+    assert isinstance(claim.evidence, DerivedByRule)
+    premises = [kb.by_id[premise_id] for premise_id in claim.evidence.premises]
+    assert len(premises) == 4
+    assert all(isinstance(p.evidence, DirectAssertion) for p in premises)
+    assert kb.verify_claim_chain(claim.atom)
 
 
-def test_explain_direct_assertion_is_leaf():
-    kb = kb_with(NO_RULES, [GroundAtom("SB", "postRequest", ("/x", 1, "{}"))])
-    node = kb.explain(GroundAtom("SB", "postRequest", ("/x", 1, "{}")))
-    assert node.children == []
+def _counting_checks(kb, monkeypatch, limit=50):
+    """Record each claim `kb.check_evidence` is asked about; fail the test
+    past `limit` calls, so that a walk that never ends cannot hang it."""
+    checked = []
+    original = kb.check_evidence
+
+    def counting(claim):
+        checked.append(claim.atom)
+        assert len(checked) <= limit, "the chain walk does not end"
+        return original(claim)
+
+    monkeypatch.setattr(kb, "check_evidence", counting)
+    return checked
 
 
-def test_explain_absent_atom():
-    with pytest.raises(NotFoundError):
-        KnowledgeBase(NO_RULES).explain(GroundAtom("SB", "p", ()))
+def test_chain_check_of_direct_assertion_checks_only_itself(monkeypatch):
+    atom = GroundAtom("SB", "postRequest", ("/x", 1, "{}"))
+    kb = kb_with(NO_RULES, [atom])
+    checked = _counting_checks(kb, monkeypatch)
+    assert kb.verify_claim_chain(atom)
+    assert checked == [atom]
+
+
+def test_chain_check_checks_a_shared_premise_once(monkeypatch):
+    rs = parse_rulesheet(IDS + "a(X) :- p(X).\nb(X) :- p(X).\nc(X) :- a(X), b(X), p(X).", "SB")
+    kb = kb_with(rs, [GroundAtom("SB", "p", (1,))])
+    kb.saturate()
+    checked = _counting_checks(kb, monkeypatch)
+    assert kb.verify_claim_chain(GroundAtom("SB", "c", (1,)))
+    assert sorted(a.predicate for a in checked) == ["a", "b", "c", "p"]
+
+
+def test_chain_check_of_absent_atom_fails():
+    assert KnowledgeBase(NO_RULES).verify_claim_chain(GroundAtom("SB", "p", ())) is False
+
+
+def test_chain_check_of_missing_premise_fails():
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")
+    r1, p1 = GroundAtom("SB", "r", (1,)), GroundAtom("SB", "p", (1,))
+    kb = KnowledgeBase(rs)
+    kb.revise((), [Claim(r1, DerivedByRule(rs.rules[0], {"X": 1}, (atom_id(p1),)), atom_id(r1))])
+    assert r1 in kb and p1 not in kb
+    assert kb.verify_claim_chain(r1) is False
+
+
+def test_chain_check_refuses_cyclic_evidence(monkeypatch):
+    """Two derived claims whose premises name each other pass admission,
+    which checks a rule instance's head only, and every per-claim check of
+    the walk: only cycle detection refuses them."""
+    rs = parse_rulesheet(IDS + "a(X) :- b(X).\nb(X) :- a(X).", "SB")
+    a1, b1 = GroundAtom("SB", "a", (1,)), GroundAtom("SB", "b", (1,))
+    rule_a, rule_b = rs.rules
+    cyclic = [
+        Claim(a1, DerivedByRule(rule_a, {"X": 1}, (atom_id(b1),)), atom_id(a1)),
+        Claim(b1, DerivedByRule(rule_b, {"X": 1}, (atom_id(a1),)), atom_id(b1)),
+    ]
+    kb = KnowledgeBase(rs)
+    assert kb.revise((), cyclic) == cyclic
+    assert at_fixpoint(kb)
+    _counting_checks(kb, monkeypatch)
+    assert kb.verify_claim_chain(a1) is False
+    assert kb.verify_claim_chain(b1) is False
 
 
 def test_rederivation_check_catches_tampered_substitution():
@@ -363,7 +417,8 @@ def test_saturate_matches_oracle_with_builtins_and_arithmetic():
 def test_canonical_atom_roundtrip_fuzz():
     """Decoding then encoding gives the text back; and a decoded atom, which
     may come from the decode memo, has the text and id of a freshly built
-    equal atom, the id being the SHA-256 of that text."""
+    equal atom, the id being the SHA-256 of that text. An atom whose strings
+    hold a lone surrogate has no UTF-8 text and is refused."""
     import hashlib
 
     from hypothesis import given, settings, strategies as st
@@ -374,6 +429,11 @@ def test_canonical_atom_roundtrip_fuzz():
     @settings(max_examples=200, deadline=None)
     @given(strings, st.sampled_from(["p", "ev", "out0"]), st.lists(terms, max_size=4))
     def check(principal, predicate, args):
+        strs = [principal] + [a for a in args if isinstance(a, str)]
+        if any(0xD800 <= ord(ch) <= 0xDFFF for s in strs for ch in s):
+            with pytest.raises(ValueError, match="not valid Unicode"):
+                canonical_atom(GroundAtom(principal, predicate, tuple(args)))
+            return
         text = canonical_atom(GroundAtom(principal, predicate, tuple(args)))
         decoded = parse_canonical_atom(text)
         fresh = GroundAtom(principal, predicate, tuple(args))
@@ -427,7 +487,7 @@ def test_self_join_enumerates_all_pairs():
     rs = parse_rulesheet(IDS + "both(X, Y) :- p(X), p(Y).", "SB")
     kb = kb_with(rs, [GroundAtom("SB", "p", (i,)) for i in (1, 2, 3)])
     kb.saturate()
-    pairs = {a.args for a in kb.atoms() if a.predicate == "both"}
+    pairs = {a.args for a in kb.claims.keys() if a.predicate == "both"}
     assert pairs == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
 
 
@@ -436,7 +496,7 @@ def test_long_chain_transitive_closure():
     rs = parse_rulesheet(IDS + "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).", "SB")
     kb = kb_with(rs, [GroundAtom("SB", "edge", (i, i + 1)) for i in range(n)])
     kb.saturate()
-    paths = sum(1 for a in kb.atoms() if a.predicate == "path")
+    paths = sum(1 for a in kb.claims.keys() if a.predicate == "path")
     assert paths == n * (n + 1) // 2
 
 
@@ -508,7 +568,7 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
         kb.revise([GroundAtom("SB", "s", (1,))], [replacement, *raising])
     claims, memo = before
-    assert kb.atoms() == claims.keys() and kb._verified == memo
+    assert kb.claims.keys() == claims.keys() and kb._verified == memo
     assert all(kb.claims[a] is claims[a] for a in (GroundAtom("SB", "s", (1,)), GroundAtom("SB", "s", (2,))))
     assert at_fixpoint(kb)
     _consistent(kb)
@@ -601,7 +661,7 @@ def test_lineage_verifies_each_signature_once(signed_identities, count_verify, m
     for _ in range(2):
         # re-admission: each claim is checked again, its atom is not new
         assert kb.revise([direct.atom, logged.atom], [direct, logged]) == []
-    assert kb.atoms() == {direct.atom, logged.atom}
+    assert kb.claims.keys() == {direct.atom, logged.atom}
     assert kb.verify_claim_chain(atom)
     assert len(checks) == 2 + 4 + 1
     assert len(count_verify) == 2  # checked again, but not re-verified
@@ -806,7 +866,7 @@ def test_atom_with_two_derivations_survives_losing_one():
     assert [c.atom for c in kb.revise([recorded], [])] == [r1]
     assert kb.by_id[kb.claims[r1].evidence.premises[0]].atom != recorded
     assert kb.verify_claim_chain(r1)
-    assert atoms_of(kb) == naive_saturate({(a.principal, a.predicate, a.args) for a in kb.atoms() if a.predicate != "r"}, rs.rules)
+    assert atoms_of(kb) == naive_saturate({(a.principal, a.predicate, a.args) for a in kb.claims.keys() if a.predicate != "r"}, rs.rules)
 
 
 def test_transitive_closure_loses_middle_edge():
@@ -816,7 +876,7 @@ def test_transitive_closure_loses_middle_edge():
     kb.saturate()
     cut = 3  # edge(3, 4)
     kb.revise([GroundAtom("SB", "edge", (cut, cut + 1))], [])
-    paths = {a.args for a in kb.atoms() if a.predicate == "path"}
+    paths = {a.args for a in kb.claims.keys() if a.predicate == "path"}
     assert paths == {(i, j) for i in range(n + 1) for j in range(i + 1, n + 1) if not (i <= cut < j)}
     assert kb.saturate() == []
     base = {("SB", "edge", (i, i + 1)) for i in range(n) if i != cut}

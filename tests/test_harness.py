@@ -105,7 +105,7 @@ def test_stepped_supersession_retracts_verdict():
         if not isinstance(claim.evidence, DerivedByRule):
             oracle.assert_claim(claim)
     oracle.saturate()
-    assert oracle.atoms() == dom.kb.atoms()
+    assert oracle.claims.keys() == dom.kb.claims.keys()
     run.close()
 
 

@@ -1,5 +1,7 @@
 """Identity generation, claim signing, trust store persistence."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,8 +75,21 @@ def test_trust_store_roundtrip(tmp_path):
     loaded = TrustStore.load(str(path))
     assert loaded.names() == ["MRM", "SB"]
     assert loaded.public_key("SB") == ids[0].public_key
-    assert loaded.get("MRM").subject == "CN=MRM"
     assert loaded.public_key("nobody") is None
+    assert json.loads(path.read_text().splitlines()[0]) == {
+        "name": "MRM", "subject": "CN=MRM", "issuer": "CN=R3", "public_key": ids[1].public_key.hex()
+    }
+    again = tmp_path / "again.jsonl"
+    loaded.save(str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_trust_store_holds_no_private_key():
+    sb = generate_identity("SB", "CN=SB", "CN=R3", seed=SEED_A)
+    store = TrustStore.from_identities([sb])
+    store.add(generate_identity("MRM", seed=SEED_B))
+    held = store._entries
+    assert held["SB"] == sb and [identity.private_key for identity in held.values()] == [None, None]
 
 
 _ground_terms = st.one_of(st.integers(min_value=-(2**63), max_value=2**63 - 1), st.text(max_size=12))

@@ -31,22 +31,22 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _referenced_names(node, own):
-    """Names `node` refers to, other than those in `own`: loaded names,
-    attributes, imported names and string constants (perfbench's tracer
-    patches by attribute name)."""
+    """(kind, name) for each name `node` refers to, other than those in
+    `own`: "bare" for loaded and imported names, "member" for attributes
+    and string constants (perfbench's tracer patches by attribute name)."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            name = sub.id
-        elif isinstance(sub, ast.Attribute):
-            name = sub.attr
+            kind, name = "bare", sub.id
         elif isinstance(sub, ast.alias):
-            name = sub.name
+            kind, name = "bare", sub.name
+        elif isinstance(sub, ast.Attribute):
+            kind, name = "member", sub.attr
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            name = sub.value
+            kind, name = "member", sub.value
         else:
             continue
         if name not in own:
-            yield name
+            yield kind, name
 
 
 def _overrides(module_name: str, class_name: str, method: str) -> bool:
@@ -60,10 +60,12 @@ def _overrides(module_name: str, class_name: str, method: str) -> bool:
 def names_used_only_by_tests():
     """Public top-level functions and classes of the package, and public
     methods and properties of its classes, that neither the package nor
-    perfbench refers to outside their own definitions. A method that
-    overrides a base class's counts as used."""
-    defined: dict[str, str] = {}  # module:qualified name -> name
-    referenced: set[str] = set()
+    perfbench refers to outside their own definitions. A top-level name
+    counts as used through any reference, a class member only through an
+    attribute or a string constant: a local variable of the same name does
+    not use it. A method that overrides a base class's counts as used."""
+    defined: dict[str, tuple[str, str]] = {}  # module:qualified name -> (kind of use that counts, name)
+    referenced: set[tuple[str, str]] = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         ours = path.parent == PACKAGE
@@ -72,7 +74,7 @@ def names_used_only_by_tests():
                 referenced.update(_referenced_names(stmt, ()))
                 continue
             if ours and not stmt.name.startswith("_"):
-                defined[f"{path.stem}:{stmt.name}"] = stmt.name
+                defined[f"{path.stem}:{stmt.name}"] = ("any", stmt.name)
             if isinstance(stmt, ast.FunctionDef):
                 referenced.update(_referenced_names(stmt, {stmt.name}))
                 continue
@@ -83,9 +85,14 @@ def names_used_only_by_tests():
                     referenced.update(_referenced_names(item, {stmt.name}))
                     continue
                 if ours and not item.name.startswith("_") and not _overrides(path.stem, stmt.name, item.name):
-                    defined[f"{path.stem}:{stmt.name}.{item.name}"] = item.name
+                    defined[f"{path.stem}:{stmt.name}.{item.name}"] = ("member", item.name)
                 referenced.update(_referenced_names(item, {stmt.name, item.name}))
-    return sorted(where for where, name in defined.items() if name not in referenced)
+    names = {name for _kind, name in referenced}
+    return sorted(
+        where
+        for where, (use, name) in defined.items()
+        if name not in names or (use == "member" and ("member", name) not in referenced)
+    )
 
 
 def test_no_public_name_is_used_only_by_tests():

@@ -89,6 +89,8 @@ def test_malformed_envelope_rejected(sb):
         sb.ingest_event(EventEnvelope("PATCH", "/x", "", 1))
     with pytest.raises(ConfigError):
         sb.ingest_event(EventEnvelope("POST", "/x", "", -5))
+    with pytest.raises(ConfigError):
+        sb.ingest_event(EventEnvelope("GET", "/\ud800", "", 1))
     assert len(sb.kb) == 0
 
 
@@ -106,7 +108,7 @@ def test_ingestion_order_independence(identities, trust_store, db_client):
         random.Random(seed).shuffle(shuffled)
         for env in shuffled:
             mon.ingest_event(env)
-        atoms = mon.kb.atoms()
+        atoms = set(mon.kb.claims)
         if baselines is None:
             baselines = atoms
         assert atoms == baselines
@@ -173,7 +175,7 @@ def test_empty_commits_grow_chain(sb, db_client):
 def test_commit_survives_unreachable_db(identities, trust_store, db_client, monkeypatch, caplog):
     sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
     sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
-    kb, before = sb.kb, sb.kb.atoms()
+    kb, before = sb.kb, set(sb.kb.claims)
 
     def boom(payload):
         raise OSError("connection refused")
@@ -181,7 +183,7 @@ def test_commit_survives_unreachable_db(identities, trust_store, db_client, monk
     monkeypatch.setattr(sb.db, "submit_revision", boom)
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
         assert sb.commit() is None
-    assert sb.kb is kb and kb.atoms() == before  # staging preserved
+    assert sb.kb is kb and kb.claims.keys() == before  # own claims kept for the next commit
     [record] = caplog.records
     assert (record.name, record.levelname, record.monitor, record.stage) == (
         "cyberlog.monitor", "WARNING", "SB", "commit"
@@ -325,8 +327,16 @@ def test_http_oversized_body_gets_413_unread(sb, path):
         b"POST /event HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
         b"POST /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]",
         b"POST /query HTTP/1.1\r\nContent-Length: 14\r\n\r\n{\"pattern\": 5}",
+        b'POST /event HTTP/1.1\r\nContent-Length: 51\r\n\r\n{"method": "GET", "path": "\\ud800", "timestamp": 1}',
     ],
-    ids=["malformed-length", "negative-length", "non-utf8-body", "query-not-object", "query-pattern-not-string"],
+    ids=[
+        "malformed-length",
+        "negative-length",
+        "non-utf8-body",
+        "query-not-object",
+        "query-pattern-not-string",
+        "event-path-lone-surrogate",
+    ],
 )
 def test_http_bad_request_gets_400(sb, request_bytes):
     import threading
@@ -382,14 +392,14 @@ def test_monitor_whose_trusted_key_is_not_its_own_refuses_its_events(identities,
     """The KB checks an own event under the trust store's key for the
     monitor, so the signature the monitor just made does not pass there."""
     from cyberlog.errors import EvidenceError
-    from cyberlog.identity import TrustEntry
+    from cyberlog.identity import Identity
 
-    trust_store.add(TrustEntry("SB", "CN=SB", "CN=R3", identities["MRM"].public_key))
+    trust_store.add(Identity("SB", "CN=SB", "CN=R3", identities["MRM"].public_key))
     sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
-    before = sb.kb.atoms()
+    before = set(sb.kb.claims)
     with pytest.raises(EvidenceError, match="bad signature"):
         sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
-    assert sb.kb.atoms() == before and not sb.kb._verified and not sb.kb._fresh
+    assert sb.kb.claims.keys() == before and not sb.kb._verified and not sb.kb._fresh
     assert sb.metrics_report()["events"] == 0
 
 
@@ -546,7 +556,7 @@ def test_signature_memo_bounded_and_supersession_matches_scratch():
             scratch = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
             for owner, rev_id in dom.active_includes.items():
                 include_revision(scratch, rev_id, run.client, owner)
-            assert dom.kb.atoms() == scratch.atoms(), f"window {k}"
+            assert dom.kb.claims.keys() == scratch.claims.keys(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
         run.close()
@@ -722,18 +732,18 @@ def test_commit_whose_carried_claims_raise_starts_the_next_clean(identities, tru
     with pytest.raises(EvaluationError, match="integer overflow"):
         sb.commit()
     head = db_client.get_head("SB")["revision_id"]
-    assert sb._base == head and sb.commit_count == 1
+    assert sb._base == head and db_client.get_head("SB")["chain_length"] == 1
     assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
     result = sb.ingest_event(SMALL)
     assert result.new_event and result.derived == SMALL_CONSEQUENCES[:1]
     record = sb.commit()
     assert record.supersedes == head and sb._base == record.id
     assert {c.atom for c in record.claims} == {result.event_atom, *result.derived}
-    assert not committed & sb.kb.atoms()
+    assert not committed & sb.kb.claims.keys()
 
 
 def test_fact_rules_hold_from_construction(identities, trust_store, db_client):
     sheet = "'SB': Subject: 's' Issuer: 'i'\nseed(1).\nseeded(X) :- seed(X).\n"
     sb = make_monitor(identities, trust_store, db_client, "SB", sheet)
-    assert sb.kb.atoms() == {GroundAtom("SB", "seed", (1,)), GroundAtom("SB", "seeded", (1,))}
+    assert sb.kb.claims.keys() == {GroundAtom("SB", "seed", (1,)), GroundAtom("SB", "seeded", (1,))}
     assert at_fixpoint(sb.kb)

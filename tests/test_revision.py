@@ -13,7 +13,6 @@ from cyberlog.engine import (
 from cyberlog.errors import EvidenceError, LogIntegrityError
 from cyberlog.lang import parse_query, parse_rulesheet
 from cyberlog.revision import (
-    StagingRevision,
     apply_next_rules,
     build_record,
     commit_staging,
@@ -45,24 +44,42 @@ def signed(identities, owner, atom):
     return make_claim(atom, DirectAssertion(owner, sc.signature))
 
 
+def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
+    """Commit the rulesheet owner's claims over `base`, including nothing;
+    returns (record, receipt, next-rule carry-overs)."""
+    return commit_staging(identities[rs.self_id], rs, db_client, base, (), claims, now_ms)
+
+
+def commit_chain(db_client, identities, rs, claims, steps):
+    """`steps` commits, each of the previous one's carry-overs over it;
+    returns the records."""
+    records, base = [], None
+    for t in range(steps):
+        record, _, claims = commit(db_client, identities, rs, claims, base, t)
+        records.append(record)
+        base = record.id
+    return records
+
+
 def test_commit_empty_staging(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    record, receipt, fresh = commit_staging(
-        StagingRevision("CTR"), rs, db_client, identities["CTR"], now_ms=5
-    )
-    assert record.claims == ()
+    record, receipt, carried = commit(db_client, identities, rs, now_ms=5)
+    assert record.claims == () and record.supersedes is None
     assert len(record.id) == 64
     assert receipt["leaf_index"] == 0
-    assert fresh.base == record.id and fresh.claims == []
+    assert carried == []
+
+
+def test_commit_refuses_a_rulesheet_of_another_owner(db_client, identities):
+    rs = parse_rulesheet(CTR_SHEET, "CTR")
+    with pytest.raises(EvidenceError, match="does not belong"):
+        commit_staging(identities["SB"], rs, db_client, None, (), (), 1)
+    assert len(db_client.log) == 0
 
 
 def test_three_commits_form_linear_chain(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    staging = StagingRevision("CTR")
-    records = []
-    for t in range(3):
-        record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=t)
-        records.append(record)
+    records = commit_chain(db_client, identities, rs, [], 3)
     assert records[0].supersedes is None
     assert records[1].supersedes == records[0].id
     assert records[2].supersedes == records[1].id
@@ -72,8 +89,8 @@ def test_three_commits_form_linear_chain(db_client, identities):
 
 def test_fetched_record_rehashes_to_id(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    staging = StagingRevision("CTR", claims=[signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))])
-    record, _, _ = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=1)
+    claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
+    record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
     fetched, _inclusion = fetch_verified_revision(db_client, record.id)
     assert fetched.id == record.id
     again, _sig = decode_payload(db_client.get_revision(record.id)["payload"])
@@ -120,17 +137,13 @@ def test_next_rule_sees_included_claims(identities):
 
 def test_counter_advances_one_step_per_commit(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    staging = StagingRevision(
-        "CTR", claims=[signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
-    )
     # seed commit is time step 0; each further commit advances the counter
-    record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=0)
-    assert [c.atom for c in record.claims] == [GroundAtom("CTR", "counter", (0,))]
-    for k in range(1, 6):
-        record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=k)
+    records = commit_chain(db_client, identities, rs, [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))], 6)
+    for k, record in enumerate(records):
         assert [c.atom for c in record.claims] == [GroundAtom("CTR", "counter", (k,))]
+        assert record.supersedes == (records[k - 1].id if k else None)
     head_id, chain = latest_revision(db_client, "CTR")
-    assert head_id == record.id and chain == 6
+    assert head_id == records[-1].id and chain == 6
 
 
 # --- includes -------------------------------------------------------------------
@@ -149,15 +162,16 @@ def dom_setup(db_client, identities, trust_store):
     return kb, rs_dom, rs_mrm
 
 
-def mrm_commit(db_client, identities, rs_mrm, staging, atoms, now):
-    staging.claims = [signed(identities, "MRM", a) for a in atoms]
-    return commit_staging(staging, rs_mrm, db_client, identities["MRM"], now_ms=now)
+def mrm_commit(db_client, identities, rs_mrm, base, atoms, now):
+    """Commit MRM's signed `atoms` over `base`; returns the record."""
+    claims = [signed(identities, "MRM", a) for a in atoms]
+    return commit(db_client, identities, rs_mrm, claims, base, now)[0]
 
 
 def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    record, _, _ = mrm_commit(
-        db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
+    record = mrm_commit(
+        db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
     added = include_revision(kb, record.id, db_client, "MRM")
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
@@ -167,15 +181,15 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
 
 def test_include_empty_revision(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    record, _, _ = mrm_commit(db_client, identities, rs_mrm, StagingRevision("MRM"), [], 1)
+    record = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
     assert include_revision(kb, record.id, db_client, "MRM") == []
     assert len(kb) == 0
 
 
 def test_include_refuses_tampered_body(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    record, _, _ = mrm_commit(
-        db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
+    record = mrm_commit(
+        db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
 
     class TamperingClient:
@@ -200,56 +214,46 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
 
 def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    staging = StagingRevision("MRM")
-    r1, _, staging = mrm_commit(
-        db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
-    )
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
     include_revision(kb, r1.id, db_client, "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
-    r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
+    r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
     on_superseded(kb, r1.id, r2.id, db_client, "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
     oracle = KnowledgeBase(rs_dom, trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
     include_revision(oracle, r2.id, db_client, "MRM")
-    assert kb.atoms() == oracle.atoms()
+    assert kb.claims.keys() == oracle.claims.keys()
 
 
 def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
-    staging = StagingRevision("MRM")
-    r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 1)
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, atoms, 1)
     include_revision(kb, r1.id, db_client, "MRM")
-    before = kb.atoms()
-    r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, atoms, 2)
+    before = set(kb.claims)
+    r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, atoms, 2)
     assert on_superseded(kb, r1.id, r2.id, db_client, "MRM") == []
-    assert kb.atoms() == before
+    assert kb.claims.keys() == before
 
 
 def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    staging = StagingRevision("MRM")
-    r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 1)
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
     include_revision(kb, r1.id, db_client, "MRM")
-    unrelated, _, _ = commit_staging(
-        StagingRevision("CTR"), parse_rulesheet(CTR_SHEET, "CTR"), db_client, identities["CTR"], now_ms=1
-    )
+    unrelated, _, _ = commit(db_client, identities, parse_rulesheet(CTR_SHEET, "CTR"), now_ms=1)
     with pytest.raises(EvidenceError, match="does not supersede"):
         on_superseded(kb, r1.id, unrelated.id, db_client, "MRM")
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    staging = StagingRevision("MRM")
-    r1, _, staging = mrm_commit(
-        db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
-    )
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
     include_revision(kb, r1.id, db_client, "MRM")
-    r2, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [], 2)
-    r3, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
+    r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
+    r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
     on_superseded(kb, r1.id, r3.id, db_client, "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
@@ -271,11 +275,9 @@ class CountingClient:
 
 def test_supersession_fetches_new_and_intermediates_once(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
-    staging = StagingRevision("MRM")
     records = []
     for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
-        record, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, atoms, t)
-        records.append(record)
+        records.append(mrm_commit(db_client, identities, rs_mrm, records[-1].id if records else None, atoms, t))
     include_revision(kb, records[0].id, db_client, "MRM")
     client = CountingClient(db_client)
     added = on_superseded(kb, records[0].id, records[3].id, client, "MRM")
@@ -283,7 +285,7 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
-    on_superseded(kb, records[3].id, mrm_commit(db_client, identities, rs_mrm, staging, [], 9)[0].id, client, "MRM")
+    on_superseded(kb, records[3].id, mrm_commit(db_client, identities, rs_mrm, records[3].id, [], 9).id, client, "MRM")
     assert len(client.fetched) == 1
 
 
@@ -297,9 +299,8 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
     import cyberlog.identity as identity
 
     kb, rs_dom, rs_mrm = dom_setup
-    staging = StagingRevision("MRM")
-    r1, _, staging = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    r2, _, _ = mrm_commit(db_client, identities, rs_mrm, staging, [GroundAtom("MRM", "feasible_config", (9, 1))], 2)
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
+    r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [GroundAtom("MRM", "feasible_config", (9, 1))], 2)
     operator = identities[OPERATOR].public_key
     proofs, heads = [], []
     verify_inclusion, verify_bytes = claimlog.verify_inclusion, identity.verify_bytes
@@ -334,8 +335,8 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
 def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, identities, dom_setup):
     """A claim DB that serves a revision by MRM holding a claim of SB is refused."""
     kb, rs_dom, rs_mrm = dom_setup
-    record, _, _ = mrm_commit(
-        db_client, identities, rs_mrm, StagingRevision("MRM"), [GroundAtom("MRM", "feasible_config", (7, 3))], 1
+    record = mrm_commit(
+        db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
     forged, forged_body = build_record(
         "MRM", None, (), rs_mrm.source_hash.hex(), [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
@@ -363,7 +364,7 @@ def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
     calls, at_submit = [], []
     monkeypatch.setattr(revision, "claim_to_obj", lambda claim: calls.append(claim) or original(claim))
     monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
-    record, _, _ = commit_staging(StagingRevision("SB", claims=claims), rs, db_client, identities["SB"], now_ms=3)
+    record, _, _ = commit(db_client, identities, rs, claims, now_ms=3)
     assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
@@ -376,21 +377,17 @@ def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
 def test_latest_revision_per_owner_independent(db_client, identities):
     rs_ctr = parse_rulesheet(CTR_SHEET, "CTR")
     rs_sb = parse_rulesheet(RETAIN_SHEET, "SB")
-    s_ctr, s_sb = StagingRevision("CTR"), StagingRevision("SB")
-    r_ctr1, _, s_ctr = commit_staging(s_ctr, rs_ctr, db_client, identities["CTR"], now_ms=1)
-    r_sb1, _, s_sb = commit_staging(s_sb, rs_sb, db_client, identities["SB"], now_ms=2)
-    r_ctr2, _, _ = commit_staging(s_ctr, rs_ctr, db_client, identities["CTR"], now_ms=3)
+    r_ctr1, _, carried = commit(db_client, identities, rs_ctr, now_ms=1)
+    r_sb1, _, _ = commit(db_client, identities, rs_sb, now_ms=2)
+    r_ctr2, _, _ = commit(db_client, identities, rs_ctr, carried, r_ctr1.id, now_ms=3)
     assert latest_revision(db_client, "CTR") == (r_ctr2.id, 2)
     assert latest_revision(db_client, "SB") == (r_sb1.id, 1)
 
 
 def test_head_matches_chain_walk_oracle(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    staging = StagingRevision("CTR", claims=[signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))])
-    ids = []
-    for t in range(4):
-        record, _, staging = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=t)
-        ids.append(record.id)
+    claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
+    ids = [record.id for record in commit_chain(db_client, identities, rs, claims, 4)]
     head_id, _ = latest_revision(db_client, "CTR")
     # walk back through supersedes links and compare
     walked = [head_id]
@@ -412,8 +409,8 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities):
     from cyberlog.errors import LogIntegrityError
 
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    staging = StagingRevision("CTR", claims=[signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))])
-    record, _, _ = commit_staging(staging, rs, db_client, identities["CTR"], now_ms=3)
+    claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
+    record, _, _ = commit(db_client, identities, rs, claims, now_ms=3)
     payload = db_client.get_revision(record.id)["payload"]
     rng = random_mod.Random(5)
     for _ in range(300):
