@@ -28,7 +28,14 @@ from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
-from .revision import RevisionRecord, decode_payload, rulesheet_entry_id, verify_record_signature
+from .revision import (
+    REVISION_PAYLOAD_HEAD,
+    RevisionRecord,
+    check_canonical,
+    decode_payload,
+    rulesheet_entry_id,
+    verify_record_signature,
+)
 
 
 def _now_ms() -> int:
@@ -65,22 +72,17 @@ class ClaimDb:
 
     def _replay_existing(self) -> None:
         # Rebuild indexes from a reopened log file. Entries that no longer
-        # parse are left unindexed; the tree still hashes their raw bytes.
+        # decode, or are not in canonical form, are left unindexed; the
+        # tree still hashes their raw bytes.
         for index in range(len(self.log)):
             payload = self.log.payload(index).decode("utf-8", errors="replace")
             try:
-                self._index_payload(payload, index)
-            except (CyberlogError, ValueError, KeyError, TypeError):
+                if payload.startswith(REVISION_PAYLOAD_HEAD):
+                    self._index_revision(_decode_canonical(payload)[0], index)
+                else:
+                    self._by_id[rulesheet_entry_id(_rulesheet_text(payload))] = index
+            except CyberlogError:
                 continue
-
-    def _index_payload(self, payload: str, index: int) -> None:
-        obj = json.loads(payload)
-        kind = obj.get("kind")
-        if kind == "rulesheet":
-            self._by_id[rulesheet_entry_id(obj["text"])] = index
-            return
-        record, _sig = decode_payload(payload)
-        self._index_revision(record, index)
 
     def _index_revision(self, record: RevisionRecord, index: int) -> None:
         self._by_id[record.id] = index
@@ -94,17 +96,12 @@ class ClaimDb:
 
     def submit_revision(self, payload: str) -> dict:
         """Validate and append a revision (or rulesheet blob); the per-owner
-        head index is updated atomically with the append."""
+        head index is updated atomically with the append. A revision that
+        is not exactly in canonical form is refused with 400."""
+        if not payload.startswith(REVISION_PAYLOAD_HEAD):
+            return self._submit_rulesheet(payload, _rulesheet_text(payload))
         try:
-            obj = json.loads(payload)
-        except ValueError as exc:
-            raise SubmitError(400, f"payload is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SubmitError(400, "payload must be a JSON object")
-        if obj.get("kind") == "rulesheet":
-            return self._submit_rulesheet(payload, obj)
-        try:
-            record, signature = decode_payload(payload)
+            record, signature = _decode_canonical(payload)
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
 
@@ -136,10 +133,7 @@ class ClaimDb:
             self._index_revision(record, index)
             return self._receipt(index, record.id)
 
-    def _submit_rulesheet(self, payload: str, obj: dict) -> dict:
-        text = obj.get("text")
-        if not isinstance(text, str):
-            raise SubmitError(400, "rulesheet payload needs a 'text' field")
+    def _submit_rulesheet(self, payload: str, text: str) -> dict:
         entry_id = rulesheet_entry_id(text)
         with self._lock:
             existing = self._by_id.get(entry_id)
@@ -202,6 +196,27 @@ class ClaimDb:
     def get_inclusion(self, index: int, size: int) -> dict:
         with self._lock:
             return self.log.prove_inclusion(index, size).to_obj()
+
+
+def _decode_canonical(payload: str) -> tuple[RevisionRecord, bytes]:
+    """Decode a revision payload and check that it is its record's
+    canonical encoding, the one form the log holds."""
+    record, signature = decode_payload(payload)
+    check_canonical(record, signature, payload)
+    return record, signature
+
+
+def _rulesheet_text(payload: str) -> str:
+    """The text of a rulesheet payload; raises SubmitError (400) otherwise."""
+    try:
+        obj = json.loads(payload)
+    except ValueError as exc:
+        raise SubmitError(400, f"payload is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or obj.get("kind") != "rulesheet":
+        raise SubmitError(400, "payload is not a revision record")
+    if not isinstance(obj.get("text"), str):
+        raise SubmitError(400, "rulesheet payload needs a 'text' field")
+    return obj["text"]
 
 
 class HttpLogClient:

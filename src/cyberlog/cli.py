@@ -32,9 +32,19 @@ def _read(path: str) -> str:
 
 def _load_config(path: str) -> dict:
     try:
-        return json.loads(_read(path))
+        cfg = json.loads(_read(path))
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read config {path!r}: {exc}")
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r} is not a JSON object")
+    return cfg
+
+
+def _required(cfg: dict, key: str, role: str):
+    try:
+        return cfg[key]
+    except KeyError:
+        raise ConfigError(f"{role} config needs {key!r}") from None
 
 
 def _identity_from_config(cfg: dict, name: str, role: str):
@@ -43,7 +53,7 @@ def _identity_from_config(cfg: dict, name: str, role: str):
     if key_file:
         seed_hex = _read(key_file).strip()
     if not seed_hex:
-        raise SystemExit(f"{role} config needs 'seed_hex' or 'key_file'")
+        raise ConfigError(f"{role} config needs 'seed_hex' or 'key_file'")
     return generate_identity(name, cfg.get("subject", f"CN={name}"), cfg.get("issuer", ""), bytes.fromhex(seed_hex))
 
 
@@ -104,7 +114,7 @@ def cmd_fmt(args) -> int:
 def cmd_serve_db(args) -> int:
     cfg = _load_config(args.config)
     operator = _identity_from_config(cfg, cfg.get("operator_name", DEFAULT_OPERATOR), "claim db")
-    trust = TrustStore.load(cfg["trust_store"])
+    trust = TrustStore.load(_required(cfg, "trust_store", "claim db"))
     trust.add(operator)
     db = ClaimDb(MerkleLog(cfg.get("log_file")), operator, trust)
     host, port = _split_listen(cfg.get("listen", "127.0.0.1:8440"))
@@ -126,14 +136,14 @@ def cmd_serve_db(args) -> int:
 
 def cmd_serve_monitor(args) -> int:
     cfg = _load_config(args.config)
-    name = cfg["name"]
+    name = _required(cfg, "name", "monitor")
     identity = _identity_from_config(cfg, name, "monitor")
-    trust = TrustStore.load(cfg["trust_store"])
+    trust = TrustStore.load(_required(cfg, "trust_store", "monitor"))
     operator_key = _operator_key(trust, cfg.get("operator_name", DEFAULT_OPERATOR))
     monitor = Monitor(
         identity,
-        load_rulesheet_file(cfg["rulesheet"], name),
-        HttpLogClient(cfg["db_url"]),
+        load_rulesheet_file(_required(cfg, "rulesheet", "monitor"), name),
+        HttpLogClient(_required(cfg, "db_url", "monitor")),
         trust,
         operator_key=operator_key,
         watched_owners=tuple(cfg.get("watched_owners", ())),

@@ -30,7 +30,6 @@ from .lang import (
     StringConstant,
     Variable,
     format_rule,
-    term_variables,
 )
 
 if TYPE_CHECKING:
@@ -363,15 +362,7 @@ def match_rule_body(
 
 def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
     """Restrict a full match substitution to the variables of the rule."""
-    names: set[str] = set()
-    for atom in (rule.head, *rule.body):
-        if isinstance(atom, RelationalAtom) or isinstance(atom, BuiltinAtom):
-            for arg in atom.args:
-                names.update(term_variables(arg))
-        else:
-            names.update(term_variables(atom.left))
-            names.update(term_variables(atom.right))
-    return {name: subst[name] for name in sorted(names) if name in subst}
+    return {name: subst[name] for name in rule.variables if name in subst}
 
 
 # ---------------------------------------------------------------------------

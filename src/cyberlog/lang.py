@@ -117,6 +117,20 @@ class Rule:
         kept."""
         return format_rule(self, oneline=True)
 
+    @functools.cached_property
+    def variables(self) -> tuple[str, ...]:
+        """Sorted names of the variables in head and body, computed on
+        first use and kept."""
+        names: set[str] = set()
+        for atom in (self.head, *self.body):
+            if isinstance(atom, ComparisonAtom):
+                names.update(term_variables(atom.left))
+                names.update(term_variables(atom.right))
+            else:
+                for arg in atom.args:
+                    names.update(term_variables(arg))
+        return tuple(sorted(names))
+
 
 @dataclass(frozen=True)
 class IdentityDecl:

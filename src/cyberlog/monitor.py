@@ -197,7 +197,7 @@ class Monitor:
         the KB drops the record's own claims without taking the carry-overs,
         so the next commit does not log them again."""
         with self.lock:
-            self._ensure_rulesheet_published()
+            unpublished = self._ensure_rulesheet_published()
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
             try:
@@ -206,10 +206,14 @@ class Monitor:
                     self.clock(), included,
                 )
             except (SubmitError, OSError) as exc:
-                # commit retried next interval; KB untouched
-                self._warn("commit", f"commit failed, keeping own claims: {exc}")
+                # commit retried next interval; KB untouched. One warning
+                # per failed commit, naming a failed rulesheet publish too
+                also = "" if unpublished is None else f"; rulesheet not published: {unpublished}"
+                self._warn("commit", f"commit failed, keeping own claims: {exc}{also}")
                 return None
             self._base = record.id
+            if unpublished is not None:
+                self._warn("commit", f"rulesheet not published, retrying at the next commit: {unpublished}")
             # own claims not carried go, with what was derived from them;
             # derived claims whose recorded premises survive stay
             logged = [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
@@ -220,14 +224,18 @@ class Monitor:
                 raise
             return record
 
-    def _ensure_rulesheet_published(self) -> None:
+    def _ensure_rulesheet_published(self) -> SubmitError | OSError | None:
+        """Publish the rulesheet unless already done; returns the failure,
+        if any, for the commit to log. A failed publish is retried at the
+        next commit."""
         if self._rulesheet_published:
-            return
+            return None
         try:
             self.db.submit_revision(encode_rulesheet_payload(format_rulesheet(self.rulesheet)))
-            self._rulesheet_published = True
-        except (SubmitError, OSError):
-            pass
+        except (SubmitError, OSError) as exc:
+            return exc
+        self._rulesheet_published = True
+        return None
 
     # -- polling ------------------------------------------------------------
 

@@ -1,17 +1,19 @@
 """Claim revision control: commit, supersede/include, next-rules.
 
 A committed revision is an immutable snapshot of a monitor's own claims.
-Its id is the SHA-256 of the canonical record body; the owner's signature
-over that id is part of the logged payload, which is exactly the byte
-string the Merkle leaf hashes. Revisions form a linear supersedes chain
+Its id is the SHA-256 of the record body, whose bytes sit inside the
+logged payload; the owner's signature over that id is part of the payload,
+which is exactly the byte string the Merkle leaf hashes. Revisions form a linear supersedes chain
 per owner; claims of other owners' revisions are imported by inclusion,
 justified by inclusion proofs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -60,24 +62,42 @@ class RevisionRecord:
     rulesheet_hash: str
     claims: tuple[Claim, ...]
     commit_time: int
-    # `claims` indexed by claim id and by atom, the first claim winning
-    by_id: Mapping[str, Claim] = field(compare=False, repr=False)
-    by_atom: Mapping[GroundAtom, Claim] = field(compare=False, repr=False)
+
+    # `claims` indexed by claim id and by atom, the first claim winning;
+    # built on first use and kept, as a record is immutable
+
+    @functools.cached_property
+    def by_id(self) -> Mapping[str, Claim]:
+        return {c.claim_id: c for c in reversed(self.claims)}
+
+    @functools.cached_property
+    def by_atom(self) -> Mapping[GroundAtom, Claim]:
+        return {c.atom: c for c in reversed(self.claims)}
 
 
 # ---------------------------------------------------------------------------
 # Record serialization
+#
+# A payload is `{"kind":"revision",` + the body's fields + `,"signature":"…"}`,
+# so the body the id hashes is a slice of the logged bytes: readers hash that
+# slice and never re-encode. The claim DB refuses, at submit, a payload that
+# is not exactly the canonical encoding (`check_canonical`), so every logged
+# body is the one `build_record` gives for its fields.
+
+REVISION_PAYLOAD_HEAD = '{"kind":"revision",'
+_SIGNATURE_TAIL = re.compile(r',"signature":"([0-9a-f]{128})"\}')
+_SIGNATURE_TAIL_LEN = len(',"signature":"') + 128 + len('"}')
 
 
-def build_record(
+def _body_text(
     owner: str,
     supersedes: str | None,
     includes: Iterable[str],
     rulesheet_hash: str,
     claims: Iterable[Claim],
     commit_time: int,
-) -> tuple[RevisionRecord, dict]:
-    """The record and the body object its id hashes, each claim serialised once."""
+) -> tuple[tuple[Claim, ...], tuple[str, ...], str]:
+    """Claims and includes in canonical order, and the canonical body text."""
     ordered_claims = tuple(sorted(claims, key=lambda c: canonical_atom(c.atom)))
     includes_t = tuple(sorted(set(includes)))
     body = {
@@ -88,13 +108,22 @@ def build_record(
         "claims": [claim_to_obj(c) for c in ordered_claims],
         "commit_time": commit_time,
     }
-    rev_id = sha256(canonical_json(body).encode("utf-8")).hexdigest()
-    by_id = {c.claim_id: c for c in reversed(ordered_claims)}
-    by_atom = {c.atom: c for c in reversed(ordered_claims)}
-    record = RevisionRecord(
-        rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time, by_id, by_atom
-    )
-    return record, body
+    return ordered_claims, includes_t, canonical_json(body)
+
+
+def build_record(
+    owner: str,
+    supersedes: str | None,
+    includes: Iterable[str],
+    rulesheet_hash: str,
+    claims: Iterable[Claim],
+    commit_time: int,
+) -> tuple[RevisionRecord, str]:
+    """The record and the canonical body text its id hashes, each claim
+    serialised once."""
+    ordered_claims, includes_t, body = _body_text(owner, supersedes, includes, rulesheet_hash, claims, commit_time)
+    rev_id = sha256(body.encode("utf-8")).hexdigest()
+    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time), body
 
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
@@ -105,9 +134,10 @@ def verify_record_signature(record: RevisionRecord, signature: bytes, public_key
     return verify_bytes(public_key, signature, bytes.fromhex(record.id))
 
 
-def encode_payload(body: dict, signature: bytes) -> str:
-    """The logged payload of a record body from `build_record`."""
-    return canonical_json({"kind": "revision", **body, "signature": signature.hex()})
+def encode_payload(body: str, signature: bytes) -> str:
+    """The logged payload of a body text from `build_record`: the body's
+    fields spliced between the kind and the signature."""
+    return f'{REVISION_PAYLOAD_HEAD}{body[1:-1]},"signature":"{signature.hex()}"}}'
 
 
 def encode_rulesheet_payload(text: str) -> str:
@@ -119,26 +149,25 @@ def rulesheet_entry_id(text: str) -> str:
 
 
 def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
-    """Parse and re-hash a logged revision payload; raises LogIntegrityError
-    on malformed data and on a claim whose principal is not the record's
-    owner, since nobody may make claims on someone else's behalf."""
-    try:
-        obj = json.loads(payload)
-    except ValueError as exc:
-        raise LogIntegrityError(f"revision payload is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("kind") != "revision":
+    """Parse a logged revision payload once; its id is the SHA-256 of the
+    body bytes inside it. Raises LogIntegrityError on a payload outside the
+    revision layout, on malformed data and on a claim whose principal is
+    not the record's owner, since nobody may make claims on someone else's
+    behalf. Claims and includes keep the payload's order."""
+    split = len(payload) - _SIGNATURE_TAIL_LEN
+    tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
+    if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
         raise LogIntegrityError("payload is not a revision record")
     try:
+        obj = json.loads(payload)
+        rev_id = sha256(("{" + payload[len(REVISION_PAYLOAD_HEAD) : split] + "}").encode("utf-8")).hexdigest()
+        owner, supersedes, rulesheet_hash = obj["owner"], obj["supersedes"], obj["rulesheet_hash"]
+        includes = tuple(obj["includes"])
+        names = (owner, rulesheet_hash, *includes) + (() if supersedes is None else (supersedes,))
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError("owner, supersedes, includes and rulesheet_hash must be strings")
         claims = tuple(claim_from_obj(c) for c in obj["claims"])
-        record, _body = build_record(
-            obj["owner"],
-            obj["supersedes"],
-            obj["includes"],
-            obj["rulesheet_hash"],
-            claims,
-            int(obj["commit_time"]),
-        )
-        signature = bytes.fromhex(obj["signature"])
+        record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, claims, int(obj["commit_time"]))
     except (KeyError, TypeError, ValueError, EvidenceError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
     for claim in record.claims:
@@ -146,7 +175,19 @@ def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
             raise LogIntegrityError(
                 f"revision by {record.owner!r} holds a claim of {claim.atom.principal!r}: {canonical_atom(claim.atom)}"
             )
-    return record, signature
+    return record, bytes.fromhex(tail.group(1))
+
+
+def check_canonical(record: RevisionRecord, signature: bytes, payload: str) -> None:
+    """Raise LogIntegrityError unless `payload`, which decoded to `record`
+    and `signature`, is exactly their canonical encoding: no whitespace,
+    sorted claims and includes, lowercase hex, canonical atom text and no
+    duplicate keys. Re-encodes the record's claims once; hashes nothing."""
+    _claims, _includes, body = _body_text(
+        record.owner, record.supersedes, record.includes, record.rulesheet_hash, record.claims, record.commit_time
+    )
+    if encode_payload(body, signature) != payload:
+        raise LogIntegrityError(f"revision {record.id} is not in canonical form")
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +201,12 @@ def apply_next_rules(
 
     Bodies match the committed revision's claims plus the claims of the
     revisions it includes; each distinct head atom is emitted once with
-    carried-forward evidence naming the source revision.
+    carried-forward evidence naming the source revision. A head equal to
+    an atom of the record reuses that atom, whose text and id are known.
     """
+    next_rules = [rule for rule in rs.rules if rule.kind is RuleKind.NEXT]
+    if not next_rules:
+        return []
     pool: dict[tuple[str, str], list[Claim]] = {}
     for claim in list(record.claims) + list(included_claims):
         pool.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
@@ -170,13 +215,14 @@ def apply_next_rules(
         return pool.get((atom.principal, atom.predicate), ())
 
     carried: dict[GroundAtom, Claim] = {}
-    for rule in rs.rules:
-        if rule.kind is not RuleKind.NEXT:
-            continue
+    for rule in next_rules:
         for subst, _premises in match_rule_body(rule.body, candidates):
             atom = instantiate_head(rule.head, subst)
             if atom not in carried:
                 evidence = CarriedByNextRule(rule, rule_substitution(rule, subst), record.id)
+                logged = record.by_atom.get(atom)
+                if logged is not None:
+                    atom = logged.atom
                 carried[atom] = Claim(atom, evidence, atom_id(atom))
     return list(carried.values())
 

@@ -419,3 +419,101 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
         reopened.get_revision(base.id)
     finally:
         reopened.log.close()
+
+
+# -- the log holds canonical revisions only ----------------------------------
+
+SIG_HEX = "ab" * 64
+INCLUDES = ("1" * 64, "2" * 64)
+
+
+def signed_body(identities, body: str) -> str:
+    """The payload of `body` signed by SB over the SHA-256 of its bytes, the
+    id every reader computes, so only the form of the body is at fault."""
+    import hashlib
+
+    from cyberlog.identity import sign_bytes
+
+    return encode_payload(body, sign_bytes(identities["SB"], hashlib.sha256(body.encode("utf-8")).digest()))
+
+
+def canonical_body(identities):
+    atoms = [GroundAtom("SB", "p", (7,)), GroundAtom("SB", "q", ("x",))]
+    claims = [make_claim(atom, DirectAssertion("SB", bytes.fromhex(SIG_HEX))) for atom in atoms]
+    return build_record("SB", None, INCLUDES, parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), claims, 1)[1]
+
+
+def reversed_list(body: str, key: str) -> str:
+    import json
+
+    obj = json.loads(body)
+    obj[key].reverse()
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+
+
+NON_CANONICAL = {
+    "whitespace": lambda b: b.replace('"owner":"SB"', '"owner": "SB"'),
+    "unsorted-claims": lambda b: reversed_list(b, "claims"),
+    "unsorted-includes": lambda b: reversed_list(b, "includes"),
+    "repeated-include": lambda b: b.replace(f'"{INCLUDES[1]}"', f'"{INCLUDES[0]}"'),
+    "uppercase-hex": lambda b: b.replace(SIG_HEX, SIG_HEX.upper(), 1),
+    "atom-text": lambda b: b.replace("p(7)", "p(007)"),
+    "duplicate-key": lambda b: b.replace('"owner":"SB"', '"owner":"SB","owner":"SB"'),
+    "nested-duplicate-key": lambda b: b.replace('"signer":"SB"', '"signer":"SB","signer":"SB"', 1),
+    "extra-key": lambda b: b.replace('"commit_time":1', '"commit_time":1,"note":""'),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NON_CANONICAL))
+def test_non_canonical_revision_refused_with_400(db, http_client, identities, form):
+    """A revision is logged only in the canonical form `build_record` gives
+    for its fields, whatever it is signed over."""
+    from cyberlog.revision import decode_payload
+
+    body = canonical_body(identities)
+    mutated = NON_CANONICAL[form](body)
+    assert mutated != body
+    payload = signed_body(identities, mutated)
+    decode_payload(payload)  # a well-formed revision, only not canonical
+    for client in (db, http_client):
+        with pytest.raises(SubmitError) as exc:
+            client.submit_revision(payload)
+        assert exc.value.code == 400, str(exc.value)
+    assert len(db.log) == 0
+    db.submit_revision(signed_body(identities, body))  # the canonical form is logged
+
+
+def test_non_canonical_signature_hex_refused_with_400(db, identities):
+    payload = signed_body(identities, canonical_body(identities))
+    head, signature = payload[:-130], payload[-130:-2]
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(head + signature.upper() + '"}')
+    assert exc.value.code == 400 and "not a revision record" in str(exc.value)
+
+
+@pytest.mark.parametrize("form", ["whitespace", "duplicate-key", "atom-text"])
+def test_reopen_leaves_non_canonical_revision_unindexed(tmp_path, identities, trust_store, form):
+    """A non-canonical revision appended to the log file directly is left
+    unindexed when the log is reopened: its byte hash is not found, and the
+    canonical entries around it are indexed as before."""
+    import hashlib
+
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    body = NON_CANONICAL[form](canonical_body(identities)).replace('"supersedes":null', f'"supersedes":"{base.id}"')
+    db.log.append(signed_body(identities, body).encode("utf-8"))
+    rulesheet = db.submit_revision(encode_rulesheet_payload(SB_SHEET))["revision_id"]
+    root = db.get_log_root()
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(hashlib.sha256(body.encode("utf-8")).hexdigest())
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        assert reopened.get_log_root() == root
+        reopened.get_revision(rulesheet)
+    finally:
+        reopened.log.close()

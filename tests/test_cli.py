@@ -311,6 +311,44 @@ def test_serve_monitor_without_operator_key_exits_2(tmp_path, capsys):
     assert "no key for log operator 'log-operator'" in capsys.readouterr().out
 
 
+# -- a missing or unreadable configuration is a configuration error ---------
+
+
+@pytest.mark.parametrize(
+    "command, config, expected",
+    [
+        ("serve-db", {}, "claim db config needs 'seed_hex' or 'key_file'"),
+        ("serve-db", {"seed_hex": "06" * 32}, "claim db config needs 'trust_store'"),
+        ("serve-monitor", {}, "monitor config needs 'name'"),
+        ("serve-monitor", {"name": "SB"}, "monitor config needs 'seed_hex' or 'key_file'"),
+        ("serve-monitor", [], "is not a JSON object"),
+    ],
+)
+def test_incomplete_config_exits_2(tmp_path, capsys, command, config, expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 2
+    assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["name", "trust_store", "rulesheet", "db_url"])
+def test_monitor_config_without_required_key_exits_2(tmp_path, capsys, key):
+    config = monitor_config(tmp_path, [generate_identity("log-operator", seed=bytes([6]) * 32)])
+    cfg = json.loads(config.read_text())
+    del cfg[key]
+    config.write_text(json.dumps(cfg))
+    assert main(["serve-monitor", "--config", str(config)]) == 2
+    assert f"monitor config needs {key!r}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["serve-db", "serve-monitor"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command):
+    (tmp_path / "bad.json").write_text("{not json")
+    for path in (tmp_path / "missing.json", tmp_path / "bad.json"):
+        assert main([command, "--config", str(path)]) == 2
+        assert f"cannot read config {str(path)!r}" in capsys.readouterr().out
+
+
 def test_online_audit_without_operator_key_exits_2(served_scenario, capsys):
     argv = ["audit", "--db", served_scenario["url"], "--trust-store", served_scenario["trust"], "--owner", "OM"]
     assert main([*argv, "--operator", "nobody"]) == 2

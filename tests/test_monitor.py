@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cyberlog.engine import GroundAtom
-from cyberlog.errors import ConfigError, EvaluationError
+from cyberlog.errors import ConfigError, EvaluationError, NotFoundError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope, Monitor, QueryAnswer
 
@@ -747,3 +747,36 @@ def test_fact_rules_hold_from_construction(identities, trust_store, db_client):
     sb = make_monitor(identities, trust_store, db_client, "SB", sheet)
     assert sb.kb.claims.keys() == {GroundAtom("SB", "seed", (1,)), GroundAtom("SB", "seeded", (1,))}
     assert at_fixpoint(sb.kb)
+
+
+def test_failed_rulesheet_publish_is_logged_and_retried(sb, monkeypatch, caplog):
+    """A rulesheet the claim DB could not take is logged as a commit-stage
+    warning; the commit still lands, and the next commit publishes it."""
+    from cyberlog.lang import format_rulesheet
+    from cyberlog.revision import rulesheet_entry_id
+
+    submit = sb.db.submit_revision
+
+    def no_rulesheets(payload):
+        if payload.startswith('{"kind":"rulesheet"'):
+            raise OSError("rulesheet store down")
+        return submit(payload)
+
+    sheet_id = rulesheet_entry_id(format_rulesheet(sb.rulesheet))
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    monkeypatch.setattr(sb.db, "submit_revision", no_rulesheets)
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        record = sb.commit()
+    assert record is not None and sb.db.get_head("SB")["revision_id"] == record.id
+    [warning] = caplog.records
+    assert (warning.levelname, warning.stage, warning.revision) == ("WARNING", "commit", record.id)
+    assert "rulesheet store down" in warning.getMessage()
+    with pytest.raises(NotFoundError):
+        sb.db.get_revision(sheet_id)
+
+    monkeypatch.setattr(sb.db, "submit_revision", submit)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        assert sb.commit() is not None
+    assert caplog.records == []
+    sb.db.get_revision(sheet_id)

@@ -423,3 +423,84 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities):
         if mutated != payload:
             # any surviving parse of different bytes must change the id
             assert decoded.id != record.id or decoded == record
+
+
+# -- decoding: readers hash the body bytes inside the payload -------------------
+
+
+def layout_payload(identities):
+    rs = parse_rulesheet(CTR_SHEET, "CTR")
+    record, body = build_record("CTR", None, (), rs.source_hash.hex(), [], 1)
+    return encode_payload(body, sign_record(record, identities["CTR"]))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: "",
+        lambda p: "[]",
+        lambda p: '{"kind":"rulesheet","text":""}',
+        lambda p: p.replace('{"kind":"revision",', '{"kind": "revision",'),
+        lambda p: p.replace('{"kind":"revision",', '{"kind":"revision" ,'),
+        lambda p: p + "\n",
+        lambda p: p[:-2] + ' "}',
+        lambda p: p[:-3] + '"}',  # a signature one digit short
+        lambda p: p[:-130] + p[-130:].upper(),
+        lambda p: p.replace('"kind":"revision"', '"kind":"revisions"'),
+        lambda p: p[:-2] + '","commit_time":1}',  # the signature not last
+        lambda p: '{"kind":"revision",' + p[-144:],  # no body fields
+        lambda p: p[: p.index(',"signature"')] + "}",
+    ],
+)
+def test_decode_payload_refuses_payload_outside_revision_layout(identities, mutate):
+    payload = layout_payload(identities)
+    decode_payload(payload)
+    with pytest.raises(LogIntegrityError):
+        decode_payload(mutate(payload))
+
+
+def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, monkeypatch):
+    import hashlib
+
+    import cyberlog.revision as revision
+
+    payload = layout_payload(identities)
+    monkeypatch.setattr(revision, "build_record", None)
+    monkeypatch.setattr(revision, "claim_to_obj", None)
+    record, _sig = decode_payload(payload)
+    body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
+    assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
+
+
+def test_spliced_payload_round_trips_through_decode(identities):
+    """For generated claims, decoding the payload spliced from
+    `build_record`'s body gives back its record, id and signature, and the
+    payload is in the canonical form the claim DB logs."""
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.engine import DerivedByRule
+    from cyberlog.revision import check_canonical
+
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    rule = rs.rules[0]
+    texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+    terms = st.one_of(st.integers(-(2**63), 2**63 - 1), texts)
+    atoms = st.builds(GroundAtom, st.just("SB"), st.sampled_from(["p", "request", "ev"]), st.lists(terms, max_size=3).map(tuple))
+    evidence = st.one_of(
+        st.builds(DirectAssertion, st.just("SB"), st.binary(min_size=64, max_size=64)),
+        st.builds(CarriedByNextRule, st.just(rule), st.fixed_dictionaries({"Id": terms}), st.text("0123456789abcdef", min_size=64, max_size=64)),
+        st.builds(DerivedByRule, st.just(rule), st.fixed_dictionaries({"Data": terms, "Id": terms}), st.lists(texts, max_size=2).map(tuple)),
+    )
+    claims = st.lists(st.builds(make_claim, atoms, evidence), max_size=5)
+    ids = st.text("0123456789abcdef", min_size=64, max_size=64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(claims, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53), st.binary(min_size=64, max_size=64))
+    def check(claims, supersedes, includes, commit_time, signature):
+        record, body = build_record("SB", supersedes, includes, rs.source_hash.hex(), claims, commit_time)
+        payload = encode_payload(body, signature)
+        decoded, decoded_signature = decode_payload(payload)
+        assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
+        check_canonical(decoded, decoded_signature, payload)
+
+    check()
