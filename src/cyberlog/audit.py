@@ -22,7 +22,6 @@ from .engine import (
     DerivedByRule,
     DirectAssertion,
     GroundAtom,
-    LogInclusion,
     canonical_atom,
     check_evidence,
     rule_premises,
@@ -66,7 +65,6 @@ _KINDS = {
     DirectAssertion: "direct_assertion",
     DerivedByRule: "derived_by_rule",
     CarriedByNextRule: "carried_by_next_rule",
-    LogInclusion: "log_inclusion",
 }
 
 
@@ -126,16 +124,11 @@ class Auditor:
                 node.detail = "rule re-derivation checked"
                 for atom, premise_id in zip(expected, ev.premises):
                     node.children.append(self._audit_premise(record, atom, premise_id, depth + 1))
-            elif isinstance(ev, CarriedByNextRule):
+            else:  # CarriedByNextRule: a logged claim carries no other kind
                 source = self.fetch_revision(ev.source_revision)
                 node.detail = f"carried from revision {ev.source_revision[:8]}"
                 for atom in rule_premises(ev.rule, ev.substitution):
                     node.children.append(self._audit_premise(source, atom, None, depth + 1))
-            else:  # LogInclusion: check_evidence refused every other type
-                included = self.fetch_revision(ev.revision_id)
-                if claim.atom not in included.by_atom:
-                    raise EvidenceError(f"atom absent from revision {ev.revision_id[:8]}")
-                node.detail = f"included from {ev.revision_id[:8]}, proof verified"
             return node
         except CyberlogError as exc:
             return self._fail(claim.atom, kind, str(exc))

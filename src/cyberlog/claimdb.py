@@ -71,14 +71,17 @@ class ClaimDb:
         self._replay_existing()
 
     def _replay_existing(self) -> None:
-        # Rebuild indexes from a reopened log file. Entries that no longer
-        # decode, or are not in canonical form, are left unindexed; the
-        # tree still hashes their raw bytes.
+        # Rebuild indexes from a reopened log file, in log order, admitting
+        # each revision as `submit_revision` would have. Entries it would
+        # have refused are left unindexed; the tree still hashes their raw
+        # bytes.
         for index in range(len(self.log)):
             payload = self.log.payload(index).decode("utf-8", errors="replace")
             try:
                 if payload.startswith(REVISION_PAYLOAD_HEAD):
-                    self._index_revision(_decode_canonical(payload)[0], index)
+                    record = self._signed_record(payload)
+                    self._check_chain(record)
+                    self._index_revision(record, index)
                 else:
                     self._by_id[rulesheet_entry_id(_rulesheet_text(payload))] = index
             except CyberlogError:
@@ -100,38 +103,51 @@ class ClaimDb:
         is not exactly in canonical form is refused with 400."""
         if not payload.startswith(REVISION_PAYLOAD_HEAD):
             return self._submit_rulesheet(payload, _rulesheet_text(payload))
+        record = self._signed_record(payload)
+        with self._lock:
+            self._check_chain(record)
+            index = self.log.append(payload.encode("utf-8"))
+            self._index_revision(record, index)
+            return self._receipt(index, record.id)
+
+    # Admission: submit and replay take a revision only if it passes both
+    # checks below, in this order.
+
+    def _signed_record(self, payload: str) -> RevisionRecord:
+        """The record of a revision payload that is its canonical encoding
+        (else 400) and carries its owner's signature under the trust store
+        (else 401). Raises SubmitError."""
         try:
-            record, signature = _decode_canonical(payload)
+            record, signature = decode_payload(payload)
+            check_canonical(record, signature, payload)
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
-
         key = self.trust_store.public_key(record.owner)
         if key is None:
             raise SubmitError(401, f"unknown owner {record.owner!r}")
         if not verify_record_signature(record, signature, key):
             raise SubmitError(401, f"bad signature on revision by {record.owner!r}")
+        return record
 
-        with self._lock:
-            head = self._heads.get(record.owner)
-            if record.supersedes is None:
-                if head is not None:
-                    raise SubmitError(409, f"owner {record.owner!r} already has a revision chain")
-            else:
-                target_owner = self._owners.get(record.supersedes)
-                if target_owner is None:
-                    raise SubmitError(400, f"supersedes target {record.supersedes} is not a logged revision")
-                if target_owner != record.owner:
-                    raise SubmitError(
-                        401, f"only the owner may supersede: target owned by {target_owner!r}"
-                    )
-                if record.supersedes in self._superseded:
-                    raise SubmitError(409, f"revision {record.supersedes} is already superseded")
-            if record.id in self._by_id:
-                raise SubmitError(409, f"revision {record.id} already logged")
-
-            index = self.log.append(payload.encode("utf-8"))
-            self._index_revision(record, index)
-            return self._receipt(index, record.id)
+    def _check_chain(self, record: RevisionRecord) -> None:
+        """Raise SubmitError unless the record may extend its owner's chain
+        now: a first revision only while the owner has no head, otherwise
+        one superseding a logged revision of the same owner that nothing
+        supersedes yet; and its id names no logged entry. The caller holds
+        the lock, or is replaying."""
+        if record.supersedes is None:
+            if record.owner in self._heads:
+                raise SubmitError(409, f"owner {record.owner!r} already has a revision chain")
+        else:
+            target_owner = self._owners.get(record.supersedes)
+            if target_owner is None:
+                raise SubmitError(400, f"supersedes target {record.supersedes} is not a logged revision")
+            if target_owner != record.owner:
+                raise SubmitError(401, f"only the owner may supersede: target owned by {target_owner!r}")
+            if record.supersedes in self._superseded:
+                raise SubmitError(409, f"revision {record.supersedes} is already superseded")
+        if record.id in self._by_id:
+            raise SubmitError(409, f"revision {record.id} already logged")
 
     def _submit_rulesheet(self, payload: str, text: str) -> dict:
         entry_id = rulesheet_entry_id(text)
@@ -196,14 +212,6 @@ class ClaimDb:
     def get_inclusion(self, index: int, size: int) -> dict:
         with self._lock:
             return self.log.prove_inclusion(index, size).to_obj()
-
-
-def _decode_canonical(payload: str) -> tuple[RevisionRecord, bytes]:
-    """Decode a revision payload and check that it is its record's
-    canonical encoding, the one form the log holds."""
-    record, signature = decode_payload(payload)
-    check_canonical(record, signature, payload)
-    return record, signature
 
 
 def _rulesheet_text(payload: str) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 
@@ -48,13 +49,16 @@ def _required(cfg: dict, key: str, role: str):
 
 
 def _identity_from_config(cfg: dict, name: str, role: str):
-    seed_hex = cfg.get("seed_hex")
-    key_file = cfg.get("key_file")
-    if key_file:
-        seed_hex = _read(key_file).strip()
+    key, seed_hex = "seed_hex", cfg.get("seed_hex")
+    if cfg.get("key_file"):
+        key, seed_hex = "key_file", _read(cfg["key_file"]).strip()
     if not seed_hex:
         raise ConfigError(f"{role} config needs 'seed_hex' or 'key_file'")
-    return generate_identity(name, cfg.get("subject", f"CN={name}"), cfg.get("issuer", ""), bytes.fromhex(seed_hex))
+    try:
+        seed = bytes.fromhex(seed_hex)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{role} config {key!r} does not hold a hex seed") from None
+    return generate_identity(name, cfg.get("subject", f"CN={name}"), cfg.get("issuer", ""), seed)
 
 
 def _operator_key(trust: TrustStore, operator: str) -> bytes:
@@ -185,14 +189,18 @@ def cmd_query(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    online = args.db.startswith("http")
+    if not online and not os.path.exists(args.db):
+        raise ConfigError(f"no log file {args.db!r} to audit")
+    atom = _ground_atom_from_text(args.atom, args.owner) if args.atom else None
     trust = TrustStore.load(args.trust_store)
-    if args.db.startswith("http"):
+    if online:
         client = HttpLogClient(args.db)
         operator_key = _operator_key(trust, args.operator)
     else:
         # offline audit from a log file: heads are re-signed by a scratch
         # key, so tree-head signature checks are skipped
-        client = _local_client(args.db, args.trust_store)
+        client = ClaimDb(MerkleLog(args.db), generate_identity(DEFAULT_OPERATOR, seed=bytes(32)), trust)
         operator_key = None
     if args.heads_cache:
         ok, checks = verify_log_consistency(client, args.heads_cache, operator_key, append_current=False)
@@ -204,8 +212,7 @@ def cmd_audit(args) -> int:
             return 1
     auditor = Auditor(client, trust, operator_key)
     try:
-        if args.atom:
-            atom = _ground_atom_from_text(args.atom, args.owner)
+        if atom is not None:
             nodes = [auditor.audit_atom(args.owner, atom)]
         else:
             nodes = auditor.audit_head(args.owner)
@@ -226,17 +233,9 @@ def _ground_atom_from_text(text: str, owner: str) -> GroundAtom:
     for term in pattern.args:
         value = resolve_term(term, {})
         if value is None:
-            raise SystemExit("audit needs a fully ground atom (no variables)")
+            raise ConfigError(f"audit needs a fully ground atom (no variables): {text!r}")
         args.append(value)
     return GroundAtom(pattern.principal, pattern.predicate, tuple(args))
-
-
-def _local_client(log_path: str, trust_store_path: str):
-    # offline audit straight from a log file (operator identity not needed
-    # for reading; receipts/heads are re-derived from the file)
-    trust = TrustStore.load(trust_store_path)
-    operator = generate_identity(DEFAULT_OPERATOR, seed=bytes(32))
-    return ClaimDb(MerkleLog(log_path), operator, trust)
 
 
 def cmd_verify_log(args) -> int:

@@ -378,14 +378,17 @@ def check_evidence(
 ) -> None:
     """Check a claim's own evidence; raises EvidenceError.
 
-    Direct assertions are signature-checked when a trust store is given;
-    rule instances (derived or carried) must reproduce the claim's atom;
-    log inclusions are proof-checked, and their tree heads
-    signature-checked when an operator key is given. `signature_ok(key,
-    signature, message)` performs each Ed25519 check and `inclusion_ok(root,
-    leaf, proof)` each inclusion proof. Premises and side conditions are
-    not checked here (see `rule_premises`).
+    The claim id must be its atom's id. Direct assertions are
+    signature-checked when a trust store is given; rule instances (derived
+    or carried) must reproduce the claim's atom; log inclusions are
+    proof-checked, and their tree heads signature-checked when an operator
+    key is given. `signature_ok(key, signature, message)` performs each
+    Ed25519 check and `inclusion_ok(root, leaf, proof)` each inclusion
+    proof. Premises and side conditions are not checked here (see
+    `rule_premises`).
     """
+    if claim.claim_id != atom_id(claim.atom):
+        raise EvidenceError(f"claim id does not match atom {canonical_atom(claim.atom)}")
     ev = claim.evidence
     if isinstance(ev, DirectAssertion):
         if trust_store is not None:
@@ -460,28 +463,31 @@ def _bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
     return subst
 
 
+def _passed(*_check) -> bool:
+    """A signature or proof check of a stored claim: it passed on entry."""
+    return True
+
+
 class KnowledgeBase:
     """Set of claims keyed by atom, each with the evidence that justifies it,
     under the standard rules of the rulesheet it is built with.
 
     Owned by a single logical actor; not safe for concurrent mutation.
-    Every claim's evidence is checked on entry. When a trust store is
+    Every claim's evidence is checked once, on entry. When a trust store is
     supplied, direct assertions are signature-checked; log inclusions are
     proof-checked, and their tree heads signature-checked when an operator
-    key is known.
+    key is known. A stored claim counts as checked: `verify_claim_chain`
+    re-checks its structure but runs no signature or proof again.
 
     A monitor keeps one KB for its lifetime and changes it only through
     `revise`, which retracts atoms by Delete-and-Rederive, admits claims
     and saturates, or changes nothing; so between calls the KB is at its
     fixpoint. `assert_claim` admits one claim without saturating.
-    Each Ed25519 check and inclusion proof that passed is memoised by its
-    full inputs, so the KB verifies each distinct signature, tree head and
-    proof once for as long as a stored claim uses it. Everything else in
-    `check_evidence` runs on every call. The memo holds only successes,
-    and only those the stored claims use; a signature the KB's owner has
-    just made, and a log inclusion its caller has just verified, count as
-    passed for the admission that follows (`record_own_signature`,
-    `record_verified_inclusion`).
+    Within one admission each distinct Ed25519 check and inclusion proof
+    runs at most once. A signature the KB's owner has just made, and a log
+    inclusion its caller has just verified, count as passed for the
+    admission that follows (`record_own_signature`,
+    `record_verified_inclusion`); nothing is kept past the admission.
     """
 
     def __init__(self, rulesheet: Rulesheet, trust_store: "TrustStore | None" = None,
@@ -497,14 +503,9 @@ class KnowledgeBase:
         self._removed: dict[GroundAtom, None] = {}
         # premise claim id -> ids of the claims whose recorded derivation names it
         self._dependents: dict[str, dict[str, None]] = {}
-        # Checks that passed, each with the number of stored claims using
-        # it; the checks each stored claim uses; checks passed during the
-        # admission in progress, not yet held by a stored claim; and the
-        # checks the claim being checked has passed so far.
-        self._verified: dict[tuple, int] = {}
-        self._uses: dict[str, list[tuple]] = {}
+        # checks passed during the admission in progress, as (key,
+        # signature, message) and (root, leaf, proof); empty between calls
         self._fresh: set[tuple] = set()
-        self._checked: list[tuple] = []
         # each standard rule with its relational body atoms, in body order
         std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
         self._joins = [(rule, [a for a in rule.body if isinstance(a, RelationalAtom)]) for rule in std]
@@ -533,10 +534,10 @@ class KnowledgeBase:
         """Add a claim after checking its evidence; returns False if the atom
         is already present (set semantics, first evidence wins)."""
         try:
-            used = self.check_evidence(claim)
+            self.check_evidence(claim)
             if claim.atom in self.claims:
                 return False
-            self._store(claim, used)
+            self._store(claim)
         finally:
             self._fresh.clear()
         self._unsaturated.append(claim)
@@ -576,12 +577,15 @@ class KnowledgeBase:
         pending; returns the admitted claims whose atoms are new and the
         stored claims that were retracted or replaced."""
         try:
-            incoming = {claim.atom: (claim, self.check_evidence(claim)) for claim in claims}
+            incoming: dict[GroundAtom, Claim] = {}
+            for claim in claims:
+                self.check_evidence(claim)
+                incoming[claim.atom] = claim
         finally:
             self._fresh.clear()
         added: list[Claim] = []
         displaced: list[Claim] = []  # stored claims retracted or replaced
-        for atom, (claim, used) in incoming.items():
+        for atom, claim in incoming.items():
             old = self.claims.get(atom)
             if old is None:
                 added.append(claim)
@@ -589,7 +593,7 @@ class KnowledgeBase:
             else:
                 displaced.append(old)
                 self._release(old)
-            self._store(claim, used)
+            self._store(claim)
         retracted = [self.claims[atom] for atom in retract if atom in self.claims and atom not in incoming]
         displaced += retracted
         stack = [claim.claim_id for claim in retracted]
@@ -607,23 +611,18 @@ class KnowledgeBase:
             added = [c for c in added if c.atom not in removed]
         return added, displaced
 
-    def check_evidence(self, claim: Claim) -> list[tuple]:
-        """Check a claim's own evidence (see `check_evidence`); returns the
-        memoisable checks it passed, as (key, signature, message) and
-        (root, leaf, proof) tuples. Raises EvidenceError."""
-        if claim.claim_id != atom_id(claim.atom):
-            raise EvidenceError(f"claim id does not match atom {canonical_atom(claim.atom)}")
-        self._checked = []
+    def check_evidence(self, claim: Claim) -> None:
+        """Check a claim's own evidence (see `check_evidence`), taking the
+        checks passed so far in this admission as passed. Raises
+        EvidenceError."""
         check_evidence(claim, self.trust_store, self.log_operator_key, self._signature_ok, self._inclusion_ok)
-        return self._checked
 
     def record_own_signature(self, public_key: bytes, signature: bytes, message: bytes) -> None:
         """Take an Ed25519 signature the KB's owner has just made with the
         private key of `public_key` as passed, for the next `revise` or
-        `assert_claim` only: the memo keeps it if a claim that call stores
-        uses it, and forgets it otherwise. A direct assertion is checked
-        under its signer's trust-store key, so the triple is never used
-        when that key is not `public_key`."""
+        `assert_claim` only. A direct assertion is checked under its
+        signer's trust-store key, so the triple is never used when that key
+        is not `public_key`."""
         self._fresh.add((public_key, signature, message))
 
     def record_verified_inclusion(self, inclusion: LogInclusion) -> None:
@@ -640,32 +639,31 @@ class KnowledgeBase:
             self._fresh.add((self.log_operator_key, head.signature, message))
 
     def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
-        """One Ed25519 check, memoised by its full inputs."""
+        """One Ed25519 check, unless it passed earlier in this admission."""
         entry = (public_key, signature, message)
-        if entry not in self._verified and entry not in self._fresh:
+        if entry not in self._fresh:
             from .identity import verify_bytes
 
             if not verify_bytes(public_key, signature, message):
                 return False
             self._fresh.add(entry)
-        self._checked.append(entry)
         return True
 
     def _inclusion_ok(self, root: bytes, leaf: bytes, proof: "InclusionProof") -> bool:
-        """One inclusion proof check, memoised by its full inputs."""
+        """One inclusion proof check, unless it passed earlier in this
+        admission."""
         entry = (root, leaf, proof)
-        if entry not in self._verified and entry not in self._fresh:
+        if entry not in self._fresh:
             from .claimlog import verify_inclusion
 
             if not verify_inclusion(root, leaf, proof):
                 return False
             self._fresh.add(entry)
-        self._checked.append(entry)
         return True
 
-    def _store(self, claim: Claim, used: list[tuple]) -> None:
-        """Store a claim whose atom is absent or whose predecessor was
-        released; `used` holds the checks its evidence passed."""
+    def _store(self, claim: Claim) -> None:
+        """Store a checked claim whose atom is absent or whose predecessor
+        was released."""
         cid = claim.claim_id
         self.claims[claim.atom] = claim
         self.by_id[cid] = claim
@@ -674,10 +672,6 @@ class KnowledgeBase:
         if group is None:
             group = self._index[key] = {}
         group[cid] = claim
-        if used:
-            self._uses[cid] = used
-            for entry in used:
-                self._verified[entry] = self._verified.get(entry, 0) + 1
         if isinstance(claim.evidence, DerivedByRule):
             for premise_id in claim.evidence.premises:
                 dependents = self._dependents.get(premise_id)
@@ -695,14 +689,7 @@ class KnowledgeBase:
             del self._index[key]
 
     def _release(self, claim: Claim) -> None:
-        """Forget what a stored claim's evidence holds: its memo entries and
-        its premise edges."""
-        for entry in self._uses.pop(claim.claim_id, ()):
-            count = self._verified[entry] - 1
-            if count:
-                self._verified[entry] = count
-            else:
-                del self._verified[entry]
+        """Forget a stored claim's premise edges."""
         if isinstance(claim.evidence, DerivedByRule):
             for premise_id in claim.evidence.premises:
                 dependents = self._dependents.get(premise_id)
@@ -805,10 +792,11 @@ class KnowledgeBase:
 
     def verify_claim_chain(self, atom: GroundAtom) -> bool:
         """True iff the atom's local evidence re-checks all the way down:
-        every claim's own evidence, and every rule instance's side
+        every claim's id and rule instance, and every rule instance's side
         conditions and premise atoms, following premise ids through
         `by_id` depth first. Each claim is checked once however many claims
         name it. An absent atom, a missing premise and cyclic evidence fail.
+        Signatures and proofs passed on entry and are not run again.
 
         DirectAssertion, LogInclusion and CarriedByNextRule end the walk;
         auditing across revisions is the audit module's job.
@@ -837,10 +825,11 @@ class KnowledgeBase:
         return True
 
     def _chain_premises(self, claim: Claim) -> tuple[str, ...]:
-        """Check a claim's own evidence and, for a derivation, that its
-        premise ids name stored claims of its rule instance's premise atoms
-        in body order; returns those ids. Raises EvidenceError."""
-        self.check_evidence(claim)
+        """Check a stored claim's own evidence, its signatures and proofs
+        taken as passed, and, for a derivation, that its premise ids name
+        stored claims of its rule instance's premise atoms in body order;
+        returns those ids. Raises EvidenceError."""
+        check_evidence(claim, None, None, _passed, _passed)
         ev = claim.evidence
         if not isinstance(ev, DerivedByRule):
             return ()
@@ -848,3 +837,4 @@ class KnowledgeBase:
         if None in premises or rule_premises(ev.rule, ev.substitution) != [p.atom for p in premises]:
             raise EvidenceError(f"premises of {canonical_atom(claim.atom)} are missing or do not match its rule")
         return ev.premises
+

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import json
 
-from .claimlog import InclusionProof, SignedTreeHead
 from .engine import (
     CarriedByNextRule,
     Claim,
     DerivedByRule,
     DirectAssertion,
     Evidence,
-    LogInclusion,
     atom_id,
     canonical_atom,
     parse_canonical_atom,
@@ -47,14 +45,6 @@ def evidence_to_obj(ev: Evidence) -> dict:
             "substitution": _subst_obj(ev.substitution),
             "source_revision": ev.source_revision,
         }
-    if isinstance(ev, LogInclusion):
-        return {
-            "kind": "log_inclusion",
-            "revision_id": ev.revision_id,
-            "leaf_hash": ev.leaf_hash.hex(),
-            "proof": ev.proof.to_obj(),
-            "tree_head": ev.tree_head.to_obj(),
-        }
     raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
 
 
@@ -74,13 +64,6 @@ def evidence_from_obj(obj: dict) -> Evidence:
                 parse_standalone_rule(obj["rule"]),
                 dict(obj["substitution"]),
                 obj["source_revision"],
-            )
-        if kind == "log_inclusion":
-            return LogInclusion(
-                obj["revision_id"],
-                bytes.fromhex(obj["leaf_hash"]),
-                InclusionProof.from_obj(obj["proof"]),
-                SignedTreeHead.from_obj(obj["tree_head"]),
             )
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise EvidenceError(f"malformed evidence object: {exc}") from exc

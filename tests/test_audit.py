@@ -13,6 +13,7 @@ from cyberlog.errors import NotFoundError
 from cyberlog.harness import OPERATOR_NAME, ScenarioRun, identity_seed, load_scenario
 from conftest import OPERATOR
 from cyberlog.identity import generate_identity
+from cyberlog.revision import REVISION_PAYLOAD_HEAD, decode_payload
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -118,17 +119,21 @@ def test_tampered_leaf_fails_consistency_and_audit(tmp_path):
 def test_audit_fails_when_evidence_path_tampered(tmp_path):
     run, log_path, _cache = booking_run(tmp_path)
     run.close()
-    # flip a byte inside MRM's head revision, the one the verdict's premise
-    # resolution actually fetches (earlier revisions are no longer referenced)
-    regions = payload_byte_offsets(log_path)
-    target = None
+    # flip a byte inside the MRM revision that DOM's head includes, the one
+    # the verdict's premise resolution fetches
     with open(log_path, "rb") as fh:
         data = fh.read()
-    for offset, length in regions:
-        body = data[offset : offset + length]
-        if b"feasible_config" in body:
-            target = offset + body.index(b"feasible_config")  # keep the last hit
-    assert target is not None
+    revisions = []  # (record, payload offset, payload bytes)
+    for offset, length in payload_byte_offsets(log_path):
+        payload = data[offset : offset + length]
+        if payload.startswith(REVISION_PAYLOAD_HEAD.encode()):
+            revisions.append((decode_payload(payload.decode("utf-8"))[0], offset, payload))
+    dom_head = [record for record, _offset, _payload in revisions if record.owner == "DOM"][-1]
+    [target] = [
+        offset + payload.index(b"feasible_config")
+        for record, offset, payload in revisions
+        if record.owner == "MRM" and record.id in dom_head.includes
+    ]
     flip_byte(log_path, target)
 
     client, operator = reopen_db(run, log_path)

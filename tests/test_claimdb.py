@@ -421,6 +421,112 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
         reopened.log.close()
 
 
+# -- replay admits what a submit would have admitted --------------------------
+
+
+def _sb_sheet_hash():
+    return parse_rulesheet(SB_SHEET, "SB").source_hash.hex()
+
+
+def _unsigned(identities, base):
+    """SB's successor of `base` under an all-zero signature: the payload of
+    someone who can write the log file but does not hold SB's key."""
+    record, body = build_record("SB", base.id, (), _sb_sheet_hash(), (), 2)
+    return record, encode_payload(body, b"\0" * 64)
+
+
+def _signed(identities, owner, supersedes, commit_time=2):
+    rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
+    record, body = build_record(owner, supersedes, (), rs.source_hash.hex(), (), commit_time)
+    return record, encode_payload(body, sign_record(record, identities[owner]))
+
+
+REFUSED_ON_REPLAY = {
+    "forged-signature": lambda ids, base: _unsigned(ids, base),
+    "second-chain-root": lambda ids, base: _signed(ids, "SB", None, commit_time=9),
+    "foreign-supersession": lambda ids, base: _signed(ids, "MRM", base.id),
+    "unlogged-target": lambda ids, base: _signed(ids, "SB", "ab" * 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ON_REPLAY))
+def test_reopen_leaves_refused_revision_unindexed(tmp_path, identities, trust_store, case):
+    """A revision appended to the log file directly, which a submit would
+    have refused, is left unindexed on reopen: the owner's head stays the
+    genuine one, the entry's id is not found, over HTTP too (404), and the
+    genuine chain can still be extended."""
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    refused, refused_payload = REFUSED_ON_REPLAY[case](identities, base)
+    with pytest.raises(SubmitError):
+        db.submit_revision(refused_payload)
+    db.log.append(refused_payload.encode("utf-8"))
+    root = db.get_log_root()
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    server, _url = serve_db_in_thread(reopened)
+    try:
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(refused.id)
+        request = f"GET /revisions/{refused.id} HTTP/1.1\r\n\r\n".encode()
+        assert raw_http_status(server.server_address, request) == 404
+        assert reopened.get_log_root() == root
+        _, nxt = sb_payload(identities, supersedes=base.id, commit_time=3)
+        reopened.submit_revision(nxt)
+        assert reopened.get_head("SB")["chain_length"] == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+        reopened.log.close()
+
+
+def test_reopen_without_an_owners_key_leaves_its_revisions_unindexed(tmp_path, identities, trust_store):
+    from cyberlog.identity import TrustStore
+
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    base, payload = sb_payload(identities)
+    db.submit_revision(payload)
+    mrm, mrm_payload = _signed(identities, "MRM", None)
+    db.submit_revision(mrm_payload)
+    db.log.close()
+
+    without_sb = TrustStore.from_identities(i for name, i in identities.items() if name != "SB")
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], without_sb, clock=lambda: 1)
+    try:
+        with pytest.raises(NotFoundError):
+            reopened.get_head("SB")
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(base.id)
+        assert reopened.get_head("MRM")["revision_id"] == mrm.id
+    finally:
+        reopened.log.close()
+
+
+def test_reopen_of_a_genuine_log_keeps_heads_and_chain_lengths(tmp_path):
+    import os
+
+    from cyberlog.harness import ScenarioRun, load_scenario
+
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
+    path = str(tmp_path / "claims.log")
+    run = ScenarioRun(scenario, log_path=path)
+    assert run.run().passed
+    heads = {name: run.client.get_head(name) for name in run.monitors}
+    run.close()
+    assert all(head["chain_length"] > 1 for head in heads.values())
+
+    reopened = ClaimDb(MerkleLog(path), run.operator, run.trust_store)
+    try:
+        assert {name: reopened.get_head(name) for name in run.monitors} == heads
+    finally:
+        reopened.log.close()
+
+
 # -- the log holds canonical revisions only ----------------------------------
 
 SIG_HEX = "ab" * 64
@@ -515,5 +621,39 @@ def test_reopen_leaves_non_canonical_revision_unindexed(tmp_path, identities, tr
         assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
         assert reopened.get_log_root() == root
         reopened.get_revision(rulesheet)
+    finally:
+        reopened.log.close()
+
+
+def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identities, trust_store):
+    """Inclusion evidence is not a wire kind: a revision whose claim carries
+    it is refused with 400 at submit, and left unindexed on reopen."""
+    from cyberlog.claimlog import sign_tree_head
+    from cyberlog.wire import canonical_json
+
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    inclusion = {
+        "kind": "log_inclusion",
+        "revision_id": base.id,
+        "leaf_hash": leaf_hash(payload.encode()).hex(),
+        "proof": db.log.prove_inclusion(0, 1).to_obj(),
+        "tree_head": sign_tree_head(db.log, identities[OPERATOR], 1).to_obj(),
+    }
+    direct = canonical_json({"kind": "direct_assertion", "signer": "SB", "signature": SIG_HEX})
+    body = canonical_body(identities).replace('"supersedes":null', f'"supersedes":"{base.id}"')
+    body = body.replace(direct, canonical_json(inclusion), 1)
+    forged = signed_body(identities, body)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(forged)
+    assert exc.value.code == 400 and "unknown evidence kind 'log_inclusion'" in str(exc.value)
+    db.log.append(forged.encode("utf-8"))
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
     finally:
         reopened.log.close()

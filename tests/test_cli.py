@@ -322,6 +322,9 @@ def test_serve_monitor_without_operator_key_exits_2(tmp_path, capsys):
         ("serve-monitor", {}, "monitor config needs 'name'"),
         ("serve-monitor", {"name": "SB"}, "monitor config needs 'seed_hex' or 'key_file'"),
         ("serve-monitor", [], "is not a JSON object"),
+        ("serve-db", {"seed_hex": "zz", "trust_store": "x"}, "claim db config 'seed_hex' does not hold a hex seed"),
+        ("serve-monitor", {"name": "SB", "seed_hex": "zz"}, "monitor config 'seed_hex' does not hold a hex seed"),
+        ("serve-db", {"seed_hex": 6}, "claim db config 'seed_hex' does not hold a hex seed"),
     ],
 )
 def test_incomplete_config_exits_2(tmp_path, capsys, command, config, expected):
@@ -329,6 +332,16 @@ def test_incomplete_config_exits_2(tmp_path, capsys, command, config, expected):
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path)]) == 2
     assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, role", [("serve-db", "claim db"), ("serve-monitor", "monitor")])
+def test_key_file_not_hex_exits_2(tmp_path, capsys, command, role):
+    key_file = tmp_path / "seed.key"
+    key_file.write_text("not a hex seed\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"name": "SB", "key_file": str(key_file), "trust_store": "x"}))
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{role} config 'key_file' does not hold a hex seed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["name", "trust_store", "rulesheet", "db_url"])
@@ -377,6 +390,22 @@ def test_offline_audit_needs_no_operator_key(tmp_path, capsys):
     code = main(["audit", "--db", log_path, "--trust-store", str(tmp_path / "trust.jsonl"), "--owner", "DOM"])
     assert code == 0
     assert "fully verified" in capsys.readouterr().out
+
+
+def test_audit_of_a_non_ground_atom_exits_2(served_scenario, capsys):
+    argv = ["audit", "--db", served_scenario["url"], "--trust-store", served_scenario["trust"], "--owner", "SB"]
+    assert main([*argv, "request(X)"]) == 2
+    out = capsys.readouterr().out
+    assert "audit needs a fully ground atom (no variables): 'request(X)'" in out and "audit:" not in out
+
+
+def test_offline_audit_of_a_missing_log_file_exits_2_and_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing.log"
+    TrustStore().save(str(tmp_path / "trust.jsonl"))
+    code = main(["audit", "--db", str(missing), "--trust-store", str(tmp_path / "trust.jsonl"), "--owner", "SB"])
+    assert code == 2
+    assert f"no log file {str(missing)!r} to audit" in capsys.readouterr().out
+    assert not missing.exists()
 
 
 # -- a heads cache that is not a list of tree heads --------------------------

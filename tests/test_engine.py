@@ -318,17 +318,20 @@ good_rtf_exists(R, A) :-
 
 
 def _counting_checks(kb, monkeypatch, limit=50):
-    """Record each claim `kb.check_evidence` is asked about; fail the test
-    past `limit` calls, so that a walk that never ends cannot hang it."""
-    checked = []
-    original = kb.check_evidence
+    """Record each claim the shared checker `engine.check_evidence` is asked
+    about; fail the test past `limit` calls, so that a walk that never ends
+    cannot hang it."""
+    import cyberlog.engine as engine
 
-    def counting(claim):
+    checked = []
+    original = engine.check_evidence
+
+    def counting(claim, *args):
         checked.append(claim.atom)
         assert len(checked) <= limit, "the chain walk does not end"
-        return original(claim)
+        return original(claim, *args)
 
-    monkeypatch.setattr(kb, "check_evidence", counting)
+    monkeypatch.setattr(engine, "check_evidence", counting)
     return checked
 
 
@@ -567,8 +570,8 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     raising = claims_from_atoms([GroundAtom("SB", "p", (9, "x"))])  # an ordered comparison on a string
     with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
         kb.revise([GroundAtom("SB", "s", (1,))], [replacement, *raising])
-    claims, memo = before
-    assert kb.claims.keys() == claims.keys() and kb._verified == memo
+    claims = before
+    assert kb.claims.keys() == claims.keys() and not kb._fresh
     assert all(kb.claims[a] is claims[a] for a in (GroundAtom("SB", "s", (1,)), GroundAtom("SB", "s", (2,))))
     assert at_fixpoint(kb)
     _consistent(kb)
@@ -576,7 +579,7 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     assert [c.atom for c in added] == [GroundAtom("SB", "p", (2, 7)), GroundAtom("SB", "late", (2,))]
 
 
-# --- memo of passed checks, kept across revisions ---------------------------
+# --- evidence checked once, on entry -----------------------------------------
 
 
 @pytest.fixture
@@ -631,16 +634,20 @@ def _logged_claim(operator, atom, timestamp_ms=7):
 
 
 def _state(kb):
-    """Atoms with their evidence objects, and the memo."""
-    return {atom: claim for atom, claim in kb.claims.items()}, dict(kb._verified)
+    """Atoms with their evidence objects."""
+    return dict(kb.claims)
 
 
-def _same_state(kb, state):
-    claims, memo = state
-    return kb.claims == claims and all(kb.claims[a] is c for a, c in claims.items()) and kb._verified == memo
+def _same_state(kb, claims):
+    """The KB holds exactly `claims`, as the same objects, and keeps no
+    check past the admission that passed it."""
+    return kb.claims == claims and all(kb.claims[a] is c for a, c in claims.items()) and not kb._fresh
 
 
-def test_lineage_verifies_each_signature_once(signed_identities, count_verify, monkeypatch):
+def test_stored_claims_are_not_verified_again(signed_identities, count_verify, count_inclusion, monkeypatch):
+    """Each admission checks every claim it is given; a stored claim counts
+    as checked, so the chain check re-checks its evidence without running
+    a signature or a proof again."""
     import cyberlog.engine as engine
     from cyberlog.identity import generate_identity
 
@@ -657,23 +664,17 @@ def test_lineage_verifies_each_signature_once(signed_identities, count_verify, m
     kb = KnowledgeBase(NO_RULES, trust_store=trust, log_operator_key=operator.public_key)
     kb.assert_claim(direct)
     kb.assert_claim(logged)
-    assert len(count_verify) == 2
-    for _ in range(2):
-        # re-admission: each claim is checked again, its atom is not new
-        assert kb.revise([direct.atom, logged.atom], [direct, logged]) == []
-    assert kb.claims.keys() == {direct.atom, logged.atom}
-    assert kb.verify_claim_chain(atom)
-    assert len(checks) == 2 + 4 + 1
-    assert len(count_verify) == 2  # checked again, but not re-verified
-    # the memo keeps only the entries the remaining claims use
-    assert len(kb._verified) == 3  # the signature, the inclusion proof and the tree head
-    kb.revise([logged.atom], [])
-    assert list(kb._verified) == [(trust.public_key("SB"), direct.evidence.signature, canonical_atom(atom).encode())]
-    kb.revise([atom], [])
-    assert not kb._verified and len(kb) == 0
+    assert (len(count_verify), len(count_inclusion)) == (2, 1)  # the signature; the tree head and the proof
+    # re-admission: each claim is checked again, its atom is not new
+    assert kb.revise([direct.atom, logged.atom], [direct, logged]) == []
+    assert kb.claims.keys() == {direct.atom, logged.atom} and not kb._fresh
+    assert (len(count_verify), len(count_inclusion)) == (4, 2)
+    assert kb.verify_claim_chain(atom) and kb.verify_claim_chain(logged.atom)
+    assert len(checks) == 2 + 2 + 2
+    assert (len(count_verify), len(count_inclusion)) == (4, 2)
 
 
-def test_memo_still_rejects_forgeries(signed_identities):
+def test_forgeries_refused_on_entry(signed_identities):
     from cyberlog.claimlog import SignedTreeHead
     from cyberlog.engine import LogInclusion
     from cyberlog.identity import generate_identity
@@ -691,6 +692,7 @@ def test_memo_still_rejects_forgeries(signed_identities):
     kb.assert_claim(logged)
     kb.revise([], [genuine, logged])
     before = _state(kb)
+    assert _same_state(kb, before)
 
     forgeries = {
         "same atom, different signature": make_claim(
@@ -721,7 +723,7 @@ def test_memo_still_rejects_forgeries(signed_identities):
             kb.revise([], [forged])
         assert _same_state(kb, before)
 
-    # the signer's key replaced in the trust store: the memoised check no longer applies
+    # the signer's key replaced in the trust store: the next admission checks under the new key
     trust.add(generate_identity("SB", "s", "i", seed=b"\x07" * 32))
     with pytest.raises(EvidenceError, match="bad signature"):
         kb.revise([], [genuine])
@@ -743,13 +745,13 @@ def test_failed_verification_is_not_memoised(signed_identities, count_verify):
     with pytest.raises(EvidenceError, match="bad signature"):
         kb.revise([], [forged])
     assert len(count_verify) == 3
-    assert not kb._verified and len(kb) == 0
+    assert not kb._fresh and len(kb) == 0
 
 
 def test_own_signature_spares_one_check_and_no_forgery(signed_identities, count_verify):
     """A signature the KB's owner records as just made spares the check of
     the claim it signs in the next admission only; a forged claim offered
-    with it is still checked and rejected, and leaves nothing in the memo."""
+    with it is still checked and rejected, and leaves nothing behind."""
     from conftest import sign_claim
 
     trust, ids = signed_identities
@@ -768,20 +770,20 @@ def test_own_signature_spares_one_check_and_no_forgery(signed_identities, count_
         kb.record_own_signature(key, signature, message)
         with pytest.raises(EvidenceError, match="bad signature"):
             kb.revise([], [forged])
-        assert len(kb) == 0 and not kb._verified and not kb._fresh
+        assert len(kb) == 0 and not kb._fresh
     assert len(count_verify) == 3
     kb.revise([], [genuine])  # no record left over from the refused admissions
     assert len(count_verify) == 4
     kb.revise([atom], [])
     kb.record_own_signature(key, signature, message)
     assert kb.revise([], [genuine]) == [genuine]
-    assert len(count_verify) == 4 and kb._verified == {(key, signature, message): 1} and not kb._fresh
+    assert len(count_verify) == 4 and not kb._fresh
 
 
 def test_failed_revise_changes_nothing(signed_identities, count_verify):
-    """A refused batch leaves atoms, evidence objects, memo and pending work
-    as they were, even when an earlier claim of the batch passed a check the
-    memo did not hold yet."""
+    """A refused batch leaves atoms, evidence objects and pending work as
+    they were, even when an earlier claim of the batch passed its check;
+    that check is not kept for the next admission."""
     from conftest import sign_claim
 
     trust, ids = signed_identities
@@ -804,7 +806,9 @@ def test_failed_revise_changes_nothing(signed_identities, count_verify):
     assert len(count_verify) == calls + 1
 
 
-def test_each_inclusion_proof_checked_once(count_inclusion, count_verify):
+def test_each_inclusion_proof_checked_once_per_admission(count_inclusion, count_verify):
+    """The claims of one included revision share one proof and one tree
+    head: an admission checks each once, and the next admission again."""
     from cyberlog.claimlog import InclusionProof, SignedTreeHead
     from cyberlog.engine import LogInclusion
     from cyberlog.identity import generate_identity
@@ -813,10 +817,9 @@ def test_each_inclusion_proof_checked_once(count_inclusion, count_verify):
     claims = _logged_claims(operator, [GroundAtom("MRM", "q", (n,)) for n in range(5)])
     kb = KnowledgeBase(NO_RULES, log_operator_key=operator.public_key)
     assert len(kb.revise([], claims)) == 5
-    kb.revise([], claims)
-    for claim in claims:
-        kb.check_evidence(claim)
     assert len(count_inclusion) == 1 and len(count_verify) == 1
+    assert kb.revise([], claims) == []
+    assert len(count_inclusion) == 2 and len(count_verify) == 2
     ev = claims[0].evidence
     proof, head = ev.proof, ev.tree_head
     other_root = SignedTreeHead(head.tree_size, bytes(32), head.timestamp_ms, head.signature)
@@ -831,12 +834,23 @@ def test_each_inclusion_proof_checked_once(count_inclusion, count_verify):
         with pytest.raises(EvidenceError, match="inclusion proof failed"):
             kb.revise([], [Claim(claims[0].atom, evidence, claims[0].claim_id)])
         assert _same_state(kb, before)
-    assert len(kb._verified) == 2  # the proof and the tree head
-    # once no claim uses the proof, it is checked again
-    kb.revise([c.atom for c in claims], [])
-    assert not kb._verified
-    kb.revise([], claims[:1])
-    assert len(count_inclusion) == 1 + len(variants) + 1
+    assert len(count_inclusion) == 2 + len(variants)
+
+
+def test_booking_run_makes_no_check_inside_a_kb(count_verify, count_inclusion):
+    """In a memory-mode booking run, where DOM watches the four other
+    owners, every check a KB makes on entry is answered by its caller's
+    hand-off (an own signature, a verified fetch), and the `auditable`
+    flag of each expected query answer re-runs no signature or proof."""
+    import os
+
+    from cyberlog.harness import load_scenario, run_scenario
+
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
+    assert [m.watched for m in scenario.monitors if m.name == "DOM"] == [("SB", "MRM", "OM", "CA")]
+    report = run_scenario(scenario, mode="memory")
+    assert report.passed
+    assert (len(count_verify), len(count_inclusion)) == (0, 0)
 
 
 # --- Delete-and-Rederive ------------------------------------------------------

@@ -399,7 +399,7 @@ def test_monitor_whose_trusted_key_is_not_its_own_refuses_its_events(identities,
     before = set(sb.kb.claims)
     with pytest.raises(EvidenceError, match="bad signature"):
         sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
-    assert sb.kb.claims.keys() == before and not sb.kb._verified and not sb.kb._fresh
+    assert sb.kb.claims.keys() == before and not sb.kb._fresh
     assert sb.metrics_report()["events"] == 0
 
 
@@ -408,7 +408,7 @@ def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
         Monitor(identities["DOM"], parse_rulesheet(SB_SHEET, "SB"), db_client, trust_store)
 
 
-# --- signature memo along each monitor's KB lineage ---------------------------
+# --- Ed25519 work along each monitor's KB lineage ----------------------------
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -538,7 +538,7 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
     assert heads and len(heads) == len(set(heads))
 
 
-def test_signature_memo_bounded_and_supersession_matches_scratch():
+def test_supersession_matches_scratch():
     from cyberlog.harness import ScenarioRun
     from cyberlog.engine import KnowledgeBase
     from cyberlog.revision import include_revision
@@ -546,13 +546,11 @@ def test_signature_memo_bounded_and_supersession_matches_scratch():
     windows = 8
     run = ScenarioRun(_steady_booking(windows))
     dom = run.monitors["DOM"]
-    sizes = []
     try:
         for k in range(1, windows + 1):
             for now in (1000 * k - 1, 1000 * k):  # before and after the window's commits and polls
                 run.advance_to(now)
-                sizes.append({name: len(m.kb._verified) for name, m in run.monitors.items()})
-            # DOM's KB is its inclusions and their consequences: rebuild it with no memo
+            # DOM's KB is its inclusions and their consequences: rebuild it from scratch
             scratch = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
             for owner, rev_id in dom.active_includes.items():
                 include_revision(scratch, rev_id, run.client, owner)
@@ -560,7 +558,6 @@ def test_signature_memo_bounded_and_supersession_matches_scratch():
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
         run.close()
-    assert sizes[2:4] == sizes[-2:], sizes
 
 
 # --- refused includes and supersessions ---------------------------------------
@@ -578,14 +575,16 @@ class PassThroughDb:
 
 
 def _append_directly(db, identities, owner, supersedes, atoms=()):
-    """Log a revision without the claim DB's submit checks; returns its id."""
+    """Log and index a revision without the claim DB's admission checks, as
+    a claim DB that lies would; returns its id."""
     from cyberlog.engine import DirectAssertion, make_claim
     from conftest import sign_claim
     from cyberlog.revision import build_record, encode_payload, sign_record
 
     claims = [make_claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
     record, body = build_record(owner, supersedes, (), "0" * 64, claims, 5)
-    db.log.append(encode_payload(body, sign_record(record, identities[owner])).encode("utf-8"))
+    index = db.log.append(encode_payload(body, sign_record(record, identities[owner])).encode("utf-8"))
+    db._index_revision(record, index)
     return record.id
 
 
@@ -594,10 +593,8 @@ def _append_directly(db, identities, owner, supersedes, atoms=()):
     ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation", "first-saturation"],
 )
 def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, caplog):
-    """A refused head leaves DOM's atoms, evidence objects, memo and
-    active includes exactly as they were, and DOM's KB as saturated as it was."""
-    from cyberlog.claimdb import ClaimDb
-
+    """A refused head leaves DOM's atoms, evidence objects and active
+    includes exactly as they were, and DOM's KB as saturated as it was."""
     sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
     # an ordered comparison that raises once SB logs a non-integer time
     late = "late(R) :- 'SB' attests request(R, Data, T), T > 3.\n"
@@ -626,32 +623,28 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         expected = "belongs to 'MRM', not to the watched 'SB'"
     elif refusal == "foreign-head":  # an MRM revision that supersedes r1
         foreign = _append_directly(db, identities, "MRM", r1.id)
-        wrapped = PassThroughDb(ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000))
-        wrapped.get_head = lambda owner: dict(wrapped.inner.get_head(owner), revision_id=foreign)
+        wrapped.get_head = lambda owner: dict(db.get_head(owner), revision_id=foreign)
         expected = "belongs to 'MRM', not to the watched 'SB'"
     elif refusal == "crossing":  # SB's new head supersedes a CTR revision that supersedes r1
         crossing = _append_directly(db, identities, "CTR", r1.id)
         _append_directly(db, identities, "SB", crossing, [GroundAtom("SB", "request", (9, "d", 1))])
-        wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
         expected = "supersession crosses owners: 'CTR' vs 'SB'"
     elif refusal == "first-saturation":  # the first SB head DOM sees holds a request whose time is not an integer
         dom.kb.saturate()
         assert len(dom.kb) == 0
         _append_directly(db, identities, "SB", r1.id, [GroundAtom("SB", "request", (9, "d", "x"))])
-        wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
         expected = "ordered comparison on non-integers"
     else:  # SB's new head keeps r1's request and adds one whose time is not an integer
         atoms = [*(claim.atom for claim in r1.claims), GroundAtom("SB", "request", (9, "d", "x"))]
         _append_directly(db, identities, "SB", r1.id, atoms)
-        wrapped = ClaimDb(db.log, identities[OPERATOR], trust_store, clock=lambda: 1000)
         expected = "ordered comparison on non-integers"
-    claims, memo, includes = dict(dom.kb.claims), dict(dom.kb._verified), dict(dom.active_includes)
+    claims, includes = dict(dom.kb.claims), dict(dom.active_includes)
     saturated = at_fixpoint(dom.kb)
     dom.db = wrapped
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
         assert dom.poll_and_include() == []
     assert dom.kb.claims == claims and all(dom.kb.claims[a] is c for a, c in claims.items())
-    assert dom.kb._verified == memo and dom.active_includes == includes
+    assert not dom.kb._fresh and dom.active_includes == includes
     assert at_fixpoint(dom.kb) == saturated
     [record] = caplog.records
     assert record.stage == "poll" and re.search(expected, record.getMessage()), record.getMessage()
@@ -689,7 +682,7 @@ def test_event_whose_consequence_raises_is_refused(identities, trust_store, db_c
     with pytest.raises(EvaluationError, match="integer overflow"):
         sb.ingest_event(HUGE)
     assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
-    assert not sb.kb._verified and not sb.kb._fresh  # the event's signature is not kept
+    assert not sb.kb._fresh  # the event's signature is not kept
     result = sb.ingest_event(SMALL)
     assert result.new_event and result.derived == SMALL_CONSEQUENCES
     record = sb.commit()

@@ -48,3 +48,30 @@ def test_derived_claim_roundtrip_preserves_rule():
     assert restored.evidence.rule == derived.evidence.rule
     assert restored.evidence.substitution == dict(derived.evidence.substitution)
     assert restored.claim_id == derived.claim_id
+
+
+def test_inclusion_evidence_has_no_wire_form():
+    """Inclusion evidence lives in a watcher's KB only; no logged claim
+    carries it, so it neither encodes nor decodes."""
+    import pytest
+
+    from cyberlog.claimlog import InclusionProof, MerkleLog, SignedTreeHead
+    from cyberlog.engine import LogInclusion
+    from cyberlog.errors import EvidenceError
+    from cyberlog.wire import evidence_from_obj, evidence_to_obj
+
+    log = MerkleLog()
+    log.append(b"entry")
+    proof, head = log.prove_inclusion(0, 1), SignedTreeHead(1, log.root(), 1, bytes(64))
+    with pytest.raises(EvidenceError, match="unknown evidence type LogInclusion"):
+        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head))
+    obj = {
+        "kind": "log_inclusion",
+        "revision_id": "ab" * 32,
+        "leaf_hash": "00" * 32,
+        "proof": proof.to_obj(),
+        "tree_head": head.to_obj(),
+    }
+    assert InclusionProof.from_obj(obj["proof"]) == proof
+    with pytest.raises(EvidenceError, match="unknown evidence kind 'log_inclusion'"):
+        evidence_from_obj(obj)
