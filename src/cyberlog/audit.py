@@ -3,9 +3,10 @@
 Audits reconstruct how a claim was made. Each claim's own evidence goes
 through the engine's `check_evidence` and each rule instance's side
 conditions through `rule_premises`, the checker the knowledge base uses
-too; the auditor only fetches revisions and resolves premises. Foreign
-premises are resolved through the auditing revision's includes,
-terminating in verified log inclusions. An optional trusted-heads cache
+too; the auditor adds the signature check of each direct assertion,
+fetches revisions and resolves premises. Foreign premises are resolved
+through the auditing revision's includes, terminating in verified log
+inclusions. An optional trusted-heads cache
 adds an append-only consistency check of the whole log first, which is
 what catches byte tampering outside the audited evidence path.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .claimlog import ConsistencyProof, SignedTreeHead, verify_consistency, verify_inclusion, verify_tree_head
+from .claimlog import ConsistencyProof, SignedTreeHead, verify_consistency, verify_tree_head
 from .engine import (
     CarriedByNextRule,
     Claim,
@@ -105,17 +106,23 @@ class Auditor:
     # -- recursive verification ---------------------------------------------
 
     def audit_claim(self, record: RevisionRecord, claim: Claim, depth: int = 0) -> AuditNode:
-        """Check the claim's evidence with the engine's checker, then audit
-        its premises: a rule instance's own premises in `record`, a carried
+        """Check the claim's evidence with the engine's checker and a direct
+        assertion's signature under its signer's trusted key, then audit its
+        premises: a rule instance's own premises in `record`, a carried
         claim's in its source revision."""
         if depth > 500:
             return self._fail(claim.atom, "depth", "evidence chain exceeds depth limit")
         ev = claim.evidence
         kind = _KINDS.get(type(ev), "unknown")
         try:
-            check_evidence(claim, self.trust_store, self.operator_key, verify_bytes, verify_inclusion)
+            check_evidence(claim)
             node = AuditNode(canonical_atom(claim.atom), kind, True, "")
             if isinstance(ev, DirectAssertion):
+                key = self.trust_store.public_key(ev.signer)
+                if key is None:
+                    raise EvidenceError(f"no trusted key for signer {ev.signer!r}")
+                if not verify_bytes(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
+                    raise EvidenceError(f"bad signature by {ev.signer!r} on {canonical_atom(claim.atom)}")
                 node.detail = f"signed by {ev.signer}"
             elif isinstance(ev, DerivedByRule):
                 expected = rule_premises(ev.rule, ev.substitution)

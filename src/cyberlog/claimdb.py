@@ -17,6 +17,7 @@ content hash via GET /revisions/{hash}.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 import urllib.parse
@@ -36,6 +37,9 @@ from .revision import (
     rulesheet_entry_id,
     verify_record_signature,
 )
+
+
+_log = logging.getLogger("cyberlog.claimdb")
 
 
 def _now_ms() -> int:
@@ -73,8 +77,8 @@ class ClaimDb:
     def _replay_existing(self) -> None:
         # Rebuild indexes from a reopened log file, in log order, admitting
         # each revision as `submit_revision` would have. Entries it would
-        # have refused are left unindexed; the tree still hashes their raw
-        # bytes.
+        # have refused are left unindexed, with one warning each; the tree
+        # still hashes their raw bytes.
         for index in range(len(self.log)):
             payload = self.log.payload(index).decode("utf-8", errors="replace")
             try:
@@ -84,8 +88,8 @@ class ClaimDb:
                     self._index_revision(record, index)
                 else:
                     self._by_id[rulesheet_entry_id(_rulesheet_text(payload))] = index
-            except CyberlogError:
-                continue
+            except CyberlogError as exc:
+                _log.warning("log entry %d left unindexed: %s", index, exc)
 
     def _index_revision(self, record: RevisionRecord, index: int) -> None:
         self._by_id[record.id] = index

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CyberlogError, EvaluationError, EvidenceError
 from .lang import (
@@ -34,7 +34,6 @@ from .lang import (
 
 if TYPE_CHECKING:
     from .claimlog import InclusionProof, SignedTreeHead
-    from .identity import TrustStore
 
 GroundTerm = int | str
 Substitution = dict[str, GroundTerm]
@@ -369,35 +368,21 @@ def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
 # Evidence checking, shared by the knowledge base and the auditor
 
 
-def check_evidence(
-    claim: Claim,
-    trust_store: "TrustStore | None",
-    operator_key: bytes | None,
-    signature_ok: Callable[[bytes, bytes, bytes], bool],
-    inclusion_ok: "Callable[[bytes, bytes, InclusionProof], bool]",
-) -> None:
-    """Check a claim's own evidence; raises EvidenceError.
+def check_evidence(claim: Claim) -> None:
+    """Check a claim's own evidence structurally; raises EvidenceError.
 
-    The claim id must be its atom's id. Direct assertions are
-    signature-checked when a trust store is given; rule instances (derived
-    or carried) must reproduce the claim's atom; log inclusions are
-    proof-checked, and their tree heads signature-checked when an operator
-    key is given. `signature_ok(key, signature, message)` performs each
-    Ed25519 check and `inclusion_ok(root, leaf, proof)` each inclusion
-    proof. Premises and side conditions are not checked here (see
+    The claim id must be its atom's id, a rule instance (derived or
+    carried) must reproduce the claim's atom, and the evidence must be of
+    a known type. Signatures and inclusion proofs are checked where a claim
+    enters the program: the monitor signs its own events, a watcher's fetch
+    verifies inclusion and the tree head, and the auditor verifies what it
+    reads. Premises and side conditions are not checked here (see
     `rule_premises`).
     """
     if claim.claim_id != atom_id(claim.atom):
         raise EvidenceError(f"claim id does not match atom {canonical_atom(claim.atom)}")
     ev = claim.evidence
-    if isinstance(ev, DirectAssertion):
-        if trust_store is not None:
-            key = trust_store.public_key(ev.signer)
-            if key is None:
-                raise EvidenceError(f"no trusted key for signer {ev.signer!r}")
-            if not signature_ok(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
-                raise EvidenceError(f"bad signature by {ev.signer!r} on {canonical_atom(claim.atom)}")
-    elif isinstance(ev, (DerivedByRule, CarriedByNextRule)):
+    if isinstance(ev, (DerivedByRule, CarriedByNextRule)):
         try:
             head = instantiate_head(ev.rule.head, ev.substitution)
         except EvaluationError as exc:
@@ -407,17 +392,7 @@ def check_evidence(
                 f"rule instance mismatch: rule head yields {canonical_atom(head)}, "
                 f"which does not reproduce the claim {canonical_atom(claim.atom)}"
             )
-    elif isinstance(ev, LogInclusion):
-        from .claimlog import tree_head_bytes
-
-        if not inclusion_ok(ev.tree_head.root_hash, ev.leaf_hash, ev.proof):
-            raise EvidenceError(f"inclusion proof failed for revision {ev.revision_id}")
-        head = ev.tree_head
-        if operator_key is not None and not signature_ok(
-            operator_key, head.signature, tree_head_bytes(head.tree_size, head.root_hash, head.timestamp_ms)
-        ):
-            raise EvidenceError("tree head signature invalid")
-    else:
+    elif not isinstance(ev, (DirectAssertion, LogInclusion)):
         raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
 
 
@@ -463,37 +438,23 @@ def _bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
     return subst
 
 
-def _passed(*_check) -> bool:
-    """A signature or proof check of a stored claim: it passed on entry."""
-    return True
-
-
 class KnowledgeBase:
     """Set of claims keyed by atom, each with the evidence that justifies it,
     under the standard rules of the rulesheet it is built with.
 
     Owned by a single logical actor; not safe for concurrent mutation.
-    Every claim's evidence is checked once, on entry. When a trust store is
-    supplied, direct assertions are signature-checked; log inclusions are
-    proof-checked, and their tree heads signature-checked when an operator
-    key is known. A stored claim counts as checked: `verify_claim_chain`
-    re-checks its structure but runs no signature or proof again.
+    Every claim's evidence is checked on entry, by structure only (see
+    `check_evidence`): its signatures and inclusion proofs were checked
+    where it entered the program, so the KB runs no Ed25519 check and no
+    proof. `verify_claim_chain` re-checks the structure of stored claims.
 
     A monitor keeps one KB for its lifetime and changes it only through
     `revise`, which retracts atoms by Delete-and-Rederive, admits claims
     and saturates, or changes nothing; so between calls the KB is at its
     fixpoint. `assert_claim` admits one claim without saturating.
-    Within one admission each distinct Ed25519 check and inclusion proof
-    runs at most once. A signature the KB's owner has just made, and a log
-    inclusion its caller has just verified, count as passed for the
-    admission that follows (`record_own_signature`,
-    `record_verified_inclusion`); nothing is kept past the admission.
     """
 
-    def __init__(self, rulesheet: Rulesheet, trust_store: "TrustStore | None" = None,
-                 log_operator_key: bytes | None = None):
-        self.trust_store = trust_store
-        self.log_operator_key = log_operator_key
+    def __init__(self, rulesheet: Rulesheet):
         self.claims: dict[GroundAtom, Claim] = {}
         self.by_id: dict[str, Claim] = {}
         self._index: dict[tuple[str, str], dict[str, Claim]] = {}  # by claim id
@@ -503,9 +464,6 @@ class KnowledgeBase:
         self._removed: dict[GroundAtom, None] = {}
         # premise claim id -> ids of the claims whose recorded derivation names it
         self._dependents: dict[str, dict[str, None]] = {}
-        # checks passed during the admission in progress, as (key,
-        # signature, message) and (root, leaf, proof); empty between calls
-        self._fresh: set[tuple] = set()
         # each standard rule with its relational body atoms, in body order
         std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
         self._joins = [(rule, [a for a in rule.body if isinstance(a, RelationalAtom)]) for rule in std]
@@ -533,13 +491,10 @@ class KnowledgeBase:
     def assert_claim(self, claim: Claim) -> bool:
         """Add a claim after checking its evidence; returns False if the atom
         is already present (set semantics, first evidence wins)."""
-        try:
-            self.check_evidence(claim)
-            if claim.atom in self.claims:
-                return False
-            self._store(claim)
-        finally:
-            self._fresh.clear()
+        self.check_evidence(claim)
+        if claim.atom in self.claims:
+            return False
+        self._store(claim)
         self._unsaturated.append(claim)
         return True
 
@@ -576,13 +531,10 @@ class KnowledgeBase:
         """The admission and retraction of `revise`, leaving saturation
         pending; returns the admitted claims whose atoms are new and the
         stored claims that were retracted or replaced."""
-        try:
-            incoming: dict[GroundAtom, Claim] = {}
-            for claim in claims:
-                self.check_evidence(claim)
-                incoming[claim.atom] = claim
-        finally:
-            self._fresh.clear()
+        incoming: dict[GroundAtom, Claim] = {}
+        for claim in claims:
+            self.check_evidence(claim)
+            incoming[claim.atom] = claim
         added: list[Claim] = []
         displaced: list[Claim] = []  # stored claims retracted or replaced
         for atom, claim in incoming.items():
@@ -612,54 +564,9 @@ class KnowledgeBase:
         return added, displaced
 
     def check_evidence(self, claim: Claim) -> None:
-        """Check a claim's own evidence (see `check_evidence`), taking the
-        checks passed so far in this admission as passed. Raises
+        """Check a claim's own evidence (see `check_evidence`). Raises
         EvidenceError."""
-        check_evidence(claim, self.trust_store, self.log_operator_key, self._signature_ok, self._inclusion_ok)
-
-    def record_own_signature(self, public_key: bytes, signature: bytes, message: bytes) -> None:
-        """Take an Ed25519 signature the KB's owner has just made with the
-        private key of `public_key` as passed, for the next `revise` or
-        `assert_claim` only. A direct assertion is checked under its
-        signer's trust-store key, so the triple is never used when that key
-        is not `public_key`."""
-        self._fresh.add((public_key, signature, message))
-
-    def record_verified_inclusion(self, inclusion: LogInclusion) -> None:
-        """Take a log inclusion's proof, and its tree head's signature under
-        the KB's operator key, as passed for the next `revise` or
-        `assert_claim` only, as `record_own_signature` does: the caller has
-        just verified both under that key (`fetch_verified_revision`)."""
-        head = inclusion.tree_head
-        self._fresh.add((head.root_hash, inclusion.leaf_hash, inclusion.proof))
-        if self.log_operator_key is not None:
-            from .claimlog import tree_head_bytes
-
-            message = tree_head_bytes(head.tree_size, head.root_hash, head.timestamp_ms)
-            self._fresh.add((self.log_operator_key, head.signature, message))
-
-    def _signature_ok(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
-        """One Ed25519 check, unless it passed earlier in this admission."""
-        entry = (public_key, signature, message)
-        if entry not in self._fresh:
-            from .identity import verify_bytes
-
-            if not verify_bytes(public_key, signature, message):
-                return False
-            self._fresh.add(entry)
-        return True
-
-    def _inclusion_ok(self, root: bytes, leaf: bytes, proof: "InclusionProof") -> bool:
-        """One inclusion proof check, unless it passed earlier in this
-        admission."""
-        entry = (root, leaf, proof)
-        if entry not in self._fresh:
-            from .claimlog import verify_inclusion
-
-            if not verify_inclusion(root, leaf, proof):
-                return False
-            self._fresh.add(entry)
-        return True
+        check_evidence(claim)
 
     def _store(self, claim: Claim) -> None:
         """Store a checked claim whose atom is absent or whose predecessor
@@ -796,7 +703,6 @@ class KnowledgeBase:
         conditions and premise atoms, following premise ids through
         `by_id` depth first. Each claim is checked once however many claims
         name it. An absent atom, a missing premise and cyclic evidence fail.
-        Signatures and proofs passed on entry and are not run again.
 
         DirectAssertion, LogInclusion and CarriedByNextRule end the walk;
         auditing across revisions is the audit module's job.
@@ -825,11 +731,10 @@ class KnowledgeBase:
         return True
 
     def _chain_premises(self, claim: Claim) -> tuple[str, ...]:
-        """Check a stored claim's own evidence, its signatures and proofs
-        taken as passed, and, for a derivation, that its premise ids name
-        stored claims of its rule instance's premise atoms in body order;
-        returns those ids. Raises EvidenceError."""
-        check_evidence(claim, None, None, _passed, _passed)
+        """Check a stored claim's own evidence and, for a derivation, that
+        its premise ids name stored claims of its rule instance's premise
+        atoms in body order; returns those ids. Raises EvidenceError."""
+        check_evidence(claim)
         ev = claim.evidence
         if not isinstance(ev, DerivedByRule):
             return ()

@@ -143,17 +143,19 @@ class Monitor:
         diags = validate_rulesheet(rulesheet)
         if diags:
             raise ConfigError(f"invalid rulesheet: {diags[0].reason}")
+        # others check the monitor's events and revisions under this key
+        if trust_store.public_key(identity.name) != identity.public_key:
+            raise ConfigError(f"trust store does not hold the public key of {identity.name!r}")
         self.identity = identity
         self.rulesheet = rulesheet
         self.db = db
-        self.trust_store = trust_store
         self.operator_key = operator_key
         self.watched_owners = tuple(watched_owners)
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.authz_predicate = authz_predicate
         self.name = identity.name
         self.lock = threading.RLock()
-        self.kb = KnowledgeBase(rulesheet, trust_store, operator_key)
+        self.kb = KnowledgeBase(rulesheet)
         self._base: str | None = None
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
@@ -167,11 +169,9 @@ class Monitor:
         atom = GroundAtom(
             self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body)
         )
-        message = canonical_atom(atom).encode("utf-8")
-        signature = sign_bytes(self.identity, message)
+        signature = sign_bytes(self.identity, canonical_atom(atom).encode("utf-8"))
         claim = make_claim(atom, DirectAssertion(self.name, signature))
         with self.lock:
-            self.kb.record_own_signature(self.identity.public_key, signature, message)
             # the event first if it is new, then its consequences; a known
             # event adds nothing, since the KB is at its fixpoint
             added = self.kb.revise((), [claim])
@@ -261,9 +261,9 @@ class Monitor:
                     continue
                 try:
                     if last is None:
-                        include_revision(self.kb, head, self.db, owner)
+                        include_revision(self.kb, head, self.db, owner, self.operator_key)
                     else:
-                        on_superseded(self.kb, last, head, self.db, owner)
+                        on_superseded(self.kb, last, head, self.db, owner, self.operator_key)
                 except (CyberlogError, OSError) as exc:
                     self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue

@@ -283,22 +283,23 @@ def _check_owner(record: RevisionRecord, owner: str) -> None:
 def _include(
     kb: KnowledgeBase, retract: Iterable[GroundAtom], record: RevisionRecord, inclusion: LogInclusion
 ) -> list[Claim]:
-    """Admit the record's claims under its inclusion evidence through
-    `KnowledgeBase.revise`; returns the admitted claims whose atoms are new.
-    `fetch_verified_revision` has verified the inclusion under the KB's
-    operator key, so `revise` does not verify it again."""
-    kb.record_verified_inclusion(inclusion)
+    """Admit the record's claims under its inclusion evidence, which
+    `fetch_verified_revision` has verified, through `KnowledgeBase.revise`;
+    returns the admitted claims whose atoms are new."""
     added = kb.revise(retract, [Claim(claim.atom, inclusion, claim.claim_id) for claim in record.claims])
     return [claim for claim in added if claim.evidence is inclusion]
 
 
-def include_revision(kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str) -> list[Claim]:
+def include_revision(
+    kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, operator_key: bytes | None
+) -> list[Claim]:
     """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence; returns the claims whose atoms are new. A refusal
-    leaves the KB's claims as they were: it refuses before the KB changes
-    if the proof chain does not verify or the revision belongs to someone
-    else, and `revise` undoes the import if saturation raises."""
-    record, inclusion = fetch_verified_revision(db, rev_id, kb.log_operator_key)
+    inclusion evidence, the fetch verified under `operator_key`; returns
+    the claims whose atoms are new. A refusal leaves the KB's claims as
+    they were: it refuses before the KB changes if the proof chain does not
+    verify or the revision belongs to someone else, and `revise` undoes the
+    import if saturation raises."""
+    record, inclusion = fetch_verified_revision(db, rev_id, operator_key)
     _check_owner(record, owner)
     return _include(kb, (), record, inclusion)
 
@@ -324,20 +325,23 @@ def supersession_chain(
     raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
 
 
-def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, db: LogClient, owner: str) -> list[Claim]:
+def on_superseded(
+    kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, db: LogClient, owner: str, operator_key: bytes | None
+) -> list[Claim]:
     """Update the KB in place after `owner`'s included revision was
     superseded; returns the admitted claims whose atoms are new.
 
     The new revision must belong to `owner`, whom the old revision was
     checked to belong to when it was included. The new revision is fetched
     once, each revision between it and the old one once, and the old one
-    not at all. Claims included from the replaced chain are retracted, with
-    every derivation downstream of them, and the new revision's claims are
-    included, in one `KnowledgeBase.revise`. A refusal leaves the KB's
-    claims as they were, as for `include_revision`.
+    not at all, each fetch verified under `operator_key`. Claims included
+    from the replaced chain are retracted, with every derivation downstream
+    of them, and the new revision's claims are included, in one
+    `KnowledgeBase.revise`. A refusal leaves the KB's claims as they were,
+    as for `include_revision`.
     """
-    record, inclusion = fetch_verified_revision(db, new_rev_id, kb.log_operator_key)
-    dropped = set(supersession_chain(db, record, old_rev_id, kb.log_operator_key))
+    record, inclusion = fetch_verified_revision(db, new_rev_id, operator_key)
+    dropped = set(supersession_chain(db, record, old_rev_id, operator_key))
     _check_owner(record, owner)
     retracted = [
         claim.atom

@@ -14,7 +14,7 @@ OPERATOR = "log-operator"
 
 def claims_from_atoms(atoms):
     """Wrap bare atoms as claims their principals assert, with an empty
-    signature: a KB without a trust store takes them as they are."""
+    signature: a KB checks no signature, so it takes them as they are."""
     return [make_claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
 
 

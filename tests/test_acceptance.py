@@ -253,7 +253,7 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
     from cyberlog.engine import DerivedByRule
 
     dom = run.monitors["DOM"]
-    oracle = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+    oracle = KnowledgeBase(dom.rulesheet)
     for claim in dom.kb.claims.values():
         if not isinstance(claim.evidence, DerivedByRule):
             oracle.assert_claim(claim)

@@ -527,6 +527,47 @@ def test_reopen_of_a_genuine_log_keeps_heads_and_chain_lengths(tmp_path):
         reopened.log.close()
 
 
+def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
+    """One changed byte in MRM's second revision leaves that entry, and
+    every later revision of MRM, unindexed, with one warning each naming
+    the entry's index and the reason it was refused."""
+    import os
+
+    from cyberlog.harness import ScenarioRun, load_scenario
+    from cyberlog.revision import decode_payload
+
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
+    path = str(tmp_path / "claims.log")
+    run = ScenarioRun(scenario, log_path=path)
+    assert run.run().passed
+    chain_length = run.client.get_head("MRM")["chain_length"]
+    log = run.db.log
+    mrm = [i for i in range(len(log)) if log.payload(i).startswith(b'{"kind":"revision","owner":"MRM"')]
+    run.close()
+    assert len(mrm) == chain_length > 2
+    # the second revision's last signature digit, changed: it decodes, but
+    # its owner's signature no longer verifies
+    offset = sum(4 + len(log.payload(i)) for i in range(mrm[1] + 1)) - len('"}') - 1
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        digit = fh.read(1)
+        fh.seek(offset)
+        fh.write(b"1" if digit == b"0" else b"0")
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), run.operator, run.trust_store)
+    try:
+        assert reopened.get_head("MRM")["chain_length"] == 1
+        decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"))
+    finally:
+        reopened.log.close()
+    messages = [record.getMessage() for record in caplog.records]
+    assert len(messages) == chain_length - 1
+    assert messages[0] == f"log entry {mrm[1]} left unindexed: bad signature on revision by 'MRM'"
+    for index, message in zip(mrm[2:], messages[1:]):
+        assert message.startswith(f"log entry {index} left unindexed: supersedes target ")
+        assert message.endswith(" is not a logged revision")
+
+
 # -- the log holds canonical revisions only ----------------------------------
 
 SIG_HEX = "ab" * 64

@@ -311,6 +311,19 @@ def test_serve_monitor_without_operator_key_exits_2(tmp_path, capsys):
     assert "no key for log operator 'log-operator'" in capsys.readouterr().out
 
 
+def test_serve_monitor_whose_trusted_key_is_not_its_own_exits_2(tmp_path, capsys, monkeypatch):
+    from cyberlog.monitor import MonitorService
+
+    # a monitor that is built anyway would serve forever
+    monkeypatch.setattr(MonitorService, "run_forever", lambda service: pytest.fail("the monitor started"))
+    config = monitor_config(tmp_path, [generate_identity("log-operator", seed=bytes([6]) * 32)])
+    cfg = json.loads(config.read_text())
+    cfg["seed_hex"] = "07" * 32  # the trust store holds SB's key of seed 05
+    config.write_text(json.dumps(cfg))
+    assert main(["serve-monitor", "--config", str(config)]) == 2
+    assert "trust store does not hold the public key of 'SB'" in capsys.readouterr().out
+
+
 # -- a missing or unreadable configuration is a configuration error ---------
 
 

@@ -71,27 +71,6 @@ def test_assert_claim_direct():
     assert len(kb) == 1
 
 
-def test_assert_claim_bad_signature_rejected(signed_identities):
-    trust, ids = signed_identities
-    kb = KnowledgeBase(NO_RULES, trust_store=trust)
-    atom = GroundAtom("SB", "p", (1,))
-    from conftest import sign_claim
-
-    good = sign_claim(ids["SB"], atom)
-    kb.assert_claim(make_claim(atom, DirectAssertion("SB", good.signature)))
-    bad_atom = GroundAtom("SB", "p", (2,))
-    with pytest.raises(EvidenceError, match="bad signature"):
-        kb.assert_claim(make_claim(bad_atom, DirectAssertion("SB", good.signature)))
-
-
-@pytest.fixture
-def signed_identities():
-    from cyberlog.identity import TrustStore, generate_identity
-
-    ids = {name: generate_identity(name, "s", "i", seed=bytes([n]) * 32) for n, name in enumerate(["SB", "MRM"])}
-    return TrustStore.from_identities(ids.values()), ids
-
-
 # --- saturation -------------------------------------------------------------
 
 
@@ -326,10 +305,10 @@ def _counting_checks(kb, monkeypatch, limit=50):
     checked = []
     original = engine.check_evidence
 
-    def counting(claim, *args):
+    def counting(claim):
         checked.append(claim.atom)
         assert len(checked) <= limit, "the chain walk does not end"
-        return original(claim, *args)
+        return original(claim)
 
     monkeypatch.setattr(engine, "check_evidence", counting)
     return checked
@@ -571,7 +550,7 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
         kb.revise([GroundAtom("SB", "s", (1,))], [replacement, *raising])
     claims = before
-    assert kb.claims.keys() == claims.keys() and not kb._fresh
+    assert kb.claims.keys() == claims.keys()
     assert all(kb.claims[a] is claims[a] for a in (GroundAtom("SB", "s", (1,)), GroundAtom("SB", "s", (2,))))
     assert at_fixpoint(kb)
     _consistent(kb)
@@ -579,7 +558,7 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     assert [c.atom for c in added] == [GroundAtom("SB", "p", (2, 7)), GroundAtom("SB", "late", (2,))]
 
 
-# --- evidence checked once, on entry -----------------------------------------
+# --- evidence checked on entry, by structure -----------------------------------
 
 
 @pytest.fixture
@@ -614,23 +593,19 @@ def count_inclusion(monkeypatch):
     return calls
 
 
-def _logged_claims(operator, atoms, timestamp_ms=7):
-    """LogInclusion claims for `atoms`, all under one leaf of a three-leaf
-    log signed by `operator`, as the claims of one included revision are."""
+def _logged_claim(atom):
+    """A LogInclusion claim for `atom`, under one leaf of a three-leaf log,
+    as a watcher's verified fetch makes it."""
     from cyberlog.claimlog import MerkleLog, leaf_hash, sign_tree_head
     from cyberlog.engine import LogInclusion
+    from cyberlog.identity import generate_identity
 
     log = MerkleLog()
-    payload = "".join(canonical_atom(atom) for atom in atoms).encode("utf-8")
+    payload = canonical_atom(atom).encode("utf-8")
     for entry in (b"before", payload, b"after"):
         log.append(entry)
-    head = sign_tree_head(log, operator, timestamp_ms)
-    evidence = LogInclusion("rev", leaf_hash(payload), log.prove_inclusion(1, 3), head)
-    return [make_claim(atom, evidence) for atom in atoms]
-
-
-def _logged_claim(operator, atom, timestamp_ms=7):
-    return _logged_claims(operator, [atom], timestamp_ms)[0]
+    head = sign_tree_head(log, generate_identity("op", "s", "i", seed=b"\x09" * 32), 7)
+    return make_claim(atom, LogInclusion("rev", leaf_hash(payload), log.prove_inclusion(1, 3), head))
 
 
 def _state(kb):
@@ -639,202 +614,89 @@ def _state(kb):
 
 
 def _same_state(kb, claims):
-    """The KB holds exactly `claims`, as the same objects, and keeps no
-    check past the admission that passed it."""
-    return kb.claims == claims and all(kb.claims[a] is c for a, c in claims.items()) and not kb._fresh
+    """The KB holds exactly `claims`, as the same objects."""
+    return kb.claims == claims and all(kb.claims[a] is c for a, c in claims.items())
 
 
-def test_stored_claims_are_not_verified_again(signed_identities, count_verify, count_inclusion, monkeypatch):
-    """Each admission checks every claim it is given; a stored claim counts
-    as checked, so the chain check re-checks its evidence without running
-    a signature or a proof again."""
-    import cyberlog.engine as engine
-    from cyberlog.identity import generate_identity
-
-    from conftest import sign_claim
-
-    checks = []
-    original_check = engine.check_evidence
-    monkeypatch.setattr(engine, "check_evidence", lambda claim, *a: checks.append(claim) or original_check(claim, *a))
-    trust, ids = signed_identities
-    operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
-    atom = GroundAtom("SB", "p", (1,))
-    direct = make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
-    logged = _logged_claim(operator, GroundAtom("MRM", "q", (2,)))
-    kb = KnowledgeBase(NO_RULES, trust_store=trust, log_operator_key=operator.public_key)
-    kb.assert_claim(direct)
-    kb.assert_claim(logged)
-    assert (len(count_verify), len(count_inclusion)) == (2, 1)  # the signature; the tree head and the proof
+def test_stored_claims_are_not_verified_again(count_verify, count_inclusion, monkeypatch):
+    """Each admission checks every claim it is given, one whose atom is
+    stored too, so a forged rule instance offered for a stored atom is
+    refused; the chain check re-checks each stored claim once. No check in
+    the KB runs a signature or a proof: those ran where the claims entered."""
+    rs = parse_rulesheet(IDS + "next r(X) :- p(X).", "SB")
+    direct = make_claim(GroundAtom("SB", "p", (1,)), DirectAssertion("SB", b""))
+    logged = _logged_claim(GroundAtom("MRM", "q", (2,)))
+    carried = make_claim(GroundAtom("SB", "r", (1,)), CarriedByNextRule(rs.rules[0], {"X": 1}, "0" * 64))
+    claims = [direct, logged, carried]
+    kb = KnowledgeBase(rs)
+    checked = _counting_checks(kb, monkeypatch)
+    assert kb.revise([], claims) == claims
+    assert len(checked) == 3
     # re-admission: each claim is checked again, its atom is not new
-    assert kb.revise([direct.atom, logged.atom], [direct, logged]) == []
-    assert kb.claims.keys() == {direct.atom, logged.atom} and not kb._fresh
-    assert (len(count_verify), len(count_inclusion)) == (4, 2)
-    assert kb.verify_claim_chain(atom) and kb.verify_claim_chain(logged.atom)
-    assert len(checks) == 2 + 2 + 2
-    assert (len(count_verify), len(count_inclusion)) == (4, 2)
-
-
-def test_forgeries_refused_on_entry(signed_identities):
-    from cyberlog.claimlog import SignedTreeHead
-    from cyberlog.engine import LogInclusion
-    from cyberlog.identity import generate_identity
-
-    from conftest import sign_claim
-
-    trust, ids = signed_identities
-    operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
-    atom = GroundAtom("SB", "p", (1,))
-    other = GroundAtom("SB", "p", (2,))
-    genuine = make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
-    logged = _logged_claim(operator, GroundAtom("MRM", "q", (2,)))
-    kb = KnowledgeBase(NO_RULES, trust_store=trust, log_operator_key=operator.public_key)
-    kb.assert_claim(genuine)
-    kb.assert_claim(logged)
-    kb.revise([], [genuine, logged])
-    before = _state(kb)
-    assert _same_state(kb, before)
-
-    forgeries = {
-        "same atom, different signature": make_claim(
-            atom, DirectAssertion("SB", sign_claim(ids["SB"], other).signature)
-        ),
-        "same signature, different atom": make_claim(other, DirectAssertion("SB", genuine.evidence.signature)),
-        "same atom and signature, other signer": make_claim(
-            atom, DirectAssertion("MRM", genuine.evidence.signature)
-        ),
-    }
-    for forged in forgeries.values():
-        with pytest.raises(EvidenceError, match="bad signature"):
-            kb.assert_claim(forged)
-        with pytest.raises(EvidenceError, match="bad signature"):
-            kb.revise([logged.atom], [genuine, forged])
-        assert _same_state(kb, before)
-
-    head = logged.evidence.tree_head
-    for forged_head in (
-        SignedTreeHead(head.tree_size, head.root_hash, head.timestamp_ms, bytes(64)),
-        SignedTreeHead(head.tree_size, head.root_hash, head.timestamp_ms + 1, head.signature),
-    ):
-        evidence = LogInclusion("rev", logged.evidence.leaf_hash, logged.evidence.proof, forged_head)
-        forged = Claim(logged.atom, evidence, logged.claim_id)
-        with pytest.raises(EvidenceError, match="tree head signature invalid"):
-            kb.assert_claim(forged)
-        with pytest.raises(EvidenceError, match="tree head signature invalid"):
-            kb.revise([], [forged])
-        assert _same_state(kb, before)
-
-    # the signer's key replaced in the trust store: the next admission checks under the new key
-    trust.add(generate_identity("SB", "s", "i", seed=b"\x07" * 32))
-    with pytest.raises(EvidenceError, match="bad signature"):
-        kb.revise([], [genuine])
-    with pytest.raises(EvidenceError, match="bad signature"):
-        kb.check_evidence(genuine)
-    assert _same_state(kb, before)
-
-
-def test_failed_verification_is_not_memoised(signed_identities, count_verify):
-    from conftest import sign_claim
-
-    trust, ids = signed_identities
-    kb = KnowledgeBase(NO_RULES, trust_store=trust)
-    signature = sign_claim(ids["SB"], GroundAtom("SB", "p", (1,))).signature
-    forged = make_claim(GroundAtom("SB", "p", (2,)), DirectAssertion("SB", signature))
-    for _ in range(2):
-        with pytest.raises(EvidenceError, match="bad signature"):
-            kb.assert_claim(forged)
-    with pytest.raises(EvidenceError, match="bad signature"):
+    assert kb.revise([c.atom for c in claims], claims) == []
+    assert len(checked) == 6
+    forged = Claim(carried.atom, CarriedByNextRule(rs.rules[0], {"X": 2}, "0" * 64), carried.claim_id)
+    with pytest.raises(EvidenceError, match="rule instance mismatch"):
         kb.revise([], [forged])
-    assert len(count_verify) == 3
-    assert not kb._fresh and len(kb) == 0
+    assert kb.claims[carried.atom] is carried
+    assert all(kb.verify_claim_chain(c.atom) for c in claims)
+    assert len(checked) == 6 + 1 + 3
+    assert (len(count_verify), len(count_inclusion)) == (0, 0)
 
 
-def test_own_signature_spares_one_check_and_no_forgery(signed_identities, count_verify):
-    """A signature the KB's owner records as just made spares the check of
-    the claim it signs in the next admission only; a forged claim offered
-    with it is still checked and rejected, and leaves nothing behind."""
-    from conftest import sign_claim
-
-    trust, ids = signed_identities
-    kb = KnowledgeBase(NO_RULES, trust_store=trust)
-    key = ids["SB"].public_key
-    atom = GroundAtom("SB", "p", (1,))
-    message = canonical_atom(atom).encode("utf-8")
-    signature = sign_claim(ids["SB"], atom).signature
-    genuine = make_claim(atom, DirectAssertion("SB", signature))
-    forgeries = [
-        make_claim(GroundAtom("SB", "p", (2,)), DirectAssertion("SB", signature)),
-        make_claim(atom, DirectAssertion("SB", bytes(64))),
-        make_claim(atom, DirectAssertion("MRM", signature)),
-    ]
-    for forged in forgeries:
-        kb.record_own_signature(key, signature, message)
-        with pytest.raises(EvidenceError, match="bad signature"):
-            kb.revise([], [forged])
-        assert len(kb) == 0 and not kb._fresh
-    assert len(count_verify) == 3
-    kb.revise([], [genuine])  # no record left over from the refused admissions
-    assert len(count_verify) == 4
-    kb.revise([atom], [])
-    kb.record_own_signature(key, signature, message)
-    assert kb.revise([], [genuine]) == [genuine]
-    assert len(count_verify) == 4 and not kb._fresh
+class UnknownEvidence:
+    pass
 
 
-def test_failed_revise_changes_nothing(signed_identities, count_verify):
+def test_forgeries_refused_on_entry():
+    """A claim whose id is not its atom's, a rule instance whose head is
+    another atom and evidence of no known type are refused by
+    `assert_claim` and `revise`, alone or next to a genuine claim, and
+    leave the KB as it was."""
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).\nnext c(X) :- p(X).", "SB")
+    kb = KnowledgeBase(rs)
+    kb.revise([], claims_from_atoms([GroundAtom("SB", "p", (1,))]))
+    before = _state(kb)
+    p1, p2 = GroundAtom("SB", "p", (1,)), GroundAtom("SB", "p", (2,))
+    genuine = make_claim(p2, DirectAssertion("SB", b""))
+    derived, carried = rs.rules
+    forgeries = {
+        "claim id of another atom": (Claim(p2, genuine.evidence, atom_id(p1)), "claim id does not match"),
+        "derived head of another atom": (
+            make_claim(GroundAtom("SB", "r", (2,)), DerivedByRule(derived, {"X": 1}, (atom_id(p1),))),
+            "rule instance mismatch",
+        ),
+        "carried head of another atom": (
+            make_claim(GroundAtom("SB", "c", (2,)), CarriedByNextRule(carried, {"X": 1}, "0" * 64)),
+            "rule instance mismatch",
+        ),
+        "unknown evidence type": (make_claim(p2, UnknownEvidence()), "unknown evidence type UnknownEvidence"),
+    }
+    for forged, message in forgeries.values():
+        with pytest.raises(EvidenceError, match=message):
+            kb.assert_claim(forged)
+        with pytest.raises(EvidenceError, match=message):
+            kb.revise([p1], [genuine, forged])
+        assert _same_state(kb, before) and at_fixpoint(kb)
+
+
+def test_failed_revise_changes_nothing(monkeypatch):
     """A refused batch leaves atoms, evidence objects and pending work as
     they were, even when an earlier claim of the batch passed its check;
-    that check is not kept for the next admission."""
-    from conftest import sign_claim
-
-    trust, ids = signed_identities
+    that claim is checked again when it is admitted on its own."""
     rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")
-    kb = KnowledgeBase(rs, trust_store=trust)
-
-    def signed(n):
-        atom = GroundAtom("SB", "p", (n,))
-        return make_claim(atom, DirectAssertion("SB", sign_claim(ids["SB"], atom).signature))
-
-    kb.revise([], [signed(1), signed(2)])
-    kb.saturate()
+    kb = KnowledgeBase(rs)
+    kb.revise([], claims_from_atoms([GroundAtom("SB", "p", (1,)), GroundAtom("SB", "p", (2,))]))
     before = _state(kb)
-    forged = make_claim(GroundAtom("SB", "p", (4,)), DirectAssertion("SB", signed(3).evidence.signature))
-    with pytest.raises(EvidenceError, match="bad signature"):
-        kb.revise([GroundAtom("SB", "p", (1,))], [signed(3), forged])
+    [p3] = claims_from_atoms([GroundAtom("SB", "p", (3,))])
+    forged = make_claim(GroundAtom("SB", "r", (4,)), DerivedByRule(rs.rules[0], {"X": 3}, (p3.claim_id,)))
+    with pytest.raises(EvidenceError, match="rule instance mismatch"):
+        kb.revise([GroundAtom("SB", "p", (1,))], [p3, forged])
     assert _same_state(kb, before) and at_fixpoint(kb)
-    calls = len(count_verify)
-    kb.revise([], [signed(3)])  # the check that passed in the refused batch was not kept
-    assert len(count_verify) == calls + 1
-
-
-def test_each_inclusion_proof_checked_once_per_admission(count_inclusion, count_verify):
-    """The claims of one included revision share one proof and one tree
-    head: an admission checks each once, and the next admission again."""
-    from cyberlog.claimlog import InclusionProof, SignedTreeHead
-    from cyberlog.engine import LogInclusion
-    from cyberlog.identity import generate_identity
-
-    operator = generate_identity("op", "s", "i", seed=b"\x09" * 32)
-    claims = _logged_claims(operator, [GroundAtom("MRM", "q", (n,)) for n in range(5)])
-    kb = KnowledgeBase(NO_RULES, log_operator_key=operator.public_key)
-    assert len(kb.revise([], claims)) == 5
-    assert len(count_inclusion) == 1 and len(count_verify) == 1
-    assert kb.revise([], claims) == []
-    assert len(count_inclusion) == 2 and len(count_verify) == 2
-    ev = claims[0].evidence
-    proof, head = ev.proof, ev.tree_head
-    other_root = SignedTreeHead(head.tree_size, bytes(32), head.timestamp_ms, head.signature)
-    variants = {
-        "other path": LogInclusion("rev", ev.leaf_hash, InclusionProof(1, 3, (bytes(32),) + proof.path[1:]), head),
-        "other index": LogInclusion("rev", ev.leaf_hash, InclusionProof(0, 3, proof.path), head),
-        "other leaf": LogInclusion("rev", bytes(32), proof, head),
-        "other root": LogInclusion("rev", ev.leaf_hash, proof, other_root),
-    }
-    before = _state(kb)
-    for evidence in variants.values():
-        with pytest.raises(EvidenceError, match="inclusion proof failed"):
-            kb.revise([], [Claim(claims[0].atom, evidence, claims[0].claim_id)])
-        assert _same_state(kb, before)
-    assert len(count_inclusion) == 2 + len(variants)
+    checked = _counting_checks(kb, monkeypatch)
+    added = kb.revise([], [p3])
+    assert [c.atom for c in added] == [p3.atom, GroundAtom("SB", "r", (3,))]
+    assert checked == [c.atom for c in added]  # p3 on admission, r(3) as saturation stores it
 
 
 def test_booking_run_makes_no_check_inside_a_kb(count_verify, count_inclusion):

@@ -5,7 +5,8 @@ checker, a knowledge base's `verify_claim_chain` and the recursive
 Each forged claim but a head mismatch passes admission into a KB (which
 checks only a rule instance's head), and all pass submission to the claim
 DB (which checks only the revision signature); the chain re-check and the
-audit must catch them.
+audit must catch them. A direct assertion's signature is checked by the
+Auditor alone, so forged signatures in a logged revision are its to catch.
 """
 
 import hashlib
@@ -79,8 +80,8 @@ def derived(name):
     return Claim(atom, evidence, atom_id(atom))
 
 
-def kb_holding(identities, trust_store, claim):
-    kb = KnowledgeBase(RS, trust_store=trust_store)
+def kb_holding(identities, claim):
+    kb = KnowledgeBase(RS)
     for base in BASE_ATOMS:
         kb.assert_claim(signed(identities, base))
     try:
@@ -101,9 +102,9 @@ def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_t
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_rule_instance_chain_check(identities, trust_store, name):
+def test_rule_instance_chain_check(identities, name):
     claim = derived(name)
-    kb = kb_holding(identities, trust_store, claim)
+    kb = kb_holding(identities, claim)
     assert kb.verify_claim_chain(claim.atom) is CASES[name][-1]
 
 
@@ -137,6 +138,34 @@ def test_direct_assertion_by_unknown_signer_fails_audit(db, identities, trust_st
     assert "no trusted key" in node.detail
 
 
+def signed_request(identities, forgery):
+    """SB's signed `request(7)`, or a forgery: the same atom under the
+    signature of another, the same signature on another atom, or the same
+    atom and signature under another signer."""
+    atom, other = sb("request", 7), sb("request", 8)
+    signature = sign_claim(identities["SB"], atom).signature
+    if forgery == "other-signature":
+        return make_claim(atom, DirectAssertion("SB", sign_claim(identities["SB"], other).signature))
+    if forgery == "other-atom":
+        return make_claim(other, DirectAssertion("SB", signature))
+    if forgery == "other-signer":
+        return make_claim(atom, DirectAssertion("MRM", signature))
+    return make_claim(atom, DirectAssertion("SB", signature))
+
+
+@pytest.mark.parametrize("forgery", ["honest", "other-signature", "other-atom", "other-signer"])
+def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forgery):
+    """A validly signed, logged revision holding a direct assertion whose
+    own signature is forged fails the audit; the honest one passes."""
+    claim = signed_request(identities, forgery)
+    _record, auditor = log_and_audit(db, identities, trust_store, [claim])
+    node = auditor.audit_atom("SB", claim.atom)
+    assert node.all_ok is (forgery == "honest"), render_audit_tree(node)
+    assert node.kind == "direct_assertion"
+    if forgery != "honest":
+        assert "bad signature" in node.detail
+
+
 @pytest.mark.parametrize("text", ['"SB"|request(007)', '"SB"|request(+7)', '"SB"|request( 7)'])
 def test_ids_of_noncanonical_text_refused(db, identities, trust_store, text):
     """Claim ids hash canonical text only. A claim whose id hashes another
@@ -148,10 +177,10 @@ def test_ids_of_noncanonical_text_refused(db, identities, trust_store, text):
     forged_id = hashlib.sha256(text.encode("utf-8")).hexdigest()
     forged = Claim(request, signed(identities, request).evidence, forged_id)
     with pytest.raises(EvidenceError, match="claim id does not match"):
-        KnowledgeBase(RS, trust_store=trust_store).check_evidence(forged)
+        KnowledgeBase(RS).check_evidence(forged)
     verdict = sb("verdict", 7)
     claim = Claim(verdict, DerivedByRule(RULES["verdict"], {"Id": 7}, (forged_id,)), atom_id(verdict))
-    assert kb_holding(identities, trust_store, claim).verify_claim_chain(verdict) is False
+    assert kb_holding(identities, claim).verify_claim_chain(verdict) is False
     base = [signed(identities, atom) for atom in BASE_ATOMS]
     _record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
     node = auditor.audit_atom("SB", verdict)

@@ -100,7 +100,7 @@ def test_stepped_supersession_retracts_verdict():
     from cyberlog.engine import DerivedByRule, KnowledgeBase
 
     dom = run.monitors["DOM"]
-    oracle = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+    oracle = KnowledgeBase(dom.rulesheet)
     for claim in dom.kb.claims.values():
         if not isinstance(claim.evidence, DerivedByRule):
             oracle.assert_claim(claim)

@@ -388,19 +388,18 @@ def test_authorization_gate(identities, trust_store, db_client):
     assert allow.decision == "allow"
 
 
-def test_monitor_whose_trusted_key_is_not_its_own_refuses_its_events(identities, trust_store, db_client):
-    """The KB checks an own event under the trust store's key for the
-    monitor, so the signature the monitor just made does not pass there."""
-    from cyberlog.errors import EvidenceError
-    from cyberlog.identity import Identity
+@pytest.mark.parametrize("trusted", ["another-key", "no-key"])
+def test_monitor_whose_trusted_key_is_not_its_own_is_refused(trusted, identities, db_client):
+    """Others check the monitor's events and revisions under the trust
+    store's key for its name, so a monitor whose trust store holds another
+    key, or none, for it is refused when it is built."""
+    from cyberlog.identity import Identity, TrustStore
 
-    trust_store.add(Identity("SB", "CN=SB", "CN=R3", identities["MRM"].public_key))
-    sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
-    before = set(sb.kb.claims)
-    with pytest.raises(EvidenceError, match="bad signature"):
-        sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
-    assert sb.kb.claims.keys() == before and not sb.kb._fresh
-    assert sb.metrics_report()["events"] == 0
+    trust = TrustStore.from_identities(ident for name, ident in identities.items() if name != "SB")
+    if trusted == "another-key":
+        trust.add(Identity("SB", "CN=SB", "CN=R3", identities["MRM"].public_key))
+    with pytest.raises(ConfigError, match="trust store does not hold the public key of 'SB'"):
+        make_monitor(identities, trust, db_client, "SB", SB_SHEET)
 
 
 def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
@@ -551,9 +550,9 @@ def test_supersession_matches_scratch():
             for now in (1000 * k - 1, 1000 * k):  # before and after the window's commits and polls
                 run.advance_to(now)
             # DOM's KB is its inclusions and their consequences: rebuild it from scratch
-            scratch = KnowledgeBase(dom.rulesheet, trust_store=dom.trust_store, log_operator_key=dom.operator_key)
+            scratch = KnowledgeBase(dom.rulesheet)
             for owner, rev_id in dom.active_includes.items():
-                include_revision(scratch, rev_id, run.client, owner)
+                include_revision(scratch, rev_id, run.client, owner, dom.operator_key)
             assert dom.kb.claims.keys() == scratch.claims.keys(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
@@ -588,13 +587,43 @@ def _append_directly(db, identities, owner, supersedes, atoms=()):
     return record.id
 
 
+def _flip_first_path_hash(proof):
+    first = proof["path"][0]
+    return dict(proof, path=[first[:-1] + format(int(first[-1], 16) ^ 1, "x"), *proof["path"][1:]])
+
+
+# a fetched revision's tree head or inclusion proof, forged, and the refusal
+# of `fetch_verified_revision` that follows
+FORGED_FETCHES = {
+    "zeroed-head-signature": (
+        lambda r: dict(r, tree_head=dict(r["tree_head"], signature="00" * 64)),
+        "tree head signature invalid",
+    ),
+    "bumped-head-timestamp": (
+        lambda r: dict(r, tree_head=dict(r["tree_head"], timestamp_ms=r["tree_head"]["timestamp_ms"] + 1)),
+        "tree head signature invalid",
+    ),
+    "flipped-path-hash": (
+        lambda r: dict(r, proof=_flip_first_path_hash(r["proof"])),
+        "inclusion proof failed for revision",
+    ),
+    "other-leaf-index": (
+        lambda r: dict(r, proof=dict(r["proof"], leaf_index=r["proof"]["leaf_index"] - 1)),
+        "inclusion proof failed for revision",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "refusal",
-    ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation", "first-saturation"],
+    ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation", "first-saturation",
+     *FORGED_FETCHES],
 )
 def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, caplog):
     """A refused head leaves DOM's atoms, evidence objects and active
-    includes exactly as they were, and DOM's KB as saturated as it was."""
+    includes exactly as they were, and DOM's KB as saturated as it was. A
+    forged tree head or inclusion proof is refused by the fetch, which is
+    the only place a watcher checks them."""
     sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
     # an ordered comparison that raises once SB logs a non-integer time
     late = "late(R) :- 'SB' attests request(R, Data, T), T > 3.\n"
@@ -613,6 +642,11 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
             db.get_revision(rev_id), payload=db.get_revision(rev_id)["payload"].replace("request(8,", "request(9,")
         )
         expected = f"hashes to .*, expected {r2.id}"
+    elif refusal in FORGED_FETCHES:
+        sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
+        sb.commit()
+        forge, expected = FORGED_FETCHES[refusal]
+        wrapped.get_revision = lambda rev_id: forge(db.get_revision(rev_id))
     elif refusal == "unreachable":
         r2 = sb.commit()
         assert dom.poll_and_include() == [r2.id]
@@ -644,7 +678,7 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
         assert dom.poll_and_include() == []
     assert dom.kb.claims == claims and all(dom.kb.claims[a] is c for a, c in claims.items())
-    assert not dom.kb._fresh and dom.active_includes == includes
+    assert dom.active_includes == includes
     assert at_fixpoint(dom.kb) == saturated
     [record] = caplog.records
     assert record.stage == "poll" and re.search(expected, record.getMessage()), record.getMessage()
@@ -682,7 +716,6 @@ def test_event_whose_consequence_raises_is_refused(identities, trust_store, db_c
     with pytest.raises(EvaluationError, match="integer overflow"):
         sb.ingest_event(HUGE)
     assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
-    assert not sb.kb._fresh  # the event's signature is not kept
     result = sb.ingest_event(SMALL)
     assert result.new_event and result.derived == SMALL_CONSEQUENCES
     record = sb.commit()

@@ -150,13 +150,13 @@ def test_counter_advances_one_step_per_commit(db_client, identities):
 
 
 @pytest.fixture
-def dom_setup(db_client, identities, trust_store):
+def dom_setup():
     dom_sheet = (
         "'DOM': Subject: 's' Issuer: 'i'\n'MRM': Subject: 's' Issuer: 'i'\n"
         "verdict(R) :- 'MRM' attests feasible_config(R, A).\n"
     )
     rs_dom = parse_rulesheet(dom_sheet, "DOM")
-    kb = KnowledgeBase(rs_dom, trust_store=trust_store, log_operator_key=identities[OPERATOR].public_key)
+    kb = KnowledgeBase(rs_dom)
     mrm_sheet = "'MRM': Subject: 's' Issuer: 'i'\n"
     rs_mrm = parse_rulesheet(mrm_sheet, "MRM")
     return kb, rs_dom, rs_mrm
@@ -173,7 +173,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     record = mrm_commit(
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    added = include_revision(kb, record.id, db_client, "MRM")
+    added = include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
@@ -182,7 +182,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
 def test_include_empty_revision(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     record = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    assert include_revision(kb, record.id, db_client, "MRM") == []
+    assert include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key) == []
     assert len(kb) == 0
 
 
@@ -205,7 +205,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, TamperingClient(db_client), "MRM")
+        include_revision(kb, record.id, TamperingClient(db_client), "MRM", identities[OPERATOR].public_key)
     assert len(kb) == 0
 
 
@@ -215,16 +215,16 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
 def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, db_client, "MRM")
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
-    on_superseded(kb, r1.id, r2.id, db_client, "MRM")
+    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
-    oracle = KnowledgeBase(rs_dom, trust_store=kb.trust_store, log_operator_key=kb.log_operator_key)
-    include_revision(oracle, r2.id, db_client, "MRM")
+    oracle = KnowledgeBase(rs_dom)
+    include_revision(oracle, r2.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert kb.claims.keys() == oracle.claims.keys()
 
 
@@ -232,29 +232,29 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     kb, rs_dom, rs_mrm = dom_setup
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     r1 = mrm_commit(db_client, identities, rs_mrm, None, atoms, 1)
-    include_revision(kb, r1.id, db_client, "MRM")
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
     before = set(kb.claims)
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, atoms, 2)
-    assert on_superseded(kb, r1.id, r2.id, db_client, "MRM") == []
+    assert on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key) == []
     assert kb.claims.keys() == before
 
 
 def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    include_revision(kb, r1.id, db_client, "MRM")
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
     unrelated, _, _ = commit(db_client, identities, parse_rulesheet(CTR_SHEET, "CTR"), now_ms=1)
     with pytest.raises(EvidenceError, match="does not supersede"):
-        on_superseded(kb, r1.id, unrelated.id, db_client, "MRM")
+        on_superseded(kb, r1.id, unrelated.id, db_client, "MRM", identities[OPERATOR].public_key)
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, db_client, "MRM")
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
     r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    on_superseded(kb, r1.id, r3.id, db_client, "MRM")
+    on_superseded(kb, r1.id, r3.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
@@ -278,21 +278,22 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     records = []
     for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
         records.append(mrm_commit(db_client, identities, rs_mrm, records[-1].id if records else None, atoms, t))
-    include_revision(kb, records[0].id, db_client, "MRM")
+    include_revision(kb, records[0].id, db_client, "MRM", identities[OPERATOR].public_key)
     client = CountingClient(db_client)
-    added = on_superseded(kb, records[0].id, records[3].id, client, "MRM")
+    added = on_superseded(kb, records[0].id, records[3].id, client, "MRM", identities[OPERATOR].public_key)
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (9, 1))]
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
-    on_superseded(kb, records[3].id, mrm_commit(db_client, identities, rs_mrm, records[3].id, [], 9).id, client, "MRM")
+    newer = mrm_commit(db_client, identities, rs_mrm, records[3].id, [], 9)
+    on_superseded(kb, records[3].id, newer.id, client, "MRM", identities[OPERATOR].public_key)
     assert len(client.fetched) == 1
 
 
 def test_include_and_supersession_check_each_fetched_revision_once(db_client, identities, dom_setup, monkeypatch):
     """`fetch_verified_revision` verifies a revision's inclusion proof and
-    tree-head signature, and the `revise` that admits its claims takes
-    both as passed instead of verifying them again."""
+    tree-head signature, and the `revise` that admits its claims verifies
+    neither again."""
     import sys
 
     import cyberlog.claimlog as claimlog
@@ -322,14 +323,13 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
                 monkeypatch.setattr(module, binding, counting_inclusion)
             elif value is verify_bytes:
                 monkeypatch.setattr(module, binding, counting_bytes)
-    include_revision(kb, r1.id, db_client, "MRM")
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert (len(proofs), len(heads)) == (1, 1)
     proofs.clear()
     heads.clear()
-    on_superseded(kb, r1.id, r2.id, db_client, "MRM")
+    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key)
     assert (len(proofs), len(heads)) == (1, 1)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
-    assert not kb._fresh
 
 
 def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, identities, dom_setup):
@@ -349,7 +349,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
             return dict(self.inner.get_revision(record.id), payload=payload)
 
     with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
-        include_revision(kb, forged.id, ForgingClient(db_client), "MRM")
+        include_revision(kb, forged.id, ForgingClient(db_client), "MRM", identities[OPERATOR].public_key)
     assert len(kb) == 0
 
 

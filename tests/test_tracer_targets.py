@@ -40,6 +40,22 @@ def test_every_target_resolves(tracer_module):
         assert callable(getattr(owner, attr, None)), f"{span}: {owner!r} has no {attr!r}"
 
 
+# module bindings that perfbench's own tests find wrapped after `install()`
+PERFBENCH_BINDINGS = [("cyberlog.audit", "verify_bytes"), ("cyberlog.claimdb", "decode_payload")]
+
+
+@pytest.mark.parametrize("module_name, attr", PERFBENCH_BINDINGS)
+def test_bindings_perfbench_asserts_on_hold_the_traced_functions(tracer_module, module_name, attr):
+    """A module that stops importing a traced function by name fails only
+    perfbench's tests; this one fails here first."""
+    import importlib
+
+    binding = getattr(importlib.import_module(module_name), attr, None)
+    traced = [getattr(owner, a) for _span, owner, a, _key, _stats in tracer_module.TARGETS if a == attr]
+    assert binding is not None, f"{module_name} has no {attr!r}"
+    assert traced and binding is traced[0], f"{module_name}.{attr} is not the function the tracer wraps"
+
+
 def test_install_and_uninstall_restore_every_binding(tracer_module):
     before = _bindings()
     tracer = tracer_module.Tracer()
