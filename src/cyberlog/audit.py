@@ -70,7 +70,11 @@ _KINDS = {
 
 
 class Auditor:
-    def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None = None):
+    """Audits claims read through `db`, each fetched revision's tree head
+    checked under `operator_key`, or not at all when that is None (an
+    offline audit of a log file, whose heads no operator signed)."""
+
+    def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.db = db
         self.trust_store = trust_store
         self.operator_key = operator_key

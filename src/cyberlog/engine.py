@@ -422,7 +422,7 @@ def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> list[Gr
 # Knowledge base
 
 
-def _bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
+def bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
     """Bindings of the head's variables that make it match `atom`, or None
     when the predicate, an arity or a constant disagrees. Arithmetic head
     terms bind nothing; the caller re-checks the instantiated head."""
@@ -663,7 +663,7 @@ class KnowledgeBase:
         and stop at the first match that yields it."""
         subst = None
         if target is not None:
-            subst = _bind_head(rule.head, target)
+            subst = bind_head(rule.head, target)
             if subst is None:
                 return
         try:

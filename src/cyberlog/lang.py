@@ -131,6 +131,12 @@ class Rule:
                     names.update(term_variables(arg))
         return tuple(sorted(names))
 
+    @functools.cached_property
+    def head_variables(self) -> frozenset[str]:
+        """Names of the variables that are bare head arguments, whose values
+        a head atom alone fixes; computed on first use and kept."""
+        return frozenset(arg.name for arg in self.head.args if isinstance(arg, Variable))
+
 
 @dataclass(frozen=True)
 class IdentityDecl:

@@ -146,6 +146,9 @@ class Monitor:
         # others check the monitor's events and revisions under this key
         if trust_store.public_key(identity.name) != identity.public_key:
             raise ConfigError(f"trust store does not hold the public key of {identity.name!r}")
+        # a watcher checks every fetched tree head under the operator's key
+        if watched_owners and operator_key is None:
+            raise ConfigError("a monitor that watches owners needs the log operator's key")
         self.identity = identity
         self.rulesheet = rulesheet
         self.db = db

@@ -151,9 +151,11 @@ def rulesheet_entry_id(text: str) -> str:
 def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
     """Parse a logged revision payload once; its id is the SHA-256 of the
     body bytes inside it. Raises LogIntegrityError on a payload outside the
-    revision layout, on malformed data and on a claim whose principal is
-    not the record's owner, since nobody may make claims on someone else's
-    behalf. Claims and includes keep the payload's order."""
+    revision layout, on malformed data, which includes a carried claim in a
+    chain root (a carried claim's source is the revision its record
+    supersedes), and on a claim whose principal is not the record's owner,
+    since nobody may make claims on someone else's behalf. Claims and
+    includes keep the payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
@@ -166,7 +168,7 @@ def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
         names = (owner, rulesheet_hash, *includes) + (() if supersedes is None else (supersedes,))
         if not all(isinstance(name, str) for name in names):
             raise TypeError("owner, supersedes, includes and rulesheet_hash must be strings")
-        claims = tuple(claim_from_obj(c) for c in obj["claims"])
+        claims = tuple(claim_from_obj(c, supersedes) for c in obj["claims"])
         record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, claims, int(obj["commit_time"]))
     except (KeyError, TypeError, ValueError, EvidenceError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
@@ -256,10 +258,12 @@ def commit_staging(
 
 
 def fetch_verified_revision(
-    db: LogClient, rev_id: str, operator_key: bytes | None = None
+    db: LogClient, rev_id: str, operator_key: bytes | None
 ) -> tuple[RevisionRecord, LogInclusion]:
-    """Fetch a revision and verify payload hash, inclusion proof and head;
-    returns the record and the inclusion evidence its claims share."""
+    """Fetch a revision and verify payload hash, inclusion proof and head,
+    the head's signature under `operator_key` unless that is None (an
+    offline audit, whose heads no operator signed); returns the record and
+    the inclusion evidence its claims share."""
     response = db.get_revision(rev_id)
     payload = response["payload"]
     record, _signature = decode_payload(payload)

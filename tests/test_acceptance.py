@@ -33,7 +33,7 @@ from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope
 from cyberlog.revision import build_record, commit_staging, encode_payload, fetch_verified_revision, sign_record
 
-from conftest import sign_claim
+from conftest import OPERATOR, sign_claim
 from merkle_oracle import brute_leaf, brute_root
 from naive_oracle import naive_saturate, random_program
 
@@ -227,7 +227,7 @@ def test_criterion_5a_step_counter(db_client, identities):
     k = 7
     for step in range(1, k + 1):
         record, _, claims = commit_staging(identities["CTR"], rs, db_client, record.id, (), claims, step)
-    fetched, _ = fetch_verified_revision(db_client, record.id)
+    fetched, _ = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
     atoms = [c.atom for c in fetched.claims]
     verdict(
         5,
@@ -307,12 +307,12 @@ def _latest_claim_count(bookings: int) -> tuple[int, int]:
     run = ScenarioRun(_retention_scenario(bookings))
     run.run()
     head = run.client.get_head("SB")
-    record, _ = fetch_verified_revision(run.client, head["revision_id"])
+    record, _ = fetch_verified_revision(run.client, head["revision_id"], run.operator.public_key)
     # sanity: requests really were carried across commits mid-flight
     carried_revisions = 0
     cursor = head["revision_id"]
     while cursor is not None:
-        rev, _ = fetch_verified_revision(run.client, cursor)
+        rev, _ = fetch_verified_revision(run.client, cursor, run.operator.public_key)
         if any(c.atom.predicate == "request" for c in rev.claims):
             carried_revisions += 1
         cursor = rev.supersedes

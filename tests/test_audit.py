@@ -145,7 +145,10 @@ def test_audit_fails_when_evidence_path_tampered(tmp_path):
 def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_store):
     """A revision signed by its legitimate owner but containing fabricated
     derivation evidence passes submission (signatures check out) and is then
-    caught by the recursive audit."""
+    caught by the recursive audit. The wire leaves out the head-bound `Id`,
+    which a reader binds from the claimed atom, so a head the substitution
+    does not reproduce cannot be logged: the logged instance is
+    `verdict(99)` from `request(99)`, and its premise id names `request(7)`."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
     from conftest import sign_claim
     from cyberlog.lang import parse_rulesheet
@@ -167,7 +170,10 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
     node = auditor.audit_atom("SB", forged_atom)
     assert not node.all_ok
-    assert "does not reproduce" in node.detail
+    assert node.ok and [child.detail for child in node.children] == [
+        "premise claim does not match instantiated body atom"
+    ]
+    assert node.children[0].atom == '"SB"|request(99)'
 
 
 def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
@@ -195,3 +201,39 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     node = auditor.audit_atom("SB", verdict_atom)
     assert not node.all_ok
     assert any("does not match" in child.detail for child in node.children if not child.ok)
+
+
+def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_client, identities, trust_store):
+    """Under a retention next-rule, r1 holds `request(7,"d",5)` and
+    `in_process(7)`, r2 carries nothing, and r3, superseding r2, logs the
+    request as carried from r1, undoing the retention cut. A carried
+    claim's source is the revision its record supersedes, so the request is
+    audited against r2, which holds neither premise, and fails."""
+    from cyberlog.engine import CarriedByNextRule, DirectAssertion, make_claim
+    from conftest import sign_claim
+    from cyberlog.lang import parse_rulesheet
+    from cyberlog.revision import build_record, encode_payload, sign_record
+
+    sheet = (
+        "'SB': Subject: 's' Issuer: 'i'\n"
+        "next request(Id, Data, TimeRequest) :- request(Id, Data, TimeRequest), in_process(Id).\n"
+    )
+    rs = parse_rulesheet(sheet, "SB")
+    request, in_process = GroundAtom("SB", "request", (7, "d", 5)), GroundAtom("SB", "in_process", (7,))
+
+    def commit(claims, supersedes, now):
+        record, body = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, now)
+        db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+        return record
+
+    r1 = commit([make_claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in (request, in_process)], None, 1)
+    r2 = commit([], r1.id, 2)
+    substitution = {"Id": 7, "Data": "d", "TimeRequest": 5}
+    commit([make_claim(request, CarriedByNextRule(rs.rules[0], substitution, r1.id))], r2.id, 3)
+
+    node = Auditor(db_client, trust_store, identities[OPERATOR].public_key).audit_atom("SB", request)
+    assert not node.all_ok, render_audit_tree(node)
+    assert node.detail == f"carried from revision {r2.id[:8]}"
+    assert [(child.ok, child.detail) for child in node.children] == [
+        (False, f"premise not found in revision {r2.id[:8]} or its includes")
+    ] * 2

@@ -698,3 +698,170 @@ def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identi
         assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
     finally:
         reopened.log.close()
+
+
+# -- evidence logs only what a reader cannot recompute -----------------------
+
+RETAIN_SHEET = (
+    "'SB': Subject: 's' Issuer: 'i'\n"
+    "verdict(Id) :- request(Id, Data, T).\n"
+    "next request(Id, Data, T) :- request(Id, Data, T), in_process(Id).\n"
+)
+REQUEST = GroundAtom("SB", "request", (7, "d", 5))
+
+
+def retained(identities, supersedes=None):
+    """SB's body of a chain root holding `request(7,"d",5)` and
+    `in_process(7)`, or, over `supersedes`, of a revision holding the
+    request carried and `verdict(7)` derived from it; with its record."""
+    from cyberlog.engine import CarriedByNextRule, DerivedByRule, atom_id
+
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    verdict, carry = rs.rules
+    if supersedes is None:
+        atoms = (REQUEST, GroundAtom("SB", "in_process", (7,)))
+        claims = [make_claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
+    else:
+        substitution = {"Id": 7, "Data": "d", "T": 5}
+        claims = [
+            make_claim(REQUEST, CarriedByNextRule(carry, substitution, supersedes)),
+            make_claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(verdict, substitution, (atom_id(REQUEST),))),
+        ]
+    record, body = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, 1 if supersedes is None else 2)
+    return record, body
+
+
+CARRIED_EVIDENCE = '"kind":"carried_by_next_rule","rule":"next \'SB\' attests request(Id, Data, T) :- \'SB\' attests request(Id, Data, T), \'SB\' attests in_process(Id)."'
+DERIVED_SUBSTITUTION = '"substitution":{"Data":"d","T":5}'
+
+# a field a reader recomputes, logged all the same
+RECOMPUTED_FIELD = {
+    "empty-substitution": lambda b, _base: b.replace(CARRIED_EVIDENCE, CARRIED_EVIDENCE + ',"substitution":{}'),
+    "head-bound-name": lambda b, _base: b.replace(DERIVED_SUBSTITUTION, '"substitution":{"Data":"d","Id":7,"T":5}'),
+    "head-bound-name-wrong-value": lambda b, _base: b.replace(
+        DERIVED_SUBSTITUTION, '"substitution":{"Data":"d","Id":8,"T":5}'
+    ),
+    "source-revision": lambda b, base: b.replace(CARRIED_EVIDENCE, CARRIED_EVIDENCE + f',"source_revision":"{base}"'),
+}
+
+
+@pytest.mark.parametrize("form", sorted(RECOMPUTED_FIELD))
+def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, identities, form):
+    """A rule instance logs no substitution entry of a bare head variable,
+    right or wrong, and no empty substitution; a carried claim logs no
+    source revision. Each decodes, and is refused as non-canonical."""
+    from cyberlog.revision import decode_payload
+
+    base, body = retained(identities)
+    db.submit_revision(signed_body(identities, body))
+    record, body = retained(identities, base.id)
+    assert CARRIED_EVIDENCE + "}" in body and DERIVED_SUBSTITUTION in body
+    mutated = RECOMPUTED_FIELD[form](body, base.id)
+    assert mutated != body
+    payload = signed_body(identities, mutated)
+    decoded, _signature = decode_payload(payload)
+    assert decoded.claims[0] == record.claims[0]  # the carried request, source `base`
+    for client in (db, http_client):
+        with pytest.raises(SubmitError) as exc:
+            client.submit_revision(payload)
+        assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
+    assert len(db.log) == 1
+    db.submit_revision(signed_body(identities, body))
+
+
+# SB's chain root and its successor from `retained`, as the encoder wrote
+# them before evidence left out what a reader recomputes (commit a7ce73f).
+# The root holds direct assertions only, whose encoding did not change; the
+# successor logs the carried request's source revision and every head-bound
+# substitution entry.
+EARLIER_ROOT = (
+    '{"kind":"revision","owner":"SB","supersedes":null,"includes":[],'
+    '"rulesheet_hash":"b17aacc91841ef621a740b892f79c70c5daacf8ff1f3092e3e0451f5e3597fa5",'
+    '"claims":[{"atom":"\\"SB\\"|in_process(7)","evidence":{"kind":"direct_assertion","signer":"SB",'
+    '"signature":"e43c4f3ca6001236e523c8e41414c57181fb580c2b1a45a0bbce0dc5fe7cf18a'
+    '4e63efa9a5837fa60a16a6ab7d21c659710708c7bd38b321972ad7903e026b01"}},'
+    '{"atom":"\\"SB\\"|request(7,\\"d\\",5)","evidence":{"kind":"direct_assertion","signer":"SB",'
+    '"signature":"8afc385546f230a25ee1a78ec6e250d10447e5187790e33e178d8ff8f5653f81'
+    '17580e76440731e23f1ed07261b804fb162af067d7f8ac52cd0c0c46f9f69e03"}}],"commit_time":1,'
+    '"signature":"6f16c458af6d3605c33c0253f10102ab504309ddb8d79ca55bb0cb85a74b8cf2'
+    '7a9c5793b4185a8873040dae658bee8fd0e34f0b75655e6315bc64da4e9a0803"}'
+)
+EARLIER_SUCCESSOR = (
+    '{"kind":"revision","owner":"SB","supersedes":"1b9d600ddc9b97d043a0f642221f085e272fad72a3f8c201ec211113d2d60ade",'
+    '"includes":[],"rulesheet_hash":"b17aacc91841ef621a740b892f79c70c5daacf8ff1f3092e3e0451f5e3597fa5",'
+    '"claims":[{"atom":"\\"SB\\"|request(7,\\"d\\",5)","evidence":{"kind":"carried_by_next_rule",'
+    '"rule":"next \'SB\' attests request(Id, Data, T) :- \'SB\' attests request(Id, Data, T), '
+    '\'SB\' attests in_process(Id).","substitution":{"Data":"d","Id":7,"T":5},'
+    '"source_revision":"1b9d600ddc9b97d043a0f642221f085e272fad72a3f8c201ec211113d2d60ade"}},'
+    '{"atom":"\\"SB\\"|verdict(7)","evidence":{"kind":"derived_by_rule",'
+    '"rule":"\'SB\' attests verdict(Id) :- \'SB\' attests request(Id, Data, T).",'
+    '"substitution":{"Data":"d","Id":7,"T":5},'
+    '"premises":["b5c60aa5f854c5ba7a25aaf62f8dd1c2025df284a6eac63e4a7933753813cda7"]}}],"commit_time":2,'
+    '"signature":"6bd084e4be689a7ae307f15b56abcc2d37ead188652bb2aa7ac375b235fee489'
+    '896154a163c10486a35a2a250956b50148948548b9a12f7d00917fe4050a160e"}'
+)
+
+
+def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
+    """Logs written before the change do not verify: the earlier encoding
+    of a revision with rule instances is refused with 400 at submit and
+    left unindexed, with one warning, on replay. A revision of direct
+    assertions only is encoded as before."""
+    from cyberlog.revision import decode_payload
+
+    base, body = retained(identities)
+    assert signed_body(identities, body) == EARLIER_ROOT
+    successor, _body = retained(identities, base.id)
+    earlier, _signature = decode_payload(EARLIER_SUCCESSOR)
+    assert earlier.claims == successor.claims
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db.submit_revision(EARLIER_ROOT)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(EARLIER_SUCCESSOR)
+    assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
+    db.log.append(EARLIER_SUCCESSOR.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        assert [record.getMessage() for record in caplog.records] == [
+            f"log entry 1 left unindexed: revision {earlier.id} is not in canonical form"
+        ]
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(earlier.id)
+    finally:
+        reopened.log.close()
+
+
+def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
+    """A carried claim's source is the revision its record supersedes, so a
+    chain root cannot hold one: 400 at submit, and on replay one warning
+    and the entry left unindexed."""
+    from cyberlog.engine import CarriedByNextRule
+
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    carried = make_claim(REQUEST, CarriedByNextRule(rs.rules[1], {"Id": 7, "Data": "d", "T": 5}, "ab" * 32))
+    record, body = build_record("SB", None, (), rs.source_hash.hex(), [carried], 1)
+    payload = encode_payload(body, sign_record(record, identities["SB"]))
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    refusal = 'carried claim "SB"|request(7,"d",5) in a revision that supersedes none'
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(payload)
+    assert exc.value.code == 400 and refusal in str(exc.value)
+    db.log.append(payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith("log entry 0 left unindexed: ")
+        assert refusal in messages[0]
+        with pytest.raises(NotFoundError):
+            reopened.get_head("SB")
+    finally:
+        reopened.log.close()

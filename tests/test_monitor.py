@@ -402,6 +402,22 @@ def test_monitor_whose_trusted_key_is_not_its_own_is_refused(trusted, identities
         make_monitor(identities, trust, db_client, "SB", SB_SHEET)
 
 
+def test_watching_monitor_without_operator_key_is_refused(identities, trust_store, db):
+    """A watcher checks every fetched tree head under the log operator's
+    key. Built without it, a DOM watching SB through a client that zeroes
+    every tree-head signature would include SB's head and answer
+    `verdict(R)`; so such a monitor is refused when it is built. A monitor
+    that watches nobody fetches nothing and needs no key."""
+    sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    sb.commit()
+    zeroing = PassThroughDb(db)
+    zeroing.get_revision = lambda rev_id: FORGED_FETCHES["zeroed-head-signature"][0](db.get_revision(rev_id))
+    with pytest.raises(ConfigError, match="a monitor that watches owners needs the log operator's key"):
+        Monitor(identities["DOM"], parse_rulesheet(DOM_SHEET, "DOM"), zeroing, trust_store, watched_owners=("SB",))
+    Monitor(identities["SB"], parse_rulesheet(SB_SHEET, "SB"), db, trust_store)
+
+
 def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
     with pytest.raises(ConfigError, match="does not match"):
         Monitor(identities["DOM"], parse_rulesheet(SB_SHEET, "SB"), db_client, trust_store)

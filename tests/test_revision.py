@@ -91,7 +91,7 @@ def test_fetched_record_rehashes_to_id(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
-    fetched, _inclusion = fetch_verified_revision(db_client, record.id)
+    fetched, _inclusion = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
     assert fetched.id == record.id
     again, _sig = decode_payload(db_client.get_revision(record.id)["payload"])
     assert again.id == record.id
@@ -393,7 +393,7 @@ def test_head_matches_chain_walk_oracle(db_client, identities):
     walked = [head_id]
     cursor = head_id
     while True:
-        record, _ = fetch_verified_revision(db_client, cursor)
+        record, _ = fetch_verified_revision(db_client, cursor, identities[OPERATOR].public_key)
         if record.supersedes is None:
             break
         cursor = record.supersedes
@@ -475,7 +475,9 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, mon
 def test_spliced_payload_round_trips_through_decode(identities):
     """For generated claims, decoding the payload spliced from
     `build_record`'s body gives back its record, id and signature, and the
-    payload is in the canonical form the claim DB logs."""
+    payload is in the canonical form the claim DB logs. Rule instances are
+    instances of their rule's head, as only those have a wire form, and a
+    carried claim's source is the revision its record supersedes."""
     from hypothesis import given, settings, strategies as st
 
     from cyberlog.engine import DerivedByRule
@@ -486,17 +488,29 @@ def test_spliced_payload_round_trips_through_decode(identities):
     texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
     terms = st.one_of(st.integers(-(2**63), 2**63 - 1), texts)
     atoms = st.builds(GroundAtom, st.just("SB"), st.sampled_from(["p", "request", "ev"]), st.lists(terms, max_size=3).map(tuple))
-    evidence = st.one_of(
-        st.builds(DirectAssertion, st.just("SB"), st.binary(min_size=64, max_size=64)),
-        st.builds(CarriedByNextRule, st.just(rule), st.fixed_dictionaries({"Id": terms}), st.text("0123456789abcdef", min_size=64, max_size=64)),
-        st.builds(DerivedByRule, st.just(rule), st.fixed_dictionaries({"Data": terms, "Id": terms}), st.lists(texts, max_size=2).map(tuple)),
+    requests = st.tuples(terms, terms, terms).map(lambda args: GroundAtom("SB", "request", args))
+    drawn = st.lists(
+        st.one_of(
+            st.tuples(st.just("direct"), atoms, st.binary(min_size=64, max_size=64)),
+            st.tuples(st.just("derived"), requests, st.lists(texts, max_size=2).map(tuple)),
+            st.tuples(st.just("carried"), requests, st.none()),
+        ),
+        max_size=5,
     )
-    claims = st.lists(st.builds(make_claim, atoms, evidence), max_size=5)
     ids = st.text("0123456789abcdef", min_size=64, max_size=64)
 
+    def claim(kind, atom, extra, supersedes):
+        if kind == "direct":
+            return make_claim(atom, DirectAssertion("SB", extra))
+        substitution = {term.name: value for term, value in zip(rule.head.args, atom.args)}
+        if kind == "derived":
+            return make_claim(atom, DerivedByRule(rule, substitution, extra))
+        return make_claim(atom, CarriedByNextRule(rule, substitution, supersedes))
+
     @settings(max_examples=150, deadline=None)
-    @given(claims, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53), st.binary(min_size=64, max_size=64))
-    def check(claims, supersedes, includes, commit_time, signature):
+    @given(drawn, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53), st.binary(min_size=64, max_size=64))
+    def check(drawn, supersedes, includes, commit_time, signature):
+        claims = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
         record, body = build_record("SB", supersedes, includes, rs.source_hash.hex(), claims, commit_time)
         payload = encode_payload(body, signature)
         decoded, decoded_signature = decode_payload(payload)

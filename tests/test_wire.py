@@ -16,8 +16,9 @@ def claims_to_jsonl(claims):
     return "".join(canonical_json(claim_to_obj(c)) + "\n" for c in claims)
 
 
-def claims_from_jsonl(text):
-    return [claim_from_obj(json.loads(line)) for line in text.splitlines() if line.strip()]
+def claims_from_jsonl(text, source):
+    """The claims of an export from a revision that supersedes `source`."""
+    return [claim_from_obj(json.loads(line), source) for line in text.splitlines() if line.strip()]
 
 
 def test_claims_jsonl_roundtrip():
@@ -31,7 +32,7 @@ def test_claims_jsonl_roundtrip():
     ]
     text = claims_to_jsonl(claims)
     assert len(text.splitlines()) == 2
-    back = claims_from_jsonl(text)
+    back = claims_from_jsonl(text, "ab" * 32)
     assert back == claims
 
 
@@ -44,7 +45,7 @@ def test_derived_claim_roundtrip_preserves_rule():
         kb.assert_claim(claim)
     kb.saturate()
     derived = kb.claims[GroundAtom("SB", "good", (3,))]
-    restored = claim_from_obj(claim_to_obj(derived))
+    restored = claim_from_obj(claim_to_obj(derived), None)
     assert restored.evidence.rule == derived.evidence.rule
     assert restored.evidence.substitution == dict(derived.evidence.substitution)
     assert restored.claim_id == derived.claim_id
@@ -74,4 +75,83 @@ def test_inclusion_evidence_has_no_wire_form():
     }
     assert InclusionProof.from_obj(obj["proof"]) == proof
     with pytest.raises(EvidenceError, match="unknown evidence kind 'log_inclusion'"):
-        evidence_from_obj(obj)
+        evidence_from_obj(obj, GroundAtom("SB", "p", (1,)), None)
+
+
+def _instance_strategy():
+    """A rule instance and its claim: a head over variables (some repeated)
+    and constants, a body binding `A`, `B` and `C`, and, drawn or not, a
+    comparison `D == A + K` binding `D` by arithmetic, as in `next
+    counter(N1) :- counter(N), N1 == N + 1`."""
+    from hypothesis import strategies as st
+
+    from cyberlog.engine import instantiate_head
+
+    text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+    ints = st.integers(-(2**40), 2**40)
+
+    @st.composite
+    def instance(draw):
+        with_d = draw(st.booleans())
+        names = ["A", "B", "C"] + (["D"] if with_d else [])
+        constant = st.one_of(ints.map(str), st.from_regex(r"[a-z]{1,4}", fullmatch=True).map(lambda s: f"'{s}'"))
+        head = draw(st.lists(st.one_of(st.sampled_from(names), constant), min_size=1, max_size=5))
+        k = draw(st.integers(0, 9))
+        body = "q(A, B, C)" + (f", D == A + {k}" if with_d else "")
+        kind = draw(st.sampled_from(["", "next "]))
+        rs = parse_rulesheet(f"{IDS}{kind}p({', '.join(head)}) :- {body}.\n", "SB")
+        rule = rs.rules[0]
+        values = {"A": draw(ints), "B": draw(st.one_of(ints, text)), "C": draw(st.one_of(ints, text))}
+        if with_d:
+            values["D"] = values["A"] + k
+        atom = instantiate_head(rule.head, values)
+        premise = make_claim(GroundAtom("SB", "q", (values["A"], values["B"], values["C"])), DirectAssertion("SB", b""))
+        return rule, values, atom, premise.claim_id
+
+    return instance()
+
+
+def test_claim_round_trips_with_head_bound_names_left_out():
+    """`claim_from_obj(claim_to_obj(c), source) == c` for derived and carried
+    claims; the logged substitution holds no bare head variable, and is
+    left out when nothing else is bound."""
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.engine import DerivedByRule
+
+    @settings(max_examples=300, deadline=None)
+    @given(_instance_strategy(), st.sampled_from([None, "cd" * 32]))
+    def check(instance, source):
+        rule, values, atom, premise_id = instance
+        if rule.is_next:
+            evidence, source = CarriedByNextRule(rule, values, "ab" * 32), "ab" * 32
+        else:
+            evidence = DerivedByRule(rule, values, (premise_id,))
+        claim = make_claim(atom, evidence)
+        obj = claim_to_obj(claim)
+        assert claim_from_obj(json.loads(canonical_json(obj)), source) == claim
+        logged = obj["evidence"].get("substitution")
+        assert logged is None or (logged and not set(logged) & rule.head_variables)
+        assert set(logged or ()) | rule.head_variables == set(values)
+        assert "source_revision" not in obj["evidence"]
+
+    check()
+
+
+def test_rule_head_that_does_not_bind_the_claim_is_refused():
+    """A reader binds the rule head to the claim's atom; a predicate, an
+    arity, a repeated variable or a constant that disagrees is malformed
+    evidence, of a derived and of a carried claim alike."""
+    import pytest
+
+    from cyberlog.errors import EvidenceError
+
+    rs = parse_rulesheet(IDS + "v(R, R, 'x') :- 'OM' attests t(R, A).\nnext v(R, R, 'x') :- 'OM' attests t(R, A).\n", "SB")
+    for rule in rs.rules:
+        kind = "carried_by_next_rule" if rule.is_next else "derived_by_rule"
+        obj = {"kind": kind, "rule": rule.standalone_text, "substitution": {"A": "a"}, "premises": ["ab" * 32]}
+        honest = claim_from_obj({"atom": '"SB"|v(7,7,"x")', "evidence": obj}, "cd" * 32)
+        assert honest.evidence.substitution == {"R": 7, "A": "a"}
+        for text in ['"SB"|w(7,7,"x")', '"SB"|v(7,7)', '"SB"|v(7,8,"x")', '"SB"|v(7,7,"y")']:
+            with pytest.raises(EvidenceError, match="rule head does not bind the claim"):
+                claim_from_obj({"atom": text, "evidence": obj}, "cd" * 32)
