@@ -29,7 +29,7 @@ from .engine import (
 )
 from .errors import CyberlogError, EvidenceError, LogIntegrityError, NotFoundError
 from .identity import TrustStore, verify_bytes
-from .revision import LogClient, RevisionRecord, fetch_verified_revision
+from .revision import LoggedRulesheets, LogClient, RevisionRecord, fetch_verified_revision
 
 
 @dataclass
@@ -79,6 +79,7 @@ class Auditor:
         self.trust_store = trust_store
         self.operator_key = operator_key
         self._revisions: dict[str, RevisionRecord] = {}
+        self._rulesheets = LoggedRulesheets(db, operator_key)
 
     # -- revision access -------------------------------------------------
 
@@ -86,7 +87,7 @@ class Auditor:
         cached = self._revisions.get(rev_id)
         if cached is not None:
             return cached
-        record, _inclusion = fetch_verified_revision(self.db, rev_id, self.operator_key)
+        record, _inclusion = fetch_verified_revision(self.db, rev_id, self.operator_key, self._rulesheets)
         self._revisions[rev_id] = record
         return record
 

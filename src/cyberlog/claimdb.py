@@ -11,12 +11,13 @@ Endpoints (JSON bodies, hashes lowercase hex):
 
 Rulesheet texts are stored as ordinary log entries (payload kind
 "rulesheet") submitted through POST /revisions and fetched by their
-content hash via GET /revisions/{hash}.
+content hash via GET /revisions/{hash}. A revision names its owner's
+rulesheet by that hash, and is refused unless the rulesheet is logged
+before it and parses for the owner.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -29,11 +30,13 @@ from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
+from .lang import Rulesheet, parse_logged_rulesheet
 from .revision import (
     REVISION_PAYLOAD_HEAD,
     RevisionRecord,
     check_canonical,
     decode_payload,
+    decode_rulesheet_payload,
     rulesheet_entry_id,
     verify_record_signature,
 )
@@ -50,6 +53,7 @@ def _now_ms() -> int:
 class _HeadState:
     revision_id: str
     chain_length: int
+    commit_time: int
 
 
 class ClaimDb:
@@ -97,7 +101,7 @@ class ClaimDb:
         head = self._heads.get(record.owner)
         if record.supersedes is not None:
             self._superseded.add(record.supersedes)
-        self._heads[record.owner] = _HeadState(record.id, (head.chain_length if head else 0) + 1)
+        self._heads[record.owner] = _HeadState(record.id, (head.chain_length if head else 0) + 1, record.commit_time)
 
     # -- submission -----------------------------------------------------
 
@@ -118,12 +122,13 @@ class ClaimDb:
     # checks below, in this order.
 
     def _signed_record(self, payload: str) -> RevisionRecord:
-        """The record of a revision payload that is its canonical encoding
-        (else 400) and carries its owner's signature under the trust store
-        (else 401). Raises SubmitError."""
+        """The record of a revision payload that names a logged rulesheet
+        that parses for its owner, is its canonical encoding under that
+        rulesheet (else 400) and carries its owner's signature under the
+        trust store (else 401). Raises SubmitError."""
         try:
-            record, signature = decode_payload(payload)
-            check_canonical(record, signature, payload)
+            record, signature = decode_payload(payload, self._logged_rulesheet)
+            check_canonical(record, signature, payload, self._logged_rulesheet(record.rulesheet_hash, record.owner))
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
         key = self.trust_store.public_key(record.owner)
@@ -133,12 +138,22 @@ class ClaimDb:
             raise SubmitError(401, f"bad signature on revision by {record.owner!r}")
         return record
 
+    def _logged_rulesheet(self, rulesheet_hash: str, owner: str) -> Rulesheet:
+        """The rulesheet logged under `rulesheet_hash`, parsed for `owner`;
+        raises LogIntegrityError if no rulesheet is logged under that hash
+        and ParseError if it does not parse for the owner."""
+        index = self._by_id.get(rulesheet_hash)
+        if index is None:
+            raise LogIntegrityError(f"rulesheet {rulesheet_hash} is not logged")
+        return parse_logged_rulesheet(decode_rulesheet_payload(self.log.payload(index).decode("utf-8")), owner)
+
     def _check_chain(self, record: RevisionRecord) -> None:
         """Raise SubmitError unless the record may extend its owner's chain
         now: a first revision only while the owner has no head, otherwise
         one superseding a logged revision of the same owner that nothing
-        supersedes yet; and its id names no logged entry. The caller holds
-        the lock, or is replaying."""
+        supersedes yet, at a commit time no earlier than that revision's;
+        and its id names no logged entry. The caller holds the lock, or is
+        replaying."""
         if record.supersedes is None:
             if record.owner in self._heads:
                 raise SubmitError(409, f"owner {record.owner!r} already has a revision chain")
@@ -150,6 +165,12 @@ class ClaimDb:
                 raise SubmitError(401, f"only the owner may supersede: target owned by {target_owner!r}")
             if record.supersedes in self._superseded:
                 raise SubmitError(409, f"revision {record.supersedes} is already superseded")
+            # an owner's only revision that nothing supersedes is its head
+            before = self._heads[record.owner].commit_time
+            if record.commit_time < before:
+                raise SubmitError(
+                    409, f"commit time {record.commit_time} is before {before}, that of revision {record.supersedes}"
+                )
         if record.id in self._by_id:
             raise SubmitError(409, f"revision {record.id} already logged")
 
@@ -221,14 +242,9 @@ class ClaimDb:
 def _rulesheet_text(payload: str) -> str:
     """The text of a rulesheet payload; raises SubmitError (400) otherwise."""
     try:
-        obj = json.loads(payload)
-    except ValueError as exc:
-        raise SubmitError(400, f"payload is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("kind") != "rulesheet":
-        raise SubmitError(400, "payload is not a revision record")
-    if not isinstance(obj.get("text"), str):
-        raise SubmitError(400, "rulesheet payload needs a 'text' field")
-    return obj["text"]
+        return decode_rulesheet_payload(payload)
+    except LogIntegrityError as exc:
+        raise SubmitError(400, str(exc)) from exc
 
 
 class HttpLogClient:

@@ -1,7 +1,8 @@
 """JSON over HTTP for the monitor and claim-database servers and their
-clients: a request handler base with JSON responses, quiet logging, and
-request bodies read only when their Content-Length is a non-negative
-integer no larger than MAX_BODY_BYTES; and one client request function."""
+clients: a request handler base with JSON responses, quiet logging, a
+socket timeout, and request bodies read only when their Content-Length is a
+non-negative integer no larger than MAX_BODY_BYTES; and one client request
+function."""
 
 from __future__ import annotations
 
@@ -43,6 +44,13 @@ def request_json(method: str, url: str, body: dict | str | None, timeout: float)
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
+    # Seconds a read or write on the connection may wait. A client that
+    # stops sending mid-request has its connection closed when it expires,
+    # which releases the handler's thread; `handle_one_request` takes the
+    # timeout as the end of the connection and logs it through the quiet
+    # `log_message`.
+    timeout = 10.0
+
     def log_message(self, *args):  # quiet by default
         pass
 

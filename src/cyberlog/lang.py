@@ -15,7 +15,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import ParseError
 
@@ -110,12 +110,13 @@ class Rule:
     def is_next(self) -> bool:
         return self.kind is RuleKind.NEXT
 
+    def __hash__(self) -> int:
+        return self._hash
+
     @functools.cached_property
-    def standalone_text(self) -> str:
-        """One-line text with explicit principals, as evidence carries it
-        (`parse_standalone_rule` reads it back); computed on first use and
-        kept."""
-        return format_rule(self, oneline=True)
+    def _hash(self) -> int:
+        # a rulesheet looks a rule up by value for each claim it encodes
+        return hash((self.kind, self.head, self.body))
 
     @functools.cached_property
     def variables(self) -> tuple[str, ...]:
@@ -152,6 +153,18 @@ class Rulesheet:
     rules: tuple[Rule, ...]
     source_hash: bytes
 
+    def rule_index(self, rule: Rule) -> int | None:
+        """The first index of a rule equal to `rule`, which evidence logs
+        to name it, or None if the sheet holds no such rule."""
+        return self._first_index.get(rule)
+
+    @functools.cached_property
+    def _first_index(self) -> dict[Rule, int]:
+        first: dict[Rule, int] = {}
+        for index, rule in enumerate(self.rules):
+            first.setdefault(rule, index)
+        return first
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -162,18 +175,28 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TOKEN_SPEC = [
-    ("WS", re.compile(r"[ \t\r\n]+")),
-    ("COMMENT", re.compile(r"//[^\n]*")),
-    ("INT", re.compile(r"\d+")),
-    ("IDENT", re.compile(r"[a-z][A-Za-z0-9_]*")),
-    ("VARIABLE", re.compile(r"[A-Z][A-Za-z0-9_]*")),
-    ("OP", re.compile(r":-|==|!=|<=|>=|[<>().,:+\-*]")),
-]
+# One master pattern: at each position the first alternative that matches
+# wins, as if each token pattern were tried in turn. A string literal runs
+# to the first quote that no backslash escapes (\' \\ \n; any other
+# backslash is itself) and may not hold a line break; a quote that opens
+# none is an unterminated literal.
+_TOKEN_RE = re.compile(
+    r"(?P<WS>[ \t\r\n]+)"
+    r"|(?P<COMMENT>//[^\n]*)"
+    r"|(?P<INT>\d+)"
+    r"|(?P<IDENT>[a-z][A-Za-z0-9_]*)"
+    r"|(?P<VARIABLE>[A-Z][A-Za-z0-9_]*)"
+    r"|(?P<OP>:-|==|!=|<=|>=|[<>().,:+\-*])"
+    r"|(?P<STRING>'(?:\\['\\n]|[^'\n])*+')"
+    r"|(?P<UNTERMINATED>')"
+    r"|(?P<UNEXPECTED>.)",
+    re.DOTALL,
+)
+_STRING_ESCAPE_RE = re.compile(r"\\(['\\n])")
+_STRING_ESCAPES = {"'": "'", "\\": "\\", "n": "\n"}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # INT IDENT VARIABLE STRING OP EOF
     value: str
     line: int
@@ -182,61 +205,32 @@ class _Tok:
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        col = pos - line_start + 1
-        if ch == "'":
-            value, end = _lex_string(text, pos, line, col)
-            toks.append(_Tok("STRING", value, line, col))
-            nl = text.count("\n", pos, end)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "WS":
+            value = m.group()
+            nl = value.count("\n")
             if nl:
                 line += nl
-                line_start = text.rfind("\n", pos, end) + 1
-            pos = end
+                line_start = m.start() + value.rfind("\n") + 1
             continue
-        for kind, rx in _TOKEN_SPEC:
-            m = rx.match(text, pos)
-            if m:
-                if kind == "WS":
-                    nl = m.group().count("\n")
-                    if nl:
-                        line += nl
-                        line_start = m.start() + m.group().rfind("\n") + 1
-                elif kind != "COMMENT":
-                    toks.append(_Tok(kind, m.group(), line, col))
-                pos = m.end()
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, n - line_start + 1))
-    return toks
-
-
-_STRING_ESCAPES = {"'": "'", "\\": "\\", "n": "\n"}
-
-
-def _lex_string(text: str, start: int, line: int, col: int) -> tuple[str, int]:
-    # start points at the opening quote; escapes: \' \\ \n
-    out: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n and text[i + 1] in _STRING_ESCAPES:
-            out.append(_STRING_ESCAPES[text[i + 1]])
-            i += 2
-        elif ch == "'":
-            return "".join(out), i + 1
-        elif ch == "\n":
+        if kind == "COMMENT":
+            continue
+        col = m.start() - line_start + 1
+        value = m.group()
+        if kind == "STRING":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _STRING_ESCAPE_RE.sub(lambda e: _STRING_ESCAPES[e.group(1)], value)
+        elif kind == "UNTERMINATED":
             raise ParseError("unterminated string literal", line, col)
-        else:
-            out.append(ch)
-            i += 1
-    raise ParseError("unterminated string literal", line, col)
+        elif kind == "UNEXPECTED":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        toks.append(_Tok(kind, value, line, col))
+    toks.append(_Tok("EOF", "", line, len(text) - line_start + 1))
+    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +509,22 @@ def make_rulesheet(
     return Rulesheet(self_id, tuple(identities), tuple(rules), digest)
 
 
+@functools.lru_cache(maxsize=256)
+def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
+    """`parse_rulesheet` of a rulesheet text logged in the claim database,
+    for the owner of a revision that names it. Every revision of an owner
+    names the same few texts, so parses are memoised by text and owner; a
+    Rulesheet is immutable, and a text that fails to parse raises again on
+    every call."""
+    return parse_rulesheet(text, owner)
+
+
 @functools.lru_cache(maxsize=1024)
 def parse_standalone_rule(text: str) -> Rule:
-    """Parse one rule whose atoms all carry explicit principals.
-
-    Used when deserializing rules from evidence records, where no self
-    principal is in scope. Every claim of a rulesheet's rule carries the
-    same text, so parses are memoised by text; a Rule is immutable, and
-    a text that fails to parse raises again on every call.
+    """Parse one rule whose atoms all carry explicit principals, such as
+    `format_rule(rule, oneline=True)` gives, where no self principal is in
+    scope. Parses are memoised by text; a Rule is immutable, and a text that
+    fails to parse raises again on every call.
     """
     marker = "\x00"
     parser = _Parser(_lex(text), marker)

@@ -32,6 +32,7 @@ from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore, sign_bytes
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
+    LoggedRulesheets,
     LogClient,
     commit_staging,
     encode_rulesheet_payload,
@@ -163,6 +164,7 @@ class Monitor:
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
         self._rulesheet_published = False
+        self._rulesheets = LoggedRulesheets(db, operator_key)  # of the watched owners' revisions
 
     # -- ingestion ------------------------------------------------------
 
@@ -193,14 +195,21 @@ class Monitor:
 
     def commit(self):
         """Commit own claims as a new revision; returns the record, or None
-        if the claim database was unreachable (KB untouched). After a
-        successful submit the KB keeps its inclusions and takes the
-        next-rule carry-overs as its own claims. If the carry-overs make
-        saturation raise, the error propagates with the record logged, and
-        the KB drops the record's own claims without taking the carry-overs,
-        so the next commit does not log them again."""
+        if the claim database was unreachable or refused the rulesheet or
+        the revision (KB untouched). The rulesheet is logged before the
+        first revision, which names it. After a successful submit the KB
+        keeps its inclusions and takes the next-rule carry-overs as its own
+        claims. If the carry-overs make saturation raise, the error
+        propagates with the record logged, and the KB drops the record's
+        own claims without taking the carry-overs, so the next commit does
+        not log them again."""
         with self.lock:
-            unpublished = self._ensure_rulesheet_published()
+            # either failure is retried next interval, with the KB untouched
+            try:
+                self._ensure_rulesheet_published()
+            except (SubmitError, OSError) as exc:
+                self._warn("commit", f"rulesheet not published, nothing committed: {exc}")
+                return None
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
             try:
@@ -209,14 +218,9 @@ class Monitor:
                     self.clock(), included,
                 )
             except (SubmitError, OSError) as exc:
-                # commit retried next interval; KB untouched. One warning
-                # per failed commit, naming a failed rulesheet publish too
-                also = "" if unpublished is None else f"; rulesheet not published: {unpublished}"
-                self._warn("commit", f"commit failed, keeping own claims: {exc}{also}")
+                self._warn("commit", f"commit failed, keeping own claims: {exc}")
                 return None
             self._base = record.id
-            if unpublished is not None:
-                self._warn("commit", f"rulesheet not published, retrying at the next commit: {unpublished}")
             # own claims not carried go, with what was derived from them;
             # derived claims whose recorded premises survive stay
             logged = [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
@@ -227,18 +231,12 @@ class Monitor:
                 raise
             return record
 
-    def _ensure_rulesheet_published(self) -> SubmitError | OSError | None:
-        """Publish the rulesheet unless already done; returns the failure,
-        if any, for the commit to log. A failed publish is retried at the
-        next commit."""
-        if self._rulesheet_published:
-            return None
-        try:
+    def _ensure_rulesheet_published(self) -> None:
+        """Publish the rulesheet unless already done; raises SubmitError or
+        OSError if the publish fails, and the next commit retries it."""
+        if not self._rulesheet_published:
             self.db.submit_revision(encode_rulesheet_payload(format_rulesheet(self.rulesheet)))
-        except (SubmitError, OSError) as exc:
-            return exc
-        self._rulesheet_published = True
-        return None
+            self._rulesheet_published = True
 
     # -- polling ------------------------------------------------------------
 
@@ -264,9 +262,9 @@ class Monitor:
                     continue
                 try:
                     if last is None:
-                        include_revision(self.kb, head, self.db, owner, self.operator_key)
+                        include_revision(self.kb, head, self.db, owner, self.operator_key, self._rulesheets)
                     else:
-                        on_superseded(self.kb, last, head, self.db, owner, self.operator_key)
+                        on_superseded(self.kb, last, head, self.db, owner, self.operator_key, self._rulesheets)
                 except (CyberlogError, OSError) as exc:
                     self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue

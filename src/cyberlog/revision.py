@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .claimlog import InclusionProof, SignedTreeHead, leaf_hash, verify_inclusion, verify_tree_head
 from .engine import (
@@ -30,9 +30,9 @@ from .engine import (
     match_rule_body,
     rule_substitution,
 )
-from .errors import EvidenceError, LogIntegrityError
+from .errors import EvidenceError, LogIntegrityError, ParseError
 from .identity import Identity, sign_bytes, verify_bytes
-from .lang import RelationalAtom, RuleKind, Rulesheet
+from .lang import RelationalAtom, RuleKind, Rulesheet, parse_logged_rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
 
 
@@ -51,6 +51,12 @@ class LogClient(Protocol):
     def get_consistency(self, old_size: int, new_size: int) -> dict: ...
 
     def get_inclusion(self, index: int, size: int) -> dict: ...
+
+
+# The rulesheet a revision names: (rulesheet_hash, owner) -> the logged text
+# of that hash parsed for the owner. Raises a CyberlogError when there is
+# none: an unlogged hash, or a text that does not parse for the owner.
+RulesheetOf = Callable[[str, str], Rulesheet]
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,8 @@ class RevisionRecord:
 # so the body the id hashes is a slice of the logged bytes: readers hash that
 # slice and never re-encode. The claim DB refuses, at submit, a payload that
 # is not exactly the canonical encoding (`check_canonical`), so every logged
-# body is the one `build_record` gives for its fields.
+# body is the one `build_record` gives for its fields. Claims name their
+# rules by index into the rulesheet the record names (`wire`).
 
 REVISION_PAYLOAD_HEAD = '{"kind":"revision",'
 _SIGNATURE_TAIL = re.compile(r',"signature":"([0-9a-f]{128})"\}')
@@ -96,8 +103,10 @@ def _body_text(
     rulesheet_hash: str,
     claims: Iterable[Claim],
     commit_time: int,
+    rs: Rulesheet,
 ) -> tuple[tuple[Claim, ...], tuple[str, ...], str]:
-    """Claims and includes in canonical order, and the canonical body text."""
+    """Claims and includes in canonical order, and the canonical body text;
+    `rs` is the rulesheet `rulesheet_hash` names."""
     ordered_claims = tuple(sorted(claims, key=lambda c: canonical_atom(c.atom)))
     includes_t = tuple(sorted(set(includes)))
     body = {
@@ -105,7 +114,7 @@ def _body_text(
         "supersedes": supersedes,
         "includes": list(includes_t),
         "rulesheet_hash": rulesheet_hash,
-        "claims": [claim_to_obj(c) for c in ordered_claims],
+        "claims": [claim_to_obj(c, rs) for c in ordered_claims],
         "commit_time": commit_time,
     }
     return ordered_claims, includes_t, canonical_json(body)
@@ -115,13 +124,16 @@ def build_record(
     owner: str,
     supersedes: str | None,
     includes: Iterable[str],
-    rulesheet_hash: str,
+    rs: Rulesheet,
     claims: Iterable[Claim],
     commit_time: int,
 ) -> tuple[RevisionRecord, str]:
-    """The record and the canonical body text its id hashes, each claim
-    serialised once."""
-    ordered_claims, includes_t, body = _body_text(owner, supersedes, includes, rulesheet_hash, claims, commit_time)
+    """The record under rulesheet `rs`, which it names by the hash of its
+    canonical text, and the canonical body text its id hashes, each claim
+    serialised once. Raises EvidenceError for a claim whose rule `rs` does
+    not hold."""
+    rulesheet_hash = rs.source_hash.hex()
+    ordered_claims, includes_t, body = _body_text(owner, supersedes, includes, rulesheet_hash, claims, commit_time, rs)
     rev_id = sha256(body.encode("utf-8")).hexdigest()
     return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time), body
 
@@ -144,18 +156,35 @@ def encode_rulesheet_payload(text: str) -> str:
     return canonical_json({"kind": "rulesheet", "text": text})
 
 
+def decode_rulesheet_payload(payload: str) -> str:
+    """The text of a logged rulesheet payload; raises LogIntegrityError for
+    any other payload."""
+    try:
+        obj = json.loads(payload)
+    except ValueError as exc:
+        raise LogIntegrityError(f"payload is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or obj.get("kind") != "rulesheet":
+        raise LogIntegrityError("payload is neither a revision record nor a rulesheet")
+    if not isinstance(obj.get("text"), str):
+        raise LogIntegrityError("rulesheet payload needs a 'text' field")
+    return obj["text"]
+
+
 def rulesheet_entry_id(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
+def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRecord, bytes]:
     """Parse a logged revision payload once; its id is the SHA-256 of the
-    body bytes inside it. Raises LogIntegrityError on a payload outside the
-    revision layout, on malformed data, which includes a carried claim in a
-    chain root (a carried claim's source is the revision its record
-    supersedes), and on a claim whose principal is not the record's owner,
-    since nobody may make claims on someone else's behalf. Claims and
-    includes keep the payload's order."""
+    body bytes inside it, and its claims' rules are those of the rulesheet
+    `rulesheet_of` gives for its rulesheet hash and owner. Raises
+    LogIntegrityError on a payload outside the revision layout, on a
+    rulesheet that `rulesheet_of` refuses, on malformed data, which includes
+    a rule reference that is not an index of a rule of the right kind and a
+    carried claim in a chain root (a carried claim's source is the revision
+    its record supersedes), and on a claim whose principal is not the
+    record's owner, since nobody may make claims on someone else's behalf.
+    Claims and includes keep the payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
@@ -168,9 +197,10 @@ def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
         names = (owner, rulesheet_hash, *includes) + (() if supersedes is None else (supersedes,))
         if not all(isinstance(name, str) for name in names):
             raise TypeError("owner, supersedes, includes and rulesheet_hash must be strings")
-        claims = tuple(claim_from_obj(c, supersedes) for c in obj["claims"])
+        rs = rulesheet_of(rulesheet_hash, owner)
+        claims = tuple(claim_from_obj(c, supersedes, rs) for c in obj["claims"])
         record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, claims, int(obj["commit_time"]))
-    except (KeyError, TypeError, ValueError, EvidenceError) as exc:
+    except (KeyError, TypeError, ValueError, EvidenceError, ParseError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
     for claim in record.claims:
         if claim.atom.principal != record.owner:
@@ -180,13 +210,15 @@ def decode_payload(payload: str) -> tuple[RevisionRecord, bytes]:
     return record, bytes.fromhex(tail.group(1))
 
 
-def check_canonical(record: RevisionRecord, signature: bytes, payload: str) -> None:
+def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: Rulesheet) -> None:
     """Raise LogIntegrityError unless `payload`, which decoded to `record`
-    and `signature`, is exactly their canonical encoding: no whitespace,
-    sorted claims and includes, lowercase hex, canonical atom text and no
-    duplicate keys. Re-encodes the record's claims once; hashes nothing."""
+    and `signature` under rulesheet `rs`, is exactly their canonical
+    encoding: no whitespace, sorted claims and includes, lowercase hex,
+    canonical atom text, the first index of a rule the sheet holds twice and
+    no duplicate keys. Re-encodes the record's claims once; hashes
+    nothing."""
     _claims, _includes, body = _body_text(
-        record.owner, record.supersedes, record.includes, record.rulesheet_hash, record.claims, record.commit_time
+        record.owner, record.supersedes, record.includes, record.rulesheet_hash, record.claims, record.commit_time, rs
     )
     if encode_payload(body, signature) != payload:
         raise LogIntegrityError(f"revision {record.id} is not in canonical form")
@@ -243,11 +275,10 @@ def commit_staging(
     including `includes`; returns (record, receipt, next-rule carry-overs).
 
     Raises SubmitError if the claim database refuses; nothing is committed
-    in that case.
+    in that case. The database refuses a revision whose rulesheet `rs` it
+    has not logged.
     """
-    if rs.self_id != identity.name:
-        raise EvidenceError(f"rulesheet of {rs.self_id!r} does not belong to committer {identity.name!r}")
-    record, body = build_record(identity.name, base, includes, rs.source_hash.hex(), claims, now_ms)
+    record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
     payload = encode_payload(body, sign_record(record, identity))
     receipt = db.submit_revision(payload)
     head = SignedTreeHead.from_obj(receipt["tree_head"])
@@ -257,26 +288,65 @@ def commit_staging(
     return record, receipt, apply_next_rules(record, rs, included_claims)
 
 
+def _verified_inclusion(what: str, entry_id: str, response: dict, operator_key: bytes | None) -> LogInclusion:
+    """The inclusion of a fetched entry's payload (a revision or a
+    rulesheet, as `what` says) under the fetched head,
+    both verified: the proof, and the head's signature under
+    `operator_key` unless that is None (an offline audit, whose heads no
+    operator signed)."""
+    proof = InclusionProof.from_obj(response["proof"])
+    head = SignedTreeHead.from_obj(response["tree_head"])
+    inclusion = LogInclusion(entry_id, leaf_hash(response["payload"].encode("utf-8")), proof, head)
+    if not verify_inclusion(head.root_hash, inclusion.leaf_hash, proof):
+        raise LogIntegrityError(f"inclusion proof failed for {what} {entry_id}")
+    if operator_key is not None and not verify_tree_head(head, operator_key):
+        raise LogIntegrityError("tree head signature invalid")
+    return inclusion
+
+
+def fetch_verified_rulesheet(db: LogClient, rulesheet_hash: str, operator_key: bytes | None) -> str:
+    """Fetch the rulesheet text logged under `rulesheet_hash`, checking that
+    its SHA-256 is that hash and its inclusion as `fetch_verified_revision`
+    does."""
+    response = db.get_revision(rulesheet_hash)
+    text = decode_rulesheet_payload(response["payload"])
+    if rulesheet_entry_id(text) != rulesheet_hash:
+        raise LogIntegrityError(f"rulesheet text hashes to {rulesheet_entry_id(text)}, expected {rulesheet_hash}")
+    _verified_inclusion("rulesheet", rulesheet_hash, response, operator_key)
+    return text
+
+
+class LoggedRulesheets:
+    """A reader's `RulesheetOf`: each rulesheet fetched through
+    `fetch_verified_rulesheet` once per hash, and parsed for an owner by
+    `parse_logged_rulesheet`."""
+
+    def __init__(self, db: LogClient, operator_key: bytes | None):
+        self.db = db
+        self.operator_key = operator_key
+        self._texts: dict[str, str] = {}
+
+    def __call__(self, rulesheet_hash: str, owner: str) -> Rulesheet:
+        text = self._texts.get(rulesheet_hash)
+        if text is None:
+            text = fetch_verified_rulesheet(self.db, rulesheet_hash, self.operator_key)
+            self._texts[rulesheet_hash] = text
+        return parse_logged_rulesheet(text, owner)
+
+
 def fetch_verified_revision(
-    db: LogClient, rev_id: str, operator_key: bytes | None
+    db: LogClient, rev_id: str, operator_key: bytes | None, rulesheet_of: RulesheetOf
 ) -> tuple[RevisionRecord, LogInclusion]:
     """Fetch a revision and verify payload hash, inclusion proof and head,
     the head's signature under `operator_key` unless that is None (an
-    offline audit, whose heads no operator signed); returns the record and
-    the inclusion evidence its claims share."""
+    offline audit, whose heads no operator signed), its claims decoded under
+    the rulesheet `rulesheet_of` gives; returns the record and the inclusion
+    evidence its claims share."""
     response = db.get_revision(rev_id)
-    payload = response["payload"]
-    record, _signature = decode_payload(payload)
+    record, _signature = decode_payload(response["payload"], rulesheet_of)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
-    proof = InclusionProof.from_obj(response["proof"])
-    head = SignedTreeHead.from_obj(response["tree_head"])
-    inclusion = LogInclusion(rev_id, leaf_hash(payload.encode("utf-8")), proof, head)
-    if not verify_inclusion(head.root_hash, inclusion.leaf_hash, proof):
-        raise LogIntegrityError(f"inclusion proof failed for revision {rev_id}")
-    if operator_key is not None and not verify_tree_head(head, operator_key):
-        raise LogIntegrityError("tree head signature invalid")
-    return record, inclusion
+    return record, _verified_inclusion("revision", rev_id, response, operator_key)
 
 
 def _check_owner(record: RevisionRecord, owner: str) -> None:
@@ -295,21 +365,22 @@ def _include(
 
 
 def include_revision(
-    kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, operator_key: bytes | None
+    kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, operator_key: bytes | None, rulesheet_of: RulesheetOf
 ) -> list[Claim]:
     """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence, the fetch verified under `operator_key`; returns
+    inclusion evidence, the fetch verified under `operator_key` and decoded
+    under the rulesheet `rulesheet_of` gives; returns
     the claims whose atoms are new. A refusal leaves the KB's claims as
     they were: it refuses before the KB changes if the proof chain does not
     verify or the revision belongs to someone else, and `revise` undoes the
     import if saturation raises."""
-    record, inclusion = fetch_verified_revision(db, rev_id, operator_key)
+    record, inclusion = fetch_verified_revision(db, rev_id, operator_key, rulesheet_of)
     _check_owner(record, owner)
     return _include(kb, (), record, inclusion)
 
 
 def supersession_chain(
-    db: LogClient, new_record: RevisionRecord, old_rev_id: str, operator_key: bytes | None
+    db: LogClient, new_record: RevisionRecord, old_rev_id: str, operator_key: bytes | None, rulesheet_of: RulesheetOf
 ) -> list[str]:
     """Revision ids from the new record (exclusive) back to old (inclusive),
     following supersedes links. Each revision in between is fetched once and
@@ -322,7 +393,7 @@ def supersession_chain(
         chain.append(cursor)
         if cursor == old_rev_id:
             return chain
-        older, _ = fetch_verified_revision(db, cursor, operator_key)
+        older, _ = fetch_verified_revision(db, cursor, operator_key, rulesheet_of)
         if older.owner != new_record.owner:
             raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
         cursor = older.supersedes
@@ -330,7 +401,13 @@ def supersession_chain(
 
 
 def on_superseded(
-    kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, db: LogClient, owner: str, operator_key: bytes | None
+    kb: KnowledgeBase,
+    old_rev_id: str,
+    new_rev_id: str,
+    db: LogClient,
+    owner: str,
+    operator_key: bytes | None,
+    rulesheet_of: RulesheetOf,
 ) -> list[Claim]:
     """Update the KB in place after `owner`'s included revision was
     superseded; returns the admitted claims whose atoms are new.
@@ -338,14 +415,15 @@ def on_superseded(
     The new revision must belong to `owner`, whom the old revision was
     checked to belong to when it was included. The new revision is fetched
     once, each revision between it and the old one once, and the old one
-    not at all, each fetch verified under `operator_key`. Claims included
+    not at all, each fetch verified under `operator_key` and decoded under
+    the rulesheet `rulesheet_of` gives. Claims included
     from the replaced chain are retracted, with every derivation downstream
     of them, and the new revision's claims are included, in one
     `KnowledgeBase.revise`. A refusal leaves the KB's claims as they were,
     as for `include_revision`.
     """
-    record, inclusion = fetch_verified_revision(db, new_rev_id, operator_key)
-    dropped = set(supersession_chain(db, record, old_rev_id, operator_key))
+    record, inclusion = fetch_verified_revision(db, new_rev_id, operator_key, rulesheet_of)
+    dropped = set(supersession_chain(db, record, old_rev_id, operator_key, rulesheet_of))
     _check_owner(record, owner)
     retracted = [
         claim.atom

@@ -1,9 +1,13 @@
 """Serialization between in-memory claims/records and their wire JSON forms.
 
-All hashes travel as lowercase hex; rules inside evidence are canonical
-one-line text with explicit principals so they can be reparsed without a
-self principal in scope. Canonical JSON is compact separators, insertion
-order preserved, UTF-8.
+All hashes travel as lowercase hex. Canonical JSON is compact separators,
+insertion order preserved, UTF-8.
+
+A rule instance names its rule by index into the rulesheet its revision
+names (`"rule":3`), the first index of a rule a sheet holds twice: a
+derived claim a standard rule, a carried claim a next-rule. A rule the
+sheet does not hold cannot be encoded, and a reference that is not such an
+index does not decode.
 
 Evidence logs only what a reader cannot recompute. A rule instance leaves
 out the substitution entries of bare head variables, which binding the rule
@@ -28,44 +32,63 @@ from .engine import (
     canonical_atom,
     parse_canonical_atom,
 )
-from .errors import EvidenceError, ParseError
-from .lang import Rule, parse_standalone_rule
+from .errors import EvidenceError
+from .lang import Rule, RuleKind, Rulesheet, format_rule
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def evidence_to_obj(ev: Evidence) -> dict:
+# the kind of rule each kind of rule instance names
+_RULE_KINDS = {"derived_by_rule": RuleKind.STANDARD, "carried_by_next_rule": RuleKind.NEXT}
+
+
+def evidence_to_obj(ev: Evidence, rs: Rulesheet) -> dict:
     if isinstance(ev, DerivedByRule):
-        obj = _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution)
+        obj = _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution, rs)
         obj["premises"] = list(ev.premises)
         return obj
     if isinstance(ev, DirectAssertion):
         return {"kind": "direct_assertion", "signer": ev.signer, "signature": ev.signature.hex()}
     if isinstance(ev, CarriedByNextRule):
-        return _rule_instance_obj("carried_by_next_rule", ev.rule, ev.substitution)
+        return _rule_instance_obj("carried_by_next_rule", ev.rule, ev.substitution, rs)
     raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
 
 
-def _rule_instance_obj(kind: str, rule: Rule, substitution) -> dict:
-    obj = {"kind": kind, "rule": rule.standalone_text}
+def _rule_instance_obj(kind: str, rule: Rule, substitution, rs: Rulesheet) -> dict:
+    index, want = rs.rule_index(rule), _RULE_KINDS[kind]
+    if index is None or rule.kind is not want:
+        text = format_rule(rule, oneline=True)
+        raise EvidenceError(f"{kind} by a rule that is not a {want.value} rule of the rulesheet: {text}")
+    obj = {"kind": kind, "rule": index}
     logged = {name: substitution[name] for name in sorted(substitution) if name not in rule.head_variables}
     if logged:
         obj["substitution"] = logged
     return obj
 
 
-def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None) -> Evidence:
+def _logged_rule(kind: str, ref, rs: Rulesheet) -> Rule:
+    """The rule of `rs` that a rule instance of `kind` names by index."""
+    if type(ref) is not int or not 0 <= ref < len(rs.rules):
+        raise EvidenceError(f"rule reference {ref!r} is not an index into the rulesheet's {len(rs.rules)} rules")
+    rule = rs.rules[ref]
+    if rule.kind is not _RULE_KINDS[kind]:
+        raise EvidenceError(f"{kind} names rule {ref}, a {rule.kind.value} rule")
+    return rule
+
+
+def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None, rs: Rulesheet) -> Evidence:
     """The evidence of the claim of `atom` in a revision superseding
-    `source` (None for a chain root); a rule instance's substitution is
-    its head bound to `atom` plus the logged entries."""
+    `source` (None for a chain root) under rulesheet `rs`; a rule
+    instance's substitution is its head bound to `atom` plus the logged
+    entries."""
     try:
         kind = obj["kind"]
         if kind == "direct_assertion":
             return DirectAssertion(obj["signer"], bytes.fromhex(obj["signature"]))
-        if kind in ("derived_by_rule", "carried_by_next_rule"):
-            rule = parse_standalone_rule(obj["rule"])
+        if kind in _RULE_KINDS:
+            rule = _logged_rule(kind, obj["rule"], rs)
             substitution = bind_head(rule.head, atom)
             if substitution is None:
                 raise EvidenceError(f"rule head does not bind the claim {canonical_atom(atom)}")
@@ -75,20 +98,22 @@ def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None) -> Eviden
             if source is None:
                 raise EvidenceError(f"carried claim {canonical_atom(atom)} in a revision that supersedes none")
             return CarriedByNextRule(rule, substitution, source)
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise EvidenceError(f"malformed evidence object: {exc}") from exc
     raise EvidenceError(f"unknown evidence kind {obj.get('kind')!r}")
 
 
-def claim_to_obj(claim: Claim) -> dict:
-    return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence)}
+def claim_to_obj(claim: Claim, rs: Rulesheet) -> dict:
+    """The logged object of a claim of a revision under rulesheet `rs`."""
+    return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence, rs)}
 
 
-def claim_from_obj(obj: dict, source: str | None) -> Claim:
+def claim_from_obj(obj: dict, source: str | None, rs: Rulesheet) -> Claim:
     """The claim of a logged claim object in a revision superseding
-    `source`, the source revision of a carried claim."""
+    `source`, the source revision of a carried claim, under rulesheet
+    `rs`."""
     try:
         atom = parse_canonical_atom(obj["atom"])
     except (KeyError, ValueError) as exc:
         raise EvidenceError(f"malformed claim object: {exc}") from exc
-    return Claim(atom, evidence_from_obj(obj["evidence"], atom, source), atom_id(atom))
+    return Claim(atom, evidence_from_obj(obj["evidence"], atom, source, rs), atom_id(atom))

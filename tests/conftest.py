@@ -31,6 +31,30 @@ def sign_claim(identity, atom: GroundAtom) -> SignedClaim:
     return SignedClaim(atom, identity.name, sign_bytes(identity, canonical_atom(atom).encode("utf-8")))
 
 
+def publish_rulesheet(db, rs) -> str:
+    """Log `rs`'s canonical text, as a monitor does before its first
+    commit, so that revisions naming it are admitted; returns its hash."""
+    from cyberlog.lang import format_rulesheet
+    from cyberlog.revision import encode_rulesheet_payload
+
+    return db.submit_revision(encode_rulesheet_payload(format_rulesheet(rs)))["revision_id"]
+
+
+def rulesheets_of(*sheets):
+    """A `RulesheetOf` over `sheets`, by hash, for decoding payloads without
+    a claim database; any other hash is refused."""
+    from cyberlog.errors import LogIntegrityError
+
+    by_hash = {rs.source_hash.hex(): rs for rs in sheets}
+
+    def rulesheet_of(rulesheet_hash, _owner):
+        if rulesheet_hash not in by_hash:
+            raise LogIntegrityError(f"rulesheet {rulesheet_hash} is not logged")
+        return by_hash[rulesheet_hash]
+
+    return rulesheet_of
+
+
 def at_fixpoint(kb) -> bool:
     """True iff the KB holds no claim or removal its saturation has not joined."""
     return not kb._unsaturated and not kb._removed

@@ -31,9 +31,16 @@ from cyberlog.harness import (
 from cyberlog.identity import generate_identity
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope
-from cyberlog.revision import build_record, commit_staging, encode_payload, fetch_verified_revision, sign_record
+from cyberlog.revision import (
+    LoggedRulesheets,
+    build_record,
+    commit_staging,
+    encode_payload,
+    fetch_verified_revision,
+    sign_record,
+)
 
-from conftest import OPERATOR, sign_claim
+from conftest import OPERATOR, publish_rulesheet, sign_claim
 from merkle_oracle import brute_leaf, brute_root
 from naive_oracle import naive_saturate, random_program
 
@@ -223,11 +230,13 @@ def test_criterion_5a_step_counter(db_client, identities):
     seed_atom = GroundAtom("CTR", "counter", (0,))
     sc = sign_claim(identities["CTR"], seed_atom)
     claims = [make_claim(seed_atom, DirectAssertion("CTR", sc.signature))]
+    publish_rulesheet(db_client, rs)
     record, _, claims = commit_staging(identities["CTR"], rs, db_client, None, (), claims, 0)
     k = 7
     for step in range(1, k + 1):
         record, _, claims = commit_staging(identities["CTR"], rs, db_client, record.id, (), claims, step)
-    fetched, _ = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
+    key = identities[OPERATOR].public_key
+    fetched, _ = fetch_verified_revision(db_client, record.id, key, LoggedRulesheets(db_client, key))
     atoms = [c.atom for c in fetched.claims]
     verdict(
         5,
@@ -270,9 +279,11 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
 
 def test_criterion_5c_non_owner_supersession_rejected(db_client, identities):
     rs_sb = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
+    publish_rulesheet(db_client, rs_sb)
     record, _, _ = commit_staging(identities["SB"], rs_sb, db_client, None, (), (), 1)
     rs_mrm = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    hostile, body = build_record("MRM", record.id, (), rs_mrm.source_hash.hex(), (), 2)
+    publish_rulesheet(db_client, rs_mrm)
+    hostile, body = build_record("MRM", record.id, (), rs_mrm, (), 2)
     payload = encode_payload(body, sign_record(hostile, identities["MRM"]))
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(payload)
@@ -307,12 +318,13 @@ def _latest_claim_count(bookings: int) -> tuple[int, int]:
     run = ScenarioRun(_retention_scenario(bookings))
     run.run()
     head = run.client.get_head("SB")
-    record, _ = fetch_verified_revision(run.client, head["revision_id"], run.operator.public_key)
+    rulesheets = LoggedRulesheets(run.client, run.operator.public_key)
+    record, _ = fetch_verified_revision(run.client, head["revision_id"], run.operator.public_key, rulesheets)
     # sanity: requests really were carried across commits mid-flight
     carried_revisions = 0
     cursor = head["revision_id"]
     while cursor is not None:
-        rev, _ = fetch_verified_revision(run.client, cursor, run.operator.public_key)
+        rev, _ = fetch_verified_revision(run.client, cursor, run.operator.public_key, rulesheets)
         if any(c.atom.predicate == "request" for c in rev.claims):
             carried_revisions += 1
         cursor = rev.supersedes

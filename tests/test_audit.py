@@ -11,7 +11,7 @@ from cyberlog.claimlog import MerkleLog
 from cyberlog.engine import GroundAtom
 from cyberlog.errors import NotFoundError
 from cyberlog.harness import OPERATOR_NAME, ScenarioRun, identity_seed, load_scenario
-from conftest import OPERATOR
+from conftest import OPERATOR, rulesheets_of
 from cyberlog.identity import generate_identity
 from cyberlog.revision import REVISION_PAYLOAD_HEAD, decode_payload
 
@@ -119,6 +119,7 @@ def test_tampered_leaf_fails_consistency_and_audit(tmp_path):
 def test_audit_fails_when_evidence_path_tampered(tmp_path):
     run, log_path, _cache = booking_run(tmp_path)
     run.close()
+    rulesheets = rulesheets_of(*(monitor.rulesheet for monitor in run.monitors.values()))
     # flip a byte inside the MRM revision that DOM's head includes, the one
     # the verdict's premise resolution fetches
     with open(log_path, "rb") as fh:
@@ -127,7 +128,7 @@ def test_audit_fails_when_evidence_path_tampered(tmp_path):
     for offset, length in payload_byte_offsets(log_path):
         payload = data[offset : offset + length]
         if payload.startswith(REVISION_PAYLOAD_HEAD.encode()):
-            revisions.append((decode_payload(payload.decode("utf-8"))[0], offset, payload))
+            revisions.append((decode_payload(payload.decode("utf-8"), rulesheets)[0], offset, payload))
     dom_head = [record for record, _offset, _payload in revisions if record.owner == "DOM"][-1]
     [target] = [
         offset + payload.index(b"feasible_config")
@@ -150,7 +151,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     does not reproduce cannot be logged: the logged instance is
     `verdict(99)` from `request(99)`, and its premise id names `request(7)`."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
-    from conftest import sign_claim
+    from conftest import publish_rulesheet, sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -164,7 +165,8 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     forged_atom = GroundAtom("SB", "verdict", (99,))
     forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}, (base.claim_id,)), atom_id(forged_atom))
 
-    record, body = build_record("SB", None, (), rs.source_hash.hex(), [base, forged], 1)
+    record, body = build_record("SB", None, (), rs, [base, forged], 1)
+    publish_rulesheet(db_client, rs)
     db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
 
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
@@ -180,7 +182,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     """Evidence whose premise reference points at a different logged claim
     than the instantiated body atom is rejected."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
-    from conftest import sign_claim
+    from conftest import publish_rulesheet, sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -194,7 +196,8 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     swapped = Claim(
         verdict_atom, DerivedByRule(rule, {"Id": 7}, (claims[1].claim_id,)), atom_id(verdict_atom)
     )
-    record, body = build_record("SB", None, (), rs.source_hash.hex(), claims + [swapped], 1)
+    record, body = build_record("SB", None, (), rs, claims + [swapped], 1)
+    publish_rulesheet(db_client, rs)
     db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
 
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
@@ -210,7 +213,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
     claim's source is the revision its record supersedes, so the request is
     audited against r2, which holds neither premise, and fails."""
     from cyberlog.engine import CarriedByNextRule, DirectAssertion, make_claim
-    from conftest import sign_claim
+    from conftest import publish_rulesheet, sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -219,10 +222,11 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
         "next request(Id, Data, TimeRequest) :- request(Id, Data, TimeRequest), in_process(Id).\n"
     )
     rs = parse_rulesheet(sheet, "SB")
+    publish_rulesheet(db_client, rs)
     request, in_process = GroundAtom("SB", "request", (7, "d", 5)), GroundAtom("SB", "in_process", (7,))
 
     def commit(claims, supersedes, now):
-        record, body = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, now)
+        record, body = build_record("SB", supersedes, (), rs, claims, now)
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
         return record
 

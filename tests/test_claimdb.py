@@ -17,6 +17,7 @@ from cyberlog.engine import DirectAssertion, GroundAtom, make_claim
 from cyberlog.errors import NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
+    LoggedRulesheets,
     build_record,
     commit_staging,
     encode_payload,
@@ -26,9 +27,27 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, raw_http_status, sign_claim
+from conftest import OPERATOR, publish_rulesheet, raw_http_status, rulesheets_of, sign_claim
 
 SB_SHEET = "'SB': Subject: 's' Issuer: 'i'\n"
+MRM_SHEET = "'MRM': Subject: 's' Issuer: 'i'\n"
+
+
+def with_rulesheets(db, *texts):
+    """`db` with SB's and MRM's rulesheets logged, and `texts`, as their
+    monitors log their rulesheets before their first revisions."""
+    for text in (SB_SHEET, MRM_SHEET) + texts:
+        db.submit_revision(encode_rulesheet_payload(text))
+    return db
+
+
+@pytest.fixture
+def db(identities, trust_store):
+    return with_rulesheets(ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000))
+
+
+def reader(client, identities):
+    return LoggedRulesheets(client, identities[OPERATOR].public_key)
 
 
 def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
@@ -37,14 +56,14 @@ def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     for atom in atoms:
         sc = sign_claim(identities["SB"], atom)
         claims.append(make_claim(atom, DirectAssertion("SB", sc.signature)))
-    record, body = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, commit_time)
+    record, body = build_record("SB", supersedes, (), rs, claims, commit_time)
     return record, encode_payload(body, sign_record(record, identities["SB"]))
 
 
 def test_first_submission_receipt_verifies(db, db_client, identities):
     record, payload = sb_payload(identities)
     receipt = db_client.submit_revision(payload)
-    assert receipt["leaf_index"] == 0
+    assert receipt["leaf_index"] == 2  # after the rulesheets
     assert receipt["revision_id"] == record.id
     head = SignedTreeHead.from_obj(receipt["tree_head"])
     proof = InclusionProof.from_obj(receipt["inclusion_proof"])
@@ -53,7 +72,7 @@ def test_first_submission_receipt_verifies(db, db_client, identities):
 
 
 def test_bad_signature_rejected(db_client, identities):
-    _record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), (), 1)
+    _record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
     forged = encode_payload(body, b"\x00" * 64)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(forged)
@@ -65,7 +84,8 @@ def test_unknown_owner_rejected(db_client, identities, trust_store):
 
     rogue = generate_identity("ROGUE", seed=bytes([7]) * 32)
     rs = parse_rulesheet("'ROGUE': Subject: 's' Issuer: 'i'\n", "ROGUE")
-    record, body = build_record("ROGUE", None, (), rs.source_hash.hex(), (), 1)
+    publish_rulesheet(db_client, rs)
+    record, body = build_record("ROGUE", None, (), rs, (), 1)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(encode_payload(body, sign_record(record, rogue)))
     assert exc.value.code == 401
@@ -75,7 +95,7 @@ def test_cross_owner_supersession_rejected(db_client, identities):
     _, payload = sb_payload(identities)
     receipt = db_client.submit_revision(payload)
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    record, body = build_record("MRM", receipt["revision_id"], (), rs.source_hash.hex(), (), 2)
+    record, body = build_record("MRM", receipt["revision_id"], (), rs, (), 2)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["MRM"])))
     assert exc.value.code == 401
@@ -121,14 +141,17 @@ def test_get_revision_proof_still_verifies_after_growth(db_client, identities):
     record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db_client.submit_revision(payload)
     rs = parse_rulesheet("'CTR': Subject: 's' Issuer: 'i'\n", "CTR")
+    publish_rulesheet(db_client, rs)
     base = None
     for t in range(10):
         base = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)[0].id
-    fetched, inclusion = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
+    fetched, inclusion = fetch_verified_revision(
+        db_client, record.id, identities[OPERATOR].public_key, reader(db_client, identities)
+    )
     assert fetched.id == record.id
-    assert inclusion.proof.tree_size == 11
+    assert inclusion.proof.tree_size == 14
     root = SignedTreeHead.from_obj(db_client.get_log_root())
-    assert root.tree_size == 11
+    assert root.tree_size == 14
 
 
 def test_each_tree_head_signed_once(identities, trust_store, monkeypatch):
@@ -136,10 +159,10 @@ def test_each_tree_head_signed_once(identities, trust_store, monkeypatch):
     signed once; a new tick or a new entry gets a new head."""
     import cyberlog.claimlog as claimlog
 
+    now = [1000]
+    db = with_rulesheets(ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: now[0]))
     sign, signed = claimlog.sign_bytes, []
     monkeypatch.setattr(claimlog, "sign_bytes", lambda ident, data: signed.append(data) or sign(ident, data))
-    now = [1000]
-    db = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: now[0])
     record, payload = sb_payload(identities)
     receipt = db.submit_revision(payload)
     first, second = db.get_revision(record.id), db.get_revision(record.id)
@@ -147,8 +170,8 @@ def test_each_tree_head_signed_once(identities, trust_store, monkeypatch):
     assert len(signed) == 1
     now[0] += 1
     assert db.get_log_root()["timestamp_ms"] == 1001
-    db.submit_revision(encode_rulesheet_payload(SB_SHEET))
-    assert db.get_log_root()["tree_size"] == 2
+    db.submit_revision(encode_rulesheet_payload("'CTR': Subject: 's' Issuer: 'i'\n"))
+    assert db.get_log_root()["tree_size"] == 4
     assert len(signed) == 3 == len(set(signed))
 
 
@@ -183,6 +206,7 @@ def test_rulesheet_blob_storage(db_client):
 
 def test_receipts_linearizable_and_consistent(db_client, identities):
     rs = parse_rulesheet("'CTR': Subject: 's' Issuer: 'i'\n", "CTR")
+    publish_rulesheet(db_client, rs)
     base, receipts = None, []
     for t in range(6):
         record, receipt, _ = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)
@@ -198,7 +222,7 @@ def test_receipts_linearizable_and_consistent(db_client, identities):
 
 def test_restart_rebuilds_indexes_and_root(tmp_path, identities, trust_store):
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     _, payload = sb_payload(identities)
     base = db.submit_revision(payload)["revision_id"]
     _, nxt = sb_payload(identities, supersedes=base, commit_time=2)
@@ -232,13 +256,15 @@ def test_http_submit_fetch_roundtrip(http_client, identities):
     record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", ("x",))])
     receipt = http_client.submit_revision(payload)
     assert receipt["revision_id"] == record.id
-    fetched, _ = fetch_verified_revision(http_client, record.id, identities[OPERATOR].public_key)
+    fetched, _ = fetch_verified_revision(
+        http_client, record.id, identities[OPERATOR].public_key, reader(http_client, identities)
+    )
     assert fetched.claims[0].atom == GroundAtom("SB", "p", ("x",))
     head = http_client.get_head("SB")
     assert head["revision_id"] == record.id
     root = SignedTreeHead.from_obj(http_client.get_log_root())
-    assert root.tree_size == 1
-    proof = InclusionProof.from_obj(http_client.get_inclusion(0, 1))
+    assert root.tree_size == 3
+    proof = InclusionProof.from_obj(http_client.get_inclusion(2, 3))
     assert verify_inclusion(root.root_hash, leaf_hash(payload.encode()), proof)
 
 
@@ -263,7 +289,7 @@ def test_http_consistency_endpoint(http_client, identities):
     r2 = http_client.submit_revision(nxt)
     h1 = SignedTreeHead.from_obj(r1["tree_head"])
     h2 = SignedTreeHead.from_obj(r2["tree_head"])
-    proof = ConsistencyProof.from_obj(http_client.get_consistency(1, 2))
+    proof = ConsistencyProof.from_obj(http_client.get_consistency(3, 4))
     assert verify_consistency(h1.root_hash, h2.root_hash, proof)
 
 
@@ -306,17 +332,43 @@ def test_http_oversized_body_gets_413_unread(db):
     try:
         request = b"POST /revisions HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
         assert raw_http_status(server.server_address, request) == 413
-        assert len(db.log) == 0
+        assert len(db.log) == 2  # the rulesheets
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_http_half_sent_body_is_cut_off_at_the_handler_timeout(db, monkeypatch, capfd):
+    """A client that sends half its body has its connection closed when the
+    handler's socket timeout expires, without a traceback, while another
+    client is served meanwhile; nothing is logged."""
+    import socket
+    import time
+
+    from cyberlog.httpjson import JsonRequestHandler
+
+    assert JsonRequestHandler.timeout is not None and JsonRequestHandler.timeout > 0
+    monkeypatch.setattr(JsonRequestHandler, "timeout", 0.3)
+    server, _url = serve_db_in_thread(db)
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as stalled:
+            stalled.sendall(b"POST /revisions HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"{" * 50)
+            started = time.monotonic()
+            assert raw_http_status(server.server_address, b"GET /health HTTP/1.1\r\n\r\n") == 200
+            assert stalled.recv(4096) == b""  # closed by the server, with no response
+            assert time.monotonic() - started < 3
+        assert len(db.log) == 2  # the rulesheets
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, monkeypatch):
     import cyberlog.claimdb as claimdb
 
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     _, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     base = db.submit_revision(payload)["revision_id"]
     rulesheet = db.submit_revision(encode_rulesheet_payload(SB_SHEET))["revision_id"]
@@ -325,9 +377,9 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 2)
     decoded = []
     original = claimdb.decode_payload
-    monkeypatch.setattr(claimdb, "decode_payload", lambda p: decoded.append(p) or original(p))
+    monkeypatch.setattr(claimdb, "decode_payload", lambda p, rulesheet_of: decoded.append(p) or original(p, rulesheet_of))
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    foreign, body = build_record("MRM", base, (), rs.source_hash.hex(), (), 2)
+    foreign, body = build_record("MRM", base, (), rs, (), 2)
     foreign_payload = encode_payload(body, sign_record(foreign, identities["MRM"]))
     with pytest.raises(SubmitError) as exc:
         reopened.submit_revision(foreign_payload)
@@ -384,15 +436,15 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
 
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
-    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign], 1)
+    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
-        decode_payload(payload)
+        decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")))
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
             client.submit_revision(payload)
         assert exc.value.code == 400 and "holds a claim of 'MRM'" in str(exc.value)
-    assert len(db.log) == 0
+    assert len(db.log) == 2  # the rulesheets
 
 
 def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path, identities, trust_store):
@@ -400,12 +452,12 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     a claim of MRM. Reopening it still works; that entry is left unindexed like
     any other entry that no longer decodes, while the tree keeps its bytes."""
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign_claim = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
-    foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), [foreign_claim], 2)
+    foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
     db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
     root = db.get_log_root()
     db.log.close()
@@ -424,20 +476,16 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
 # -- replay admits what a submit would have admitted --------------------------
 
 
-def _sb_sheet_hash():
-    return parse_rulesheet(SB_SHEET, "SB").source_hash.hex()
-
-
 def _unsigned(identities, base):
     """SB's successor of `base` under an all-zero signature: the payload of
     someone who can write the log file but does not hold SB's key."""
-    record, body = build_record("SB", base.id, (), _sb_sheet_hash(), (), 2)
+    record, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), (), 2)
     return record, encode_payload(body, b"\0" * 64)
 
 
 def _signed(identities, owner, supersedes, commit_time=2):
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
-    record, body = build_record(owner, supersedes, (), rs.source_hash.hex(), (), commit_time)
+    record, body = build_record(owner, supersedes, (), rs, (), commit_time)
     return record, encode_payload(body, sign_record(record, identities[owner]))
 
 
@@ -456,7 +504,7 @@ def test_reopen_leaves_refused_revision_unindexed(tmp_path, identities, trust_st
     genuine one, the entry's id is not found, over HTTP too (404), and the
     genuine chain can still be extended."""
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     refused, refused_payload = REFUSED_ON_REPLAY[case](identities, base)
@@ -488,7 +536,7 @@ def test_reopen_without_an_owners_key_leaves_its_revisions_unindexed(tmp_path, i
     from cyberlog.identity import TrustStore
 
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities)
     db.submit_revision(payload)
     mrm, mrm_payload = _signed(identities, "MRM", None)
@@ -557,7 +605,7 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
         reopened = ClaimDb(MerkleLog(path), run.operator, run.trust_store)
     try:
         assert reopened.get_head("MRM")["chain_length"] == 1
-        decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"))
+        decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"), LoggedRulesheets(reopened, None))
     finally:
         reopened.log.close()
     messages = [record.getMessage() for record in caplog.records]
@@ -587,7 +635,7 @@ def signed_body(identities, body: str) -> str:
 def canonical_body(identities):
     atoms = [GroundAtom("SB", "p", (7,)), GroundAtom("SB", "q", ("x",))]
     claims = [make_claim(atom, DirectAssertion("SB", bytes.fromhex(SIG_HEX))) for atom in atoms]
-    return build_record("SB", None, INCLUDES, parse_rulesheet(SB_SHEET, "SB").source_hash.hex(), claims, 1)[1]
+    return build_record("SB", None, INCLUDES, parse_rulesheet(SB_SHEET, "SB"), claims, 1)[1]
 
 
 def reversed_list(body: str, key: str) -> str:
@@ -621,12 +669,12 @@ def test_non_canonical_revision_refused_with_400(db, http_client, identities, fo
     mutated = NON_CANONICAL[form](body)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decode_payload(payload)  # a well-formed revision, only not canonical
+    decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")))  # well-formed, only not canonical
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
             client.submit_revision(payload)
         assert exc.value.code == 400, str(exc.value)
-    assert len(db.log) == 0
+    assert len(db.log) == 2  # the rulesheets
     db.submit_revision(signed_body(identities, body))  # the canonical form is logged
 
 
@@ -646,7 +694,7 @@ def test_reopen_leaves_non_canonical_revision_unindexed(tmp_path, identities, tr
     import hashlib
 
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     body = NON_CANONICAL[form](canonical_body(identities)).replace('"supersedes":null', f'"supersedes":"{base.id}"')
@@ -673,7 +721,7 @@ def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identi
     from cyberlog.wire import canonical_json
 
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     inclusion = {
@@ -727,11 +775,11 @@ def retained(identities, supersedes=None):
             make_claim(REQUEST, CarriedByNextRule(carry, substitution, supersedes)),
             make_claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(verdict, substitution, (atom_id(REQUEST),))),
         ]
-    record, body = build_record("SB", supersedes, (), rs.source_hash.hex(), claims, 1 if supersedes is None else 2)
+    record, body = build_record("SB", supersedes, (), rs, claims, 1 if supersedes is None else 2)
     return record, body
 
 
-CARRIED_EVIDENCE = '"kind":"carried_by_next_rule","rule":"next \'SB\' attests request(Id, Data, T) :- \'SB\' attests request(Id, Data, T), \'SB\' attests in_process(Id)."'
+CARRIED_EVIDENCE = '"kind":"carried_by_next_rule","rule":1'
 DERIVED_SUBSTITUTION = '"substitution":{"Data":"d","T":5}'
 
 # a field a reader recomputes, logged all the same
@@ -752,6 +800,8 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
     source revision. Each decodes, and is refused as non-canonical."""
     from cyberlog.revision import decode_payload
 
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    publish_rulesheet(db, rs)
     base, body = retained(identities)
     db.submit_revision(signed_body(identities, body))
     record, body = retained(identities, base.id)
@@ -759,21 +809,21 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
     mutated = RECOMPUTED_FIELD[form](body, base.id)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decoded, _signature = decode_payload(payload)
+    decoded, _signature = decode_payload(payload, rulesheets_of(rs))
     assert decoded.claims[0] == record.claims[0]  # the carried request, source `base`
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
             client.submit_revision(payload)
         assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
-    assert len(db.log) == 1
+    assert len(db.log) == 4  # three rulesheets and `base`
     db.submit_revision(signed_body(identities, body))
 
 
 # SB's chain root and its successor from `retained`, as the encoder wrote
 # them before evidence left out what a reader recomputes (commit a7ce73f).
 # The root holds direct assertions only, whose encoding did not change; the
-# successor logs the carried request's source revision and every head-bound
-# substitution entry.
+# successor logs the carried request's source revision, every head-bound
+# substitution entry and the text of each rule.
 EARLIER_ROOT = (
     '{"kind":"revision","owner":"SB","supersedes":null,"includes":[],'
     '"rulesheet_hash":"b17aacc91841ef621a740b892f79c70c5daacf8ff1f3092e3e0451f5e3597fa5",'
@@ -802,38 +852,56 @@ EARLIER_SUCCESSOR = (
 )
 
 
+# The same successor as the encoder wrote it before rules were named by
+# index (commit 42ac9d6): each rule instance logs its rule's text.
+RULE_TEXT_SUCCESSOR = (
+    '{"kind":"revision","owner":"SB","supersedes":"1b9d600ddc9b97d043a0f642221f085e272fad72a3f8c201ec211113d2d60ade",'
+    '"includes":[],"rulesheet_hash":"b17aacc91841ef621a740b892f79c70c5daacf8ff1f3092e3e0451f5e3597fa5",'
+    '"claims":[{"atom":"\\"SB\\"|request(7,\\"d\\",5)","evidence":{"kind":"carried_by_next_rule",'
+    '"rule":"next \'SB\' attests request(Id, Data, T) :- \'SB\' attests request(Id, Data, T), '
+    '\'SB\' attests in_process(Id)."}},'
+    '{"atom":"\\"SB\\"|verdict(7)","evidence":{"kind":"derived_by_rule",'
+    '"rule":"\'SB\' attests verdict(Id) :- \'SB\' attests request(Id, Data, T).",'
+    '"substitution":{"Data":"d","T":5},'
+    '"premises":["b5c60aa5f854c5ba7a25aaf62f8dd1c2025df284a6eac63e4a7933753813cda7"]}}],"commit_time":2,'
+    '"signature":"fa6d7ae8e0096e29ca8db5268928fce6acf9e2bbbbf943320bf0dddeec58c6b3'
+    '320bfd7dd830c325163d7a8b1e89edfb4694c7ece6c20ea26b03d7c54bad7c02"}'
+)
+
+
 def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
-    """Logs written before the change do not verify: the earlier encoding
-    of a revision with rule instances is refused with 400 at submit and
-    left unindexed, with one warning, on replay. A revision of direct
-    assertions only is encoded as before."""
-    from cyberlog.revision import decode_payload
+    """Logs written before the change do not verify: each earlier encoding
+    of a revision with rule instances, which log rule texts, is refused
+    with 400 at submit and left unindexed, with one warning, on replay. A
+    revision of direct assertions only is encoded as before."""
+    import hashlib
 
     base, body = retained(identities)
     assert signed_body(identities, body) == EARLIER_ROOT
-    successor, _body = retained(identities, base.id)
-    earlier, _signature = decode_payload(EARLIER_SUCCESSOR)
-    assert earlier.claims == successor.claims
-    path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
-    db.submit_revision(EARLIER_ROOT)
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(EARLIER_SUCCESSOR)
-    assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
-    db.log.append(EARLIER_SUCCESSOR.encode("utf-8"))
-    db.log.close()
+    refusal = "malformed revision record: rule reference \"next 'SB' attests request"
+    for n, earlier in enumerate([EARLIER_SUCCESSOR, RULE_TEXT_SUCCESSOR]):
+        path = str(tmp_path / f"db{n}.log")
+        db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+        publish_rulesheet(db, parse_rulesheet(RETAIN_SHEET, "SB"))
+        db.submit_revision(EARLIER_ROOT)
+        with pytest.raises(SubmitError) as exc:
+            db.submit_revision(earlier)
+        assert exc.value.code == 400 and refusal in str(exc.value)
+        db.log.append(earlier.encode("utf-8"))
+        db.log.close()
 
-    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
-        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
-    try:
-        assert [record.getMessage() for record in caplog.records] == [
-            f"log entry 1 left unindexed: revision {earlier.id} is not in canonical form"
-        ]
-        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
-        with pytest.raises(NotFoundError):
-            reopened.get_revision(earlier.id)
-    finally:
-        reopened.log.close()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+            reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+        try:
+            [message] = [record.getMessage() for record in caplog.records]
+            assert message.startswith("log entry 4 left unindexed: ") and refusal in message
+            assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+            body = earlier[len('{"kind":"revision",') : earlier.index(',"signature":')]
+            with pytest.raises(NotFoundError):
+                reopened.get_revision(hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest())
+        finally:
+            reopened.log.close()
 
 
 def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
@@ -844,10 +912,11 @@ def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path,
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     carried = make_claim(REQUEST, CarriedByNextRule(rs.rules[1], {"Id": 7, "Data": "d", "T": 5}, "ab" * 32))
-    record, body = build_record("SB", None, (), rs.source_hash.hex(), [carried], 1)
+    record, body = build_record("SB", None, (), rs, [carried], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     path = str(tmp_path / "db.log")
-    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    publish_rulesheet(db, rs)
     refusal = 'carried claim "SB"|request(7,"d",5) in a revision that supersedes none'
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(payload)
@@ -859,9 +928,160 @@ def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path,
         reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
         messages = [record.getMessage() for record in caplog.records]
-        assert len(messages) == 1 and messages[0].startswith("log entry 0 left unindexed: ")
+        assert len(messages) == 1 and messages[0].startswith("log entry 3 left unindexed: ")
         assert refusal in messages[0]
         with pytest.raises(NotFoundError):
             reopened.get_head("SB")
+    finally:
+        reopened.log.close()
+
+
+# -- evidence names rules of the rulesheet its revision names -----------------
+
+APPROVED = GroundAtom("SB", "approved", (7,))
+
+
+def _unlogged_rulesheet():
+    return parse_rulesheet("'SB': Subject: 'another' Issuer: 'i'\n", "SB")
+
+
+def _foreign_rulesheet():
+    """A rulesheet whose one rule attests for MRM: it parses for MRM, not
+    for SB."""
+    from cyberlog.lang import make_rulesheet
+
+    return make_rulesheet("SB", (), parse_rulesheet("'MRM' attests p(1).\n", "MRM").rules)
+
+
+DERIVED_EVIDENCE = '"kind":"derived_by_rule","rule":0'
+
+# a successor of SB's `retained` root that a submit refuses with 400: a
+# rule reference that is not an index of a rule of its kind, or a rulesheet
+# that is not logged or does not parse for SB
+REFUSED_RULE_REFERENCE = {
+    **{
+        f"rule-{name}": lambda b, ref=ref: b.replace(DERIVED_EVIDENCE, f'"kind":"derived_by_rule","rule":{ref}')
+        for name, ref in [("string", '"0"'), ("bool", "true"), ("float", "0.0"), ("negative", "-1"), ("out-of-range", "2")]
+    },
+    "rule-of-the-other-kind": lambda b: b.replace(DERIVED_EVIDENCE, '"kind":"derived_by_rule","rule":1'),
+}
+REFUSED_RULESHEET = {
+    "unlogged-rulesheet": _unlogged_rulesheet,
+    "rulesheet-not-parsing-for-owner": _foreign_rulesheet,
+    "revision-named-as-rulesheet": None,
+}
+
+
+def _refused_successor(db, identities, case):
+    """SB's root from `retained`, submitted, and the successor payload of
+    `case`, with the reason a submit gives for refusing it."""
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    publish_rulesheet(db, rs)
+    base, body = retained(identities)
+    db.submit_revision(signed_body(identities, body))
+    if case in REFUSED_RULE_REFERENCE:
+        _record, body = retained(identities, base.id)
+        mutated = REFUSED_RULE_REFERENCE[case](body)
+        assert mutated != body
+        reason = "derived_by_rule names rule 1, a next rule" if case == "rule-of-the-other-kind" else "not an index"
+        return base, signed_body(identities, mutated), reason
+    if case == "revision-named-as-rulesheet":
+        body = retained(identities, base.id)[1].replace(base.rulesheet_hash, base.id)
+        return base, signed_body(identities, body), "neither a revision record nor a rulesheet"
+    sheet = REFUSED_RULESHEET[case]()
+    if case == "rulesheet-not-parsing-for-owner":
+        publish_rulesheet(db, sheet)
+    record, body = build_record("SB", base.id, (), sheet, (), 2)
+    reason = "is not logged" if case == "unlogged-rulesheet" else "non-self head"
+    return base, encode_payload(body, sign_record(record, identities["SB"])), reason
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RULE_REFERENCE) + sorted(REFUSED_RULESHEET))
+def test_rule_reference_or_rulesheet_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog, case):
+    """A revision whose rule instances do not name rules of its owner's
+    logged rulesheet, by an index of a rule of their kind, is refused with
+    400 at submit, and left unindexed with one warning on replay."""
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    base, payload, reason = _refused_successor(db, identities, case)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(payload)
+    assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
+    index = db.log.append(payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [record.getMessage() for record in caplog.records]
+        assert message.startswith(f"log entry {index} left unindexed: ") and reason in message
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+    finally:
+        reopened.log.close()
+
+
+def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, trust_store):
+    """SB derives `approved(7)` by a rule in no rulesheet it published. The
+    claim has no wire form under SB's logged rulesheet, naming a published
+    rule whose head does not give the claim is refused, and so is the rule's
+    text; the Auditor then finds no such claim in SB's head."""
+    from cyberlog.audit import Auditor
+    from cyberlog.engine import DerivedByRule, atom_id
+    from cyberlog.errors import EvidenceError
+
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    publish_rulesheet(db, rs)
+    base, body = retained(identities)
+    db.submit_revision(signed_body(identities, body))
+    outside = parse_rulesheet(SB_SHEET + "approved(Id) :- request(Id, Data, T).\n", "SB").rules[0]
+    approved = make_claim(APPROVED, DerivedByRule(outside, {"Id": 7, "Data": "d", "T": 5}, (atom_id(REQUEST),)))
+    with pytest.raises(EvidenceError, match="not a standard rule of the rulesheet"):
+        build_record("SB", base.id, (), rs, [approved], 2)
+    verdict = make_claim(
+        GroundAtom("SB", "verdict", (7,)), DerivedByRule(rs.rules[0], {"Id": 7, "Data": "d", "T": 5}, (atom_id(REQUEST),))
+    )
+    _record, body = build_record("SB", base.id, (), rs, [verdict], 2)
+    as_text = '"rule":"\'SB\' attests approved(Id) :- \'SB\' attests request(Id, Data, T)."'
+    for forged, reason in [
+        (body.replace('"SB\\"|verdict(7)', '"SB\\"|approved(7)'), "rule head does not bind the claim"),
+        (body.replace('"rule":0', as_text), "not an index"),
+    ]:
+        with pytest.raises(SubmitError) as exc:
+            db.submit_revision(signed_body(identities, forged))
+        assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
+    auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
+    with pytest.raises(NotFoundError):
+        auditor.audit_atom("SB", APPROVED)
+
+
+# -- commit time ---------------------------------------------------------------
+
+
+def test_commit_time_going_back_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
+    """A revision at commit time 1000 that supersedes one at 5000 is refused
+    with 409 at submit and left unindexed, with one warning, on replay; an
+    equal commit time is taken."""
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    base, payload = sb_payload(identities, commit_time=5000)
+    db.submit_revision(payload)
+    backwards, backwards_payload = sb_payload(identities, supersedes=base.id, commit_time=1000)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(backwards_payload)
+    assert exc.value.code == 409 and "commit time 1000 is before 5000" in str(exc.value)
+    index = db.log.append(backwards_payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [record.getMessage() for record in caplog.records]
+        assert message.startswith(f"log entry {index} left unindexed: commit time 1000 is before 5000")
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(backwards.id)
+        _, same_time = sb_payload(identities, supersedes=base.id, commit_time=5000)
+        reopened.submit_revision(same_time)
+        assert reopened.get_head("SB")["chain_length"] == 2
     finally:
         reopened.log.close()

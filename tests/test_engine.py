@@ -443,7 +443,7 @@ def test_noncanonical_text_decodes_to_canonical_text_and_id(text, value):
     canonical = f'"SB"|p({value})'
     assert canonical_atom(atom) == canonical != text
     assert atom_id(atom) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    claim = claim_from_obj({"atom": text, "evidence": {"kind": "direct_assertion", "signer": "SB", "signature": ""}}, None)
+    claim = claim_from_obj({"atom": text, "evidence": {"kind": "direct_assertion", "signer": "SB", "signature": ""}}, None, NO_RULES)
     assert claim.claim_id == atom_id(GroundAtom("SB", "p", (value,)))
     forged = Claim(atom, claim.evidence, hashlib.sha256(text.encode("utf-8")).hexdigest())
     with pytest.raises(EvidenceError, match="claim id does not match"):

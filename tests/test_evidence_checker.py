@@ -29,7 +29,7 @@ from cyberlog.errors import EvidenceError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import build_record, encode_payload, sign_record
 
-from conftest import OPERATOR, sign_claim
+from conftest import OPERATOR, publish_rulesheet, sign_claim
 
 SHEET = (
     "'SB': Subject: 's' Issuer: 'i'\n"
@@ -96,7 +96,8 @@ def kb_holding(identities, claim):
 
 
 def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_time=1):
-    record, body = build_record("SB", supersedes, (), RS.source_hash.hex(), claims, commit_time)
+    record, body = build_record("SB", supersedes, (), RS, claims, commit_time)
+    publish_rulesheet(db, RS)
     db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
     return record, Auditor(db, trust_store, identities[OPERATOR].public_key)
 

@@ -27,12 +27,15 @@ def test_booking_yields_single_verdict(booking_report):
 
 # SHA-256 over every logged payload, each preceded by its length as 4
 # little-endian bytes, after the booking scenario in memory mode. Any change
-# to what the log holds (canonical atom text, rule text, JSON layout,
+# to what the log holds (canonical atom text, rule references, JSON layout,
 # signatures, commit order, which evidence fields are logged) changes it.
 # Its value changed when evidence stopped logging a carried claim's source
 # revision and the substitution entries of bare head variables: the 25
-# payloads went from 23056 to 20208 bytes.
-BOOKING_LOG_DIGEST = (25, "a0d4d76329313eee0037ba4a0402ed51acf43b05634d28dbed741679d11be772")
+# payloads went from 23056 to 20208 bytes. It changed again when evidence
+# named its rule by index into the logged rulesheet instead of logging the
+# rule's text: 20208 to 16783 bytes, with every decoded claim, audit
+# verdict and query answer unchanged.
+BOOKING_LOG_DIGEST = (25, "490534d5462ac6aafac89c83d354cf9b46e60208d9405805d5f94d559ffd7ab0")
 
 
 def test_booking_claim_log_is_byte_identical():
@@ -131,19 +134,20 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
     import json
 
     from cyberlog.audit import Auditor, render_audit_tree
-    from cyberlog.revision import decode_payload
+    from cyberlog.revision import LoggedRulesheets, decode_payload
 
     scenario = load_scenario(scenario_path("uav_booking"))
     log_path = str(tmp_path / "claims.log")
     run = ScenarioRun(scenario, log_path=log_path)
     assert run.run().passed
 
+    rulesheets = LoggedRulesheets(run.client, run.operator.public_key)
     records = []
     for index in range(len(run.db.log)):
         payload = run.db.log.payload(index).decode()
         if json.loads(payload).get("kind") != "revision":
             continue
-        record, _sig = decode_payload(payload)
+        record, _sig = decode_payload(payload, rulesheets)
         records.append(record)
 
     by_owner = {}

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cyberlog.engine import GroundAtom
-from cyberlog.errors import ConfigError, EvaluationError, NotFoundError
+from cyberlog.errors import ConfigError, EvaluationError, NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope, Monitor, QueryAnswer
 
@@ -556,11 +556,12 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
 def test_supersession_matches_scratch():
     from cyberlog.harness import ScenarioRun
     from cyberlog.engine import KnowledgeBase
-    from cyberlog.revision import include_revision
+    from cyberlog.revision import LoggedRulesheets, include_revision
 
     windows = 8
     run = ScenarioRun(_steady_booking(windows))
     dom = run.monitors["DOM"]
+    rulesheets = LoggedRulesheets(run.client, dom.operator_key)
     try:
         for k in range(1, windows + 1):
             for now in (1000 * k - 1, 1000 * k):  # before and after the window's commits and polls
@@ -568,7 +569,7 @@ def test_supersession_matches_scratch():
             # DOM's KB is its inclusions and their consequences: rebuild it from scratch
             scratch = KnowledgeBase(dom.rulesheet)
             for owner, rev_id in dom.active_includes.items():
-                include_revision(scratch, rev_id, run.client, owner, dom.operator_key)
+                include_revision(scratch, rev_id, run.client, owner, dom.operator_key, rulesheets)
             assert dom.kb.claims.keys() == scratch.claims.keys(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
@@ -591,13 +592,17 @@ class PassThroughDb:
 
 def _append_directly(db, identities, owner, supersedes, atoms=()):
     """Log and index a revision without the claim DB's admission checks, as
-    a claim DB that lies would; returns its id."""
+    a claim DB that lies would; returns its id. It names the owner's
+    identity-only rulesheet, logged, since its claims are direct
+    assertions."""
     from cyberlog.engine import DirectAssertion, make_claim
-    from conftest import sign_claim
+    from conftest import publish_rulesheet, sign_claim
     from cyberlog.revision import build_record, encode_payload, sign_record
 
+    rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
+    publish_rulesheet(db, rs)
     claims = [make_claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
-    record, body = build_record(owner, supersedes, (), "0" * 64, claims, 5)
+    record, body = build_record(owner, supersedes, (), rs, claims, 5)
     index = db.log.append(encode_payload(body, sign_record(record, identities[owner])).encode("utf-8"))
     db._index_revision(record, index)
     return record.id
@@ -791,34 +796,41 @@ def test_fact_rules_hold_from_construction(identities, trust_store, db_client):
     assert at_fixpoint(sb.kb)
 
 
-def test_failed_rulesheet_publish_is_logged_and_retried(sb, monkeypatch, caplog):
-    """A rulesheet the claim DB could not take is logged as a commit-stage
-    warning; the commit still lands, and the next commit publishes it."""
+def test_failed_rulesheet_publish_is_logged_and_retried(identities, trust_store, db, caplog):
+    """A revision names its owner's rulesheet, so a commit waits for the
+    rulesheet to be logged: while the claim DB refuses it, the commit logs
+    one commit-stage warning naming the refusal, logs nothing and leaves the
+    KB untouched; once the DB takes it, the next commit logs the rulesheet
+    and then the revision."""
     from cyberlog.lang import format_rulesheet
     from cyberlog.revision import rulesheet_entry_id
 
-    submit = sb.db.submit_revision
+    class RulesheetRefusingDb(PassThroughDb):
+        refusing = True
 
-    def no_rulesheets(payload):
-        if payload.startswith('{"kind":"rulesheet"'):
-            raise OSError("rulesheet store down")
-        return submit(payload)
+        def submit_revision(self, payload):
+            if self.refusing and payload.startswith('{"kind":"rulesheet"'):
+                raise SubmitError(503, "rulesheet store down")
+            return self.inner.submit_revision(payload)
 
+    client = RulesheetRefusingDb(db)
+    sb = make_monitor(identities, trust_store, client, "SB", SB_SHEET)
     sheet_id = rulesheet_entry_id(format_rulesheet(sb.rulesheet))
     sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
-    monkeypatch.setattr(sb.db, "submit_revision", no_rulesheets)
+    claims = dict(sb.kb.claims)
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
-        record = sb.commit()
-    assert record is not None and sb.db.get_head("SB")["revision_id"] == record.id
+        assert sb.commit() is None
     [warning] = caplog.records
-    assert (warning.levelname, warning.stage, warning.revision) == ("WARNING", "commit", record.id)
-    assert "rulesheet store down" in warning.getMessage()
+    assert (warning.levelname, warning.stage, warning.revision) == ("WARNING", "commit", None)
+    assert "rulesheet not published" in warning.getMessage() and "rulesheet store down" in warning.getMessage()
+    assert len(db.log) == 0 and sb.kb.claims == claims
     with pytest.raises(NotFoundError):
-        sb.db.get_revision(sheet_id)
+        db.get_head("SB")
 
-    monkeypatch.setattr(sb.db, "submit_revision", submit)
+    client.refusing = False
     caplog.clear()
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
-        assert sb.commit() is not None
-    assert caplog.records == []
-    sb.db.get_revision(sheet_id)
+        record = sb.commit()
+    assert record is not None and caplog.records == []
+    assert db.get_head("SB")["revision_id"] == record.id and record.rulesheet_hash == sheet_id
+    assert db.get_revision(sheet_id)["proof"]["leaf_index"] == 0

@@ -13,6 +13,7 @@ from cyberlog.engine import (
 from cyberlog.errors import EvidenceError, LogIntegrityError
 from cyberlog.lang import parse_query, parse_rulesheet
 from cyberlog.revision import (
+    LoggedRulesheets,
     apply_next_rules,
     build_record,
     commit_staging,
@@ -24,7 +25,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, sign_claim
+from conftest import OPERATOR, publish_rulesheet, rulesheets_of, sign_claim
 
 CTR_SHEET = "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n"
 RETAIN_SHEET = (
@@ -45,9 +46,15 @@ def signed(identities, owner, atom):
 
 
 def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
-    """Commit the rulesheet owner's claims over `base`, including nothing;
-    returns (record, receipt, next-rule carry-overs)."""
+    """Log the rulesheet, then commit its owner's claims over `base`,
+    including nothing; returns (record, receipt, next-rule carry-overs)."""
+    publish_rulesheet(db_client, rs)
     return commit_staging(identities[rs.self_id], rs, db_client, base, (), claims, now_ms)
+
+
+def reader(db_client, identities):
+    """A watcher's `RulesheetOf` over `db_client`."""
+    return LoggedRulesheets(db_client, identities[OPERATOR].public_key)
 
 
 def commit_chain(db_client, identities, rs, claims, steps):
@@ -66,15 +73,8 @@ def test_commit_empty_staging(db_client, identities):
     record, receipt, carried = commit(db_client, identities, rs, now_ms=5)
     assert record.claims == () and record.supersedes is None
     assert len(record.id) == 64
-    assert receipt["leaf_index"] == 0
+    assert receipt["leaf_index"] == 1  # after the rulesheet
     assert carried == []
-
-
-def test_commit_refuses_a_rulesheet_of_another_owner(db_client, identities):
-    rs = parse_rulesheet(CTR_SHEET, "CTR")
-    with pytest.raises(EvidenceError, match="does not belong"):
-        commit_staging(identities["SB"], rs, db_client, None, (), (), 1)
-    assert len(db_client.log) == 0
 
 
 def test_three_commits_form_linear_chain(db_client, identities):
@@ -91,9 +91,11 @@ def test_fetched_record_rehashes_to_id(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
-    fetched, _inclusion = fetch_verified_revision(db_client, record.id, identities[OPERATOR].public_key)
+    fetched, _inclusion = fetch_verified_revision(
+        db_client, record.id, identities[OPERATOR].public_key, reader(db_client, identities)
+    )
     assert fetched.id == record.id
-    again, _sig = decode_payload(db_client.get_revision(record.id)["payload"])
+    again, _sig = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs))
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -107,7 +109,7 @@ def test_next_rule_keeps_in_process_request(identities):
         signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5))),
         signed(identities, "SB", GroundAtom("SB", "in_process", (7,))),
     ]
-    record, _ = build_record("SB", None, (), rs.source_hash.hex(), claims, 1)
+    record, _ = build_record("SB", None, (), rs, claims, 1)
     carried = apply_next_rules(record, rs)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7, "d", 5))]
     ev = carried[0].evidence
@@ -117,7 +119,7 @@ def test_next_rule_keeps_in_process_request(identities):
 def test_next_rule_drops_completed_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))]
-    record, _ = build_record("SB", None, (), rs.source_hash.hex(), claims, 1)
+    record, _ = build_record("SB", None, (), rs, claims, 1)
     assert apply_next_rules(record, rs) == []
 
 
@@ -129,7 +131,7 @@ def test_next_rule_sees_included_claims(identities):
     rs = parse_rulesheet(sheet, "SB")
     own = [signed(identities, "SB", GroundAtom("SB", "request", (7,)))]
     foreign = [signed(identities, "OM", GroundAtom("OM", "in_process", (7,)))]
-    record, _ = build_record("SB", None, (), rs.source_hash.hex(), own, 1)
+    record, _ = build_record("SB", None, (), rs, own, 1)
     assert apply_next_rules(record, rs) == []
     carried = apply_next_rules(record, rs, included_claims=foreign)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7,))]
@@ -173,7 +175,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     record = mrm_commit(
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    added = include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key)
+    added = include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
@@ -182,7 +184,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
 def test_include_empty_revision(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     record = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    assert include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key) == []
+    assert include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities)) == []
     assert len(kb) == 0
 
 
@@ -205,7 +207,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, TamperingClient(db_client), "MRM", identities[OPERATOR].public_key)
+        include_revision(kb, record.id, TamperingClient(db_client), "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert len(kb) == 0
 
 
@@ -215,16 +217,16 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
 def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
-    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key)
+    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
     oracle = KnowledgeBase(rs_dom)
-    include_revision(oracle, r2.id, db_client, "MRM", identities[OPERATOR].public_key)
+    include_revision(oracle, r2.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert kb.claims.keys() == oracle.claims.keys()
 
 
@@ -232,29 +234,29 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     kb, rs_dom, rs_mrm = dom_setup
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     r1 = mrm_commit(db_client, identities, rs_mrm, None, atoms, 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     before = set(kb.claims)
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, atoms, 2)
-    assert on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key) == []
+    assert on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities)) == []
     assert kb.claims.keys() == before
 
 
 def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     unrelated, _, _ = commit(db_client, identities, parse_rulesheet(CTR_SHEET, "CTR"), now_ms=1)
     with pytest.raises(EvidenceError, match="does not supersede"):
-        on_superseded(kb, r1.id, unrelated.id, db_client, "MRM", identities[OPERATOR].public_key)
+        on_superseded(kb, r1.id, unrelated.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
     r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    on_superseded(kb, r1.id, r3.id, db_client, "MRM", identities[OPERATOR].public_key)
+    on_superseded(kb, r1.id, r3.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
@@ -278,22 +280,23 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     records = []
     for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
         records.append(mrm_commit(db_client, identities, rs_mrm, records[-1].id if records else None, atoms, t))
-    include_revision(kb, records[0].id, db_client, "MRM", identities[OPERATOR].public_key)
+    include_revision(kb, records[0].id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     client = CountingClient(db_client)
-    added = on_superseded(kb, records[0].id, records[3].id, client, "MRM", identities[OPERATOR].public_key)
+    added = on_superseded(kb, records[0].id, records[3].id, client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (9, 1))]
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
     newer = mrm_commit(db_client, identities, rs_mrm, records[3].id, [], 9)
-    on_superseded(kb, records[3].id, newer.id, client, "MRM", identities[OPERATOR].public_key)
+    on_superseded(kb, records[3].id, newer.id, client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert len(client.fetched) == 1
 
 
 def test_include_and_supersession_check_each_fetched_revision_once(db_client, identities, dom_setup, monkeypatch):
     """`fetch_verified_revision` verifies a revision's inclusion proof and
     tree-head signature, and the `revise` that admits its claims verifies
-    neither again."""
+    neither again; the rulesheet the revisions name is fetched and verified
+    once, at the first include."""
     import sys
 
     import cyberlog.claimlog as claimlog
@@ -323,11 +326,12 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
                 monkeypatch.setattr(module, binding, counting_inclusion)
             elif value is verify_bytes:
                 monkeypatch.setattr(module, binding, counting_bytes)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key)
-    assert (len(proofs), len(heads)) == (1, 1)
+    rulesheets = reader(db_client, identities)
+    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, rulesheets)
+    assert (len(proofs), len(heads)) == (2, 2)
     proofs.clear()
     heads.clear()
-    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key)
+    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key, rulesheets)
     assert (len(proofs), len(heads)) == (1, 1)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
@@ -339,7 +343,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
     forged, forged_body = build_record(
-        "MRM", None, (), rs_mrm.source_hash.hex(), [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
+        "MRM", None, (), rs_mrm, [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
     )
 
     class ForgingClient(CountingClient):
@@ -349,7 +353,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
             return dict(self.inner.get_revision(record.id), payload=payload)
 
     with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
-        include_revision(kb, forged.id, ForgingClient(db_client), "MRM", identities[OPERATOR].public_key)
+        include_revision(kb, forged.id, ForgingClient(db_client), "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     assert len(kb) == 0
 
 
@@ -360,18 +364,19 @@ def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
     claims = [
         signed(identities, "SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)
     ] + [signed(identities, "SB", GroundAtom("SB", "in_process", (1,)))]
+    publish_rulesheet(db_client, rs)
     original, submit = revision.claim_to_obj, db_client.submit_revision
     calls, at_submit = [], []
-    monkeypatch.setattr(revision, "claim_to_obj", lambda claim: calls.append(claim) or original(claim))
+    monkeypatch.setattr(revision, "claim_to_obj", lambda claim, rs: calls.append(claim) or original(claim, rs))
     monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
-    record, _, _ = commit(db_client, identities, rs, claims, now_ms=3)
+    record, _, _ = commit_staging(identities["SB"], rs, db_client, None, (), claims, 3)
     assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
-    rebuilt, body = build_record("SB", None, (), rs.source_hash.hex(), claims, 3)
+    rebuilt, body = build_record("SB", None, (), rs, claims, 3)
     assert payload == encode_payload(body, sign_record(record, identities["SB"]))
     assert record == rebuilt
-    assert decode_payload(payload)[0] == record
+    assert decode_payload(payload, rulesheets_of(rs))[0] == record
 
 
 def test_latest_revision_per_owner_independent(db_client, identities):
@@ -393,7 +398,7 @@ def test_head_matches_chain_walk_oracle(db_client, identities):
     walked = [head_id]
     cursor = head_id
     while True:
-        record, _ = fetch_verified_revision(db_client, cursor, identities[OPERATOR].public_key)
+        record, _ = fetch_verified_revision(db_client, cursor, identities[OPERATOR].public_key, rulesheets_of(rs))
         if record.supersedes is None:
             break
         cursor = record.supersedes
@@ -417,7 +422,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities):
         pos = rng.randrange(len(payload))
         mutated = payload[:pos] + chr(rng.randrange(32, 127)) + payload[pos + 1 :]
         try:
-            decoded, _sig = decode_payload(mutated)
+            decoded, _sig = decode_payload(mutated, rulesheets_of(rs))
         except LogIntegrityError:
             continue
         if mutated != payload:
@@ -430,7 +435,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities):
 
 def layout_payload(identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    record, body = build_record("CTR", None, (), rs.source_hash.hex(), [], 1)
+    record, body = build_record("CTR", None, (), rs, [], 1)
     return encode_payload(body, sign_record(record, identities["CTR"]))
 
 
@@ -454,9 +459,10 @@ def layout_payload(identities):
 )
 def test_decode_payload_refuses_payload_outside_revision_layout(identities, mutate):
     payload = layout_payload(identities)
-    decode_payload(payload)
+    rulesheet_of = rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR"))
+    decode_payload(payload, rulesheet_of)
     with pytest.raises(LogIntegrityError):
-        decode_payload(mutate(payload))
+        decode_payload(mutate(payload), rulesheet_of)
 
 
 def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, monkeypatch):
@@ -467,7 +473,7 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, mon
     payload = layout_payload(identities)
     monkeypatch.setattr(revision, "build_record", None)
     monkeypatch.setattr(revision, "claim_to_obj", None)
-    record, _sig = decode_payload(payload)
+    record, _sig = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")))
     body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
     assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
@@ -483,8 +489,8 @@ def test_spliced_payload_round_trips_through_decode(identities):
     from cyberlog.engine import DerivedByRule
     from cyberlog.revision import check_canonical
 
-    rs = parse_rulesheet(RETAIN_SHEET, "SB")
-    rule = rs.rules[0]
+    rs = parse_rulesheet(RETAIN_SHEET + "request(Id, Data, T) :- ev(Id, Data, T).\n", "SB")
+    carry, derive = rs.rules
     texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
     terms = st.one_of(st.integers(-(2**63), 2**63 - 1), texts)
     atoms = st.builds(GroundAtom, st.just("SB"), st.sampled_from(["p", "request", "ev"]), st.lists(terms, max_size=3).map(tuple))
@@ -502,19 +508,20 @@ def test_spliced_payload_round_trips_through_decode(identities):
     def claim(kind, atom, extra, supersedes):
         if kind == "direct":
             return make_claim(atom, DirectAssertion("SB", extra))
-        substitution = {term.name: value for term, value in zip(rule.head.args, atom.args)}
         if kind == "derived":
-            return make_claim(atom, DerivedByRule(rule, substitution, extra))
-        return make_claim(atom, CarriedByNextRule(rule, substitution, supersedes))
+            substitution = {term.name: value for term, value in zip(derive.head.args, atom.args)}
+            return make_claim(atom, DerivedByRule(derive, substitution, extra))
+        substitution = {term.name: value for term, value in zip(carry.head.args, atom.args)}
+        return make_claim(atom, CarriedByNextRule(carry, substitution, supersedes))
 
     @settings(max_examples=150, deadline=None)
     @given(drawn, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53), st.binary(min_size=64, max_size=64))
     def check(drawn, supersedes, includes, commit_time, signature):
         claims = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
-        record, body = build_record("SB", supersedes, includes, rs.source_hash.hex(), claims, commit_time)
+        record, body = build_record("SB", supersedes, includes, rs, claims, commit_time)
         payload = encode_payload(body, signature)
-        decoded, decoded_signature = decode_payload(payload)
+        decoded, decoded_signature = decode_payload(payload, rulesheets_of(rs))
         assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
-        check_canonical(decoded, decoded_signature, payload)
+        check_canonical(decoded, decoded_signature, payload, rs)
 
     check()

@@ -11,18 +11,18 @@ from conftest import claims_from_atoms
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n"
 
 
-def claims_to_jsonl(claims):
+def claims_to_jsonl(claims, rs):
     """Line-delimited export: one canonical atom + evidence object per line."""
-    return "".join(canonical_json(claim_to_obj(c)) + "\n" for c in claims)
+    return "".join(canonical_json(claim_to_obj(c, rs)) + "\n" for c in claims)
 
 
-def claims_from_jsonl(text, source):
+def claims_from_jsonl(text, source, rs):
     """The claims of an export from a revision that supersedes `source`."""
-    return [claim_from_obj(json.loads(line), source) for line in text.splitlines() if line.strip()]
+    return [claim_from_obj(json.loads(line), source, rs) for line in text.splitlines() if line.strip()]
 
 
 def test_claims_jsonl_roundtrip():
-    rs = parse_rulesheet(IDS + "v(R) :- 'OM' attests t(R, A), R > 0.", "SB")
+    rs = parse_rulesheet(IDS + "next v(R) :- 'OM' attests t(R, A), R > 0.", "SB")
     claims = [
         make_claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM", b"\x01\x02")),
         make_claim(
@@ -30,9 +30,10 @@ def test_claims_jsonl_roundtrip():
             CarriedByNextRule(rs.rules[0], {"R": 7, "A": "x"}, "ab" * 32),
         ),
     ]
-    text = claims_to_jsonl(claims)
+    text = claims_to_jsonl(claims, rs)
     assert len(text.splitlines()) == 2
-    back = claims_from_jsonl(text, "ab" * 32)
+    assert '"rule":0' in text
+    back = claims_from_jsonl(text, "ab" * 32, rs)
     assert back == claims
 
 
@@ -45,7 +46,7 @@ def test_derived_claim_roundtrip_preserves_rule():
         kb.assert_claim(claim)
     kb.saturate()
     derived = kb.claims[GroundAtom("SB", "good", (3,))]
-    restored = claim_from_obj(claim_to_obj(derived), None)
+    restored = claim_from_obj(claim_to_obj(derived, rs), None, rs)
     assert restored.evidence.rule == derived.evidence.rule
     assert restored.evidence.substitution == dict(derived.evidence.substitution)
     assert restored.claim_id == derived.claim_id
@@ -64,8 +65,9 @@ def test_inclusion_evidence_has_no_wire_form():
     log = MerkleLog()
     log.append(b"entry")
     proof, head = log.prove_inclusion(0, 1), SignedTreeHead(1, log.root(), 1, bytes(64))
+    rs = parse_rulesheet(IDS, "SB")
     with pytest.raises(EvidenceError, match="unknown evidence type LogInclusion"):
-        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head))
+        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head), rs)
     obj = {
         "kind": "log_inclusion",
         "revision_id": "ab" * 32,
@@ -75,7 +77,7 @@ def test_inclusion_evidence_has_no_wire_form():
     }
     assert InclusionProof.from_obj(obj["proof"]) == proof
     with pytest.raises(EvidenceError, match="unknown evidence kind 'log_inclusion'"):
-        evidence_from_obj(obj, GroundAtom("SB", "p", (1,)), None)
+        evidence_from_obj(obj, GroundAtom("SB", "p", (1,)), None, rs)
 
 
 def _instance_strategy():
@@ -106,7 +108,7 @@ def _instance_strategy():
             values["D"] = values["A"] + k
         atom = instantiate_head(rule.head, values)
         premise = make_claim(GroundAtom("SB", "q", (values["A"], values["B"], values["C"])), DirectAssertion("SB", b""))
-        return rule, values, atom, premise.claim_id
+        return rs, values, atom, premise.claim_id
 
     return instance()
 
@@ -122,14 +124,16 @@ def test_claim_round_trips_with_head_bound_names_left_out():
     @settings(max_examples=300, deadline=None)
     @given(_instance_strategy(), st.sampled_from([None, "cd" * 32]))
     def check(instance, source):
-        rule, values, atom, premise_id = instance
+        rs, values, atom, premise_id = instance
+        rule = rs.rules[0]
         if rule.is_next:
             evidence, source = CarriedByNextRule(rule, values, "ab" * 32), "ab" * 32
         else:
             evidence = DerivedByRule(rule, values, (premise_id,))
         claim = make_claim(atom, evidence)
-        obj = claim_to_obj(claim)
-        assert claim_from_obj(json.loads(canonical_json(obj)), source) == claim
+        obj = claim_to_obj(claim, rs)
+        assert obj["evidence"]["rule"] == 0
+        assert claim_from_obj(json.loads(canonical_json(obj)), source, rs) == claim
         logged = obj["evidence"].get("substitution")
         assert logged is None or (logged and not set(logged) & rule.head_variables)
         assert set(logged or ()) | rule.head_variables == set(values)
@@ -147,11 +151,62 @@ def test_rule_head_that_does_not_bind_the_claim_is_refused():
     from cyberlog.errors import EvidenceError
 
     rs = parse_rulesheet(IDS + "v(R, R, 'x') :- 'OM' attests t(R, A).\nnext v(R, R, 'x') :- 'OM' attests t(R, A).\n", "SB")
-    for rule in rs.rules:
+    for index, rule in enumerate(rs.rules):
         kind = "carried_by_next_rule" if rule.is_next else "derived_by_rule"
-        obj = {"kind": kind, "rule": rule.standalone_text, "substitution": {"A": "a"}, "premises": ["ab" * 32]}
-        honest = claim_from_obj({"atom": '"SB"|v(7,7,"x")', "evidence": obj}, "cd" * 32)
+        obj = {"kind": kind, "rule": index, "substitution": {"A": "a"}, "premises": ["ab" * 32]}
+        honest = claim_from_obj({"atom": '"SB"|v(7,7,"x")', "evidence": obj}, "cd" * 32, rs)
         assert honest.evidence.substitution == {"R": 7, "A": "a"}
         for text in ['"SB"|w(7,7,"x")', '"SB"|v(7,7)', '"SB"|v(7,8,"x")', '"SB"|v(7,7,"y")']:
             with pytest.raises(EvidenceError, match="rule head does not bind the claim"):
-                claim_from_obj({"atom": text, "evidence": obj}, "cd" * 32)
+                claim_from_obj({"atom": text, "evidence": obj}, "cd" * 32, rs)
+
+
+TWICE = IDS + "v(R) :- 'OM' attests t(R, A).\nnext v(R) :- 'OM' attests t(R, A).\nv(R) :- 'OM' attests t(R, A).\n"
+
+
+def test_rule_reference_is_an_index_of_a_rule_of_its_kind():
+    """A rule instance logs its rule as the first index of an equal rule in
+    the rulesheet; a reference that is not an int index in range, or that
+    names a rule of the other kind, is malformed evidence."""
+    import pytest
+
+    from cyberlog.engine import DerivedByRule
+    from cyberlog.errors import EvidenceError
+
+    rs = parse_rulesheet(TWICE, "SB")
+    atom, premise = GroundAtom("SB", "v", (7,)), "ab" * 32
+    for rule in (rs.rules[0], rs.rules[2]):  # equal rules: the first index
+        obj = claim_to_obj(make_claim(atom, DerivedByRule(rule, {"R": 7, "A": "a"}, (premise,))), rs)
+        assert obj["evidence"]["rule"] == 0
+    carried = claim_to_obj(make_claim(atom, CarriedByNextRule(rs.rules[1], {"R": 7, "A": "a"}, "cd" * 32)), rs)
+    assert carried["evidence"]["rule"] == 1
+    good = {"kind": "derived_by_rule", "rule": 2, "substitution": {"A": "a"}, "premises": [premise]}
+    assert claim_from_obj({"atom": '"SB"|v(7)', "evidence": good}, None, rs).evidence.rule == rs.rules[0]
+    for ref in ["0", True, False, 0.0, 1.5, -1, 3, None, [0]]:
+        with pytest.raises(EvidenceError, match="not an index"):
+            claim_from_obj({"atom": '"SB"|v(7)', "evidence": dict(good, rule=ref)}, None, rs)
+    with pytest.raises(EvidenceError, match="derived_by_rule names rule 1, a next rule"):
+        claim_from_obj({"atom": '"SB"|v(7)', "evidence": dict(good, rule=1)}, None, rs)
+    wrong = {"kind": "carried_by_next_rule", "rule": 0, "substitution": {"A": "a"}}
+    with pytest.raises(EvidenceError, match="carried_by_next_rule names rule 0, a standard rule"):
+        claim_from_obj({"atom": '"SB"|v(7)', "evidence": wrong}, "cd" * 32, rs)
+
+
+def test_rule_outside_the_rulesheet_cannot_be_encoded():
+    """Evidence names a rule of the rulesheet its revision names: a rule the
+    sheet does not hold, or a rule of the other kind, has no wire form."""
+    import pytest
+
+    from cyberlog.engine import DerivedByRule
+    from cyberlog.errors import EvidenceError
+
+    rs = parse_rulesheet(TWICE, "SB")
+    outside = parse_rulesheet(IDS + "v(R) :- 'OM' attests t(R, 'x').\n", "SB").rules[0]
+    atom = GroundAtom("SB", "v", (7,))
+    for evidence in (
+        DerivedByRule(outside, {"R": 7}, ("ab" * 32,)),
+        DerivedByRule(rs.rules[1], {"R": 7, "A": "a"}, ("ab" * 32,)),
+        CarriedByNextRule(rs.rules[0], {"R": 7, "A": "a"}, "cd" * 32),
+    ):
+        with pytest.raises(EvidenceError, match="not a (standard|next) rule of the rulesheet"):
+            claim_to_obj(make_claim(atom, evidence), rs)
