@@ -29,7 +29,7 @@ from .engine import (
 )
 from .errors import CyberlogError, EvidenceError, LogIntegrityError, NotFoundError
 from .identity import TrustStore, verify_bytes
-from .revision import LoggedRulesheets, LogClient, RevisionRecord, fetch_verified_revision
+from .revision import LogClient, LogReader, RevisionRecord, fetch_verified_revision
 
 
 @dataclass
@@ -75,11 +75,9 @@ class Auditor:
     offline audit of a log file, whose heads no operator signed)."""
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
-        self.db = db
         self.trust_store = trust_store
-        self.operator_key = operator_key
         self._revisions: dict[str, RevisionRecord] = {}
-        self._rulesheets = LoggedRulesheets(db, operator_key)
+        self.reader = LogReader(db, operator_key)
 
     # -- revision access -------------------------------------------------
 
@@ -87,7 +85,7 @@ class Auditor:
         cached = self._revisions.get(rev_id)
         if cached is not None:
             return cached
-        record, _inclusion = fetch_verified_revision(self.db, rev_id, self.operator_key, self._rulesheets)
+        record, _inclusion = fetch_verified_revision(self.reader, rev_id)
         self._revisions[rev_id] = record
         return record
 
@@ -95,7 +93,7 @@ class Auditor:
 
     def audit_atom(self, owner: str, atom: GroundAtom) -> AuditNode:
         """Audit one atom of the owner's head revision."""
-        head = self.db.get_head(owner)["revision_id"]
+        head = self.reader.db.get_head(owner)["revision_id"]
         record = self.fetch_revision(head)
         claim = record.by_atom.get(atom)
         if claim is None:
@@ -104,7 +102,7 @@ class Auditor:
 
     def audit_head(self, owner: str) -> list[AuditNode]:
         """Audit every claim in the owner's head revision."""
-        head = self.db.get_head(owner)["revision_id"]
+        head = self.reader.db.get_head(owner)["revision_id"]
         record = self.fetch_revision(head)
         return [self.audit_claim(record, claim) for claim in record.claims]
 

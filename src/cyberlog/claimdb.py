@@ -72,6 +72,7 @@ class ClaimDb:
         self.clock = clock
         self._lock = threading.Lock()
         self._by_id: dict[str, int] = {}
+        self._rulesheets: dict[str, str] = {}  # rulesheet hash -> logged text
         self._owners: dict[str, str] = {}  # revision id -> owner; rulesheets have none
         self._heads: dict[str, _HeadState] = {}
         self._superseded: set[str] = set()
@@ -91,7 +92,8 @@ class ClaimDb:
                     self._check_chain(record)
                     self._index_revision(record, index)
                 else:
-                    self._by_id[rulesheet_entry_id(_rulesheet_text(payload))] = index
+                    text = _rulesheet_text(payload)
+                    self._index_rulesheet(rulesheet_entry_id(text), text, index)
             except CyberlogError as exc:
                 _log.warning("log entry %d left unindexed: %s", index, exc)
 
@@ -122,30 +124,37 @@ class ClaimDb:
     # checks below, in this order.
 
     def _signed_record(self, payload: str) -> RevisionRecord:
-        """The record of a revision payload that names a logged rulesheet
-        that parses for its owner, is its canonical encoding under that
-        rulesheet (else 400) and carries its owner's signature under the
-        trust store (else 401). Raises SubmitError."""
+        """The record of a revision payload by an owner in the trust store
+        (else 401) that names a logged rulesheet that parses for that owner,
+        is its canonical encoding under that rulesheet (else 400) and
+        carries the owner's signature (else 401). Raises SubmitError."""
         try:
-            record, signature = decode_payload(payload, self._logged_rulesheet)
-            check_canonical(record, signature, payload, self._logged_rulesheet(record.rulesheet_hash, record.owner))
+            record, signature, rs = decode_payload(payload, self._logged_rulesheet)
+            check_canonical(record, signature, payload, rs)
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
-        key = self.trust_store.public_key(record.owner)
-        if key is None:
-            raise SubmitError(401, f"unknown owner {record.owner!r}")
-        if not verify_record_signature(record, signature, key):
+        if not verify_record_signature(record, signature, self._owner_key(record.owner)):
             raise SubmitError(401, f"bad signature on revision by {record.owner!r}")
         return record
 
+    def _owner_key(self, owner: str) -> bytes:
+        key = self.trust_store.public_key(owner)
+        if key is None:
+            raise SubmitError(401, f"unknown owner {owner!r}")
+        return key
+
     def _logged_rulesheet(self, rulesheet_hash: str, owner: str) -> Rulesheet:
-        """The rulesheet logged under `rulesheet_hash`, parsed for `owner`;
-        raises LogIntegrityError if no rulesheet is logged under that hash
-        and ParseError if it does not parse for the owner."""
-        index = self._by_id.get(rulesheet_hash)
-        if index is None:
+        """The rulesheet logged under `rulesheet_hash`, parsed for `owner`.
+        Raises SubmitError (401) for an owner outside the trust store before
+        it looks the rulesheet up, so only a trusted owner's name makes the
+        database parse a logged text; LogIntegrityError if no rulesheet is
+        logged under that hash; and ParseError if it does not parse for the
+        owner."""
+        self._owner_key(owner)
+        text = self._rulesheets.get(rulesheet_hash)
+        if text is None:
             raise LogIntegrityError(f"rulesheet {rulesheet_hash} is not logged")
-        return parse_logged_rulesheet(decode_rulesheet_payload(self.log.payload(index).decode("utf-8")), owner)
+        return parse_logged_rulesheet(text, owner)
 
     def _check_chain(self, record: RevisionRecord) -> None:
         """Raise SubmitError unless the record may extend its owner's chain
@@ -181,8 +190,12 @@ class ClaimDb:
             if existing is not None:
                 return self._receipt(existing, entry_id)
             index = self.log.append(payload.encode("utf-8"))
-            self._by_id[entry_id] = index
+            self._index_rulesheet(entry_id, text, index)
             return self._receipt(index, entry_id)
+
+    def _index_rulesheet(self, entry_id: str, text: str, index: int) -> None:
+        self._by_id[entry_id] = index
+        self._rulesheets[entry_id] = text
 
     def _tree_head(self) -> SignedTreeHead:
         """The log's signed head at its current size and time; the caller

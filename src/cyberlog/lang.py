@@ -10,6 +10,7 @@ left-to-right safety condition.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import re
@@ -179,7 +180,8 @@ class Diagnostic:
 # wins, as if each token pattern were tried in turn. A string literal runs
 # to the first quote that no backslash escapes (\' \\ \n; any other
 # backslash is itself) and may not hold a line break; a quote that opens
-# none is an unterminated literal.
+# none is an unterminated literal. The literal's alternatives are
+# disjoint, so an unterminated one backtracks in linear time.
 _TOKEN_RE = re.compile(
     r"(?P<WS>[ \t\r\n]+)"
     r"|(?P<COMMENT>//[^\n]*)"
@@ -187,7 +189,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<IDENT>[a-z][A-Za-z0-9_]*)"
     r"|(?P<VARIABLE>[A-Z][A-Za-z0-9_]*)"
     r"|(?P<OP>:-|==|!=|<=|>=|[<>().,:+\-*])"
-    r"|(?P<STRING>'(?:\\['\\n]|[^'\n])*+')"
+    r"|(?P<STRING>'(?:[^'\n\\]|\\['\\n]|\\(?!['\\n]))*')"
     r"|(?P<UNTERMINATED>')"
     r"|(?P<UNEXPECTED>.)",
     re.DOTALL,
@@ -509,14 +511,25 @@ def make_rulesheet(
     return Rulesheet(self_id, tuple(identities), tuple(rules), digest)
 
 
-@functools.lru_cache(maxsize=256)
 def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
     """`parse_rulesheet` of a rulesheet text logged in the claim database,
     for the owner of a revision that names it. Every revision of an owner
-    names the same few texts, so parses are memoised by text and owner; a
-    Rulesheet is immutable, and a text that fails to parse raises again on
-    every call."""
-    return parse_rulesheet(text, owner)
+    names the same few texts, so outcomes are memoised by text and owner: a
+    Rulesheet is immutable, and a text that does not parse raises a copy of
+    its first ParseError without being parsed again, so a short revision
+    naming a long logged text costs no parse once that text has failed."""
+    parsed = _parse_logged_rulesheet(text, owner)
+    if isinstance(parsed, ParseError):
+        raise copy.copy(parsed)
+    return parsed
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_logged_rulesheet(text: str, owner: str) -> Rulesheet | ParseError:
+    try:
+        return parse_rulesheet(text, owner)
+    except ParseError as exc:
+        return exc.with_traceback(None)
 
 
 @functools.lru_cache(maxsize=1024)

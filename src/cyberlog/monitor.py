@@ -32,8 +32,8 @@ from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore, sign_bytes
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
-    LoggedRulesheets,
     LogClient,
+    LogReader,
     commit_staging,
     encode_rulesheet_payload,
     include_revision,
@@ -152,8 +152,6 @@ class Monitor:
             raise ConfigError("a monitor that watches owners needs the log operator's key")
         self.identity = identity
         self.rulesheet = rulesheet
-        self.db = db
-        self.operator_key = operator_key
         self.watched_owners = tuple(watched_owners)
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.authz_predicate = authz_predicate
@@ -164,7 +162,9 @@ class Monitor:
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
         self._rulesheet_published = False
-        self._rulesheets = LoggedRulesheets(db, operator_key)  # of the watched owners' revisions
+        # the claim database, through which the monitor commits and reads
+        # the watched owners' revisions
+        self.reader = LogReader(db, operator_key)
 
     # -- ingestion ------------------------------------------------------
 
@@ -214,7 +214,7 @@ class Monitor:
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
             try:
                 record, _receipt, carried = commit_staging(
-                    self.identity, self.rulesheet, self.db, self._base, self.active_includes.values(), own,
+                    self.identity, self.rulesheet, self.reader.db, self._base, self.active_includes.values(), own,
                     self.clock(), included,
                 )
             except (SubmitError, OSError) as exc:
@@ -235,7 +235,7 @@ class Monitor:
         """Publish the rulesheet unless already done; raises SubmitError or
         OSError if the publish fails, and the next commit retries it."""
         if not self._rulesheet_published:
-            self.db.submit_revision(encode_rulesheet_payload(format_rulesheet(self.rulesheet)))
+            self.reader.db.submit_revision(encode_rulesheet_payload(format_rulesheet(self.rulesheet)))
             self._rulesheet_published = True
 
     # -- polling ------------------------------------------------------------
@@ -251,7 +251,7 @@ class Monitor:
         with self.lock:
             for owner in self.watched_owners:
                 try:
-                    head = self.db.get_head(owner)["revision_id"]
+                    head = self.reader.db.get_head(owner)["revision_id"]
                 except NotFoundError:
                     continue
                 except (SubmitError, OSError) as exc:
@@ -262,9 +262,9 @@ class Monitor:
                     continue
                 try:
                     if last is None:
-                        include_revision(self.kb, head, self.db, owner, self.operator_key, self._rulesheets)
+                        include_revision(self.kb, head, self.reader, owner)
                     else:
-                        on_superseded(self.kb, last, head, self.db, owner, self.operator_key, self._rulesheets)
+                        on_superseded(self.kb, last, head, self.reader, owner)
                 except (CyberlogError, OSError) as exc:
                     self._warn("poll", f"include of {head} from {owner} refused: {exc}")
                     continue

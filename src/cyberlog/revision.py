@@ -174,17 +174,19 @@ def rulesheet_entry_id(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRecord, bytes]:
-    """Parse a logged revision payload once; its id is the SHA-256 of the
-    body bytes inside it, and its claims' rules are those of the rulesheet
-    `rulesheet_of` gives for its rulesheet hash and owner. Raises
-    LogIntegrityError on a payload outside the revision layout, on a
-    rulesheet that `rulesheet_of` refuses, on malformed data, which includes
-    a rule reference that is not an index of a rule of the right kind and a
-    carried claim in a chain root (a carried claim's source is the revision
-    its record supersedes), and on a claim whose principal is not the
-    record's owner, since nobody may make claims on someone else's behalf.
-    Claims and includes keep the payload's order."""
+def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRecord, bytes, Rulesheet]:
+    """Parse a logged revision payload once into its record, its owner's
+    signature and the rulesheet its claims were decoded under. The id is
+    the SHA-256 of the body bytes inside the payload, and the claims' rules
+    are those of the rulesheet `rulesheet_of` gives, once, for the record's
+    rulesheet hash and owner. Raises LogIntegrityError on a payload outside
+    the revision layout, on a rulesheet that does not parse for the owner,
+    on malformed data, which includes a rule reference that is not an index
+    of a rule of the right kind and a carried claim in a chain root (a
+    carried claim's source is the revision its record supersedes), and on a
+    claim whose principal is not the record's owner, since nobody may make
+    claims on someone else's behalf; any other refusal of `rulesheet_of`
+    passes through. Claims and includes keep the payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
@@ -207,7 +209,7 @@ def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRec
             raise LogIntegrityError(
                 f"revision by {record.owner!r} holds a claim of {claim.atom.principal!r}: {canonical_atom(claim.atom)}"
             )
-    return record, bytes.fromhex(tail.group(1))
+    return record, bytes.fromhex(tail.group(1)), rs
 
 
 def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: Rulesheet) -> None:
@@ -316,10 +318,11 @@ def fetch_verified_rulesheet(db: LogClient, rulesheet_hash: str, operator_key: b
     return text
 
 
-class LoggedRulesheets:
-    """A reader's `RulesheetOf`: each rulesheet fetched through
-    `fetch_verified_rulesheet` once per hash, and parsed for an owner by
-    `parse_logged_rulesheet`."""
+class LogReader:
+    """A reader of the claim database `db`: every fetch verified under
+    `operator_key` (see `fetch_verified_revision`), and a `RulesheetOf` that
+    fetches each rulesheet through `fetch_verified_rulesheet` once per hash
+    and parses it for an owner by `parse_logged_rulesheet`."""
 
     def __init__(self, db: LogClient, operator_key: bytes | None):
         self.db = db
@@ -334,19 +337,17 @@ class LoggedRulesheets:
         return parse_logged_rulesheet(text, owner)
 
 
-def fetch_verified_revision(
-    db: LogClient, rev_id: str, operator_key: bytes | None, rulesheet_of: RulesheetOf
-) -> tuple[RevisionRecord, LogInclusion]:
-    """Fetch a revision and verify payload hash, inclusion proof and head,
-    the head's signature under `operator_key` unless that is None (an
-    offline audit, whose heads no operator signed), its claims decoded under
-    the rulesheet `rulesheet_of` gives; returns the record and the inclusion
-    evidence its claims share."""
-    response = db.get_revision(rev_id)
-    record, _signature = decode_payload(response["payload"], rulesheet_of)
+def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
+    """Fetch a revision through `reader` and verify payload hash, inclusion
+    proof and head, the head's signature under the reader's operator key
+    unless that is None (an offline audit, whose heads no operator signed),
+    its claims decoded under the rulesheet the reader gives; returns the
+    record and the inclusion evidence its claims share."""
+    response = reader.db.get_revision(rev_id)
+    record, _signature, _rs = decode_payload(response["payload"], reader)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
-    return record, _verified_inclusion("revision", rev_id, response, operator_key)
+    return record, _verified_inclusion("revision", rev_id, response, reader.operator_key)
 
 
 def _check_owner(record: RevisionRecord, owner: str) -> None:
@@ -364,27 +365,23 @@ def _include(
     return [claim for claim in added if claim.evidence is inclusion]
 
 
-def include_revision(
-    kb: KnowledgeBase, rev_id: str, db: LogClient, owner: str, operator_key: bytes | None, rulesheet_of: RulesheetOf
-) -> list[Claim]:
+def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
     """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence, the fetch verified under `operator_key` and decoded
-    under the rulesheet `rulesheet_of` gives; returns
-    the claims whose atoms are new. A refusal leaves the KB's claims as
-    they were: it refuses before the KB changes if the proof chain does not
-    verify or the revision belongs to someone else, and `revise` undoes the
-    import if saturation raises."""
-    record, inclusion = fetch_verified_revision(db, rev_id, operator_key, rulesheet_of)
+    inclusion evidence, fetched through `reader`; returns the claims whose
+    atoms are new. A refusal leaves the KB's claims as they were: it refuses
+    before the KB changes if the proof chain does not verify or the revision
+    belongs to someone else, and `revise` undoes the import if saturation
+    raises."""
+    record, inclusion = fetch_verified_revision(reader, rev_id)
     _check_owner(record, owner)
     return _include(kb, (), record, inclusion)
 
 
-def supersession_chain(
-    db: LogClient, new_record: RevisionRecord, old_rev_id: str, operator_key: bytes | None, rulesheet_of: RulesheetOf
-) -> list[str]:
+def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> list[str]:
     """Revision ids from the new record (exclusive) back to old (inclusive),
-    following supersedes links. Each revision in between is fetched once and
-    must belong to the new record's owner; the old one is not fetched, since
+    following supersedes links. Each revision in between is fetched once,
+    through `reader`, and must belong to the new record's owner; the old one
+    is not fetched, since
     its owner was checked when it was included. Raises EvidenceError if the
     chain never reaches old or crosses owners."""
     chain: list[str] = []
@@ -393,37 +390,27 @@ def supersession_chain(
         chain.append(cursor)
         if cursor == old_rev_id:
             return chain
-        older, _ = fetch_verified_revision(db, cursor, operator_key, rulesheet_of)
+        older, _ = fetch_verified_revision(reader, cursor)
         if older.owner != new_record.owner:
             raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
         cursor = older.supersedes
     raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
 
 
-def on_superseded(
-    kb: KnowledgeBase,
-    old_rev_id: str,
-    new_rev_id: str,
-    db: LogClient,
-    owner: str,
-    operator_key: bytes | None,
-    rulesheet_of: RulesheetOf,
-) -> list[Claim]:
+def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
     """Update the KB in place after `owner`'s included revision was
     superseded; returns the admitted claims whose atoms are new.
 
     The new revision must belong to `owner`, whom the old revision was
     checked to belong to when it was included. The new revision is fetched
     once, each revision between it and the old one once, and the old one
-    not at all, each fetch verified under `operator_key` and decoded under
-    the rulesheet `rulesheet_of` gives. Claims included
-    from the replaced chain are retracted, with every derivation downstream
-    of them, and the new revision's claims are included, in one
+    not at all, each through `reader`. Claims included from the replaced
+    chain are retracted, with every derivation downstream of them, and the new revision's claims are included, in one
     `KnowledgeBase.revise`. A refusal leaves the KB's claims as they were,
     as for `include_revision`.
     """
-    record, inclusion = fetch_verified_revision(db, new_rev_id, operator_key, rulesheet_of)
-    dropped = set(supersession_chain(db, record, old_rev_id, operator_key, rulesheet_of))
+    record, inclusion = fetch_verified_revision(reader, new_rev_id)
+    dropped = set(supersession_chain(reader, record, old_rev_id))
     _check_owner(record, owner)
     retracted = [
         claim.atom

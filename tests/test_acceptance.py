@@ -32,7 +32,7 @@ from cyberlog.identity import generate_identity
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope
 from cyberlog.revision import (
-    LoggedRulesheets,
+    LogReader,
     build_record,
     commit_staging,
     encode_payload,
@@ -236,7 +236,7 @@ def test_criterion_5a_step_counter(db_client, identities):
     for step in range(1, k + 1):
         record, _, claims = commit_staging(identities["CTR"], rs, db_client, record.id, (), claims, step)
     key = identities[OPERATOR].public_key
-    fetched, _ = fetch_verified_revision(db_client, record.id, key, LoggedRulesheets(db_client, key))
+    fetched, _ = fetch_verified_revision(LogReader(db_client, key), record.id)
     atoms = [c.atom for c in fetched.claims]
     verdict(
         5,
@@ -318,13 +318,13 @@ def _latest_claim_count(bookings: int) -> tuple[int, int]:
     run = ScenarioRun(_retention_scenario(bookings))
     run.run()
     head = run.client.get_head("SB")
-    rulesheets = LoggedRulesheets(run.client, run.operator.public_key)
-    record, _ = fetch_verified_revision(run.client, head["revision_id"], run.operator.public_key, rulesheets)
+    reader = LogReader(run.client, run.operator.public_key)
+    record, _ = fetch_verified_revision(reader, head["revision_id"])
     # sanity: requests really were carried across commits mid-flight
     carried_revisions = 0
     cursor = head["revision_id"]
     while cursor is not None:
-        rev, _ = fetch_verified_revision(run.client, cursor, run.operator.public_key, rulesheets)
+        rev, _ = fetch_verified_revision(reader, cursor)
         if any(c.atom.predicate == "request" for c in rev.claims):
             carried_revisions += 1
         cursor = rev.supersedes

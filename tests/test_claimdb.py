@@ -17,7 +17,7 @@ from cyberlog.engine import DirectAssertion, GroundAtom, make_claim
 from cyberlog.errors import NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
-    LoggedRulesheets,
+    LogReader,
     build_record,
     commit_staging,
     encode_payload,
@@ -47,7 +47,7 @@ def db(identities, trust_store):
 
 
 def reader(client, identities):
-    return LoggedRulesheets(client, identities[OPERATOR].public_key)
+    return LogReader(client, identities[OPERATOR].public_key)
 
 
 def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
@@ -145,9 +145,7 @@ def test_get_revision_proof_still_verifies_after_growth(db_client, identities):
     base = None
     for t in range(10):
         base = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)[0].id
-    fetched, inclusion = fetch_verified_revision(
-        db_client, record.id, identities[OPERATOR].public_key, reader(db_client, identities)
-    )
+    fetched, inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
     assert inclusion.proof.tree_size == 14
     root = SignedTreeHead.from_obj(db_client.get_log_root())
@@ -256,9 +254,7 @@ def test_http_submit_fetch_roundtrip(http_client, identities):
     record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", ("x",))])
     receipt = http_client.submit_revision(payload)
     assert receipt["revision_id"] == record.id
-    fetched, _ = fetch_verified_revision(
-        http_client, record.id, identities[OPERATOR].public_key, reader(http_client, identities)
-    )
+    fetched, _ = fetch_verified_revision(reader(http_client, identities), record.id)
     assert fetched.claims[0].atom == GroundAtom("SB", "p", ("x",))
     head = http_client.get_head("SB")
     assert head["revision_id"] == record.id
@@ -605,7 +601,7 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
         reopened = ClaimDb(MerkleLog(path), run.operator, run.trust_store)
     try:
         assert reopened.get_head("MRM")["chain_length"] == 1
-        decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"), LoggedRulesheets(reopened, None))
+        decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"), LogReader(reopened, None))
     finally:
         reopened.log.close()
     messages = [record.getMessage() for record in caplog.records]
@@ -809,7 +805,7 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
     mutated = RECOMPUTED_FIELD[form](body, base.id)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decoded, _signature = decode_payload(payload, rulesheets_of(rs))
+    decoded, _signature, _rs = decode_payload(payload, rulesheets_of(rs))
     assert decoded.claims[0] == record.claims[0]  # the carried request, source `base`
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
@@ -987,7 +983,7 @@ def _refused_successor(db, identities, case):
         return base, signed_body(identities, mutated), reason
     if case == "revision-named-as-rulesheet":
         body = retained(identities, base.id)[1].replace(base.rulesheet_hash, base.id)
-        return base, signed_body(identities, body), "neither a revision record nor a rulesheet"
+        return base, signed_body(identities, body), f"rulesheet {base.id} is not logged"
     sheet = REFUSED_RULESHEET[case]()
     if case == "rulesheet-not-parsing-for-owner":
         publish_rulesheet(db, sheet)
@@ -1018,6 +1014,51 @@ def test_rule_reference_or_rulesheet_refused_at_submit_and_on_replay(tmp_path, i
         assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
     finally:
         reopened.log.close()
+
+
+def test_rulesheet_is_read_for_a_trusted_owner_once_per_revision(db, identities, monkeypatch):
+    """A revision by an owner outside the trust store is refused with 401
+    before the database looks up or parses the rulesheet it names. A trusted
+    owner's revision resolves its rulesheet once, from the text kept when
+    the rulesheet was logged, without decoding its payload again."""
+    import cyberlog.claimdb as claimdb
+    from cyberlog.identity import generate_identity
+
+    resolved, decoded = [], []
+    parse, decode = claimdb.parse_logged_rulesheet, claimdb.decode_rulesheet_payload
+    monkeypatch.setattr(claimdb, "parse_logged_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
+    monkeypatch.setattr(claimdb, "decode_rulesheet_payload", lambda payload: decoded.append(payload) or decode(payload))
+    stranger = generate_identity("EVE", seed=bytes(32))
+    record, body = build_record("EVE", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(encode_payload(body, sign_record(record, stranger)))
+    assert exc.value.code == 401 and "unknown owner 'EVE'" in str(exc.value)
+    assert resolved == []
+    _record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    assert resolved == ["SB"] and decoded == []
+
+
+def test_rulesheet_not_parsing_for_its_owner_is_parsed_once(db, identities, monkeypatch):
+    """Every revision naming a logged rulesheet that does not parse for its
+    owner is refused with 400, and the text is parsed once, not once per
+    revision, so short revisions cannot make the database parse a long
+    logged text again and again."""
+    import cyberlog.lang as lang
+    from cyberlog.lang import make_rulesheet
+
+    sheet = make_rulesheet("SB", (), parse_rulesheet("'MRM' attests parsed_once(1).\n", "MRM").rules)
+    publish_rulesheet(db, sheet)
+    parses = []
+    parse = lang.parse_rulesheet
+    monkeypatch.setattr(lang, "parse_rulesheet", lambda text, owner: parses.append(owner) or parse(text, owner))
+    lang._parse_logged_rulesheet.cache_clear()
+    for commit_time in (1, 2, 3):
+        record, body = build_record("SB", None, (), sheet, (), commit_time)
+        with pytest.raises(SubmitError) as exc:
+            db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+        assert exc.value.code == 400 and "non-self head" in str(exc.value)
+    assert parses == ["SB"]
 
 
 def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, trust_store):

@@ -134,20 +134,20 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
     import json
 
     from cyberlog.audit import Auditor, render_audit_tree
-    from cyberlog.revision import LoggedRulesheets, decode_payload
+    from cyberlog.revision import LogReader, decode_payload
 
     scenario = load_scenario(scenario_path("uav_booking"))
     log_path = str(tmp_path / "claims.log")
     run = ScenarioRun(scenario, log_path=log_path)
     assert run.run().passed
 
-    rulesheets = LoggedRulesheets(run.client, run.operator.public_key)
+    rulesheets = LogReader(run.client, run.operator.public_key)
     records = []
     for index in range(len(run.db.log)):
         payload = run.db.log.payload(index).decode()
         if json.loads(payload).get("kind") != "revision":
             continue
-        record, _sig = decode_payload(payload, rulesheets)
+        record, _sig, _rs = decode_payload(payload, rulesheets)
         records.append(record)
 
     by_owner = {}

@@ -3,12 +3,13 @@ the same tokens, positions and errors on any text."""
 
 import glob
 import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyberlog.errors import ParseError
-from cyberlog.lang import _lex
+from cyberlog.lang import _TOKEN_RE, _lex
 
 from lexer_oracle import oracle_lex
 
@@ -45,3 +46,9 @@ def test_lexer_matches_the_old_one_on_every_scenario_rulesheet(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     assert outcome(_lex, text) == outcome(oracle_lex, text)
+
+
+def test_master_pattern_needs_no_python_3_11_syntax():
+    """The package supports Python 3.10, whose `re` has neither possessive
+    quantifiers nor atomic groups."""
+    assert not re.search(r"[*+?}]\+|\(\?>", _TOKEN_RE.pattern)

@@ -180,7 +180,7 @@ def test_commit_survives_unreachable_db(identities, trust_store, db_client, monk
     def boom(payload):
         raise OSError("connection refused")
 
-    monkeypatch.setattr(sb.db, "submit_revision", boom)
+    monkeypatch.setattr(sb.reader.db, "submit_revision", boom)
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
         assert sb.commit() is None
     assert sb.kb is kb and kb.claims.keys() == before  # own claims kept for the next commit
@@ -281,18 +281,18 @@ def test_ingest_encodes_the_event_atom_once(sb, monkeypatch):
 def test_monitor_warnings_carry_the_last_committed_revision(sb, monkeypatch, caplog):
     """A warning's `revision` is the id of the monitor's last committed
     revision, or None before its first commit."""
-    submit = sb.db.submit_revision
+    submit = sb.reader.db.submit_revision
 
     def boom(payload):
         raise OSError("connection refused")
 
     sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
-        monkeypatch.setattr(sb.db, "submit_revision", boom)
+        monkeypatch.setattr(sb.reader.db, "submit_revision", boom)
         assert sb.commit() is None
-        monkeypatch.setattr(sb.db, "submit_revision", submit)
+        monkeypatch.setattr(sb.reader.db, "submit_revision", submit)
         committed = sb.commit()
-        monkeypatch.setattr(sb.db, "submit_revision", boom)
+        monkeypatch.setattr(sb.reader.db, "submit_revision", boom)
         assert sb.commit() is None
     assert [(r.stage, r.revision) for r in caplog.records] == [("commit", None), ("commit", committed.id)]
 
@@ -556,12 +556,12 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
 def test_supersession_matches_scratch():
     from cyberlog.harness import ScenarioRun
     from cyberlog.engine import KnowledgeBase
-    from cyberlog.revision import LoggedRulesheets, include_revision
+    from cyberlog.revision import LogReader, include_revision
 
     windows = 8
     run = ScenarioRun(_steady_booking(windows))
     dom = run.monitors["DOM"]
-    rulesheets = LoggedRulesheets(run.client, dom.operator_key)
+    reader = LogReader(run.client, run.operator.public_key)
     try:
         for k in range(1, windows + 1):
             for now in (1000 * k - 1, 1000 * k):  # before and after the window's commits and polls
@@ -569,7 +569,7 @@ def test_supersession_matches_scratch():
             # DOM's KB is its inclusions and their consequences: rebuild it from scratch
             scratch = KnowledgeBase(dom.rulesheet)
             for owner, rev_id in dom.active_includes.items():
-                include_revision(scratch, rev_id, run.client, owner, dom.operator_key, rulesheets)
+                include_revision(scratch, rev_id, reader, owner)
             assert dom.kb.claims.keys() == scratch.claims.keys(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
@@ -695,7 +695,7 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         expected = "ordered comparison on non-integers"
     claims, includes = dict(dom.kb.claims), dict(dom.active_includes)
     saturated = at_fixpoint(dom.kb)
-    dom.db = wrapped
+    dom.reader.db = wrapped
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
         assert dom.poll_and_include() == []
     assert dom.kb.claims == claims and all(dom.kb.claims[a] is c for a, c in claims.items())

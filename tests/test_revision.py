@@ -13,7 +13,7 @@ from cyberlog.engine import (
 from cyberlog.errors import EvidenceError, LogIntegrityError
 from cyberlog.lang import parse_query, parse_rulesheet
 from cyberlog.revision import (
-    LoggedRulesheets,
+    LogReader,
     apply_next_rules,
     build_record,
     commit_staging,
@@ -54,7 +54,7 @@ def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
 
 def reader(db_client, identities):
     """A watcher's `RulesheetOf` over `db_client`."""
-    return LoggedRulesheets(db_client, identities[OPERATOR].public_key)
+    return LogReader(db_client, identities[OPERATOR].public_key)
 
 
 def commit_chain(db_client, identities, rs, claims, steps):
@@ -91,11 +91,9 @@ def test_fetched_record_rehashes_to_id(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
-    fetched, _inclusion = fetch_verified_revision(
-        db_client, record.id, identities[OPERATOR].public_key, reader(db_client, identities)
-    )
+    fetched, _inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
-    again, _sig = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs))
+    again, _sig, _rs = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs))
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -175,7 +173,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     record = mrm_commit(
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    added = include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    added = include_revision(kb, record.id, reader(db_client, identities), "MRM")
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
@@ -184,7 +182,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
 def test_include_empty_revision(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     record = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    assert include_revision(kb, record.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities)) == []
+    assert include_revision(kb, record.id, reader(db_client, identities), "MRM") == []
     assert len(kb) == 0
 
 
@@ -207,7 +205,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, TamperingClient(db_client), "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+        include_revision(kb, record.id, reader(TamperingClient(db_client), identities), "MRM")
     assert len(kb) == 0
 
 
@@ -217,16 +215,16 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
 def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
-    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    on_superseded(kb, r1.id, r2.id, reader(db_client, identities), "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
     oracle = KnowledgeBase(rs_dom)
-    include_revision(oracle, r2.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    include_revision(oracle, r2.id, reader(db_client, identities), "MRM")
     assert kb.claims.keys() == oracle.claims.keys()
 
 
@@ -234,29 +232,29 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     kb, rs_dom, rs_mrm = dom_setup
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     r1 = mrm_commit(db_client, identities, rs_mrm, None, atoms, 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
     before = set(kb.claims)
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, atoms, 2)
-    assert on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities)) == []
+    assert on_superseded(kb, r1.id, r2.id, reader(db_client, identities), "MRM") == []
     assert kb.claims.keys() == before
 
 
 def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
     unrelated, _, _ = commit(db_client, identities, parse_rulesheet(CTR_SHEET, "CTR"), now_ms=1)
     with pytest.raises(EvidenceError, match="does not supersede"):
-        on_superseded(kb, r1.id, unrelated.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+        on_superseded(kb, r1.id, unrelated.id, reader(db_client, identities), "MRM")
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
     r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    on_superseded(kb, r1.id, r3.id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    on_superseded(kb, r1.id, r3.id, reader(db_client, identities), "MRM")
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
@@ -280,15 +278,17 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
     records = []
     for t, atoms in enumerate(([GroundAtom("MRM", "feasible_config", (7, 3))], [], [], [GroundAtom("MRM", "feasible_config", (9, 1))])):
         records.append(mrm_commit(db_client, identities, rs_mrm, records[-1].id if records else None, atoms, t))
-    include_revision(kb, records[0].id, db_client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
     client = CountingClient(db_client)
-    added = on_superseded(kb, records[0].id, records[3].id, client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    log_reader = reader(client, identities)
+    include_revision(kb, records[0].id, log_reader, "MRM")
+    client.fetched.clear()
+    added = on_superseded(kb, records[0].id, records[3].id, log_reader, "MRM")
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (9, 1))]
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
     newer = mrm_commit(db_client, identities, rs_mrm, records[3].id, [], 9)
-    on_superseded(kb, records[3].id, newer.id, client, "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+    on_superseded(kb, records[3].id, newer.id, log_reader, "MRM")
     assert len(client.fetched) == 1
 
 
@@ -326,12 +326,12 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
                 monkeypatch.setattr(module, binding, counting_inclusion)
             elif value is verify_bytes:
                 monkeypatch.setattr(module, binding, counting_bytes)
-    rulesheets = reader(db_client, identities)
-    include_revision(kb, r1.id, db_client, "MRM", identities[OPERATOR].public_key, rulesheets)
+    log_reader = reader(db_client, identities)
+    include_revision(kb, r1.id, log_reader, "MRM")
     assert (len(proofs), len(heads)) == (2, 2)
     proofs.clear()
     heads.clear()
-    on_superseded(kb, r1.id, r2.id, db_client, "MRM", identities[OPERATOR].public_key, rulesheets)
+    on_superseded(kb, r1.id, r2.id, log_reader, "MRM")
     assert (len(proofs), len(heads)) == (1, 1)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
@@ -348,12 +348,14 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
 
     class ForgingClient(CountingClient):
         def get_revision(self, rev_id):
+            if rev_id != forged.id:
+                return self.inner.get_revision(rev_id)
             # the logged revision's proof and head, around the forged payload
             payload = encode_payload(forged_body, sign_record(forged, identities["MRM"]))
             return dict(self.inner.get_revision(record.id), payload=payload)
 
     with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
-        include_revision(kb, forged.id, ForgingClient(db_client), "MRM", identities[OPERATOR].public_key, reader(db_client, identities))
+        include_revision(kb, forged.id, reader(ForgingClient(db_client), identities), "MRM")
     assert len(kb) == 0
 
 
@@ -398,7 +400,7 @@ def test_head_matches_chain_walk_oracle(db_client, identities):
     walked = [head_id]
     cursor = head_id
     while True:
-        record, _ = fetch_verified_revision(db_client, cursor, identities[OPERATOR].public_key, rulesheets_of(rs))
+        record, _ = fetch_verified_revision(reader(db_client, identities), cursor)
         if record.supersedes is None:
             break
         cursor = record.supersedes
@@ -422,7 +424,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities):
         pos = rng.randrange(len(payload))
         mutated = payload[:pos] + chr(rng.randrange(32, 127)) + payload[pos + 1 :]
         try:
-            decoded, _sig = decode_payload(mutated, rulesheets_of(rs))
+            decoded, _sig, _rs = decode_payload(mutated, rulesheets_of(rs))
         except LogIntegrityError:
             continue
         if mutated != payload:
@@ -473,7 +475,7 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, mon
     payload = layout_payload(identities)
     monkeypatch.setattr(revision, "build_record", None)
     monkeypatch.setattr(revision, "claim_to_obj", None)
-    record, _sig = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")))
+    record, _sig, _rs = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")))
     body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
     assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
@@ -520,7 +522,7 @@ def test_spliced_payload_round_trips_through_decode(identities):
         claims = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
         record, body = build_record("SB", supersedes, includes, rs, claims, commit_time)
         payload = encode_payload(body, signature)
-        decoded, decoded_signature = decode_payload(payload, rulesheets_of(rs))
+        decoded, decoded_signature, _rs = decode_payload(payload, rulesheets_of(rs))
         assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
         check_canonical(decoded, decoded_signature, payload, rs)
 
