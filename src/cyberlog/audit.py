@@ -127,18 +127,14 @@ class Auditor:
                 if not verify_bytes(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
                     raise EvidenceError(f"bad signature by {ev.signer!r} on {canonical_atom(claim.atom)}")
                 node.detail = f"signed by {ev.signer}"
-            elif isinstance(ev, DerivedByRule):
-                expected = rule_premises(ev.rule, ev.substitution)
-                if len(expected) != len(ev.premises):
-                    raise EvidenceError("premise count does not match rule body")
+            else:  # a rule instance: a logged claim carries no other kind
+                source = record
                 node.detail = "rule re-derivation checked"
-                for atom, premise_id in zip(expected, ev.premises):
-                    node.children.append(self._audit_premise(record, atom, premise_id, depth + 1))
-            else:  # CarriedByNextRule: a logged claim carries no other kind
-                source = self.fetch_revision(ev.source_revision)
-                node.detail = f"carried from revision {ev.source_revision[:8]}"
+                if isinstance(ev, CarriedByNextRule):
+                    source = self.fetch_revision(ev.source_revision)
+                    node.detail = f"carried from revision {ev.source_revision[:8]}"
                 for atom in rule_premises(ev.rule, ev.substitution):
-                    node.children.append(self._audit_premise(source, atom, None, depth + 1))
+                    node.children.append(self._audit_premise(source, atom, depth + 1))
             return node
         except CyberlogError as exc:
             return self._fail(claim.atom, kind, str(exc))
@@ -146,41 +142,22 @@ class Auditor:
     def _fail(self, atom: GroundAtom, kind: str, detail: str) -> AuditNode:
         return AuditNode(canonical_atom(atom), kind, False, detail)
 
-    def _audit_premise(
-        self, record: RevisionRecord, expected: GroundAtom, premise_id: str | None, depth: int
-    ) -> AuditNode:
-        """Audit the premise `expected`, found by `premise_id` (by atom when
-        None): an own claim of `record` is audited in turn, and a claim of a
-        revision `record` includes rests on that revision's verified fetch."""
-        claim = _find_premise(record, expected, premise_id)
-        origin = None
-        if claim is None:
-            for rev_id in record.includes:
-                try:
-                    included = self.fetch_revision(rev_id)
-                except (LogIntegrityError, NotFoundError) as exc:
-                    return self._fail(expected, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
-                claim = _find_premise(included, expected, premise_id)
-                if claim is not None:
-                    origin = rev_id
-                    break
-            else:
-                return self._fail(
-                    expected, "premise", f"premise not found in revision {record.id[:8]} or its includes"
-                )
-        if claim.atom != expected:
-            return self._fail(expected, "premise", "premise claim does not match instantiated body atom")
-        if origin is None:
+    def _audit_premise(self, record: RevisionRecord, premise: GroundAtom, depth: int) -> AuditNode:
+        """Audit the premise atom: an own claim of `record` is audited in
+        turn, and a claim of a revision `record` includes rests on that
+        revision's verified fetch."""
+        claim = record.by_atom.get(premise)
+        if claim is not None:
             return self.audit_claim(record, claim, depth)
-        return AuditNode(
-            canonical_atom(expected), "log_inclusion", True, f"included from {origin[:8]}, fetched with verified proof"
-        )
-
-
-def _find_premise(record: RevisionRecord, expected: GroundAtom, premise_id: str | None) -> Claim | None:
-    if premise_id is None:
-        return record.by_atom.get(expected)
-    return record.by_id.get(premise_id)
+        for rev_id in record.includes:
+            try:
+                included = self.fetch_revision(rev_id)
+            except (LogIntegrityError, NotFoundError) as exc:
+                return self._fail(premise, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
+            if premise in included.by_atom:
+                detail = f"included from {rev_id[:8]}, fetched with verified proof"
+                return AuditNode(canonical_atom(premise), "log_inclusion", True, detail)
+        return self._fail(premise, "premise", f"premise not found in revision {record.id[:8]} or its includes")
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +200,13 @@ class LogCheck:
 def verify_log_consistency(
     db: LogClient,
     heads_cache_path: str,
-    operator_key: bytes | None = None,
+    operator_key: bytes | None,
     append_current: bool = True,
 ) -> tuple[bool, list[LogCheck]]:
     """Verify append-only consistency between every consecutive cached head
-    pair and the current root; appends the current head to the cache."""
+    pair and the current root, each head's signature checked under
+    `operator_key`, or not at all when that is None (an offline audit, as
+    for `Auditor`); appends the current head to the cache."""
     cached = load_heads_cache(heads_cache_path)
     if not cached:
         raise NotFoundError(f"heads cache {heads_cache_path!r} is empty")

@@ -71,7 +71,7 @@ class ClaimDb:
         self.trust_store = trust_store
         self.clock = clock
         self._lock = threading.Lock()
-        self._by_id: dict[str, int] = {}
+        self._entries: dict[str, int] = {}  # entry id -> log index
         self._rulesheets: dict[str, str] = {}  # rulesheet hash -> logged text
         self._owners: dict[str, str] = {}  # revision id -> owner; rulesheets have none
         self._heads: dict[str, _HeadState] = {}
@@ -98,7 +98,7 @@ class ClaimDb:
                 _log.warning("log entry %d left unindexed: %s", index, exc)
 
     def _index_revision(self, record: RevisionRecord, index: int) -> None:
-        self._by_id[record.id] = index
+        self._entries[record.id] = index
         self._owners[record.id] = record.owner
         head = self._heads.get(record.owner)
         if record.supersedes is not None:
@@ -180,13 +180,13 @@ class ClaimDb:
                 raise SubmitError(
                     409, f"commit time {record.commit_time} is before {before}, that of revision {record.supersedes}"
                 )
-        if record.id in self._by_id:
+        if record.id in self._entries:
             raise SubmitError(409, f"revision {record.id} already logged")
 
     def _submit_rulesheet(self, payload: str, text: str) -> dict:
         entry_id = rulesheet_entry_id(text)
         with self._lock:
-            existing = self._by_id.get(entry_id)
+            existing = self._entries.get(entry_id)
             if existing is not None:
                 return self._receipt(existing, entry_id)
             index = self.log.append(payload.encode("utf-8"))
@@ -194,7 +194,7 @@ class ClaimDb:
             return self._receipt(index, entry_id)
 
     def _index_rulesheet(self, entry_id: str, text: str, index: int) -> None:
-        self._by_id[entry_id] = index
+        self._entries[entry_id] = index
         self._rulesheets[entry_id] = text
 
     def _tree_head(self) -> SignedTreeHead:
@@ -224,7 +224,7 @@ class ClaimDb:
 
     def get_revision(self, rev_id: str) -> dict:
         with self._lock:
-            index = self._by_id.get(rev_id)
+            index = self._entries.get(rev_id)
             if index is None:
                 raise NotFoundError(f"no revision {rev_id}")
             payload = self.log.payload(index).decode("utf-8")

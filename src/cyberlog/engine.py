@@ -2,14 +2,14 @@
 
 Every stored fact is a Claim: a ground attested atom plus the evidence that
 justifies it. Saturation is semi-naive (per-iteration delta sets) and tags
-each derivation with the rule instance and premise claims used, so the full
-derivation chain can be replayed later.
+each derivation with the rule instance used, whose relational body atoms
+name its premise claims, so the full derivation chain can be replayed
+later.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
@@ -41,8 +41,8 @@ Substitution = dict[str, GroundTerm]
 
 @dataclass(frozen=True)
 class GroundAtom:
-    """An immutable ground atom. Its canonical text and id are computed
-    from its fields on first use and kept (`canonical_atom`, `atom_id`)."""
+    """An immutable ground atom. Its canonical text is computed from its
+    fields on first use and kept (`canonical_atom`)."""
 
     principal: str
     predicate: str
@@ -61,14 +61,10 @@ class GroundAtom:
                 raise ValueError(f"atom text is not valid Unicode: {text!r}") from exc
         return text
 
-    @functools.cached_property
-    def _id(self) -> str:
-        return hashlib.sha256(self._text.encode("utf-8")).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # Canonical serialization: principal|predicate(a1,...) with double-quoted
-# strings, base-10 integers, no whitespace. Claim ids hash these UTF-8 bytes.
+# strings, base-10 integers, no whitespace. Signatures cover these UTF-8 bytes.
 
 
 def _enc_string(value: str) -> str:
@@ -85,20 +81,14 @@ def canonical_atom(atom: GroundAtom) -> str:
     return atom._text
 
 
-def atom_id(atom: GroundAtom) -> str:
-    """Hex SHA-256 of the canonical serialization."""
-    return atom._id
-
-
 @functools.lru_cache(maxsize=4096)
 def parse_canonical_atom(text: str) -> GroundAtom:
     """Decode canonical atom text; raises ValueError on malformed text.
 
     Every revision that carries a claim repeats its atom's text, so decodes
     are memoised by text, like `parse_standalone_rule`; a GroundAtom is
-    immutable, and its text and id are recomputed from its fields, never
-    taken from the input. A text that fails to decode raises again on
-    every call.
+    immutable, and its text is recomputed from its fields, never taken from
+    the input. A text that fails to decode raises again on every call.
     """
     try:
         principal, pos = _scan_string(text, 0)
@@ -156,7 +146,12 @@ def _scan_string(text: str, pos: int) -> tuple[str, int]:
 class DerivedByRule:
     rule: Rule
     substitution: Mapping[str, GroundTerm]
-    premises: tuple[str, ...]  # claim ids of relational body atoms, in body order
+
+    @functools.cached_property
+    def premises(self) -> tuple[GroundAtom, ...]:
+        """The rule's relational body atoms under the substitution, in body
+        order; raises EvaluationError when one does not ground."""
+        return _body_atoms(self.rule, self.substitution)
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,6 @@ Evidence = DerivedByRule | DirectAssertion | LogInclusion | CarriedByNextRule
 class Claim:
     atom: GroundAtom
     evidence: Evidence
-    claim_id: str
-
-
-def make_claim(atom: GroundAtom, evidence: Evidence) -> Claim:
-    return Claim(atom, evidence, atom_id(atom))
 
 
 # ---------------------------------------------------------------------------
@@ -320,43 +310,49 @@ def instantiate_head(head: RelationalAtom, subst: Substitution) -> GroundAtom:
     return GroundAtom(head.principal, head.predicate, tuple(args))
 
 
+def _body_atoms(rule: Rule, substitution: Mapping[str, GroundTerm]) -> tuple[GroundAtom, ...]:
+    """The rule's relational body atoms instantiated under `substitution`,
+    in body order; raises EvaluationError when one does not ground."""
+    return tuple(instantiate_head(atom, substitution) for atom in rule.body if isinstance(atom, RelationalAtom))
+
+
 def match_rule_body(
     body: Sequence[BodyAtom],
     candidates,
     subst: Substitution | None = None,
-) -> Iterator[tuple[Substitution, list[Claim]]]:
-    """All (substitution, relational premises) satisfying the body left-to-right.
+) -> Iterator[Substitution]:
+    """All substitutions satisfying the body left-to-right.
 
     `candidates(rel_index, atom)` supplies the claims to try at the i-th
     relational position; builtins and comparisons evaluate in place.
     """
 
-    def walk(i: int, rel_i: int, subst: Substitution, premises: list[Claim]):
+    def walk(i: int, rel_i: int, subst: Substitution):
         if i == len(body):
-            yield subst, premises
+            yield subst
             return
         atom = body[i]
         if isinstance(atom, RelationalAtom):
             for claim in candidates(rel_i, atom):
                 bound = _unify_args(atom.args, claim.atom.args, subst)
                 if bound is not None:
-                    yield from walk(i + 1, rel_i + 1, bound, premises + [claim])
+                    yield from walk(i + 1, rel_i + 1, bound)
         elif isinstance(atom, BuiltinAtom):
             try:
                 results = eval_builtin(atom.name, atom.args, subst)
             except EvaluationError as exc:
                 raise EvaluationError(f"{exc} [bindings: {subst}]") from exc
             for bound in results:
-                yield from walk(i + 1, rel_i, bound, premises)
+                yield from walk(i + 1, rel_i, bound)
         else:
             try:
                 results = _eval_comparison(atom, subst)
             except EvaluationError as exc:
                 raise EvaluationError(f"{exc} [bindings: {subst}]") from exc
             for bound in results:
-                yield from walk(i + 1, rel_i, bound, premises)
+                yield from walk(i + 1, rel_i, bound)
 
-    yield from walk(0, 0, subst or {}, [])
+    yield from walk(0, 0, subst or {})
 
 
 def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
@@ -371,20 +367,20 @@ def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
 def check_evidence(claim: Claim) -> None:
     """Check a claim's own evidence structurally; raises EvidenceError.
 
-    The claim id must be its atom's id, a rule instance (derived or
-    carried) must reproduce the claim's atom, and the evidence must be of
+    A rule instance (derived or carried) must reproduce the claim's atom,
+    a derivation's premise atoms must ground, and the evidence must be of
     a known type. Signatures and inclusion proofs are checked where a claim
     enters the program: the monitor signs its own events, a watcher's fetch
     verifies inclusion and the tree head, and the auditor verifies what it
-    reads. Premises and side conditions are not checked here (see
-    `rule_premises`).
+    reads. Whether the premises hold, and the side conditions, are not
+    checked here (see `rule_premises`).
     """
-    if claim.claim_id != atom_id(claim.atom):
-        raise EvidenceError(f"claim id does not match atom {canonical_atom(claim.atom)}")
     ev = claim.evidence
     if isinstance(ev, (DerivedByRule, CarriedByNextRule)):
         try:
             head = instantiate_head(ev.rule.head, ev.substitution)
+            if isinstance(ev, DerivedByRule):
+                ev.premises  # grounds the premise atoms now, and keeps them
         except EvaluationError as exc:
             raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
         if head != claim.atom:
@@ -396,26 +392,23 @@ def check_evidence(claim: Claim) -> None:
         raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
 
 
-def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> list[GroundAtom]:
-    """The relational body atoms of a rule instance, instantiated in body
-    order, once its builtins and comparisons are checked to hold.
+def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> tuple[GroundAtom, ...]:
+    """The relational body atoms of a rule instance (`_body_atoms`), once
+    its builtins and comparisons are checked to hold.
 
     Raises EvidenceError when a side condition does not hold or the
     instance cannot be evaluated.
     """
-    premises = []
     try:
         for atom in rule.body:
-            if isinstance(atom, RelationalAtom):
-                premises.append(instantiate_head(atom, substitution))
-            elif isinstance(atom, BuiltinAtom):
+            if isinstance(atom, BuiltinAtom):
                 if not eval_builtin(atom.name, atom.args, substitution):
                     raise EvidenceError(f"builtin {atom.name} does not hold under the stored substitution")
-            elif not _eval_comparison(atom, substitution):
+            elif isinstance(atom, ComparisonAtom) and not _eval_comparison(atom, substitution):
                 raise EvidenceError(f"comparison {atom.op} does not hold under the stored substitution")
+        return _body_atoms(rule, substitution)
     except EvaluationError as exc:
         raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
-    return premises
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +449,13 @@ class KnowledgeBase:
 
     def __init__(self, rulesheet: Rulesheet):
         self.claims: dict[GroundAtom, Claim] = {}
-        self.by_id: dict[str, Claim] = {}
-        self._index: dict[tuple[str, str], dict[str, Claim]] = {}  # by claim id
+        self._index: dict[tuple[str, str], dict[GroundAtom, Claim]] = {}
         # Claims admitted since the last fixpoint, and atoms removed since
         # then (each to be re-derived if it still can be).
         self._unsaturated: list[Claim] = []
         self._removed: dict[GroundAtom, None] = {}
-        # premise claim id -> ids of the claims whose recorded derivation names it
-        self._dependents: dict[str, dict[str, None]] = {}
+        # premise atom -> atoms of the claims whose recorded derivation names it
+        self._dependents: dict[GroundAtom, dict[GroundAtom, None]] = {}
         # each standard rule with its relational body atoms, in body order
         std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
         self._joins = [(rule, [a for a in rule.body if isinstance(a, RelationalAtom)]) for rule in std]
@@ -548,15 +540,16 @@ class KnowledgeBase:
             self._store(claim)
         retracted = [self.claims[atom] for atom in retract if atom in self.claims and atom not in incoming]
         displaced += retracted
-        stack = [claim.claim_id for claim in retracted]
+        stack = [claim.atom for claim in retracted]
         removed: dict[GroundAtom, None] = {}
         while stack:
-            claim = self.by_id.get(stack.pop())
+            atom = stack.pop()
+            claim = self.claims.get(atom)
             if claim is None:
                 continue
-            removed[claim.atom] = None
+            removed[atom] = None
             self._drop(claim)
-            stack.extend(self._dependents.pop(claim.claim_id, ()))
+            stack.extend(self._dependents.pop(atom, ()))
         if removed:
             self._removed.update(removed)
             self._unsaturated = [c for c in self._unsaturated if c.atom not in removed]
@@ -571,39 +564,37 @@ class KnowledgeBase:
     def _store(self, claim: Claim) -> None:
         """Store a checked claim whose atom is absent or whose predecessor
         was released."""
-        cid = claim.claim_id
-        self.claims[claim.atom] = claim
-        self.by_id[cid] = claim
-        key = (claim.atom.principal, claim.atom.predicate)
+        atom = claim.atom
+        self.claims[atom] = claim
+        key = (atom.principal, atom.predicate)
         group = self._index.get(key)
         if group is None:
             group = self._index[key] = {}
-        group[cid] = claim
+        group[atom] = claim
         if isinstance(claim.evidence, DerivedByRule):
-            for premise_id in claim.evidence.premises:
-                dependents = self._dependents.get(premise_id)
+            for premise in claim.evidence.premises:
+                dependents = self._dependents.get(premise)
                 if dependents is None:
-                    dependents = self._dependents[premise_id] = {}
-                dependents[cid] = None
+                    dependents = self._dependents[premise] = {}
+                dependents[atom] = None
 
     def _drop(self, claim: Claim) -> None:
         self._release(claim)
         del self.claims[claim.atom]
-        del self.by_id[claim.claim_id]
         key = (claim.atom.principal, claim.atom.predicate)
-        del self._index[key][claim.claim_id]
+        del self._index[key][claim.atom]
         if not self._index[key]:
             del self._index[key]
 
     def _release(self, claim: Claim) -> None:
         """Forget a stored claim's premise edges."""
         if isinstance(claim.evidence, DerivedByRule):
-            for premise_id in claim.evidence.premises:
-                dependents = self._dependents.get(premise_id)
+            for premise in claim.evidence.premises:
+                dependents = self._dependents.get(premise)
                 if dependents is not None:
-                    dependents.pop(claim.claim_id, None)
+                    dependents.pop(claim.atom, None)
                     if not dependents:
-                        del self._dependents[premise_id]
+                        del self._dependents[premise]
 
     # -- saturation -----------------------------------------------------
 
@@ -667,13 +658,12 @@ class KnowledgeBase:
             if subst is None:
                 return
         try:
-            for full, premises in match_rule_body(rule.body, candidates, subst):
+            for full in match_rule_body(rule.body, candidates, subst):
                 atom = instantiate_head(rule.head, full)
                 if target is not None and atom != target:
                     continue
                 if atom not in self.claims and atom not in sink:
-                    evidence = DerivedByRule(rule, rule_substitution(rule, full), tuple(c.claim_id for c in premises))
-                    sink[atom] = Claim(atom, evidence, atom_id(atom))
+                    sink[atom] = Claim(atom, DerivedByRule(rule, rule_substitution(rule, full)))
                 if target is not None:
                     return
         except EvaluationError as exc:
@@ -699,10 +689,10 @@ class KnowledgeBase:
 
     def verify_claim_chain(self, atom: GroundAtom) -> bool:
         """True iff the atom's local evidence re-checks all the way down:
-        every claim's id and rule instance, and every rule instance's side
-        conditions and premise atoms, following premise ids through
-        `by_id` depth first. Each claim is checked once however many claims
-        name it. An absent atom, a missing premise and cyclic evidence fail.
+        every claim's rule instance and every rule instance's side
+        conditions, following premise atoms through `claims` depth first.
+        Each claim is checked once however many claims name it. An absent
+        atom, a missing premise and cyclic evidence fail.
 
         DirectAssertion, LogInclusion and CarriedByNextRule end the walk;
         auditing across revisions is the audit module's job.
@@ -711,35 +701,36 @@ class KnowledgeBase:
         if claim is None:
             return False
         try:
-            path = [(claim.claim_id, iter(self._chain_premises(claim)))]  # claim id, premise ids left
-            on_path = {claim.claim_id}
-            done: set[str] = set()  # checked, with every claim below them
+            path = [(atom, iter(self._chain_premises(claim)))]  # atom, premise atoms left
+            on_path = {atom}
+            done: set[GroundAtom] = set()  # checked, with every claim below them
             while path:
-                claim_id, premise_ids = path[-1]
-                premise_id = next(premise_ids, None)
-                if premise_id is None:
+                current, premises = path[-1]
+                premise = next(premises, None)
+                if premise is None:
                     path.pop()
-                    on_path.discard(claim_id)
-                    done.add(claim_id)
-                elif premise_id in on_path:
+                    on_path.discard(current)
+                    done.add(current)
+                elif premise in on_path:
                     return False  # cyclic evidence
-                elif premise_id not in done:
-                    path.append((premise_id, iter(self._chain_premises(self.by_id[premise_id]))))
-                    on_path.add(premise_id)
+                elif premise not in done:
+                    path.append((premise, iter(self._chain_premises(self.claims[premise]))))
+                    on_path.add(premise)
         except EvidenceError:
             return False
         return True
 
-    def _chain_premises(self, claim: Claim) -> tuple[str, ...]:
-        """Check a stored claim's own evidence and, for a derivation, that
-        its premise ids name stored claims of its rule instance's premise
-        atoms in body order; returns those ids. Raises EvidenceError."""
+    def _chain_premises(self, claim: Claim) -> tuple[GroundAtom, ...]:
+        """Check a stored claim's own evidence and, for a derivation, its
+        side conditions and that its premise atoms are stored; returns those
+        atoms. Raises EvidenceError."""
         check_evidence(claim)
         ev = claim.evidence
         if not isinstance(ev, DerivedByRule):
             return ()
-        premises = [self.by_id.get(premise_id) for premise_id in ev.premises]
-        if None in premises or rule_premises(ev.rule, ev.substitution) != [p.atom for p in premises]:
-            raise EvidenceError(f"premises of {canonical_atom(claim.atom)} are missing or do not match its rule")
-        return ev.premises
+        premises = rule_premises(ev.rule, ev.substitution)
+        for premise in premises:
+            if premise not in self.claims:
+                raise EvidenceError(f"premise {canonical_atom(premise)} of {canonical_atom(claim.atom)} not found")
+        return premises
 

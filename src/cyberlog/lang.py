@@ -513,11 +513,13 @@ def make_rulesheet(
 
 def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
     """`parse_rulesheet` of a rulesheet text logged in the claim database,
-    for the owner of a revision that names it. Every revision of an owner
-    names the same few texts, so outcomes are memoised by text and owner: a
-    Rulesheet is immutable, and a text that does not parse raises a copy of
-    its first ParseError without being parsed again, so a short revision
-    naming a long logged text costs no parse once that text has failed."""
+    for the owner of a revision that names it, refused with a ParseError
+    naming the first diagnostic of `validate_rulesheet`, as a `Monitor`
+    refuses to run such a sheet. Every revision of an owner names the same
+    few texts, so outcomes are memoised by text and owner: a Rulesheet is
+    immutable, and a text that is refused raises a copy of its first
+    ParseError without being parsed again, so a short revision naming a
+    long logged text costs no parse once that text has failed."""
     parsed = _parse_logged_rulesheet(text, owner)
     if isinstance(parsed, ParseError):
         raise copy.copy(parsed)
@@ -527,7 +529,11 @@ def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
 @functools.lru_cache(maxsize=256)
 def _parse_logged_rulesheet(text: str, owner: str) -> Rulesheet | ParseError:
     try:
-        return parse_rulesheet(text, owner)
+        rs = parse_rulesheet(text, owner)
+        diags = validate_rulesheet(rs)
+        if diags:
+            raise ParseError(f"invalid rulesheet: {diags[0].reason}")
+        return rs
     except ParseError as exc:
         return exc.with_traceback(None)
 

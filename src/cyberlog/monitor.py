@@ -18,13 +18,13 @@ from typing import Callable
 
 from .engine import (
     CarriedByNextRule,
+    Claim,
     DirectAssertion,
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
     RelationalAtom,
     canonical_atom,
-    make_claim,
     resolve_term,
 )
 from .errors import ConfigError, CyberlogError, NotFoundError, SubmitError
@@ -175,7 +175,7 @@ class Monitor:
             self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body)
         )
         signature = sign_bytes(self.identity, canonical_atom(atom).encode("utf-8"))
-        claim = make_claim(atom, DirectAssertion(self.name, signature))
+        claim = Claim(atom, DirectAssertion(self.name, signature))
         with self.lock:
             # the event first if it is new, then its consequences; a known
             # event adds nothing, since the KB is at its fixpoint

@@ -24,7 +24,6 @@ from .engine import (
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
-    atom_id,
     canonical_atom,
     instantiate_head,
     match_rule_body,
@@ -69,12 +68,8 @@ class RevisionRecord:
     claims: tuple[Claim, ...]
     commit_time: int
 
-    # `claims` indexed by claim id and by atom, the first claim winning;
-    # built on first use and kept, as a record is immutable
-
-    @functools.cached_property
-    def by_id(self) -> Mapping[str, Claim]:
-        return {c.claim_id: c for c in reversed(self.claims)}
+    # `claims` indexed by atom, the first claim winning; built on first use
+    # and kept, as a record is immutable
 
     @functools.cached_property
     def by_atom(self) -> Mapping[GroundAtom, Claim]:
@@ -238,7 +233,7 @@ def apply_next_rules(
     Bodies match the committed revision's claims plus the claims of the
     revisions it includes; each distinct head atom is emitted once with
     carried-forward evidence naming the source revision. A head equal to
-    an atom of the record reuses that atom, whose text and id are known.
+    an atom of the record reuses that atom, whose text is known.
     """
     next_rules = [rule for rule in rs.rules if rule.kind is RuleKind.NEXT]
     if not next_rules:
@@ -252,14 +247,14 @@ def apply_next_rules(
 
     carried: dict[GroundAtom, Claim] = {}
     for rule in next_rules:
-        for subst, _premises in match_rule_body(rule.body, candidates):
+        for subst in match_rule_body(rule.body, candidates):
             atom = instantiate_head(rule.head, subst)
             if atom not in carried:
                 evidence = CarriedByNextRule(rule, rule_substitution(rule, subst), record.id)
                 logged = record.by_atom.get(atom)
                 if logged is not None:
                     atom = logged.atom
-                carried[atom] = Claim(atom, evidence, atom_id(atom))
+                carried[atom] = Claim(atom, evidence)
     return list(carried.values())
 
 
@@ -361,7 +356,7 @@ def _include(
     """Admit the record's claims under its inclusion evidence, which
     `fetch_verified_revision` has verified, through `KnowledgeBase.revise`;
     returns the admitted claims whose atoms are new."""
-    added = kb.revise(retract, [Claim(claim.atom, inclusion, claim.claim_id) for claim in record.claims])
+    added = kb.revise(retract, [Claim(claim.atom, inclusion) for claim in record.claims])
     return [claim for claim in added if claim.evidence is inclusion]
 
 

@@ -13,7 +13,8 @@ Evidence logs only what a reader cannot recompute. A rule instance leaves
 out the substitution entries of bare head variables, which binding the rule
 head to the claim's atom gives back, and the key itself when nothing is
 left. A carried claim leaves out its source revision, which is the
-supersedes of the revision that logs it.
+supersedes of the revision that logs it, and a derived claim its premises,
+which are its rule's relational body atoms under the substitution.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .engine import (
     DirectAssertion,
     Evidence,
     GroundAtom,
-    atom_id,
     bind_head,
     canonical_atom,
     parse_canonical_atom,
@@ -46,9 +46,7 @@ _RULE_KINDS = {"derived_by_rule": RuleKind.STANDARD, "carried_by_next_rule": Rul
 
 def evidence_to_obj(ev: Evidence, rs: Rulesheet) -> dict:
     if isinstance(ev, DerivedByRule):
-        obj = _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution, rs)
-        obj["premises"] = list(ev.premises)
-        return obj
+        return _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution, rs)
     if isinstance(ev, DirectAssertion):
         return {"kind": "direct_assertion", "signer": ev.signer, "signature": ev.signature.hex()}
     if isinstance(ev, CarriedByNextRule):
@@ -94,7 +92,7 @@ def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None, rs: Rules
                 raise EvidenceError(f"rule head does not bind the claim {canonical_atom(atom)}")
             substitution.update(obj.get("substitution", {}))
             if kind == "derived_by_rule":
-                return DerivedByRule(rule, substitution, tuple(obj["premises"]))
+                return DerivedByRule(rule, substitution)
             if source is None:
                 raise EvidenceError(f"carried claim {canonical_atom(atom)} in a revision that supersedes none")
             return CarriedByNextRule(rule, substitution, source)
@@ -116,4 +114,4 @@ def claim_from_obj(obj: dict, source: str | None, rs: Rulesheet) -> Claim:
         atom = parse_canonical_atom(obj["atom"])
     except (KeyError, ValueError) as exc:
         raise EvidenceError(f"malformed claim object: {exc}") from exc
-    return Claim(atom, evidence_from_obj(obj["evidence"], atom, source, rs), atom_id(atom))
+    return Claim(atom, evidence_from_obj(obj["evidence"], atom, source, rs))

@@ -5,7 +5,7 @@ import pytest
 
 from cyberlog.claimdb import ClaimDb
 from cyberlog.claimlog import MerkleLog
-from cyberlog.engine import DirectAssertion, GroundAtom, canonical_atom, make_claim
+from cyberlog.engine import Claim, DirectAssertion, GroundAtom, canonical_atom
 from cyberlog.identity import TrustStore, generate_identity, sign_bytes
 
 PRINCIPALS = ("SB", "MRM", "OM", "CA", "DOM", "CTR")
@@ -15,7 +15,7 @@ OPERATOR = "log-operator"
 def claims_from_atoms(atoms):
     """Wrap bare atoms as claims their principals assert, with an empty
     signature: a KB checks no signature, so it takes them as they are."""
-    return [make_claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
+    return [Claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
 
 
 @dataclass(frozen=True)

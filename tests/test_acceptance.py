@@ -16,7 +16,7 @@ from cyberlog.audit import Auditor, render_audit_tree
 from cyberlog.claimdb import ClaimDb, serve_db_in_thread
 from cyberlog.claimlog import MerkleLog, verify_consistency, verify_inclusion
 from cyberlog.cli import main as cli_main
-from cyberlog.engine import DirectAssertion, GroundAtom, KnowledgeBase, make_claim
+from cyberlog.engine import Claim, DirectAssertion, GroundAtom, KnowledgeBase
 from cyberlog.errors import SubmitError
 from cyberlog.harness import (
     OPERATOR_NAME,
@@ -62,7 +62,7 @@ def test_criterion_1_engine_oracle_equivalence():
         expected = naive_saturate(facts, rs.rules)
         kb = KnowledgeBase(rs)
         for principal, name, args in facts:
-            kb.assert_claim(make_claim(GroundAtom(principal, name, args), DirectAssertion(principal, b"")))
+            kb.assert_claim(Claim(GroundAtom(principal, name, args), DirectAssertion(principal, b"")))
         kb.saturate()
         got = {(a.principal, a.predicate, a.args) for a in kb.claims}
         assert got == expected, f"engine diverges from oracle at seed {seed}"
@@ -229,7 +229,7 @@ def test_criterion_5a_step_counter(db_client, identities):
     )
     seed_atom = GroundAtom("CTR", "counter", (0,))
     sc = sign_claim(identities["CTR"], seed_atom)
-    claims = [make_claim(seed_atom, DirectAssertion("CTR", sc.signature))]
+    claims = [Claim(seed_atom, DirectAssertion("CTR", sc.signature))]
     publish_rulesheet(db_client, rs)
     record, _, claims = commit_staging(identities["CTR"], rs, db_client, None, (), claims, 0)
     k = 7

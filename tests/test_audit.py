@@ -149,8 +149,8 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     caught by the recursive audit. The wire leaves out the head-bound `Id`,
     which a reader binds from the claimed atom, so a head the substitution
     does not reproduce cannot be logged: the logged instance is
-    `verdict(99)` from `request(99)`, and its premise id names `request(7)`."""
-    from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
+    `verdict(99)` from `request(99)`, which the revision does not hold."""
+    from cyberlog.engine import Claim, DerivedByRule, DirectAssertion
     from conftest import publish_rulesheet, sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
@@ -160,10 +160,10 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     rule = rs.rules[0]
 
     base_atom = GroundAtom("SB", "request", (7,))
-    base = make_claim(base_atom, DirectAssertion("SB", sign_claim(identities["SB"], base_atom).signature))
+    base = Claim(base_atom, DirectAssertion("SB", sign_claim(identities["SB"], base_atom).signature))
     # head claims verdict(99), but the substitution instantiates verdict(7)
     forged_atom = GroundAtom("SB", "verdict", (99,))
-    forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}, (base.claim_id,)), atom_id(forged_atom))
+    forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}))
 
     record, body = build_record("SB", None, (), rs, [base, forged], 1)
     publish_rulesheet(db_client, rs)
@@ -173,29 +173,30 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     node = auditor.audit_atom("SB", forged_atom)
     assert not node.all_ok
     assert node.ok and [child.detail for child in node.children] == [
-        "premise claim does not match instantiated body atom"
+        f"premise not found in revision {record.id[:8]} or its includes"
     ]
     assert node.children[0].atom == '"SB"|request(99)'
 
 
 def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
-    """Evidence whose premise reference points at a different logged claim
-    than the instantiated body atom is rejected."""
-    from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, atom_id, make_claim
+    """A premise is named by its atom: the rule's body atom under the
+    logged substitution. Swapping the logged entry of a variable the head
+    leaves out points the premise at another atom, here `request(7, "b")`
+    beside the logged `request(7, "a")` and `ok("b")`, and the audit finds
+    no such premise."""
+    from cyberlog.engine import Claim, DerivedByRule, DirectAssertion
     from conftest import publish_rulesheet, sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
-    sheet = "'SB': Subject: 's' Issuer: 'i'\nverdict(Id) :- request(Id).\n"
+    sheet = "'SB': Subject: 's' Issuer: 'i'\nverdict(Id) :- request(Id, Data), ok(Data).\n"
     rs = parse_rulesheet(sheet, "SB")
     rule = rs.rules[0]
 
-    atoms = [GroundAtom("SB", "request", (7,)), GroundAtom("SB", "unrelated", ("z",))]
-    claims = [make_claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
+    atoms = [GroundAtom("SB", "request", (7, "a")), GroundAtom("SB", "ok", ("a",)), GroundAtom("SB", "ok", ("b",))]
+    claims = [Claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
     verdict_atom = GroundAtom("SB", "verdict", (7,))
-    swapped = Claim(
-        verdict_atom, DerivedByRule(rule, {"Id": 7}, (claims[1].claim_id,)), atom_id(verdict_atom)
-    )
+    swapped = Claim(verdict_atom, DerivedByRule(rule, {"Id": 7, "Data": "b"}))
     record, body = build_record("SB", None, (), rs, claims + [swapped], 1)
     publish_rulesheet(db_client, rs)
     db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
@@ -203,7 +204,8 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
     node = auditor.audit_atom("SB", verdict_atom)
     assert not node.all_ok
-    assert any("does not match" in child.detail for child in node.children if not child.ok)
+    assert [(child.atom, child.ok) for child in node.children] == [('"SB"|request(7,"b")', False), ('"SB"|ok("b")', True)]
+    assert node.children[0].detail == f"premise not found in revision {record.id[:8]} or its includes"
 
 
 def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_client, identities, trust_store):
@@ -212,7 +214,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
     request as carried from r1, undoing the retention cut. A carried
     claim's source is the revision its record supersedes, so the request is
     audited against r2, which holds neither premise, and fails."""
-    from cyberlog.engine import CarriedByNextRule, DirectAssertion, make_claim
+    from cyberlog.engine import CarriedByNextRule, Claim, DirectAssertion
     from conftest import publish_rulesheet, sign_claim
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
@@ -230,10 +232,10 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
         return record
 
-    r1 = commit([make_claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in (request, in_process)], None, 1)
+    r1 = commit([Claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in (request, in_process)], None, 1)
     r2 = commit([], r1.id, 2)
     substitution = {"Id": 7, "Data": "d", "TimeRequest": 5}
-    commit([make_claim(request, CarriedByNextRule(rs.rules[0], substitution, r1.id))], r2.id, 3)
+    commit([Claim(request, CarriedByNextRule(rs.rules[0], substitution, r1.id))], r2.id, 3)
 
     node = Auditor(db_client, trust_store, identities[OPERATOR].public_key).audit_atom("SB", request)
     assert not node.all_ok, render_audit_tree(node)

@@ -13,7 +13,7 @@ from cyberlog.claimlog import (
     verify_inclusion,
     verify_tree_head,
 )
-from cyberlog.engine import DirectAssertion, GroundAtom, make_claim
+from cyberlog.engine import Claim, DirectAssertion, GroundAtom
 from cyberlog.errors import NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
@@ -55,7 +55,7 @@ def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     claims = []
     for atom in atoms:
         sc = sign_claim(identities["SB"], atom)
-        claims.append(make_claim(atom, DirectAssertion("SB", sc.signature)))
+        claims.append(Claim(atom, DirectAssertion("SB", sc.signature)))
     record, body = build_record("SB", supersedes, (), rs, claims, commit_time)
     return record, encode_payload(body, sign_record(record, identities["SB"]))
 
@@ -431,7 +431,7 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
     from cyberlog.revision import decode_payload
 
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
-    foreign = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
+    foreign = Claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
     record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
@@ -452,7 +452,7 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
-    foreign_claim = make_claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
+    foreign_claim = Claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
     foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
     db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
     root = db.get_log_root()
@@ -630,7 +630,7 @@ def signed_body(identities, body: str) -> str:
 
 def canonical_body(identities):
     atoms = [GroundAtom("SB", "p", (7,)), GroundAtom("SB", "q", ("x",))]
-    claims = [make_claim(atom, DirectAssertion("SB", bytes.fromhex(SIG_HEX))) for atom in atoms]
+    claims = [Claim(atom, DirectAssertion("SB", bytes.fromhex(SIG_HEX))) for atom in atoms]
     return build_record("SB", None, INCLUDES, parse_rulesheet(SB_SHEET, "SB"), claims, 1)[1]
 
 
@@ -758,18 +758,18 @@ def retained(identities, supersedes=None):
     """SB's body of a chain root holding `request(7,"d",5)` and
     `in_process(7)`, or, over `supersedes`, of a revision holding the
     request carried and `verdict(7)` derived from it; with its record."""
-    from cyberlog.engine import CarriedByNextRule, DerivedByRule, atom_id
+    from cyberlog.engine import CarriedByNextRule, DerivedByRule
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     verdict, carry = rs.rules
     if supersedes is None:
         atoms = (REQUEST, GroundAtom("SB", "in_process", (7,)))
-        claims = [make_claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
+        claims = [Claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
     else:
         substitution = {"Id": 7, "Data": "d", "T": 5}
         claims = [
-            make_claim(REQUEST, CarriedByNextRule(carry, substitution, supersedes)),
-            make_claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(verdict, substitution, (atom_id(REQUEST),))),
+            Claim(REQUEST, CarriedByNextRule(carry, substitution, supersedes)),
+            Claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(verdict, substitution)),
         ]
     record, body = build_record("SB", supersedes, (), rs, claims, 1 if supersedes is None else 2)
     return record, body
@@ -777,6 +777,9 @@ def retained(identities, supersedes=None):
 
 CARRIED_EVIDENCE = '"kind":"carried_by_next_rule","rule":1'
 DERIVED_SUBSTITUTION = '"substitution":{"Data":"d","T":5}'
+# the SHA-256 of the canonical text of `request(7,"d",5)`, which named it as
+# a premise before premises were named by their atoms
+REQUEST_ID = "b5c60aa5f854c5ba7a25aaf62f8dd1c2025df284a6eac63e4a7933753813cda7"
 
 # a field a reader recomputes, logged all the same
 RECOMPUTED_FIELD = {
@@ -785,6 +788,7 @@ RECOMPUTED_FIELD = {
     "head-bound-name-wrong-value": lambda b, _base: b.replace(
         DERIVED_SUBSTITUTION, '"substitution":{"Data":"d","Id":8,"T":5}'
     ),
+    "premises": lambda b, _base: b.replace(DERIVED_SUBSTITUTION, DERIVED_SUBSTITUTION + f',"premises":["{REQUEST_ID}"]'),
     "source-revision": lambda b, base: b.replace(CARRIED_EVIDENCE, CARRIED_EVIDENCE + f',"source_revision":"{base}"'),
 }
 
@@ -793,7 +797,8 @@ RECOMPUTED_FIELD = {
 def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, identities, form):
     """A rule instance logs no substitution entry of a bare head variable,
     right or wrong, and no empty substitution; a carried claim logs no
-    source revision. Each decodes, and is refused as non-canonical."""
+    source revision, and a derived claim no premises. Each decodes, and is
+    refused as non-canonical."""
     from cyberlog.revision import decode_payload
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
@@ -865,17 +870,31 @@ RULE_TEXT_SUCCESSOR = (
 )
 
 
+# The same successor as the encoder wrote it before premises were named by
+# their atoms (commit d73d82f): the derived claim logs its premise's id.
+PREMISE_ID_SUCCESSOR = (
+    '{"kind":"revision","owner":"SB","supersedes":"1b9d600ddc9b97d043a0f642221f085e272fad72a3f8c201ec211113d2d60ade",'
+    '"includes":[],"rulesheet_hash":"b17aacc91841ef621a740b892f79c70c5daacf8ff1f3092e3e0451f5e3597fa5",'
+    '"claims":[{"atom":"\\"SB\\"|request(7,\\"d\\",5)","evidence":{"kind":"carried_by_next_rule","rule":1}},'
+    '{"atom":"\\"SB\\"|verdict(7)","evidence":{"kind":"derived_by_rule","rule":0,"substitution":{"Data":"d","T":5},'
+    '"premises":["b5c60aa5f854c5ba7a25aaf62f8dd1c2025df284a6eac63e4a7933753813cda7"]}}],"commit_time":2,'
+    '"signature":"2112a799eee39d691a7ca84e32f5064a3e51d71adbd5f4472333c86af2fb75d4'
+    'e83a12857f0321434a9472a20b3a467570d338a66f90b94e4c1b746e1306940b"}'
+)
+
+
 def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
     """Logs written before the change do not verify: each earlier encoding
-    of a revision with rule instances, which log rule texts, is refused
-    with 400 at submit and left unindexed, with one warning, on replay. A
-    revision of direct assertions only is encoded as before."""
+    of a revision with rule instances, which log rule texts or premise ids,
+    is refused with 400 at submit and left unindexed, with one warning, on
+    replay. A revision of direct assertions only is encoded as before."""
     import hashlib
 
     base, body = retained(identities)
     assert signed_body(identities, body) == EARLIER_ROOT
-    refusal = "malformed revision record: rule reference \"next 'SB' attests request"
-    for n, earlier in enumerate([EARLIER_SUCCESSOR, RULE_TEXT_SUCCESSOR]):
+    rule_text = "malformed revision record: rule reference \"next 'SB' attests request"
+    earlier_forms = [(EARLIER_SUCCESSOR, rule_text), (RULE_TEXT_SUCCESSOR, rule_text), (PREMISE_ID_SUCCESSOR, "not in canonical form")]
+    for n, (earlier, refusal) in enumerate(earlier_forms):
         path = str(tmp_path / f"db{n}.log")
         db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
         publish_rulesheet(db, parse_rulesheet(RETAIN_SHEET, "SB"))
@@ -907,7 +926,7 @@ def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path,
     from cyberlog.engine import CarriedByNextRule
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
-    carried = make_claim(REQUEST, CarriedByNextRule(rs.rules[1], {"Id": 7, "Data": "d", "T": 5}, "ab" * 32))
+    carried = Claim(REQUEST, CarriedByNextRule(rs.rules[1], {"Id": 7, "Data": "d", "T": 5}, "ab" * 32))
     record, body = build_record("SB", None, (), rs, [carried], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     path = str(tmp_path / "db.log")
@@ -1067,7 +1086,7 @@ def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, t
     rule whose head does not give the claim is refused, and so is the rule's
     text; the Auditor then finds no such claim in SB's head."""
     from cyberlog.audit import Auditor
-    from cyberlog.engine import DerivedByRule, atom_id
+    from cyberlog.engine import DerivedByRule
     from cyberlog.errors import EvidenceError
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
@@ -1075,12 +1094,10 @@ def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, t
     base, body = retained(identities)
     db.submit_revision(signed_body(identities, body))
     outside = parse_rulesheet(SB_SHEET + "approved(Id) :- request(Id, Data, T).\n", "SB").rules[0]
-    approved = make_claim(APPROVED, DerivedByRule(outside, {"Id": 7, "Data": "d", "T": 5}, (atom_id(REQUEST),)))
+    approved = Claim(APPROVED, DerivedByRule(outside, {"Id": 7, "Data": "d", "T": 5}))
     with pytest.raises(EvidenceError, match="not a standard rule of the rulesheet"):
         build_record("SB", base.id, (), rs, [approved], 2)
-    verdict = make_claim(
-        GroundAtom("SB", "verdict", (7,)), DerivedByRule(rs.rules[0], {"Id": 7, "Data": "d", "T": 5}, (atom_id(REQUEST),))
-    )
+    verdict = Claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(rs.rules[0], {"Id": 7, "Data": "d", "T": 5}))
     _record, body = build_record("SB", base.id, (), rs, [verdict], 2)
     as_text = '"rule":"\'SB\' attests approved(Id) :- \'SB\' attests request(Id, Data, T)."'
     for forged, reason in [
@@ -1093,6 +1110,57 @@ def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, t
     auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
     with pytest.raises(NotFoundError):
         auditor.audit_atom("SB", APPROVED)
+
+
+# rulesheets that parse for SB but that a `Monitor` refuses to run, with the
+# first diagnostic of `validate_rulesheet`
+INVALID_CONTRACTS = {
+    "undeclared-principals": ("p(X) :- 'NOBODY' attests q(X).\n", "self principal 'SB' is not declared"),
+    "duplicate-declaration": (SB_SHEET + SB_SHEET + "p(1).\n", "duplicate identity declaration 'SB'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONTRACTS))
+def test_invalid_contract_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog, case):
+    """The log takes only a contract a monitor would run: a revision naming
+    a logged rulesheet that parses for its owner but does not validate is
+    refused with 400 at submit, and left unindexed with one warning on
+    replay."""
+    text, reason = INVALID_CONTRACTS[case]
+    rs = parse_rulesheet(text, "SB")
+    record, body = build_record("SB", None, (), rs, (), 1)
+    payload = encode_payload(body, sign_record(record, identities["SB"]))
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    publish_rulesheet(db, rs)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(payload)
+    assert exc.value.code == 400 and f"invalid rulesheet: {reason}" in str(exc.value)
+    db.log.append(payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [record.getMessage() for record in caplog.records]
+        assert message.startswith("log entry 3 left unindexed: ") and f"invalid rulesheet: {reason}" in message
+        with pytest.raises(NotFoundError):
+            reopened.get_head("SB")
+    finally:
+        reopened.log.close()
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONTRACTS))
+def test_reader_refuses_an_invalid_contract(db, identities, case):
+    """Watchers and the Auditor read rulesheets through a `LogReader`, which
+    refuses a logged rulesheet that does not validate, as the database
+    does."""
+    from cyberlog.errors import ParseError
+
+    text, reason = INVALID_CONTRACTS[case]
+    rulesheet_hash = publish_rulesheet(db, parse_rulesheet(text, "SB"))
+    with pytest.raises(ParseError, match=f"invalid rulesheet: {reason}"):
+        reader(db, identities)(rulesheet_hash, "SB")
 
 
 # -- commit time ---------------------------------------------------------------

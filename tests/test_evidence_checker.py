@@ -9,8 +9,6 @@ audit must catch them. A direct assertion's signature is checked by the
 Auditor alone, so forged signatures in a logged revision are its to catch.
 """
 
-import hashlib
-
 import pytest
 
 from cyberlog.audit import Auditor, render_audit_tree
@@ -21,9 +19,6 @@ from cyberlog.engine import (
     DirectAssertion,
     GroundAtom,
     KnowledgeBase,
-    atom_id,
-    make_claim,
-    parse_canonical_atom,
 )
 from cyberlog.errors import EvidenceError
 from cyberlog.lang import parse_rulesheet
@@ -47,19 +42,19 @@ def sb(predicate, *args):
     return GroundAtom("SB", predicate, args)
 
 
-# name -> (claimed atom, rule, substitution, premise atoms in evidence
-# order, whether the instance is honest). The honest ones show that each
-# forged case fails for its forgery alone.
+# name -> (claimed atom, rule, substitution, whether the instance is
+# honest). The honest ones show that each forged case fails for its forgery
+# alone. A premise is named by its atom, the rule's body atom under the
+# substitution, so a premise reference cannot disagree with the rule.
 CASES = {
-    "honest": (sb("verdict", 7), "verdict", {"Id": 7}, [sb("request", 7)], True),
-    "honest_builtin": (sb("param", 7, 3), "param", {"Id": 7, "B": BODY, "V": 3}, [sb("body", 7, BODY)], True),
-    "honest_comparison": (sb("big", 7), "big", {"Id": 7}, [sb("request", 7)], True),
-    "head_mismatch": (sb("verdict", 99), "verdict", {"Id": 7}, [sb("request", 7)], False),
-    "premise_count_mismatch": (sb("verdict", 7), "verdict", {"Id": 7}, [], False),
-    "swapped_premise_id": (sb("verdict", 7), "verdict", {"Id": 7}, [sb("unrelated", "z")], False),
-    "builtin_fails": (sb("param", 7, 4), "param", {"Id": 7, "B": BODY, "V": 4}, [sb("body", 7, BODY)], False),
-    "comparison_fails": (sb("big", 3), "big", {"Id": 3}, [sb("request", 3)], False),
-    "side_condition_unevaluable": (sb("big", "x"), "big", {"Id": "x"}, [sb("request", "x")], False),
+    "honest": (sb("verdict", 7), "verdict", {"Id": 7}, True),
+    "honest_builtin": (sb("param", 7, 3), "param", {"Id": 7, "B": BODY, "V": 3}, True),
+    "honest_comparison": (sb("big", 7), "big", {"Id": 7}, True),
+    "head_mismatch": (sb("verdict", 99), "verdict", {"Id": 7}, False),
+    "premise_not_logged": (sb("verdict", 9), "verdict", {"Id": 9}, False),
+    "builtin_fails": (sb("param", 7, 4), "param", {"Id": 7, "B": BODY, "V": 4}, False),
+    "comparison_fails": (sb("big", 3), "big", {"Id": 3}, False),
+    "side_condition_unevaluable": (sb("big", "x"), "big", {"Id": "x"}, False),
 }
 BASE_ATOMS = [
     sb("request", 7),
@@ -71,13 +66,12 @@ BASE_ATOMS = [
 
 
 def signed(identities, atom, signer="SB"):
-    return make_claim(atom, DirectAssertion(signer, sign_claim(identities["SB"], atom).signature))
+    return Claim(atom, DirectAssertion(signer, sign_claim(identities["SB"], atom).signature))
 
 
 def derived(name):
-    atom, rule, subst, premises, _honest = CASES[name]
-    evidence = DerivedByRule(RULES[rule], dict(subst), tuple(atom_id(p) for p in premises))
-    return Claim(atom, evidence, atom_id(atom))
+    atom, rule, subst, _honest = CASES[name]
+    return Claim(atom, DerivedByRule(RULES[rule], dict(subst)))
 
 
 def kb_holding(identities, claim):
@@ -91,7 +85,6 @@ def kb_holding(identities, claim):
         # hold the claim anyway, as a KB filled without admission would
         assert "rule instance mismatch" in str(exc)
         kb.claims[claim.atom] = claim
-        kb.by_id[claim.claim_id] = claim
     return kb
 
 
@@ -113,16 +106,18 @@ def test_rule_instance_chain_check(identities, name):
 def test_rule_instance_audit(db, identities, trust_store, name):
     claim = derived(name)
     base = [signed(identities, atom) for atom in BASE_ATOMS]
-    _record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
+    record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
     node = auditor.audit_atom("SB", claim.atom)
     assert node.all_ok is CASES[name][-1], render_audit_tree(node)
+    if name == "premise_not_logged":
+        assert [child.detail for child in node.children] == [f"premise not found in revision {record.id[:8]} or its includes"]
 
 
 @pytest.mark.parametrize("value, holds", [(7, True), (3, False)])
 def test_carried_claim_side_condition_audited(db, identities, trust_store, value, holds):
     source, _ = log_and_audit(db, identities, trust_store, [signed(identities, sb("request", value))])
     atom = sb("carried", value)
-    carried = Claim(atom, CarriedByNextRule(RULES["carried"], {"Id": value}, source.id), atom_id(atom))
+    carried = Claim(atom, CarriedByNextRule(RULES["carried"], {"Id": value}, source.id))
     _record, auditor = log_and_audit(db, identities, trust_store, [carried], supersedes=source.id, commit_time=2)
     node = auditor.audit_atom("SB", atom)
     assert node.all_ok is holds, render_audit_tree(node)
@@ -146,12 +141,12 @@ def signed_request(identities, forgery):
     atom, other = sb("request", 7), sb("request", 8)
     signature = sign_claim(identities["SB"], atom).signature
     if forgery == "other-signature":
-        return make_claim(atom, DirectAssertion("SB", sign_claim(identities["SB"], other).signature))
+        return Claim(atom, DirectAssertion("SB", sign_claim(identities["SB"], other).signature))
     if forgery == "other-atom":
-        return make_claim(other, DirectAssertion("SB", signature))
+        return Claim(other, DirectAssertion("SB", signature))
     if forgery == "other-signer":
-        return make_claim(atom, DirectAssertion("MRM", signature))
-    return make_claim(atom, DirectAssertion("SB", signature))
+        return Claim(atom, DirectAssertion("MRM", signature))
+    return Claim(atom, DirectAssertion("SB", signature))
 
 
 @pytest.mark.parametrize("forgery", ["honest", "other-signature", "other-atom", "other-signer"])
@@ -165,24 +160,3 @@ def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forger
     assert node.kind == "direct_assertion"
     if forgery != "honest":
         assert "bad signature" in node.detail
-
-
-@pytest.mark.parametrize("text", ['"SB"|request(007)', '"SB"|request(+7)', '"SB"|request( 7)'])
-def test_ids_of_noncanonical_text_refused(db, identities, trust_store, text):
-    """Claim ids hash canonical text only. A claim whose id hashes another
-    text of its atom is refused by the KB's check; ids do not travel on the
-    wire, so in a logged revision such an id can only name a premise, and
-    the chain check and the Auditor both refuse that instance."""
-    request = sb("request", 7)
-    assert parse_canonical_atom(text) == request
-    forged_id = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    forged = Claim(request, signed(identities, request).evidence, forged_id)
-    with pytest.raises(EvidenceError, match="claim id does not match"):
-        KnowledgeBase(RS).check_evidence(forged)
-    verdict = sb("verdict", 7)
-    claim = Claim(verdict, DerivedByRule(RULES["verdict"], {"Id": 7}, (forged_id,)), atom_id(verdict))
-    assert kb_holding(identities, claim).verify_claim_chain(verdict) is False
-    base = [signed(identities, atom) for atom in BASE_ATOMS]
-    _record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
-    node = auditor.audit_atom("SB", verdict)
-    assert not node.all_ok and "premise not found" in render_audit_tree(node), render_audit_tree(node)

@@ -595,13 +595,13 @@ def _append_directly(db, identities, owner, supersedes, atoms=()):
     a claim DB that lies would; returns its id. It names the owner's
     identity-only rulesheet, logged, since its claims are direct
     assertions."""
-    from cyberlog.engine import DirectAssertion, make_claim
+    from cyberlog.engine import Claim, DirectAssertion
     from conftest import publish_rulesheet, sign_claim
     from cyberlog.revision import build_record, encode_payload, sign_record
 
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
     publish_rulesheet(db, rs)
-    claims = [make_claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
+    claims = [Claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
     record, body = build_record(owner, supersedes, (), rs, claims, 5)
     index = db.log.append(encode_payload(body, sign_record(record, identities[owner])).encode("utf-8"))
     db._index_revision(record, index)

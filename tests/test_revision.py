@@ -4,11 +4,11 @@ import pytest
 
 from cyberlog.engine import (
     CarriedByNextRule,
+    Claim,
     DirectAssertion,
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
-    make_claim,
 )
 from cyberlog.errors import EvidenceError, LogIntegrityError
 from cyberlog.lang import parse_query, parse_rulesheet
@@ -42,7 +42,7 @@ def latest_revision(db, owner):
 
 def signed(identities, owner, atom):
     sc = sign_claim(identities[owner], atom)
-    return make_claim(atom, DirectAssertion(owner, sc.signature))
+    return Claim(atom, DirectAssertion(owner, sc.signature))
 
 
 def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
@@ -500,7 +500,7 @@ def test_spliced_payload_round_trips_through_decode(identities):
     drawn = st.lists(
         st.one_of(
             st.tuples(st.just("direct"), atoms, st.binary(min_size=64, max_size=64)),
-            st.tuples(st.just("derived"), requests, st.lists(texts, max_size=2).map(tuple)),
+            st.tuples(st.just("derived"), requests, st.none()),
             st.tuples(st.just("carried"), requests, st.none()),
         ),
         max_size=5,
@@ -509,12 +509,12 @@ def test_spliced_payload_round_trips_through_decode(identities):
 
     def claim(kind, atom, extra, supersedes):
         if kind == "direct":
-            return make_claim(atom, DirectAssertion("SB", extra))
+            return Claim(atom, DirectAssertion("SB", extra))
         if kind == "derived":
             substitution = {term.name: value for term, value in zip(derive.head.args, atom.args)}
-            return make_claim(atom, DerivedByRule(derive, substitution, extra))
+            return Claim(atom, DerivedByRule(derive, substitution))
         substitution = {term.name: value for term, value in zip(carry.head.args, atom.args)}
-        return make_claim(atom, CarriedByNextRule(carry, substitution, supersedes))
+        return Claim(atom, CarriedByNextRule(carry, substitution, supersedes))
 
     @settings(max_examples=150, deadline=None)
     @given(drawn, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53), st.binary(min_size=64, max_size=64))

@@ -2,7 +2,7 @@
 
 import json
 
-from cyberlog.engine import CarriedByNextRule, DirectAssertion, GroundAtom, make_claim
+from cyberlog.engine import CarriedByNextRule, Claim, DirectAssertion, GroundAtom
 from cyberlog.lang import parse_rulesheet
 from cyberlog.wire import canonical_json, claim_from_obj, claim_to_obj
 
@@ -24,8 +24,8 @@ def claims_from_jsonl(text, source, rs):
 def test_claims_jsonl_roundtrip():
     rs = parse_rulesheet(IDS + "next v(R) :- 'OM' attests t(R, A), R > 0.", "SB")
     claims = [
-        make_claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM", b"\x01\x02")),
-        make_claim(
+        Claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM", b"\x01\x02")),
+        Claim(
             GroundAtom("SB", "v", (7,)),
             CarriedByNextRule(rs.rules[0], {"R": 7, "A": "x"}, "ab" * 32),
         ),
@@ -49,7 +49,7 @@ def test_derived_claim_roundtrip_preserves_rule():
     restored = claim_from_obj(claim_to_obj(derived, rs), None, rs)
     assert restored.evidence.rule == derived.evidence.rule
     assert restored.evidence.substitution == dict(derived.evidence.substitution)
-    assert restored.claim_id == derived.claim_id
+    assert restored.evidence.premises == derived.evidence.premises == (GroundAtom("OM", "t", (3, "y")),)
 
 
 def test_inclusion_evidence_has_no_wire_form():
@@ -106,9 +106,7 @@ def _instance_strategy():
         values = {"A": draw(ints), "B": draw(st.one_of(ints, text)), "C": draw(st.one_of(ints, text))}
         if with_d:
             values["D"] = values["A"] + k
-        atom = instantiate_head(rule.head, values)
-        premise = make_claim(GroundAtom("SB", "q", (values["A"], values["B"], values["C"])), DirectAssertion("SB", b""))
-        return rs, values, atom, premise.claim_id
+        return rs, values, instantiate_head(rule.head, values)
 
     return instance()
 
@@ -116,7 +114,8 @@ def _instance_strategy():
 def test_claim_round_trips_with_head_bound_names_left_out():
     """`claim_from_obj(claim_to_obj(c), source) == c` for derived and carried
     claims; the logged substitution holds no bare head variable, and is
-    left out when nothing else is bound."""
+    left out when nothing else is bound; a derived claim logs no premises,
+    which its rule's body gives back under the substitution."""
     from hypothesis import given, settings, strategies as st
 
     from cyberlog.engine import DerivedByRule
@@ -124,20 +123,23 @@ def test_claim_round_trips_with_head_bound_names_left_out():
     @settings(max_examples=300, deadline=None)
     @given(_instance_strategy(), st.sampled_from([None, "cd" * 32]))
     def check(instance, source):
-        rs, values, atom, premise_id = instance
+        rs, values, atom = instance
         rule = rs.rules[0]
         if rule.is_next:
             evidence, source = CarriedByNextRule(rule, values, "ab" * 32), "ab" * 32
         else:
-            evidence = DerivedByRule(rule, values, (premise_id,))
-        claim = make_claim(atom, evidence)
+            evidence = DerivedByRule(rule, values)
+        claim = Claim(atom, evidence)
         obj = claim_to_obj(claim, rs)
         assert obj["evidence"]["rule"] == 0
-        assert claim_from_obj(json.loads(canonical_json(obj)), source, rs) == claim
+        restored = claim_from_obj(json.loads(canonical_json(obj)), source, rs)
+        assert restored == claim
+        if not rule.is_next:
+            assert restored.evidence.premises == (GroundAtom("SB", "q", (values["A"], values["B"], values["C"])),)
         logged = obj["evidence"].get("substitution")
         assert logged is None or (logged and not set(logged) & rule.head_variables)
         assert set(logged or ()) | rule.head_variables == set(values)
-        assert "source_revision" not in obj["evidence"]
+        assert "source_revision" not in obj["evidence"] and "premises" not in obj["evidence"]
 
     check()
 
@@ -153,7 +155,7 @@ def test_rule_head_that_does_not_bind_the_claim_is_refused():
     rs = parse_rulesheet(IDS + "v(R, R, 'x') :- 'OM' attests t(R, A).\nnext v(R, R, 'x') :- 'OM' attests t(R, A).\n", "SB")
     for index, rule in enumerate(rs.rules):
         kind = "carried_by_next_rule" if rule.is_next else "derived_by_rule"
-        obj = {"kind": kind, "rule": index, "substitution": {"A": "a"}, "premises": ["ab" * 32]}
+        obj = {"kind": kind, "rule": index, "substitution": {"A": "a"}}
         honest = claim_from_obj({"atom": '"SB"|v(7,7,"x")', "evidence": obj}, "cd" * 32, rs)
         assert honest.evidence.substitution == {"R": 7, "A": "a"}
         for text in ['"SB"|w(7,7,"x")', '"SB"|v(7,7)', '"SB"|v(7,8,"x")', '"SB"|v(7,7,"y")']:
@@ -174,13 +176,13 @@ def test_rule_reference_is_an_index_of_a_rule_of_its_kind():
     from cyberlog.errors import EvidenceError
 
     rs = parse_rulesheet(TWICE, "SB")
-    atom, premise = GroundAtom("SB", "v", (7,)), "ab" * 32
+    atom = GroundAtom("SB", "v", (7,))
     for rule in (rs.rules[0], rs.rules[2]):  # equal rules: the first index
-        obj = claim_to_obj(make_claim(atom, DerivedByRule(rule, {"R": 7, "A": "a"}, (premise,))), rs)
+        obj = claim_to_obj(Claim(atom, DerivedByRule(rule, {"R": 7, "A": "a"})), rs)
         assert obj["evidence"]["rule"] == 0
-    carried = claim_to_obj(make_claim(atom, CarriedByNextRule(rs.rules[1], {"R": 7, "A": "a"}, "cd" * 32)), rs)
+    carried = claim_to_obj(Claim(atom, CarriedByNextRule(rs.rules[1], {"R": 7, "A": "a"}, "cd" * 32)), rs)
     assert carried["evidence"]["rule"] == 1
-    good = {"kind": "derived_by_rule", "rule": 2, "substitution": {"A": "a"}, "premises": [premise]}
+    good = {"kind": "derived_by_rule", "rule": 2, "substitution": {"A": "a"}}
     assert claim_from_obj({"atom": '"SB"|v(7)', "evidence": good}, None, rs).evidence.rule == rs.rules[0]
     for ref in ["0", True, False, 0.0, 1.5, -1, 3, None, [0]]:
         with pytest.raises(EvidenceError, match="not an index"):
@@ -204,9 +206,9 @@ def test_rule_outside_the_rulesheet_cannot_be_encoded():
     outside = parse_rulesheet(IDS + "v(R) :- 'OM' attests t(R, 'x').\n", "SB").rules[0]
     atom = GroundAtom("SB", "v", (7,))
     for evidence in (
-        DerivedByRule(outside, {"R": 7}, ("ab" * 32,)),
-        DerivedByRule(rs.rules[1], {"R": 7, "A": "a"}, ("ab" * 32,)),
+        DerivedByRule(outside, {"R": 7}),
+        DerivedByRule(rs.rules[1], {"R": 7, "A": "a"}),
         CarriedByNextRule(rs.rules[0], {"R": 7, "A": "a"}, "cd" * 32),
     ):
         with pytest.raises(EvidenceError, match="not a (standard|next) rule of the rulesheet"):
-            claim_to_obj(make_claim(atom, evidence), rs)
+            claim_to_obj(Claim(atom, evidence), rs)
