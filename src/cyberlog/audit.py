@@ -4,11 +4,11 @@ Audits reconstruct how a claim was made. Each claim's own evidence goes
 through the engine's `check_evidence` and each rule instance's side
 conditions through `rule_premises`, the checker the knowledge base uses
 too; the auditor adds the signature check of each direct assertion,
-fetches revisions and resolves premises. Foreign premises are resolved
-through the auditing revision's includes, terminating in verified log
-inclusions. An optional trusted-heads cache
-adds an append-only consistency check of the whole log first, which is
-what catches byte tampering outside the audited evidence path.
+reads revisions through its `LogReader` and resolves premises. Foreign
+premises are resolved through the auditing revision's includes,
+terminating in verified log inclusions. An optional trusted-heads cache,
+loaded into the same reader first, adds an append-only consistency check
+of the whole log, catching byte tampering outside the evidence path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .claimlog import ConsistencyProof, SignedTreeHead, verify_consistency, verify_tree_head
+from .claimlog import SignedTreeHead
 from .engine import (
     CarriedByNextRule,
     Claim,
@@ -29,7 +29,7 @@ from .engine import (
 )
 from .errors import CyberlogError, EvidenceError, LogIntegrityError, NotFoundError
 from .identity import TrustStore, verify_bytes
-from .revision import LogClient, LogReader, RevisionRecord, fetch_verified_revision
+from .revision import LogClient, LogReader, RevisionRecord
 
 
 @dataclass
@@ -70,24 +70,18 @@ _KINDS = {
 
 
 class Auditor:
-    """Audits claims read through `db`, each fetched revision's tree head
-    checked under `operator_key`, or not at all when that is None (an
-    offline audit of a log file, whose heads no operator signed)."""
+    """Audits claims read through one `LogReader` over `db` (see there for
+    `trust_store` and `operator_key`), direct assertions under the same
+    trust store."""
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
-        self.trust_store = trust_store
-        self._revisions: dict[str, RevisionRecord] = {}
-        self.reader = LogReader(db, operator_key)
+        self.reader = LogReader(db, trust_store, operator_key)
+        self._holders: dict[str, dict[GroundAtom, str]] = {}  # record id -> included atom -> include
 
     # -- revision access -------------------------------------------------
 
     def fetch_revision(self, rev_id: str) -> RevisionRecord:
-        cached = self._revisions.get(rev_id)
-        if cached is not None:
-            return cached
-        record, _inclusion = fetch_verified_revision(self.reader, rev_id)
-        self._revisions[rev_id] = record
-        return record
+        return self.reader.revision(rev_id)[0]
 
     # -- entry points ------------------------------------------------------
 
@@ -121,7 +115,7 @@ class Auditor:
             check_evidence(claim)
             node = AuditNode(canonical_atom(claim.atom), kind, True, "")
             if isinstance(ev, DirectAssertion):
-                key = self.trust_store.public_key(ev.signer)
+                key = self.reader.trust_store.public_key(ev.signer)
                 if key is None:
                     raise EvidenceError(f"no trusted key for signer {ev.signer!r}")
                 if not verify_bytes(key, ev.signature, canonical_atom(claim.atom).encode("utf-8")):
@@ -145,19 +139,28 @@ class Auditor:
     def _audit_premise(self, record: RevisionRecord, premise: GroundAtom, depth: int) -> AuditNode:
         """Audit the premise atom: an own claim of `record` is audited in
         turn, and a claim of a revision `record` includes rests on that
-        revision's verified fetch."""
+        revision's verified fetch, found through an atom -> include index
+        of the includes that fetch, kept per record once all of them do. A
+        premise no usable include holds fails, naming an unusable one."""
         claim = record.by_atom.get(premise)
         if claim is not None:
             return self.audit_claim(record, claim, depth)
-        for rev_id in record.includes:
-            try:
-                included = self.fetch_revision(rev_id)
-            except (LogIntegrityError, NotFoundError) as exc:
-                return self._fail(premise, "log_inclusion", f"included revision {rev_id[:8]} unusable: {exc}")
-            if premise in included.by_atom:
-                detail = f"included from {rev_id[:8]}, fetched with verified proof"
-                return AuditNode(canonical_atom(premise), "log_inclusion", True, detail)
-        return self._fail(premise, "premise", f"premise not found in revision {record.id[:8]} or its includes")
+        holders = self._holders.get(record.id)
+        if holders is None:
+            holders, unusable = {}, ""
+            for rev_id in record.includes:
+                try:
+                    holders.update(dict.fromkeys(self.fetch_revision(rev_id).by_atom, rev_id))
+                except (LogIntegrityError, NotFoundError) as exc:
+                    unusable = f"included revision {rev_id[:8]} unusable: {exc}"
+            if not unusable:
+                self._holders[record.id] = holders
+            elif premise not in holders:
+                return self._fail(premise, "log_inclusion", unusable)
+        if premise not in holders:
+            return self._fail(premise, "premise", f"premise not found in revision {record.id[:8]} or its includes")
+        detail = f"included from {holders[premise][:8]}, fetched with verified proof"
+        return AuditNode(canonical_atom(premise), "log_inclusion", True, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -198,51 +201,24 @@ class LogCheck:
 
 
 def verify_log_consistency(
-    db: LogClient,
+    reader: LogReader,
     heads_cache_path: str,
-    operator_key: bytes | None,
     append_current: bool = True,
 ) -> tuple[bool, list[LogCheck]]:
-    """Verify append-only consistency between every consecutive cached head
-    pair and the current root, each head's signature checked under
-    `operator_key`, or not at all when that is None (an offline audit, as
-    for `Auditor`); appends the current head to the cache."""
+    """Feed every cached head, then the current one, to `reader.accept`,
+    one check per head; appends the current head if every check passes."""
     cached = load_heads_cache(heads_cache_path)
     if not cached:
         raise NotFoundError(f"heads cache {heads_cache_path!r} is empty")
-    current = SignedTreeHead.from_obj(db.get_log_root())
-    sequence = cached + [current]
+    current = SignedTreeHead.from_obj(reader.db.get_log_root())
     checks: list[LogCheck] = []
-    for head in sequence:
-        if operator_key is not None and not verify_tree_head(head, operator_key):
-            checks.append(LogCheck(head.tree_size, head.tree_size, False, "tree head signature invalid"))
-    for older, newer in zip(sequence, sequence[1:]):
-        if newer.tree_size < older.tree_size:
-            checks.append(LogCheck(older.tree_size, newer.tree_size, False, "tree size went backwards"))
-            continue
-        if older.tree_size == newer.tree_size:
-            ok = older.root_hash == newer.root_hash
-            checks.append(
-                LogCheck(older.tree_size, newer.tree_size, ok, "equal-size roots match" if ok else "equal-size roots differ")
-            )
-            continue
-        if older.tree_size == 0:
-            checks.append(LogCheck(0, newer.tree_size, True, "trivial extension of empty log"))
-            continue
+    for head in cached + [current]:
+        old_size = reader.head.tree_size if reader.head is not None else 0
         try:
-            proof = ConsistencyProof.from_obj(db.get_consistency(older.tree_size, newer.tree_size))
+            reader.accept(head)
+            checks.append(LogCheck(old_size, head.tree_size, True, "append-only extension verified"))
         except CyberlogError as exc:
-            checks.append(LogCheck(older.tree_size, newer.tree_size, False, f"no consistency proof: {exc}"))
-            continue
-        ok = verify_consistency(older.root_hash, newer.root_hash, proof)
-        checks.append(
-            LogCheck(
-                older.tree_size,
-                newer.tree_size,
-                ok,
-                "append-only extension verified" if ok else "split-view/tamper suspected",
-            )
-        )
+            checks.append(LogCheck(old_size, head.tree_size, False, str(exc)))
     all_ok = all(c.ok for c in checks)
     if append_current and all_ok:
         append_heads_cache(heads_cache_path, current)

@@ -27,7 +27,7 @@ from http.server import ThreadingHTTPServer
 from typing import Callable
 
 from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
-from .errors import CyberlogError, LogIntegrityError, NotFoundError, SubmitError
+from .errors import CyberlogError, LogIntegrityError, NotFoundError, SignatureError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
 from .lang import Rulesheet, parse_logged_rulesheet
@@ -38,7 +38,6 @@ from .revision import (
     decode_payload,
     decode_rulesheet_payload,
     rulesheet_entry_id,
-    verify_record_signature,
 )
 
 
@@ -124,33 +123,23 @@ class ClaimDb:
     # checks below, in this order.
 
     def _signed_record(self, payload: str) -> RevisionRecord:
-        """The record of a revision payload by an owner in the trust store
-        (else 401) that names a logged rulesheet that parses for that owner,
-        is its canonical encoding under that rulesheet (else 400) and
-        carries the owner's signature (else 401). Raises SubmitError."""
+        """The record of a revision payload signed by its trusted owner (else
+        401, before any rulesheet is read) that names a logged rulesheet that
+        parses for that owner and is its canonical encoding under that
+        rulesheet (else 400). Raises SubmitError."""
         try:
-            record, signature, rs = decode_payload(payload, self._logged_rulesheet)
+            record, signature, rs = decode_payload(payload, self._logged_rulesheet, self.trust_store)
             check_canonical(record, signature, payload, rs)
+        except SignatureError as exc:
+            raise SubmitError(401, str(exc)) from exc
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
-        if not verify_record_signature(record, signature, self._owner_key(record.owner)):
-            raise SubmitError(401, f"bad signature on revision by {record.owner!r}")
         return record
-
-    def _owner_key(self, owner: str) -> bytes:
-        key = self.trust_store.public_key(owner)
-        if key is None:
-            raise SubmitError(401, f"unknown owner {owner!r}")
-        return key
 
     def _logged_rulesheet(self, rulesheet_hash: str, owner: str) -> Rulesheet:
         """The rulesheet logged under `rulesheet_hash`, parsed for `owner`.
-        Raises SubmitError (401) for an owner outside the trust store before
-        it looks the rulesheet up, so only a trusted owner's name makes the
-        database parse a logged text; LogIntegrityError if no rulesheet is
-        logged under that hash; and ParseError if it does not parse for the
-        owner."""
-        self._owner_key(owner)
+        Raises LogIntegrityError if no rulesheet is logged under that hash,
+        and ParseError if it does not parse for the owner."""
         text = self._rulesheets.get(rulesheet_hash)
         if text is None:
             raise LogIntegrityError(f"rulesheet {rulesheet_hash} is not logged")

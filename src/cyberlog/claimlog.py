@@ -86,12 +86,10 @@ class SignedTreeHead:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SignedTreeHead":
-        return cls(
-            int(obj["tree_size"]),
-            bytes.fromhex(obj["root_hash"]),
-            int(obj["timestamp_ms"]),
-            bytes.fromhex(obj["signature"]),
-        )
+        tree_size, timestamp_ms = int(obj["tree_size"]), int(obj["timestamp_ms"])
+        if not (0 <= tree_size < 2**64 and 0 <= timestamp_ms < 2**64):  # `tree_head_bytes` packs both in 8 bytes
+            raise ValueError(f"tree head size {tree_size} or timestamp {timestamp_ms} outside 0 .. 2**64 - 1")
+        return cls(tree_size, bytes.fromhex(obj["root_hash"]), timestamp_ms, bytes.fromhex(obj["signature"]))
 
 
 def tree_head_bytes(tree_size: int, root_hash: bytes, timestamp_ms: int) -> bytes:

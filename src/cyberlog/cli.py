@@ -22,6 +22,7 @@ from .harness import load_scenario, run_scenario, scenario_identities
 from .identity import TrustStore, generate_identity
 from .lang import format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .monitor import HttpMonitorClient, Monitor, MonitorService, load_rulesheet_file
+from .revision import LogReader
 
 DEFAULT_OPERATOR = "log-operator"
 
@@ -202,15 +203,15 @@ def cmd_audit(args) -> int:
         # key, so tree-head signature checks are skipped
         client = ClaimDb(MerkleLog(args.db), generate_identity(DEFAULT_OPERATOR, seed=bytes(32)), trust)
         operator_key = None
+    auditor = Auditor(client, trust, operator_key)
     if args.heads_cache:
-        ok, checks = verify_log_consistency(client, args.heads_cache, operator_key, append_current=False)
+        ok, checks = verify_log_consistency(auditor.reader, args.heads_cache, append_current=False)
         for check in checks:
             mark = "ok  " if check.ok else "FAIL"
             print(f"[{mark}] log {check.old_size} -> {check.new_size}: {check.detail}")
         if not ok:
             print("audit aborted: log failed append-only verification")
             return 1
-    auditor = Auditor(client, trust, operator_key)
     try:
         if atom is not None:
             nodes = [auditor.audit_atom(args.owner, atom)]
@@ -239,12 +240,10 @@ def _ground_atom_from_text(text: str, owner: str) -> GroundAtom:
 
 
 def cmd_verify_log(args) -> int:
-    client = HttpLogClient(args.db)
-    operator_key = None
-    if args.trust_store:
-        operator_key = _operator_key(TrustStore.load(args.trust_store), args.operator)
+    trust = TrustStore.load(args.trust_store) if args.trust_store else TrustStore()
+    operator_key = _operator_key(trust, args.operator) if args.trust_store else None
     try:
-        ok, checks = verify_log_consistency(client, args.heads_cache, operator_key)
+        ok, checks = verify_log_consistency(LogReader(HttpLogClient(args.db), trust, operator_key), args.heads_cache)
     except CyberlogError as exc:
         print(f"verify-log failed: {exc}")
         return 1

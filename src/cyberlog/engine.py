@@ -300,12 +300,12 @@ def _eval_comparison(atom: ComparisonAtom, subst: Substitution) -> list[Substitu
     return [subst] if ok else []
 
 
-def instantiate_head(head: RelationalAtom, subst: Substitution) -> GroundAtom:
+def instantiate_head(head: RelationalAtom, subst: Substitution, unbound="unbound head variable in {}") -> GroundAtom:
     args = []
     for term in head.args:
         value = resolve_term(term, subst)
         if value is None:
-            raise EvaluationError(f"unbound head variable in {head.predicate}")
+            raise EvaluationError(unbound.format(head.predicate))
         args.append(value)
     return GroundAtom(head.principal, head.predicate, tuple(args))
 
@@ -313,7 +313,8 @@ def instantiate_head(head: RelationalAtom, subst: Substitution) -> GroundAtom:
 def _body_atoms(rule: Rule, substitution: Mapping[str, GroundTerm]) -> tuple[GroundAtom, ...]:
     """The rule's relational body atoms instantiated under `substitution`,
     in body order; raises EvaluationError when one does not ground."""
-    return tuple(instantiate_head(atom, substitution) for atom in rule.body if isinstance(atom, RelationalAtom))
+    unbound = "unbound variable in body atom {}"
+    return tuple(instantiate_head(a, substitution, unbound) for a in rule.body if isinstance(a, RelationalAtom))
 
 
 def match_rule_body(

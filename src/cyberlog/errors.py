@@ -28,6 +28,10 @@ class LogIntegrityError(CyberlogError):
     """The tamper-evident log failed verification (bad proof, bad hash)."""
 
 
+class SignatureError(LogIntegrityError):
+    """A logged revision is not signed by its owner under a trusted key."""
+
+
 class NotFoundError(CyberlogError):
     """A requested entity does not exist."""
 

@@ -164,7 +164,7 @@ class Monitor:
         self._rulesheet_published = False
         # the claim database, through which the monitor commits and reads
         # the watched owners' revisions
-        self.reader = LogReader(db, operator_key)
+        self.reader = LogReader(db, trust_store, operator_key)
 
     # -- ingestion ------------------------------------------------------
 
@@ -196,7 +196,9 @@ class Monitor:
     def commit(self):
         """Commit own claims as a new revision; returns the record, or None
         if the claim database was unreachable or refused the rulesheet or
-        the revision (KB untouched). The rulesheet is logged before the
+        the revision (KB untouched). A receipt whose tree head or inclusion
+        proof the reader refuses raises LogIntegrityError, with the KB and
+        the base untouched. The rulesheet is logged before the
         first revision, which names it. After a successful submit the KB
         keeps its inclusions and takes the next-rule carry-overs as its own
         claims. If the carry-overs make saturation raise, the error
@@ -214,7 +216,7 @@ class Monitor:
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
             try:
                 record, _receipt, carried = commit_staging(
-                    self.identity, self.rulesheet, self.reader.db, self._base, self.active_includes.values(), own,
+                    self.identity, self.rulesheet, self.reader, self._base, self.active_includes.values(), own,
                     self.clock(), included,
                 )
             except (SubmitError, OSError) as exc:

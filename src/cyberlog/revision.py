@@ -10,14 +10,16 @@ justified by inclusion proofs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import re
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
-from .claimlog import InclusionProof, SignedTreeHead, leaf_hash, verify_inclusion, verify_tree_head
+from .claimlog import ConsistencyProof, InclusionProof, SignedTreeHead, leaf_hash
+from .claimlog import verify_consistency, verify_inclusion, verify_tree_head
 from .engine import (
     CarriedByNextRule,
     Claim,
@@ -29,8 +31,8 @@ from .engine import (
     match_rule_body,
     rule_substitution,
 )
-from .errors import EvidenceError, LogIntegrityError, ParseError
-from .identity import Identity, sign_bytes, verify_bytes
+from .errors import EvidenceError, LogIntegrityError, ParseError, SignatureError
+from .identity import Identity, TrustStore, sign_bytes, verify_bytes
 from .lang import RelationalAtom, RuleKind, Rulesheet, parse_logged_rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
 
@@ -56,6 +58,7 @@ class LogClient(Protocol):
 # of that hash parsed for the owner. Raises a CyberlogError when there is
 # none: an unlogged hash, or a text that does not parse for the owner.
 RulesheetOf = Callable[[str, str], Rulesheet]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,6 @@ def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
     return sign_bytes(identity, bytes.fromhex(record.id))
 
 
-def verify_record_signature(record: RevisionRecord, signature: bytes, public_key: bytes) -> bool:
-    return verify_bytes(public_key, signature, bytes.fromhex(record.id))
-
-
 def encode_payload(body: str, signature: bytes) -> str:
     """The logged payload of a body text from `build_record`: the body's
     fields spliced between the kind and the signature."""
@@ -169,23 +168,28 @@ def rulesheet_entry_id(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRecord, bytes, Rulesheet]:
+def decode_payload(
+    payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore
+) -> tuple[RevisionRecord, bytes, Rulesheet]:
     """Parse a logged revision payload once into its record, its owner's
     signature and the rulesheet its claims were decoded under. The id is
-    the SHA-256 of the body bytes inside the payload, and the claims' rules
-    are those of the rulesheet `rulesheet_of` gives, once, for the record's
-    rulesheet hash and owner. Raises LogIntegrityError on a payload outside
-    the revision layout, on a rulesheet that does not parse for the owner,
-    on malformed data, which includes a rule reference that is not an index
-    of a rule of the right kind and a carried claim in a chain root (a
-    carried claim's source is the revision its record supersedes), and on a
-    claim whose principal is not the record's owner, since nobody may make
-    claims on someone else's behalf; any other refusal of `rulesheet_of`
-    passes through. Claims and includes keep the payload's order."""
+    the SHA-256 of the body bytes inside the payload; the owner's signature
+    over it is checked under `trust_store` before any rulesheet is read
+    (SignatureError). The claims' rules are those of the rulesheet
+    `rulesheet_of` gives, once, for the record's rulesheet hash and owner.
+    Raises LogIntegrityError on a payload outside the revision layout, on a
+    rulesheet that does not parse for the owner, on malformed data, which
+    includes a rule reference that is not an index of a rule of the right
+    kind and a carried claim in a chain root (a carried claim's source is
+    the revision its record supersedes), and on a claim whose principal is
+    not the record's owner, since nobody may make claims on someone else's
+    behalf; any other refusal of `rulesheet_of` passes through. Claims and
+    includes keep the payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
         raise LogIntegrityError("payload is not a revision record")
+    signature = bytes.fromhex(tail.group(1))
     try:
         obj = json.loads(payload)
         rev_id = sha256(("{" + payload[len(REVISION_PAYLOAD_HEAD) : split] + "}").encode("utf-8")).hexdigest()
@@ -194,6 +198,11 @@ def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRec
         names = (owner, rulesheet_hash, *includes) + (() if supersedes is None else (supersedes,))
         if not all(isinstance(name, str) for name in names):
             raise TypeError("owner, supersedes, includes and rulesheet_hash must be strings")
+        key = trust_store.public_key(owner)
+        if key is None:
+            raise SignatureError(f"unknown owner {owner!r}")
+        if not verify_bytes(key, signature, bytes.fromhex(rev_id)):
+            raise SignatureError(f"bad signature on revision by {owner!r}")
         rs = rulesheet_of(rulesheet_hash, owner)
         claims = tuple(claim_from_obj(c, supersedes, rs) for c in obj["claims"])
         record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, claims, int(obj["commit_time"]))
@@ -204,7 +213,7 @@ def decode_payload(payload: str, rulesheet_of: RulesheetOf) -> tuple[RevisionRec
             raise LogIntegrityError(
                 f"revision by {record.owner!r} holds a claim of {claim.atom.principal!r}: {canonical_atom(claim.atom)}"
             )
-    return record, bytes.fromhex(tail.group(1)), rs
+    return record, signature, rs
 
 
 def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: Rulesheet) -> None:
@@ -261,7 +270,7 @@ def apply_next_rules(
 def commit_staging(
     identity: Identity,
     rs: Rulesheet,
-    db: LogClient,
+    reader: LogReader,
     base: str | None,
     includes: Iterable[str],
     claims: Iterable[Claim],
@@ -273,76 +282,117 @@ def commit_staging(
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
-    has not logged.
+    has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
     record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
     payload = encode_payload(body, sign_record(record, identity))
-    receipt = db.submit_revision(payload)
-    head = SignedTreeHead.from_obj(receipt["tree_head"])
-    proof = InclusionProof.from_obj(receipt["inclusion_proof"])
-    if not verify_inclusion(head.root_hash, leaf_hash(payload.encode("utf-8")), proof):
-        raise LogIntegrityError("submit receipt inclusion proof does not verify")
+    receipt = reader.db.submit_revision(payload)
+    with _served("submit receipt"):
+        head = SignedTreeHead.from_obj(receipt["tree_head"])
+        reader.accept(head)
+        reader.inclusion("revision", record.id, payload, receipt["inclusion_proof"], head)
     return record, receipt, apply_next_rules(record, rs, included_claims)
 
 
-def _verified_inclusion(what: str, entry_id: str, response: dict, operator_key: bytes | None) -> LogInclusion:
-    """The inclusion of a fetched entry's payload (a revision or a
-    rulesheet, as `what` says) under the fetched head,
-    both verified: the proof, and the head's signature under
-    `operator_key` unless that is None (an offline audit, whose heads no
-    operator signed)."""
-    proof = InclusionProof.from_obj(response["proof"])
-    head = SignedTreeHead.from_obj(response["tree_head"])
-    inclusion = LogInclusion(entry_id, leaf_hash(response["payload"].encode("utf-8")), proof, head)
-    if not verify_inclusion(head.root_hash, inclusion.leaf_hash, proof):
-        raise LogIntegrityError(f"inclusion proof failed for {what} {entry_id}")
-    if operator_key is not None and not verify_tree_head(head, operator_key):
-        raise LogIntegrityError("tree head signature invalid")
-    return inclusion
-
-
-def fetch_verified_rulesheet(db: LogClient, rulesheet_hash: str, operator_key: bytes | None) -> str:
-    """Fetch the rulesheet text logged under `rulesheet_hash`, checking that
-    its SHA-256 is that hash and its inclusion as `fetch_verified_revision`
-    does."""
-    response = db.get_revision(rulesheet_hash)
-    text = decode_rulesheet_payload(response["payload"])
-    if rulesheet_entry_id(text) != rulesheet_hash:
-        raise LogIntegrityError(f"rulesheet text hashes to {rulesheet_entry_id(text)}, expected {rulesheet_hash}")
-    _verified_inclusion("rulesheet", rulesheet_hash, response, operator_key)
-    return text
+@contextlib.contextmanager
+def _served(what: str) -> Iterator[None]:
+    """Raise LogIntegrityError for a claim-database response the block
+    cannot read: a reader trusts nothing the database serves."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LogIntegrityError(f"malformed {what} from the claim database: {exc!r}") from exc
 
 
 class LogReader:
-    """A reader of the claim database `db`: every fetch verified under
-    `operator_key` (see `fetch_verified_revision`), and a `RulesheetOf` that
-    fetches each rulesheet through `fetch_verified_rulesheet` once per hash
-    and parses it for an owner by `parse_logged_rulesheet`."""
+    """The one verifier of what the claim database `db` serves, and the one
+    cache of it: the last accepted tree head, revisions by id and rulesheet
+    texts by hash. Heads are checked under `operator_key` unless it is None
+    (an offline audit: no operator signed), owners under `trust_store`.
+    Heads must come in the order asked for: one thread at a time."""
 
-    def __init__(self, db: LogClient, operator_key: bytes | None):
+    def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.db = db
+        self.trust_store = trust_store
         self.operator_key = operator_key
+        self.head: SignedTreeHead | None = None
+        self._revisions: dict[str, tuple[RevisionRecord, LogInclusion]] = {}
         self._texts: dict[str, str] = {}
 
+    def accept(self, head: SignedTreeHead) -> None:
+        """Make `head` the last accepted head. A head equal to it costs
+        nothing; any other must carry the operator's signature and extend
+        the last one, by one consistency proof from it (RFC 9162 §2.1.4).
+        Raises LogIntegrityError, keeping the last head, for a forged,
+        rolled-back (smaller) or forked (not extending) head: a proof for
+        other sizes than the two heads' is refused as a fork."""
+        last = self.head
+        if head == last:
+            return
+        if self.operator_key is not None and not verify_tree_head(head, self.operator_key):
+            raise LogIntegrityError("tree head signature invalid")
+        if last is not None and last.tree_size > 0:
+            if head.tree_size < last.tree_size:
+                raise LogIntegrityError(f"tree size went backwards: {last.tree_size} -> {head.tree_size}")
+            proof = ConsistencyProof(last.tree_size, head.tree_size, ())  # equal sizes: equal roots
+            if head.tree_size > last.tree_size:
+                with _served("consistency proof"):
+                    proof = ConsistencyProof.from_obj(self.db.get_consistency(last.tree_size, head.tree_size))
+            sizes = (proof.old_size, proof.new_size) == (last.tree_size, head.tree_size)
+            if not sizes or not verify_consistency(last.root_hash, head.root_hash, proof):
+                raise LogIntegrityError(f"split-view/tamper suspected: {last.tree_size} -> {head.tree_size}")
+        self.head = head
+
+    def inclusion(self, what: str, entry_id: str, payload: str, proof: dict, head: SignedTreeHead) -> LogInclusion:
+        """The inclusion of an entry's `payload` (a revision or a rulesheet,
+        as `what` says) under `head`, a head `accept` took, by `proof`, a
+        proof in a tree of the head's size. Callers read `proof` from the
+        claim database inside `_served`."""
+        inclusion = LogInclusion(entry_id, leaf_hash(payload.encode("utf-8")), InclusionProof.from_obj(proof), head)
+        sizes = inclusion.proof.tree_size == head.tree_size
+        if not sizes or not verify_inclusion(head.root_hash, inclusion.leaf_hash, inclusion.proof):
+            raise LogIntegrityError(f"inclusion proof failed for {what} {entry_id}")
+        return inclusion
+
+    def fetch(self, what: str, entry_id: str, read: Callable[[str], _T]) -> tuple[_T, LogInclusion]:
+        """`read` of the payload logged under `entry_id`, and its
+        inclusion. The head served with it is accepted first, since `read`
+        may fetch under a later one."""
+        response = self.db.get_revision(entry_id)
+        with _served(f"{what} {entry_id}"):
+            head = SignedTreeHead.from_obj(response["tree_head"])
+            self.accept(head)
+            return read(response["payload"]), self.inclusion(what, entry_id, response["payload"], response["proof"], head)
+
+    def revision(self, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
+        """The revision logged under `rev_id` and the inclusion its claims
+        share, fetched and verified on the first call only."""
+        if rev_id not in self._revisions:
+            self._revisions[rev_id] = fetch_verified_revision(self, rev_id)
+        return self._revisions[rev_id]
+
+    def forget(self, rev_ids: Iterable[str]) -> None:  # superseded: bounds the cache
+        for rev_id in rev_ids:
+            self._revisions.pop(rev_id, None)
+
     def __call__(self, rulesheet_hash: str, owner: str) -> Rulesheet:
-        text = self._texts.get(rulesheet_hash)
-        if text is None:
-            text = fetch_verified_rulesheet(self.db, rulesheet_hash, self.operator_key)
+        if rulesheet_hash not in self._texts:
+            text, _ = self.fetch("rulesheet", rulesheet_hash, decode_rulesheet_payload)
+            if rulesheet_entry_id(text) != rulesheet_hash:
+                raise LogIntegrityError(f"rulesheet hashes to {rulesheet_entry_id(text)}, expected {rulesheet_hash}")
             self._texts[rulesheet_hash] = text
-        return parse_logged_rulesheet(text, owner)
+        return parse_logged_rulesheet(self._texts[rulesheet_hash], owner)
 
 
 def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
-    """Fetch a revision through `reader` and verify payload hash, inclusion
-    proof and head, the head's signature under the reader's operator key
-    unless that is None (an offline audit, whose heads no operator signed),
-    its claims decoded under the rulesheet the reader gives; returns the
-    record and the inclusion evidence its claims share."""
-    response = reader.db.get_revision(rev_id)
-    record, _signature, _rs = decode_payload(response["payload"], reader)
+    """Fetch and verify a revision through `reader`, bypassing its cache:
+    its tree head, owner's signature, claims, inclusion proof and id;
+    returns the record and the inclusion its claims share."""
+    decode = functools.partial(decode_payload, rulesheet_of=reader, trust_store=reader.trust_store)
+    (record, _signature, _rs), inclusion = reader.fetch("revision", rev_id, decode)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
-    return record, _verified_inclusion("revision", rev_id, response, reader.operator_key)
+    return record, inclusion
 
 
 def _check_owner(record: RevisionRecord, owner: str) -> None:
@@ -353,39 +403,37 @@ def _check_owner(record: RevisionRecord, owner: str) -> None:
 def _include(
     kb: KnowledgeBase, retract: Iterable[GroundAtom], record: RevisionRecord, inclusion: LogInclusion
 ) -> list[Claim]:
-    """Admit the record's claims under its inclusion evidence, which
-    `fetch_verified_revision` has verified, through `KnowledgeBase.revise`;
-    returns the admitted claims whose atoms are new."""
+    """Admit the record's claims under its inclusion evidence, which the
+    reader has verified, through `KnowledgeBase.revise`; returns the
+    admitted claims whose atoms are new."""
     added = kb.revise(retract, [Claim(claim.atom, inclusion) for claim in record.claims])
     return [claim for claim in added if claim.evidence is inclusion]
 
 
 def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
     """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence, fetched through `reader`; returns the claims whose
+    inclusion evidence, read through `reader`; returns the claims whose
     atoms are new. A refusal leaves the KB's claims as they were: it refuses
-    before the KB changes if the proof chain does not verify or the revision
-    belongs to someone else, and `revise` undoes the import if saturation
-    raises."""
-    record, inclusion = fetch_verified_revision(reader, rev_id)
+    before the KB changes if the reader refuses the revision or it belongs
+    to someone else, and `revise` undoes the import if saturation raises."""
+    record, inclusion = reader.revision(rev_id)
     _check_owner(record, owner)
     return _include(kb, (), record, inclusion)
 
 
 def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> list[str]:
     """Revision ids from the new record (exclusive) back to old (inclusive),
-    following supersedes links. Each revision in between is fetched once,
-    through `reader`, and must belong to the new record's owner; the old one
-    is not fetched, since
-    its owner was checked when it was included. Raises EvidenceError if the
-    chain never reaches old or crosses owners."""
+    following supersedes links. Each revision in between is read through
+    `reader` and must belong to the new record's owner; the old one is not
+    read, since its owner was checked when it was included. Raises
+    EvidenceError if the chain never reaches old or crosses owners."""
     chain: list[str] = []
     cursor = new_record.supersedes
     while cursor is not None:
         chain.append(cursor)
         if cursor == old_rev_id:
             return chain
-        older, _ = fetch_verified_revision(reader, cursor)
+        older, _ = reader.revision(cursor)
         if older.owner != new_record.owner:
             raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
         cursor = older.supersedes
@@ -397,14 +445,15 @@ def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: L
     superseded; returns the admitted claims whose atoms are new.
 
     The new revision must belong to `owner`, whom the old revision was
-    checked to belong to when it was included. The new revision is fetched
-    once, each revision between it and the old one once, and the old one
-    not at all, each through `reader`. Claims included from the replaced
-    chain are retracted, with every derivation downstream of them, and the new revision's claims are included, in one
-    `KnowledgeBase.revise`. A refusal leaves the KB's claims as they were,
-    as for `include_revision`.
+    checked to belong to when it was included. The new revision and each
+    revision between it and the old one are read through `reader`, the old
+    one not at all. Claims included from the replaced chain are retracted,
+    with every derivation downstream of them, and the new revision's claims
+    are included, in one `KnowledgeBase.revise`; the reader then forgets
+    the replaced chain. A refusal leaves the KB's claims as they were, as
+    for `include_revision`.
     """
-    record, inclusion = fetch_verified_revision(reader, new_rev_id)
+    record, inclusion = reader.revision(new_rev_id)
     dropped = set(supersession_chain(reader, record, old_rev_id))
     _check_owner(record, owner)
     retracted = [
@@ -412,4 +461,6 @@ def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: L
         for claim in kb.claims.values()
         if isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped
     ]
-    return _include(kb, retracted, record, inclusion)
+    added = _include(kb, retracted, record, inclusion)
+    reader.forget(dropped)
+    return added

@@ -40,6 +40,14 @@ def publish_rulesheet(db, rs) -> str:
     return db.submit_revision(encode_rulesheet_payload(format_rulesheet(rs)))["revision_id"]
 
 
+def log_reader(db, identities):
+    """A `LogReader` over `db` that trusts every test identity and checks
+    tree heads under the log operator's key."""
+    from cyberlog.revision import LogReader
+
+    return LogReader(db, TrustStore.from_identities(identities.values()), identities[OPERATOR].public_key)
+
+
 def rulesheets_of(*sheets):
     """A `RulesheetOf` over `sheets`, by hash, for decoding payloads without
     a claim database; any other hash is refused."""

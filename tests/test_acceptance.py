@@ -40,7 +40,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, publish_rulesheet, sign_claim
+from conftest import log_reader, publish_rulesheet, sign_claim
 from merkle_oracle import brute_leaf, brute_root
 from naive_oracle import naive_saturate, random_program
 
@@ -231,12 +231,12 @@ def test_criterion_5a_step_counter(db_client, identities):
     sc = sign_claim(identities["CTR"], seed_atom)
     claims = [Claim(seed_atom, DirectAssertion("CTR", sc.signature))]
     publish_rulesheet(db_client, rs)
-    record, _, claims = commit_staging(identities["CTR"], rs, db_client, None, (), claims, 0)
+    reader = log_reader(db_client, identities)
+    record, _, claims = commit_staging(identities["CTR"], rs, reader, None, (), claims, 0)
     k = 7
     for step in range(1, k + 1):
-        record, _, claims = commit_staging(identities["CTR"], rs, db_client, record.id, (), claims, step)
-    key = identities[OPERATOR].public_key
-    fetched, _ = fetch_verified_revision(LogReader(db_client, key), record.id)
+        record, _, claims = commit_staging(identities["CTR"], rs, reader, record.id, (), claims, step)
+    fetched, _ = fetch_verified_revision(reader, record.id)
     atoms = [c.atom for c in fetched.claims]
     verdict(
         5,
@@ -280,7 +280,7 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
 def test_criterion_5c_non_owner_supersession_rejected(db_client, identities):
     rs_sb = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
     publish_rulesheet(db_client, rs_sb)
-    record, _, _ = commit_staging(identities["SB"], rs_sb, db_client, None, (), (), 1)
+    record, _, _ = commit_staging(identities["SB"], rs_sb, log_reader(db_client, identities), None, (), (), 1)
     rs_mrm = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     publish_rulesheet(db_client, rs_mrm)
     hostile, body = build_record("MRM", record.id, (), rs_mrm, (), 2)
@@ -318,7 +318,7 @@ def _latest_claim_count(bookings: int) -> tuple[int, int]:
     run = ScenarioRun(_retention_scenario(bookings))
     run.run()
     head = run.client.get_head("SB")
-    reader = LogReader(run.client, run.operator.public_key)
+    reader = LogReader(run.client, run.trust_store, run.operator.public_key)
     record, _ = fetch_verified_revision(reader, head["revision_id"])
     # sanity: requests really were carried across commits mid-flight
     carried_revisions = 0

@@ -13,7 +13,7 @@ from cyberlog.errors import NotFoundError
 from cyberlog.harness import OPERATOR_NAME, ScenarioRun, identity_seed, load_scenario
 from conftest import OPERATOR, rulesheets_of
 from cyberlog.identity import generate_identity
-from cyberlog.revision import REVISION_PAYLOAD_HEAD, decode_payload
+from cyberlog.revision import REVISION_PAYLOAD_HEAD, LogReader, decode_payload
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -93,11 +93,11 @@ def test_audit_absent_atom(tmp_path):
 def test_verify_log_clean_pass_and_append(tmp_path):
     run, _log, cache = booking_run(tmp_path)
     before = len(load_heads_cache(cache))
-    ok, checks = verify_log_consistency(run.client, cache, run.operator.public_key)
+    ok, checks = verify_log_consistency(LogReader(run.client, run.trust_store, run.operator.public_key), cache)
     assert ok, checks
     assert len(load_heads_cache(cache)) == before + 1
     # re-running with the appended equal-size head still passes
-    ok, checks = verify_log_consistency(run.client, cache, run.operator.public_key)
+    ok, checks = verify_log_consistency(LogReader(run.client, run.trust_store, run.operator.public_key), cache)
     assert ok, checks
     run.close()
 
@@ -111,7 +111,7 @@ def test_tampered_leaf_fails_consistency_and_audit(tmp_path):
     flip_byte(log_path, offset + rng.randrange(length))
 
     client, operator = reopen_db(run, log_path)
-    ok, checks = verify_log_consistency(client, cache, operator.public_key, append_current=False)
+    ok, checks = verify_log_consistency(LogReader(client, run.trust_store, operator.public_key), cache, append_current=False)
     assert not ok
     assert any("suspect" in c.detail or "differ" in c.detail for c in checks if not c.ok)
 
@@ -128,7 +128,7 @@ def test_audit_fails_when_evidence_path_tampered(tmp_path):
     for offset, length in payload_byte_offsets(log_path):
         payload = data[offset : offset + length]
         if payload.startswith(REVISION_PAYLOAD_HEAD.encode()):
-            revisions.append((decode_payload(payload.decode("utf-8"), rulesheets)[0], offset, payload))
+            revisions.append((decode_payload(payload.decode("utf-8"), rulesheets, run.trust_store)[0], offset, payload))
     dom_head = [record for record, _offset, _payload in revisions if record.owner == "DOM"][-1]
     [target] = [
         offset + payload.index(b"feasible_config")
@@ -243,3 +243,91 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
     assert [(child.ok, child.detail) for child in node.children] == [
         (False, f"premise not found in revision {r2.id[:8]} or its includes")
     ] * 2
+
+
+def _dom_including(db_client, identities, owners, body):
+    """Each of `owners` commits p(1) and q(1); then DOM commits `both(1)`,
+    derived by the rule `both(X) :- B.`, including those revisions, where
+    B is `body` of (revision id -> owner). Returns that mapping and DOM's
+    claim."""
+    from cyberlog.engine import Claim, DerivedByRule, DirectAssertion
+    from conftest import publish_rulesheet, sign_claim
+    from cyberlog.lang import parse_rulesheet
+    from cyberlog.revision import build_record, encode_payload, sign_record
+
+    included = {}
+    for owner in owners:
+        rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
+        publish_rulesheet(db_client, rs)
+        atoms = [GroundAtom(owner, "p", (1,)), GroundAtom(owner, "q", (1,))]
+        claims = [Claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
+        record, record_body = build_record(owner, None, (), rs, claims, 1)
+        db_client.submit_revision(encode_payload(record_body, sign_record(record, identities[owner])))
+        included[record.id] = owner
+    sheet = "".join(f"'{name}': Subject: 's' Issuer: 'i'\n" for name in ("DOM", *owners))
+    sheet += f"both(X) :- {body(included)}.\n"
+    rs = parse_rulesheet(sheet, "DOM")
+    publish_rulesheet(db_client, rs)
+    both = Claim(GroundAtom("DOM", "both", (1,)), DerivedByRule(rs.rules[0], {"X": 1}))
+    record, record_body = build_record("DOM", None, included, rs, [both], 1)
+    db_client.submit_revision(encode_payload(record_body, sign_record(record, identities["DOM"])))
+    return included, both
+
+
+def test_premises_held_by_the_last_include_fetch_each_include_once(db_client, identities, trust_store):
+    """A DOM revision includes three revisions, and both premises of its
+    derived claim are held by the last of them in id order. The Auditor
+    finds them through an atom -> include index built once for the
+    revision: each include is fetched once for both premises, where a
+    search of the includes in id order fetched all three for each premise."""
+    def body(included):
+        owner = included[max(included)]
+        return f"'{owner}' attests p(X), '{owner}' attests q(X)"
+
+    included, both = _dom_including(db_client, identities, ("SB", "MRM", "OM"), body)
+    last = max(included)
+    fetched = []
+
+    class CountingClient:
+        def get_revision(self, rev_id):
+            fetched.append(rev_id)
+            return db_client.get_revision(rev_id)
+
+        def __getattr__(self, name):
+            return getattr(db_client, name)
+
+    auditor = Auditor(CountingClient(), trust_store, identities[OPERATOR].public_key)
+    reads = []
+    fetch_revision = auditor.fetch_revision
+    auditor.fetch_revision = lambda rev_id: reads.append(rev_id) or fetch_revision(rev_id)
+    node = auditor.audit_atom("DOM", both.atom)
+    assert node.all_ok, render_audit_tree(node)
+    assert [child.detail for child in node.children] == [f"included from {last[:8]}, fetched with verified proof"] * 2
+    assert sorted(rev_id for rev_id in fetched if rev_id in included) == sorted(included)
+    assert sorted(rev_id for rev_id in reads if rev_id in included) == sorted(included)
+
+
+def test_premise_of_a_usable_include_passes_beside_an_unusable_one(db_client, identities, trust_store):
+    """DOM's revision includes SB's and MRM's, and the claim DB cannot
+    serve MRM's. The premise SB's revision holds passes; the one only
+    MRM's could hold fails, naming MRM's revision as unusable."""
+    from cyberlog.errors import NotFoundError
+
+    included, both = _dom_including(db_client, identities, ("SB", "MRM"), lambda _: "'SB' attests p(X), 'MRM' attests p(X)")
+    [sb] = [rev_id for rev_id, owner in included.items() if owner == "SB"]
+    [mrm] = [rev_id for rev_id, owner in included.items() if owner == "MRM"]
+
+    class LosingClient:
+        def get_revision(self, rev_id):
+            if rev_id == mrm:
+                raise NotFoundError(f"no revision {rev_id}")
+            return db_client.get_revision(rev_id)
+
+        def __getattr__(self, name):
+            return getattr(db_client, name)
+
+    node = Auditor(LosingClient(), trust_store, identities[OPERATOR].public_key).audit_atom("DOM", both.atom)
+    assert [(child.ok, child.detail) for child in node.children] == [
+        (True, f"included from {sb[:8]}, fetched with verified proof"),
+        (False, f"included revision {mrm[:8]} unusable: no revision {mrm}"),
+    ]

@@ -27,7 +27,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, publish_rulesheet, raw_http_status, rulesheets_of, sign_claim
+from conftest import OPERATOR, log_reader, publish_rulesheet, raw_http_status, rulesheets_of, sign_claim
 
 SB_SHEET = "'SB': Subject: 's' Issuer: 'i'\n"
 MRM_SHEET = "'MRM': Subject: 's' Issuer: 'i'\n"
@@ -47,7 +47,7 @@ def db(identities, trust_store):
 
 
 def reader(client, identities):
-    return LogReader(client, identities[OPERATOR].public_key)
+    return log_reader(client, identities)
 
 
 def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
@@ -144,7 +144,7 @@ def test_get_revision_proof_still_verifies_after_growth(db_client, identities):
     publish_rulesheet(db_client, rs)
     base = None
     for t in range(10):
-        base = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)[0].id
+        base = commit_staging(identities["CTR"], rs, reader(db_client, identities), base, (), (), t)[0].id
     fetched, inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
     assert inclusion.proof.tree_size == 14
@@ -207,7 +207,7 @@ def test_receipts_linearizable_and_consistent(db_client, identities):
     publish_rulesheet(db_client, rs)
     base, receipts = None, []
     for t in range(6):
-        record, receipt, _ = commit_staging(identities["CTR"], rs, db_client, base, (), (), t)
+        record, receipt, _ = commit_staging(identities["CTR"], rs, reader(db_client, identities), base, (), (), t)
         base = record.id
         receipts.append(receipt)
     indices = [r["leaf_index"] for r in receipts]
@@ -373,7 +373,7 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 2)
     decoded = []
     original = claimdb.decode_payload
-    monkeypatch.setattr(claimdb, "decode_payload", lambda p, rulesheet_of: decoded.append(p) or original(p, rulesheet_of))
+    monkeypatch.setattr(claimdb, "decode_payload", lambda p, *rest: decoded.append(p) or original(p, *rest))
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     foreign, body = build_record("MRM", base, (), rs, (), 2)
     foreign_payload = encode_payload(body, sign_record(foreign, identities["MRM"]))
@@ -435,7 +435,7 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
     record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
-        decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")))
+        decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")), db.trust_store)
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
             client.submit_revision(payload)
@@ -577,6 +577,7 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
     the entry's index and the reason it was refused."""
     import os
 
+    from cyberlog.errors import SignatureError
     from cyberlog.harness import ScenarioRun, load_scenario
     from cyberlog.revision import decode_payload
 
@@ -601,7 +602,8 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
         reopened = ClaimDb(MerkleLog(path), run.operator, run.trust_store)
     try:
         assert reopened.get_head("MRM")["chain_length"] == 1
-        decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"), LogReader(reopened, None))
+        with pytest.raises(SignatureError, match="^bad signature on revision by 'MRM'$"):
+            decode_payload(reopened.log.payload(mrm[1]).decode("utf-8"), LogReader(reopened, run.trust_store, None), run.trust_store)
     finally:
         reopened.log.close()
     messages = [record.getMessage() for record in caplog.records]
@@ -665,7 +667,7 @@ def test_non_canonical_revision_refused_with_400(db, http_client, identities, fo
     mutated = NON_CANONICAL[form](body)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")))  # well-formed, only not canonical
+    decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")), db.trust_store)  # well-formed, only not canonical
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
             client.submit_revision(payload)
@@ -810,7 +812,7 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
     mutated = RECOMPUTED_FIELD[form](body, base.id)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decoded, _signature, _rs = decode_payload(payload, rulesheets_of(rs))
+    decoded, _signature, _rs = decode_payload(payload, rulesheets_of(rs), db.trust_store)
     assert decoded.claims[0] == record.claims[0]  # the carried request, source `base`
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
@@ -1056,6 +1058,29 @@ def test_rulesheet_is_read_for_a_trusted_owner_once_per_revision(db, identities,
     _record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     assert resolved == ["SB"] and decoded == []
+
+
+@pytest.mark.parametrize("signer", ["unsigned", "MRM"])
+def test_revision_not_signed_by_its_trusted_owner_is_refused_before_its_rulesheet_is_read(
+    db, identities, monkeypatch, signer
+):
+    """The owner's signature covers the record id, which is known before
+    any claim decodes: a revision under SB's name with an all-zero
+    signature, or MRM's, is refused with 401 without the database parsing
+    the rulesheet it names."""
+    import cyberlog.claimdb as claimdb
+
+    resolved = []
+    parse = claimdb.parse_logged_rulesheet
+    monkeypatch.setattr(claimdb, "parse_logged_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
+    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    signature = bytes(64) if signer == "unsigned" else sign_record(record, identities[signer])
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(encode_payload(body, signature))
+    assert exc.value.code == 401 and "bad signature on revision by 'SB'" in str(exc.value)
+    assert resolved == []
+    with pytest.raises(NotFoundError):
+        db.get_head("SB")
 
 
 def test_rulesheet_not_parsing_for_its_owner_is_parsed_once(db, identities, monkeypatch):

@@ -246,11 +246,12 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
     try:
         from conftest import publish_rulesheet
         from cyberlog.lang import parse_rulesheet
-        from cyberlog.revision import commit_staging
+        from cyberlog.revision import LogReader, commit_staging
 
         rs = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
         publish_rulesheet(client, rs)
-        record, receipt, _ = commit_staging(sb, rs, client, None, (), (), 1)
+        reader = LogReader(client, TrustStore.load(trust_path), operator.public_key)
+        record, receipt, _ = commit_staging(sb, rs, reader, None, (), (), 1)
         fetched = client.get_revision(record.id)
         assert json.loads(fetched["payload"])["owner"] == "SB"
         root_before = client.get_log_root()["root_hash"]

@@ -665,7 +665,7 @@ def test_forgeries_refused_on_entry():
         ),
         "derived premise left unbound": (
             Claim(GroundAtom("SB", "s", (2,)), DerivedByRule(joined, {"X": 2})),
-            "rule instance unevaluable",
+            "rule instance unevaluable: unbound variable in body atom q",
         ),
         "carried head of another atom": (
             Claim(GroundAtom("SB", "c", (2,)), CarriedByNextRule(carried, {"X": 1}, "0" * 64)),

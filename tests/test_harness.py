@@ -145,13 +145,13 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
     run = ScenarioRun(scenario, log_path=log_path)
     assert run.run().passed
 
-    rulesheets = LogReader(run.client, run.operator.public_key)
+    rulesheets = LogReader(run.client, run.trust_store, run.operator.public_key)
     records = []
     for index in range(len(run.db.log)):
         payload = run.db.log.payload(index).decode()
         if json.loads(payload).get("kind") != "revision":
             continue
-        record, _sig, _rs = decode_payload(payload, rulesheets)
+        record, _sig, _rs = decode_payload(payload, rulesheets, run.trust_store)
         records.append(record)
 
     by_owner = {}

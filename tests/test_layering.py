@@ -97,3 +97,26 @@ def names_used_only_by_tests():
 
 def test_no_public_name_is_used_only_by_tests():
     assert names_used_only_by_tests() == []
+
+
+# the reader and the database with its HTTP client: nothing else reads entries
+# or consistency proofs from a claim database, so nothing else can skip a check
+LOG_READERS = {"revision.py", "claimdb.py"}
+
+
+def log_reads_outside_the_reader():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in LOG_READERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get_revision", "get_consistency")
+            ):
+                yield f"{path.name}:{node.lineno} calls {node.func.attr}"
+
+
+def test_only_the_reader_reads_revisions_and_consistency_proofs():
+    assert list(log_reads_outside_the_reader()) == []

@@ -561,7 +561,7 @@ def test_supersession_matches_scratch():
     windows = 8
     run = ScenarioRun(_steady_booking(windows))
     dom = run.monitors["DOM"]
-    reader = LogReader(run.client, run.operator.public_key)
+    reader = LogReader(run.client, run.trust_store, run.operator.public_key)
     try:
         for k in range(1, windows + 1):
             for now in (1000 * k - 1, 1000 * k):  # before and after the window's commits and polls
@@ -590,11 +590,11 @@ class PassThroughDb:
         return getattr(self.inner, name)
 
 
-def _append_directly(db, identities, owner, supersedes, atoms=()):
+def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None):
     """Log and index a revision without the claim DB's admission checks, as
     a claim DB that lies would; returns its id. It names the owner's
     identity-only rulesheet, logged, since its claims are direct
-    assertions."""
+    assertions, and carries `signature`, by default the owner's own."""
     from cyberlog.engine import Claim, DirectAssertion
     from conftest import publish_rulesheet, sign_claim
     from cyberlog.revision import build_record, encode_payload, sign_record
@@ -603,7 +603,9 @@ def _append_directly(db, identities, owner, supersedes, atoms=()):
     publish_rulesheet(db, rs)
     claims = [Claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
     record, body = build_record(owner, supersedes, (), rs, claims, 5)
-    index = db.log.append(encode_payload(body, sign_record(record, identities[owner])).encode("utf-8"))
+    if signature is None:
+        signature = sign_record(record, identities[owner])
+    index = db.log.append(encode_payload(body, signature).encode("utf-8"))
     db._index_revision(record, index)
     return record.id
 
@@ -658,11 +660,11 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         assert dom.poll_and_include() == [r1.id]
     if refusal == "tampered":
         sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
-        r2 = sb.commit()
+        sb.commit()
         wrapped.get_revision = lambda rev_id: dict(
             db.get_revision(rev_id), payload=db.get_revision(rev_id)["payload"].replace("request(8,", "request(9,")
         )
-        expected = f"hashes to .*, expected {r2.id}"
+        expected = "bad signature on revision by 'SB'"  # the body SB signed hashes to r2's id
     elif refusal in FORGED_FETCHES:
         sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
         sb.commit()
@@ -834,3 +836,216 @@ def test_failed_rulesheet_publish_is_logged_and_retried(identities, trust_store,
     assert record is not None and caplog.records == []
     assert db.get_head("SB")["revision_id"] == record.id and record.rulesheet_hash == sheet_id
     assert db.get_revision(sheet_id)["proof"]["leaf_index"] == 0
+
+
+# --- what the reader refuses: forged owners, split views, rolled-back logs ----
+
+
+def _other_log(identities, trust_store, flows):
+    """A second claim DB under the same operator key whose log shares only
+    SB's rulesheet with the one a test started: then SB's revisions of
+    `flows` requests, one commit each."""
+    from cyberlog.claimdb import ClaimDb
+    from cyberlog.claimlog import MerkleLog
+
+    other = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000)
+    sb = make_monitor(identities, trust_store, other, "SB", SB_SHEET)
+    for request in range(flows):
+        sb.ingest_event(post("/servicerequest", f'{{"request_id":{90 + request}}}', 5))
+        sb.commit()
+    return other
+
+
+def _prefix(db, identities, trust_store, size):
+    """A claim DB under the same operator key holding the first `size`
+    entries of `db`'s log: that log rolled back."""
+    from cyberlog.claimdb import ClaimDb
+    from cyberlog.claimlog import MerkleLog
+
+    prefix = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000)
+    for index in range(size):
+        prefix.submit_revision(db.log.payload(index).decode("utf-8"))
+    return prefix
+
+
+def _refused_poll(dom, client, caplog, expected):
+    """DOM polls through `client`, which refuses what it serves: the poll
+    loads nothing, logs one poll warning matching `expected` and leaves the
+    KB's claims and the active includes as they were."""
+    claims, includes = dict(dom.kb.claims), dict(dom.active_includes)
+    dom.reader.db = client
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        assert dom.poll_and_include() == []
+    assert dom.kb.claims == claims and all(dom.kb.claims[a] is c for a, c in claims.items())
+    assert dom.active_includes == includes
+    [record] = caplog.records
+    assert record.stage == "poll" and re.search(expected, record.getMessage()), record.getMessage()
+
+
+def _watching_dom(identities, trust_store, db, requests):
+    """SB commits one revision per request id, then DOM, watching SB,
+    includes SB's head; returns (SB, DOM)."""
+    sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
+    dom = make_monitor(identities, trust_store, db, "DOM", DOM_SHEET, watched=("SB",))
+    for k, request in enumerate(requests):
+        sb.ingest_event(post("/servicerequest", f'{{"request_id":{request}}}', 5 + k))
+        record = sb.commit()
+    assert dom.poll_and_include() == [record.id]
+    assert dom.handle_query("verdict(R)")
+    return sb, dom
+
+
+def test_owner_revision_forged_by_the_operator_is_refused(identities, trust_store, db, caplog):
+    """The operator appends and indexes an empty SB successor with an
+    all-zero signature. DOM's poll refuses it, with its KB and includes as
+    they were, and the Auditor fails SB's head."""
+    from cyberlog.audit import Auditor
+    from cyberlog.errors import LogIntegrityError
+
+    sb, dom = _watching_dom(identities, trust_store, db, [7])
+    forged = _append_directly(db, identities, "SB", sb._base, signature=bytes(64))
+    assert db.get_head("SB")["revision_id"] == forged
+    _refused_poll(dom, db, caplog, "bad signature on revision by 'SB'")
+    with pytest.raises(LogIntegrityError, match="bad signature on revision by 'SB'"):
+        Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head("SB")
+
+
+def test_split_view_is_refused(identities, trust_store, db, caplog):
+    """Two logs under the same operator key share SB's rulesheet and then
+    fork. DOM, having read one, refuses the other's SB head, with its KB
+    unchanged, and so does an Auditor that has read the first."""
+    from cyberlog.audit import Auditor
+    from cyberlog.errors import LogIntegrityError
+
+    _sb, dom = _watching_dom(identities, trust_store, db, [7])
+    other = _other_log(identities, trust_store, 2)
+    assert len(other.log) > len(db.log)
+    _refused_poll(dom, other, caplog, f"split-view/tamper suspected: 2 -> {len(other.log)}")
+    auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
+    assert all(node.all_ok for node in auditor.audit_head("SB"))
+    auditor.reader.db = other
+    with pytest.raises(LogIntegrityError, match="split-view/tamper suspected"):
+        auditor.audit_head("SB")
+
+
+def test_rolled_back_log_is_refused(identities, trust_store, db, caplog):
+    """A claim DB that serves a prefix of the log a watcher has read, SB's
+    older revision its head, is refused for its smaller tree, by the
+    watcher and by an Auditor that has taken the whole log's head."""
+    from cyberlog.audit import Auditor
+    from cyberlog.claimlog import SignedTreeHead
+    from cyberlog.errors import LogIntegrityError
+
+    _sb, dom = _watching_dom(identities, trust_store, db, [7, 8])
+    rolled_back = _prefix(db, identities, trust_store, 2)
+    assert rolled_back.get_head("SB")["revision_id"] != dom.active_includes["SB"]
+    _refused_poll(dom, rolled_back, caplog, "tree size went backwards: 3 -> 2")
+    auditor = Auditor(rolled_back, trust_store, identities[OPERATOR].public_key)
+    auditor.reader.accept(SignedTreeHead.from_obj(db.get_log_root()))
+    with pytest.raises(LogIntegrityError, match="tree size went backwards"):
+        auditor.audit_head("SB")
+
+
+@pytest.mark.parametrize("answer", ["empty-consistency-proof", "payload-not-a-string"])
+def test_malformed_response_is_refused(answer, identities, trust_store, db, caplog):
+    """A claim DB that answers a consistency request with `{}`, or serves
+    a revision whose payload is not a string, is refused as any other lie
+    is: the poll logs one warning and leaves the KB as it was."""
+    sb, dom = _watching_dom(identities, trust_store, db, [7])
+    sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
+    sb.commit()
+    client = PassThroughDb(db)
+    if answer == "empty-consistency-proof":
+        client.get_consistency = lambda old_size, new_size: {}
+        expected = r"malformed consistency proof from the claim database: KeyError\('old_size'\)"
+    else:
+        client.get_revision = lambda rev_id: dict(db.get_revision(rev_id), payload=7)
+        expected = "malformed revision [0-9a-f]{64} from the claim database: TypeError"
+    _refused_poll(dom, client, caplog, expected)
+
+
+@pytest.mark.parametrize("forgery", ["zeroed-signature", "forked-head"])
+def test_commit_refuses_a_receipt_whose_head_the_reader_refuses(forgery, identities, trust_store, db):
+    """A submit receipt whose tree head has a bad signature, or does not
+    extend the last head SB's reader took, makes the commit raise, with the
+    KB and the base as they were."""
+    from cyberlog.errors import LogIntegrityError
+
+    sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    sb.commit()  # the reader takes the head of size 2
+    sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
+    claims, base = dict(sb.kb.claims), sb._base
+    if forgery == "zeroed-signature":
+        head, expected = dict(db.get_log_root(), signature="00" * 64), "tree head signature invalid"
+    else:  # a signed head of size 3, the size of SB's log after the submit, over another log
+        head, expected = _other_log(identities, trust_store, 2).get_log_root(), "split-view/tamper suspected"
+    client = PassThroughDb(db)
+    client.submit_revision = lambda payload: dict(db.submit_revision(payload), tree_head=head)
+    sb.reader.db = client
+    with pytest.raises(LogIntegrityError, match=expected):
+        sb.commit()
+    assert sb.kb.claims == claims and all(sb.kb.claims[a] is c for a, c in claims.items())
+    assert sb._base == base
+
+
+def test_each_reader_checks_each_head_once_and_decodes_each_payload_once(monkeypatch):
+    """On a memory-mode booking run, audited afterwards by one Auditor per
+    owner: each reader checks one tree-head signature per distinct head it
+    is served, asks for at most one consistency proof per distinct head and
+    decodes each distinct payload at most once."""
+    import cyberlog.claimdb as claimdb
+    import cyberlog.revision as revision
+    from cyberlog.audit import Auditor
+    from cyberlog.harness import ScenarioRun
+
+    seen, signatures, proofs, decodes = {}, {}, {}, {}
+    accepting = []
+    accept, verify_tree_head = revision.LogReader.accept, revision.verify_tree_head
+    get_consistency, decode_payload = claimdb.ClaimDb.get_consistency, revision.decode_payload
+
+    def counting_accept(reader, head):
+        seen.setdefault(id(reader), set()).add(head)
+        accepting.append(id(reader))
+        try:
+            return accept(reader, head)
+        finally:
+            accepting.pop()
+
+    def counting_verify(head, key):
+        signatures[accepting[-1]] = signatures.get(accepting[-1], 0) + 1
+        return verify_tree_head(head, key)
+
+    def counting_consistency(db, old_size, new_size):
+        proofs[accepting[-1]] = proofs.get(accepting[-1], 0) + 1
+        return get_consistency(db, old_size, new_size)
+
+    def counting_decode(payload, rulesheet_of, trust_store):
+        if isinstance(rulesheet_of, revision.LogReader):
+            decodes.setdefault(id(rulesheet_of), []).append(payload)
+        return decode_payload(payload, rulesheet_of, trust_store)
+
+    monkeypatch.setattr(revision.LogReader, "accept", counting_accept)
+    monkeypatch.setattr(revision, "verify_tree_head", counting_verify)
+    monkeypatch.setattr(claimdb.ClaimDb, "get_consistency", counting_consistency)
+    monkeypatch.setattr(revision, "decode_payload", counting_decode)
+    run = ScenarioRun(_steady_booking(4))
+    try:
+        run.finish()
+        assert run.query_count("DOM", "good_rtf_exists(R, A)") == 4
+        readers = [monitor.reader for monitor in run.monitors.values()]
+        for owner in run.monitors:
+            auditor = Auditor(run.client, run.trust_store, run.operator.public_key)
+            assert all(node.all_ok for node in auditor.audit_head(owner))
+            readers.append(auditor.reader)
+    finally:
+        run.close()
+    for reader in readers:
+        heads = seen[id(reader)]
+        assert signatures.get(id(reader), 0) == len(heads)
+        assert proofs.get(id(reader), 0) <= len(heads)
+        payloads = decodes.get(id(reader), [])
+        assert len(payloads) == len(set(payloads))
+    dom = run.monitors["DOM"].reader
+    assert len(seen[id(dom)]) > 1 and proofs[id(dom)] > 0 and decodes[id(dom)]

@@ -13,7 +13,6 @@ from cyberlog.engine import (
 from cyberlog.errors import EvidenceError, LogIntegrityError
 from cyberlog.lang import parse_query, parse_rulesheet
 from cyberlog.revision import (
-    LogReader,
     apply_next_rules,
     build_record,
     commit_staging,
@@ -25,7 +24,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, publish_rulesheet, rulesheets_of, sign_claim
+from conftest import OPERATOR, log_reader, publish_rulesheet, rulesheets_of, sign_claim
 
 CTR_SHEET = "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n"
 RETAIN_SHEET = (
@@ -49,12 +48,12 @@ def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
     """Log the rulesheet, then commit its owner's claims over `base`,
     including nothing; returns (record, receipt, next-rule carry-overs)."""
     publish_rulesheet(db_client, rs)
-    return commit_staging(identities[rs.self_id], rs, db_client, base, (), claims, now_ms)
+    return commit_staging(identities[rs.self_id], rs, reader(db_client, identities), base, (), claims, now_ms)
 
 
 def reader(db_client, identities):
-    """A watcher's `RulesheetOf` over `db_client`."""
-    return LogReader(db_client, identities[OPERATOR].public_key)
+    """A watcher's `LogReader` over `db_client`."""
+    return log_reader(db_client, identities)
 
 
 def commit_chain(db_client, identities, rs, claims, steps):
@@ -87,13 +86,13 @@ def test_three_commits_form_linear_chain(db_client, identities):
     assert latest_revision(db_client, "CTR") == (records[2].id, 3)
 
 
-def test_fetched_record_rehashes_to_id(db_client, identities):
+def test_fetched_record_rehashes_to_id(db_client, identities, trust_store):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
     fetched, _inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
-    again, _sig, _rs = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs))
+    again, _sig, _rs = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -293,10 +292,13 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
 
 
 def test_include_and_supersession_check_each_fetched_revision_once(db_client, identities, dom_setup, monkeypatch):
-    """`fetch_verified_revision` verifies a revision's inclusion proof and
-    tree-head signature, and the `revise` that admits its claims verifies
-    neither again; the rulesheet the revisions name is fetched and verified
-    once, at the first include."""
+    """`fetch_verified_revision` verifies a revision's inclusion proof, and
+    the reader the tree head's signature once per distinct head; the
+    `revise` that admits its claims verifies neither again. The rulesheet
+    the revisions name is fetched and verified once, at the first include,
+    under the head the revision came with, so that head's signature is
+    checked once, and the supersession's fetch, under the same head, checks
+    none."""
     import sys
 
     import cyberlog.claimlog as claimlog
@@ -328,11 +330,11 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
                 monkeypatch.setattr(module, binding, counting_bytes)
     log_reader = reader(db_client, identities)
     include_revision(kb, r1.id, log_reader, "MRM")
-    assert (len(proofs), len(heads)) == (2, 2)
+    assert (len(proofs), len(heads)) == (2, 1)
     proofs.clear()
     heads.clear()
     on_superseded(kb, r1.id, r2.id, log_reader, "MRM")
-    assert (len(proofs), len(heads)) == (1, 1)
+    assert (len(proofs), len(heads)) == (1, 0)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
@@ -359,7 +361,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
     assert len(kb) == 0
 
 
-def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
+def test_commit_serialises_each_claim_once(db_client, identities, trust_store, monkeypatch):
     import cyberlog.revision as revision
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
@@ -371,14 +373,14 @@ def test_commit_serialises_each_claim_once(db_client, identities, monkeypatch):
     calls, at_submit = [], []
     monkeypatch.setattr(revision, "claim_to_obj", lambda claim, rs: calls.append(claim) or original(claim, rs))
     monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
-    record, _, _ = commit_staging(identities["SB"], rs, db_client, None, (), claims, 3)
+    record, _, _ = commit_staging(identities["SB"], rs, reader(db_client, identities), None, (), claims, 3)
     assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
     rebuilt, body = build_record("SB", None, (), rs, claims, 3)
     assert payload == encode_payload(body, sign_record(record, identities["SB"]))
     assert record == rebuilt
-    assert decode_payload(payload, rulesheets_of(rs))[0] == record
+    assert decode_payload(payload, rulesheets_of(rs), trust_store)[0] == record
 
 
 def test_latest_revision_per_owner_independent(db_client, identities):
@@ -408,23 +410,85 @@ def test_head_matches_chain_walk_oracle(db_client, identities):
     assert list(reversed(walked)) == ids
 
 
-def test_decode_payload_never_crashes_on_mutations(db_client, identities):
+# --- the reader takes proofs only for the sizes of its heads ---------------------
+
+
+def signed_head(identities, size, root):
+    from cyberlog.claimlog import SignedTreeHead, tree_head_bytes
+    from cyberlog.identity import sign_bytes
+
+    return SignedTreeHead(size, root, 1, sign_bytes(identities[OPERATOR], tree_head_bytes(size, root, 1)))
+
+
+class ConsistencyServer:
+    """A claim DB that answers every consistency request with `proof`."""
+
+    def __init__(self, proof):
+        self.proof = proof
+
+    def get_consistency(self, old_size, new_size):
+        return self.proof
+
+
+def test_reader_refuses_a_consistency_proof_for_other_sizes(identities, trust_store):
+    """A reader at (10, R1) is offered a signed head of size 11 whose root
+    is node(R1, X), with the proof that a tree of 1 grew to 2 by X. That
+    proof verifies, but no honest tree of 11 has this root: the reader
+    refuses the head and keeps its last one."""
+    from hashlib import sha256
+
+    from cyberlog.claimlog import ConsistencyProof, _node, verify_consistency
+    from cyberlog.revision import LogReader
+
+    r1, x = sha256(b"R1").digest(), sha256(b"X").digest()
+    forged = ConsistencyProof(1, 2, (x,))
+    assert verify_consistency(r1, _node(r1, x), forged)
+    reader = LogReader(ConsistencyServer(forged.to_obj()), trust_store, identities[OPERATOR].public_key)
+    reader.accept(signed_head(identities, 10, r1))
+    last = reader.head
+    with pytest.raises(LogIntegrityError, match="^split-view/tamper suspected: 10 -> 11$"):
+        reader.accept(signed_head(identities, 11, _node(r1, x)))
+    assert reader.head == last
+
+
+def test_reader_refuses_an_inclusion_proof_in_a_tree_of_another_size(db_client, identities):
+    """Under a head of size 3 whose root is node(leaf, S), the proof that
+    the leaf is the first of a tree of 2 verifies, but no honest tree of 3
+    has this root: the reader refuses it."""
+    from hashlib import sha256
+
+    from cyberlog.claimlog import InclusionProof, _node, leaf_hash, verify_inclusion
+
+    payload = '{"kind":"rulesheet","text":""}'
+    leaf, s = leaf_hash(payload.encode("utf-8")), sha256(b"S").digest()
+    forged = InclusionProof(0, 2, (s,))
+    assert verify_inclusion(_node(leaf, s), leaf, forged)
+    head = signed_head(identities, 3, _node(leaf, s))
+    with pytest.raises(LogIntegrityError, match="^inclusion proof failed for rulesheet r1$"):
+        reader(db_client, identities).inclusion("rulesheet", "r1", payload, forged.to_obj(), head)
+
+
+def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_store, monkeypatch):
     """Random single-character mutations of a real payload either decode to
-    the same-or-different record or raise the log integrity error."""
+    the same-or-different record or raise the log integrity error. The
+    owner's signature check is stubbed to pass, so that mutations reach
+    the parser behind it."""
     import random as random_mod
 
+    import cyberlog.revision as revision
     from cyberlog.errors import LogIntegrityError
 
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=3)
     payload = db_client.get_revision(record.id)["payload"]
+    monkeypatch.setattr(revision, "verify_bytes", lambda _key, _signature, _message: True)
     rng = random_mod.Random(5)
     for _ in range(300):
         pos = rng.randrange(len(payload))
         mutated = payload[:pos] + chr(rng.randrange(32, 127)) + payload[pos + 1 :]
         try:
-            decoded, _sig, _rs = decode_payload(mutated, rulesheets_of(rs))
+            decoded, _sig, _rs = decode_payload(mutated, rulesheets_of(rs), trust_store)
         except LogIntegrityError:
             continue
         if mutated != payload:
@@ -459,15 +523,15 @@ def layout_payload(identities):
         lambda p: p[: p.index(',"signature"')] + "}",
     ],
 )
-def test_decode_payload_refuses_payload_outside_revision_layout(identities, mutate):
+def test_decode_payload_refuses_payload_outside_revision_layout(identities, trust_store, mutate):
     payload = layout_payload(identities)
     rulesheet_of = rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR"))
-    decode_payload(payload, rulesheet_of)
+    decode_payload(payload, rulesheet_of, trust_store)
     with pytest.raises(LogIntegrityError):
-        decode_payload(mutate(payload), rulesheet_of)
+        decode_payload(mutate(payload), rulesheet_of, trust_store)
 
 
-def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, monkeypatch):
+def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, trust_store, monkeypatch):
     import hashlib
 
     import cyberlog.revision as revision
@@ -475,12 +539,12 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, mon
     payload = layout_payload(identities)
     monkeypatch.setattr(revision, "build_record", None)
     monkeypatch.setattr(revision, "claim_to_obj", None)
-    record, _sig, _rs = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")))
+    record, _sig, _rs = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
     body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
     assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
 
-def test_spliced_payload_round_trips_through_decode(identities):
+def test_spliced_payload_round_trips_through_decode(identities, trust_store):
     """For generated claims, decoding the payload spliced from
     `build_record`'s body gives back its record, id and signature, and the
     payload is in the canonical form the claim DB logs. Rule instances are
@@ -517,12 +581,13 @@ def test_spliced_payload_round_trips_through_decode(identities):
         return Claim(atom, CarriedByNextRule(carry, substitution, supersedes))
 
     @settings(max_examples=150, deadline=None)
-    @given(drawn, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53), st.binary(min_size=64, max_size=64))
-    def check(drawn, supersedes, includes, commit_time, signature):
+    @given(drawn, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53))
+    def check(drawn, supersedes, includes, commit_time):
         claims = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
         record, body = build_record("SB", supersedes, includes, rs, claims, commit_time)
+        signature = sign_record(record, identities["SB"])
         payload = encode_payload(body, signature)
-        decoded, decoded_signature, _rs = decode_payload(payload, rulesheets_of(rs))
+        decoded, decoded_signature, _rs = decode_payload(payload, rulesheets_of(rs), trust_store)
         assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
         check_canonical(decoded, decoded_signature, payload, rs)
 
