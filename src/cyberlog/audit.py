@@ -87,18 +87,22 @@ class Auditor:
 
     def audit_atom(self, owner: str, atom: GroundAtom) -> AuditNode:
         """Audit one atom of the owner's head revision."""
-        head = self.reader.db.get_head(owner)["revision_id"]
-        record = self.fetch_revision(head)
+        record = self._head(owner)
         claim = record.by_atom.get(atom)
         if claim is None:
-            raise NotFoundError(f"atom {canonical_atom(atom)} not in head revision {head} of {owner!r}")
+            raise NotFoundError(f"atom {canonical_atom(atom)} not in head revision {record.id} of {owner!r}")
         return self.audit_claim(record, claim)
 
     def audit_head(self, owner: str) -> list[AuditNode]:
         """Audit every claim in the owner's head revision."""
-        head = self.reader.db.get_head(owner)["revision_id"]
-        record = self.fetch_revision(head)
+        record = self._head(owner)
         return [self.audit_claim(record, claim) for claim in record.claims]
+
+    def _head(self, owner: str) -> RevisionRecord:
+        head = self.reader.owner_head(owner)
+        if head is None:
+            raise NotFoundError(f"owner {owner!r} has no revisions")
+        return self.fetch_revision(head[0])
 
     # -- recursive verification ---------------------------------------------
 
@@ -210,7 +214,7 @@ def verify_log_consistency(
     cached = load_heads_cache(heads_cache_path)
     if not cached:
         raise NotFoundError(f"heads cache {heads_cache_path!r} is empty")
-    current = SignedTreeHead.from_obj(reader.db.get_log_root())
+    current = reader.log_root()
     checks: list[LogCheck] = []
     for head in cached + [current]:
         old_size = reader.head.tree_size if reader.head is not None else 0

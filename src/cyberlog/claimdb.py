@@ -74,7 +74,6 @@ class ClaimDb:
         self._rulesheets: dict[str, str] = {}  # rulesheet hash -> logged text
         self._owners: dict[str, str] = {}  # revision id -> owner; rulesheets have none
         self._heads: dict[str, _HeadState] = {}
-        self._superseded: set[str] = set()
         self._signed_head: SignedTreeHead | None = None  # the last head signed
         self._replay_existing()
 
@@ -100,8 +99,6 @@ class ClaimDb:
         self._entries[record.id] = index
         self._owners[record.id] = record.owner
         head = self._heads.get(record.owner)
-        if record.supersedes is not None:
-            self._superseded.add(record.supersedes)
         self._heads[record.owner] = _HeadState(record.id, (head.chain_length if head else 0) + 1, record.commit_time)
 
     # -- submission -----------------------------------------------------
@@ -161,10 +158,12 @@ class ClaimDb:
                 raise SubmitError(400, f"supersedes target {record.supersedes} is not a logged revision")
             if target_owner != record.owner:
                 raise SubmitError(401, f"only the owner may supersede: target owned by {target_owner!r}")
-            if record.supersedes in self._superseded:
+            # an owner's chain is linear: each of its revisions but the head
+            # is superseded
+            head = self._heads[record.owner]
+            if head.revision_id != record.supersedes:
                 raise SubmitError(409, f"revision {record.supersedes} is already superseded")
-            # an owner's only revision that nothing supersedes is its head
-            before = self._heads[record.owner].commit_time
+            before = head.commit_time
             if record.commit_time < before:
                 raise SubmitError(
                     409, f"commit time {record.commit_time} is before {before}, that of revision {record.supersedes}"
@@ -273,9 +272,6 @@ class HttpLogClient:
 
     def get_consistency(self, old_size: int, new_size: int) -> dict:
         return self._request("GET", f"/log/consistency?old={old_size}&new={new_size}")
-
-    def get_inclusion(self, index: int, size: int) -> dict:
-        return self._request("GET", f"/log/inclusion?index={index}&size={size}")
 
 
 def _int_params(query: dict, *names: str) -> list[int]:

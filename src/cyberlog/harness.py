@@ -16,12 +16,13 @@ import time
 from dataclasses import dataclass
 
 from .claimdb import ClaimDb, HttpLogClient, serve_db_in_thread
-from .claimlog import MerkleLog, SignedTreeHead
-from .errors import ConfigError, NotFoundError
+from .claimlog import MerkleLog
+from .errors import ConfigError
 from .identity import Identity, TrustStore, generate_identity
 from .lang import parse_rulesheet
 from .monitor import EventEnvelope, HttpMonitorClient, Monitor, MonitorService
 from .audit import append_heads_cache
+from .revision import LogReader
 
 OPERATOR_NAME = "log-operator"
 
@@ -48,6 +49,11 @@ class MonitorSpec:
     rulesheet_text: str
     watched: tuple[str, ...] = ()
     authz_predicate: str | None = None
+
+    def monitor(self, identities: dict[str, Identity], db, trust: TrustStore, operator: Identity, clock=None) -> Monitor:
+        """The monitor this spec describes, over the claim database `db`."""
+        identity, rulesheet = identities[self.name], parse_rulesheet(self.rulesheet_text, self.name)
+        return Monitor(identity, rulesheet, db, trust, operator.public_key, self.watched, clock, self.authz_predicate)
 
 
 @dataclass(frozen=True)
@@ -200,16 +206,13 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _head_summary(db: ClaimDb | HttpLogClient, owners) -> dict[str, dict]:
+def _head_summary(reader: LogReader, owners) -> dict[str, dict]:
     """Each owner's head revision id and chain length; None and 0 for an
     owner that has not committed."""
     heads = {}
     for owner in owners:
-        try:
-            head = db.get_head(owner)
-            heads[owner] = {"revision_id": head["revision_id"], "chain_length": head["chain_length"]}
-        except NotFoundError:
-            heads[owner] = {"revision_id": None, "chain_length": 0}
+        revision_id, chain_length = reader.owner_head(owner) or (None, 0)
+        heads[owner] = {"revision_id": revision_id, "chain_length": chain_length}
     return heads
 
 
@@ -223,18 +226,11 @@ class ScenarioRun:
         self.operator, self.identities, self.trust_store = scenario_identities(scenario)
         self.db = ClaimDb(MerkleLog(log_path), self.operator, self.trust_store, clock=lambda: self.now)
         self.client = self.db
-        self.monitors: dict[str, Monitor] = {}
-        for spec in scenario.monitors:
-            self.monitors[spec.name] = Monitor(
-                self.identities[spec.name],
-                parse_rulesheet(spec.rulesheet_text, spec.name),
-                self.client,
-                self.trust_store,
-                operator_key=self.operator.public_key,
-                watched_owners=spec.watched,
-                clock=lambda: self.now,
-                authz_predicate=spec.authz_predicate,
-            )
+        self.reader = LogReader(self.client, self.trust_store, self.operator.public_key)
+        self.monitors: dict[str, Monitor] = {
+            spec.name: spec.monitor(self.identities, self.client, self.trust_store, self.operator, lambda: self.now)
+            for spec in scenario.monitors
+        }
         self._order = [spec.name for spec in scenario.monitors]
         self._pending = list(scenario.events)
         self._next_commit = {name: scenario.commit_interval_ms for name in self._order}
@@ -292,14 +288,14 @@ class ScenarioRun:
             for e in self.scenario.expected
         ]
         metrics = [self.monitors[name].metrics_report() for name in self._order]
-        return ScenarioReport(self.scenario.name, "memory", results, metrics, _head_summary(self.client, self._order))
+        return ScenarioReport(self.scenario.name, "memory", results, metrics, _head_summary(self.reader, self._order))
 
     def run(self) -> ScenarioReport:
         self.finish()
         return self.evaluate()
 
     def write_heads_cache(self, path: str) -> None:
-        append_heads_cache(path, SignedTreeHead.from_obj(self.client.get_log_root()))
+        append_heads_cache(path, self.reader.log_root())
 
     def close(self) -> None:
         self.db.log.close()
@@ -330,17 +326,8 @@ def run_scenario_integration(
     clients: dict[str, HttpMonitorClient] = {}
     try:
         for spec in scenario.monitors:
-            monitor = Monitor(
-                identities[spec.name],
-                parse_rulesheet(spec.rulesheet_text, spec.name),
-                HttpLogClient(db_url),
-                trust,
-                operator_key=operator.public_key,
-                watched_owners=spec.watched,
-                authz_predicate=spec.authz_predicate,
-            )
             service = MonitorService(
-                monitor,
+                spec.monitor(identities, HttpLogClient(db_url), trust, operator),
                 commit_interval_ms=max(20, int(scenario.commit_interval_ms * INTERVAL_SCALE)),
                 poll_interval_ms=max(20, int(scenario.poll_interval_ms * INTERVAL_SCALE)),
             )
@@ -366,10 +353,10 @@ def run_scenario_integration(
             ExpectationResult(e.monitor, e.query, e.count, a) for e, a in zip(scenario.expected, actual)
         ]
         metrics = [clients[name].metrics() for name in services]
-        db_client = HttpLogClient(db_url)
-        heads = _head_summary(db_client, services)
+        reader = LogReader(HttpLogClient(db_url), trust, operator.public_key)
+        heads = _head_summary(reader, services)
         if heads_cache_path:
-            append_heads_cache(heads_cache_path, SignedTreeHead.from_obj(db_client.get_log_root()))
+            append_heads_cache(heads_cache_path, reader.log_root())
         return ScenarioReport(scenario.name, "integration", results, metrics, heads)
     finally:
         for service in services.values():

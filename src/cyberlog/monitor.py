@@ -27,7 +27,7 @@ from .engine import (
     canonical_atom,
     resolve_term,
 )
-from .errors import ConfigError, CyberlogError, NotFoundError, SubmitError
+from .errors import ConfigError, CyberlogError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore, sign_bytes
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
@@ -134,7 +134,7 @@ class Monitor:
         rulesheet: Rulesheet,
         db: LogClient,
         trust_store: TrustStore,
-        operator_key: bytes | None = None,
+        operator_key: bytes,
         watched_owners: tuple[str, ...] = (),
         clock: Callable[[], int] | None = None,
         authz_predicate: str | None = None,
@@ -147,9 +147,9 @@ class Monitor:
         # others check the monitor's events and revisions under this key
         if trust_store.public_key(identity.name) != identity.public_key:
             raise ConfigError(f"trust store does not hold the public key of {identity.name!r}")
-        # a watcher checks every fetched tree head under the operator's key
-        if watched_owners and operator_key is None:
-            raise ConfigError("a monitor that watches owners needs the log operator's key")
+        # its reader checks every tree head it is served under this key
+        if operator_key is None:
+            raise ConfigError("a monitor needs the log operator's key")
         self.identity = identity
         self.rulesheet = rulesheet
         self.watched_owners = tuple(watched_owners)
@@ -162,8 +162,7 @@ class Monitor:
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
         self._rulesheet_published = False
-        # the claim database, through which the monitor commits and reads
-        # the watched owners' revisions
+        # the monitor's one way to the claim database, to commit and to watch
         self.reader = LogReader(db, trust_store, operator_key)
 
     # -- ingestion ------------------------------------------------------
@@ -196,10 +195,10 @@ class Monitor:
     def commit(self):
         """Commit own claims as a new revision; returns the record, or None
         if the claim database was unreachable or refused the rulesheet or
-        the revision (KB untouched). A receipt whose tree head or inclusion
-        proof the reader refuses raises LogIntegrityError, with the KB and
-        the base untouched. The rulesheet is logged before the
-        first revision, which names it. After a successful submit the KB
+        the revision (KB untouched). The rulesheet is logged before the
+        first revision, which names it. A receipt of either whose tree head
+        or inclusion proof the reader refuses raises LogIntegrityError, with
+        the KB and the base untouched. After a successful submit the KB
         keeps its inclusions and takes the next-rule carry-overs as its own
         claims. If the carry-overs make saturation raise, the error
         propagates with the record logged, and the KB drops the record's
@@ -208,14 +207,17 @@ class Monitor:
         with self.lock:
             # either failure is retried next interval, with the KB untouched
             try:
-                self._ensure_rulesheet_published()
+                if not self._rulesheet_published:
+                    payload = encode_rulesheet_payload(format_rulesheet(self.rulesheet))
+                    self.reader.submit("rulesheet", self.rulesheet.source_hash.hex(), payload)
+                    self._rulesheet_published = True
             except (SubmitError, OSError) as exc:
                 self._warn("commit", f"rulesheet not published, nothing committed: {exc}")
                 return None
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
             try:
-                record, _receipt, carried = commit_staging(
+                record, _inclusion, carried = commit_staging(
                     self.identity, self.rulesheet, self.reader, self._base, self.active_includes.values(), own,
                     self.clock(), included,
                 )
@@ -233,13 +235,6 @@ class Monitor:
                 raise
             return record
 
-    def _ensure_rulesheet_published(self) -> None:
-        """Publish the rulesheet unless already done; raises SubmitError or
-        OSError if the publish fails, and the next commit retries it."""
-        if not self._rulesheet_published:
-            self.reader.db.submit_revision(encode_rulesheet_payload(format_rulesheet(self.rulesheet)))
-            self._rulesheet_published = True
-
     # -- polling ------------------------------------------------------------
 
     def poll_and_include(self) -> list[str]:
@@ -252,23 +247,18 @@ class Monitor:
         loaded: list[str] = []
         with self.lock:
             for owner in self.watched_owners:
-                try:
-                    head = self.reader.db.get_head(owner)["revision_id"]
-                except NotFoundError:
-                    continue
-                except (SubmitError, OSError) as exc:
-                    self._warn("poll", f"poll skipped ({owner}): {exc}")
-                    continue
                 last = self.active_includes.get(owner)
-                if head == last:
-                    continue
                 try:
+                    # an owner without revisions has nothing new either
+                    head, _length = self.reader.owner_head(owner) or (last, 0)
+                    if head == last:
+                        continue
                     if last is None:
                         include_revision(self.kb, head, self.reader, owner)
                     else:
                         on_superseded(self.kb, last, head, self.reader, owner)
                 except (CyberlogError, OSError) as exc:
-                    self._warn("poll", f"include of {head} from {owner} refused: {exc}")
+                    self._warn("poll", f"poll of {owner} refused: {exc}")
                     continue
                 self.active_includes[owner] = head
                 loaded.append(head)

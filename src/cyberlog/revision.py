@@ -31,7 +31,7 @@ from .engine import (
     match_rule_body,
     rule_substitution,
 )
-from .errors import EvidenceError, LogIntegrityError, ParseError, SignatureError
+from .errors import EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError
 from .identity import Identity, TrustStore, sign_bytes, verify_bytes
 from .lang import RelationalAtom, RuleKind, Rulesheet, parse_logged_rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
@@ -50,8 +50,6 @@ class LogClient(Protocol):
     def get_log_root(self) -> dict: ...
 
     def get_consistency(self, old_size: int, new_size: int) -> dict: ...
-
-    def get_inclusion(self, index: int, size: int) -> dict: ...
 
 
 # The rulesheet a revision names: (rulesheet_hash, owner) -> the logged text
@@ -276,28 +274,25 @@ def commit_staging(
     claims: Iterable[Claim],
     now_ms: int,
     included_claims: Sequence[Claim] = (),
-) -> tuple[RevisionRecord, dict, list[Claim]]:
+) -> tuple[RevisionRecord, LogInclusion, list[Claim]]:
     """Commit `identity`'s claims as a revision superseding `base` and
-    including `includes`; returns (record, receipt, next-rule carry-overs).
+    including `includes`; returns (record, inclusion, next-rule carry-overs).
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
     has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
     record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
-    payload = encode_payload(body, sign_record(record, identity))
-    receipt = reader.db.submit_revision(payload)
-    with _served("submit receipt"):
-        head = SignedTreeHead.from_obj(receipt["tree_head"])
-        reader.accept(head)
-        reader.inclusion("revision", record.id, payload, receipt["inclusion_proof"], head)
-    return record, receipt, apply_next_rules(record, rs, included_claims)
+    inclusion = reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
+    return record, inclusion, apply_next_rules(record, rs, included_claims)
 
 
 @contextlib.contextmanager
 def _served(what: str) -> Iterator[None]:
     """Raise LogIntegrityError for a claim-database response the block
-    cannot read: a reader trusts nothing the database serves."""
+    cannot read, the decoding of an HTTP answer included: a reader trusts
+    nothing the database serves. Refusals (CyberlogError) and transport
+    failures (OSError) pass through."""
     try:
         yield
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -305,11 +300,12 @@ def _served(what: str) -> Iterator[None]:
 
 
 class LogReader:
-    """The one verifier of what the claim database `db` serves, and the one
-    cache of it: the last accepted tree head, revisions by id and rulesheet
-    texts by hash. Heads are checked under `operator_key` unless it is None
-    (an offline audit: no operator signed), owners under `trust_store`.
-    Heads must come in the order asked for: one thread at a time."""
+    """The one client of the claim database `db`, which parses and verifies
+    all `db` answers, and the one cache of what it verified: the last
+    accepted tree head, revisions by id and rulesheet texts by hash. Heads
+    are checked under `operator_key` unless it is None (an offline audit: no
+    operator signed), owners under `trust_store`. Heads must come in the
+    order asked for: one thread at a time."""
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.db = db
@@ -343,26 +339,51 @@ class LogReader:
                 raise LogIntegrityError(f"split-view/tamper suspected: {last.tree_size} -> {head.tree_size}")
         self.head = head
 
-    def inclusion(self, what: str, entry_id: str, payload: str, proof: dict, head: SignedTreeHead) -> LogInclusion:
-        """The inclusion of an entry's `payload` (a revision or a rulesheet,
-        as `what` says) under `head`, a head `accept` took, by `proof`, a
-        proof in a tree of the head's size. Callers read `proof` from the
-        claim database inside `_served`."""
-        inclusion = LogInclusion(entry_id, leaf_hash(payload.encode("utf-8")), InclusionProof.from_obj(proof), head)
-        sizes = inclusion.proof.tree_size == head.tree_size
-        if not sizes or not verify_inclusion(head.root_hash, inclusion.leaf_hash, inclusion.proof):
-            raise LogIntegrityError(f"inclusion proof failed for {what} {entry_id}")
-        return inclusion
+    def owner_head(self, owner: str) -> tuple[str, int] | None:
+        """`owner`'s head revision id and chain length; None if it has none."""
+        with _served(f"head of {owner!r}"):
+            try:
+                response = self.db.get_head(owner)
+            except NotFoundError:
+                return None
+            head = response["revision_id"], response["chain_length"]
+            if not isinstance(head[0], str) or not isinstance(head[1], int):
+                raise TypeError(f"not a revision id and a chain length: {head!r}")
+            return head
 
-    def fetch(self, what: str, entry_id: str, read: Callable[[str], _T]) -> tuple[_T, LogInclusion]:
-        """`read` of the payload logged under `entry_id`, and its
-        inclusion. The head served with it is accepted first, since `read`
-        may fetch under a later one."""
-        response = self.db.get_revision(entry_id)
+    def log_root(self) -> SignedTreeHead:
+        """The log's current tree head as served, for `accept` to check."""
+        with _served("log root"):
+            return SignedTreeHead.from_obj(self.db.get_log_root())
+
+    def submit(self, what: str, entry_id: str, payload: str) -> LogInclusion:
+        """Log `payload` under `entry_id` and return its inclusion, checked
+        as a fetched entry's is. Raises SubmitError if the claim database
+        refuses the entry."""
+        with _served(f"{what} receipt"):
+            receipt = self.db.submit_revision(payload)
+            return self._entry(what, entry_id, payload, receipt["tree_head"], receipt["inclusion_proof"])[1]
+
+    def _fetch(self, what: str, entry_id: str, read: Callable[[str], _T]) -> tuple[_T, LogInclusion]:
         with _served(f"{what} {entry_id}"):
-            head = SignedTreeHead.from_obj(response["tree_head"])
-            self.accept(head)
-            return read(response["payload"]), self.inclusion(what, entry_id, response["payload"], response["proof"], head)
+            response = self.db.get_revision(entry_id)
+            return self._entry(what, entry_id, response["payload"], response["tree_head"], response["proof"], read)
+
+    def _entry(
+        self, what: str, entry_id: str, payload: str, head: dict, proof: dict, read: Callable[[str], _T] = str
+    ) -> tuple[_T, LogInclusion]:
+        """`read` of the `payload` of an entry (a revision or a rulesheet, as
+        `what` says), by default the payload itself, and its inclusion by the
+        head and proof served with it, called inside `_served`. The head is
+        accepted first, since `read` may fetch under a later one."""
+        accepted = SignedTreeHead.from_obj(head)
+        self.accept(accepted)
+        value = read(payload)
+        inclusion = LogInclusion(entry_id, leaf_hash(payload.encode("utf-8")), InclusionProof.from_obj(proof), accepted)
+        sizes = inclusion.proof.tree_size == accepted.tree_size
+        if not sizes or not verify_inclusion(accepted.root_hash, inclusion.leaf_hash, inclusion.proof):
+            raise LogIntegrityError(f"inclusion proof failed for {what} {entry_id}")
+        return value, inclusion
 
     def revision(self, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
         """The revision logged under `rev_id` and the inclusion its claims
@@ -377,7 +398,7 @@ class LogReader:
 
     def __call__(self, rulesheet_hash: str, owner: str) -> Rulesheet:
         if rulesheet_hash not in self._texts:
-            text, _ = self.fetch("rulesheet", rulesheet_hash, decode_rulesheet_payload)
+            text, _ = self._fetch("rulesheet", rulesheet_hash, decode_rulesheet_payload)
             if rulesheet_entry_id(text) != rulesheet_hash:
                 raise LogIntegrityError(f"rulesheet hashes to {rulesheet_entry_id(text)}, expected {rulesheet_hash}")
             self._texts[rulesheet_hash] = text
@@ -389,7 +410,7 @@ def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRec
     its tree head, owner's signature, claims, inclusion proof and id;
     returns the record and the inclusion its claims share."""
     decode = functools.partial(decode_payload, rulesheet_of=reader, trust_store=reader.trust_store)
-    (record, _signature, _rs), inclusion = reader.fetch("revision", rev_id, decode)
+    (record, _signature, _rs), inclusion = reader._fetch("revision", rev_id, decode)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
     return record, inclusion

@@ -90,6 +90,31 @@ def test_audit_absent_atom(tmp_path):
     run.close()
 
 
+def test_owner_without_revisions_is_an_audit_error(db_client, identities, trust_store):
+    auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
+    with pytest.raises(NotFoundError, match="owner 'SB' has no revisions"):
+        auditor.audit_head("SB")
+    with pytest.raises(NotFoundError, match="owner 'SB' has no revisions"):
+        auditor.audit_atom("SB", GroundAtom("SB", "p", (1,)))
+
+
+@pytest.mark.parametrize("answer", [{}, {"revision_id": ["r"], "chain_length": 1}, {"revision_id": "r"}])
+def test_malformed_owner_head_fails_the_audit(answer, tmp_path):
+    """A claim DB whose head answer is not a revision id and a chain length
+    fails the audit with the log integrity error, before any fetch."""
+    from cyberlog.errors import LogIntegrityError
+
+    run, _log, _cache = booking_run(tmp_path, heads=False)
+    try:
+        run.client.get_head = lambda owner: answer
+        auditor = Auditor(run.client, run.trust_store, run.operator.public_key)
+        with pytest.raises(LogIntegrityError, match="^malformed head of 'DOM' from the claim database"):
+            auditor.audit_head("DOM")
+        assert auditor.reader.head is None
+    finally:
+        run.close()
+
+
 def test_verify_log_clean_pass_and_append(tmp_path):
     run, _log, cache = booking_run(tmp_path)
     before = len(load_heads_cache(cache))

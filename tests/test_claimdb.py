@@ -15,6 +15,7 @@ from cyberlog.claimlog import (
 )
 from cyberlog.engine import Claim, DirectAssertion, GroundAtom
 from cyberlog.errors import NotFoundError, SubmitError
+from cyberlog.httpjson import request_json
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
     LogReader,
@@ -205,14 +206,14 @@ def test_rulesheet_blob_storage(db_client):
 def test_receipts_linearizable_and_consistent(db_client, identities):
     rs = parse_rulesheet("'CTR': Subject: 's' Issuer: 'i'\n", "CTR")
     publish_rulesheet(db_client, rs)
-    base, receipts = None, []
+    base, inclusions = None, []
     for t in range(6):
-        record, receipt, _ = commit_staging(identities["CTR"], rs, reader(db_client, identities), base, (), (), t)
+        record, inclusion, _ = commit_staging(identities["CTR"], rs, reader(db_client, identities), base, (), (), t)
         base = record.id
-        receipts.append(receipt)
-    indices = [r["leaf_index"] for r in receipts]
+        inclusions.append(inclusion)
+    indices = [i.proof.leaf_index for i in inclusions]
     assert indices == sorted(indices) and len(set(indices)) == len(indices)
-    heads = [SignedTreeHead.from_obj(r["tree_head"]) for r in receipts]
+    heads = [i.tree_head for i in inclusions]
     for older, newer in zip(heads, heads[1:]):
         proof = ConsistencyProof.from_obj(db_client.get_consistency(older.tree_size, newer.tree_size))
         assert verify_consistency(older.root_hash, newer.root_hash, proof)
@@ -260,8 +261,43 @@ def test_http_submit_fetch_roundtrip(http_client, identities):
     assert head["revision_id"] == record.id
     root = SignedTreeHead.from_obj(http_client.get_log_root())
     assert root.tree_size == 3
-    proof = InclusionProof.from_obj(http_client.get_inclusion(2, 3))
+    inclusion = request_json("GET", f"{http_client.base_url}/log/inclusion?index=2&size=3", None, 10.0)
+    proof = InclusionProof.from_obj(inclusion)
     assert verify_inclusion(root.root_hash, leaf_hash(payload.encode()), proof)
+
+
+def test_reader_refuses_an_http_answer_that_is_not_json(identities, trust_store):
+    """A server that answers 200 with a body that is not JSON, as a proxy's
+    error page would, is a malformed answer to every read of the reader."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from cyberlog.errors import LogIntegrityError
+
+    class ErrorPage(BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", "6")
+            self.end_headers()
+            self.wfile.write(b"<html>")
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ErrorPage)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        reader = LogReader(HttpLogClient(f"http://127.0.0.1:{server.server_address[1]}"), trust_store, None)
+        for read, what in [
+            (lambda: reader.owner_head("SB"), "head of 'SB'"),
+            (reader.log_root, "log root"),
+            (lambda: reader.revision("ab"), "revision ab"),
+        ]:
+            with pytest.raises(LogIntegrityError, match=f"^malformed {what} from the claim database: JSONDecodeError"):
+                read()
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_http_error_mapping(http_client, identities):

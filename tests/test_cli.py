@@ -101,7 +101,7 @@ def served_scenario(tmp_path):
     )
     db = ClaimDb(MerkleLog(log_path), operator, TrustStore.load(trust))
     server, url = serve_db_in_thread(db)
-    yield {"url": url, "heads": heads, "trust": trust, "log": log_path}
+    yield {"url": url, "heads": heads, "trust": trust, "log": log_path, "db": db}
     server.shutdown()
     server.server_close()
     db.log.close()
@@ -159,18 +159,47 @@ def test_verify_log_cli_pass(served_scenario, capsys):
     assert "append-only consistent" in capsys.readouterr().out
 
 
+def test_verify_log_cli_malformed_log_root(served_scenario, monkeypatch, capsys):
+    monkeypatch.setattr(served_scenario["db"], "get_log_root", lambda: {})
+    code = main(
+        [
+            "verify-log",
+            "--db", served_scenario["url"],
+            "--heads-cache", served_scenario["heads"],
+            "--trust-store", served_scenario["trust"],
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "verify-log failed: malformed log root from the claim database" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_audit_cli_malformed_owner_head(served_scenario, monkeypatch, capsys):
+    monkeypatch.setattr(served_scenario["db"], "get_head", lambda owner: {})
+    code = main(
+        ["audit", "--db", served_scenario["url"], "--trust-store", served_scenario["trust"], "--owner", "OM"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "audit failed: malformed head of 'OM' from the claim database" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_query_cli(tmp_path, capsys):
     from cyberlog.monitor import Monitor, MonitorService
     from cyberlog.lang import parse_rulesheet
 
     ident = generate_identity("SB", seed=bytes([1]) * 32)
     trust = TrustStore.from_identities([ident])
-    db = ClaimDb(MerkleLog(), generate_identity("op", seed=bytes([2]) * 32), trust)
+    operator = generate_identity("op", seed=bytes([2]) * 32)
+    db = ClaimDb(MerkleLog(), operator, trust)
     monitor = Monitor(
         ident,
         parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\nseen(P) :- getRequest(P, T, B).\n", "SB"),
         db,
         trust,
+        operator.public_key,
     )
     from cyberlog.monitor import EventEnvelope
 

@@ -99,9 +99,16 @@ def test_no_public_name_is_used_only_by_tests():
     assert names_used_only_by_tests() == []
 
 
-# the reader and the database with its HTTP client: nothing else reads entries
-# or consistency proofs from a claim database, so nothing else can skip a check
+# the reader and the database with its HTTP client: nothing else calls a
+# claim database, so nothing else parses what one answers or skips a check
 LOG_READERS = {"revision.py", "claimdb.py"}
+LOG_CLIENT_METHODS = {"submit_revision", "get_revision", "get_head", "get_log_root", "get_consistency"}
+
+
+def test_log_client_methods_are_those_of_the_protocol():
+    from cyberlog.revision import LogClient
+
+    assert {name for name in vars(LogClient) if not name.startswith("_")} == LOG_CLIENT_METHODS
 
 
 def log_reads_outside_the_reader():
@@ -113,10 +120,19 @@ def log_reads_outside_the_reader():
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("get_revision", "get_consistency")
+                and node.func.attr in LOG_CLIENT_METHODS
             ):
                 yield f"{path.name}:{node.lineno} calls {node.func.attr}"
+            elif isinstance(node, ast.Attribute) and node.attr == "db" and _is_reader(node.value):
+                yield f"{path.name}:{node.lineno} reads a reader's db"
 
 
-def test_only_the_reader_reads_revisions_and_consistency_proofs():
+def _is_reader(node) -> bool:
+    """True for an expression `reader` or `….reader`."""
+    return (isinstance(node, ast.Name) and node.id == "reader") or (
+        isinstance(node, ast.Attribute) and node.attr == "reader"
+    )
+
+
+def test_only_the_reader_calls_the_claim_database():
     assert list(log_reads_outside_the_reader()) == []

@@ -403,24 +403,28 @@ def test_monitor_whose_trusted_key_is_not_its_own_is_refused(trusted, identities
 
 
 def test_watching_monitor_without_operator_key_is_refused(identities, trust_store, db):
-    """A watcher checks every fetched tree head under the log operator's
-    key. Built without it, a DOM watching SB through a client that zeroes
-    every tree-head signature would include SB's head and answer
-    `verdict(R)`; so such a monitor is refused when it is built. A monitor
-    that watches nobody fetches nothing and needs no key."""
+    """A monitor's reader checks every tree head it is served under the log
+    operator's key. Built without it, a DOM watching SB through a client
+    that zeroes every tree-head signature would include SB's head and
+    answer `verdict(R)`, and a monitor that watches nobody would commit on
+    a receipt whose head is forged; so every monitor without the key is
+    refused when it is built."""
     sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
     sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
     sb.commit()
     zeroing = PassThroughDb(db)
     zeroing.get_revision = lambda rev_id: FORGED_FETCHES["zeroed-head-signature"][0](db.get_revision(rev_id))
-    with pytest.raises(ConfigError, match="a monitor that watches owners needs the log operator's key"):
-        Monitor(identities["DOM"], parse_rulesheet(DOM_SHEET, "DOM"), zeroing, trust_store, watched_owners=("SB",))
-    Monitor(identities["SB"], parse_rulesheet(SB_SHEET, "SB"), db, trust_store)
+    with pytest.raises(ConfigError, match="a monitor needs the log operator's key"):
+        Monitor(identities["DOM"], parse_rulesheet(DOM_SHEET, "DOM"), zeroing, trust_store, None, ("SB",))
+    with pytest.raises(ConfigError, match="a monitor needs the log operator's key"):
+        Monitor(identities["SB"], parse_rulesheet(SB_SHEET, "SB"), db, trust_store, None)
 
 
 def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
     with pytest.raises(ConfigError, match="does not match"):
-        Monitor(identities["DOM"], parse_rulesheet(SB_SHEET, "SB"), db_client, trust_store)
+        Monitor(
+            identities["DOM"], parse_rulesheet(SB_SHEET, "SB"), db_client, trust_store, identities[OPERATOR].public_key
+        )
 
 
 # --- Ed25519 work along each monitor's KB lineage ----------------------------
@@ -947,22 +951,93 @@ def test_rolled_back_log_is_refused(identities, trust_store, db, caplog):
         auditor.audit_head("SB")
 
 
-@pytest.mark.parametrize("answer", ["empty-consistency-proof", "payload-not-a-string"])
+@pytest.mark.parametrize("answer", ["empty-head", "empty-consistency-proof", "payload-not-a-string"])
 def test_malformed_response_is_refused(answer, identities, trust_store, db, caplog):
-    """A claim DB that answers a consistency request with `{}`, or serves
-    a revision whose payload is not a string, is refused as any other lie
-    is: the poll logs one warning and leaves the KB as it was."""
+    """A claim DB that answers a head request or a consistency request with
+    `{}`, or serves a revision whose payload is not a string, is refused as
+    any other lie is: the poll logs one warning and leaves the KB as it
+    was."""
     sb, dom = _watching_dom(identities, trust_store, db, [7])
     sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
     sb.commit()
     client = PassThroughDb(db)
-    if answer == "empty-consistency-proof":
+    if answer == "empty-head":
+        client.get_head = lambda owner: {}
+        expected = r"malformed head of 'SB' from the claim database: KeyError\('revision_id'\)"
+    elif answer == "empty-consistency-proof":
         client.get_consistency = lambda old_size, new_size: {}
         expected = r"malformed consistency proof from the claim database: KeyError\('old_size'\)"
     else:
         client.get_revision = lambda rev_id: dict(db.get_revision(rev_id), payload=7)
         expected = "malformed revision [0-9a-f]{64} from the claim database: TypeError"
     _refused_poll(dom, client, caplog, expected)
+
+
+def test_poll_thread_survives_a_malformed_head(identities, trust_store, db, caplog):
+    """A running service whose claim DB answers DOM's head requests with
+    `{}` keeps polling: each poll logs a warning, and once the DB answers
+    again the next poll includes SB's new head."""
+    import time
+
+    from cyberlog.monitor import MonitorService
+
+    sb, dom = _watching_dom(identities, trust_store, db, [7])
+    sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
+    newer = sb.commit()
+    client = PassThroughDb(db)
+    client.get_head = lambda owner: {}
+    dom.reader.db = client
+
+    def wait_for(condition):
+        deadline = time.monotonic() + 10
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return condition()
+
+    service = MonitorService(dom, commit_interval_ms=10**6, poll_interval_ms=10)
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        service.start()
+        try:
+            assert wait_for(lambda: sum("malformed head of 'SB'" in r.getMessage() for r in caplog.records) >= 2)
+            del client.get_head  # the DB answers honestly again
+            assert wait_for(lambda: dom.active_includes["SB"] == newer.id)
+        finally:
+            service.stop()
+    assert {r.stage for r in caplog.records} == {"poll"}
+
+
+def test_watcher_skips_an_owner_without_revisions_silently(identities, trust_store, db, caplog):
+    dom = make_monitor(identities, trust_store, db, "DOM", DOM_SHEET, watched=("SB",))
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        assert dom.poll_and_include() == []
+    assert caplog.records == [] and dom.active_includes == {}
+
+
+def test_commit_refuses_a_rulesheet_receipt_whose_head_is_forged(identities, trust_store, db):
+    """The rulesheet's receipt goes through the reader as a revision's does:
+    a zeroed tree-head signature on it makes the commit raise before any
+    revision is submitted, with the KB and the base as they were, and the
+    next commit, on honest receipts, publishes the rulesheet and commits."""
+    from cyberlog.errors import LogIntegrityError
+
+    def zeroing_submit(payload):
+        receipt = db.submit_revision(payload)
+        if payload.startswith('{"kind":"rulesheet"'):
+            receipt = dict(receipt, tree_head=dict(receipt["tree_head"], signature="00" * 64))
+        return receipt
+
+    client = PassThroughDb(db)
+    client.submit_revision = zeroing_submit
+    sb = make_monitor(identities, trust_store, client, "SB", SB_SHEET)
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    claims = dict(sb.kb.claims)
+    with pytest.raises(LogIntegrityError, match="tree head signature invalid"):
+        sb.commit()
+    assert sb.kb.claims == claims and all(sb.kb.claims[a] is c for a, c in claims.items())
+    assert sb._base is None and len(db.log) == 1  # the rulesheet only
+    del client.submit_revision
+    record = sb.commit()
+    assert record is not None and db.get_head("SB")["revision_id"] == record.id == sb._base
 
 
 @pytest.mark.parametrize("forgery", ["zeroed-signature", "forked-head"])

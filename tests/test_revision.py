@@ -46,7 +46,7 @@ def signed(identities, owner, atom):
 
 def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
     """Log the rulesheet, then commit its owner's claims over `base`,
-    including nothing; returns (record, receipt, next-rule carry-overs)."""
+    including nothing; returns (record, its inclusion, next-rule carry-overs)."""
     publish_rulesheet(db_client, rs)
     return commit_staging(identities[rs.self_id], rs, reader(db_client, identities), base, (), claims, now_ms)
 
@@ -69,10 +69,11 @@ def commit_chain(db_client, identities, rs, claims, steps):
 
 def test_commit_empty_staging(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    record, receipt, carried = commit(db_client, identities, rs, now_ms=5)
+    record, inclusion, carried = commit(db_client, identities, rs, now_ms=5)
     assert record.claims == () and record.supersedes is None
     assert len(record.id) == 64
-    assert receipt["leaf_index"] == 1  # after the rulesheet
+    assert inclusion.revision_id == record.id
+    assert inclusion.proof.leaf_index == 1  # after the rulesheet
     assert carried == []
 
 
@@ -430,6 +431,16 @@ class ConsistencyServer:
         return self.proof
 
 
+class ReceiptServer:
+    """A claim DB that answers every submit with `receipt`."""
+
+    def __init__(self, receipt):
+        self.receipt = receipt
+
+    def submit_revision(self, payload):
+        return self.receipt
+
+
 def test_reader_refuses_a_consistency_proof_for_other_sizes(identities, trust_store):
     """A reader at (10, R1) is offered a signed head of size 11 whose root
     is node(R1, X), with the proof that a tree of 1 grew to 2 by X. That
@@ -451,10 +462,10 @@ def test_reader_refuses_a_consistency_proof_for_other_sizes(identities, trust_st
     assert reader.head == last
 
 
-def test_reader_refuses_an_inclusion_proof_in_a_tree_of_another_size(db_client, identities):
+def test_reader_refuses_an_inclusion_proof_in_a_tree_of_another_size(identities):
     """Under a head of size 3 whose root is node(leaf, S), the proof that
     the leaf is the first of a tree of 2 verifies, but no honest tree of 3
-    has this root: the reader refuses it."""
+    has this root: the reader refuses the receipt that carries it."""
     from hashlib import sha256
 
     from cyberlog.claimlog import InclusionProof, _node, leaf_hash, verify_inclusion
@@ -464,8 +475,9 @@ def test_reader_refuses_an_inclusion_proof_in_a_tree_of_another_size(db_client, 
     forged = InclusionProof(0, 2, (s,))
     assert verify_inclusion(_node(leaf, s), leaf, forged)
     head = signed_head(identities, 3, _node(leaf, s))
+    server = ReceiptServer({"tree_head": head.to_obj(), "inclusion_proof": forged.to_obj()})
     with pytest.raises(LogIntegrityError, match="^inclusion proof failed for rulesheet r1$"):
-        reader(db_client, identities).inclusion("rulesheet", "r1", payload, forged.to_obj(), head)
+        reader(server, identities).submit("rulesheet", "r1", payload)
 
 
 def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_store, monkeypatch):
