@@ -29,7 +29,7 @@ from .engine import (
 )
 from .errors import ConfigError, CyberlogError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
-from .identity import Identity, TrustStore, sign_bytes
+from .identity import Identity, TrustStore
 from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
 from .revision import (
     LogClient,
@@ -147,6 +147,8 @@ class Monitor:
         # others check the monitor's events and revisions under this key
         if trust_store.public_key(identity.name) != identity.public_key:
             raise ConfigError(f"trust store does not hold the public key of {identity.name!r}")
+        if identity.private_key is None:  # its commits sign its events and revisions
+            raise ConfigError(f"identity {identity.name!r} has no private key to sign with")
         # its reader checks every tree head it is served under this key
         if operator_key is None:
             raise ConfigError("a monitor needs the log operator's key")
@@ -170,11 +172,8 @@ class Monitor:
     def ingest_event(self, env: EventEnvelope) -> IngestResult:
         env.validate()
         started = time.perf_counter()
-        atom = GroundAtom(
-            self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body)
-        )
-        signature = sign_bytes(self.identity, canonical_atom(atom).encode("utf-8"))
-        claim = Claim(atom, DirectAssertion(self.name, signature))
+        atom = GroundAtom(self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body))
+        claim = Claim(atom, DirectAssertion(self.name))  # signed by the commit that logs it
         with self.lock:
             # the event first if it is new, then its consequences; a known
             # event adds nothing, since the KB is at its fixpoint

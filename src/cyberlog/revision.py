@@ -23,6 +23,7 @@ from .claimlog import verify_consistency, verify_inclusion, verify_tree_head
 from .engine import (
     CarriedByNextRule,
     Claim,
+    DirectAssertion,
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
@@ -136,6 +137,14 @@ def build_record(
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
     return sign_bytes(identity, bytes.fromhex(record.id))
+
+
+def _signed(claim: Claim, identity: Identity) -> Claim:
+    """`claim`, signed over its atom's text if it is an unsigned direct assertion by `identity`."""
+    ev = claim.evidence
+    if isinstance(ev, DirectAssertion) and ev.signature is None and ev.signer == identity.name:
+        return Claim(claim.atom, DirectAssertion(ev.signer, sign_bytes(identity, canonical_atom(claim.atom).encode())))
+    return claim
 
 
 def encode_payload(body: str, signature: bytes) -> str:
@@ -277,11 +286,14 @@ def commit_staging(
 ) -> tuple[RevisionRecord, LogInclusion, list[Claim]]:
     """Commit `identity`'s claims as a revision superseding `base` and
     including `includes`; returns (record, inclusion, next-rule carry-overs).
+    The record's copies of `identity`'s unsigned direct assertions are
+    signed; `claims` stay unsigned, and a retry signs them to the same bytes.
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
     has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
+    claims = [_signed(c, identity) for c in claims]
     record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
     inclusion = reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
     return record, inclusion, apply_next_rules(record, rs, included_claims)

@@ -48,6 +48,8 @@ def evidence_to_obj(ev: Evidence, rs: Rulesheet) -> dict:
     if isinstance(ev, DerivedByRule):
         return _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution, rs)
     if isinstance(ev, DirectAssertion):
+        if ev.signature is None:
+            raise EvidenceError(f"direct assertion by {ev.signer!r} is unsigned")
         return {"kind": "direct_assertion", "signer": ev.signer, "signature": ev.signature.hex()}
     if isinstance(ev, CarriedByNextRule):
         return _rule_instance_obj("carried_by_next_rule", ev.rule, ev.substitution, rs)

@@ -136,3 +136,19 @@ def _is_reader(node) -> bool:
 
 def test_only_the_reader_calls_the_claim_database():
     assert list(log_reads_outside_the_reader()) == []
+
+
+# the owner signs what it logs (revision.py) and the log operator its tree
+# heads (claimlog.py): no module on the request path signs
+SIGNERS = {"identity.py", "revision.py", "claimlog.py"}
+
+
+def modules_naming_sign_bytes():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(name == "sign_bytes" for _kind, name in _referenced_names(tree, ())):
+            yield path.name
+
+
+def test_only_the_log_writers_sign():
+    assert [name for name in modules_naming_sign_bytes() if name not in SIGNERS] == []

@@ -265,16 +265,31 @@ def test_ingest_cost_flat_in_kb_size(identities, trust_store, db_client, monkeyp
 
 
 def test_ingest_encodes_the_event_atom_once(sb, monkeypatch):
-    """The signed message, the claim id and both evidence checks share one
-    canonical encoding of the event atom. Its path is in no derived atom,
-    so each encoding of the path is one encoding of the event atom."""
+    """Ingest never encodes the event atom: it signs nothing. The commit
+    that logs the event encodes it once, for its signature, its sort key
+    and its logged text; the claim DB's check of what it is sent is the
+    DB's own work. The path is in no derived atom, so each encoding of the
+    path is one encoding of the event atom."""
     import cyberlog.engine as engine
 
-    encoded = []
+    sb.commit()  # logs the rulesheet, whose text names the path too
+    encoded, counting = [], [True]
     original = engine._enc_string
-    monkeypatch.setattr(engine, "_enc_string", lambda value: encoded.append(value) or original(value))
+    monkeypatch.setattr(engine, "_enc_string", lambda value: (counting[0] and encoded.append(value)) or original(value))
+    submit = sb.reader.db.submit_revision
+
+    def uncounted(payload):
+        counting[0] = False
+        try:
+            return submit(payload)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(sb.reader.db, "submit_revision", uncounted)
     result = sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
     assert result.new_event and len(result.derived) == 1
+    assert encoded.count("/servicerequest") == 0
+    assert result.event_atom in sb.commit().by_atom
     assert encoded.count("/servicerequest") == 1
 
 
@@ -295,6 +310,43 @@ def test_monitor_warnings_carry_the_last_committed_revision(sb, monkeypatch, cap
         monkeypatch.setattr(sb.reader.db, "submit_revision", boom)
         assert sb.commit() is None
     assert [(r.stage, r.revision) for r in caplog.records] == [("commit", None), ("commit", committed.id)]
+
+
+def test_failed_commit_leaves_events_unsigned_and_its_retry_logs_the_same_record(
+    identities, trust_store, db, monkeypatch
+):
+    """A commit whose revision submit fails keeps no signature: the KB's
+    event stays unsigned. Signatures are deterministic, so the retry logs
+    the record of a monitor whose first submit succeeded, given the same
+    events and commit time."""
+    from cyberlog.claimdb import ClaimDb
+    from cyberlog.claimlog import MerkleLog
+    from cyberlog.engine import DirectAssertion
+    from cyberlog.revision import REVISION_PAYLOAD_HEAD
+
+    def sb_with_event(client):
+        sheet = parse_rulesheet(SB_SHEET, "SB")
+        sb = Monitor(identities["SB"], sheet, client, trust_store, identities[OPERATOR].public_key, clock=lambda: 5000)
+        sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+        return sb
+
+    submit = db.submit_revision
+
+    def refuse_revisions(payload):
+        if payload.startswith(REVISION_PAYLOAD_HEAD):
+            raise OSError("connection reset")
+        return submit(payload)
+
+    retrying = sb_with_event(db)
+    event = GroundAtom("SB", "postRequest", ("/servicerequest", 5, '{"request_id":7}'))
+    monkeypatch.setattr(db, "submit_revision", refuse_revisions)
+    assert retrying.commit() is None
+    assert retrying.kb.claims[event].evidence == DirectAssertion("SB")
+    monkeypatch.setattr(db, "submit_revision", submit)
+    retried = retrying.commit()
+    assert retried.by_atom[event].evidence.signature is not None
+    once = sb_with_event(ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000)).commit()
+    assert retried.id == once.id
 
 
 @pytest.mark.parametrize("path", ["/event", "/query"])
@@ -400,6 +452,17 @@ def test_monitor_whose_trusted_key_is_not_its_own_is_refused(trusted, identities
         trust.add(Identity("SB", "CN=SB", "CN=R3", identities["MRM"].public_key))
     with pytest.raises(ConfigError, match="trust store does not hold the public key of 'SB'"):
         make_monitor(identities, trust, db_client, "SB", SB_SHEET)
+
+
+def test_monitor_without_a_private_key_is_refused(identities, trust_store, db_client):
+    """A monitor's commits sign its events and revisions. Built on a
+    public-only identity, it would take events and then log none, so it is
+    refused when it is built."""
+    from dataclasses import replace
+
+    public_only = dict(identities, SB=replace(identities["SB"], private_key=None))
+    with pytest.raises(ConfigError, match="identity 'SB' has no private key"):
+        make_monitor(public_only, trust_store, db_client, "SB", SB_SHEET)
 
 
 def test_watching_monitor_without_operator_key_is_refused(identities, trust_store, db):
@@ -536,10 +599,13 @@ def test_each_monitor_lineage_verifies_each_signature_once(monkeypatch):
 
 
 def test_ed25519_work_of_a_steady_run(monkeypatch):
-    """Counts, not time: each identity imports its key once, each ingest
-    makes one signature that no check of its monitor ever sees, and the
+    """Counts, not time: each identity imports its key once, no ingest
+    signs, the commits of each monitor sign each of its events exactly
+    once, with signatures that no check of the monitor ever sees, and the
     claim DB signs each tree head once."""
+    from cyberlog.engine import canonical_atom
     from cyberlog.harness import OPERATOR_NAME, ScenarioRun
+    from cyberlog.monitor import EVENT_PREDICATES
 
     trace = Ed25519Trace(monkeypatch)
     scenario = _steady_booking(3)
@@ -549,10 +615,18 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
     finally:
         run.close()
     assert trace.imports == len(run.monitors) + 1  # the monitors' and the log operator's
-    ingested = [(actor[0], t) for actor, _signer, t in trace.signs if actor and actor[1] == "ingest_event"]
-    assert len(ingested) == len(scenario.events)
+    assert [actor for actor, _signer, _t in trace.signs if actor and actor[1] == "ingest_event"] == []
+    events = []
+    for event in scenario.events:
+        env = event.envelope
+        atom = GroundAtom(event.monitor, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body))
+        events.append((event.monitor, canonical_atom(atom).encode()))
+    events.sort()
+    committed = [(actor[0], t) for actor, _signer, t in trace.signs if actor and actor[1] == "commit"]
+    signed = [(name, t) for name, t in committed if (name, t[2]) in events]  # not the revision signatures
+    assert sorted((name, t[2]) for name, t in signed) == events
     checked = {(actor[0], t) for actor, _module, t in trace.verifies if actor}
-    assert not checked & set(ingested)
+    assert not checked & set(signed)
     heads = [t for _actor, signer, t in trace.signs if signer == OPERATOR_NAME]
     assert heads and len(heads) == len(set(heads))
 

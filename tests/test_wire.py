@@ -52,6 +52,18 @@ def test_derived_claim_roundtrip_preserves_rule():
     assert restored.evidence.premises == derived.evidence.premises == (GroundAtom("OM", "t", (3, "y")),)
 
 
+def test_unsigned_direct_assertion_has_no_wire_form():
+    """A monitor's event is unsigned until the commit that logs it signs
+    it, so nothing unsigned can be logged."""
+    import pytest
+
+    from cyberlog.errors import EvidenceError
+
+    rs = parse_rulesheet(IDS, "SB")
+    with pytest.raises(EvidenceError, match="direct assertion by 'SB' is unsigned"):
+        claim_to_obj(Claim(GroundAtom("SB", "t", (7,)), DirectAssertion("SB")), rs)
+
+
 def test_inclusion_evidence_has_no_wire_form():
     """Inclusion evidence lives in a watcher's KB only; no logged claim
     carries it, so it neither encodes nor decodes."""
