@@ -7,7 +7,6 @@ Endpoints (JSON bodies, hashes lowercase hex):
     GET  /heads/{owner}                    per-owner head + chain length
     GET  /log/root                         current signed tree head
     GET  /log/consistency?old=&new=        consistency proof
-    GET  /log/inclusion?index=&size=       inclusion proof
 
 Rulesheet texts are stored as ordinary log entries (payload kind
 "rulesheet") submitted through POST /revisions and fetched by their
@@ -235,10 +234,6 @@ class ClaimDb:
         with self._lock:
             return self.log.prove_consistency(old_size, new_size).to_obj()
 
-    def get_inclusion(self, index: int, size: int) -> dict:
-        with self._lock:
-            return self.log.prove_inclusion(index, size).to_obj()
-
 
 def _rulesheet_text(payload: str) -> str:
     """The text of a rulesheet payload; raises SubmitError (400) otherwise."""
@@ -322,8 +317,6 @@ class _ClaimDbHandler(JsonRequestHandler):
             self._guard(self.db.get_log_root)
         elif parts == ["log", "consistency"]:
             self._guard(lambda: self.db.get_consistency(*_int_params(query, "old", "new")))
-        elif parts == ["log", "inclusion"]:
-            self._guard(lambda: self.db.get_inclusion(*_int_params(query, "index", "size")))
         else:
             self._send(404, {"error": f"no such endpoint {parsed.path}"})
 

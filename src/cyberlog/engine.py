@@ -156,8 +156,7 @@ class DerivedByRule:
 
 @dataclass(frozen=True)
 class DirectAssertion:
-    signer: str
-    signature: bytes | None = None  # None until the commit that logs it signs it
+    signer: str  # the atom's principal, who signs the revision that logs it
 
 
 @dataclass(frozen=True)
@@ -371,10 +370,10 @@ def check_evidence(claim: Claim) -> None:
     A rule instance (derived or carried) must reproduce the claim's atom,
     a derivation's premise atoms must ground, and the evidence must be of
     a known type. Signatures and inclusion proofs are checked where a claim
-    enters the program: a monitor's commit signs its events, a watcher's fetch
-    verifies inclusion and the tree head, and the auditor verifies what it
-    reads. Whether the premises hold, and the side conditions, are not
-    checked here (see `rule_premises`).
+    enters the program: a commit signs the revision that holds its events,
+    a watcher's fetch verifies inclusion and the tree head, and the auditor
+    verifies what it reads. Whether the premises hold, and the side
+    conditions, are not checked here (see `rule_premises`).
     """
     ev = claim.evidence
     if isinstance(ev, (DerivedByRule, CarriedByNextRule)):

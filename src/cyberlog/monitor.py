@@ -147,7 +147,7 @@ class Monitor:
         # others check the monitor's events and revisions under this key
         if trust_store.public_key(identity.name) != identity.public_key:
             raise ConfigError(f"trust store does not hold the public key of {identity.name!r}")
-        if identity.private_key is None:  # its commits sign its events and revisions
+        if identity.private_key is None:  # its commits sign its revisions
             raise ConfigError(f"identity {identity.name!r} has no private key to sign with")
         # its reader checks every tree head it is served under this key
         if operator_key is None:
@@ -173,7 +173,7 @@ class Monitor:
         env.validate()
         started = time.perf_counter()
         atom = GroundAtom(self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body))
-        claim = Claim(atom, DirectAssertion(self.name))  # signed by the commit that logs it
+        claim = Claim(atom, DirectAssertion(self.name))  # signed by the revision that logs it
         with self.lock:
             # the event first if it is new, then its consequences; a known
             # event adds nothing, since the KB is at its fixpoint

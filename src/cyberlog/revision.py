@@ -3,8 +3,10 @@
 A committed revision is an immutable snapshot of a monitor's own claims.
 Its id is the SHA-256 of the record body, whose bytes sit inside the
 logged payload; the owner's signature over that id is part of the payload,
-which is exactly the byte string the Merkle leaf hashes. Revisions form a linear supersedes chain
-per owner; claims of other owners' revisions are imported by inclusion,
+which is exactly the byte string the Merkle leaf hashes. That signature is
+the only one a commit makes: it is the evidence of every event the revision
+logs, whose text the id hashes. Revisions form a linear supersedes chain per
+owner; claims of other owners' revisions are imported by inclusion,
 justified by inclusion proofs.
 """
 
@@ -23,7 +25,6 @@ from .claimlog import verify_consistency, verify_inclusion, verify_tree_head
 from .engine import (
     CarriedByNextRule,
     Claim,
-    DirectAssertion,
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
@@ -137,14 +138,6 @@ def build_record(
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
     return sign_bytes(identity, bytes.fromhex(record.id))
-
-
-def _signed(claim: Claim, identity: Identity) -> Claim:
-    """`claim`, signed over its atom's text if it is an unsigned direct assertion by `identity`."""
-    ev = claim.evidence
-    if isinstance(ev, DirectAssertion) and ev.signature is None and ev.signer == identity.name:
-        return Claim(claim.atom, DirectAssertion(ev.signer, sign_bytes(identity, canonical_atom(claim.atom).encode())))
-    return claim
 
 
 def encode_payload(body: str, signature: bytes) -> str:
@@ -286,14 +279,12 @@ def commit_staging(
 ) -> tuple[RevisionRecord, LogInclusion, list[Claim]]:
     """Commit `identity`'s claims as a revision superseding `base` and
     including `includes`; returns (record, inclusion, next-rule carry-overs).
-    The record's copies of `identity`'s unsigned direct assertions are
-    signed; `claims` stay unsigned, and a retry signs them to the same bytes.
+    The one signature is `identity`'s over the record's id.
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
     has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
-    claims = [_signed(c, identity) for c in claims]
     record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
     inclusion = reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
     return record, inclusion, apply_next_rules(record, rs, included_claims)

@@ -14,7 +14,10 @@ out the substitution entries of bare head variables, which binding the rule
 head to the claim's atom gives back, and the key itself when nothing is
 left. A carried claim leaves out its source revision, which is the
 supersedes of the revision that logs it, and a derived claim its premises,
-which are its rule's relational body atoms under the substitution.
+which are its rule's relational body atoms under the substitution. A direct
+assertion logs nothing but its kind: its signer is the claim atom's
+principal, and its owner's signature is the revision's, over the id that
+hashes the claim's text.
 """
 
 from __future__ import annotations
@@ -44,13 +47,15 @@ def canonical_json(obj) -> str:
 _RULE_KINDS = {"derived_by_rule": RuleKind.STANDARD, "carried_by_next_rule": RuleKind.NEXT}
 
 
-def evidence_to_obj(ev: Evidence, rs: Rulesheet) -> dict:
+def evidence_to_obj(ev: Evidence, atom: GroundAtom, rs: Rulesheet) -> dict:
+    """The logged object of the evidence of the claim of `atom`; a direct
+    assertion by anyone but `atom`'s principal has none."""
+    if isinstance(ev, DirectAssertion):
+        if ev.signer != atom.principal:
+            raise EvidenceError(f"direct assertion by {ev.signer!r} of {canonical_atom(atom)}")
+        return {"kind": "direct_assertion"}
     if isinstance(ev, DerivedByRule):
         return _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution, rs)
-    if isinstance(ev, DirectAssertion):
-        if ev.signature is None:
-            raise EvidenceError(f"direct assertion by {ev.signer!r} is unsigned")
-        return {"kind": "direct_assertion", "signer": ev.signer, "signature": ev.signature.hex()}
     if isinstance(ev, CarriedByNextRule):
         return _rule_instance_obj("carried_by_next_rule", ev.rule, ev.substitution, rs)
     raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
@@ -86,7 +91,9 @@ def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None, rs: Rules
     try:
         kind = obj["kind"]
         if kind == "direct_assertion":
-            return DirectAssertion(obj["signer"], bytes.fromhex(obj["signature"]))
+            if obj.keys() != {"kind"}:
+                raise EvidenceError(f"direct assertion logs more than its kind: {sorted(obj)}")
+            return DirectAssertion(atom.principal)
         if kind in _RULE_KINDS:
             rule = _logged_rule(kind, obj["rule"], rs)
             substitution = bind_head(rule.head, atom)
@@ -105,7 +112,7 @@ def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None, rs: Rules
 
 def claim_to_obj(claim: Claim, rs: Rulesheet) -> dict:
     """The logged object of a claim of a revision under rulesheet `rs`."""
-    return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence, rs)}
+    return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence, claim.atom, rs)}
 
 
 def claim_from_obj(obj: dict, source: str | None, rs: Rulesheet) -> Claim:

@@ -13,9 +13,8 @@ OPERATOR = "log-operator"
 
 
 def claims_from_atoms(atoms):
-    """Wrap bare atoms as claims their principals assert, with an empty
-    signature: a KB checks no signature, so it takes them as they are."""
-    return [Claim(a, DirectAssertion(a.principal, b"")) for a in atoms]
+    """Wrap bare atoms as claims their principals assert."""
+    return [Claim(a, DirectAssertion(a.principal)) for a in atoms]
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,7 @@ class SignedClaim:
 
 
 def sign_claim(identity, atom: GroundAtom) -> SignedClaim:
-    """`atom` signed by `identity` over its canonical text, as a monitor
-    signs each event it ingests."""
+    """`atom` signed by `identity` over its canonical text."""
     return SignedClaim(atom, identity.name, sign_bytes(identity, canonical_atom(atom).encode("utf-8")))
 
 

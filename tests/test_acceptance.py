@@ -40,7 +40,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import log_reader, publish_rulesheet, sign_claim
+from conftest import log_reader, publish_rulesheet
 from merkle_oracle import brute_leaf, brute_root
 from naive_oracle import naive_saturate, random_program
 
@@ -62,7 +62,7 @@ def test_criterion_1_engine_oracle_equivalence():
         expected = naive_saturate(facts, rs.rules)
         kb = KnowledgeBase(rs)
         for principal, name, args in facts:
-            kb.assert_claim(Claim(GroundAtom(principal, name, args), DirectAssertion(principal, b"")))
+            kb.assert_claim(Claim(GroundAtom(principal, name, args), DirectAssertion(principal)))
         kb.saturate()
         got = {(a.principal, a.predicate, a.args) for a in kb.claims}
         assert got == expected, f"engine diverges from oracle at seed {seed}"
@@ -228,8 +228,7 @@ def test_criterion_5a_step_counter(db_client, identities):
         "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n", "CTR"
     )
     seed_atom = GroundAtom("CTR", "counter", (0,))
-    sc = sign_claim(identities["CTR"], seed_atom)
-    claims = [Claim(seed_atom, DirectAssertion("CTR", sc.signature))]
+    claims = [Claim(seed_atom, DirectAssertion("CTR"))]
     publish_rulesheet(db_client, rs)
     reader = log_reader(db_client, identities)
     record, _, claims = commit_staging(identities["CTR"], rs, reader, None, (), claims, 0)

@@ -168,6 +168,45 @@ def test_audit_fails_when_evidence_path_tampered(tmp_path):
     assert not node.all_ok, render_audit_tree(node)
 
 
+def test_altered_event_fails_its_owner_signature_everywhere(db, identities, trust_store):
+    """An event's evidence is its owner's signature of the revision that
+    holds it. With one event atom altered, the body hashes to an id the
+    owner never signed: the claim DB refuses the revision, a reader served
+    it in place of the signed one raises the log integrity error, and so
+    does an Auditor reading the owner's head."""
+    from cyberlog.engine import Claim, DirectAssertion
+    from cyberlog.errors import LogIntegrityError, SubmitError
+    from conftest import log_reader, publish_rulesheet
+    from cyberlog.lang import parse_rulesheet
+    from cyberlog.revision import build_record, encode_payload, sign_record
+
+    rs = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
+    events = [GroundAtom("SB", "request", (n,)) for n in (7, 8)]
+    record, body = build_record("SB", None, (), rs, [Claim(a, DirectAssertion("SB")) for a in events], 1)
+    payload = encode_payload(body, sign_record(record, identities["SB"]))
+    altered = payload.replace("request(7)", "request(9)")
+    assert altered != payload
+    publish_rulesheet(db, rs)
+    with pytest.raises(SubmitError, match="bad signature on revision by 'SB'") as exc:
+        db.submit_revision(altered)
+    assert exc.value.code == 401
+    db.submit_revision(payload)
+
+    class Altering:
+        def __getattr__(self, name):
+            return getattr(db, name)
+
+        def get_revision(self, rev_id):
+            response = db.get_revision(rev_id)
+            return dict(response, payload=response["payload"].replace("request(7)", "request(9)"))
+
+    with pytest.raises(LogIntegrityError, match="bad signature on revision by 'SB'"):
+        log_reader(Altering(), identities).revision(record.id)
+    with pytest.raises(LogIntegrityError, match="bad signature on revision by 'SB'"):
+        Auditor(Altering(), trust_store, identities[OPERATOR].public_key).audit_head("SB")
+    assert all(node.all_ok for node in Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head("SB"))
+
+
 def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_store):
     """A revision signed by its legitimate owner but containing fabricated
     derivation evidence passes submission (signatures check out) and is then
@@ -176,7 +215,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     does not reproduce cannot be logged: the logged instance is
     `verdict(99)` from `request(99)`, which the revision does not hold."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion
-    from conftest import publish_rulesheet, sign_claim
+    from conftest import publish_rulesheet
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -185,7 +224,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     rule = rs.rules[0]
 
     base_atom = GroundAtom("SB", "request", (7,))
-    base = Claim(base_atom, DirectAssertion("SB", sign_claim(identities["SB"], base_atom).signature))
+    base = Claim(base_atom, DirectAssertion("SB"))
     # head claims verdict(99), but the substitution instantiates verdict(7)
     forged_atom = GroundAtom("SB", "verdict", (99,))
     forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}))
@@ -210,7 +249,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     beside the logged `request(7, "a")` and `ok("b")`, and the audit finds
     no such premise."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion
-    from conftest import publish_rulesheet, sign_claim
+    from conftest import publish_rulesheet
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -219,7 +258,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     rule = rs.rules[0]
 
     atoms = [GroundAtom("SB", "request", (7, "a")), GroundAtom("SB", "ok", ("a",)), GroundAtom("SB", "ok", ("b",))]
-    claims = [Claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
+    claims = [Claim(a, DirectAssertion("SB")) for a in atoms]
     verdict_atom = GroundAtom("SB", "verdict", (7,))
     swapped = Claim(verdict_atom, DerivedByRule(rule, {"Id": 7, "Data": "b"}))
     record, body = build_record("SB", None, (), rs, claims + [swapped], 1)
@@ -240,7 +279,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
     claim's source is the revision its record supersedes, so the request is
     audited against r2, which holds neither premise, and fails."""
     from cyberlog.engine import CarriedByNextRule, Claim, DirectAssertion
-    from conftest import publish_rulesheet, sign_claim
+    from conftest import publish_rulesheet
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -257,7 +296,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
         return record
 
-    r1 = commit([Claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in (request, in_process)], None, 1)
+    r1 = commit([Claim(a, DirectAssertion("SB")) for a in (request, in_process)], None, 1)
     r2 = commit([], r1.id, 2)
     substitution = {"Id": 7, "Data": "d", "TimeRequest": 5}
     commit([Claim(request, CarriedByNextRule(rs.rules[0], substitution, r1.id))], r2.id, 3)
@@ -276,7 +315,7 @@ def _dom_including(db_client, identities, owners, body):
     B is `body` of (revision id -> owner). Returns that mapping and DOM's
     claim."""
     from cyberlog.engine import Claim, DerivedByRule, DirectAssertion
-    from conftest import publish_rulesheet, sign_claim
+    from conftest import publish_rulesheet
     from cyberlog.lang import parse_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
@@ -285,7 +324,7 @@ def _dom_including(db_client, identities, owners, body):
         rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
         publish_rulesheet(db_client, rs)
         atoms = [GroundAtom(owner, "p", (1,)), GroundAtom(owner, "q", (1,))]
-        claims = [Claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
+        claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
         record, record_body = build_record(owner, None, (), rs, claims, 1)
         db_client.submit_revision(encode_payload(record_body, sign_record(record, identities[owner])))
         included[record.id] = owner

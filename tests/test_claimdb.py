@@ -15,7 +15,6 @@ from cyberlog.claimlog import (
 )
 from cyberlog.engine import Claim, DirectAssertion, GroundAtom
 from cyberlog.errors import NotFoundError, SubmitError
-from cyberlog.httpjson import request_json
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
     LogReader,
@@ -28,7 +27,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, log_reader, publish_rulesheet, raw_http_status, rulesheets_of, sign_claim
+from conftest import OPERATOR, log_reader, publish_rulesheet, raw_http_status, rulesheets_of
 
 SB_SHEET = "'SB': Subject: 's' Issuer: 'i'\n"
 MRM_SHEET = "'MRM': Subject: 's' Issuer: 'i'\n"
@@ -53,10 +52,7 @@ def reader(client, identities):
 
 def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     rs = parse_rulesheet(SB_SHEET, "SB")
-    claims = []
-    for atom in atoms:
-        sc = sign_claim(identities["SB"], atom)
-        claims.append(Claim(atom, DirectAssertion("SB", sc.signature)))
+    claims = [Claim(atom, DirectAssertion("SB")) for atom in atoms]
     record, body = build_record("SB", supersedes, (), rs, claims, commit_time)
     return record, encode_payload(body, sign_record(record, identities["SB"]))
 
@@ -260,9 +256,9 @@ def test_http_submit_fetch_roundtrip(http_client, identities):
     head = http_client.get_head("SB")
     assert head["revision_id"] == record.id
     root = SignedTreeHead.from_obj(http_client.get_log_root())
-    assert root.tree_size == 3
-    inclusion = request_json("GET", f"{http_client.base_url}/log/inclusion?index=2&size=3", None, 10.0)
-    proof = InclusionProof.from_obj(inclusion)
+    assert root.tree_size == 3 and SignedTreeHead.from_obj(receipt["tree_head"]) == root
+    proof = InclusionProof.from_obj(receipt["inclusion_proof"])
+    assert (receipt["leaf_index"], proof.tree_size) == (2, 3)
     assert verify_inclusion(root.root_hash, leaf_hash(payload.encode()), proof)
 
 
@@ -333,8 +329,6 @@ def test_http_consistency_endpoint(http_client, identities):
         b"POST /revisions HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
         b"GET /log/consistency?old=1 HTTP/1.1\r\n\r\n",
         b"GET /log/consistency?old=1&new=two HTTP/1.1\r\n\r\n",
-        b"GET /log/inclusion?size=1 HTTP/1.1\r\n\r\n",
-        b"GET /log/inclusion?index=x&size=1 HTTP/1.1\r\n\r\n",
     ],
     ids=[
         "malformed-length",
@@ -342,14 +336,24 @@ def test_http_consistency_endpoint(http_client, identities):
         "non-utf8-body",
         "consistency-missing-param",
         "consistency-non-integer",
-        "inclusion-missing-param",
-        "inclusion-non-integer",
     ],
 )
 def test_http_bad_request_gets_400(db, request_bytes):
     server, _url = serve_db_in_thread(db)
     try:
         assert raw_http_status(server.server_address, request_bytes) == 400
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_http_inclusion_route_is_gone(db, identities):
+    """An inclusion proof comes only with the entry it proves, in a submit
+    receipt or a fetched revision: there is no route for one alone."""
+    server, _url = serve_db_in_thread(db)
+    try:
+        db.submit_revision(sb_payload(identities)[1])
+        assert raw_http_status(server.server_address, b"GET /log/inclusion?index=0&size=1 HTTP/1.1\r\n\r\n") == 404
     finally:
         server.shutdown()
         server.server_close()
@@ -467,7 +471,7 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
     from cyberlog.revision import decode_payload
 
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
-    foreign = Claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
+    foreign = Claim(atom, DirectAssertion("MRM"))
     record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
@@ -488,7 +492,7 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
-    foreign_claim = Claim(atom, DirectAssertion("MRM", sign_claim(identities["MRM"], atom).signature))
+    foreign_claim = Claim(atom, DirectAssertion("MRM"))
     foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
     db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
     root = db.get_log_root()
@@ -652,7 +656,6 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
 
 # -- the log holds canonical revisions only ----------------------------------
 
-SIG_HEX = "ab" * 64
 INCLUDES = ("1" * 64, "2" * 64)
 
 
@@ -668,7 +671,7 @@ def signed_body(identities, body: str) -> str:
 
 def canonical_body(identities):
     atoms = [GroundAtom("SB", "p", (7,)), GroundAtom("SB", "q", ("x",))]
-    claims = [Claim(atom, DirectAssertion("SB", bytes.fromhex(SIG_HEX))) for atom in atoms]
+    claims = [Claim(atom, DirectAssertion("SB")) for atom in atoms]
     return build_record("SB", None, INCLUDES, parse_rulesheet(SB_SHEET, "SB"), claims, 1)[1]
 
 
@@ -680,15 +683,16 @@ def reversed_list(body: str, key: str) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
+DIRECT = '{"kind":"direct_assertion"}'
+
 NON_CANONICAL = {
     "whitespace": lambda b: b.replace('"owner":"SB"', '"owner": "SB"'),
     "unsorted-claims": lambda b: reversed_list(b, "claims"),
     "unsorted-includes": lambda b: reversed_list(b, "includes"),
     "repeated-include": lambda b: b.replace(f'"{INCLUDES[1]}"', f'"{INCLUDES[0]}"'),
-    "uppercase-hex": lambda b: b.replace(SIG_HEX, SIG_HEX.upper(), 1),
     "atom-text": lambda b: b.replace("p(7)", "p(007)"),
     "duplicate-key": lambda b: b.replace('"owner":"SB"', '"owner":"SB","owner":"SB"'),
-    "nested-duplicate-key": lambda b: b.replace('"signer":"SB"', '"signer":"SB","signer":"SB"', 1),
+    "nested-duplicate-key": lambda b: b.replace(DIRECT, DIRECT[:-1] + ',"kind":"direct_assertion"}', 1),
     "extra-key": lambda b: b.replace('"commit_time":1', '"commit_time":1,"note":""'),
 }
 
@@ -765,9 +769,8 @@ def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identi
         "proof": db.log.prove_inclusion(0, 1).to_obj(),
         "tree_head": sign_tree_head(db.log, identities[OPERATOR], 1).to_obj(),
     }
-    direct = canonical_json({"kind": "direct_assertion", "signer": "SB", "signature": SIG_HEX})
     body = canonical_body(identities).replace('"supersedes":null', f'"supersedes":"{base.id}"')
-    body = body.replace(direct, canonical_json(inclusion), 1)
+    body = body.replace(DIRECT, canonical_json(inclusion), 1)
     forged = signed_body(identities, body)
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(forged)
@@ -778,6 +781,45 @@ def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identi
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
         assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+    finally:
+        reopened.log.close()
+
+
+@pytest.mark.parametrize(
+    "logged",
+    [{"signer": "SB"}, {"signature": "ab" * 64}, {"signer": "SB", "signature": "ab" * 64}],
+    ids=["signer", "signature", "signer-and-signature"],
+)
+def test_direct_assertion_logging_a_signer_or_signature_refused_at_submit_and_on_replay(
+    tmp_path, identities, trust_store, caplog, logged
+):
+    """A direct assertion logs its kind only: its signer is its atom's
+    principal and its signature the revision's. One that logs a signer or a
+    signature, signed over its body as any revision, is refused with 400 at
+    submit and left unindexed, with one warning, on replay."""
+    import hashlib
+
+    from cyberlog.wire import canonical_json
+
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    body = canonical_body(identities).replace(DIRECT, canonical_json({"kind": "direct_assertion", **logged}), 1)
+    payload = signed_body(identities, body)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(payload)
+    assert exc.value.code == 400 and "direct assertion logs more than its kind" in str(exc.value)
+    db.log.append(payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [record.getMessage() for record in caplog.records]
+        assert message.startswith("log entry 2 left unindexed: ") and "logs more than its kind" in message
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(hashlib.sha256(body.encode("utf-8")).hexdigest())
+        with pytest.raises(NotFoundError):
+            reopened.get_head("SB")
     finally:
         reopened.log.close()
 
@@ -802,7 +844,7 @@ def retained(identities, supersedes=None):
     verdict, carry = rs.rules
     if supersedes is None:
         atoms = (REQUEST, GroundAtom("SB", "in_process", (7,)))
-        claims = [Claim(a, DirectAssertion("SB", sign_claim(identities["SB"], a).signature)) for a in atoms]
+        claims = [Claim(a, DirectAssertion("SB")) for a in atoms]
     else:
         substitution = {"Id": 7, "Data": "d", "T": 5}
         claims = [
@@ -860,9 +902,9 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
 
 # SB's chain root and its successor from `retained`, as the encoder wrote
 # them before evidence left out what a reader recomputes (commit a7ce73f).
-# The root holds direct assertions only, whose encoding did not change; the
-# successor logs the carried request's source revision, every head-bound
-# substitution entry and the text of each rule.
+# The root's direct assertions log their signer and a signature over the
+# atom's text; the successor logs the carried request's source revision,
+# every head-bound substitution entry and the text of each rule.
 EARLIER_ROOT = (
     '{"kind":"revision","owner":"SB","supersedes":null,"includes":[],'
     '"rulesheet_hash":"b17aacc91841ef621a740b892f79c70c5daacf8ff1f3092e3e0451f5e3597fa5",'
@@ -923,20 +965,26 @@ PREMISE_ID_SUCCESSOR = (
 
 def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
     """Logs written before the change do not verify: each earlier encoding
-    of a revision with rule instances, which log rule texts or premise ids,
-    is refused with 400 at submit and left unindexed, with one warning, on
-    replay. A revision of direct assertions only is encoded as before."""
+    of a revision, whose direct assertions log a signer and a signature and
+    whose rule instances log rule texts or premise ids, is refused with 400
+    at submit and left unindexed, with one warning, on replay."""
     import hashlib
 
     base, body = retained(identities)
-    assert signed_body(identities, body) == EARLIER_ROOT
+    root = signed_body(identities, body)
+    assert root != EARLIER_ROOT and root.count(DIRECT) == 2
     rule_text = "malformed revision record: rule reference \"next 'SB' attests request"
-    earlier_forms = [(EARLIER_SUCCESSOR, rule_text), (RULE_TEXT_SUCCESSOR, rule_text), (PREMISE_ID_SUCCESSOR, "not in canonical form")]
+    earlier_forms = [
+        (EARLIER_ROOT, "malformed revision record: direct assertion logs more than its kind: ['kind', 'signature', 'signer']"),
+        (EARLIER_SUCCESSOR, rule_text),
+        (RULE_TEXT_SUCCESSOR, rule_text),
+        (PREMISE_ID_SUCCESSOR, "not in canonical form"),
+    ]
     for n, (earlier, refusal) in enumerate(earlier_forms):
         path = str(tmp_path / f"db{n}.log")
         db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
         publish_rulesheet(db, parse_rulesheet(RETAIN_SHEET, "SB"))
-        db.submit_revision(EARLIER_ROOT)
+        db.submit_revision(root)
         with pytest.raises(SubmitError) as exc:
             db.submit_revision(earlier)
         assert exc.value.code == 400 and refusal in str(exc.value)

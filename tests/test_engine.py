@@ -64,10 +64,10 @@ def test_canonical_ids_distinct():
 def test_assert_claim_direct():
     kb = KnowledgeBase(NO_RULES)
     atom = GroundAtom("SB", "postRequest", ("/servicerequest", 5, '{"request_id":7}'))
-    assert kb.assert_claim(Claim(atom, DirectAssertion("SB", b""))) is True
+    assert kb.assert_claim(Claim(atom, DirectAssertion("SB"))) is True
     assert len(kb) == 1
     # same atom again: set semantics
-    assert kb.assert_claim(Claim(atom, DirectAssertion("SB", b"other"))) is False
+    assert kb.assert_claim(Claim(atom, DirectAssertion("SB"))) is False
     assert len(kb) == 1
 
 
@@ -141,7 +141,7 @@ def test_fact_rules_fire_once():
     assert atoms_of(kb) == {("SB", "seed", (1,)), ("SB", "p", (1,))}
     assert at_fixpoint(kb)
     assert kb.saturate() == []
-    kb.assert_claim(Claim(GroundAtom("SB", "seed", (2,)), DirectAssertion("SB", b"")))
+    kb.assert_claim(Claim(GroundAtom("SB", "seed", (2,)), DirectAssertion("SB")))
     assert not at_fixpoint(kb)  # new base fact clears the flag
 
 
@@ -444,8 +444,8 @@ def test_noncanonical_text_decodes_to_canonical_text_and_id(text, value):
     assert atom == GroundAtom("SB", "p", (value,))
     canonical = f'"SB"|p({value})'
     assert canonical_atom(atom) == canonical != text
-    claim = claim_from_obj({"atom": text, "evidence": {"kind": "direct_assertion", "signer": "SB", "signature": ""}}, None, NO_RULES)
-    assert claim == Claim(parse_canonical_atom(canonical), DirectAssertion("SB", b""))
+    claim = claim_from_obj({"atom": text, "evidence": {"kind": "direct_assertion"}}, None, NO_RULES)
+    assert claim == Claim(parse_canonical_atom(canonical), DirectAssertion("SB"))
 
 
 @pytest.mark.parametrize(
@@ -522,7 +522,7 @@ def test_failed_saturate_keeps_its_seed(monkeypatch):
     rs = parse_rulesheet(IDS + "out(V) :- ev(P, T, D), get_param_int(D, 'a', V).", "SB")
     kb = KnowledgeBase(rs)
     kb.saturate()
-    kb.assert_claim(Claim(GroundAtom("SB", "ev", ("/a", 1, '{"a": 4}')), DirectAssertion("SB", b"")))
+    kb.assert_claim(Claim(GroundAtom("SB", "ev", ("/a", 1, '{"a": 4}')), DirectAssertion("SB")))
 
     def fail(*args, **kwargs):
         raise EvaluationError("injected")
@@ -543,7 +543,7 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     kb = KnowledgeBase(rs)
     kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (1, 5)), GroundAtom("SB", "s", (1,)), GroundAtom("SB", "s", (2,))]))
     before = _state(kb)
-    replacement = Claim(GroundAtom("SB", "s", (2,)), DirectAssertion("SB", b"other"))
+    replacement = Claim(GroundAtom("SB", "s", (2,)), DirectAssertion("SB"))
     raising = claims_from_atoms([GroundAtom("SB", "p", (9, "x"))])  # an ordered comparison on a string
     with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
         kb.revise([GroundAtom("SB", "s", (1,))], [replacement, *raising])
@@ -622,7 +622,7 @@ def test_stored_claims_are_not_verified_again(count_verify, count_inclusion, mon
     refused; the chain check re-checks each stored claim once. No check in
     the KB runs a signature or a proof: those ran where the claims entered."""
     rs = parse_rulesheet(IDS + "next r(X) :- p(X).", "SB")
-    direct = Claim(GroundAtom("SB", "p", (1,)), DirectAssertion("SB", b""))
+    direct = Claim(GroundAtom("SB", "p", (1,)), DirectAssertion("SB"))
     logged = _logged_claim(GroundAtom("MRM", "q", (2,)))
     carried = Claim(GroundAtom("SB", "r", (1,)), CarriedByNextRule(rs.rules[0], {"X": 1}, "0" * 64))
     claims = [direct, logged, carried]
@@ -656,7 +656,7 @@ def test_forgeries_refused_on_entry():
     kb.revise([], claims_from_atoms([GroundAtom("SB", "p", (1,))]))
     before = _state(kb)
     p1, p2 = GroundAtom("SB", "p", (1,)), GroundAtom("SB", "p", (2,))
-    genuine = Claim(p2, DirectAssertion("SB", b""))
+    genuine = Claim(p2, DirectAssertion("SB"))
     derived, carried, joined = rs.rules
     forgeries = {
         "derived head of another atom": (

@@ -5,8 +5,9 @@ checker, a knowledge base's `verify_claim_chain` and the recursive
 Each forged claim but a head mismatch passes admission into a KB (which
 checks only a rule instance's head), and all pass submission to the claim
 DB (which checks only the revision signature); the chain re-check and the
-audit must catch them. A direct assertion's signature is checked by the
-Auditor alone, so forged signatures in a logged revision are its to catch.
+audit must catch them. A direct assertion is evidence through the signed
+revision that holds it: the reader checks that revision's owner signature,
+and the Auditor that the assertion is its owner's, of its owner's atom.
 """
 
 import pytest
@@ -20,11 +21,11 @@ from cyberlog.engine import (
     GroundAtom,
     KnowledgeBase,
 )
-from cyberlog.errors import EvidenceError
+from cyberlog.errors import EvidenceError, SignatureError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import build_record, encode_payload, sign_record
 
-from conftest import OPERATOR, publish_rulesheet, sign_claim
+from conftest import OPERATOR, publish_rulesheet
 
 SHEET = (
     "'SB': Subject: 's' Issuer: 'i'\n"
@@ -65,8 +66,8 @@ BASE_ATOMS = [
 ]
 
 
-def signed(identities, atom, signer="SB"):
-    return Claim(atom, DirectAssertion(signer, sign_claim(identities["SB"], atom).signature))
+def signed(atom):
+    return Claim(atom, DirectAssertion("SB"))
 
 
 def derived(name):
@@ -77,7 +78,7 @@ def derived(name):
 def kb_holding(identities, claim):
     kb = KnowledgeBase(RS)
     for base in BASE_ATOMS:
-        kb.assert_claim(signed(identities, base))
+        kb.assert_claim(signed(base))
     try:
         kb.assert_claim(claim)
     except EvidenceError as exc:
@@ -105,7 +106,7 @@ def test_rule_instance_chain_check(identities, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rule_instance_audit(db, identities, trust_store, name):
     claim = derived(name)
-    base = [signed(identities, atom) for atom in BASE_ATOMS]
+    base = [signed(atom) for atom in BASE_ATOMS]
     record, auditor = log_and_audit(db, identities, trust_store, base + [claim])
     node = auditor.audit_atom("SB", claim.atom)
     assert node.all_ok is CASES[name][-1], render_audit_tree(node)
@@ -115,7 +116,7 @@ def test_rule_instance_audit(db, identities, trust_store, name):
 
 @pytest.mark.parametrize("value, holds", [(7, True), (3, False)])
 def test_carried_claim_side_condition_audited(db, identities, trust_store, value, holds):
-    source, _ = log_and_audit(db, identities, trust_store, [signed(identities, sb("request", value))])
+    source, _ = log_and_audit(db, identities, trust_store, [signed(sb("request", value))])
     atom = sb("carried", value)
     carried = Claim(atom, CarriedByNextRule(RULES["carried"], {"Id": value}, source.id))
     _record, auditor = log_and_audit(db, identities, trust_store, [carried], supersedes=source.id, commit_time=2)
@@ -126,37 +127,56 @@ def test_carried_claim_side_condition_audited(db, identities, trust_store, value
 
 
 def test_direct_assertion_by_unknown_signer_fails_audit(db, identities, trust_store):
-    claim = signed(identities, sb("request", 7), signer="NOBODY")
-    _record, auditor = log_and_audit(db, identities, trust_store, [claim])
-    node = auditor.audit_atom("SB", claim.atom)
-    assert not node.all_ok
-    assert node.kind == "direct_assertion"
-    assert "no trusted key" in node.detail
+    """An auditor that holds no key for a revision's owner cannot check the
+    signature that is its direct assertions' evidence: its reader refuses
+    the revision, before reading any claim of it."""
+    from cyberlog.identity import TrustStore
+
+    claim = signed(sb("request", 7))
+    log_and_audit(db, identities, trust_store, [claim])
+    others = TrustStore.from_identities(identity for name, identity in identities.items() if name != "SB")
+    auditor = Auditor(db, others, identities[OPERATOR].public_key)
+    with pytest.raises(SignatureError, match="unknown owner 'SB'"):
+        auditor.audit_atom("SB", claim.atom)
 
 
-def signed_request(identities, forgery):
-    """SB's signed `request(7)`, or a forgery: the same atom under the
-    signature of another, the same signature on another atom, or the same
-    atom and signature under another signer."""
-    atom, other = sb("request", 7), sb("request", 8)
-    signature = sign_claim(identities["SB"], atom).signature
-    if forgery == "other-signature":
-        return Claim(atom, DirectAssertion("SB", sign_claim(identities["SB"], other).signature))
-    if forgery == "other-atom":
-        return Claim(other, DirectAssertion("SB", signature))
-    if forgery == "other-signer":
-        return Claim(atom, DirectAssertion("MRM", signature))
-    return Claim(atom, DirectAssertion("SB", signature))
+# forgery -> (the claim, the owner of the revision it is held in)
+FORGERIES = {
+    "honest": (Claim(sb("request", 7), DirectAssertion("SB")), "SB"),
+    "other-signature": (Claim(sb("request", 7), DirectAssertion("SB")), "MRM"),
+    "other-atom": (Claim(GroundAtom("MRM", "request", (7,)), DirectAssertion("MRM")), "SB"),
+    "other-signer": (Claim(sb("request", 7), DirectAssertion("MRM")), "SB"),
+}
 
 
-@pytest.mark.parametrize("forgery", ["honest", "other-signature", "other-atom", "other-signer"])
+@pytest.mark.parametrize("forgery", sorted(FORGERIES))
 def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forgery):
-    """A validly signed, logged revision holding a direct assertion whose
-    own signature is forged fails the audit; the honest one passes."""
-    claim = signed_request(identities, forgery)
-    _record, auditor = log_and_audit(db, identities, trust_store, [claim])
-    node = auditor.audit_atom("SB", claim.atom)
+    """A direct assertion passes the audit only as SB's own atom asserted by
+    SB in a revision SB signed. The forgeries, held in a revision another
+    owner signed, of another principal's atom, or by a signer other than
+    its atom's principal, fail it. None of them can be logged, since the
+    claim DB refuses a claim of anyone but a revision's owner and the
+    encoder an assertion by anyone but its atom's principal; so the auditor
+    is handed the honest revision as its reader fetched it, holding the
+    forgery instead."""
+    import dataclasses
+
+    claim, owner = FORGERIES[forgery]
+    honest, auditor = log_and_audit(db, identities, trust_store, [FORGERIES["honest"][0]])
+    record = dataclasses.replace(auditor.fetch_revision(honest.id), owner=owner, claims=(claim,))
+    node = auditor.audit_claim(record, claim)
     assert node.all_ok is (forgery == "honest"), render_audit_tree(node)
     assert node.kind == "direct_assertion"
-    if forgery != "honest":
-        assert "bad signature" in node.detail
+    if forgery == "honest":
+        assert node.detail == f"asserted by SB in revision {honest.id[:8]}"
+        return
+    assert "asserted by" in node.detail and f"in {owner!r}'s revision" in node.detail
+    if forgery == "other-signer":
+        with pytest.raises(EvidenceError, match="direct assertion by 'MRM'"):
+            build_record(owner, None, (), RS, [claim], 2)
+        return
+    rs = RS if owner == "SB" else parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
+    publish_rulesheet(db, rs)
+    forged, body = build_record(owner, None if owner == "MRM" else honest.id, (), rs, [claim], 2)
+    with pytest.raises(SubmitError, match="holds a claim of"):
+        db.submit_revision(encode_payload(body, sign_record(forged, identities[owner])))

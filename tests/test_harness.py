@@ -38,8 +38,10 @@ def test_booking_yields_single_verdict(booking_report):
 # stopped logging its premises' ids, which its rule's body atoms give back:
 # 16783 to 15540 bytes. The seven revisions holding a derived claim shrank,
 # and the revisions superseding them changed only their supersedes id and
-# signature.
-BOOKING_LOG_DIGEST = (25, "c61a41fffcd45a90034f1f0bf8baf7ae2e4f81736bc9a7bf180eb758fc08bcbb")
+# signature. It changed again when a direct assertion stopped logging its
+# signer and a signature over its atom's text, its evidence being the
+# owner's signature of the revision that holds it: 15540 to 14754 bytes.
+BOOKING_LOG_DIGEST = (25, "d0d63cabdee0d94a27a6d8a514fca14864723d64c7ae89275eaa9c08b71960ff")
 
 
 def test_booking_claim_log_is_byte_identical():

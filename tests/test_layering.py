@@ -152,3 +152,36 @@ def modules_naming_sign_bytes():
 
 def test_only_the_log_writers_sign():
     assert [name for name in modules_naming_sign_bytes() if name not in SIGNERS] == []
+
+
+# the signatures checked are the owners' of their revisions (revision.py)
+# and the log operator's of its tree heads (claimlog.py): an event's
+# evidence is the signed revision that holds it, so no module checks a
+# signature per claim
+VERIFIERS = SIGNERS
+# modules that may import `verify_bytes` but never use it: perfbench's
+# tracer test reads the `cyberlog.audit.verify_bytes` binding
+IMPORT_ONLY = {"audit.py"}
+
+
+def modules_naming_verify_bytes():
+    """Modules outside VERIFIERS that use `verify_bytes` (by name, attribute
+    or string), or import it outside IMPORT_ONLY."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in VERIFIERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.alias) and node.name == "verify_bytes"
+            used = (
+                (isinstance(node, ast.Name) and node.id == "verify_bytes")
+                or (isinstance(node, ast.Attribute) and node.attr == "verify_bytes")
+                or (isinstance(node, ast.Constant) and node.value == "verify_bytes")
+            )
+            if used or (imported and path.name not in IMPORT_ONLY):
+                yield f"{path.name}:{node.lineno}"
+                break
+
+
+def test_only_the_log_writers_signatures_are_checked():
+    assert list(modules_naming_verify_bytes()) == []

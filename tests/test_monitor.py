@@ -266,8 +266,8 @@ def test_ingest_cost_flat_in_kb_size(identities, trust_store, db_client, monkeyp
 
 def test_ingest_encodes_the_event_atom_once(sb, monkeypatch):
     """Ingest never encodes the event atom: it signs nothing. The commit
-    that logs the event encodes it once, for its signature, its sort key
-    and its logged text; the claim DB's check of what it is sent is the
+    that logs the event encodes it once, for its sort key and its logged
+    text; the claim DB's check of what it is sent is the
     DB's own work. The path is in no derived atom, so each encoding of the
     path is one encoding of the event atom."""
     import cyberlog.engine as engine
@@ -312,13 +312,13 @@ def test_monitor_warnings_carry_the_last_committed_revision(sb, monkeypatch, cap
     assert [(r.stage, r.revision) for r in caplog.records] == [("commit", None), ("commit", committed.id)]
 
 
-def test_failed_commit_leaves_events_unsigned_and_its_retry_logs_the_same_record(
+def test_failed_commit_keeps_its_events_and_its_retry_logs_the_same_record(
     identities, trust_store, db, monkeypatch
 ):
-    """A commit whose revision submit fails keeps no signature: the KB's
-    event stays unsigned. Signatures are deterministic, so the retry logs
-    the record of a monitor whose first submit succeeded, given the same
-    events and commit time."""
+    """A commit whose revision submit fails leaves the KB's event as it was
+    ingested, and the retry logs the record of a monitor whose first submit
+    succeeded, given the same events and commit time: the same id, signed
+    once, and the event asserted by its owner."""
     from cyberlog.claimdb import ClaimDb
     from cyberlog.claimlog import MerkleLog
     from cyberlog.engine import DirectAssertion
@@ -344,7 +344,7 @@ def test_failed_commit_leaves_events_unsigned_and_its_retry_logs_the_same_record
     assert retrying.kb.claims[event].evidence == DirectAssertion("SB")
     monkeypatch.setattr(db, "submit_revision", submit)
     retried = retrying.commit()
-    assert retried.by_atom[event].evidence.signature is not None
+    assert retried.by_atom[event].evidence == DirectAssertion("SB")
     once = sb_with_event(ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000)).commit()
     assert retried.id == once.id
 
@@ -600,35 +600,48 @@ def test_each_monitor_lineage_verifies_each_signature_once(monkeypatch):
 
 def test_ed25519_work_of_a_steady_run(monkeypatch):
     """Counts, not time: each identity imports its key once, no ingest
-    signs, the commits of each monitor sign each of its events exactly
-    once, with signatures that no check of the monitor ever sees, and the
-    claim DB signs each tree head once."""
+    signs, each logged revision is signed once, by its owner's commit, and
+    the claim DB signs each tree head once. Every signature made or checked
+    in the run is over a logged revision's id or a signed tree head, never
+    over an event's text: an event's evidence is the revision that holds
+    it."""
+    import hashlib
+
     from cyberlog.engine import canonical_atom
     from cyberlog.harness import OPERATOR_NAME, ScenarioRun
     from cyberlog.monitor import EVENT_PREDICATES
+    from cyberlog.revision import REVISION_PAYLOAD_HEAD
 
     trace = Ed25519Trace(monkeypatch)
     scenario = _steady_booking(3)
     run = ScenarioRun(scenario)
     try:
         run.finish()
+        payloads = [run.db.log.payload(i).decode("utf-8") for i in range(len(run.db.log))]
     finally:
         run.close()
     assert trace.imports == len(run.monitors) + 1  # the monitors' and the log operator's
-    assert [actor for actor, _signer, _t in trace.signs if actor and actor[1] == "ingest_event"] == []
-    events = []
+    revisions = {}  # logged revision id -> its owner's signature
+    for payload in payloads:
+        if payload.startswith(REVISION_PAYLOAD_HEAD):
+            body = "{" + payload[len(REVISION_PAYLOAD_HEAD) : payload.rindex(',"signature":"')] + "}"
+            revisions[hashlib.sha256(body.encode("utf-8")).digest()] = bytes.fromhex(payload[-130:-2])
+    owners = [(actor, signer, t) for actor, signer, t in trace.signs if signer != OPERATOR_NAME]
+    assert {(actor[1], actor[0] == signer) for actor, signer, _t in owners} == {("commit", True)}
+    assert sorted(t[2] for _actor, _signer, t in owners) == sorted(revisions)
+    assert all(revisions[message] == signature for _actor, _signer, (_key, signature, message) in owners)
+    heads = [t for _actor, signer, t in trace.signs if signer == OPERATOR_NAME]
+    assert heads and len(heads) == len(set(heads))
+    head_messages = {message for _key, _signature, message in heads}
+    for _actor, _module, (_key, signature, message) in trace.verifies:
+        assert message in head_messages or revisions.get(message) == signature
+    events = set()
     for event in scenario.events:
         env = event.envelope
         atom = GroundAtom(event.monitor, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body))
-        events.append((event.monitor, canonical_atom(atom).encode()))
-    events.sort()
-    committed = [(actor[0], t) for actor, _signer, t in trace.signs if actor and actor[1] == "commit"]
-    signed = [(name, t) for name, t in committed if (name, t[2]) in events]  # not the revision signatures
-    assert sorted((name, t[2]) for name, t in signed) == events
-    checked = {(actor[0], t) for actor, _module, t in trace.verifies if actor}
-    assert not checked & set(signed)
-    heads = [t for _actor, signer, t in trace.signs if signer == OPERATOR_NAME]
-    assert heads and len(heads) == len(set(heads))
+        events.add(canonical_atom(atom).encode())
+    messages = {t[2] for _actor, _signer, t in trace.signs} | {t[2] for _actor, _module, t in trace.verifies}
+    assert events and not events & messages
 
 
 def test_supersession_matches_scratch():
@@ -674,12 +687,12 @@ def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None
     identity-only rulesheet, logged, since its claims are direct
     assertions, and carries `signature`, by default the owner's own."""
     from cyberlog.engine import Claim, DirectAssertion
-    from conftest import publish_rulesheet, sign_claim
+    from conftest import publish_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
 
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
     publish_rulesheet(db, rs)
-    claims = [Claim(a, DirectAssertion(owner, sign_claim(identities[owner], a).signature)) for a in atoms]
+    claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
     record, body = build_record(owner, supersedes, (), rs, claims, 5)
     if signature is None:
         signature = sign_record(record, identities[owner])

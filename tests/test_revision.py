@@ -24,7 +24,7 @@ from cyberlog.revision import (
     sign_record,
 )
 
-from conftest import OPERATOR, log_reader, publish_rulesheet, rulesheets_of, sign_claim
+from conftest import OPERATOR, log_reader, publish_rulesheet, rulesheets_of
 
 CTR_SHEET = "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n"
 RETAIN_SHEET = (
@@ -39,9 +39,9 @@ def latest_revision(db, owner):
     return head["revision_id"], int(head["chain_length"])
 
 
-def signed(identities, owner, atom):
-    sc = sign_claim(identities[owner], atom)
-    return Claim(atom, DirectAssertion(owner, sc.signature))
+def signed(owner, atom):
+    """`owner`'s direct assertion of `atom`, signed by the revision that logs it."""
+    return Claim(atom, DirectAssertion(owner))
 
 
 def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
@@ -89,7 +89,7 @@ def test_three_commits_form_linear_chain(db_client, identities):
 
 def test_fetched_record_rehashes_to_id(db_client, identities, trust_store):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
+    claims = [signed("CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
     fetched, _inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
@@ -104,8 +104,8 @@ def test_fetched_record_rehashes_to_id(db_client, identities, trust_store):
 def test_next_rule_keeps_in_process_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [
-        signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5))),
-        signed(identities, "SB", GroundAtom("SB", "in_process", (7,))),
+        signed("SB", GroundAtom("SB", "request", (7, "d", 5))),
+        signed("SB", GroundAtom("SB", "in_process", (7,))),
     ]
     record, _ = build_record("SB", None, (), rs, claims, 1)
     carried = apply_next_rules(record, rs)
@@ -116,7 +116,7 @@ def test_next_rule_keeps_in_process_request(identities):
 
 def test_next_rule_drops_completed_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
-    claims = [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))]
+    claims = [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))]
     record, _ = build_record("SB", None, (), rs, claims, 1)
     assert apply_next_rules(record, rs) == []
 
@@ -127,8 +127,8 @@ def test_next_rule_sees_included_claims(identities):
         "next request(Id) :- request(Id), 'OM' attests in_process(Id).\n"
     )
     rs = parse_rulesheet(sheet, "SB")
-    own = [signed(identities, "SB", GroundAtom("SB", "request", (7,)))]
-    foreign = [signed(identities, "OM", GroundAtom("OM", "in_process", (7,)))]
+    own = [signed("SB", GroundAtom("SB", "request", (7,)))]
+    foreign = [signed("OM", GroundAtom("OM", "in_process", (7,)))]
     record, _ = build_record("SB", None, (), rs, own, 1)
     assert apply_next_rules(record, rs) == []
     carried = apply_next_rules(record, rs, included_claims=foreign)
@@ -138,7 +138,7 @@ def test_next_rule_sees_included_claims(identities):
 def test_counter_advances_one_step_per_commit(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
     # seed commit is time step 0; each further commit advances the counter
-    records = commit_chain(db_client, identities, rs, [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))], 6)
+    records = commit_chain(db_client, identities, rs, [signed("CTR", GroundAtom("CTR", "counter", (0,)))], 6)
     for k, record in enumerate(records):
         assert [c.atom for c in record.claims] == [GroundAtom("CTR", "counter", (k,))]
         assert record.supersedes == (records[k - 1].id if k else None)
@@ -164,7 +164,7 @@ def dom_setup():
 
 def mrm_commit(db_client, identities, rs_mrm, base, atoms, now):
     """Commit MRM's signed `atoms` over `base`; returns the record."""
-    claims = [signed(identities, "MRM", a) for a in atoms]
+    claims = [signed("MRM", a) for a in atoms]
     return commit(db_client, identities, rs_mrm, claims, base, now)[0]
 
 
@@ -346,7 +346,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
     forged, forged_body = build_record(
-        "MRM", None, (), rs_mrm, [signed(identities, "SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
+        "MRM", None, (), rs_mrm, [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
     )
 
     class ForgingClient(CountingClient):
@@ -367,8 +367,8 @@ def test_commit_serialises_each_claim_once(db_client, identities, trust_store, m
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [
-        signed(identities, "SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)
-    ] + [signed(identities, "SB", GroundAtom("SB", "in_process", (1,)))]
+        signed("SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)
+    ] + [signed("SB", GroundAtom("SB", "in_process", (1,)))]
     publish_rulesheet(db_client, rs)
     original, submit = revision.claim_to_obj, db_client.submit_revision
     calls, at_submit = [], []
@@ -396,7 +396,7 @@ def test_latest_revision_per_owner_independent(db_client, identities):
 
 def test_head_matches_chain_walk_oracle(db_client, identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
+    claims = [signed("CTR", GroundAtom("CTR", "counter", (0,)))]
     ids = [record.id for record in commit_chain(db_client, identities, rs, claims, 4)]
     head_id, _ = latest_revision(db_client, "CTR")
     # walk back through supersedes links and compare
@@ -491,7 +491,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_
     from cyberlog.errors import LogIntegrityError
 
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    claims = [signed(identities, "CTR", GroundAtom("CTR", "counter", (0,)))]
+    claims = [signed("CTR", GroundAtom("CTR", "counter", (0,)))]
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=3)
     payload = db_client.get_revision(record.id)["payload"]
     monkeypatch.setattr(revision, "verify_bytes", lambda _key, _signature, _message: True)
@@ -575,7 +575,7 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
     requests = st.tuples(terms, terms, terms).map(lambda args: GroundAtom("SB", "request", args))
     drawn = st.lists(
         st.one_of(
-            st.tuples(st.just("direct"), atoms, st.binary(min_size=64, max_size=64)),
+            st.tuples(st.just("direct"), atoms, st.none()),
             st.tuples(st.just("derived"), requests, st.none()),
             st.tuples(st.just("carried"), requests, st.none()),
         ),
@@ -585,7 +585,7 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
 
     def claim(kind, atom, extra, supersedes):
         if kind == "direct":
-            return Claim(atom, DirectAssertion("SB", extra))
+            return Claim(atom, DirectAssertion("SB"))
         if kind == "derived":
             substitution = {term.name: value for term, value in zip(derive.head.args, atom.args)}
             return Claim(atom, DerivedByRule(derive, substitution))

@@ -24,15 +24,15 @@ def claims_from_jsonl(text, source, rs):
 def test_claims_jsonl_roundtrip():
     rs = parse_rulesheet(IDS + "next v(R) :- 'OM' attests t(R, A), R > 0.", "SB")
     claims = [
-        Claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM", b"\x01\x02")),
+        Claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM")),
         Claim(
             GroundAtom("SB", "v", (7,)),
             CarriedByNextRule(rs.rules[0], {"R": 7, "A": "x"}, "ab" * 32),
         ),
     ]
     text = claims_to_jsonl(claims, rs)
-    assert len(text.splitlines()) == 2
-    assert '"rule":0' in text
+    assert text.splitlines()[0] == '{"atom":"\\"OM\\"|t(7,\\"x\\")","evidence":{"kind":"direct_assertion"}}'
+    assert '"rule":0' in text.splitlines()[1]
     back = claims_from_jsonl(text, "ab" * 32, rs)
     assert back == claims
 
@@ -52,16 +52,24 @@ def test_derived_claim_roundtrip_preserves_rule():
     assert restored.evidence.premises == derived.evidence.premises == (GroundAtom("OM", "t", (3, "y")),)
 
 
-def test_unsigned_direct_assertion_has_no_wire_form():
-    """A monitor's event is unsigned until the commit that logs it signs
-    it, so nothing unsigned can be logged."""
+def test_direct_assertion_by_another_principal_has_no_wire_form():
+    """A direct assertion logs its kind only, and decodes as asserted by its
+    atom's principal: one by anyone else cannot be encoded, and a logged one
+    that names a signer or a signature does not decode."""
     import pytest
 
     from cyberlog.errors import EvidenceError
 
     rs = parse_rulesheet(IDS, "SB")
-    with pytest.raises(EvidenceError, match="direct assertion by 'SB' is unsigned"):
-        claim_to_obj(Claim(GroundAtom("SB", "t", (7,)), DirectAssertion("SB")), rs)
+    atom = GroundAtom("SB", "t", (7,))
+    with pytest.raises(EvidenceError, match="""direct assertion by 'OM' of "SB"\\|t\\(7\\)"""):
+        claim_to_obj(Claim(atom, DirectAssertion("OM")), rs)
+    obj = claim_to_obj(Claim(atom, DirectAssertion("SB")), rs)
+    assert obj["evidence"] == {"kind": "direct_assertion"}
+    assert claim_from_obj(obj, None, rs) == Claim(atom, DirectAssertion("SB"))
+    for logged in ({"signer": "SB"}, {"signature": "ab" * 64}, {"signer": "OM", "signature": ""}):
+        with pytest.raises(EvidenceError, match="direct assertion logs more than its kind"):
+            claim_from_obj(dict(obj, evidence=dict(obj["evidence"], **logged)), None, rs)
 
 
 def test_inclusion_evidence_has_no_wire_form():
@@ -79,7 +87,7 @@ def test_inclusion_evidence_has_no_wire_form():
     proof, head = log.prove_inclusion(0, 1), SignedTreeHead(1, log.root(), 1, bytes(64))
     rs = parse_rulesheet(IDS, "SB")
     with pytest.raises(EvidenceError, match="unknown evidence type LogInclusion"):
-        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head), rs)
+        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head), GroundAtom("SB", "p", (1,)), rs)
     obj = {
         "kind": "log_inclusion",
         "revision_id": "ab" * 32,
