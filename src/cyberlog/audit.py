@@ -113,7 +113,7 @@ class Auditor:
         direct assertion's signer owns both its atom and `record`, whose
         owner signature the reader checked, then audit its premises: a
         rule instance's own premises in `record`, a carried claim's in its
-        source revision."""
+        source, the revision `record` supersedes."""
         if depth > 500:
             return self._fail(claim.atom, "depth", "evidence chain exceeds depth limit")
         ev = claim.evidence
@@ -129,8 +129,11 @@ class Auditor:
                 source = record
                 node.detail = "rule re-derivation checked"
                 if isinstance(ev, CarriedByNextRule):
-                    source = self.fetch_revision(ev.source_revision)
-                    node.detail = f"carried from revision {ev.source_revision[:8]}"
+                    if record.supersedes is None:
+                        detail = f"carried in revision {record.id[:8]}, which supersedes none"
+                        return self._fail(claim.atom, kind, detail)
+                    source = self.fetch_revision(record.supersedes)
+                    node.detail = f"carried from revision {record.supersedes[:8]}"
                 for atom in rule_premises(ev.rule, ev.substitution):
                     node.children.append(self._audit_premise(source, atom, depth + 1))
             return node

@@ -169,9 +169,12 @@ class LogInclusion:
 
 @dataclass(frozen=True)
 class CarriedByNextRule:
+    """A next-rule instance over the revision that the revision holding
+    the claim supersedes: the source is that record's `supersedes`, so
+    equal rule instances are equal claims in every revision of a chain."""
+
     rule: Rule
     substitution: Mapping[str, GroundTerm]
-    source_revision: str
 
 
 Evidence = DerivedByRule | DirectAssertion | LogInclusion | CarriedByNextRule
@@ -496,8 +499,10 @@ class KnowledgeBase:
         derived, among them any retracted atom it derived again.
 
         Every claim in `claims` is checked first: if one fails, EvidenceError
-        is raised and nothing changes. An admitted claim whose atom is
-        present replaces that atom's evidence; its atom is not new, so
+        is raised and nothing changes. A claim that is the stored object of
+        its atom is neither checked again nor replaced, but is admitted, so
+        it is not retracted. An admitted claim whose atom is present
+        otherwise replaces that atom's evidence; its atom is not new, so
         saturation does not join it again. An atom in `retract` that is not
         admitted is removed, and so, transitively, is every derived claim
         whose recorded premises name a removed claim. Saturation then looks
@@ -523,14 +528,17 @@ class KnowledgeBase:
         """The admission and retraction of `revise`, leaving saturation
         pending; returns the admitted claims whose atoms are new and the
         stored claims that were retracted or replaced."""
-        incoming: dict[GroundAtom, Claim] = {}
+        incoming: dict[GroundAtom, tuple[Claim, Claim | None]] = {}  # atom -> (claim, stored claim)
         for claim in claims:
-            self.check_evidence(claim)
-            incoming[claim.atom] = claim
+            old = self.claims.get(claim.atom)
+            if old is not claim:  # a stored claim was checked when it entered
+                self.check_evidence(claim)
+            incoming[claim.atom] = claim, old
         added: list[Claim] = []
         displaced: list[Claim] = []  # stored claims retracted or replaced
-        for atom, claim in incoming.items():
-            old = self.claims.get(atom)
+        for claim, old in incoming.values():
+            if old is claim:
+                continue
             if old is None:
                 added.append(claim)
                 self._unsaturated.append(claim)

@@ -58,6 +58,12 @@ class LogClient(Protocol):
 # of that hash parsed for the owner. Raises a CyberlogError when there is
 # none: an unlogged hash, or a text that does not parse for the owner.
 RulesheetOf = Callable[[str, str], Rulesheet]
+# The claims of the last revision someone decoded of an owner under a
+# rulesheet, by their logged text: (rulesheet_hash, owner) -> {text: claim},
+# empty when there is none. Decoding a claim text is a function of the text,
+# the rulesheet, the owner and whether its revision is a chain root alone,
+# so a revision that supersedes another takes a known text's claim as is.
+KnownClaims = Callable[[str, str], Mapping[str, Claim]]
 _T = TypeVar("_T")
 
 
@@ -71,12 +77,12 @@ class RevisionRecord:
     claims: tuple[Claim, ...]
     commit_time: int
 
-    # `claims` indexed by atom, the first claim winning; built on first use
-    # and kept, as a record is immutable
+    # `claims` indexed by atom; built on first use and kept, as a record is
+    # immutable
 
     @functools.cached_property
     def by_atom(self) -> Mapping[GroundAtom, Claim]:
-        return {c.atom: c for c in reversed(self.claims)}
+        return {c.atom: c for c in self.claims}
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +90,19 @@ class RevisionRecord:
 #
 # A payload is `{"kind":"revision",` + the body's fields + `,"signature":"…"}`,
 # so the body the id hashes is a slice of the logged bytes: readers hash that
-# slice and never re-encode. The claim DB refuses, at submit, a payload that
-# is not exactly the canonical encoding (`check_canonical`), so every logged
-# body is the one `build_record` gives for its fields. Claims name their
-# rules by index into the rulesheet the record names (`wire`).
+# slice and never re-encode. The body is built from one canonical text per
+# claim, and a claim object whose text is known keeps it: a carried claim's
+# text is the same in every revision of its chain. The claim DB refuses, at
+# submit, a payload that is not exactly the canonical encoding
+# (`check_canonical`), so every logged body is the one `build_record` gives
+# for its fields. Claims name their rules by index into the rulesheet the
+# record names (`wire`).
 
 REVISION_PAYLOAD_HEAD = '{"kind":"revision",'
 _SIGNATURE_TAIL = re.compile(r',"signature":"([0-9a-f]{128})"\}')
 _SIGNATURE_TAIL_LEN = len(',"signature":"') + 128 + len('"}')
+_CLAIMS_KEY = ',"claims":['
+_JSON = json.JSONDecoder()
 
 
 def _body_text(
@@ -99,23 +110,18 @@ def _body_text(
     supersedes: str | None,
     includes: Iterable[str],
     rulesheet_hash: str,
-    claims: Iterable[Claim],
+    texts: Iterable[str],
     commit_time: int,
-    rs: Rulesheet,
-) -> tuple[tuple[Claim, ...], tuple[str, ...], str]:
-    """Claims and includes in canonical order, and the canonical body text;
-    `rs` is the rulesheet `rulesheet_hash` names."""
-    ordered_claims = tuple(sorted(claims, key=lambda c: canonical_atom(c.atom)))
-    includes_t = tuple(sorted(set(includes)))
-    body = {
+) -> str:
+    """The canonical body text of the fields, with the includes sorted and
+    the claims given by their texts, in order."""
+    head = {
         "owner": owner,
         "supersedes": supersedes,
-        "includes": list(includes_t),
+        "includes": sorted(set(includes)),
         "rulesheet_hash": rulesheet_hash,
-        "claims": [claim_to_obj(c, rs) for c in ordered_claims],
-        "commit_time": commit_time,
     }
-    return ordered_claims, includes_t, canonical_json(body)
+    return f'{canonical_json(head)[:-1]},"claims":[{",".join(texts)}],"commit_time":{commit_time}}}'
 
 
 def build_record(
@@ -125,15 +131,24 @@ def build_record(
     rs: Rulesheet,
     claims: Iterable[Claim],
     commit_time: int,
-) -> tuple[RevisionRecord, str]:
+    known: Mapping[str, Claim] | None = None,
+) -> tuple[RevisionRecord, str, dict[str, Claim]]:
     """The record under rulesheet `rs`, which it names by the hash of its
-    canonical text, and the canonical body text its id hashes, each claim
-    serialised once. Raises EvidenceError for a claim whose rule `rs` does
-    not hold."""
-    rulesheet_hash = rs.source_hash.hex()
-    ordered_claims, includes_t, body = _body_text(owner, supersedes, includes, rulesheet_hash, claims, commit_time, rs)
+    canonical text, the canonical body text its id hashes and the record's
+    claims by their texts. Each claim is serialised once, but a claim object
+    that `known` holds keeps its text there. Raises EvidenceError for a
+    claim whose rule `rs` does not hold."""
+    reuse = {id(claim): text for text, claim in (known or {}).items()}  # `known` keeps each object alive
+    texts: list[tuple[str, Claim]] = []
+    for claim in sorted(claims, key=lambda c: canonical_atom(c.atom)):
+        text = reuse.get(id(claim))
+        texts.append((canonical_json(claim_to_obj(claim, rs)) if text is None else text, claim))
+    includes_t, rulesheet_hash = tuple(sorted(set(includes))), rs.source_hash.hex()
+    body = _body_text(owner, supersedes, includes_t, rulesheet_hash, (text for text, _ in texts), commit_time)
     rev_id = sha256(body.encode("utf-8")).hexdigest()
-    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered_claims, commit_time), body
+    ordered = tuple(claim for _, claim in texts)
+    record = RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered, commit_time)
+    return record, body, dict(texts)
 
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
@@ -168,30 +183,64 @@ def rulesheet_entry_id(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
+def _revision_fields(payload: str) -> dict:
+    """The fields of a revision payload as `json.loads` gives them (the last
+    of a repeated key wins), except that "claims" holds the text and the
+    value of each claim, read one at a time from its offset. The claims
+    array follows the first `,"claims":[`, which no JSON string holds, and
+    separates its claims by bare commas. Raises ValueError."""
+    start = payload.find(_CLAIMS_KEY)
+    if start < 0:
+        raise ValueError("no claims array")
+    claims, pos = [], start + len(_CLAIMS_KEY)
+    separator = "]" if payload.startswith("]", pos) else ","
+    pos += separator == "]"
+    while separator == ",":
+        value, end = _JSON.raw_decode(payload, pos)
+        claims.append((payload[pos:end], value))
+        separator, pos = payload[end : end + 1], end + 1
+        if separator not in (",", "]"):
+            raise ValueError(f"expected ',' or ']' after the claim at {end}")
+    if not payload.startswith(",", pos):
+        raise ValueError(f"expected ',' after the claims array at {pos}")
+    fields = json.loads(payload[:start] + "}")
+    fields.update(json.loads("{" + payload[pos + 1 :]))
+    if "claims" in fields:
+        raise ValueError("claims given twice")
+    fields["claims"] = claims
+    return fields
+
+
 def decode_payload(
-    payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore
-) -> tuple[RevisionRecord, bytes, Rulesheet]:
+    payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore, known: KnownClaims | None = None
+) -> tuple[RevisionRecord, bytes, Rulesheet, dict[str, Claim]]:
     """Parse a logged revision payload once into its record, its owner's
-    signature and the rulesheet its claims were decoded under. The id is
-    the SHA-256 of the body bytes inside the payload; the owner's signature
-    over it is checked under `trust_store` before any rulesheet is read
-    (SignatureError). The claims' rules are those of the rulesheet
-    `rulesheet_of` gives, once, for the record's rulesheet hash and owner.
+    signature, the rulesheet its claims were decoded under and its claims
+    by their texts, in order. The id is the SHA-256 of the body bytes
+    inside the payload; the owner's signature over it is checked under
+    `trust_store` before any rulesheet is read (SignatureError). The claims'
+    rules are those of the rulesheet `rulesheet_of` gives, once, for the
+    record's rulesheet hash and owner. The claims array is read one claim
+    text at a time: in a revision that supersedes another, a text that
+    `known` holds for the rulesheet and owner is that claim, and any other
+    is decoded.
     Raises LogIntegrityError on a payload outside the revision layout, on a
     rulesheet that does not parse for the owner, on malformed data, which
     includes a rule reference that is not an index of a rule of the right
     kind and a carried claim in a chain root (a carried claim's source is
-    the revision its record supersedes), and on a claim whose principal is
-    not the record's owner, since nobody may make claims on someone else's
-    behalf; any other refusal of `rulesheet_of` passes through. Claims and
-    includes keep the payload's order."""
+    the revision its record supersedes), on claims whose atom texts do not
+    strictly increase (a claim is named by its atom, so a revision holds
+    one claim per atom), and on a claim whose principal is not the record's
+    owner, since nobody may make claims on someone else's behalf; any other
+    refusal of `rulesheet_of` passes through. Includes keep the payload's
+    order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
         raise LogIntegrityError("payload is not a revision record")
     signature = bytes.fromhex(tail.group(1))
     try:
-        obj = json.loads(payload)
+        obj = _revision_fields(payload)
         rev_id = sha256(("{" + payload[len(REVISION_PAYLOAD_HEAD) : split] + "}").encode("utf-8")).hexdigest()
         owner, supersedes, rulesheet_hash = obj["owner"], obj["supersedes"], obj["rulesheet_hash"]
         includes = tuple(obj["includes"])
@@ -204,29 +253,49 @@ def decode_payload(
         if not verify_bytes(key, signature, bytes.fromhex(rev_id)):
             raise SignatureError(f"bad signature on revision by {owner!r}")
         rs = rulesheet_of(rulesheet_hash, owner)
-        claims = tuple(claim_from_obj(c, supersedes, rs) for c in obj["claims"])
+        reuse = {} if supersedes is None or known is None else known(rulesheet_hash, owner)
+        texts: dict[str, Claim] = {}  # one text per claim, as each has its own atom
+        last = ""
+        for text, value in obj["claims"]:
+            claim = reuse.get(text)
+            if claim is None:
+                claim = claim_from_obj(value, supersedes, rs)
+            atom = canonical_atom(claim.atom)
+            if claim.atom.principal != owner:
+                raise LogIntegrityError(f"revision by {owner!r} holds a claim of {claim.atom.principal!r}: {atom}")
+            if atom <= last:
+                raise LogIntegrityError(f"claim atoms of revision by {owner!r} do not strictly increase at {atom}")
+            texts[text], last = claim, atom
+        claims = tuple(texts.values())
         record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, claims, int(obj["commit_time"]))
     except (KeyError, TypeError, ValueError, EvidenceError, ParseError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
-    for claim in record.claims:
-        if claim.atom.principal != record.owner:
-            raise LogIntegrityError(
-                f"revision by {record.owner!r} holds a claim of {claim.atom.principal!r}: {canonical_atom(claim.atom)}"
-            )
-    return record, signature, rs
+    return record, signature, rs, texts
 
 
-def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: Rulesheet) -> None:
-    """Raise LogIntegrityError unless `payload`, which decoded to `record`
-    and `signature` under rulesheet `rs`, is exactly their canonical
-    encoding: no whitespace, sorted claims and includes, lowercase hex,
-    canonical atom text, the first index of a rule the sheet holds twice and
-    no duplicate keys. Re-encodes the record's claims once; hashes
-    nothing."""
-    _claims, _includes, body = _body_text(
-        record.owner, record.supersedes, record.includes, record.rulesheet_hash, record.claims, record.commit_time, rs
-    )
-    if encode_payload(body, signature) != payload:
+def check_canonical(
+    record: RevisionRecord,
+    signature: bytes,
+    payload: str,
+    rs: Rulesheet,
+    texts: Mapping[str, Claim],
+    known: KnownClaims,
+) -> None:
+    """Raise LogIntegrityError unless `payload`, which decoded to `record`,
+    `signature` and the claims by their `texts` under rulesheet `rs`, is
+    exactly their canonical encoding: no whitespace, sorted includes,
+    lowercase hex, canonical atom text, the first index of a rule the sheet
+    holds twice and no duplicate keys (`decode_payload` refused unsorted
+    claims). Re-encodes the claims once, in one array, but for a claim
+    object that `known` holds under its text, which was canonical there;
+    hashes nothing. Each text is one whole JSON value, so the array's text
+    equals the texts joined only if each equals its claim's encoding."""
+    reuse = known(record.rulesheet_hash, record.owner)
+    fresh = [(text, claim) for text, claim in texts.items() if reuse.get(text) is not claim]
+    encoded = canonical_json([claim_to_obj(claim, rs) for _text, claim in fresh])
+    owner, rulesheet_hash = record.owner, record.rulesheet_hash
+    body = _body_text(owner, record.supersedes, record.includes, rulesheet_hash, texts, record.commit_time)
+    if encoded != f"[{','.join(text for text, _claim in fresh)}]" or encode_payload(body, signature) != payload:
         raise LogIntegrityError(f"revision {record.id} is not in canonical form")
 
 
@@ -241,8 +310,9 @@ def apply_next_rules(
 
     Bodies match the committed revision's claims plus the claims of the
     revisions it includes; each distinct head atom is emitted once with
-    carried-forward evidence naming the source revision. A head equal to
-    an atom of the record reuses that atom, whose text is known.
+    carried-forward evidence, whose source is the record. A carry-over
+    equal to a claim of the record is that claim object, whose text is
+    known, and one of an atom of the record reuses that atom.
     """
     next_rules = [rule for rule in rs.rules if rule.kind is RuleKind.NEXT]
     if not next_rules:
@@ -259,11 +329,14 @@ def apply_next_rules(
         for subst in match_rule_body(rule.body, candidates):
             atom = instantiate_head(rule.head, subst)
             if atom not in carried:
-                evidence = CarriedByNextRule(rule, rule_substitution(rule, subst), record.id)
+                substitution = rule_substitution(rule, subst)
                 logged = record.by_atom.get(atom)
-                if logged is not None:
-                    atom = logged.atom
-                carried[atom] = Claim(atom, evidence)
+                ev = None if logged is None else logged.evidence
+                if isinstance(ev, CarriedByNextRule) and (ev.rule, ev.substitution) == (rule, substitution):
+                    carried[atom] = logged
+                else:
+                    evidence = CarriedByNextRule(rule, substitution)
+                    carried[atom] = Claim(atom if logged is None else logged.atom, evidence)
     return list(carried.values())
 
 
@@ -279,14 +352,18 @@ def commit_staging(
 ) -> tuple[RevisionRecord, LogInclusion, list[Claim]]:
     """Commit `identity`'s claims as a revision superseding `base` and
     including `includes`; returns (record, inclusion, next-rule carry-overs).
-    The one signature is `identity`'s over the record's id.
+    The one signature is `identity`'s over the record's id. A claim object
+    of the last revision `reader` logged of the owner under `rs` keeps its
+    text, and the reader then keeps this one's.
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
     has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
-    record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
+    known = reader.known_claims(rs.source_hash.hex(), identity.name)
+    record, body, texts = build_record(identity.name, base, includes, rs, claims, now_ms, known)
     inclusion = reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
+    reader.remember(record, texts)
     return record, inclusion, apply_next_rules(record, rs, included_claims)
 
 
@@ -305,10 +382,12 @@ def _served(what: str) -> Iterator[None]:
 class LogReader:
     """The one client of the claim database `db`, which parses and verifies
     all `db` answers, and the one cache of what it verified: the last
-    accepted tree head, revisions by id and rulesheet texts by hash. Heads
-    are checked under `operator_key` unless it is None (an offline audit: no
-    operator signed), owners under `trust_store`. Heads must come in the
-    order asked for: one thread at a time."""
+    accepted tree head, revisions by id, rulesheet texts by hash and, per
+    owner and rulesheet, the claims by text of the last revision it decoded
+    or logged (`KnownClaims`). Heads are checked under `operator_key` unless
+    it is None (an offline audit: no operator signed), owners under
+    `trust_store`. Heads must come in the order asked for: one thread at a
+    time."""
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.db = db
@@ -317,6 +396,7 @@ class LogReader:
         self.head: SignedTreeHead | None = None
         self._revisions: dict[str, tuple[RevisionRecord, LogInclusion]] = {}
         self._texts: dict[str, str] = {}
+        self._claims: dict[tuple[str, str], Mapping[str, Claim]] = {}  # (rulesheet hash, owner) -> text -> claim
 
     def accept(self, head: SignedTreeHead) -> None:
         """Make `head` the last accepted head. A head equal to it costs
@@ -399,6 +479,14 @@ class LogReader:
         for rev_id in rev_ids:
             self._revisions.pop(rev_id, None)
 
+    def known_claims(self, rulesheet_hash: str, owner: str) -> Mapping[str, Claim]:
+        return self._claims.get((rulesheet_hash, owner), {})
+
+    def remember(self, record: RevisionRecord, texts: Mapping[str, Claim]) -> None:
+        """Keep `texts`, the claims of `record` by text, as its owner's
+        under its rulesheet, in place of any earlier revision's."""
+        self._claims[(record.rulesheet_hash, record.owner)] = texts
+
     def __call__(self, rulesheet_hash: str, owner: str) -> Rulesheet:
         if rulesheet_hash not in self._texts:
             text, _ = self._fetch("rulesheet", rulesheet_hash, decode_rulesheet_payload)
@@ -409,13 +497,18 @@ class LogReader:
 
 
 def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
-    """Fetch and verify a revision through `reader`, bypassing its cache:
-    its tree head, owner's signature, claims, inclusion proof and id;
-    returns the record and the inclusion its claims share."""
-    decode = functools.partial(decode_payload, rulesheet_of=reader, trust_store=reader.trust_store)
-    (record, _signature, _rs), inclusion = reader._fetch("revision", rev_id, decode)
+    """Fetch and verify a revision through `reader`, bypassing its cache of
+    revisions: its tree head, owner's signature, claims, inclusion proof
+    and id; returns the record and the inclusion its claims share. The
+    reader's known claims of the owner under the rulesheet serve the
+    decode, and then become the record's."""
+    decode = functools.partial(
+        decode_payload, rulesheet_of=reader, trust_store=reader.trust_store, known=reader.known_claims
+    )
+    (record, _signature, _rs, texts), inclusion = reader._fetch("revision", rev_id, decode)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
+    reader.remember(record, texts)
     return record, inclusion
 
 

@@ -39,8 +39,11 @@ from .errors import EvidenceError
 from .lang import Rule, RuleKind, Rulesheet, format_rule
 
 
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
 
 
 # the kind of rule each kind of rule instance names
@@ -83,11 +86,12 @@ def _logged_rule(kind: str, ref, rs: Rulesheet) -> Rule:
     return rule
 
 
-def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None, rs: Rulesheet) -> Evidence:
+def evidence_from_obj(obj: dict, atom: GroundAtom, supersedes: str | None, rs: Rulesheet) -> Evidence:
     """The evidence of the claim of `atom` in a revision superseding
-    `source` (None for a chain root) under rulesheet `rs`; a rule
-    instance's substitution is its head bound to `atom` plus the logged
-    entries."""
+    `supersedes` (None for a chain root, which holds no carried claim)
+    under rulesheet `rs`; a rule instance's substitution is its head bound
+    to `atom` plus the logged entries. Which revision is superseded changes
+    nothing else: a carried claim's source is that revision."""
     try:
         kind = obj["kind"]
         if kind == "direct_assertion":
@@ -102,9 +106,9 @@ def evidence_from_obj(obj: dict, atom: GroundAtom, source: str | None, rs: Rules
             substitution.update(obj.get("substitution", {}))
             if kind == "derived_by_rule":
                 return DerivedByRule(rule, substitution)
-            if source is None:
+            if supersedes is None:
                 raise EvidenceError(f"carried claim {canonical_atom(atom)} in a revision that supersedes none")
-            return CarriedByNextRule(rule, substitution, source)
+            return CarriedByNextRule(rule, substitution)
     except (KeyError, TypeError, ValueError) as exc:
         raise EvidenceError(f"malformed evidence object: {exc}") from exc
     raise EvidenceError(f"unknown evidence kind {obj.get('kind')!r}")
@@ -115,12 +119,11 @@ def claim_to_obj(claim: Claim, rs: Rulesheet) -> dict:
     return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence, claim.atom, rs)}
 
 
-def claim_from_obj(obj: dict, source: str | None, rs: Rulesheet) -> Claim:
+def claim_from_obj(obj: dict, supersedes: str | None, rs: Rulesheet) -> Claim:
     """The claim of a logged claim object in a revision superseding
-    `source`, the source revision of a carried claim, under rulesheet
-    `rs`."""
+    `supersedes` (None for a chain root) under rulesheet `rs`."""
     try:
         atom = parse_canonical_atom(obj["atom"])
     except (KeyError, ValueError) as exc:
         raise EvidenceError(f"malformed claim object: {exc}") from exc
-    return Claim(atom, evidence_from_obj(obj["evidence"], atom, source, rs))
+    return Claim(atom, evidence_from_obj(obj["evidence"], atom, supersedes, rs))

@@ -14,7 +14,7 @@ from cyberlog.claimlog import (
     verify_tree_head,
 )
 from cyberlog.engine import Claim, DirectAssertion, GroundAtom
-from cyberlog.errors import NotFoundError, SubmitError
+from cyberlog.errors import LogIntegrityError, NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
     LogReader,
@@ -53,7 +53,7 @@ def reader(client, identities):
 def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     rs = parse_rulesheet(SB_SHEET, "SB")
     claims = [Claim(atom, DirectAssertion("SB")) for atom in atoms]
-    record, body = build_record("SB", supersedes, (), rs, claims, commit_time)
+    record, body, _ = build_record("SB", supersedes, (), rs, claims, commit_time)
     return record, encode_payload(body, sign_record(record, identities["SB"]))
 
 
@@ -69,7 +69,7 @@ def test_first_submission_receipt_verifies(db, db_client, identities):
 
 
 def test_bad_signature_rejected(db_client, identities):
-    _record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    _record, body, _ = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
     forged = encode_payload(body, b"\x00" * 64)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(forged)
@@ -82,7 +82,7 @@ def test_unknown_owner_rejected(db_client, identities, trust_store):
     rogue = generate_identity("ROGUE", seed=bytes([7]) * 32)
     rs = parse_rulesheet("'ROGUE': Subject: 's' Issuer: 'i'\n", "ROGUE")
     publish_rulesheet(db_client, rs)
-    record, body = build_record("ROGUE", None, (), rs, (), 1)
+    record, body, _ = build_record("ROGUE", None, (), rs, (), 1)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(encode_payload(body, sign_record(record, rogue)))
     assert exc.value.code == 401
@@ -92,7 +92,7 @@ def test_cross_owner_supersession_rejected(db_client, identities):
     _, payload = sb_payload(identities)
     receipt = db_client.submit_revision(payload)
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    record, body = build_record("MRM", receipt["revision_id"], (), rs, (), 2)
+    record, body, _ = build_record("MRM", receipt["revision_id"], (), rs, (), 2)
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["MRM"])))
     assert exc.value.code == 401
@@ -415,7 +415,7 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
     original = claimdb.decode_payload
     monkeypatch.setattr(claimdb, "decode_payload", lambda p, *rest: decoded.append(p) or original(p, *rest))
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
-    foreign, body = build_record("MRM", base, (), rs, (), 2)
+    foreign, body, _ = build_record("MRM", base, (), rs, (), 2)
     foreign_payload = encode_payload(body, sign_record(foreign, identities["MRM"]))
     with pytest.raises(SubmitError) as exc:
         reopened.submit_revision(foreign_payload)
@@ -464,6 +464,53 @@ def test_double_supersede_race_two_clients(db, identities):
     assert db.get_head("SB")["revision_id"] == winners[0]
 
 
+def test_concurrent_submits_keep_each_owners_head_claims_whole(db, identities, trust_store):
+    """Four threads extend SB's chain at once, each logging the head's claims
+    again plus one of its own, with the interpreter switching threads every
+    microsecond: a submit decodes with SB's head claims, unlocked, while
+    another submit replaces them. Every revision logged decodes without
+    known claims to what was submitted, and the claim DB's known claims of
+    SB are exactly those of its head revision."""
+    import itertools
+    import sys
+    import threading
+
+    from cyberlog.revision import decode_payload
+
+    rs = parse_rulesheet(SB_SHEET, "SB")
+    rulesheet_of, clock = rulesheets_of(rs), itertools.count(1)
+    db.submit_revision(sb_payload(identities)[1])
+    logged = {}
+
+    def extend(worker):
+        for i in range(15):
+            head = db.get_head("SB")["revision_id"]
+            claims = decode_payload(db.get_revision(head)["payload"], rulesheet_of, trust_store)[0].claims
+            claims += (Claim(GroundAtom("SB", "p", (worker, i)), DirectAssertion("SB")),)
+            record, body, _ = build_record("SB", head, (), rs, claims, next(clock))
+            try:
+                db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+                logged[record.id] = record
+            except SubmitError as exc:
+                assert exc.code == 409, str(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and logged
+    for rev_id, record in logged.items():
+        assert decode_payload(db.get_revision(rev_id)["payload"], rulesheet_of, trust_store)[0] == record
+    head = db._heads["SB"]
+    assert head.revision_id in logged and tuple(head.claims.values()) == logged[head.revision_id].claims
+
+
 def test_revision_holding_another_owners_claim_refused(db, http_client, identities):
     """Nobody may make claims on someone else's behalf: a revision by SB that
     holds a claim of MRM is refused with 400, in process and over HTTP."""
@@ -472,7 +519,7 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
 
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign = Claim(atom, DirectAssertion("MRM"))
-    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
+    record, body, _ = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
         decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")), db.trust_store)
@@ -493,7 +540,7 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     db.submit_revision(payload)
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign_claim = Claim(atom, DirectAssertion("MRM"))
-    foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
+    foreign, body, _ = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
     db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
     root = db.get_log_root()
     db.log.close()
@@ -515,13 +562,13 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
 def _unsigned(identities, base):
     """SB's successor of `base` under an all-zero signature: the payload of
     someone who can write the log file but does not hold SB's key."""
-    record, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), (), 2)
+    record, body, _ = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), (), 2)
     return record, encode_payload(body, b"\0" * 64)
 
 
 def _signed(identities, owner, supersedes, commit_time=2):
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
-    record, body = build_record(owner, supersedes, (), rs, (), commit_time)
+    record, body, _ = build_record(owner, supersedes, (), rs, (), commit_time)
     return record, encode_payload(body, sign_record(record, identities[owner]))
 
 
@@ -707,7 +754,12 @@ def test_non_canonical_revision_refused_with_400(db, http_client, identities, fo
     mutated = NON_CANONICAL[form](body)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")), db.trust_store)  # well-formed, only not canonical
+    rulesheet_of = rulesheets_of(parse_rulesheet(SB_SHEET, "SB"))
+    if form == "unsorted-claims":  # a revision names its claims by strictly increasing atoms, for readers too
+        with pytest.raises(LogIntegrityError, match="do not strictly increase"):
+            decode_payload(payload, rulesheet_of, db.trust_store)
+    else:
+        decode_payload(payload, rulesheet_of, db.trust_store)  # well-formed, only not canonical
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
             client.submit_revision(payload)
@@ -824,6 +876,42 @@ def test_direct_assertion_logging_a_signer_or_signature_refused_at_submit_and_on
         reopened.log.close()
 
 
+def test_revision_holding_two_claims_of_one_atom_refused_everywhere(tmp_path, identities, trust_store, caplog):
+    """A claim is named by its atom, so a revision holds one claim per atom,
+    in strictly increasing atom order. One that holds two claims of one
+    atom, signed as any revision, is refused with 400 at submit, left
+    unindexed with one warning on replay, and refused by a reader to which
+    a claim DB that lies serves it."""
+    import hashlib
+
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    atom = GroundAtom("SB", "p", (7,))
+    record, payload = sb_payload(identities, atoms=(atom, atom))
+    assert len(record.claims) == 2
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(payload)
+    assert exc.value.code == 400 and "do not strictly increase" in str(exc.value)
+    index = db.log.append(payload.encode("utf-8"))
+    db._index_revision(record, index, {})  # as a claim DB that lies would
+    with pytest.raises(LogIntegrityError, match="do not strictly increase"):
+        fetch_verified_revision(reader(db, identities), record.id)
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [entry.getMessage() for entry in caplog.records]
+        assert message.startswith("log entry 2 left unindexed: ") and "do not strictly increase" in message
+        body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest())
+        with pytest.raises(NotFoundError):
+            reopened.get_head("SB")
+    finally:
+        reopened.log.close()
+
+
 # -- evidence logs only what a reader cannot recompute -----------------------
 
 RETAIN_SHEET = (
@@ -848,10 +936,10 @@ def retained(identities, supersedes=None):
     else:
         substitution = {"Id": 7, "Data": "d", "T": 5}
         claims = [
-            Claim(REQUEST, CarriedByNextRule(carry, substitution, supersedes)),
+            Claim(REQUEST, CarriedByNextRule(carry, substitution)),
             Claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(verdict, substitution)),
         ]
-    record, body = build_record("SB", supersedes, (), rs, claims, 1 if supersedes is None else 2)
+    record, body, _ = build_record("SB", supersedes, (), rs, claims, 1 if supersedes is None else 2)
     return record, body
 
 
@@ -890,7 +978,7 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
     mutated = RECOMPUTED_FIELD[form](body, base.id)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decoded, _signature, _rs = decode_payload(payload, rulesheets_of(rs), db.trust_store)
+    decoded, _signature, _rs, _texts = decode_payload(payload, rulesheets_of(rs), db.trust_store)
     assert decoded.claims[0] == record.claims[0]  # the carried request, source `base`
     for client in (db, http_client):
         with pytest.raises(SubmitError) as exc:
@@ -1012,8 +1100,8 @@ def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path,
     from cyberlog.engine import CarriedByNextRule
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
-    carried = Claim(REQUEST, CarriedByNextRule(rs.rules[1], {"Id": 7, "Data": "d", "T": 5}, "ab" * 32))
-    record, body = build_record("SB", None, (), rs, [carried], 1)
+    carried = Claim(REQUEST, CarriedByNextRule(rs.rules[1], {"Id": 7, "Data": "d", "T": 5}))
+    record, body, _ = build_record("SB", None, (), rs, [carried], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
@@ -1092,7 +1180,7 @@ def _refused_successor(db, identities, case):
     sheet = REFUSED_RULESHEET[case]()
     if case == "rulesheet-not-parsing-for-owner":
         publish_rulesheet(db, sheet)
-    record, body = build_record("SB", base.id, (), sheet, (), 2)
+    record, body, _ = build_record("SB", base.id, (), sheet, (), 2)
     reason = "is not logged" if case == "unlogged-rulesheet" else "non-self head"
     return base, encode_payload(body, sign_record(record, identities["SB"])), reason
 
@@ -1134,7 +1222,7 @@ def test_rulesheet_is_read_for_a_trusted_owner_once_per_revision(db, identities,
     monkeypatch.setattr(claimdb, "parse_logged_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
     monkeypatch.setattr(claimdb, "decode_rulesheet_payload", lambda payload: decoded.append(payload) or decode(payload))
     stranger = generate_identity("EVE", seed=bytes(32))
-    record, body = build_record("EVE", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    record, body, _ = build_record("EVE", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(encode_payload(body, sign_record(record, stranger)))
     assert exc.value.code == 401 and "unknown owner 'EVE'" in str(exc.value)
@@ -1157,7 +1245,7 @@ def test_revision_not_signed_by_its_trusted_owner_is_refused_before_its_ruleshee
     resolved = []
     parse = claimdb.parse_logged_rulesheet
     monkeypatch.setattr(claimdb, "parse_logged_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
-    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    record, body, _ = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
     signature = bytes(64) if signer == "unsigned" else sign_record(record, identities[signer])
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(encode_payload(body, signature))
@@ -1182,7 +1270,7 @@ def test_rulesheet_not_parsing_for_its_owner_is_parsed_once(db, identities, monk
     monkeypatch.setattr(lang, "parse_rulesheet", lambda text, owner: parses.append(owner) or parse(text, owner))
     lang._parse_logged_rulesheet.cache_clear()
     for commit_time in (1, 2, 3):
-        record, body = build_record("SB", None, (), sheet, (), commit_time)
+        record, body, _ = build_record("SB", None, (), sheet, (), commit_time)
         with pytest.raises(SubmitError) as exc:
             db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
         assert exc.value.code == 400 and "non-self head" in str(exc.value)
@@ -1207,7 +1295,7 @@ def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, t
     with pytest.raises(EvidenceError, match="not a standard rule of the rulesheet"):
         build_record("SB", base.id, (), rs, [approved], 2)
     verdict = Claim(GroundAtom("SB", "verdict", (7,)), DerivedByRule(rs.rules[0], {"Id": 7, "Data": "d", "T": 5}))
-    _record, body = build_record("SB", base.id, (), rs, [verdict], 2)
+    _record, body, _ = build_record("SB", base.id, (), rs, [verdict], 2)
     as_text = '"rule":"\'SB\' attests approved(Id) :- \'SB\' attests request(Id, Data, T)."'
     for forged, reason in [
         (body.replace('"SB\\"|verdict(7)', '"SB\\"|approved(7)'), "rule head does not bind the claim"),
@@ -1237,7 +1325,7 @@ def test_invalid_contract_refused_at_submit_and_on_replay(tmp_path, identities, 
     replay."""
     text, reason = INVALID_CONTRACTS[case]
     rs = parse_rulesheet(text, "SB")
-    record, body = build_record("SB", None, (), rs, (), 1)
+    record, body, _ = build_record("SB", None, (), rs, (), 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))

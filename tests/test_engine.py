@@ -617,26 +617,32 @@ def _same_state(kb, claims):
 
 
 def test_stored_claims_are_not_verified_again(count_verify, count_inclusion, monkeypatch):
-    """Each admission checks every claim it is given, one whose atom is
-    stored too, so a forged rule instance offered for a stored atom is
-    refused; the chain check re-checks each stored claim once. No check in
-    the KB runs a signature or a proof: those ran where the claims entered."""
+    """Each admission checks every claim it is given but a stored claim
+    object, which was checked when it entered: an equal claim that is
+    another object is checked, so a forged rule instance offered for a
+    stored atom is refused; the chain check re-checks each stored claim
+    once. No check in the KB runs a signature or a proof: those ran where
+    the claims entered."""
     rs = parse_rulesheet(IDS + "next r(X) :- p(X).", "SB")
     direct = Claim(GroundAtom("SB", "p", (1,)), DirectAssertion("SB"))
     logged = _logged_claim(GroundAtom("MRM", "q", (2,)))
-    carried = Claim(GroundAtom("SB", "r", (1,)), CarriedByNextRule(rs.rules[0], {"X": 1}, "0" * 64))
+    carried = Claim(GroundAtom("SB", "r", (1,)), CarriedByNextRule(rs.rules[0], {"X": 1}))
     claims = [direct, logged, carried]
     kb = KnowledgeBase(rs)
     checked = _counting_checks(kb, monkeypatch)
     assert kb.revise([], claims) == claims
     assert len(checked) == 3
-    # re-admission: each claim is checked again, its atom is not new
+    # re-admission of the stored objects checks nothing and keeps them
     assert kb.revise([c.atom for c in claims], claims) == []
-    assert len(checked) == 6
-    forged = Claim(carried.atom, CarriedByNextRule(rs.rules[0], {"X": 2}, "0" * 64))
+    assert len(checked) == 3 and _same_state(kb, {c.atom: c for c in claims})
+    # equal claims that are other objects are checked again; no atom is new
+    copies = [Claim(c.atom, c.evidence) for c in claims]
+    assert kb.revise([c.atom for c in claims], copies) == []
+    assert len(checked) == 6 and _same_state(kb, {c.atom: c for c in copies})
+    forged = Claim(carried.atom, CarriedByNextRule(rs.rules[0], {"X": 2}))
     with pytest.raises(EvidenceError, match="rule instance mismatch"):
         kb.revise([], [forged])
-    assert kb.claims[carried.atom] is carried
+    assert kb.claims[carried.atom] is copies[2]
     assert all(kb.verify_claim_chain(c.atom) for c in claims)
     assert len(checked) == 6 + 1 + 3
     assert (len(count_verify), len(count_inclusion)) == (0, 0)
@@ -668,7 +674,7 @@ def test_forgeries_refused_on_entry():
             "rule instance unevaluable: unbound variable in body atom q",
         ),
         "carried head of another atom": (
-            Claim(GroundAtom("SB", "c", (2,)), CarriedByNextRule(carried, {"X": 1}, "0" * 64)),
+            Claim(GroundAtom("SB", "c", (2,)), CarriedByNextRule(carried, {"X": 1})),
             "rule instance mismatch",
         ),
         "unknown evidence type": (Claim(p2, UnknownEvidence()), "unknown evidence type UnknownEvidence"),
@@ -724,7 +730,7 @@ def test_readmitted_atom_is_not_joined_again():
     kb = kb_with(rs, [GroundAtom("SB", "p", (n,)) for n in range(3)])
     kb.saturate()
     derived = kb.claims[GroundAtom("SB", "r", (0,))]
-    carried = [Claim(GroundAtom("SB", "p", (n,)), CarriedByNextRule(rs.rules[1], {"X": n}, "0" * 64)) for n in range(3)]
+    carried = [Claim(GroundAtom("SB", "p", (n,)), CarriedByNextRule(rs.rules[1], {"X": n})) for n in range(3)]
     assert kb.revise([GroundAtom("SB", "p", (n,)) for n in range(3)], carried) == []
     assert at_fixpoint(kb)
     assert kb.claims[GroundAtom("SB", "p", (0,))] is carried[0]
@@ -797,6 +803,6 @@ def test_rule_evidence_missing_head_variable_is_evidence_error(evidence_kind):
     if evidence_kind == "derived":
         evidence = DerivedByRule(rs.rules[0], {})
     else:
-        evidence = CarriedByNextRule(rs.rules[0], {}, "0" * 64)
+        evidence = CarriedByNextRule(rs.rules[0], {})
     with pytest.raises(EvidenceError, match="unbound head variable"):
         KnowledgeBase(NO_RULES).assert_claim(Claim(atom, evidence))

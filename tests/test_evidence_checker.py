@@ -90,7 +90,7 @@ def kb_holding(identities, claim):
 
 
 def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_time=1):
-    record, body = build_record("SB", supersedes, (), RS, claims, commit_time)
+    record, body, _ = build_record("SB", supersedes, (), RS, claims, commit_time)
     publish_rulesheet(db, RS)
     db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
     return record, Auditor(db, trust_store, identities[OPERATOR].public_key)
@@ -118,7 +118,7 @@ def test_rule_instance_audit(db, identities, trust_store, name):
 def test_carried_claim_side_condition_audited(db, identities, trust_store, value, holds):
     source, _ = log_and_audit(db, identities, trust_store, [signed(sb("request", value))])
     atom = sb("carried", value)
-    carried = Claim(atom, CarriedByNextRule(RULES["carried"], {"Id": value}, source.id))
+    carried = Claim(atom, CarriedByNextRule(RULES["carried"], {"Id": value}))
     _record, auditor = log_and_audit(db, identities, trust_store, [carried], supersedes=source.id, commit_time=2)
     node = auditor.audit_atom("SB", atom)
     assert node.all_ok is holds, render_audit_tree(node)
@@ -177,6 +177,6 @@ def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forger
         return
     rs = RS if owner == "SB" else parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     publish_rulesheet(db, rs)
-    forged, body = build_record(owner, None if owner == "MRM" else honest.id, (), rs, [claim], 2)
+    forged, body, _ = build_record(owner, None if owner == "MRM" else honest.id, (), rs, [claim], 2)
     with pytest.raises(SubmitError, match="holds a claim of"):
         db.submit_revision(encode_payload(body, sign_record(forged, identities[owner])))

@@ -153,7 +153,7 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
         payload = run.db.log.payload(index).decode()
         if json.loads(payload).get("kind") != "revision":
             continue
-        record, _sig, _rs = decode_payload(payload, rulesheets, run.trust_store)
+        record, _sig, _rs, _texts = decode_payload(payload, rulesheets, run.trust_store)
         records.append(record)
 
     by_owner = {}

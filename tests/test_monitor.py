@@ -644,6 +644,65 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
     assert events and not events & messages
 
 
+def test_a_commit_repeating_its_base_rebuilds_no_claim(monkeypatch):
+    """Once a steady booking run is idle, SB's commit logs exactly its base's
+    claim objects: the claim DB decodes none of them, the committer encodes
+    none and its `revise` checks none, and DOM's poll of the revision decodes
+    none. Each memo holds one revision: the claim DB's one per owner, the
+    head's, and each reader's one per owner and rulesheet."""
+    import cyberlog.revision as revision
+    from cyberlog.engine import KnowledgeBase
+    from cyberlog.harness import ScenarioRun
+
+    run = ScenarioRun(_steady_booking(4))
+    try:
+        run.finish()
+        sb, dom = run.monitors["SB"], run.monitors["DOM"]
+        base = sb.commit()  # logs the carry-overs of the last window's requests
+        assert base.id in dom.poll_and_include()  # with the final heads of the others
+        calls = {"claim_from_obj": 0, "claim_to_obj": 0, "check_evidence": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                if name != "check_evidence" or args[0] is sb.kb:
+                    calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(revision, "claim_from_obj", counting("claim_from_obj", revision.claim_from_obj))
+        monkeypatch.setattr(revision, "claim_to_obj", counting("claim_to_obj", revision.claim_to_obj))
+        monkeypatch.setattr(KnowledgeBase, "check_evidence", counting("check_evidence", KnowledgeBase.check_evidence))
+        record = sb.commit()
+        assert record.supersedes == base.id and record.id != base.id
+        assert len(record.claims) == len(base.claims) > 0
+        assert all(new is old for new, old in zip(record.claims, base.claims))
+        assert calls == {"claim_from_obj": 0, "claim_to_obj": 0, "check_evidence": 0}
+        assert dom.poll_and_include() == [record.id]
+        assert calls["claim_from_obj"] == 0
+        monkeypatch.undo()
+
+        owners = {name: monitor.rulesheet.source_hash.hex() for name, monitor in run.monitors.items()}
+        chains = {}  # owner -> the claims of each of its logged revisions
+        for owner in owners:
+            claims, cursor = [], run.db.get_head(owner)["revision_id"]
+            while cursor is not None:
+                logged, _ = run.reader.revision(cursor)
+                claims.append(tuple(logged.claims))
+                cursor = logged.supersedes
+            chains[owner] = claims
+        assert set(run.db._heads) == set(owners)
+        for owner, head in run.db._heads.items():
+            assert (head.rulesheet_hash, tuple(head.claims.values())) == (owners[owner], chains[owner][0])
+        for monitor in run.monitors.values():
+            memo = monitor.reader._claims
+            assert set(memo) <= {(owners[owner], owner) for owner in (monitor.name, *monitor.watched_owners)}
+            assert all(tuple(claims.values()) in chains[owner] for (_hash, owner), claims in memo.items())
+        assert (owners["SB"], "SB") in dom.reader._claims and (owners["SB"], "SB") in sb.reader._claims
+    finally:
+        run.close()
+
+
 def test_supersession_matches_scratch():
     from cyberlog.harness import ScenarioRun
     from cyberlog.engine import KnowledgeBase
@@ -693,11 +752,11 @@ def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
     publish_rulesheet(db, rs)
     claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
-    record, body = build_record(owner, supersedes, (), rs, claims, 5)
+    record, body, texts = build_record(owner, supersedes, (), rs, claims, 5)
     if signature is None:
         signature = sign_record(record, identities[owner])
     index = db.log.append(encode_payload(body, signature).encode("utf-8"))
-    db._index_revision(record, index)
+    db._index_revision(record, index, texts)
     return record.id
 
 
@@ -1183,10 +1242,10 @@ def test_each_reader_checks_each_head_once_and_decodes_each_payload_once(monkeyp
         proofs[accepting[-1]] = proofs.get(accepting[-1], 0) + 1
         return get_consistency(db, old_size, new_size)
 
-    def counting_decode(payload, rulesheet_of, trust_store):
+    def counting_decode(payload, rulesheet_of, trust_store, known=None):
         if isinstance(rulesheet_of, revision.LogReader):
             decodes.setdefault(id(rulesheet_of), []).append(payload)
-        return decode_payload(payload, rulesheet_of, trust_store)
+        return decode_payload(payload, rulesheet_of, trust_store, known)
 
     monkeypatch.setattr(revision.LogReader, "accept", counting_accept)
     monkeypatch.setattr(revision, "verify_tree_head", counting_verify)

@@ -93,7 +93,7 @@ def test_fetched_record_rehashes_to_id(db_client, identities, trust_store):
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
     fetched, _inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
-    again, _sig, _rs = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
+    again, _sig, _rs, _texts = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -107,17 +107,20 @@ def test_next_rule_keeps_in_process_request(identities):
         signed("SB", GroundAtom("SB", "request", (7, "d", 5))),
         signed("SB", GroundAtom("SB", "in_process", (7,))),
     ]
-    record, _ = build_record("SB", None, (), rs, claims, 1)
+    record, _, _ = build_record("SB", None, (), rs, claims, 1)
     carried = apply_next_rules(record, rs)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7, "d", 5))]
     ev = carried[0].evidence
-    assert isinstance(ev, CarriedByNextRule) and ev.source_revision == record.id
+    assert isinstance(ev, CarriedByNextRule) and ev.substitution == {"Id": 7, "Data": "d", "TimeRequest": 5}
+    # its source is the revision that the record logging it supersedes
+    following, _, _ = build_record("SB", record.id, (), rs, carried, 2)
+    assert following.supersedes == record.id and following.claims == tuple(carried)
 
 
 def test_next_rule_drops_completed_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))]
-    record, _ = build_record("SB", None, (), rs, claims, 1)
+    record, _, _ = build_record("SB", None, (), rs, claims, 1)
     assert apply_next_rules(record, rs) == []
 
 
@@ -129,7 +132,7 @@ def test_next_rule_sees_included_claims(identities):
     rs = parse_rulesheet(sheet, "SB")
     own = [signed("SB", GroundAtom("SB", "request", (7,)))]
     foreign = [signed("OM", GroundAtom("OM", "in_process", (7,)))]
-    record, _ = build_record("SB", None, (), rs, own, 1)
+    record, _, _ = build_record("SB", None, (), rs, own, 1)
     assert apply_next_rules(record, rs) == []
     carried = apply_next_rules(record, rs, included_claims=foreign)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7,))]
@@ -345,7 +348,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
     record = mrm_commit(
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    forged, forged_body = build_record(
+    forged, forged_body, _ = build_record(
         "MRM", None, (), rs_mrm, [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
     )
 
@@ -362,23 +365,34 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
     assert len(kb) == 0
 
 
-def test_commit_serialises_each_claim_once(db_client, identities, trust_store, monkeypatch):
+def test_commit_serialises_each_claim_at_most_once(db_client, identities, trust_store, monkeypatch):
+    """A commit encodes each claim at most once, before it submits, and a
+    claim object of the last revision its reader logged not at all: the
+    carry-overs are encoded by the commit that first logs them, and a
+    commit of the same objects again encodes nothing, in the committer or
+    in the claim DB."""
     import cyberlog.revision as revision
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
-    claims = [
-        signed("SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)
-    ] + [signed("SB", GroundAtom("SB", "in_process", (1,)))]
+    in_process = signed("SB", GroundAtom("SB", "in_process", (1,)))
+    claims = [signed("SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)] + [in_process]
     publish_rulesheet(db_client, rs)
     original, submit = revision.claim_to_obj, db_client.submit_revision
     calls, at_submit = [], []
     monkeypatch.setattr(revision, "claim_to_obj", lambda claim, rs: calls.append(claim) or original(claim, rs))
     monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
-    record, _, _ = commit_staging(identities["SB"], rs, reader(db_client, identities), None, (), claims, 3)
+    committer = reader(db_client, identities)
+    record, _, carried = commit_staging(identities["SB"], rs, committer, None, (), claims, 3)
     assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
+    second, _, again = commit_staging(identities["SB"], rs, committer, record.id, (), carried + [in_process], 4)
+    assert len(carried) == 1 and calls[at_submit[1] - 1 :] == carried + carried  # in the committer, then the DB
+    third, _, _ = commit_staging(identities["SB"], rs, committer, second.id, (), again + [in_process], 5)
+    assert again == carried and again[0] is second.by_atom[again[0].atom]
+    assert len(calls) == at_submit[2] == at_submit[1] + 1  # nothing encoded for the third, by either
+    assert third.claims == second.claims
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
-    rebuilt, body = build_record("SB", None, (), rs, claims, 3)
+    rebuilt, body, _ = build_record("SB", None, (), rs, claims, 3)
     assert payload == encode_payload(body, sign_record(record, identities["SB"]))
     assert record == rebuilt
     assert decode_payload(payload, rulesheets_of(rs), trust_store)[0] == record
@@ -500,7 +514,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_
         pos = rng.randrange(len(payload))
         mutated = payload[:pos] + chr(rng.randrange(32, 127)) + payload[pos + 1 :]
         try:
-            decoded, _sig, _rs = decode_payload(mutated, rulesheets_of(rs), trust_store)
+            decoded, _sig, _rs, _texts = decode_payload(mutated, rulesheets_of(rs), trust_store)
         except LogIntegrityError:
             continue
         if mutated != payload:
@@ -513,7 +527,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_
 
 def layout_payload(identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    record, body = build_record("CTR", None, (), rs, [], 1)
+    record, body, _ = build_record("CTR", None, (), rs, [], 1)
     return encode_payload(body, sign_record(record, identities["CTR"]))
 
 
@@ -551,7 +565,7 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, tru
     payload = layout_payload(identities)
     monkeypatch.setattr(revision, "build_record", None)
     monkeypatch.setattr(revision, "claim_to_obj", None)
-    record, _sig, _rs = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
+    record, _sig, _rs, _texts = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
     body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
     assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
@@ -590,17 +604,122 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
             substitution = {term.name: value for term, value in zip(derive.head.args, atom.args)}
             return Claim(atom, DerivedByRule(derive, substitution))
         substitution = {term.name: value for term, value in zip(carry.head.args, atom.args)}
-        return Claim(atom, CarriedByNextRule(carry, substitution, supersedes))
+        return Claim(atom, CarriedByNextRule(carry, substitution))
 
     @settings(max_examples=150, deadline=None)
     @given(drawn, st.none() | ids, st.lists(ids, max_size=3), st.integers(0, 2**53))
     def check(drawn, supersedes, includes, commit_time):
-        claims = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
-        record, body = build_record("SB", supersedes, includes, rs, claims, commit_time)
+        kept = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
+        claims = list({c.atom: c for c in kept}.values())  # one claim per atom
+        record, body, _ = build_record("SB", supersedes, includes, rs, claims, commit_time)
         signature = sign_record(record, identities["SB"])
         payload = encode_payload(body, signature)
-        decoded, decoded_signature, _rs = decode_payload(payload, rulesheets_of(rs), trust_store)
+        decoded, decoded_signature, _rs, texts = decode_payload(payload, rulesheets_of(rs), trust_store)
         assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
-        check_canonical(decoded, decoded_signature, payload, rs)
+        check_canonical(decoded, decoded_signature, payload, rs, texts, lambda _hash, _owner: {})
+
+    check()
+
+
+def test_known_claims_change_no_decode_and_no_admission(identities, trust_store):
+    """Along chains of SB revisions built from random direct, derived and
+    carried claims, each keeping some claim objects of the last one logged,
+    some payloads mutated and signed again (whitespace, a claim's keys
+    reordered or repeated, changed evidence under a kept atom text, a
+    carried claim in a chain root, a claim repeated): a claim DB that
+    decodes with its owner's head claims logs the same revisions, and
+    refuses the others with the same status, as one that knows no claims,
+    and a decode with those claims gives an equal record, or the same
+    refusal, as one without."""
+    import hashlib
+    import json
+
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.claimdb import ClaimDb
+    from cyberlog.claimlog import MerkleLog
+    from cyberlog.engine import DerivedByRule
+    from cyberlog.errors import SubmitError
+    from cyberlog.identity import sign_bytes
+    from cyberlog.wire import canonical_json
+
+    rs = parse_rulesheet(RETAIN_SHEET + "request(Id, Data, T) :- ev(Id, Data, T).\n", "SB")
+    carry, derive = rs.rules
+    evidences = ['{"kind":"direct_assertion"}', '{"kind":"derived_by_rule","rule":1}', '{"kind":"carried_by_next_rule","rule":0}']
+    terms = st.one_of(st.integers(0, 2), st.sampled_from(["a", "b"]))  # few atoms, so claims recur
+    requests = st.tuples(terms, terms, terms).map(lambda args: GroundAtom("SB", "request", args))
+    atoms = st.one_of(requests, terms.map(lambda arg: GroundAtom("SB", "in_process", (arg,))))
+    drawn = st.one_of(st.tuples(st.just("direct"), atoms), st.tuples(st.sampled_from(["derived", "carried"]), requests))
+
+    def claim(kind, atom):
+        if kind == "direct":
+            return Claim(atom, DirectAssertion("SB"))
+        rule = derive if kind == "derived" else carry
+        substitution = {term.name: value for term, value in zip(rule.head.args, atom.args)}
+        return Claim(atom, (DerivedByRule if kind == "derived" else CarriedByNextRule)(rule, substitution))
+
+    def other_evidence(text):
+        at = text.index(',"evidence":') + len(',"evidence":')
+        return text[:at] + evidences[(evidences.index(text[at:-1]) + 1) % len(evidences)] + "}"
+
+    def reordered(text):
+        obj = json.loads(text)
+        return canonical_json({"evidence": obj["evidence"], "atom": obj["atom"]})
+
+    mutations = {
+        "space-between-claims": lambda body, text: body.replace('"claims":[', '"claims": [', 1),
+        "space-in-claim": lambda body, text: body.replace(text, text.replace('":', '": ', 1), 1),
+        "reordered-keys": lambda body, text: body.replace(text, reordered(text), 1),
+        "repeated-key": lambda body, text: body.replace(text, text[:-1] + text[text.index(',"evidence":') :], 1),
+        "changed-evidence": lambda body, text: body.replace(text, other_evidence(text), 1),
+        "repeated-claim": lambda body, text: body.replace(text, text + "," + text, 1),
+    }
+    steps = st.lists(
+        st.tuples(
+            st.lists(st.booleans(), max_size=10),
+            st.lists(drawn, max_size=4),
+            st.sampled_from([None, None, None, "carried-in-root", *sorted(mutations)]),
+            st.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+
+    @settings(max_examples=120, deadline=None)
+    @given(steps)
+    def check(steps):
+        dbs = [ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1) for _ in range(2)]
+        dbs[1]._known_claims = lambda _hash, _owner: {}  # knows no claims
+        for db in dbs:
+            publish_rulesheet(db, rs)
+        kept: list[Claim] = []  # the claim objects of the last revision logged
+        for t, (keep, new, mutation, pick) in enumerate(steps):
+            head = dbs[0]._heads.get("SB")
+            supersedes = None if head is None or mutation == "carried-in-root" else head.revision_id
+            # a chain root takes every claim of the last revision logged
+            claims = {c.atom: c for c, keeping in zip(kept, keep) if keeping or mutation == "carried-in-root"}
+            for kind, atom in new:
+                claims.setdefault(atom, claim(kind, atom))
+            if supersedes is None and mutation != "carried-in-root":
+                claims = {a: c for a, c in claims.items() if not isinstance(c.evidence, CarriedByNextRule)}
+            record, body, texts = build_record("SB", supersedes, (), rs, claims.values(), t)
+            if mutation in mutations and texts:
+                body = mutations[mutation](body, list(texts)[pick % len(texts)])
+            signature = sign_bytes(identities["SB"], hashlib.sha256(body.encode("utf-8")).digest())
+            payload = encode_payload(body, signature)
+            outcomes = []
+            for db in dbs:
+                try:
+                    decoded = decode_payload(payload, db._logged_rulesheet, trust_store, db._known_claims)[0]
+                except LogIntegrityError as exc:
+                    decoded = str(exc)
+                try:
+                    outcome = db.submit_revision(payload)["revision_id"]
+                except SubmitError as exc:
+                    outcome = exc.code
+                outcomes.append((decoded, outcome))
+            assert outcomes[0] == outcomes[1], mutation
+            if outcomes[0][1] == record.id:
+                kept = list(record.claims)
 
     check()

@@ -27,7 +27,7 @@ def test_claims_jsonl_roundtrip():
         Claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM")),
         Claim(
             GroundAtom("SB", "v", (7,)),
-            CarriedByNextRule(rs.rules[0], {"R": 7, "A": "x"}, "ab" * 32),
+            CarriedByNextRule(rs.rules[0], {"R": 7, "A": "x"}),
         ),
     ]
     text = claims_to_jsonl(claims, rs)
@@ -146,7 +146,7 @@ def test_claim_round_trips_with_head_bound_names_left_out():
         rs, values, atom = instance
         rule = rs.rules[0]
         if rule.is_next:
-            evidence, source = CarriedByNextRule(rule, values, "ab" * 32), "ab" * 32
+            evidence, source = CarriedByNextRule(rule, values), "ab" * 32
         else:
             evidence = DerivedByRule(rule, values)
         claim = Claim(atom, evidence)
@@ -200,7 +200,7 @@ def test_rule_reference_is_an_index_of_a_rule_of_its_kind():
     for rule in (rs.rules[0], rs.rules[2]):  # equal rules: the first index
         obj = claim_to_obj(Claim(atom, DerivedByRule(rule, {"R": 7, "A": "a"})), rs)
         assert obj["evidence"]["rule"] == 0
-    carried = claim_to_obj(Claim(atom, CarriedByNextRule(rs.rules[1], {"R": 7, "A": "a"}, "cd" * 32)), rs)
+    carried = claim_to_obj(Claim(atom, CarriedByNextRule(rs.rules[1], {"R": 7, "A": "a"})), rs)
     assert carried["evidence"]["rule"] == 1
     good = {"kind": "derived_by_rule", "rule": 2, "substitution": {"A": "a"}}
     assert claim_from_obj({"atom": '"SB"|v(7)', "evidence": good}, None, rs).evidence.rule == rs.rules[0]
@@ -228,7 +228,7 @@ def test_rule_outside_the_rulesheet_cannot_be_encoded():
     for evidence in (
         DerivedByRule(outside, {"R": 7}),
         DerivedByRule(rs.rules[1], {"R": 7, "A": "a"}),
-        CarriedByNextRule(rs.rules[0], {"R": 7, "A": "a"}, "cd" * 32),
+        CarriedByNextRule(rs.rules[0], {"R": 7, "A": "a"}),
     ):
         with pytest.raises(EvidenceError, match="not a (standard|next) rule of the rulesheet"):
             claim_to_obj(Claim(atom, evidence), rs)
