@@ -195,14 +195,15 @@ class ScenarioReport:
             mark = "ok  " if e.ok else "FAIL"
             lines.append(f"  [{mark}] {e.monitor}: {e.query} -> {e.actual} (expected {e.expected})")
         for m in self.metrics:
+            commits = "commits logged/unchanged = {commits_logged}/{commits_unchanged}".format(**m)
             if m["events"]:
                 lines.append(
                     "  {monitor}: {events} events, delay min/avg/max = "
                     "{delay_min_ms:.2f}/{delay_avg_ms:.2f}/{delay_max_ms:.2f} ms, "
-                    "kb={kb_facts}, facts/request max={facts_added_max}".format(**m)
+                    "kb={kb_facts}, facts/request max={facts_added_max}, ".format(**m) + commits
                 )
             else:
-                lines.append(f"  {m['monitor']}: 0 events, kb={m['kb_facts']}")
+                lines.append(f"  {m['monitor']}: 0 events, kb={m['kb_facts']}, {commits}")
         return "\n".join(lines)
 
 

@@ -34,6 +34,7 @@ from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, val
 from .revision import (
     LogClient,
     LogReader,
+    RevisionRecord,
     commit_staging,
     encode_rulesheet_payload,
     include_revision,
@@ -97,7 +98,8 @@ class QueryAnswer:
 
 @dataclass
 class MonitorMetrics:
-    """Running per-event figures; constant size however many events arrive."""
+    """Running per-event and per-commit figures; constant size however
+    many events arrive. A failed commit counts in neither commit figure."""
 
     events: int = 0
     delay_sum_ms: float = 0.0
@@ -105,6 +107,8 @@ class MonitorMetrics:
     delay_max_ms: float | None = None
     facts_added_total: int = 0
     facts_added_max: int = 0
+    commits_logged: int = 0  # commits that logged a revision
+    commits_unchanged: int = 0  # commits whose snapshot was the base's: nothing logged
 
     def record(self, delay_ms: float, facts_added: int) -> None:
         self.events += 1
@@ -124,6 +128,8 @@ class MonitorMetrics:
             "kb_facts": kb_facts,
             "facts_added_total": self.facts_added_total,
             "facts_added_max": self.facts_added_max,
+            "commits_logged": self.commits_logged,
+            "commits_unchanged": self.commits_unchanged,
         }
 
 
@@ -160,7 +166,7 @@ class Monitor:
         self.name = identity.name
         self.lock = threading.RLock()
         self.kb = KnowledgeBase(rulesheet)
-        self._base: str | None = None
+        self._base: RevisionRecord | None = None  # the revision holding the last committed snapshot
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
         self._rulesheet_published = False
@@ -192,17 +198,21 @@ class Monitor:
     # -- commit cycle ------------------------------------------------------
 
     def commit(self):
-        """Commit own claims as a new revision; returns the record, or None
-        if the claim database was unreachable or refused the rulesheet or
-        the revision (KB untouched). The rulesheet is logged before the
-        first revision, which names it. A receipt of either whose tree head
-        or inclusion proof the reader refuses raises LogIntegrityError, with
-        the KB and the base untouched. After a successful submit the KB
-        keeps its inclusions and takes the next-rule carry-overs as its own
-        claims. If the carry-overs make saturation raise, the error
-        propagates with the record logged, and the KB drops the record's
-        own claims without taking the carry-overs, so the next commit does
-        not log them again."""
+        """Commit own claims as a new revision; returns the revision that
+        holds the monitor's snapshot, or None if the claim database was
+        unreachable or refused the rulesheet or the revision (KB untouched).
+        A snapshot equal to the base revision's (the same claim objects and
+        includes) logs nothing and returns the base: its carry-overs are
+        what the KB took when the base was committed, so a head's
+        `commit_time` is the time of the owner's last change. The rulesheet
+        is logged before the first revision, which names it. A receipt of
+        either whose tree head or inclusion proof the reader refuses raises
+        LogIntegrityError, with the KB and the base untouched. After a
+        successful submit the KB keeps its inclusions and takes the
+        next-rule carry-overs as its own claims. If the carry-overs make
+        saturation raise, the error propagates with the record logged, and
+        the KB drops the record's own claims without taking the
+        carry-overs, so the next commit does not log them again."""
         with self.lock:
             # either failure is retried next interval, with the KB untouched
             try:
@@ -215,15 +225,27 @@ class Monitor:
                 return None
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
             included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
+            base = self._base
+            # an unchanged snapshot (the base's claim objects, so an equal
+            # claim built anew is a change, and the base's includes) logs
+            # nothing: the KB already took the base's carry-overs
+            if (
+                base is not None
+                and {id(c) for c in own} == {id(c) for c in base.claims}
+                and set(self.active_includes.values()) == set(base.includes)
+            ):
+                self.metrics.commits_unchanged += 1
+                return base
             try:
                 record, _inclusion, carried = commit_staging(
-                    self.identity, self.rulesheet, self.reader, self._base, self.active_includes.values(), own,
-                    self.clock(), included,
+                    self.identity, self.rulesheet, self.reader, base and base.id, self.active_includes.values(),
+                    own, self.clock(), included,
                 )
             except (SubmitError, OSError) as exc:
                 self._warn("commit", f"commit failed, keeping own claims: {exc}")
                 return None
-            self._base = record.id
+            self._base = record
+            self.metrics.commits_logged += 1
             # own claims not carried go, with what was derived from them;
             # derived claims whose recorded premises survive stay
             logged = [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
@@ -287,9 +309,8 @@ class Monitor:
         """Log a recoverable failure; the record carries `monitor`, `stage`
         (commit, poll or periodic) and `revision`, the id of the monitor's
         last committed revision or None, as attributes."""
-        _log.warning(
-            "[monitor %s] %s", self.name, message, extra={"monitor": self.name, "stage": stage, "revision": self._base}
-        )
+        extra = {"monitor": self.name, "stage": stage, "revision": self._base and self._base.id}
+        _log.warning("[monitor %s] %s", self.name, message, extra=extra)
 
 
 # ---------------------------------------------------------------------------

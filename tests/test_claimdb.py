@@ -665,10 +665,15 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
     import os
 
     from cyberlog.errors import SignatureError
-    from cyberlog.harness import ScenarioRun, load_scenario
+    from cyberlog.harness import ScenarioEvent, ScenarioRun, load_scenario
+    from cyberlog.monitor import EventEnvelope
     from cyberlog.revision import decode_payload
 
     scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
+    # an MRM event in a second commit window: an unchanged commit logs
+    # nothing, so the booking alone gives MRM a chain of two
+    env = EventEnvelope("POST", "/feasibleconfig", '{"request_id": 8, "aircraft_id": 3}', 1200)
+    scenario.events.append(ScenarioEvent(env.timestamp_ms, "MRM", env))
     path = str(tmp_path / "claims.log")
     run = ScenarioRun(scenario, log_path=path)
     assert run.run().passed

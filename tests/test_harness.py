@@ -41,7 +41,11 @@ def test_booking_yields_single_verdict(booking_report):
 # signature. It changed again when a direct assertion stopped logging its
 # signer and a signature over its atom's text, its evidence being the
 # owner's signature of the revision that holds it: 15540 to 14754 bytes.
-BOOKING_LOG_DIGEST = (25, "d0d63cabdee0d94a27a6d8a514fca14864723d64c7ae89275eaa9c08b71960ff")
+# It changed again when a commit whose snapshot equals its base revision's
+# stopped logging a copy of it: 25 entries and 14754 bytes to 16 and 9640,
+# each owner's sequence of logged claim arrays the same once repeats are
+# collapsed.
+BOOKING_LOG_DIGEST = (16, "ad905ceff5c2c05c0acb5a65699b45b9d7b81dabf4fd90e7e48da32190e104e7")
 
 
 def test_booking_claim_log_is_byte_identical():
@@ -60,8 +64,39 @@ def test_booking_claim_log_is_byte_identical():
 
 
 def test_booking_heads_exist_for_all_monitors(booking_report):
-    assert set(booking_report.heads) == {"SB", "MRM", "CA", "OM", "DOM"}
-    assert all(h["chain_length"] >= 3 for h in booking_report.heads.values())
+    """Each owner logs its events' revision and then the carry-overs; DOM
+    logs one revision per set of heads it includes: none, the owners'
+    first heads and their second."""
+    chains = {name: head["chain_length"] for name, head in booking_report.heads.items()}
+    assert chains == {"SB": 2, "MRM": 2, "CA": 2, "OM": 2, "DOM": 3}
+
+
+def test_commit_counters_match_the_logged_chains(monkeypatch):
+    """Each monitor's `commits_logged` is its head's chain length, and its
+    two commit counters sum to the commit ticks it ran; the report prints
+    both."""
+    from cyberlog.monitor import Monitor
+
+    ticks = {}
+    commit = Monitor.commit
+
+    def counting(monitor):
+        ticks[monitor.name] = ticks.get(monitor.name, 0) + 1
+        return commit(monitor)
+
+    monkeypatch.setattr(Monitor, "commit", counting)
+    run = ScenarioRun(load_scenario(scenario_path("uav_booking")))
+    try:
+        report = run.run()
+    finally:
+        run.close()
+    lines = report.render().splitlines()
+    for metric in report.metrics:
+        name, logged, unchanged = metric["monitor"], metric["commits_logged"], metric["commits_unchanged"]
+        assert logged == report.heads[name]["chain_length"]
+        assert logged + unchanged == ticks[name] and unchanged > 0
+        [line] = [line for line in lines if line.startswith(f"  {name}: ")]
+        assert line.endswith(f"commits logged/unchanged = {logged}/{unchanged}")
 
 
 @pytest.mark.parametrize("tag", ["no_request", "no_feasible", "no_tasks", "no_rtf"])

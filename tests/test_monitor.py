@@ -165,11 +165,14 @@ def test_retention_carries_across_commits(sb, dom):
     assert isinstance(carried[0].evidence, CarriedByNextRule)
 
 
-def test_empty_commits_grow_chain(sb, db_client):
-    sb.commit()
-    sb.commit()
-    head = db_client.get_head("SB")
-    assert head["chain_length"] == 2
+def test_unchanged_commit_logs_nothing(sb, db_client):
+    """A commit whose snapshot is its base revision's logs nothing and
+    returns the base; only the first counts as logged."""
+    first = sb.commit()
+    assert sb.commit() is first
+    assert db_client.get_head("SB") == {"owner": "SB", "revision_id": first.id, "chain_length": 1}
+    report = sb.metrics_report()
+    assert (report["commits_logged"], report["commits_unchanged"]) == (1, 1)
 
 
 def test_commit_survives_unreachable_db(identities, trust_store, db_client, monkeypatch, caplog):
@@ -220,6 +223,8 @@ def test_metrics_report_matches_per_event_figures(sb):
         "kb_facts": len(sb.kb),
         "facts_added_total": sum(added),
         "facts_added_max": max(added),
+        "commits_logged": 0,
+        "commits_unchanged": 0,
     }
 
 
@@ -644,42 +649,76 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
     assert events and not events & messages
 
 
-def test_a_commit_repeating_its_base_rebuilds_no_claim(monkeypatch):
-    """Once a steady booking run is idle, SB's commit logs exactly its base's
-    claim objects: the claim DB decodes none of them, the committer encodes
-    none and its `revise` checks none, and DOM's poll of the revision decodes
-    none. Each memo holds one revision: the claim DB's one per owner, the
-    head's, and each reader's one per owner and rulesheet."""
+def test_an_idle_monitor_costs_nothing(monkeypatch):
+    """Once a steady booking run is idle, three commit ticks sign, submit
+    and verify nothing and log nothing: each commit returns its owner's head
+    and leaves its KB's claims as they were, and DOM's next poll loads
+    nothing. After one new event SB's commit supersedes that head and logs
+    its claim objects again: the claim DB decodes only the new claims, the
+    committer and the claim DB encode only those, SB's `revise` checks none
+    of the head's, and DOM's poll decodes only the new claims. Each memo
+    holds one revision: the claim DB's one per owner, the head's, and each
+    reader's one per owner and rulesheet."""
+    from collections import Counter
+
     import cyberlog.revision as revision
-    from cyberlog.engine import KnowledgeBase
+    from cyberlog.claimdb import ClaimDb
+    from cyberlog.engine import CarriedByNextRule, KnowledgeBase
     from cyberlog.harness import ScenarioRun
 
     run = ScenarioRun(_steady_booking(4))
     try:
         run.finish()
         sb, dom = run.monitors["SB"], run.monitors["DOM"]
-        base = sb.commit()  # logs the carry-overs of the last window's requests
-        assert base.id in dom.poll_and_include()  # with the final heads of the others
-        calls = {"claim_from_obj": 0, "claim_to_obj": 0, "check_evidence": 0}
+        heads = {name: monitor._base for name, monitor in run.monitors.items()}
+        kbs = {name: dict(monitor.kb.claims) for name, monitor in run.monitors.items()}
+        entries = len(run.db.log)
+        trace = Ed25519Trace(monkeypatch)
+        submits = []
+        submit = ClaimDb.submit_revision
+        monkeypatch.setattr(ClaimDb, "submit_revision", lambda db, text: submits.append(text) or submit(db, text))
+        for _tick in range(3):
+            run.now += run.scenario.commit_interval_ms
+            for name, monitor in run.monitors.items():
+                assert monitor.commit() is heads[name]
+        assert (trace.signs, submits, trace.verifies) == ([], [], [])
+        assert len(run.db.log) == entries
+        assert {name: run.db.get_head(name)["revision_id"] for name in heads} == {n: h.id for n, h in heads.items()}
+        for name, monitor in run.monitors.items():
+            assert monitor.kb.claims.keys() == kbs[name].keys()
+            assert all(monitor.kb.claims[atom] is claim for atom, claim in kbs[name].items())
+        assert dom.poll_and_include() == []
+        monkeypatch.undo()
 
-        def counting(name, original):
+        head = heads["SB"]
+        event = sb.ingest_event(post("/servicerequest", '{"request_id": 999, "aircraft_id": 3}', run.now))
+        encoded, decoded, checked = [], [], []
+
+        def recording(into, original, claim_of):
             def wrapper(*args):
-                if name != "check_evidence" or args[0] is sb.kb:
-                    calls[name] += 1
-                return original(*args)
+                value = original(*args)
+                into.append(claim_of(args, value))
+                return value
 
             return wrapper
 
-        monkeypatch.setattr(revision, "claim_from_obj", counting("claim_from_obj", revision.claim_from_obj))
-        monkeypatch.setattr(revision, "claim_to_obj", counting("claim_to_obj", revision.claim_to_obj))
-        monkeypatch.setattr(KnowledgeBase, "check_evidence", counting("check_evidence", KnowledgeBase.check_evidence))
+        monkeypatch.setattr(revision, "claim_from_obj", recording(decoded, revision.claim_from_obj, lambda _a, c: c))
+        monkeypatch.setattr(revision, "claim_to_obj", recording(encoded, revision.claim_to_obj, lambda a, _o: a[0]))
+        check = KnowledgeBase.check_evidence
+        monkeypatch.setattr(KnowledgeBase, "check_evidence", recording(checked, check, lambda a, _n: a[1]))
         record = sb.commit()
-        assert record.supersedes == base.id and record.id != base.id
-        assert len(record.claims) == len(base.claims) > 0
-        assert all(new is old for new, old in zip(record.claims, base.claims))
-        assert calls == {"claim_from_obj": 0, "claim_to_obj": 0, "check_evidence": 0}
+        assert record.supersedes == head.id
+        held = {id(claim) for claim in head.claims}
+        assert held <= {id(claim) for claim in record.claims}
+        assert {id(c) for c in record.claims if isinstance(c.evidence, CarriedByNextRule)} <= held
+        new = {c.atom for c in record.claims if id(c) not in held}
+        assert new == {event.event_atom, *event.derived}
+        assert Counter(c.atom for c in encoded) == Counter({atom: 2 for atom in new})  # committer, claim DB
+        assert Counter(c.atom for c in decoded) == Counter(new)
+        assert not held & {id(c) for c in checked}
+        decoded.clear()
         assert dom.poll_and_include() == [record.id]
-        assert calls["claim_from_obj"] == 0
+        assert Counter(c.atom for c in decoded) == Counter(new)
         monkeypatch.undo()
 
         owners = {name: monitor.rulesheet.source_hash.hex() for name, monitor in run.monitors.items()}
@@ -701,6 +740,94 @@ def test_a_commit_repeating_its_base_rebuilds_no_claim(monkeypatch):
         assert (owners["SB"], "SB") in dom.reader._claims and (owners["SB"], "SB") in sb.reader._claims
     finally:
         run.close()
+
+
+# a watcher whose own claims are derived from its includes, and carried
+WATCHER_SHEET = """\
+'DOM': Subject: 's' Issuer: 'i'
+'SB': Subject: 's' Issuer: 'i'
+'MRM': Subject: 's' Issuer: 'i'
+
+verdict(R) :- 'SB' attests request(R, Data, T).
+open(R) :- 'MRM' attests request(R, Data, T).
+next seen(R) :- verdict(R).
+"""
+
+
+def test_an_unchanged_commit_is_the_commit_it_skips(identities, trust_store):
+    """Random interleavings of events, commits and polls over SB, MRM on an
+    `sb_retention`-style sheet and DOM watching both. At each commit that
+    returns its base, that base is the record the commit would have logged
+    but for its supersedes and commit time, the base's carry-overs are the
+    KB's direct and carried claims as they are, and the KB and the log are
+    untouched. Every owner's head then passes a fresh Auditor."""
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.audit import Auditor
+    from cyberlog.claimdb import ClaimDb
+    from cyberlog.claimlog import MerkleLog
+    from cyberlog.engine import CarriedByNextRule, DirectAssertion, LogInclusion
+    from cyberlog.revision import apply_next_rules, build_record
+
+    with open(os.path.join(SCENARIOS, "rules", "sb_retention.cyberlog")) as fh:
+        retention = fh.read().replace("'SB':", "'MRM':", 1)
+    sheets = {"SB": (SB_SHEET, ()), "MRM": (retention, ()), "DOM": (WATCHER_SHEET, ("SB", "MRM"))}
+    operator_key = identities[OPERATOR].public_key
+    events = st.tuples(
+        st.just("event"),
+        st.sampled_from(sorted(sheets)),
+        st.sampled_from(["/servicerequest", "/status", "/other"]),
+        st.integers(0, 2),
+        st.sampled_from(["open", "done"]),
+    )
+    steps = st.one_of(events, st.tuples(st.just("commit"), st.sampled_from(sorted(sheets))), st.just(("poll",)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(steps, min_size=10, max_size=40))
+    def check(plan):
+        clock = itertools.count(1000, 1000).__next__
+        db = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000)
+        monitors = {
+            name: Monitor(
+                identities[name], parse_rulesheet(sheet, name), db, trust_store, operator_key, watched, clock
+            )
+            for name, (sheet, watched) in sheets.items()
+        }
+        for at, step in enumerate(plan):
+            if step[0] == "event":
+                _, name, path, request, state = step
+                body = f'{{"request_id": {request}, "state": "{state}"}}'
+                monitors[name].ingest_event(post(path, body, at))
+            elif step[0] == "poll":
+                monitors["DOM"].poll_and_include()
+            else:
+                monitor = monitors[step[1]]
+                base, claims, entries = monitor._base, dict(monitor.kb.claims), len(db.log)
+                own = [c for c in claims.values() if not isinstance(c.evidence, LogInclusion)]
+                included = [c for c in claims.values() if isinstance(c.evidence, LogInclusion)]
+                includes = tuple(monitor.active_includes.values())
+                record = monitor.commit()
+                assert record is not None
+                if record is not base:
+                    assert record.supersedes == (base and base.id)
+                    continue
+                skipped, _body, _texts = build_record(
+                    record.owner, record.supersedes, includes, monitor.rulesheet, own, record.commit_time
+                )
+                assert skipped.id == record.id
+                carried = apply_next_rules(record, monitor.rulesheet, included)
+                retracted = [c for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
+                assert {id(c) for c in carried} == {id(c) for c in retracted}
+                assert len(db.log) == entries
+                assert monitor.kb.claims.keys() == claims.keys()
+                assert all(monitor.kb.claims[atom] is claim for atom, claim in claims.items())
+        auditor = Auditor(db, trust_store, operator_key)
+        for name, monitor in monitors.items():
+            if monitor._base is not None:
+                assert db.get_head(name)["revision_id"] == monitor._base.id
+                assert all(node.all_ok for node in auditor.audit_head(name))
+
+    check()
 
 
 def test_supersession_matches_scratch():
@@ -931,12 +1058,12 @@ def test_commit_whose_carried_claims_raise_starts_the_next_clean(identities, tru
     with pytest.raises(EvaluationError, match="integer overflow"):
         sb.commit()
     head = db_client.get_head("SB")["revision_id"]
-    assert sb._base == head and db_client.get_head("SB")["chain_length"] == 1
+    assert sb._base.id == head and db_client.get_head("SB")["chain_length"] == 1
     assert len(sb.kb) == 0 and at_fixpoint(sb.kb)
     result = sb.ingest_event(SMALL)
     assert result.new_event and result.derived == SMALL_CONSEQUENCES[:1]
     record = sb.commit()
-    assert record.supersedes == head and sb._base == record.id
+    assert record.supersedes == head and sb._base is record
     assert {c.atom for c in record.claims} == {result.event_atom, *result.derived}
     assert not committed & sb.kb.claims.keys()
 
@@ -1054,7 +1181,7 @@ def test_owner_revision_forged_by_the_operator_is_refused(identities, trust_stor
     from cyberlog.errors import LogIntegrityError
 
     sb, dom = _watching_dom(identities, trust_store, db, [7])
-    forged = _append_directly(db, identities, "SB", sb._base, signature=bytes(64))
+    forged = _append_directly(db, identities, "SB", sb._base.id, signature=bytes(64))
     assert db.get_head("SB")["revision_id"] == forged
     _refused_poll(dom, db, caplog, "bad signature on revision by 'SB'")
     with pytest.raises(LogIntegrityError, match="bad signature on revision by 'SB'"):
@@ -1152,6 +1279,34 @@ def test_poll_thread_survives_a_malformed_head(identities, trust_store, db, capl
     assert {r.stage for r in caplog.records} == {"poll"}
 
 
+def test_idle_service_logs_nothing_after_its_first_commit(identities, trust_store, db):
+    """A running service whose monitor gets no events logs its first
+    revision and then nothing: its commit timer's later ticks return the
+    head, and `/metrics` counts them as unchanged."""
+    import time
+
+    from cyberlog.monitor import HttpMonitorClient, MonitorService
+
+    def wait_for(condition):
+        deadline = time.monotonic() + 5
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return condition()
+
+    sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
+    service = MonitorService(sb, commit_interval_ms=20, poll_interval_ms=10**6)
+    client = HttpMonitorClient(service.url)
+    service.start()
+    try:
+        assert wait_for(lambda: client.metrics()["commits_logged"] >= 1)
+        entries = len(db.log)  # the rulesheet and the first revision
+        assert wait_for(lambda: client.metrics()["commits_unchanged"] >= 3)
+        assert client.metrics()["commits_logged"] == 1
+    finally:
+        service.stop()
+    assert len(db.log) == entries == 2
+
+
 def test_watcher_skips_an_owner_without_revisions_silently(identities, trust_store, db, caplog):
     dom = make_monitor(identities, trust_store, db, "DOM", DOM_SHEET, watched=("SB",))
     with caplog.at_level("WARNING", logger="cyberlog.monitor"):
@@ -1183,7 +1338,7 @@ def test_commit_refuses_a_rulesheet_receipt_whose_head_is_forged(identities, tru
     assert sb._base is None and len(db.log) == 1  # the rulesheet only
     del client.submit_revision
     record = sb.commit()
-    assert record is not None and db.get_head("SB")["revision_id"] == record.id == sb._base
+    assert record is not None and db.get_head("SB")["revision_id"] == record.id == sb._base.id
 
 
 @pytest.mark.parametrize("forgery", ["zeroed-signature", "forked-head"])
