@@ -110,7 +110,9 @@ def verify_tree_head(sth: SignedTreeHead, operator_public_key: bytes) -> bool:
 
 
 class MerkleLog:
-    """Append-only leaf store with cached subtree hashes.
+    """Append-only leaf store that caches the hash of each perfect subtree
+    (2^j leaves, aligned) once computed, so it holds fewer entries than
+    leaves; a root or a proof rehashes only the O(log n) others.
 
     Single writer; reads at a fixed tree_size are stable snapshots. When
     `path` is given, appended payloads are written through to disk and the
@@ -172,7 +174,8 @@ class MerkleLog:
             return cached
         k = _largest_pow2_below(hi - lo)
         value = _node(self._subtree(lo, lo + k), self._subtree(lo + k, hi))
-        self._subtree_cache[(lo, hi)] = value
+        if hi - lo == 2 * k:
+            self._subtree_cache[(lo, hi)] = value
         return value
 
     def root(self, tree_size: int | None = None) -> bytes:

@@ -439,10 +439,10 @@ class KnowledgeBase:
     under the standard rules of the rulesheet it is built with.
 
     Owned by a single logical actor; not safe for concurrent mutation.
-    Every claim's evidence is checked on entry, by structure only (see
-    `check_evidence`): its signatures and inclusion proofs were checked
-    where it entered the program, so the KB runs no Ed25519 check and no
-    proof. `verify_claim_chain` re-checks the structure of stored claims.
+    Every claim a caller offers is checked on entry, by structure only
+    (`KnowledgeBase.check_evidence`), so the KB runs no Ed25519 check and
+    no proof. The KB makes every derivation itself, over stored premises,
+    so every stored derivation rests on stored claims.
 
     A monitor keeps one KB for its lifetime and changes it only through
     `revise`, which retracts atoms by Delete-and-Rederive, admits claims
@@ -484,9 +484,8 @@ class KnowledgeBase:
     # -- admission ------------------------------------------------------
 
     def assert_claim(self, claim: Claim) -> bool:
-        """Add a claim after checking its evidence; returns False if the atom
-        is already present (set semantics, first evidence wins)."""
-        self.check_evidence(claim)
+        """Add a claim `_fire` has just built, unchecked; returns False if
+        the atom is already present (set semantics, first evidence wins)."""
         if claim.atom in self.claims:
             return False
         self._store(claim)
@@ -498,10 +497,11 @@ class KnowledgeBase:
         the admitted claims whose atoms are new, then the claims saturation
         derived, among them any retracted atom it derived again.
 
-        Every claim in `claims` is checked first: if one fails, EvidenceError
-        is raised and nothing changes. A claim that is the stored object of
-        its atom is neither checked again nor replaced, but is admitted, so
-        it is not retracted. An admitted claim whose atom is present
+        Every claim in `claims` is checked first (`check_evidence`), a
+        derivation refused: if one fails, EvidenceError is raised and
+        nothing changes. A claim that is the stored object of its atom is
+        neither checked again nor replaced, but is admitted, so it is not
+        retracted. An admitted claim whose atom is present
         otherwise replaces that atom's evidence; its atom is not new, so
         saturation does not join it again. An atom in `retract` that is not
         admitted is removed, and so, transitively, is every derived claim
@@ -515,6 +515,10 @@ class KnowledgeBase:
         retracted, the claims it retracted or replaced are admitted again,
         and the KB saturates again.
         """
+        claims = list(claims)
+        for claim in claims:
+            if self.claims.get(claim.atom) is not claim:  # a stored claim was checked when it entered
+                self.check_evidence(claim)
         added, displaced = self._apply(retract, claims)
         try:
             derived = self.saturate()
@@ -526,14 +530,9 @@ class KnowledgeBase:
 
     def _apply(self, retract: Iterable[GroundAtom], claims: Iterable[Claim]) -> tuple[list[Claim], list[Claim]]:
         """The admission and retraction of `revise`, leaving saturation
-        pending; returns the admitted claims whose atoms are new and the
-        stored claims that were retracted or replaced."""
-        incoming: dict[GroundAtom, tuple[Claim, Claim | None]] = {}  # atom -> (claim, stored claim)
-        for claim in claims:
-            old = self.claims.get(claim.atom)
-            if old is not claim:  # a stored claim was checked when it entered
-                self.check_evidence(claim)
-            incoming[claim.atom] = claim, old
+        pending, checking nothing; returns the admitted claims whose atoms
+        are new and the stored claims that were retracted or replaced."""
+        incoming = {claim.atom: (claim, self.claims.get(claim.atom)) for claim in claims}  # atom -> (claim, stored)
         added: list[Claim] = []
         displaced: list[Claim] = []  # stored claims retracted or replaced
         for claim, old in incoming.values():
@@ -565,8 +564,11 @@ class KnowledgeBase:
         return added, displaced
 
     def check_evidence(self, claim: Claim) -> None:
-        """Check a claim's own evidence (see `check_evidence`). Raises
-        EvidenceError."""
+        """Check a claim a caller offers; raises EvidenceError. A derivation
+        is refused, since the KB makes its own; any other claim's own
+        evidence is checked by structure (see `check_evidence`)."""
+        if isinstance(claim.evidence, DerivedByRule):
+            raise EvidenceError(f"a derivation is the KB's own to make: {canonical_atom(claim.atom)} is offered as one")
         check_evidence(claim)
 
     def _store(self, claim: Claim) -> None:
@@ -696,49 +698,7 @@ class KnowledgeBase:
     # -- local audit -------------------------------------------------------
 
     def verify_claim_chain(self, atom: GroundAtom) -> bool:
-        """True iff the atom's local evidence re-checks all the way down:
-        every claim's rule instance and every rule instance's side
-        conditions, following premise atoms through `claims` depth first.
-        Each claim is checked once however many claims name it. An absent
-        atom, a missing premise and cyclic evidence fail.
-
-        DirectAssertion, LogInclusion and CarriedByNextRule end the walk;
-        auditing across revisions is the audit module's job.
-        """
-        claim = self.claims.get(atom)
-        if claim is None:
-            return False
-        try:
-            path = [(atom, iter(self._chain_premises(claim)))]  # atom, premise atoms left
-            on_path = {atom}
-            done: set[GroundAtom] = set()  # checked, with every claim below them
-            while path:
-                current, premises = path[-1]
-                premise = next(premises, None)
-                if premise is None:
-                    path.pop()
-                    on_path.discard(current)
-                    done.add(current)
-                elif premise in on_path:
-                    return False  # cyclic evidence
-                elif premise not in done:
-                    path.append((premise, iter(self._chain_premises(self.claims[premise]))))
-                    on_path.add(premise)
-        except EvidenceError:
-            return False
-        return True
-
-    def _chain_premises(self, claim: Claim) -> tuple[GroundAtom, ...]:
-        """Check a stored claim's own evidence and, for a derivation, its
-        side conditions and that its premise atoms are stored; returns those
-        atoms. Raises EvidenceError."""
-        check_evidence(claim)
-        ev = claim.evidence
-        if not isinstance(ev, DerivedByRule):
-            return ()
-        premises = rule_premises(ev.rule, ev.substitution)
-        for premise in premises:
-            if premise not in self.claims:
-                raise EvidenceError(f"premise {canonical_atom(premise)} of {canonical_atom(claim.atom)} not found")
-        return premises
-
+        """True iff the atom is stored: every stored claim was checked on
+        entry or derived by the KB over stored premises. Proving a claim to
+        a third party is the `Auditor`'s job."""
+        return atom in self.claims

@@ -69,7 +69,8 @@ def verify_bytes(public_key: bytes, signature: bytes, data: bytes) -> bool:
 
 
 class TrustStore:
-    """Static principal-name -> public-key mapping, persisted as JSON lines.
+    """Static principal-name -> public-key mapping, persisted as JSON lines
+    (string `name`, `subject`, `issuer` and a 32-byte hex `public_key`).
     It holds public-only identities: `add` drops any private key."""
 
     def __init__(self) -> None:
@@ -118,7 +119,11 @@ class TrustStore:
                     continue
                 try:
                     obj = json.loads(line)
-                    store.add(Identity(obj["name"], obj["subject"], obj["issuer"], bytes.fromhex(obj["public_key"])))
-                except (ValueError, KeyError) as exc:
-                    raise ConfigError(f"malformed trust store entry: {line!r}") from exc
+                    name, subject, issuer, key = (obj[field] for field in ("name", "subject", "issuer", "public_key"))
+                    key = bytes.fromhex(key)
+                    if not all(isinstance(value, str) for value in (name, subject, issuer)) or len(key) != 32:
+                        raise ValueError("needs string name, subject and issuer and a 32-byte hex public key")
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ConfigError(f"malformed trust store entry {line!r}: {exc}") from exc
+                store.add(Identity(name, subject, issuer, key))
         return store

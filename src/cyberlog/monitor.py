@@ -24,8 +24,8 @@ from .engine import (
     KnowledgeBase,
     LogInclusion,
     RelationalAtom,
+    Substitution,
     canonical_atom,
-    resolve_term,
 )
 from .errors import ConfigError, CyberlogError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
@@ -61,7 +61,7 @@ class EventEnvelope:
     @classmethod
     def from_obj(cls, obj: dict) -> "EventEnvelope":
         try:
-            env = cls(str(obj["method"]).upper(), obj["path"], obj.get("body", ""), int(obj["timestamp"]))
+            env = cls(str(obj["method"]).upper(), obj["path"], obj.get("body", ""), obj["timestamp"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed event envelope: {exc}") from exc
         env.validate()
@@ -77,7 +77,7 @@ class EventEnvelope:
             self.body.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ConfigError("event path and body must be valid Unicode") from exc
-        if not isinstance(self.timestamp_ms, int) or self.timestamp_ms < 0:
+        if type(self.timestamp_ms) is not int or self.timestamp_ms < 0:  # refuses bool, 5.9 and "7"
             raise ConfigError("event timestamp must be a non-negative integer")
 
 
@@ -88,12 +88,6 @@ class IngestResult:
     new_event: bool
     derived: tuple[GroundAtom, ...]
     delay_ms: float
-
-
-@dataclass(frozen=True)
-class QueryAnswer:
-    bindings: dict
-    auditable: bool
 
 
 @dataclass
@@ -287,19 +281,14 @@ class Monitor:
 
     # -- queries --------------------------------------------------------------
 
-    def handle_query(self, pattern: str | RelationalAtom) -> list[QueryAnswer]:
+    def handle_query(self, pattern: str | RelationalAtom) -> list[Substitution]:
+        """The bindings of each stored atom the pattern matches (see
+        `KnowledgeBase.query`). Whether a third party can prove an answer is
+        the `Auditor`'s to say (`cyberlog audit` with the answer's atom)."""
         if isinstance(pattern, str):
             pattern = parse_query(pattern, self.name)
         with self.lock:
-            answers = []
-            for subst in self.kb.query(pattern):
-                atom = GroundAtom(
-                    pattern.principal,
-                    pattern.predicate,
-                    tuple(resolve_term(arg, subst) for arg in pattern.args),
-                )
-                answers.append(QueryAnswer(subst, self.kb.verify_claim_chain(atom)))
-            return answers
+            return self.kb.query(pattern)
 
     def metrics_report(self) -> dict:
         with self.lock:
@@ -347,10 +336,7 @@ class _MonitorHandler(JsonRequestHandler):
                 if not isinstance(pattern, str):
                     raise ConfigError("body must be an object with a string 'pattern'")
                 answers = self.monitor.handle_query(pattern)
-                self._send(
-                    200,
-                    {"answers": [{"bindings": a.bindings, "auditable": a.auditable} for a in answers]},
-                )
+                self._send(200, {"answers": [{"bindings": bindings} for bindings in answers]})
             else:
                 self._send(404, {"error": f"no such endpoint {self.path}"})
         except (CyberlogError, KeyError) as exc:

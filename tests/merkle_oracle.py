@@ -24,3 +24,36 @@ def brute_root(payloads: list[bytes]) -> bytes:
     left = brute_root(payloads[:k])
     right = brute_root(payloads[k:])
     return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+def _split(n: int) -> int:
+    k = 1
+    while k * 2 < n:
+        k *= 2
+    return k
+
+
+def brute_path(payloads: list[bytes], m: int) -> list[bytes]:
+    """PATH(m, D[n]) of RFC 9162 §2.1.3.1: the audit path of leaf m."""
+    n = len(payloads)
+    if n == 1:
+        return []
+    k = _split(n)
+    if m < k:
+        return brute_path(payloads[:k], m) + [brute_root(payloads[k:])]
+    return brute_path(payloads[k:], m - k) + [brute_root(payloads[:k])]
+
+
+def brute_consistency(payloads: list[bytes], m: int) -> list[bytes]:
+    """PROOF(m, D[n]) of RFC 9162 §2.1.4.1, by SUBPROOF(m, D[n], true)."""
+
+    def subproof(d, m, whole):
+        n = len(d)
+        if m == n:
+            return [] if whole else [brute_root(d)]
+        k = _split(n)
+        if m <= k:
+            return subproof(d[:k], m, whole) + [brute_root(d[k:])]
+        return subproof(d[k:], m - k, False) + [brute_root(d[:k])]
+
+    return [] if m == len(payloads) else subproof(payloads, m, True)

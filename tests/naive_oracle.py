@@ -2,7 +2,8 @@
 
 Deliberately unshared with the engine: plain backtracking joins over the full
 atom set, no deltas, no indexes, no evidence. Used as the ground truth for
-saturation equivalence tests.
+saturation equivalence tests. `derivation_faults` checks a knowledge base's
+stored evidence, with the engine's own rule-instance checks.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import json
 import random
 
+from cyberlog.engine import DerivedByRule, canonical_atom, check_evidence, rule_premises
+from cyberlog.errors import EvidenceError
 from cyberlog.lang import (
     ArithExpr,
     BuiltinAtom,
@@ -156,6 +159,42 @@ def naive_saturate(base_atoms, rules) -> set[Atom]:
                     atoms.add(head)
                     changed = True
     return atoms
+
+
+def derivation_faults(kb) -> list[str]:
+    """What is wrong with the derivations a knowledge base stores: each must
+    pass `engine.check_evidence` and `engine.rule_premises`, every premise
+    must be stored, and no derivation may rest on itself through its
+    premises. Empty for a KB whose every derivation rests on stored claims
+    (the Delete-and-Rederive invariant)."""
+    faults, premises = [], {}
+    for atom, claim in kb.claims.items():
+        if not isinstance(claim.evidence, DerivedByRule):
+            continue
+        try:
+            check_evidence(claim)
+            premises[atom] = rule_premises(claim.evidence.rule, claim.evidence.substitution)
+        except EvidenceError as exc:
+            faults.append(f"{canonical_atom(atom)}: {exc}")
+            continue
+        missing = [p for p in premises[atom] if p not in kb.claims]
+        faults += [f"{canonical_atom(atom)}: premise {canonical_atom(p)} not stored" for p in missing]
+    # Kahn's algorithm over the derivations' premise edges: what is never
+    # freed lies on or above a cycle
+    waiting = {atom: sum(p in premises for p in ps) for atom, ps in premises.items()}
+    users: dict = {}
+    for atom, ps in premises.items():
+        for p in ps:
+            if p in premises:
+                users.setdefault(p, []).append(atom)
+    ready = [atom for atom, n in waiting.items() if n == 0]
+    while ready:
+        for user in users.get(ready.pop(), ()):
+            waiting[user] -= 1
+            if waiting[user] == 0:
+                ready.append(user)
+    faults += [f"{canonical_atom(atom)}: rests on a cycle of derivations" for atom, n in waiting.items() if n > 0]
+    return faults
 
 
 # ---------------------------------------------------------------------------

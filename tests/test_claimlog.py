@@ -18,7 +18,7 @@ from cyberlog.claimlog import (
 from cyberlog.errors import LogIntegrityError
 from cyberlog.identity import generate_identity
 
-from merkle_oracle import brute_leaf, brute_root
+from merkle_oracle import brute_consistency, brute_leaf, brute_path, brute_root
 
 
 def payloads_for(n, seed=0):
@@ -51,6 +51,33 @@ def test_roots_match_oracle_for_sizes_up_to_64():
     log = filled_log(payloads)
     for size in range(0, 65):
         assert log.root(size) == brute_root(payloads[:size]), f"size {size}"
+
+
+def test_growing_log_roots_and_proofs_equal_the_oracle():
+    """Appended one leaf at a time, the log's roots, audit paths and
+    consistency proofs, for every size it has held, are the RFC 9162 ones
+    the oracle builds: hashes cached at one size serve every later one."""
+    payloads = payloads_for(66, seed=7)
+    log = MerkleLog()
+    for n, payload in enumerate(payloads, start=1):
+        log.append(payload)
+        assert log.root() == brute_root(payloads[:n]), n
+        for size in range(1, n + 1):
+            for m in range(size):
+                assert log.prove_inclusion(m, size).path == tuple(brute_path(payloads[:size], m)), (m, size)
+            assert log.prove_consistency(size, n).path == tuple(brute_consistency(payloads[:n], size)), (size, n)
+
+
+def test_subtree_cache_holds_fewer_entries_than_leaves():
+    """Only perfect subtrees are cached: after 1000 appends, each followed
+    by a root and a proof, the cache holds fewer hashes than the log leaves."""
+    log = MerkleLog()
+    for n in range(1, 1001):
+        log.append(n.to_bytes(4, "big"))
+        log.root()
+        log.prove_inclusion(n // 3)
+    assert len(log._subtree_cache) < len(log) == 1000
+    assert all((hi - lo) & (hi - lo - 1) == 0 and lo % (hi - lo) == 0 for lo, hi in log._subtree_cache)
 
 
 def test_duplicate_payloads_get_distinct_indices():

@@ -209,7 +209,7 @@ def test_query_cli(tmp_path, capsys):
     try:
         assert main(["query", "--url", service.url, "seen(P)"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["answers"] == [{"bindings": {"P": "/x"}, "auditable": True}]
+        assert out["answers"] == [{"bindings": {"P": "/x"}}]
     finally:
         service.stop()
 
@@ -420,6 +420,16 @@ def test_verify_log_without_operator_key_exits_2(served_scenario, capsys):
     out = capsys.readouterr().out
     assert "no key for log operator 'nobody'" in out and "verdict" not in out
     assert main(argv) == 0  # no trust store: no tree-head signature check is asked for
+
+
+def test_verify_log_with_a_malformed_trust_store_exits_2(served_scenario, tmp_path, capsys):
+    trust = tmp_path / "trust.jsonl"
+    trust.write_text('{"name": "SB", "subject": "s", "issuer": "i", "public_key": "00"}\n')
+    argv = ["verify-log", "--db", served_scenario["url"], "--heads-cache", served_scenario["heads"]]
+    assert main([*argv, "--trust-store", str(trust)]) == 2
+    out = capsys.readouterr().out
+    assert "malformed trust store entry" in out and "a 32-byte hex public key" in out
+    assert "verdict" not in out
 
 
 def test_offline_audit_needs_no_operator_key(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Saturation, builtins, queries and the evidence chain check, checked
+"""Saturation, builtins, queries and the evidence checked on entry, checked
 against the naive fixpoint oracle."""
 
 import pytest
@@ -11,6 +11,7 @@ from cyberlog.engine import (
     GroundAtom,
     KnowledgeBase,
     canonical_atom,
+    check_evidence,
     eval_builtin,
     parse_canonical_atom,
 )
@@ -18,7 +19,7 @@ from cyberlog.errors import EvaluationError, EvidenceError
 from cyberlog.lang import StringConstant, Variable, parse_query, parse_rulesheet
 
 from conftest import at_fixpoint, claims_from_atoms
-from naive_oracle import naive_saturate, random_builtin_program, random_program
+from naive_oracle import derivation_faults, naive_saturate, random_builtin_program, random_program
 
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'MRM': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n'CA': Subject: 's' Issuer: 'i'\n"
 NO_RULES = parse_rulesheet(IDS, "SB")
@@ -305,7 +306,7 @@ good_rtf_exists(R, A) :-
     premises = [kb.claims[premise] for premise in claim.evidence.premises]
     assert [p.atom.predicate for p in premises] == ["request", "feasible_config", "tasks_done", "ready_to_fly"]
     assert all(isinstance(p.evidence, DirectAssertion) for p in premises)
-    assert kb.verify_claim_chain(claim.atom)
+    assert kb.verify_claim_chain(claim.atom) and derivation_faults(kb) == []
 
 
 def _counting_checks(kb, monkeypatch, limit=50):
@@ -327,39 +328,57 @@ def _counting_checks(kb, monkeypatch, limit=50):
 
 
 def test_chain_check_of_direct_assertion_checks_only_itself(monkeypatch):
+    """A direct assertion is checked once, alone, as it enters; its chain
+    is then its being stored, and asking checks nothing again."""
     atom = GroundAtom("SB", "postRequest", ("/x", 1, "{}"))
-    kb = kb_with(NO_RULES, [atom])
+    kb = KnowledgeBase(NO_RULES)
     checked = _counting_checks(kb, monkeypatch)
+    kb.revise((), claims_from_atoms([atom]))
+    assert checked == [atom]
     assert kb.verify_claim_chain(atom)
     assert checked == [atom]
 
 
 def test_chain_check_checks_a_shared_premise_once(monkeypatch):
+    """The premise three derivations share is checked once, on entry; the
+    derivations the KB makes over it are not checked at all, and rest on
+    stored claims."""
     rs = parse_rulesheet(IDS + "a(X) :- p(X).\nb(X) :- p(X).\nc(X) :- a(X), b(X), p(X).", "SB")
-    kb = kb_with(rs, [GroundAtom("SB", "p", (1,))])
-    kb.saturate()
+    kb = KnowledgeBase(rs)
     checked = _counting_checks(kb, monkeypatch)
-    assert kb.verify_claim_chain(GroundAtom("SB", "c", (1,)))
-    assert sorted(a.predicate for a in checked) == ["a", "b", "c", "p"]
+    added = kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (1,))]))
+    assert sorted(c.atom.predicate for c in added) == ["a", "b", "c", "p"]
+    assert checked == [GroundAtom("SB", "p", (1,))]
+    assert kb.verify_claim_chain(GroundAtom("SB", "c", (1,))) and derivation_faults(kb) == []
 
 
 def test_chain_check_of_absent_atom_fails():
     assert KnowledgeBase(NO_RULES).verify_claim_chain(GroundAtom("SB", "p", ())) is False
 
 
+OWN_DERIVATION = "a derivation is the KB's own to make"
+
+
 def test_chain_check_of_missing_premise_fails():
-    rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")
+    """A derivation whose premise is not stored is refused on entry, like
+    any derivation offered to a KB, which keeps what it held."""
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).\ns(X) :- q(X).", "SB")
     r1, p1 = GroundAtom("SB", "r", (1,)), GroundAtom("SB", "p", (1,))
     kb = KnowledgeBase(rs)
-    kb.revise((), [Claim(r1, DerivedByRule(rs.rules[0], {"X": 1}))])
-    assert r1 in kb and p1 not in kb
+    kb.revise((), claims_from_atoms([GroundAtom("SB", "q", (1,))]))
+    before = _state(kb)
+    with pytest.raises(EvidenceError, match=OWN_DERIVATION):
+        kb.revise((), [Claim(r1, DerivedByRule(rs.rules[0], {"X": 1}))])
+    assert _same_state(kb, before) and at_fixpoint(kb)
+    assert r1 not in kb and p1 not in kb
     assert kb.verify_claim_chain(r1) is False
 
 
-def test_chain_check_refuses_cyclic_evidence(monkeypatch):
-    """Two derived claims whose premises name each other pass admission,
-    which checks a rule instance's head only, and every per-claim check of
-    the walk: only cycle detection refuses them."""
+def test_chain_check_refuses_cyclic_evidence():
+    """Two derived claims whose premises name each other, each a correct
+    rule instance, are refused on entry, together or next to a genuine
+    claim, and the KB keeps its atoms, evidence objects and pending work.
+    The oracle's check finds the cycle in a KB filled without admission."""
     rs = parse_rulesheet(IDS + "a(X) :- b(X).\nb(X) :- a(X).", "SB")
     a1, b1 = GroundAtom("SB", "a", (1,)), GroundAtom("SB", "b", (1,))
     rule_a, rule_b = rs.rules
@@ -367,12 +386,15 @@ def test_chain_check_refuses_cyclic_evidence(monkeypatch):
         Claim(a1, DerivedByRule(rule_a, {"X": 1})),
         Claim(b1, DerivedByRule(rule_b, {"X": 1})),
     ]
+    assert all(check_evidence(claim) is None for claim in cyclic)
     kb = KnowledgeBase(rs)
-    assert kb.revise((), cyclic) == cyclic
-    assert at_fixpoint(kb)
-    _counting_checks(kb, monkeypatch)
+    for batch in (cyclic, claims_from_atoms([GroundAtom("SB", "c", (1,))]) + cyclic):
+        with pytest.raises(EvidenceError, match=OWN_DERIVATION):
+            kb.revise((), batch)
+        assert _same_state(kb, {}) and at_fixpoint(kb)
     assert kb.verify_claim_chain(a1) is False
-    assert kb.verify_claim_chain(b1) is False
+    kb.claims.update({claim.atom: claim for claim in cyclic})
+    assert derivation_faults(kb) == [f"{canonical_atom(a)}: rests on a cycle of derivations" for a in (a1, b1)]
 
 
 def test_rederivation_check_catches_tampered_substitution():
@@ -382,7 +404,9 @@ def test_rederivation_check_catches_tampered_substitution():
     good = kb.claims[GroundAtom("SB", "p", (1,))]
     tampered = Claim(GroundAtom("SB", "p", (2,)), DerivedByRule(good.evidence.rule, good.evidence.substitution))
     with pytest.raises(EvidenceError, match="rule instance mismatch"):
-        KnowledgeBase(NO_RULES).assert_claim(tampered)
+        check_evidence(tampered)
+    with pytest.raises(EvidenceError, match=OWN_DERIVATION):
+        kb.revise((), [tampered])
 
 
 def test_canonical_injectivity_over_generated_corpus():
@@ -486,9 +510,7 @@ def test_long_chain_transitive_closure():
 def _check_against_oracle(kb, rs, asserted):
     assert at_fixpoint(kb)
     assert atoms_of(kb) == naive_saturate(asserted, rs.rules)
-    for claim in kb.claims.values():
-        if isinstance(claim.evidence, DerivedByRule):
-            assert kb.verify_claim_chain(claim.atom), canonical_atom(claim.atom)
+    assert derivation_faults(kb) == []
 
 
 def test_interleaved_revise_batches_match_oracle():
@@ -620,9 +642,8 @@ def test_stored_claims_are_not_verified_again(count_verify, count_inclusion, mon
     """Each admission checks every claim it is given but a stored claim
     object, which was checked when it entered: an equal claim that is
     another object is checked, so a forged rule instance offered for a
-    stored atom is refused; the chain check re-checks each stored claim
-    once. No check in the KB runs a signature or a proof: those ran where
-    the claims entered."""
+    stored atom is refused; the chain check checks nothing. No check in the
+    KB runs a signature or a proof: those ran where the claims entered."""
     rs = parse_rulesheet(IDS + "next r(X) :- p(X).", "SB")
     direct = Claim(GroundAtom("SB", "p", (1,)), DirectAssertion("SB"))
     logged = _logged_claim(GroundAtom("MRM", "q", (2,)))
@@ -643,8 +664,8 @@ def test_stored_claims_are_not_verified_again(count_verify, count_inclusion, mon
     with pytest.raises(EvidenceError, match="rule instance mismatch"):
         kb.revise([], [forged])
     assert kb.claims[carried.atom] is copies[2]
-    assert all(kb.verify_claim_chain(c.atom) for c in claims)
-    assert len(checked) == 6 + 1 + 3
+    assert all(kb.verify_claim_chain(c.atom) for c in claims) and derivation_faults(kb) == []
+    assert len(checked) == 6 + 1
     assert (len(count_verify), len(count_inclusion)) == (0, 0)
 
 
@@ -653,10 +674,10 @@ class UnknownEvidence:
 
 
 def test_forgeries_refused_on_entry():
-    """A rule instance whose head is another atom, a derivation whose
-    premise atoms do not ground and evidence of no known type are refused
-    by `assert_claim` and `revise`, alone or next to a genuine claim, and
-    leave the KB as it was."""
+    """A derivation, a carried rule instance whose head is another atom and
+    evidence of no known type are refused by `revise`, alone or next to a
+    genuine claim, and leave the KB as it was. The shared checker also
+    refuses both derivations on its own, as the auditor asks it to."""
     rs = parse_rulesheet(IDS + "r(X) :- p(X).\nnext c(X) :- p(X).\ns(X) :- p(X), q(X, Y).", "SB")
     kb = KnowledgeBase(rs)
     kb.revise([], claims_from_atoms([GroundAtom("SB", "p", (1,))]))
@@ -680,45 +701,54 @@ def test_forgeries_refused_on_entry():
         "unknown evidence type": (Claim(p2, UnknownEvidence()), "unknown evidence type UnknownEvidence"),
     }
     for forged, message in forgeries.values():
-        with pytest.raises(EvidenceError, match=message):
-            kb.assert_claim(forged)
-        with pytest.raises(EvidenceError, match=message):
-            kb.revise([p1], [genuine, forged])
-        assert _same_state(kb, before) and at_fixpoint(kb)
+        if isinstance(forged.evidence, DerivedByRule):
+            with pytest.raises(EvidenceError, match=message):
+                check_evidence(forged)
+            message = OWN_DERIVATION
+        for batch in ([forged], [genuine, forged]):
+            with pytest.raises(EvidenceError, match=message):
+                kb.revise([p1], batch)
+            assert _same_state(kb, before) and at_fixpoint(kb)
 
 
 def test_failed_revise_changes_nothing(monkeypatch):
     """A refused batch leaves atoms, evidence objects and pending work as
     they were, even when an earlier claim of the batch passed its check;
     that claim is checked again when it is admitted on its own."""
-    rs = parse_rulesheet(IDS + "r(X) :- p(X).", "SB")
+    rs = parse_rulesheet(IDS + "r(X) :- p(X).\nnext c(X) :- p(X).", "SB")
     kb = KnowledgeBase(rs)
     kb.revise([], claims_from_atoms([GroundAtom("SB", "p", (1,)), GroundAtom("SB", "p", (2,))]))
     before = _state(kb)
     [p3] = claims_from_atoms([GroundAtom("SB", "p", (3,))])
-    forged = Claim(GroundAtom("SB", "r", (4,)), DerivedByRule(rs.rules[0], {"X": 3}))
+    forged = Claim(GroundAtom("SB", "c", (4,)), CarriedByNextRule(rs.rules[1], {"X": 3}))
     with pytest.raises(EvidenceError, match="rule instance mismatch"):
         kb.revise([GroundAtom("SB", "p", (1,))], [p3, forged])
     assert _same_state(kb, before) and at_fixpoint(kb)
     checked = _counting_checks(kb, monkeypatch)
     added = kb.revise([], [p3])
     assert [c.atom for c in added] == [p3.atom, GroundAtom("SB", "r", (3,))]
-    assert checked == [c.atom for c in added]  # p3 on admission, r(3) as saturation stores it
+    assert checked == [p3.atom]  # on admission; saturation stores the r(3) it makes unchecked
 
 
-def test_booking_run_makes_no_check_inside_a_kb(count_verify, count_inclusion):
+def test_booking_run_makes_no_check_inside_a_kb(count_verify, count_inclusion, monkeypatch):
     """In a memory-mode booking run, where DOM watches the four other
-    owners, every check a KB makes on entry is answered by its caller's
-    hand-off (an own signature, a verified fetch), and the `auditable`
-    flag of each expected query answer re-runs no signature or proof."""
+    owners, a KB runs no signature or proof (its callers checked those
+    where the claims entered the program), is offered no derivation, and
+    no query answer walks a chain of evidence."""
     import os
 
     from cyberlog.harness import load_scenario, run_scenario
 
+    offered, walked = [], []
+    check = KnowledgeBase.check_evidence
+    monkeypatch.setattr(KnowledgeBase, "check_evidence", lambda kb, claim: offered.append(claim) or check(kb, claim))
+    monkeypatch.setattr(KnowledgeBase, "verify_claim_chain", lambda kb, atom: walked.append(atom))
     scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
     assert [m.watched for m in scenario.monitors if m.name == "DOM"] == [("SB", "MRM", "OM", "CA")]
     report = run_scenario(scenario, mode="memory")
     assert report.passed
+    assert offered and not [c for c in offered if isinstance(c.evidence, DerivedByRule)]
+    assert walked == []
     assert (len(count_verify), len(count_inclusion)) == (0, 0)
 
 
@@ -735,7 +765,7 @@ def test_readmitted_atom_is_not_joined_again():
     assert at_fixpoint(kb)
     assert kb.claims[GroundAtom("SB", "p", (0,))] is carried[0]
     assert kb.claims[GroundAtom("SB", "r", (0,))] is derived
-    assert kb.verify_claim_chain(derived.atom)
+    assert derivation_faults(kb) == []
 
 
 def test_atom_with_two_derivations_survives_losing_one():
@@ -747,7 +777,7 @@ def test_atom_with_two_derivations_survives_losing_one():
     # over-deleted with its recorded premise, and re-derived from the other
     assert [c.atom for c in kb.revise([recorded], [])] == [r1]
     assert kb.claims[r1].evidence.premises != (recorded,)
-    assert kb.verify_claim_chain(r1)
+    assert derivation_faults(kb) == []
     assert atoms_of(kb) == naive_saturate({(a.principal, a.predicate, a.args) for a in kb.claims.keys() if a.predicate != "r"}, rs.rules)
 
 
@@ -798,11 +828,18 @@ def test_revise_and_saturate_match_oracle():
 
 @pytest.mark.parametrize("evidence_kind", ["derived", "carried"])
 def test_rule_evidence_missing_head_variable_is_evidence_error(evidence_kind):
+    """The shared checker refuses a rule instance that leaves a head
+    variable unbound; `revise` refuses the claim, a derivation before any
+    check of its instance, and stays empty."""
     rs = parse_rulesheet(IDS + "p(X) :- q(X).", "SB")
     atom = GroundAtom("SB", "p", (1,))
     if evidence_kind == "derived":
-        evidence = DerivedByRule(rs.rules[0], {})
+        evidence, refusal = DerivedByRule(rs.rules[0], {}), OWN_DERIVATION
     else:
-        evidence = CarriedByNextRule(rs.rules[0], {})
+        evidence, refusal = CarriedByNextRule(rs.rules[0], {}), "unbound head variable"
     with pytest.raises(EvidenceError, match="unbound head variable"):
-        KnowledgeBase(NO_RULES).assert_claim(Claim(atom, evidence))
+        check_evidence(Claim(atom, evidence))
+    kb = KnowledgeBase(NO_RULES)
+    with pytest.raises(EvidenceError, match=refusal):
+        kb.revise((), [Claim(atom, evidence)])
+    assert _same_state(kb, {}) and at_fixpoint(kb)

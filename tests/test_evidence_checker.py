@@ -1,13 +1,13 @@
-"""Forged rule instances are refused by both users of the engine's evidence
-checker, a knowledge base's `verify_claim_chain` and the recursive
-`Auditor`, and honest ones pass both.
+"""Forged rule instances fail the recursive `Auditor`, which checks them
+with the engine's evidence checker, and honest ones pass it. A knowledge
+base refuses every one of them on entry, honest or forged: it makes its
+own derivations.
 
-Each forged claim but a head mismatch passes admission into a KB (which
-checks only a rule instance's head), and all pass submission to the claim
-DB (which checks only the revision signature); the chain re-check and the
-audit must catch them. A direct assertion is evidence through the signed
-revision that holds it: the reader checks that revision's owner signature,
-and the Auditor that the assertion is its owner's, of its owner's atom.
+Every forged claim passes submission to the claim DB (which checks only the
+revision signature); the audit must catch them. A direct assertion is
+evidence through the signed revision that holds it: the reader checks that
+revision's owner signature, and the Auditor that the assertion is its
+owner's, of its owner's atom.
 """
 
 import pytest
@@ -75,20 +75,6 @@ def derived(name):
     return Claim(atom, DerivedByRule(RULES[rule], dict(subst)))
 
 
-def kb_holding(identities, claim):
-    kb = KnowledgeBase(RS)
-    for base in BASE_ATOMS:
-        kb.assert_claim(signed(base))
-    try:
-        kb.assert_claim(claim)
-    except EvidenceError as exc:
-        # admission checks only a rule instance's head and refuses this one;
-        # hold the claim anyway, as a KB filled without admission would
-        assert "rule instance mismatch" in str(exc)
-        kb.claims[claim.atom] = claim
-    return kb
-
-
 def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_time=1):
     record, body, _ = build_record("SB", supersedes, (), RS, claims, commit_time)
     publish_rulesheet(db, RS)
@@ -97,10 +83,19 @@ def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_t
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_rule_instance_chain_check(identities, name):
+def test_rule_instance_chain_check(name):
+    """A KB refuses a derivation offered to it, an honest one too (even one
+    equal to a derivation it holds), and keeps its atoms, evidence objects
+    and pending work."""
     claim = derived(name)
-    kb = kb_holding(identities, claim)
-    assert kb.verify_claim_chain(claim.atom) is CASES[name][-1]
+    kb = KnowledgeBase(RS)
+    for base in BASE_ATOMS:  # left unsaturated: request('x') makes `big` raise
+        kb.assert_claim(signed(base))
+    before, pending = dict(kb.claims), list(kb._unsaturated)
+    with pytest.raises(EvidenceError, match="a derivation is the KB's own to make"):
+        kb.revise((), [claim])
+    assert kb.claims == before and all(kb.claims[a] is c for a, c in before.items())
+    assert kb._unsaturated == pending and not kb._removed
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

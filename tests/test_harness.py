@@ -212,11 +212,26 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
 
 
 def test_positive_answers_are_auditable():
+    """Every answer to the two queries is an atom of its monitor's head
+    revision, and a fresh auditor proves it from the log."""
+    from cyberlog.audit import Auditor, render_audit_tree
+    from cyberlog.engine import GroundAtom, resolve_term
+    from cyberlog.lang import parse_query
+
     run = ScenarioRun(load_scenario(scenario_path("uav_booking")))
     run.run()
+    auditor = Auditor(run.client, run.trust_store, run.operator.public_key)
     for monitor, query in [("DOM", "good_rtf_exists(R, A)"), ("SB", "request(R, D, T)")]:
-        answers = run.monitors[monitor].handle_query(query)
-        assert answers and all(a.auditable for a in answers)
+        pattern = parse_query(query, monitor)
+        answers = run.monitors[monitor].handle_query(pattern)
+        head, _ = run.reader.revision(run.db.get_head(monitor)["revision_id"])
+        assert answers
+        for bindings in answers:
+            args = tuple(resolve_term(arg, bindings) for arg in pattern.args)
+            atom = GroundAtom(pattern.principal, pattern.predicate, args)
+            assert atom in head.by_atom
+            node = auditor.audit_atom(monitor, atom)
+            assert node.all_ok, render_audit_tree(node)
     run.close()
 
 

@@ -84,6 +84,33 @@ def test_trust_store_roundtrip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+GOOD_KEY = generate_identity("SB", seed=SEED_A).public_key.hex()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[]",
+        '"x"',
+        json.dumps({"name": 5, "subject": "s", "issuer": "i", "public_key": GOOD_KEY}),
+        json.dumps({"name": "SB", "subject": "s", "issuer": "i", "public_key": "00"}),
+    ],
+    ids=["array", "string", "name-not-string", "one-byte-key"],
+)
+def test_trust_store_refuses_a_malformed_line(tmp_path, line):
+    """A line that is not an object with string name, subject and issuer and
+    a 32-byte hex public key is a ConfigError naming the line, never a
+    TypeError or an entry under which every signature check would fail."""
+    path = tmp_path / "trust.jsonl"
+    good = json.dumps({"name": "MRM", "subject": "s", "issuer": "i", "public_key": GOOD_KEY})
+    path.write_text(good + "\n" + line + "\n")
+    with pytest.raises(ConfigError, match="malformed trust store entry") as exc:
+        TrustStore.load(str(path))
+    assert repr(line) in str(exc.value)
+    path.write_text(good + "\n")
+    assert TrustStore.load(str(path)).names() == ["MRM"]
+
+
 def test_trust_store_holds_no_private_key():
     sb = generate_identity("SB", "CN=SB", "CN=R3", seed=SEED_A)
     store = TrustStore.from_identities([sb])

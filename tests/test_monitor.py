@@ -10,9 +10,10 @@ import pytest
 from cyberlog.engine import GroundAtom
 from cyberlog.errors import ConfigError, EvaluationError, NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
-from cyberlog.monitor import EventEnvelope, Monitor, QueryAnswer
+from cyberlog.monitor import EventEnvelope, Monitor
 
 from conftest import OPERATOR, at_fixpoint, raw_http_status
+from naive_oracle import derivation_faults
 
 SB_SHEET = """\
 'SB': Subject: 's' Issuer: 'i'
@@ -117,7 +118,7 @@ def test_ingestion_order_independence(identities, trust_store, db_client):
 def test_query_interface_and_audit_flags(sb):
     sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
     answers = sb.handle_query("request(R, D, T)")
-    assert answers == [QueryAnswer({"R": 7, "D": '{"request_id":7}', "T": 5}, True)]
+    assert answers == [{"R": 7, "D": '{"request_id":7}', "T": 5}]
     assert sb.handle_query("request(9, D, T)") == []
 
 
@@ -130,9 +131,7 @@ def test_commit_then_poll_propagates(sb, dom):
     record = sb.commit()
     assert record is not None
     assert dom.poll_and_include() == [record.id]
-    answers = dom.handle_query("verdict(R)")
-    assert [a.bindings for a in answers] == [{"R": 7}]
-    assert all(a.auditable for a in answers)
+    assert dom.handle_query("verdict(R)") == [{"R": 7}]
     # no new head: poll is a no-op
     assert dom.poll_and_include() == []
 
@@ -157,7 +156,7 @@ def test_retention_carries_across_commits(sb, dom):
     sb.commit()
     sb.commit()  # request survives: carried by the next-rule
     dom.poll_and_include()
-    assert [a.bindings for a in dom.handle_query("verdict(R)")] == [{"R": 7}]
+    assert dom.handle_query("verdict(R)") == [{"R": 7}]
     carried = [c for c in sb.kb.claims.values() if c.atom.predicate == "request"]
     assert len(carried) == 1
     from cyberlog.engine import CarriedByNextRule
@@ -405,6 +404,34 @@ def test_http_bad_request_gets_400(sb, request_bytes):
     thread.start()
     try:
         assert raw_http_status(server.server_address, request_bytes) == 400
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("timestamp", [5.9, True, "7", -0.5], ids=["float", "bool", "string", "negative-float"])
+def test_http_event_timestamp_not_a_json_integer_gets_400(sb, timestamp):
+    """The monitor signs an event's time into its revision as sent, so a
+    timestamp that is not a JSON integer is refused, not converted, and the
+    KB is unchanged; an integer one is then admitted."""
+    import threading
+
+    from cyberlog.httpjson import request_json
+    from cyberlog.monitor import make_monitor_server
+
+    server = make_monitor_server(sb)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = "http://%s:%d/event" % server.server_address
+    event = {"method": "POST", "path": "/servicerequest", "body": '{"request_id":7}'}
+    try:
+        before = dict(sb.kb.claims)
+        with pytest.raises(SubmitError, match="event timestamp must be a non-negative integer") as exc:
+            request_json("POST", url, {**event, "timestamp": timestamp}, 5)
+        assert exc.value.code == 400
+        assert sb.kb.claims == before and all(sb.kb.claims[a] is c for a, c in before.items())
+        assert request_json("POST", url, {**event, "timestamp": 5}, 5)["new"]
     finally:
         server.shutdown()
         server.server_close()
@@ -993,7 +1020,7 @@ def test_commit_keeps_derived_claims_whose_premises_survive(identities, trust_st
     # the event goes, the request is carried, and what was derived from the request stays
     assert event not in sb.kb
     assert type(sb.kb.claims[GroundAtom("SB", "request", (7, '{"request_id":7}', 5))].evidence).__name__ == "CarriedByNextRule"
-    assert sb.kb.claims[known.atom] is known and sb.kb.verify_claim_chain(known.atom)
+    assert sb.kb.claims[known.atom] is known and derivation_faults(sb.kb) == []
     assert at_fixpoint(sb.kb) and len(sb.kb) == 2
 
 
