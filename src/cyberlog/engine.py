@@ -30,6 +30,7 @@ from .lang import (
     StringConstant,
     Variable,
     format_rule,
+    term_variables,
 )
 
 if TYPE_CHECKING:
@@ -86,7 +87,7 @@ def parse_canonical_atom(text: str) -> GroundAtom:
     """Decode canonical atom text; raises ValueError on malformed text.
 
     Every revision that carries a claim repeats its atom's text, so decodes
-    are memoised by text, like `parse_standalone_rule`; a GroundAtom is
+    are memoised by text, like `parse_logged_rulesheet`; a GroundAtom is
     immutable, and its text is recomputed from its fields, never taken from
     the input. A text that fails to decode raises again on every call.
     """
@@ -326,8 +327,9 @@ def match_rule_body(
 ) -> Iterator[Substitution]:
     """All substitutions satisfying the body left-to-right.
 
-    `candidates(rel_index, atom)` supplies the claims to try at the i-th
-    relational position; builtins and comparisons evaluate in place.
+    `candidates(rel_index, atom, subst)` supplies the claims to try at the
+    i-th relational position of `body`, given the partial substitution
+    that reaches it; builtins and comparisons evaluate in place.
     """
 
     def walk(i: int, rel_i: int, subst: Substitution):
@@ -336,7 +338,7 @@ def match_rule_body(
             return
         atom = body[i]
         if isinstance(atom, RelationalAtom):
-            for claim in candidates(rel_i, atom):
+            for claim in candidates(rel_i, atom, subst):
                 bound = _unify_args(atom.args, claim.atom.args, subst)
                 if bound is not None:
                     yield from walk(i + 1, rel_i + 1, bound)
@@ -415,6 +417,64 @@ def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> tuple[G
 
 
 # ---------------------------------------------------------------------------
+# Join plans
+
+Probe = tuple[int, str]  # (argument position, variable bound before the atom)
+JoinPlan = tuple[tuple[BodyAtom, ...], tuple[tuple[int, Probe | None], ...]]
+_NO_INDEX: Mapping[int, dict] = {}
+
+
+def _join_plan(
+    rule: Rule, delta: int | None, indexed: Mapping[tuple[str, str], Collection[int]] | None = None
+) -> JoinPlan:
+    """The body in join order and, for each relational atom in that order,
+    its body-order relational index and its probe: the first argument that
+    is a bare variable bound before the atom (and, with `indexed`, whose
+    position is indexed for the atom's predicate). Without a `delta`
+    position the head is bound, and the body keeps its order.
+
+    For a `delta` position, that atom goes first when every body atom
+    before it is relational, and neither they nor it has an arithmetic
+    argument: such atoms cannot raise, and match the same claims in any
+    order, so each builtin and comparison still meets the same partial
+    matches. The delta atom itself gets no probe. Every variable of an
+    atom is bound once the atom holds."""
+    body = rule.body
+    rel = [j for j, atom in enumerate(body) if isinstance(atom, RelationalAtom)]
+    if indexed is None:
+        unprobed = len(rel) < 2  # the one relational atom is the delta
+    else:
+        unprobed = all((body[j].principal, body[j].predicate) not in indexed for j in rel)
+    if unprobed:
+        return body, tuple((i, None) for i in range(len(rel)))
+    order = list(range(len(body)))
+    if delta is not None and rel[delta] == delta:  # only relational atoms before it
+        if not any(isinstance(arg, ArithExpr) for atom in body[: delta + 1] for arg in atom.args):
+            order.insert(0, order.pop(delta))
+    known = set(rule.head_variables if delta is None else ())
+    steps: list[tuple[int, Probe | None]] = []
+    for j in order:
+        atom = body[j]
+        if isinstance(atom, RelationalAtom):
+            i, probe = rel.index(j), None
+            for position, arg in enumerate(atom.args if i != delta else ()):
+                if (
+                    isinstance(arg, Variable)
+                    and arg.name in known
+                    and (indexed is None or position in indexed.get((atom.principal, atom.predicate), ()))
+                ):
+                    probe = (position, arg.name)
+                    break
+            steps.append((i, probe))
+        for term in (atom.left, atom.right) if isinstance(atom, ComparisonAtom) else atom.args:
+            if isinstance(term, Variable):
+                known.add(term.name)
+            elif isinstance(term, ArithExpr):
+                known.update(term_variables(term))
+    return tuple(body[j] for j in order), tuple(steps)
+
+
+# ---------------------------------------------------------------------------
 # Knowledge base
 
 
@@ -448,25 +508,43 @@ class KnowledgeBase:
     `revise`, which retracts atoms by Delete-and-Rederive, admits claims
     and saturates, or changes nothing; so between calls the KB is at its
     fixpoint. `assert_claim` admits one claim without saturating.
+
+    Joins are planned once per standard rule with two or more relational
+    atoms (`_join_plan`): for each delta position, an order and, per
+    atom, a probe into an argument index kept with the claims, so a delta
+    claim meets only the claims that share its join values. A head-bound
+    re-derivation probes only the indexes saturation keeps.
     """
 
     def __init__(self, rulesheet: Rulesheet):
         self.claims: dict[GroundAtom, Claim] = {}
         self._index: dict[tuple[str, str], dict[GroundAtom, Claim]] = {}
+        # (principal, predicate) -> probed position -> argument value -> claims
+        self._arg_index: dict[tuple[str, str], dict[int, dict[GroundTerm, dict[GroundAtom, Claim]]]] = {}
         # Claims admitted since the last fixpoint, and atoms removed since
         # then (each to be re-derived if it still can be).
         self._unsaturated: list[Claim] = []
         self._removed: dict[GroundAtom, None] = {}
         # premise atom -> atoms of the claims whose recorded derivation names it
         self._dependents: dict[GroundAtom, dict[GroundAtom, None]] = {}
-        # each standard rule with its relational body atoms, in body order
+        # each standard rule with its relational body atoms in body order,
+        # the join plan of each delta position, and its head-bound plan
         std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
-        self._joins = [(rule, [a for a in rule.body if isinstance(a, RelationalAtom)]) for rule in std]
+        rels = [[a for a in rule.body if isinstance(a, RelationalAtom)] for rule in std]
+        plans = [[_join_plan(rule, k) for k in range(len(rel))] for rule, rel in zip(std, rels)]
+        for body, steps in (plan for rule_plans in plans for plan in rule_plans):
+            for atom, (_i, probe) in zip((a for a in body if isinstance(a, RelationalAtom)), steps):
+                if probe is not None:
+                    self._arg_index.setdefault((atom.principal, atom.predicate), {})[probe[0]] = {}
+        self._joins = [
+            (rule, rel, rule_plans, _join_plan(rule, None, self._arg_index))
+            for rule, rel, rule_plans in zip(std, rels, plans)
+        ]
         # a rule without relational atoms fires once, here
         facts: dict[GroundAtom, Claim] = {}
-        for rule, rel in self._joins:
+        for rule, rel, _plans, _rederive in self._joins:
             if not rel:
-                self._fire(rule, lambda i, a: (), facts)
+                self._fire(rule, rule.body, lambda i, a, s: (), facts)
         for claim in facts.values():
             self.assert_claim(claim)
         self.saturate()
@@ -480,6 +558,15 @@ class KnowledgeBase:
     def claims_for(self, principal: str, predicate: str) -> Collection[Claim]:
         claims = self._index.get((principal, predicate))
         return claims.values() if claims is not None else ()
+
+    def _probe(self, atom: RelationalAtom, probe: Probe | None, subst: Substitution) -> Collection[Claim]:
+        """The stored claims the atom can match: with a probe, only those
+        whose argument at its position is its variable's value."""
+        if probe is None:
+            return self.claims_for(atom.principal, atom.predicate)
+        position, name = probe
+        bucket = self._arg_index[(atom.principal, atom.predicate)][position].get(subst[name])
+        return bucket.values() if bucket is not None else ()
 
     # -- admission ------------------------------------------------------
 
@@ -581,6 +668,12 @@ class KnowledgeBase:
         if group is None:
             group = self._index[key] = {}
         group[atom] = claim
+        for position, buckets in self._arg_index.get(key, _NO_INDEX).items():
+            if position < len(atom.args):
+                bucket = buckets.get(atom.args[position])
+                if bucket is None:
+                    bucket = buckets[atom.args[position]] = {}
+                bucket[atom] = claim
         if isinstance(claim.evidence, DerivedByRule):
             for premise in claim.evidence.premises:
                 dependents = self._dependents.get(premise)
@@ -595,6 +688,12 @@ class KnowledgeBase:
         del self._index[key][claim.atom]
         if not self._index[key]:
             del self._index[key]
+        for position, buckets in self._arg_index.get(key, _NO_INDEX).items():
+            if position < len(claim.atom.args):
+                bucket = buckets[claim.atom.args[position]]
+                del bucket[claim.atom]
+                if not bucket:
+                    del buckets[claim.atom.args[position]]
 
     def _release(self, claim: Claim) -> None:
         """Forget a stored claim's premise edges."""
@@ -623,10 +722,10 @@ class KnowledgeBase:
         if self._removed:
             rederived: dict[GroundAtom, Claim] = {}
             for atom in self._removed:
-                for rule, _rel in self._joins:
+                for rule, _rel, _plans, (body, steps) in self._joins:
                     if atom in self.claims or atom in rederived:
                         break
-                    self._fire(rule, lambda i, a: self.claims_for(a.principal, a.predicate), rederived, atom)
+                    self._fire(rule, body, lambda j, a, s, steps=steps: self._probe(a, steps[j][1], s), rederived, atom)
             for claim in rederived.values():
                 self.assert_claim(claim)
         delta = list(self._unsaturated)
@@ -637,20 +736,25 @@ class KnowledgeBase:
             for claim in delta:
                 delta_index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
             pending: dict[GroundAtom, Claim] = {}
-            for rule, rel in self._joins:
+            for rule, rel, plans, _rederive in self._joins:
                 for k, atom_k in enumerate(rel):
-                    if (atom_k.principal, atom_k.predicate) not in delta_index:
+                    delta_k = delta_index.get((atom_k.principal, atom_k.predicate))
+                    if delta_k is None:
                         continue
+                    body, steps = plans[k]
 
-                    def candidates(i: int, atom: RelationalAtom, k=k):
+                    def candidates(
+                        j: int, atom: RelationalAtom, subst: Substitution, k=k, delta_k=delta_k, steps=steps
+                    ):
+                        i, probe = steps[j]
                         if i == k:
-                            return delta_index[(atom.principal, atom.predicate)]
-                        pool = self.claims_for(atom.principal, atom.predicate)
+                            return delta_k
+                        pool = self._probe(atom, probe, subst)
                         if i < k:
                             return [c for c in pool if c.atom not in delta_atoms]
                         return pool
 
-                    self._fire(rule, candidates, pending)
+                    self._fire(rule, body, candidates, pending)
             delta = [claim for claim in pending.values() if self.assert_claim(claim)]
         added = self._unsaturated[start:]
         self._unsaturated = []
@@ -658,17 +762,20 @@ class KnowledgeBase:
             self._removed = {}
         return added
 
-    def _fire(self, rule: Rule, candidates, sink: dict, target: GroundAtom | None = None) -> None:
-        """Derive into `sink` each match of the rule over `candidates` whose
-        head is not stored yet; with a `target` atom, bind the head to it
-        and stop at the first match that yields it."""
+    def _fire(
+        self, rule: Rule, body: Sequence[BodyAtom], candidates, sink: dict, target: GroundAtom | None = None
+    ) -> None:
+        """Derive into `sink` each match of the rule, its body joined in the
+        order `body` gives, over `candidates` whose head is not stored yet;
+        with a `target` atom, bind the head to it and stop at the first
+        match that yields it."""
         subst = None
         if target is not None:
             subst = bind_head(rule.head, target)
             if subst is None:
                 return
         try:
-            for full in match_rule_body(rule.body, candidates, subst):
+            for full in match_rule_body(body, candidates, subst):
                 atom = instantiate_head(rule.head, full)
                 if target is not None and atom != target:
                     continue

@@ -123,12 +123,16 @@ def load_scenario(path: str) -> Scenario:
     for line in lines[1:]:
         try:
             obj = json.loads(line)
-            at = int(obj["at"])
+            at = obj["at"]
+            timestamp = obj.get("timestamp", at)
+            for key, value in (("at", at), ("timestamp", timestamp)):
+                if type(value) is not int or value < 0:  # as EventEnvelope.validate: refuses bool, 5.9 and "7"
+                    raise ValueError(f"{key!r} must be a non-negative integer, not {value!r}")
             envelope = EventEnvelope(
                 str(obj.get("method", "POST")).upper(),
                 obj["path"],
                 obj.get("body", ""),
-                int(obj.get("timestamp", at)),
+                timestamp,
             )
             events.append(ScenarioEvent(at, obj["monitor"], envelope))
         except (KeyError, TypeError, ValueError) as exc:

@@ -125,5 +125,7 @@ class TrustStore:
                         raise ValueError("needs string name, subject and issuer and a 32-byte hex public key")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigError(f"malformed trust store entry {line!r}: {exc}") from exc
+                if name in store._entries:
+                    raise ConfigError(f"trust store has a second entry for {name!r}")
                 store.add(Identity(name, subject, issuer, key))
         return store

@@ -28,6 +28,7 @@ from .engine import (
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
+    Substitution,
     canonical_atom,
     instantiate_head,
     match_rule_body,
@@ -321,7 +322,7 @@ def apply_next_rules(
     for claim in list(record.claims) + list(included_claims):
         pool.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
 
-    def candidates(_i: int, atom: RelationalAtom):
+    def candidates(_i: int, atom: RelationalAtom, _subst: Substitution):
         return pool.get((atom.principal, atom.predicate), ())
 
     carried: dict[GroundAtom, Claim] = {}

@@ -1,6 +1,8 @@
 """Saturation, builtins, queries and the evidence checked on entry, checked
 against the naive fixpoint oracle."""
 
+import os
+
 import pytest
 
 from cyberlog.engine import (
@@ -16,7 +18,7 @@ from cyberlog.engine import (
     parse_canonical_atom,
 )
 from cyberlog.errors import EvaluationError, EvidenceError
-from cyberlog.lang import StringConstant, Variable, parse_query, parse_rulesheet
+from cyberlog.lang import StringConstant, Variable, make_rulesheet, parse_query, parse_rulesheet
 
 from conftest import at_fixpoint, claims_from_atoms
 from naive_oracle import derivation_faults, naive_saturate, random_builtin_program, random_program
@@ -511,6 +513,32 @@ def _check_against_oracle(kb, rs, asserted):
     assert at_fixpoint(kb)
     assert atoms_of(kb) == naive_saturate(asserted, rs.rules)
     assert derivation_faults(kb) == []
+    _consistent(kb)
+
+
+# A join whose comparison raises on a string T: the generated programs get it
+# so that some batches raise and are restored (`_raise_and_restore`).
+RAISING_RULE = "late(R) :- lp(R, T), lq(R), T > 3."
+
+
+def _with_raising_rule(rs):
+    decls = "".join(f"'{d.name}': Subject: 's' Issuer: 'i'\n" for d in rs.identities)
+    extra = parse_rulesheet(decls + RAISING_RULE, rs.self_id)
+    return make_rulesheet(rs.self_id, rs.identities, rs.rules + extra.rules)
+
+
+def _raise_and_restore(kb, rs, retract, claims):
+    """`revise` with a joining lp/lq pair with a string T added to the
+    claims: the call must raise and leave the KB with the atoms it held.
+    (A derivation that fell with a retracted premise is derived again, as
+    another object.)"""
+    before = set(kb.claims)
+    n = len(kb) + 1000  # a request id no generated fact uses
+    pair = claims_from_atoms([GroundAtom(rs.self_id, "lp", (n, "x")), GroundAtom(rs.self_id, "lq", (n,))])
+    with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
+        kb.revise(retract, [*claims, *pair])
+    assert set(kb.claims) == before and at_fixpoint(kb)
+    _consistent(kb)
 
 
 def test_interleaved_revise_batches_match_oracle():
@@ -520,6 +548,7 @@ def test_interleaved_revise_batches_match_oracle():
     @given(st.integers(0, 2000), st.booleans(), st.data())
     def check(seed, builtins, data):
         rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        rs = _with_raising_rule(rs)
         order = data.draw(st.permutations(sorted(facts, key=repr)))
         batch_ends = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
         kb = KnowledgeBase(rs)
@@ -527,7 +556,10 @@ def test_interleaved_revise_batches_match_oracle():
         for fact, batch_ends_here in zip(order, batch_ends):
             batch.append(fact)
             if batch_ends_here:
-                kb.revise((), claims_from_atoms([GroundAtom(*f) for f in batch]))
+                claims = claims_from_atoms([GroundAtom(*f) for f in batch])
+                if data.draw(st.booleans()):
+                    _raise_and_restore(kb, rs, (), claims)
+                kb.revise((), claims)
                 asserted.update(batch)
                 batch = []
                 _check_against_oracle(kb, rs, asserted)
@@ -576,6 +608,94 @@ def test_revise_whose_saturation_raises_restores_the_kb():
     _consistent(kb)
     added = kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (2, 7))]))
     assert [c.atom for c in added] == [GroundAtom("SB", "p", (2, 7)), GroundAtom("SB", "late", (2,))]
+
+
+# --- join plans: argument indexes and delta-first order ------------------------
+
+
+def test_delta_first_join_raises_as_in_body_order():
+    """With q's claim as the delta, q goes first and p is probed by R; the
+    comparison meets the same p row as in body order, and raises."""
+    rs = parse_rulesheet(IDS + "late(R) :- p(R, T), q(R), T > 3.", "SB")
+    kb = KnowledgeBase(rs)
+    kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (1, "x")), GroundAtom("SB", "p", (2, 5))]))
+    before = _state(kb)
+    with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
+        kb.revise((), claims_from_atoms([GroundAtom("SB", "q", (1,))]))
+    assert _same_state(kb, before) and at_fixpoint(kb)
+    _consistent(kb)
+    added = kb.revise((), claims_from_atoms([GroundAtom("SB", "q", (2,))]))
+    assert [c.atom for c in added] == [GroundAtom("SB", "q", (2,)), GroundAtom("SB", "late", (2,))]
+
+
+def test_join_after_a_comparison_keeps_body_order():
+    """A comparison before b keeps b's delta join in body order, so every
+    a row meets `Y > 3` as before: one with a string Y and no b partner
+    still raises."""
+    rs = parse_rulesheet(IDS + "h(X) :- a(X, Y), Y > 3, b(X).", "SB")
+    kb = KnowledgeBase(rs)
+    ((rule, _rel, plans, _rederive),) = kb._joins
+    assert [body for body, _steps in plans] == [rule.body, rule.body]
+    kb.revise((), claims_from_atoms([GroundAtom("SB", "b", (2,))]))
+    for batch in ([GroundAtom("SB", "a", (1, "x"))], [GroundAtom("SB", "a", (1, "x")), GroundAtom("SB", "b", (3,))]):
+        with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
+            kb.revise((), claims_from_atoms(batch))
+        assert set(kb.claims) == {GroundAtom("SB", "b", (2,))}
+        _consistent(kb)
+
+
+def test_delta_atom_with_arithmetic_keeps_body_order():
+    """An arithmetic argument needs the variables bound before it (the
+    parser refuses one in a relational atom; a rulesheet built from the
+    AST can hold it), so q(X + 1) stays behind p(X) as the delta."""
+    from cyberlog.lang import ArithExpr, IdentityDecl, IntConstant, RelationalAtom, Rule, RuleKind
+
+    x = Variable("X")
+    body = (RelationalAtom("SB", "p", (x,)), RelationalAtom("SB", "q", (ArithExpr("+", x, IntConstant(1)),)))
+    rule = Rule(RuleKind.STANDARD, RelationalAtom("SB", "h", (x,)), body)
+    rs = make_rulesheet("SB", [IdentityDecl("SB", "s", "i")], [rule])
+    kb = KnowledgeBase(rs)
+    kb.revise((), claims_from_atoms([GroundAtom("SB", "p", (1,))]))
+    added = kb.revise((), claims_from_atoms([GroundAtom("SB", "q", (2,))]))
+    assert [c.atom for c in added] == [GroundAtom("SB", "q", (2,)), GroundAtom("SB", "h", (1,))]
+
+
+def _booking_flow(r):
+    data = f'{{"request_id": {r}}}'
+    return [
+        GroundAtom("SB", "request", (r, data, 10 * r)),
+        GroundAtom("MRM", "feasible_config", (r, 7)),
+        GroundAtom("OM", "tasks_done", (r, 7)),
+        GroundAtom("OM", "ready_to_fly", (r, 7, data, 10 * r + 2000)),
+        GroundAtom("CA", "mission_confirmed", (r, data, 10 * r)),
+    ]
+
+
+def test_a_watchers_join_costs_what_it_derives_not_its_history(monkeypatch):
+    """One booking flow's claims cost DOM's saturation as many unifications
+    over 96 flows of history as over 24."""
+    import cyberlog.engine as engine
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "rules", "dom.cyberlog")) as fh:
+        rs = parse_rulesheet(fh.read(), "DOM")
+    unify = engine._unify_args
+    counts = []
+    for history in (24, 96):
+        kb = KnowledgeBase(rs)
+        kb.revise((), claims_from_atoms([a for r in range(history) for a in _booking_flow(r)]))
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return unify(*args)
+
+        monkeypatch.setattr(engine, "_unify_args", counting)
+        added = kb.revise((), claims_from_atoms(_booking_flow(history)))
+        monkeypatch.setattr(engine, "_unify_args", unify)
+        derived = {(c.atom.predicate, c.atom.args) for c in added if isinstance(c.evidence, DerivedByRule)}
+        assert derived == {("good_rtf_exists", (history, 7)), ("delayed_rtf", (history, 2000, 10 * history))}
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
 
 
 # --- evidence checked on entry, by structure -----------------------------------
@@ -796,13 +916,21 @@ def test_transitive_closure_loses_middle_edge():
 
 
 def _consistent(kb):
-    """The KB's indexes agree with its claims."""
+    """The KB's indexes agree with its claims: each argument index equals
+    one rebuilt from `kb.claims`, as the same objects, with no empty bucket."""
     claims = list(kb.claims.values())
     assert {atom: claim for group in kb._index.values() for atom, claim in group.items()} == kb.claims
     assert sum(map(len, kb._index.values())) == len(claims)
     for claim in claims:
         if isinstance(claim.evidence, DerivedByRule):
             assert all(claim.atom in kb._dependents[p] for p in claim.evidence.premises)
+    for (principal, predicate), positions in kb._arg_index.items():
+        for position, buckets in positions.items():
+            rebuilt: dict = {}
+            for atom, claim in kb.claims.items():
+                if (atom.principal, atom.predicate) == (principal, predicate) and position < len(atom.args):
+                    rebuilt.setdefault(atom.args[position], {})[atom] = id(claim)
+            assert {value: {a: id(c) for a, c in bucket.items()} for value, bucket in buckets.items()} == rebuilt
 
 
 def test_revise_and_saturate_match_oracle():
@@ -812,16 +940,20 @@ def test_revise_and_saturate_match_oracle():
     @given(st.integers(0, 2000), st.booleans(), st.data())
     def check(seed, builtins, data):
         rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        rs = _with_raising_rule(rs)
         pool = sorted(facts, key=repr)
         kb = KnowledgeBase(rs)
         base: set = set()
         for _ in range(data.draw(st.integers(1, 6))):
-            retract = data.draw(st.lists(st.sampled_from(pool), unique=True))
+            retract = [GroundAtom(*f) for f in data.draw(st.lists(st.sampled_from(pool), unique=True))]
             admit = data.draw(st.lists(st.sampled_from(pool), unique=True))
-            kb.revise([GroundAtom(*f) for f in retract], claims_from_atoms([GroundAtom(*f) for f in admit]))
-            base = (base - set(retract)) | set(admit)
+            claims = claims_from_atoms([GroundAtom(*f) for f in admit])
+            if data.draw(st.booleans()):
+                _raise_and_restore(kb, rs, retract, claims)
+                _check_against_oracle(kb, rs, base)
+            kb.revise(retract, claims)
+            base = (base - {(a.principal, a.predicate, a.args) for a in retract}) | set(admit)
             _check_against_oracle(kb, rs, base)
-            _consistent(kb)
 
     check()
 

@@ -267,3 +267,29 @@ def test_scenario_loader_rejects_malformed_files(tmp_path):
         "expected": [{"monitor": "GHOST", "query": "p(X)", "count": 1}],
     }
     attempt([json.dumps(header)])
+
+
+@pytest.mark.parametrize("field", ["at", "timestamp"])
+@pytest.mark.parametrize("value", [5.9, True, "7", -1, None], ids=["float", "bool", "string", "negative", "null"])
+def test_scenario_event_offsets_must_be_json_integers(tmp_path, field, value):
+    """`at` and `timestamp` pass the check `EventEnvelope.validate` makes:
+    5.9 is refused, not run as 5."""
+    import json
+
+    from cyberlog.errors import ConfigError
+
+    (tmp_path / "m.cyberlog").write_text("'M': Subject: 's' Issuer: 'i'\n")
+    header = {"name": "x", "monitors": [{"name": "M", "rulesheet": "m.cyberlog"}], "expected": []}
+    event = {"at": 5, "timestamp": 7, "monitor": "M", "path": "/x"}
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(dict(event, **{field: value})) + "\n")
+    with pytest.raises(ConfigError, match=f"'{field}' must be a non-negative integer"):
+        load_scenario(str(path))
+    path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
+    (loaded,) = load_scenario(str(path)).events
+    assert (loaded.at_ms, loaded.envelope.timestamp_ms) == (5, 7)
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".jsonl")))
+def test_every_bundled_scenario_loads(name):
+    assert load_scenario(os.path.join(SCENARIOS, name)).events

@@ -111,6 +111,20 @@ def test_trust_store_refuses_a_malformed_line(tmp_path, line):
     assert TrustStore.load(str(path)).names() == ["MRM"]
 
 
+def test_trust_store_refuses_a_second_line_for_a_name(tmp_path):
+    """A stray line for a loaded name is a ConfigError naming it, not a
+    silent replacement of that principal's key."""
+    path = tmp_path / "trust.jsonl"
+    other = generate_identity("SB", seed=SEED_B).public_key.hex()
+    lines = [json.dumps({"name": "SB", "subject": "s", "issuer": "i", "public_key": key}) for key in (GOOD_KEY, other)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="second entry for 'SB'"):
+        TrustStore.load(str(path))
+    path.write_text(lines[0] + "\n" + lines[0] + "\n")  # even with the same key
+    with pytest.raises(ConfigError, match="second entry for 'SB'"):
+        TrustStore.load(str(path))
+
+
 def test_trust_store_holds_no_private_key():
     sb = generate_identity("SB", "CN=SB", "CN=R3", seed=SEED_A)
     store = TrustStore.from_identities([sb])
