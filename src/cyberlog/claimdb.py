@@ -23,10 +23,9 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
-from typing import Callable, Mapping
+from typing import Callable
 
 from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
-from .engine import Claim
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SignatureError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
@@ -53,8 +52,6 @@ class _HeadState:
     revision_id: str
     chain_length: int
     commit_time: int
-    rulesheet_hash: str
-    claims: Mapping[str, Claim]  # the head revision's claims by their logged text
 
 
 class ClaimDb:
@@ -88,23 +85,20 @@ class ClaimDb:
             payload = self.log.payload(index).decode("utf-8", errors="replace")
             try:
                 if payload.startswith(REVISION_PAYLOAD_HEAD):
-                    record, texts = self._signed_record(payload)
+                    record = self._signed_record(payload)
                     self._check_chain(record)
-                    self._index_revision(record, index, texts)
+                    self._index_revision(record, index)
                 else:
                     text = _rulesheet_text(payload)
                     self._index_rulesheet(rulesheet_entry_id(text), text, index)
             except CyberlogError as exc:
                 _log.warning("log entry %d left unindexed: %s", index, exc)
 
-    def _index_revision(self, record: RevisionRecord, index: int, texts: Mapping[str, Claim]) -> None:
-        # the owner's head state is replaced whole, so an unlocked decode
-        # reads one revision's claims
+    def _index_revision(self, record: RevisionRecord, index: int) -> None:
         self._entries[record.id] = index
         self._owners[record.id] = record.owner
         head = self._heads.get(record.owner)
-        length = (head.chain_length if head else 0) + 1
-        self._heads[record.owner] = _HeadState(record.id, length, record.commit_time, record.rulesheet_hash, texts)
+        self._heads[record.owner] = _HeadState(record.id, (head.chain_length if head else 0) + 1, record.commit_time)
 
     # -- submission -----------------------------------------------------
 
@@ -114,37 +108,30 @@ class ClaimDb:
         is not exactly in canonical form is refused with 400."""
         if not payload.startswith(REVISION_PAYLOAD_HEAD):
             return self._submit_rulesheet(payload, _rulesheet_text(payload))
-        record, texts = self._signed_record(payload)
+        record = self._signed_record(payload)
         with self._lock:
             self._check_chain(record)
             index = self.log.append(payload.encode("utf-8"))
-            self._index_revision(record, index, texts)
+            self._index_revision(record, index)
             return self._receipt(index, record.id)
 
     # Admission: submit and replay take a revision only if it passes both
     # checks below, in this order.
 
-    def _signed_record(self, payload: str) -> tuple[RevisionRecord, Mapping[str, Claim]]:
-        """The record and claims by text of a revision payload signed by its
-        trusted owner (else 401, before any rulesheet is read) that names a
-        logged rulesheet that parses for that owner and is its canonical
-        encoding under that rulesheet (else 400). A claim text of the owner's
-        head revision under the same rulesheet is taken from there, neither
-        decoded nor encoded again. Raises SubmitError."""
+    def _signed_record(self, payload: str) -> RevisionRecord:
+        """The record of a revision payload signed by its trusted owner (else
+        401, before any rulesheet is read) that names a logged rulesheet that
+        parses for that owner and is its canonical encoding under that
+        rulesheet (else 400): every claim is decoded and encoded again, in
+        one parse and one encode. Raises SubmitError."""
         try:
-            record, signature, rs, texts = decode_payload(
-                payload, self._logged_rulesheet, self.trust_store, self._known_claims
-            )
-            check_canonical(record, signature, payload, rs, texts, self._known_claims)
+            record, signature, rs = decode_payload(payload, self._logged_rulesheet, self.trust_store)
+            check_canonical(record, signature, payload, rs)
         except SignatureError as exc:
             raise SubmitError(401, str(exc)) from exc
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
-        return record, texts
-
-    def _known_claims(self, rulesheet_hash: str, owner: str) -> Mapping[str, Claim]:
-        head = self._heads.get(owner)
-        return head.claims if head is not None and head.rulesheet_hash == rulesheet_hash else {}
+        return record
 
     def _logged_rulesheet(self, rulesheet_hash: str, owner: str) -> Rulesheet:
         """The rulesheet logged under `rulesheet_hash`, parsed for `owner`.

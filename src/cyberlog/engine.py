@@ -597,10 +597,11 @@ class KnowledgeBase:
         remain (Delete-and-Rederive), and joins what it re-derives and the
         new claims as its first delta.
 
-        When saturation raises, the KB gets back the claims it held on
-        entry before the error propagates: the atoms the call added are
-        retracted, the claims it retracted or replaced are admitted again,
-        and the KB saturates again.
+        When saturation raises, the KB gets back the claim objects it held
+        on entry before the error propagates: the atoms the call added are
+        retracted, the claims it replaced or removed, a derivation that fell
+        with a retracted premise included, are admitted again, and the KB
+        saturates again.
         """
         claims = list(claims)
         for claim in claims:
@@ -618,10 +619,11 @@ class KnowledgeBase:
     def _apply(self, retract: Iterable[GroundAtom], claims: Iterable[Claim]) -> tuple[list[Claim], list[Claim]]:
         """The admission and retraction of `revise`, leaving saturation
         pending, checking nothing; returns the admitted claims whose atoms
-        are new and the stored claims that were retracted or replaced."""
+        are new and the stored claims that were replaced or removed, those
+        that fell with a retracted premise included."""
         incoming = {claim.atom: (claim, self.claims.get(claim.atom)) for claim in claims}  # atom -> (claim, stored)
         added: list[Claim] = []
-        displaced: list[Claim] = []  # stored claims retracted or replaced
+        displaced: list[Claim] = []  # stored claims replaced or removed
         for claim, old in incoming.values():
             if old is claim:
                 continue
@@ -632,9 +634,7 @@ class KnowledgeBase:
                 displaced.append(old)
                 self._release(old)
             self._store(claim)
-        retracted = [self.claims[atom] for atom in retract if atom in self.claims and atom not in incoming]
-        displaced += retracted
-        stack = [claim.atom for claim in retracted]
+        stack = [atom for atom in retract if atom not in incoming]
         removed: dict[GroundAtom, None] = {}
         while stack:
             atom = stack.pop()
@@ -642,6 +642,7 @@ class KnowledgeBase:
             if claim is None:
                 continue
             removed[atom] = None
+            displaced.append(claim)
             self._drop(claim)
             stack.extend(self._dependents.pop(atom, ()))
         if removed:
@@ -790,10 +791,14 @@ class KnowledgeBase:
 
     def query(self, pattern: RelationalAtom) -> list[Substitution]:
         """All substitutions grounding `pattern` to a stored atom, in
-        canonical-serialization order of the matched atoms."""
+        canonical-serialization order of the matched atoms. A pattern with
+        no variable is one lookup: `[{}]` if its atom is stored, else `[]`."""
         for arg in pattern.args:
             if isinstance(arg, ArithExpr):
                 raise EvaluationError("arithmetic not allowed in query patterns")
+        if not any(isinstance(arg, Variable) for arg in pattern.args):
+            atom = GroundAtom(pattern.principal, pattern.predicate, tuple(arg.value for arg in pattern.args))
+            return [{}] if atom in self.claims else []
         matches: list[tuple[str, Substitution]] = []
         for claim in self.claims_for(pattern.principal, pattern.predicate):
             bound = _unify_args(pattern.args, claim.atom.args, {})

@@ -59,12 +59,6 @@ class LogClient(Protocol):
 # of that hash parsed for the owner. Raises a CyberlogError when there is
 # none: an unlogged hash, or a text that does not parse for the owner.
 RulesheetOf = Callable[[str, str], Rulesheet]
-# The claims of the last revision someone decoded of an owner under a
-# rulesheet, by their logged text: (rulesheet_hash, owner) -> {text: claim},
-# empty when there is none. Decoding a claim text is a function of the text,
-# the rulesheet, the owner and whether its revision is a chain root alone,
-# so a revision that supersedes another takes a known text's claim as is.
-KnownClaims = Callable[[str, str], Mapping[str, Claim]]
 _T = TypeVar("_T")
 
 
@@ -91,19 +85,15 @@ class RevisionRecord:
 #
 # A payload is `{"kind":"revision",` + the body's fields + `,"signature":"…"}`,
 # so the body the id hashes is a slice of the logged bytes: readers hash that
-# slice and never re-encode. The body is built from one canonical text per
-# claim, and a claim object whose text is known keeps it: a carried claim's
-# text is the same in every revision of its chain. The claim DB refuses, at
-# submit, a payload that is not exactly the canonical encoding
-# (`check_canonical`), so every logged body is the one `build_record` gives
-# for its fields. Claims name their rules by index into the rulesheet the
-# record names (`wire`).
+# slice and never re-encode. A body is encoded in one call, every claim in
+# it, and a payload is parsed in one. The claim DB refuses, at submit, a
+# payload that is not exactly the canonical encoding (`check_canonical`), so
+# every logged body is the one `build_record` gives for its fields. Claims
+# name their rules by index into the rulesheet the record names (`wire`).
 
 REVISION_PAYLOAD_HEAD = '{"kind":"revision",'
 _SIGNATURE_TAIL = re.compile(r',"signature":"([0-9a-f]{128})"\}')
 _SIGNATURE_TAIL_LEN = len(',"signature":"') + 128 + len('"}')
-_CLAIMS_KEY = ',"claims":['
-_JSON = json.JSONDecoder()
 
 
 def _body_text(
@@ -111,18 +101,21 @@ def _body_text(
     supersedes: str | None,
     includes: Iterable[str],
     rulesheet_hash: str,
-    texts: Iterable[str],
+    claims: Sequence[Claim],
     commit_time: int,
+    rs: Rulesheet,
 ) -> str:
     """The canonical body text of the fields, with the includes sorted and
-    the claims given by their texts, in order."""
-    head = {
+    the claims in the order given, encoded under rulesheet `rs`."""
+    body = {
         "owner": owner,
         "supersedes": supersedes,
         "includes": sorted(set(includes)),
         "rulesheet_hash": rulesheet_hash,
+        "claims": [claim_to_obj(claim, rs) for claim in claims],
+        "commit_time": commit_time,
     }
-    return f'{canonical_json(head)[:-1]},"claims":[{",".join(texts)}],"commit_time":{commit_time}}}'
+    return canonical_json(body)
 
 
 def build_record(
@@ -132,24 +125,16 @@ def build_record(
     rs: Rulesheet,
     claims: Iterable[Claim],
     commit_time: int,
-    known: Mapping[str, Claim] | None = None,
-) -> tuple[RevisionRecord, str, dict[str, Claim]]:
+) -> tuple[RevisionRecord, str]:
     """The record under rulesheet `rs`, which it names by the hash of its
-    canonical text, the canonical body text its id hashes and the record's
-    claims by their texts. Each claim is serialised once, but a claim object
-    that `known` holds keeps its text there. Raises EvidenceError for a
-    claim whose rule `rs` does not hold."""
-    reuse = {id(claim): text for text, claim in (known or {}).items()}  # `known` keeps each object alive
-    texts: list[tuple[str, Claim]] = []
-    for claim in sorted(claims, key=lambda c: canonical_atom(c.atom)):
-        text = reuse.get(id(claim))
-        texts.append((canonical_json(claim_to_obj(claim, rs)) if text is None else text, claim))
+    canonical text, and the canonical body text its id hashes, each claim
+    serialised once. Raises EvidenceError for a claim whose rule `rs` does
+    not hold."""
+    ordered = tuple(sorted(claims, key=lambda c: canonical_atom(c.atom)))
     includes_t, rulesheet_hash = tuple(sorted(set(includes))), rs.source_hash.hex()
-    body = _body_text(owner, supersedes, includes_t, rulesheet_hash, (text for text, _ in texts), commit_time)
+    body = _body_text(owner, supersedes, includes_t, rulesheet_hash, ordered, commit_time, rs)
     rev_id = sha256(body.encode("utf-8")).hexdigest()
-    ordered = tuple(claim for _, claim in texts)
-    record = RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered, commit_time)
-    return record, body, dict(texts)
+    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered, commit_time), body
 
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
@@ -184,47 +169,15 @@ def rulesheet_entry_id(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def _revision_fields(payload: str) -> dict:
-    """The fields of a revision payload as `json.loads` gives them (the last
-    of a repeated key wins), except that "claims" holds the text and the
-    value of each claim, read one at a time from its offset. The claims
-    array follows the first `,"claims":[`, which no JSON string holds, and
-    separates its claims by bare commas. Raises ValueError."""
-    start = payload.find(_CLAIMS_KEY)
-    if start < 0:
-        raise ValueError("no claims array")
-    claims, pos = [], start + len(_CLAIMS_KEY)
-    separator = "]" if payload.startswith("]", pos) else ","
-    pos += separator == "]"
-    while separator == ",":
-        value, end = _JSON.raw_decode(payload, pos)
-        claims.append((payload[pos:end], value))
-        separator, pos = payload[end : end + 1], end + 1
-        if separator not in (",", "]"):
-            raise ValueError(f"expected ',' or ']' after the claim at {end}")
-    if not payload.startswith(",", pos):
-        raise ValueError(f"expected ',' after the claims array at {pos}")
-    fields = json.loads(payload[:start] + "}")
-    fields.update(json.loads("{" + payload[pos + 1 :]))
-    if "claims" in fields:
-        raise ValueError("claims given twice")
-    fields["claims"] = claims
-    return fields
-
-
 def decode_payload(
-    payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore, known: KnownClaims | None = None
-) -> tuple[RevisionRecord, bytes, Rulesheet, dict[str, Claim]]:
+    payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore
+) -> tuple[RevisionRecord, bytes, Rulesheet]:
     """Parse a logged revision payload once into its record, its owner's
-    signature, the rulesheet its claims were decoded under and its claims
-    by their texts, in order. The id is the SHA-256 of the body bytes
-    inside the payload; the owner's signature over it is checked under
-    `trust_store` before any rulesheet is read (SignatureError). The claims'
-    rules are those of the rulesheet `rulesheet_of` gives, once, for the
-    record's rulesheet hash and owner. The claims array is read one claim
-    text at a time: in a revision that supersedes another, a text that
-    `known` holds for the rulesheet and owner is that claim, and any other
-    is decoded.
+    signature and the rulesheet its claims were decoded under. The id is
+    the SHA-256 of the body bytes inside the payload; the owner's signature
+    over it is checked under `trust_store` before any rulesheet is read
+    (SignatureError). The claims' rules are those of the rulesheet
+    `rulesheet_of` gives, once, for the record's rulesheet hash and owner.
     Raises LogIntegrityError on a payload outside the revision layout, on a
     rulesheet that does not parse for the owner, on malformed data, which
     includes a rule reference that is not an index of a rule of the right
@@ -233,15 +186,15 @@ def decode_payload(
     strictly increase (a claim is named by its atom, so a revision holds
     one claim per atom), and on a claim whose principal is not the record's
     owner, since nobody may make claims on someone else's behalf; any other
-    refusal of `rulesheet_of` passes through. Includes keep the payload's
-    order."""
+    refusal of `rulesheet_of` passes through. Claims and includes keep the
+    payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
         raise LogIntegrityError("payload is not a revision record")
     signature = bytes.fromhex(tail.group(1))
     try:
-        obj = _revision_fields(payload)
+        obj = json.loads(payload)
         rev_id = sha256(("{" + payload[len(REVISION_PAYLOAD_HEAD) : split] + "}").encode("utf-8")).hexdigest()
         owner, supersedes, rulesheet_hash = obj["owner"], obj["supersedes"], obj["rulesheet_hash"]
         includes = tuple(obj["includes"])
@@ -254,49 +207,33 @@ def decode_payload(
         if not verify_bytes(key, signature, bytes.fromhex(rev_id)):
             raise SignatureError(f"bad signature on revision by {owner!r}")
         rs = rulesheet_of(rulesheet_hash, owner)
-        reuse = {} if supersedes is None or known is None else known(rulesheet_hash, owner)
-        texts: dict[str, Claim] = {}  # one text per claim, as each has its own atom
-        last = ""
-        for text, value in obj["claims"]:
-            claim = reuse.get(text)
-            if claim is None:
-                claim = claim_from_obj(value, supersedes, rs)
+        claims, last = [], ""
+        for value in obj["claims"]:
+            claim = claim_from_obj(value, supersedes, rs)
             atom = canonical_atom(claim.atom)
             if claim.atom.principal != owner:
                 raise LogIntegrityError(f"revision by {owner!r} holds a claim of {claim.atom.principal!r}: {atom}")
             if atom <= last:
                 raise LogIntegrityError(f"claim atoms of revision by {owner!r} do not strictly increase at {atom}")
-            texts[text], last = claim, atom
-        claims = tuple(texts.values())
-        record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, claims, int(obj["commit_time"]))
+            claims.append(claim)
+            last = atom
+        commit_time = int(obj["commit_time"])
+        record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, tuple(claims), commit_time)
     except (KeyError, TypeError, ValueError, EvidenceError, ParseError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
-    return record, signature, rs, texts
+    return record, signature, rs
 
 
-def check_canonical(
-    record: RevisionRecord,
-    signature: bytes,
-    payload: str,
-    rs: Rulesheet,
-    texts: Mapping[str, Claim],
-    known: KnownClaims,
-) -> None:
-    """Raise LogIntegrityError unless `payload`, which decoded to `record`,
-    `signature` and the claims by their `texts` under rulesheet `rs`, is
-    exactly their canonical encoding: no whitespace, sorted includes,
-    lowercase hex, canonical atom text, the first index of a rule the sheet
-    holds twice and no duplicate keys (`decode_payload` refused unsorted
-    claims). Re-encodes the claims once, in one array, but for a claim
-    object that `known` holds under its text, which was canonical there;
-    hashes nothing. Each text is one whole JSON value, so the array's text
-    equals the texts joined only if each equals its claim's encoding."""
-    reuse = known(record.rulesheet_hash, record.owner)
-    fresh = [(text, claim) for text, claim in texts.items() if reuse.get(text) is not claim]
-    encoded = canonical_json([claim_to_obj(claim, rs) for _text, claim in fresh])
+def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: Rulesheet) -> None:
+    """Raise LogIntegrityError unless `payload`, which decoded to `record`
+    and `signature` under rulesheet `rs`, is exactly their canonical
+    encoding: no whitespace, sorted includes, lowercase hex, canonical atom
+    text, the first index of a rule the sheet holds twice and no duplicate
+    keys (`decode_payload` refused unsorted claims). Re-encodes the
+    record's claims once, in one call; hashes nothing."""
     owner, rulesheet_hash = record.owner, record.rulesheet_hash
-    body = _body_text(owner, record.supersedes, record.includes, rulesheet_hash, texts, record.commit_time)
-    if encoded != f"[{','.join(text for text, _claim in fresh)}]" or encode_payload(body, signature) != payload:
+    body = _body_text(owner, record.supersedes, record.includes, rulesheet_hash, record.claims, record.commit_time, rs)
+    if encode_payload(body, signature) != payload:
         raise LogIntegrityError(f"revision {record.id} is not in canonical form")
 
 
@@ -312,8 +249,9 @@ def apply_next_rules(
     Bodies match the committed revision's claims plus the claims of the
     revisions it includes; each distinct head atom is emitted once with
     carried-forward evidence, whose source is the record. A carry-over
-    equal to a claim of the record is that claim object, whose text is
-    known, and one of an atom of the record reuses that atom.
+    equal to a claim of the record is that claim object, so a commit of
+    the same carry-overs again changes nothing (`Monitor.commit`), and one
+    of an atom of the record reuses that atom.
     """
     next_rules = [rule for rule in rs.rules if rule.kind is RuleKind.NEXT]
     if not next_rules:
@@ -353,18 +291,14 @@ def commit_staging(
 ) -> tuple[RevisionRecord, LogInclusion, list[Claim]]:
     """Commit `identity`'s claims as a revision superseding `base` and
     including `includes`; returns (record, inclusion, next-rule carry-overs).
-    The one signature is `identity`'s over the record's id. A claim object
-    of the last revision `reader` logged of the owner under `rs` keeps its
-    text, and the reader then keeps this one's.
+    The one signature is `identity`'s over the record's id.
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
     has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
-    known = reader.known_claims(rs.source_hash.hex(), identity.name)
-    record, body, texts = build_record(identity.name, base, includes, rs, claims, now_ms, known)
+    record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
     inclusion = reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
-    reader.remember(record, texts)
     return record, inclusion, apply_next_rules(record, rs, included_claims)
 
 
@@ -383,12 +317,10 @@ def _served(what: str) -> Iterator[None]:
 class LogReader:
     """The one client of the claim database `db`, which parses and verifies
     all `db` answers, and the one cache of what it verified: the last
-    accepted tree head, revisions by id, rulesheet texts by hash and, per
-    owner and rulesheet, the claims by text of the last revision it decoded
-    or logged (`KnownClaims`). Heads are checked under `operator_key` unless
-    it is None (an offline audit: no operator signed), owners under
-    `trust_store`. Heads must come in the order asked for: one thread at a
-    time."""
+    accepted tree head, revisions by id and rulesheet texts by hash. Heads
+    are checked under `operator_key` unless it is None (an offline audit:
+    no operator signed), owners under `trust_store`. Heads must come in the
+    order asked for: one thread at a time."""
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.db = db
@@ -397,7 +329,6 @@ class LogReader:
         self.head: SignedTreeHead | None = None
         self._revisions: dict[str, tuple[RevisionRecord, LogInclusion]] = {}
         self._texts: dict[str, str] = {}
-        self._claims: dict[tuple[str, str], Mapping[str, Claim]] = {}  # (rulesheet hash, owner) -> text -> claim
 
     def accept(self, head: SignedTreeHead) -> None:
         """Make `head` the last accepted head. A head equal to it costs
@@ -480,14 +411,6 @@ class LogReader:
         for rev_id in rev_ids:
             self._revisions.pop(rev_id, None)
 
-    def known_claims(self, rulesheet_hash: str, owner: str) -> Mapping[str, Claim]:
-        return self._claims.get((rulesheet_hash, owner), {})
-
-    def remember(self, record: RevisionRecord, texts: Mapping[str, Claim]) -> None:
-        """Keep `texts`, the claims of `record` by text, as its owner's
-        under its rulesheet, in place of any earlier revision's."""
-        self._claims[(record.rulesheet_hash, record.owner)] = texts
-
     def __call__(self, rulesheet_hash: str, owner: str) -> Rulesheet:
         if rulesheet_hash not in self._texts:
             text, _ = self._fetch("rulesheet", rulesheet_hash, decode_rulesheet_payload)
@@ -500,32 +423,18 @@ class LogReader:
 def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
     """Fetch and verify a revision through `reader`, bypassing its cache of
     revisions: its tree head, owner's signature, claims, inclusion proof
-    and id; returns the record and the inclusion its claims share. The
-    reader's known claims of the owner under the rulesheet serve the
-    decode, and then become the record's."""
-    decode = functools.partial(
-        decode_payload, rulesheet_of=reader, trust_store=reader.trust_store, known=reader.known_claims
-    )
-    (record, _signature, _rs, texts), inclusion = reader._fetch("revision", rev_id, decode)
+    and id, decoding its payload once; returns the record and the inclusion
+    its claims share."""
+    decode = functools.partial(decode_payload, rulesheet_of=reader, trust_store=reader.trust_store)
+    (record, _signature, _rs), inclusion = reader._fetch("revision", rev_id, decode)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
-    reader.remember(record, texts)
     return record, inclusion
 
 
 def _check_owner(record: RevisionRecord, owner: str) -> None:
     if record.owner != owner:
         raise EvidenceError(f"revision {record.id} belongs to {record.owner!r}, not to the watched {owner!r}")
-
-
-def _include(
-    kb: KnowledgeBase, retract: Iterable[GroundAtom], record: RevisionRecord, inclusion: LogInclusion
-) -> list[Claim]:
-    """Admit the record's claims under its inclusion evidence, which the
-    reader has verified, through `KnowledgeBase.revise`; returns the
-    admitted claims whose atoms are new."""
-    added = kb.revise(retract, [Claim(claim.atom, inclusion) for claim in record.claims])
-    return [claim for claim in added if claim.evidence is inclusion]
 
 
 def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
@@ -536,7 +445,8 @@ def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader, owner: s
     to someone else, and `revise` undoes the import if saturation raises."""
     record, inclusion = reader.revision(rev_id)
     _check_owner(record, owner)
-    return _include(kb, (), record, inclusion)
+    added = kb.revise((), [Claim(claim.atom, inclusion) for claim in record.claims])
+    return [claim for claim in added if claim.evidence is inclusion]
 
 
 def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> list[str]:
@@ -564,21 +474,22 @@ def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: L
 
     The new revision must belong to `owner`, whom the old revision was
     checked to belong to when it was included. The new revision and each
-    revision between it and the old one are read through `reader`, the old
-    one not at all. Claims included from the replaced chain are retracted,
-    with every derivation downstream of them, and the new revision's claims
-    are included, in one `KnowledgeBase.revise`; the reader then forgets
-    the replaced chain. A refusal leaves the KB's claims as they were, as
+    revision between it and the old one are read through `reader`, and the
+    old one too, which the reader holds since its inclusion. In one
+    `KnowledgeBase.revise`, the atoms the old revision holds and the new
+    one does not are retracted, with every derivation downstream of them,
+    and the new revision's atoms that the old one does not hold are
+    included under the new revision's inclusion evidence; the reader then
+    forgets the replaced chain. An atom both hold keeps its stored claim,
+    whose inclusion names an earlier revision of the same chain, which
+    logged that atom too. A refusal leaves the KB's claims as they were, as
     for `include_revision`.
     """
     record, inclusion = reader.revision(new_rev_id)
-    dropped = set(supersession_chain(reader, record, old_rev_id))
+    dropped = supersession_chain(reader, record, old_rev_id)
     _check_owner(record, owner)
-    retracted = [
-        claim.atom
-        for claim in kb.claims.values()
-        if isinstance(claim.evidence, LogInclusion) and claim.evidence.revision_id in dropped
-    ]
-    added = _include(kb, retracted, record, inclusion)
+    held = reader.revision(old_rev_id)[0].by_atom
+    retracted = [atom for atom in held if atom not in record.by_atom]
+    added = kb.revise(retracted, [Claim(claim.atom, inclusion) for claim in record.claims if claim.atom not in held])
     reader.forget(dropped)
-    return added
+    return [claim for claim in added if claim.evidence is inclusion]

@@ -29,6 +29,24 @@ def sign_claim(identity, atom: GroundAtom) -> SignedClaim:
     return SignedClaim(atom, identity.name, sign_bytes(identity, canonical_atom(atom).encode("utf-8")))
 
 
+def steady_booking(windows: int):
+    """The uav_booking flow once per commit window, each time with a new request id."""
+    import os
+
+    from cyberlog.harness import Scenario, ScenarioEvent, load_scenario
+    from cyberlog.monitor import EventEnvelope
+
+    base = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
+    events = []
+    for k in range(windows):
+        for event in base.events:
+            env = event.envelope
+            body = env.body.replace('"request_id": 7', f'"request_id": {100 + k}')
+            at = event.at_ms + 1000 * k
+            events.append(ScenarioEvent(at, event.monitor, EventEnvelope(env.method, env.path, body, at)))
+    return Scenario("steady_booking", base.monitors, events, [])
+
+
 def publish_rulesheet(db, rs) -> str:
     """Log `rs`'s canonical text, as a monitor does before its first
     commit, so that revisions naming it are admitted; returns its hash."""

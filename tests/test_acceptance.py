@@ -282,7 +282,7 @@ def test_criterion_5c_non_owner_supersession_rejected(db_client, identities):
     record, _, _ = commit_staging(identities["SB"], rs_sb, log_reader(db_client, identities), None, (), (), 1)
     rs_mrm = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     publish_rulesheet(db_client, rs_mrm)
-    hostile, body, _ = build_record("MRM", record.id, (), rs_mrm, (), 2)
+    hostile, body = build_record("MRM", record.id, (), rs_mrm, (), 2)
     payload = encode_payload(body, sign_record(hostile, identities["MRM"]))
     with pytest.raises(SubmitError) as exc:
         db_client.submit_revision(payload)

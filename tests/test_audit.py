@@ -182,7 +182,7 @@ def test_altered_event_fails_its_owner_signature_everywhere(db, identities, trus
 
     rs = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
     events = [GroundAtom("SB", "request", (n,)) for n in (7, 8)]
-    record, body, _ = build_record("SB", None, (), rs, [Claim(a, DirectAssertion("SB")) for a in events], 1)
+    record, body = build_record("SB", None, (), rs, [Claim(a, DirectAssertion("SB")) for a in events], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     altered = payload.replace("request(7)", "request(9)")
     assert altered != payload
@@ -229,7 +229,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     forged_atom = GroundAtom("SB", "verdict", (99,))
     forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}))
 
-    record, body, _ = build_record("SB", None, (), rs, [base, forged], 1)
+    record, body = build_record("SB", None, (), rs, [base, forged], 1)
     publish_rulesheet(db_client, rs)
     db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
 
@@ -261,7 +261,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     claims = [Claim(a, DirectAssertion("SB")) for a in atoms]
     verdict_atom = GroundAtom("SB", "verdict", (7,))
     swapped = Claim(verdict_atom, DerivedByRule(rule, {"Id": 7, "Data": "b"}))
-    record, body, _ = build_record("SB", None, (), rs, claims + [swapped], 1)
+    record, body = build_record("SB", None, (), rs, claims + [swapped], 1)
     publish_rulesheet(db_client, rs)
     db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
 
@@ -292,7 +292,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
     request, in_process = GroundAtom("SB", "request", (7, "d", 5)), GroundAtom("SB", "in_process", (7,))
 
     def commit(claims, supersedes, now):
-        record, body, _ = build_record("SB", supersedes, (), rs, claims, now)
+        record, body = build_record("SB", supersedes, (), rs, claims, now)
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
         return record
 
@@ -325,7 +325,7 @@ def _dom_including(db_client, identities, owners, body):
         publish_rulesheet(db_client, rs)
         atoms = [GroundAtom(owner, "p", (1,)), GroundAtom(owner, "q", (1,))]
         claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
-        record, record_body, _ = build_record(owner, None, (), rs, claims, 1)
+        record, record_body = build_record(owner, None, (), rs, claims, 1)
         db_client.submit_revision(encode_payload(record_body, sign_record(record, identities[owner])))
         included[record.id] = owner
     sheet = "".join(f"'{name}': Subject: 's' Issuer: 'i'\n" for name in ("DOM", *owners))
@@ -333,7 +333,7 @@ def _dom_including(db_client, identities, owners, body):
     rs = parse_rulesheet(sheet, "DOM")
     publish_rulesheet(db_client, rs)
     both = Claim(GroundAtom("DOM", "both", (1,)), DerivedByRule(rs.rules[0], {"X": 1}))
-    record, record_body, _ = build_record("DOM", None, included, rs, [both], 1)
+    record, record_body = build_record("DOM", None, included, rs, [both], 1)
     db_client.submit_revision(encode_payload(record_body, sign_record(record, identities["DOM"])))
     return included, both
 

@@ -272,6 +272,24 @@ def test_query_ground_atom(saturated_kb):
     assert saturated_kb.query(parse_query("p(1, 'zz')", "SB")) == []
 
 
+def test_ground_query_is_one_lookup(saturated_kb, monkeypatch):
+    """A pattern with no variable looks its atom up: it makes no unify
+    call and answers as the scan over its predicate's claims does, `[{}]`
+    for a stored atom and `[]` for any other. A pattern with a variable
+    still scans."""
+    import cyberlog.engine as engine
+
+    unify, calls = engine._unify_args, []
+    monkeypatch.setattr(engine, "_unify_args", lambda *args: calls.append(args) or unify(*args))
+    for text in ("p(1, 'a')", "p(2, 'b')", "p(1, 'b')", "p('1', 'a')", "p(1)", "e(2, 'b')", "q(1, 'a')"):
+        pattern = parse_query(text, "SB")
+        claims = saturated_kb.claims_for("SB", pattern.predicate)
+        scan = [{} for c in claims if unify(pattern.args, c.atom.args, {}) is not None]
+        assert saturated_kb.query(pattern) == scan, text
+    assert calls == []
+    assert saturated_kb.query(parse_query("p(1, Y)", "SB")) == [{"Y": "a"}] and len(calls) == 2
+
+
 def test_query_empty_kb():
     assert KnowledgeBase(NO_RULES).query(parse_query("p(X)", "SB")) == []
 
@@ -529,15 +547,14 @@ def _with_raising_rule(rs):
 
 def _raise_and_restore(kb, rs, retract, claims):
     """`revise` with a joining lp/lq pair with a string T added to the
-    claims: the call must raise and leave the KB with the atoms it held.
-    (A derivation that fell with a retracted premise is derived again, as
-    another object.)"""
-    before = set(kb.claims)
+    claims: the call must raise and leave the KB with the claim objects it
+    held, a derivation that fell with a retracted premise included."""
+    before = dict(kb.claims)
     n = len(kb) + 1000  # a request id no generated fact uses
     pair = claims_from_atoms([GroundAtom(rs.self_id, "lp", (n, "x")), GroundAtom(rs.self_id, "lq", (n,))])
     with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
         kb.revise(retract, [*claims, *pair])
-    assert set(kb.claims) == before and at_fixpoint(kb)
+    assert _same_state(kb, before) and at_fixpoint(kb)
     _consistent(kb)
 
 

@@ -76,7 +76,7 @@ def derived(name):
 
 
 def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_time=1):
-    record, body, _ = build_record("SB", supersedes, (), RS, claims, commit_time)
+    record, body = build_record("SB", supersedes, (), RS, claims, commit_time)
     publish_rulesheet(db, RS)
     db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
     return record, Auditor(db, trust_store, identities[OPERATOR].public_key)
@@ -172,6 +172,6 @@ def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forger
         return
     rs = RS if owner == "SB" else parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     publish_rulesheet(db, rs)
-    forged, body, _ = build_record(owner, None if owner == "MRM" else honest.id, (), rs, [claim], 2)
+    forged, body = build_record(owner, None if owner == "MRM" else honest.id, (), rs, [claim], 2)
     with pytest.raises(SubmitError, match="holds a claim of"):
         db.submit_revision(encode_payload(body, sign_record(forged, identities[owner])))

@@ -46,19 +46,42 @@ def test_booking_yields_single_verdict(booking_report):
 # each owner's sequence of logged claim arrays the same once repeats are
 # collapsed.
 BOOKING_LOG_DIGEST = (16, "ad905ceff5c2c05c0acb5a65699b45b9d7b81dabf4fd90e7e48da32190e104e7")
+# The same digest of six uav_booking flows, one per commit window, with DOM
+# watching (`steady_booking(6)`): 41 payloads, 45359 bytes. Unlike the
+# booking log it holds claims carried along each owner's chain over several
+# revisions and DOM's revisions over several windows of re-derivations.
+STEADY_BOOKING_LOG_DIGEST = (41, "75fc2afa19825bc0a16053bd6f48d485672df2ce7fb9a98867d6b487a5939188")
+
+
+def _log_digest(log):
+    """The entry count of `log` and the SHA-256 of its payloads, each
+    prefixed by its length as 4 little-endian bytes."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for index in range(len(log)):
+        payload = log.payload(index)
+        digest.update(len(payload).to_bytes(4, "little") + payload)
+    return len(log), digest.hexdigest()
 
 
 def test_booking_claim_log_is_byte_identical():
-    import hashlib
-
     run = ScenarioRun(load_scenario(scenario_path("uav_booking")))
     try:
         assert run.run().passed
-        digest = hashlib.sha256()
-        for index in range(len(run.db.log)):
-            payload = run.db.log.payload(index)
-            digest.update(len(payload).to_bytes(4, "little") + payload)
-        assert (len(run.db.log), digest.hexdigest()) == BOOKING_LOG_DIGEST
+        assert _log_digest(run.db.log) == BOOKING_LOG_DIGEST
+    finally:
+        run.close()
+
+
+def test_steady_booking_claim_log_is_byte_identical():
+    from conftest import steady_booking
+
+    run = ScenarioRun(steady_booking(6))
+    try:
+        run.finish()
+        assert run.query_count("DOM", "good_rtf_exists(R, A)") == 6
+        assert _log_digest(run.db.log) == STEADY_BOOKING_LOG_DIGEST
     finally:
         run.close()
 
@@ -188,7 +211,7 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
         payload = run.db.log.payload(index).decode()
         if json.loads(payload).get("kind") != "revision":
             continue
-        record, _sig, _rs, _texts = decode_payload(payload, rulesheets, run.trust_store)
+        record, _sig, _rs = decode_payload(payload, rulesheets, run.trust_store)
         records.append(record)
 
     by_owner = {}

@@ -12,7 +12,7 @@ from cyberlog.errors import ConfigError, EvaluationError, NotFoundError, SubmitE
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope, Monitor
 
-from conftest import OPERATOR, at_fixpoint, raw_http_status
+from conftest import OPERATOR, at_fixpoint, raw_http_status, steady_booking
 from naive_oracle import derivation_faults
 
 SB_SHEET = """\
@@ -527,21 +527,6 @@ def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
-def _steady_booking(windows: int):
-    """The uav_booking flow once per commit window, each time with a new request id."""
-    from cyberlog.harness import Scenario, ScenarioEvent, load_scenario
-
-    base = load_scenario(os.path.join(SCENARIOS, "uav_booking.jsonl"))
-    events = []
-    for k in range(windows):
-        for event in base.events:
-            env = event.envelope
-            body = env.body.replace('"request_id": 7', f'"request_id": {100 + k}')
-            at = event.at_ms + 1000 * k
-            events.append(ScenarioEvent(at, event.monitor, EventEnvelope(env.method, env.path, body, at)))
-    return Scenario("steady_booking", base.monitors, events, [])
-
-
 class Ed25519Trace:
     """The Ed25519 work of a run, each operation under the monitor method
     acting, as (monitor name, method), or None outside any monitor:
@@ -615,7 +600,7 @@ def test_each_monitor_lineage_verifies_each_signature_once(monkeypatch):
     from cyberlog.harness import ScenarioRun
 
     trace = Ed25519Trace(monkeypatch)
-    run = ScenarioRun(_steady_booking(3))
+    run = ScenarioRun(steady_booking(3))
     try:
         run.finish()
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == 3
@@ -645,7 +630,7 @@ def test_ed25519_work_of_a_steady_run(monkeypatch):
     from cyberlog.revision import REVISION_PAYLOAD_HEAD
 
     trace = Ed25519Trace(monkeypatch)
-    scenario = _steady_booking(3)
+    scenario = steady_booking(3)
     run = ScenarioRun(scenario)
     try:
         run.finish()
@@ -681,11 +666,10 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
     and verify nothing and log nothing: each commit returns its owner's head
     and leaves its KB's claims as they were, and DOM's next poll loads
     nothing. After one new event SB's commit supersedes that head and logs
-    its claim objects again: the claim DB decodes only the new claims, the
-    committer and the claim DB encode only those, SB's `revise` checks none
-    of the head's, and DOM's poll decodes only the new claims. Each memo
-    holds one revision: the claim DB's one per owner, the head's, and each
-    reader's one per owner and rulesheet."""
+    its claim objects again: the committer and the claim DB encode each
+    claim once, the claim DB decodes each once, SB's `revise` checks none
+    of the head's, and DOM's poll decodes each claim once and checks only
+    the new ones."""
     from collections import Counter
 
     import cyberlog.revision as revision
@@ -693,7 +677,7 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
     from cyberlog.engine import CarriedByNextRule, KnowledgeBase
     from cyberlog.harness import ScenarioRun
 
-    run = ScenarioRun(_steady_booking(4))
+    run = ScenarioRun(steady_booking(4))
     try:
         run.finish()
         sb, dom = run.monitors["SB"], run.monitors["DOM"]
@@ -740,31 +724,15 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
         assert {id(c) for c in record.claims if isinstance(c.evidence, CarriedByNextRule)} <= held
         new = {c.atom for c in record.claims if id(c) not in held}
         assert new == {event.event_atom, *event.derived}
-        assert Counter(c.atom for c in encoded) == Counter({atom: 2 for atom in new})  # committer, claim DB
-        assert Counter(c.atom for c in decoded) == Counter(new)
+        logged = [c.atom for c in record.claims]
+        assert Counter(c.atom for c in encoded) == Counter(logged * 2)  # committer, claim DB
+        assert Counter(c.atom for c in decoded) == Counter(logged)
         assert not held & {id(c) for c in checked}
         decoded.clear()
+        checked.clear()
         assert dom.poll_and_include() == [record.id]
-        assert Counter(c.atom for c in decoded) == Counter(new)
-        monkeypatch.undo()
-
-        owners = {name: monitor.rulesheet.source_hash.hex() for name, monitor in run.monitors.items()}
-        chains = {}  # owner -> the claims of each of its logged revisions
-        for owner in owners:
-            claims, cursor = [], run.db.get_head(owner)["revision_id"]
-            while cursor is not None:
-                logged, _ = run.reader.revision(cursor)
-                claims.append(tuple(logged.claims))
-                cursor = logged.supersedes
-            chains[owner] = claims
-        assert set(run.db._heads) == set(owners)
-        for owner, head in run.db._heads.items():
-            assert (head.rulesheet_hash, tuple(head.claims.values())) == (owners[owner], chains[owner][0])
-        for monitor in run.monitors.values():
-            memo = monitor.reader._claims
-            assert set(memo) <= {(owners[owner], owner) for owner in (monitor.name, *monitor.watched_owners)}
-            assert all(tuple(claims.values()) in chains[owner] for (_hash, owner), claims in memo.items())
-        assert (owners["SB"], "SB") in dom.reader._claims and (owners["SB"], "SB") in sb.reader._claims
+        assert Counter(c.atom for c in decoded) == Counter(logged)
+        assert Counter(c.atom for c in checked) == Counter(new)
     finally:
         run.close()
 
@@ -838,7 +806,7 @@ def test_an_unchanged_commit_is_the_commit_it_skips(identities, trust_store):
                 if record is not base:
                     assert record.supersedes == (base and base.id)
                     continue
-                skipped, _body, _texts = build_record(
+                skipped, _body = build_record(
                     record.owner, record.supersedes, includes, monitor.rulesheet, own, record.commit_time
                 )
                 assert skipped.id == record.id
@@ -863,7 +831,7 @@ def test_supersession_matches_scratch():
     from cyberlog.revision import LogReader, include_revision
 
     windows = 8
-    run = ScenarioRun(_steady_booking(windows))
+    run = ScenarioRun(steady_booking(windows))
     dom = run.monitors["DOM"]
     reader = LogReader(run.client, run.trust_store, run.operator.public_key)
     try:
@@ -906,11 +874,11 @@ def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
     publish_rulesheet(db, rs)
     claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
-    record, body, texts = build_record(owner, supersedes, (), rs, claims, 5)
+    record, body = build_record(owner, supersedes, (), rs, claims, 5)
     if signature is None:
         signature = sign_record(record, identities[owner])
     index = db.log.append(encode_payload(body, signature).encode("utf-8"))
-    db._index_revision(record, index, texts)
+    db._index_revision(record, index)
     return record.id
 
 
@@ -1424,16 +1392,16 @@ def test_each_reader_checks_each_head_once_and_decodes_each_payload_once(monkeyp
         proofs[accepting[-1]] = proofs.get(accepting[-1], 0) + 1
         return get_consistency(db, old_size, new_size)
 
-    def counting_decode(payload, rulesheet_of, trust_store, known=None):
+    def counting_decode(payload, rulesheet_of, trust_store):
         if isinstance(rulesheet_of, revision.LogReader):
             decodes.setdefault(id(rulesheet_of), []).append(payload)
-        return decode_payload(payload, rulesheet_of, trust_store, known)
+        return decode_payload(payload, rulesheet_of, trust_store)
 
     monkeypatch.setattr(revision.LogReader, "accept", counting_accept)
     monkeypatch.setattr(revision, "verify_tree_head", counting_verify)
     monkeypatch.setattr(claimdb.ClaimDb, "get_consistency", counting_consistency)
     monkeypatch.setattr(revision, "decode_payload", counting_decode)
-    run = ScenarioRun(_steady_booking(4))
+    run = ScenarioRun(steady_booking(4))
     try:
         run.finish()
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == 4

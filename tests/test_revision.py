@@ -93,7 +93,7 @@ def test_fetched_record_rehashes_to_id(db_client, identities, trust_store):
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
     fetched, _inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
-    again, _sig, _rs, _texts = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
+    again, _sig, _rs = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -107,20 +107,20 @@ def test_next_rule_keeps_in_process_request(identities):
         signed("SB", GroundAtom("SB", "request", (7, "d", 5))),
         signed("SB", GroundAtom("SB", "in_process", (7,))),
     ]
-    record, _, _ = build_record("SB", None, (), rs, claims, 1)
+    record, _ = build_record("SB", None, (), rs, claims, 1)
     carried = apply_next_rules(record, rs)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7, "d", 5))]
     ev = carried[0].evidence
     assert isinstance(ev, CarriedByNextRule) and ev.substitution == {"Id": 7, "Data": "d", "TimeRequest": 5}
     # its source is the revision that the record logging it supersedes
-    following, _, _ = build_record("SB", record.id, (), rs, carried, 2)
+    following, _ = build_record("SB", record.id, (), rs, carried, 2)
     assert following.supersedes == record.id and following.claims == tuple(carried)
 
 
 def test_next_rule_drops_completed_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))]
-    record, _, _ = build_record("SB", None, (), rs, claims, 1)
+    record, _ = build_record("SB", None, (), rs, claims, 1)
     assert apply_next_rules(record, rs) == []
 
 
@@ -132,7 +132,7 @@ def test_next_rule_sees_included_claims(identities):
     rs = parse_rulesheet(sheet, "SB")
     own = [signed("SB", GroundAtom("SB", "request", (7,)))]
     foreign = [signed("OM", GroundAtom("OM", "in_process", (7,)))]
-    record, _, _ = build_record("SB", None, (), rs, own, 1)
+    record, _ = build_record("SB", None, (), rs, own, 1)
     assert apply_next_rules(record, rs) == []
     carried = apply_next_rules(record, rs, included_claims=foreign)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7,))]
@@ -261,6 +261,43 @@ def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_se
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
+@pytest.mark.parametrize("kept, dropped, new", [(3, 2, 2), (0, 2, 1), (2, 0, 0), (2, 1, 3)])
+def test_supersession_admits_only_the_atoms_it_changes(
+    db_client, identities, dom_setup, monkeypatch, kept, dropped, new
+):
+    """After a supersession whose head adds `new` atoms and drops `dropped`
+    atoms, each atom the two revisions share keeps its stored claim object,
+    under the inclusion it entered with; the dropped atoms and their
+    derivations are gone; and `KnowledgeBase.check_evidence` runs once per
+    added atom. A later supersession that drops a shared atom retracts it,
+    though its inclusion names the older revision."""
+    kb, _rs_dom, rs_mrm = dom_setup
+    shared, gone, added = (
+        [GroundAtom("MRM", "feasible_config", (base + r, 1)) for r in range(count)]
+        for base, count in ((0, kept), (100, dropped), (200, new))
+    )
+
+    def verdicts():
+        return [s["R"] for s in kb.query(parse_query("verdict(R)", "DOM"))]
+
+    log_reader = reader(db_client, identities)
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, shared + gone, 1)
+    include_revision(kb, r1.id, log_reader, "MRM")
+    before = dict(kb.claims)
+    r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, shared + added, 2)
+    checked, check = [], KnowledgeBase.check_evidence
+    monkeypatch.setattr(KnowledgeBase, "check_evidence", lambda kb, claim: checked.append(claim.atom) or check(kb, claim))
+    assert [c.atom for c in on_superseded(kb, r1.id, r2.id, log_reader, "MRM")] == added
+    assert checked == added
+    assert all(kb.claims[atom] is before[atom] and before[atom].evidence.revision_id == r1.id for atom in shared)
+    assert not any(atom in kb for atom in gone)
+    assert verdicts() == [atom.args[0] for atom in shared + added]
+    r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, added, 3)
+    on_superseded(kb, r2.id, r3.id, log_reader, "MRM")
+    assert {c.atom for c in kb.claims_for("MRM", "feasible_config")} == set(added)
+    assert verdicts() == [atom.args[0] for atom in added]
+
+
 class CountingClient:
     """Passes every call through to a `ClaimDb`, recording the revisions fetched."""
 
@@ -348,7 +385,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
     record = mrm_commit(
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    forged, forged_body, _ = build_record(
+    forged, forged_body = build_record(
         "MRM", None, (), rs_mrm, [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))], 1
     )
 
@@ -365,12 +402,12 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
     assert len(kb) == 0
 
 
-def test_commit_serialises_each_claim_at_most_once(db_client, identities, trust_store, monkeypatch):
-    """A commit encodes each claim at most once, before it submits, and a
-    claim object of the last revision its reader logged not at all: the
-    carry-overs are encoded by the commit that first logs them, and a
-    commit of the same objects again encodes nothing, in the committer or
-    in the claim DB."""
+def test_commit_serialises_each_claim_once_in_committer_and_claim_db(db_client, identities, trust_store, monkeypatch):
+    """Each logged claim is serialised exactly once by its committer, before
+    it submits, and once by the claim DB, which encodes every claim it
+    admits again, in the record's order: also along a chain that logs the
+    same claim objects again, the carry-overs and an unchanged claim, since
+    no claim text outlives the commit that encoded it."""
     import cyberlog.revision as revision
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
@@ -381,18 +418,24 @@ def test_commit_serialises_each_claim_at_most_once(db_client, identities, trust_
     calls, at_submit = [], []
     monkeypatch.setattr(revision, "claim_to_obj", lambda claim, rs: calls.append(claim) or original(claim, rs))
     monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
-    committer = reader(db_client, identities)
-    record, _, carried = commit_staging(identities["SB"], rs, committer, None, (), claims, 3)
-    assert at_submit == [len(claims)]  # the claim DB's own decode serialises them again
-    second, _, again = commit_staging(identities["SB"], rs, committer, record.id, (), carried + [in_process], 4)
-    assert len(carried) == 1 and calls[at_submit[1] - 1 :] == carried + carried  # in the committer, then the DB
-    third, _, _ = commit_staging(identities["SB"], rs, committer, second.id, (), again + [in_process], 5)
-    assert again == carried and again[0] is second.by_atom[again[0].atom]
-    assert len(calls) == at_submit[2] == at_submit[1] + 1  # nothing encoded for the third, by either
+    committer, ends = reader(db_client, identities), []
+
+    def commit(base, claims, now_ms):
+        record, _, carried = commit_staging(identities["SB"], rs, committer, base, (), claims, now_ms)
+        ends.append(len(calls))
+        return record, carried
+
+    record, carried = commit(None, claims, 3)
+    second, again = commit(record.id, carried + [in_process], 4)
+    third, _ = commit(second.id, again + [in_process], 5)
+    assert len(carried) == 1 and again == carried and again[0] is second.by_atom[again[0].atom]
     assert third.claims == second.claims
+    for logged, start, submitted, end in zip((record, second, third), [0] + ends, at_submit, ends):
+        assert all(a is b for a, b in zip(calls[start:submitted], logged.claims))  # the committer's own objects
+        assert calls[start:submitted] == calls[submitted:end] == list(logged.claims)  # then the claim DB's
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
-    rebuilt, body, _ = build_record("SB", None, (), rs, claims, 3)
+    rebuilt, body = build_record("SB", None, (), rs, claims, 3)
     assert payload == encode_payload(body, sign_record(record, identities["SB"]))
     assert record == rebuilt
     assert decode_payload(payload, rulesheets_of(rs), trust_store)[0] == record
@@ -514,7 +557,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_
         pos = rng.randrange(len(payload))
         mutated = payload[:pos] + chr(rng.randrange(32, 127)) + payload[pos + 1 :]
         try:
-            decoded, _sig, _rs, _texts = decode_payload(mutated, rulesheets_of(rs), trust_store)
+            decoded, _sig, _rs = decode_payload(mutated, rulesheets_of(rs), trust_store)
         except LogIntegrityError:
             continue
         if mutated != payload:
@@ -527,7 +570,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_
 
 def layout_payload(identities):
     rs = parse_rulesheet(CTR_SHEET, "CTR")
-    record, body, _ = build_record("CTR", None, (), rs, [], 1)
+    record, body = build_record("CTR", None, (), rs, [], 1)
     return encode_payload(body, sign_record(record, identities["CTR"]))
 
 
@@ -565,7 +608,7 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, tru
     payload = layout_payload(identities)
     monkeypatch.setattr(revision, "build_record", None)
     monkeypatch.setattr(revision, "claim_to_obj", None)
-    record, _sig, _rs, _texts = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
+    record, _sig, _rs = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
     body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
     assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
@@ -611,26 +654,27 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
     def check(drawn, supersedes, includes, commit_time):
         kept = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
         claims = list({c.atom: c for c in kept}.values())  # one claim per atom
-        record, body, _ = build_record("SB", supersedes, includes, rs, claims, commit_time)
+        record, body = build_record("SB", supersedes, includes, rs, claims, commit_time)
         signature = sign_record(record, identities["SB"])
         payload = encode_payload(body, signature)
-        decoded, decoded_signature, _rs, texts = decode_payload(payload, rulesheets_of(rs), trust_store)
+        decoded, decoded_signature, _rs = decode_payload(payload, rulesheets_of(rs), trust_store)
         assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
-        check_canonical(decoded, decoded_signature, payload, rs, texts, lambda _hash, _owner: {})
+        check_canonical(decoded, decoded_signature, payload, rs)
 
     check()
 
 
-def test_known_claims_change_no_decode_and_no_admission(identities, trust_store):
+def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities, trust_store):
     """Along chains of SB revisions built from random direct, derived and
     carried claims, each keeping some claim objects of the last one logged,
-    some payloads mutated and signed again (whitespace, a claim's keys
-    reordered or repeated, changed evidence under a kept atom text, a
-    carried claim in a chain root, a claim repeated): a claim DB that
-    decodes with its owner's head claims logs the same revisions, and
-    refuses the others with the same status, as one that knows no claims,
-    and a decode with those claims gives an equal record, or the same
-    refusal, as one without."""
+    some payloads mutated and signed again: a payload the mutation made
+    non-canonical (whitespace, a claim's keys reordered or repeated, a claim
+    repeated, a carried claim in a chain root) is refused with 400 at
+    submit. A claim's evidence changed under its atom is logged exactly
+    when that claim decodes and encodes again to the changed text; every
+    other payload is logged, or refused with 409 as a second chain root.
+    Replaying a log of every payload, refused ones too, indexes exactly
+    what submit logged."""
     import hashlib
     import json
 
@@ -641,7 +685,7 @@ def test_known_claims_change_no_decode_and_no_admission(identities, trust_store)
     from cyberlog.engine import DerivedByRule
     from cyberlog.errors import SubmitError
     from cyberlog.identity import sign_bytes
-    from cyberlog.wire import canonical_json
+    from cyberlog.wire import canonical_json, claim_from_obj, claim_to_obj
 
     rs = parse_rulesheet(RETAIN_SHEET + "request(Id, Data, T) :- ev(Id, Data, T).\n", "SB")
     carry, derive = rs.rules
@@ -685,16 +729,33 @@ def test_known_claims_change_no_decode_and_no_admission(identities, trust_store)
         max_size=5,
     )
 
+    def expected(mutation, supersedes, claims, text, has_head):
+        """What submit answers for a payload mutated at a claim's `text`:
+        "logged", or the status of its refusal."""
+        if mutation == "carried-in-root":
+            if any(isinstance(c.evidence, CarriedByNextRule) for c in claims):
+                return 400
+            return 409 if has_head else "logged"
+        if mutation is None or text is None:
+            return "logged"
+        if mutation == "changed-evidence":
+            changed = other_evidence(text)
+            try:
+                decoded = claim_from_obj(json.loads(changed), supersedes, rs)
+            except EvidenceError:
+                return 400
+            return "logged" if canonical_json(claim_to_obj(decoded, rs)) == changed else 400
+        return 400
+
     @settings(max_examples=120, deadline=None)
     @given(steps)
     def check(steps):
-        dbs = [ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1) for _ in range(2)]
-        dbs[1]._known_claims = lambda _hash, _owner: {}  # knows no claims
-        for db in dbs:
-            publish_rulesheet(db, rs)
+        db = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1)
+        publish_rulesheet(db, rs)
+        payloads = [db.log.payload(0)]
         kept: list[Claim] = []  # the claim objects of the last revision logged
         for t, (keep, new, mutation, pick) in enumerate(steps):
-            head = dbs[0]._heads.get("SB")
+            head = db._heads.get("SB")
             supersedes = None if head is None or mutation == "carried-in-root" else head.revision_id
             # a chain root takes every claim of the last revision logged
             claims = {c.atom: c for c, keeping in zip(kept, keep) if keeping or mutation == "carried-in-root"}
@@ -702,24 +763,27 @@ def test_known_claims_change_no_decode_and_no_admission(identities, trust_store)
                 claims.setdefault(atom, claim(kind, atom))
             if supersedes is None and mutation != "carried-in-root":
                 claims = {a: c for a, c in claims.items() if not isinstance(c.evidence, CarriedByNextRule)}
-            record, body, texts = build_record("SB", supersedes, (), rs, claims.values(), t)
-            if mutation in mutations and texts:
-                body = mutations[mutation](body, list(texts)[pick % len(texts)])
+            record, body = build_record("SB", supersedes, (), rs, claims.values(), t)
+            texts = [canonical_json(claim_to_obj(c, rs)) for c in record.claims]
+            text = texts[pick % len(texts)] if texts else None
+            if mutation in mutations and text is not None:
+                body = mutations[mutation](body, text)
+            want = expected(mutation, supersedes, record.claims, text, head is not None)
             signature = sign_bytes(identities["SB"], hashlib.sha256(body.encode("utf-8")).digest())
             payload = encode_payload(body, signature)
-            outcomes = []
-            for db in dbs:
-                try:
-                    decoded = decode_payload(payload, db._logged_rulesheet, trust_store, db._known_claims)[0]
-                except LogIntegrityError as exc:
-                    decoded = str(exc)
-                try:
-                    outcome = db.submit_revision(payload)["revision_id"]
-                except SubmitError as exc:
-                    outcome = exc.code
-                outcomes.append((decoded, outcome))
-            assert outcomes[0] == outcomes[1], mutation
-            if outcomes[0][1] == record.id:
-                kept = list(record.claims)
+            payloads.append(payload.encode("utf-8"))
+            try:
+                outcome = db.submit_revision(payload)["revision_id"]
+            except SubmitError as exc:
+                outcome = exc.code
+            rev_id = hashlib.sha256(body.encode("utf-8")).hexdigest()
+            assert outcome == (rev_id if want == "logged" else want), mutation
+            if outcome == rev_id:
+                kept = list(decode_payload(payload, db._logged_rulesheet, trust_store)[0].claims)
+        log = MerkleLog()
+        for payload in payloads:
+            log.append(payload)
+        replayed = ClaimDb(log, identities[OPERATOR], trust_store, clock=lambda: 1)
+        assert set(replayed._entries) == set(db._entries) and replayed._heads == db._heads
 
     check()
