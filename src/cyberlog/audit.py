@@ -47,15 +47,6 @@ class AuditNode:
     def all_ok(self) -> bool:
         return self.ok and all(child.all_ok for child in self.children)
 
-    def to_obj(self) -> dict:
-        return {
-            "atom": self.atom,
-            "kind": self.kind,
-            "ok": self.ok,
-            "detail": self.detail,
-            "children": [c.to_obj() for c in self.children],
-        }
-
 
 def render_audit_tree(node: AuditNode, indent: int = 0) -> str:
     mark = "ok  " if node.ok else "FAIL"

@@ -9,10 +9,10 @@ Endpoints (JSON bodies, hashes lowercase hex):
     GET  /log/consistency?old=&new=        consistency proof
 
 Rulesheet texts are stored as ordinary log entries (payload kind
-"rulesheet") submitted through POST /revisions and fetched by their
-content hash via GET /revisions/{hash}. A revision names its owner's
-rulesheet by that hash, and is refused unless the rulesheet is logged
-before it and parses for the owner.
+"rulesheet", in canonical form) submitted through POST /revisions and
+fetched by their content hash via GET /revisions/{hash}. A revision names
+its owner's rulesheet by that hash, and is refused unless the rulesheet is
+logged before it and parses for the owner, contract and all.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .revision import (
     check_canonical,
     decode_payload,
     decode_rulesheet_payload,
+    encode_rulesheet_payload,
     rulesheet_entry_id,
 )
 
@@ -237,11 +238,15 @@ class ClaimDb:
 
 
 def _rulesheet_text(payload: str) -> str:
-    """The text of a rulesheet payload; raises SubmitError (400) otherwise."""
+    """The text of a rulesheet payload that is exactly its canonical
+    encoding; raises SubmitError (400) otherwise."""
     try:
-        return decode_rulesheet_payload(payload)
+        text = decode_rulesheet_payload(payload)
     except LogIntegrityError as exc:
         raise SubmitError(400, str(exc)) from exc
+    if payload != encode_rulesheet_payload(text):
+        raise SubmitError(400, f"rulesheet {rulesheet_entry_id(text)} is not in canonical form")
+    return text
 
 
 class HttpLogClient:

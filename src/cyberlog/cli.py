@@ -20,7 +20,7 @@ from .engine import GroundAtom, resolve_term
 from .errors import ConfigError, CyberlogError, ParseError
 from .harness import load_scenario, run_scenario, scenario_identities
 from .identity import TrustStore, generate_identity
-from .lang import format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
+from .lang import format_rulesheet, parse_query, parse_rulesheet
 from .monitor import HttpMonitorClient, Monitor, MonitorService, load_rulesheet_file
 from .revision import LogReader
 
@@ -80,27 +80,11 @@ def _split_listen(listen: str) -> tuple[str, int]:
 # Subcommands
 
 
-def cmd_parse(args) -> int:
-    try:
-        parse_rulesheet(_read(args.file), args.self_id)
-    except ParseError as exc:
-        print(f"{args.file}: {exc}")
-        return 1
-    print(f"{args.file}: ok")
-    return 0
-
-
 def cmd_check(args) -> int:
     try:
         sheet = parse_rulesheet(_read(args.file), args.self_id)
     except ParseError as exc:
         print(f"{args.file}: {exc}")
-        return 1
-    diags = validate_rulesheet(sheet)
-    for diag in diags:
-        where = f"rule {diag.rule_index}" if diag.rule_index is not None else "sheet"
-        print(f"{args.file}: {where}: {diag.reason}")
-    if diags:
         return 1
     print(f"{args.file}: ok ({len(sheet.rules)} rules, {len(sheet.identities)} identities)")
     return 0
@@ -240,8 +224,8 @@ def _ground_atom_from_text(text: str, owner: str) -> GroundAtom:
 
 
 def cmd_verify_log(args) -> int:
-    trust = TrustStore.load(args.trust_store) if args.trust_store else TrustStore()
-    operator_key = _operator_key(trust, args.operator) if args.trust_store else None
+    trust = TrustStore.load(args.trust_store)
+    operator_key = _operator_key(trust, args.operator)
     try:
         ok, checks = verify_log_consistency(LogReader(HttpLogClient(args.db), trust, operator_key), args.heads_cache)
     except CyberlogError as exc:
@@ -261,14 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cyberlog", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a rulesheet")
+    p = sub.add_parser("check", help="parse a rulesheet and check its contract")
     p.add_argument("file")
     p.add_argument("--self", dest="self_id", required=True, help="principal executing the sheet")
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("check", help="parse and validate a rulesheet")
-    p.add_argument("file")
-    p.add_argument("--self", dest="self_id", required=True)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("fmt", help="print the canonical form of a rulesheet")
@@ -310,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-log", help="append-only verification against cached tree heads")
     p.add_argument("--db", required=True)
     p.add_argument("--heads-cache", required=True)
-    p.add_argument("--trust-store")
+    p.add_argument("--trust-store", required=True)
     p.add_argument("--operator", default=DEFAULT_OPERATOR)
     p.set_defaults(fn=cmd_verify_log)
 

@@ -30,7 +30,6 @@ from .lang import (
     StringConstant,
     Variable,
     format_rule,
-    term_variables,
 )
 
 if TYPE_CHECKING:
@@ -434,11 +433,10 @@ def _join_plan(
     position the head is bound, and the body keeps its order.
 
     For a `delta` position, that atom goes first when every body atom
-    before it is relational, and neither they nor it has an arithmetic
-    argument: such atoms cannot raise, and match the same claims in any
-    order, so each builtin and comparison still meets the same partial
-    matches. The delta atom itself gets no probe. Every variable of an
-    atom is bound once the atom holds."""
+    before it is relational: such atoms cannot raise, and match the same
+    claims in any order, so each builtin and comparison still meets the
+    same partial matches. The delta atom itself gets no probe. Every
+    variable of an atom is bound once the atom holds."""
     body = rule.body
     rel = [j for j, atom in enumerate(body) if isinstance(atom, RelationalAtom)]
     if indexed is None:
@@ -449,8 +447,7 @@ def _join_plan(
         return body, tuple((i, None) for i in range(len(rel)))
     order = list(range(len(body)))
     if delta is not None and rel[delta] == delta:  # only relational atoms before it
-        if not any(isinstance(arg, ArithExpr) for atom in body[: delta + 1] for arg in atom.args):
-            order.insert(0, order.pop(delta))
+        order.insert(0, order.pop(delta))
     known = set(rule.head_variables if delta is None else ())
     steps: list[tuple[int, Probe | None]] = []
     for j in order:
@@ -469,8 +466,6 @@ def _join_plan(
         for term in (atom.left, atom.right) if isinstance(atom, ComparisonAtom) else atom.args:
             if isinstance(term, Variable):
                 known.add(term.name)
-            elif isinstance(term, ArithExpr):
-                known.update(term_variables(term))
     return tuple(body[j] for j in order), tuple(steps)
 
 
@@ -480,8 +475,7 @@ def _join_plan(
 
 def bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
     """Bindings of the head's variables that make it match `atom`, or None
-    when the predicate, an arity or a constant disagrees. Arithmetic head
-    terms bind nothing; the caller re-checks the instantiated head."""
+    when the predicate, an arity or a constant disagrees."""
     if (head.principal, head.predicate) != (atom.principal, atom.predicate) or len(head.args) != len(atom.args):
         return None
     subst: Substitution = {}
@@ -489,7 +483,7 @@ def bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
         if isinstance(term, Variable):
             if subst.setdefault(term.name, value) != value:
                 return None
-        elif isinstance(term, (IntConstant, StringConstant)) and term.value != value:
+        elif term.value != value:
             return None
     return subst
 
@@ -585,10 +579,11 @@ class KnowledgeBase:
         derived, among them any retracted atom it derived again.
 
         Every claim in `claims` is checked first (`check_evidence`), a
-        derivation refused: if one fails, EvidenceError is raised and
-        nothing changes. A claim that is the stored object of its atom is
-        neither checked again nor replaced, but is admitted, so it is not
-        retracted. An admitted claim whose atom is present
+        derivation refused, even one that is its atom's stored object: if
+        one fails, EvidenceError is raised and nothing changes. Any other
+        claim that is the stored object of its atom is neither checked
+        again nor replaced, but is admitted, so it is not retracted. An
+        admitted claim whose atom is present
         otherwise replaces that atom's evidence; its atom is not new, so
         saturation does not join it again. An atom in `retract` that is not
         admitted is removed, and so, transitively, is every derived claim
@@ -605,7 +600,8 @@ class KnowledgeBase:
         """
         claims = list(claims)
         for claim in claims:
-            if self.claims.get(claim.atom) is not claim:  # a stored claim was checked when it entered
+            # a stored claim was checked when it entered, unless the KB derived it
+            if isinstance(claim.evidence, DerivedByRule) or self.claims.get(claim.atom) is not claim:
                 self.check_evidence(claim)
         added, displaced = self._apply(retract, claims)
         try:
@@ -778,8 +774,6 @@ class KnowledgeBase:
         try:
             for full in match_rule_body(body, candidates, subst):
                 atom = instantiate_head(rule.head, full)
-                if target is not None and atom != target:
-                    continue
                 if atom not in self.claims and atom not in sink:
                     sink[atom] = Claim(atom, DerivedByRule(rule, rule_substitution(rule, full)))
                 if target is not None:
@@ -793,9 +787,6 @@ class KnowledgeBase:
         """All substitutions grounding `pattern` to a stored atom, in
         canonical-serialization order of the matched atoms. A pattern with
         no variable is one lookup: `[{}]` if its atom is stored, else `[]`."""
-        for arg in pattern.args:
-            if isinstance(arg, ArithExpr):
-                raise EvaluationError("arithmetic not allowed in query patterns")
         if not any(isinstance(arg, Variable) for arg in pattern.args):
             atom = GroundAtom(pattern.principal, pattern.predicate, tuple(arg.value for arg in pattern.args))
             return [{}] if atom in self.claims else []

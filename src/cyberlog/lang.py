@@ -1,11 +1,12 @@
-"""Cyberlog rulesheets: AST, lexer, parser, validator and canonical formatter.
+"""Cyberlog rulesheets: AST, lexer, parser and canonical formatter.
 
 A rulesheet is a list of identity declarations followed by rules. Atoms are
 attestations ``'P' attests pred(args)``; a bare ``pred(args)`` is shorthand
 for an attestation by the principal executing the sheet and is desugared at
-parse time, so parsed ASTs never contain an implicit-self marker. Rules whose
-head attests for a foreign principal are rejected, as are rules that fail the
-left-to-right safety condition.
+parse time, so parsed ASTs never contain an implicit-self marker. The parser
+checks syntax only; a sheet is its principal's published contract, which
+the one constructor of a `Rulesheet` checks (`_contract_violations`), so no
+`Rulesheet` breaks it.
 """
 
 from __future__ import annotations
@@ -149,10 +150,24 @@ class IdentityDecl:
 
 @dataclass(frozen=True)
 class Rulesheet:
+    """A principal's rulesheet. It is made only if it keeps the contract
+    (`_contract_violations`); else ParseError names every reason."""
+
     self_id: str
     identities: tuple[IdentityDecl, ...]
     rules: tuple[Rule, ...]
-    source_hash: bytes
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "identities", tuple(self.identities))
+        object.__setattr__(self, "rules", tuple(self.rules))
+        reasons = _contract_violations(self)
+        if reasons:
+            raise ParseError("invalid rulesheet: " + "; ".join(reasons))
+
+    @functools.cached_property
+    def source_hash(self) -> bytes:
+        """SHA-256 of the canonical text, computed on first use and kept."""
+        return hashlib.sha256(format_rulesheet(self).encode("utf-8")).digest()
 
     def rule_index(self, rule: Rule) -> int | None:
         """The first index of a rule equal to `rule`, which evidence logs
@@ -165,12 +180,6 @@ class Rulesheet:
         for index, rule in enumerate(self.rules):
             first.setdefault(rule, index)
         return first
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    rule_index: int | None
-    reason: str
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +299,7 @@ class _Parser:
         issuer = self.expect("STRING").value
         return IdentityDecl(name, subject, issuer)
 
-    def parse_rule(self, check_self: bool = True) -> Rule:
+    def parse_rule(self) -> Rule:
         start = self.peek()
         kind = RuleKind.STANDARD
         if start.kind == "IDENT" and start.value == "next" and not (
@@ -298,7 +307,7 @@ class _Parser:
         ):
             self.next()
             kind = RuleKind.NEXT
-        head = self.parse_head(check_self)
+        head = self.parse_head()
         body: list[BodyAtom] = []
         if self.at_op(":-"):
             self.next()
@@ -307,23 +316,13 @@ class _Parser:
                 self.next()
                 body.append(self.parse_body_atom())
         self.expect("OP", ".")
-        rule = Rule(kind, head, tuple(body), line=start.line)
-        errs = rule_safety_errors(rule)
-        if errs:
-            raise ParseError(f"unsafe rule: {errs[0]}", start.line, start.col)
-        return rule
+        return Rule(kind, head, tuple(body), line=start.line)
 
-    def parse_head(self, check_self: bool = True) -> RelationalAtom:
+    def parse_head(self) -> RelationalAtom:
         tok = self.peek()
         atom = self.parse_relational_or_builtin()
         if isinstance(atom, BuiltinAtom):
             raise ParseError(f"builtin {atom.name!r} not allowed in rule head", tok.line, tok.col)
-        if check_self and atom.principal != self.self_id:
-            raise ParseError(
-                f"non-self head: rule attests for {atom.principal!r} but self is {self.self_id!r}",
-                tok.line,
-                tok.col,
-            )
         return atom
 
     def parse_body_atom(self) -> BodyAtom:
@@ -488,38 +487,54 @@ def rule_safety_errors(rule: Rule) -> list[str]:
     return errs
 
 
+def _contract_violations(rs: Rulesheet) -> list[str]:
+    """Every way the sheet breaks its contract, each rule's reasons naming
+    the rule: the self principal is declared, and no principal twice; every
+    rule is safe, its head self-attested, and its relational atoms by
+    declared principals, with no arithmetic argument."""
+    reasons: list[str] = []
+    declared: set[str] = set()
+    for decl in rs.identities:
+        if decl.name in declared:
+            reasons.append(f"duplicate identity declaration {decl.name!r}")
+        declared.add(decl.name)
+    if rs.self_id not in declared:
+        reasons.append(f"self principal {rs.self_id!r} is not declared")
+    for i, rule in enumerate(rs.rules):
+        where = f"rule {i}" if rule.line is None else f"rule {i} (line {rule.line})"
+        errs = [f"unsafe rule: {err}" for err in rule_safety_errors(rule)]
+        if rule.head.principal != rs.self_id:
+            errs.insert(0, f"non-self head: attests for {rule.head.principal!r} but self is {rs.self_id!r}")
+        relational = [atom for atom in (rule.head, *rule.body) if isinstance(atom, RelationalAtom)]
+        for principal in dict.fromkeys(atom.principal for atom in relational):
+            if principal not in declared:
+                errs.append(f"undeclared principal {principal!r}")
+        for atom in relational:
+            if any(isinstance(arg, ArithExpr) for arg in atom.args):
+                errs.append(f"arithmetic is not allowed inside relational atom {atom.predicate!r}")
+        reasons.extend(f"{where}: {err}" for err in errs)
+    return reasons
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 
 
 def parse_rulesheet(text: str, self_id: str) -> Rulesheet:
-    """Parse rulesheet source into a desugared AST.
-
-    Raises ParseError on syntax errors, unknown builtins, heads attesting a
-    foreign principal, and safety violations.
-    """
+    """Parse rulesheet source into a desugared AST. Raises ParseError on
+    syntax errors and unknown builtins, and for a sheet that breaks its
+    contract (`Rulesheet`)."""
     identities, rules = _Parser(_lex(text), self_id).parse_sheet()
-    return make_rulesheet(self_id, identities, rules)
-
-
-def make_rulesheet(
-    self_id: str, identities: list[IdentityDecl] | tuple[IdentityDecl, ...], rules: list[Rule] | tuple[Rule, ...]
-) -> Rulesheet:
-    """Assemble a rulesheet, computing its canonical-text hash."""
-    sheet = Rulesheet(self_id, tuple(identities), tuple(rules), b"")
-    digest = hashlib.sha256(format_rulesheet(sheet).encode("utf-8")).digest()
-    return Rulesheet(self_id, tuple(identities), tuple(rules), digest)
+    return Rulesheet(self_id, identities, rules)
 
 
 def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
     """`parse_rulesheet` of a rulesheet text logged in the claim database,
-    for the owner of a revision that names it, refused with a ParseError
-    naming the first diagnostic of `validate_rulesheet`, as a `Monitor`
-    refuses to run such a sheet. Every revision of an owner names the same
-    few texts, so outcomes are memoised by text and owner: a Rulesheet is
-    immutable, and a text that is refused raises a copy of its first
-    ParseError without being parsed again, so a short revision naming a
-    long logged text costs no parse once that text has failed."""
+    for the owner of a revision that names it. Every revision of an owner
+    names the same few texts, so outcomes are memoised by text and owner:
+    a Rulesheet is immutable, and a text that is refused raises a copy of
+    its first ParseError without being parsed again, so a short revision
+    naming a long logged text costs no parse once that text has failed."""
     parsed = _parse_logged_rulesheet(text, owner)
     if isinstance(parsed, ParseError):
         raise copy.copy(parsed)
@@ -529,31 +544,30 @@ def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
 @functools.lru_cache(maxsize=256)
 def _parse_logged_rulesheet(text: str, owner: str) -> Rulesheet | ParseError:
     try:
-        rs = parse_rulesheet(text, owner)
-        diags = validate_rulesheet(rs)
-        if diags:
-            raise ParseError(f"invalid rulesheet: {diags[0].reason}")
-        return rs
+        return parse_rulesheet(text, owner)
     except ParseError as exc:
         return exc.with_traceback(None)
 
 
 @functools.lru_cache(maxsize=1024)
 def parse_standalone_rule(text: str) -> Rule:
-    """Parse one rule whose atoms all carry explicit principals, such as
-    `format_rule(rule, oneline=True)` gives, where no self principal is in
-    scope. Parses are memoised by text; a Rule is immutable, and a text that
-    fails to parse raises again on every call.
+    """Parse one safe rule whose atoms all carry explicit principals, such
+    as `format_rule(rule, oneline=True)` gives, where no self principal is
+    in scope. Parses are memoised by text; a Rule is immutable, and a text
+    that is refused raises again on every call.
     """
     marker = "\x00"
     parser = _Parser(_lex(text), marker)
-    rule = parser.parse_rule(check_self=False)
+    rule = parser.parse_rule()
     if parser.peek().kind != "EOF":
         tok = parser.peek()
         raise ParseError(f"trailing input after rule: {tok.value!r}", tok.line, tok.col)
     for atom in (rule.head, *rule.body):
         if isinstance(atom, RelationalAtom) and atom.principal == marker:
             raise ParseError("standalone rules must name principals explicitly")
+    errs = rule_safety_errors(rule)
+    if errs:
+        raise ParseError(f"unsafe rule: {'; '.join(errs)}")
     return rule
 
 
@@ -569,27 +583,6 @@ def parse_query(text: str, self_id: str) -> RelationalAtom:
     if isinstance(atom, BuiltinAtom):
         raise ParseError(f"builtin {atom.name!r} cannot be queried")
     return atom
-
-
-def validate_rulesheet(rs: Rulesheet) -> list[Diagnostic]:
-    """Re-check all rulesheet invariants; diagnostics are data, not errors."""
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for decl in rs.identities:
-        if decl.name in seen:
-            diags.append(Diagnostic(None, f"duplicate identity declaration {decl.name!r}"))
-        seen.add(decl.name)
-    if rs.self_id not in seen:
-        diags.append(Diagnostic(None, f"self principal {rs.self_id!r} is not declared"))
-    for i, rule in enumerate(rs.rules):
-        if rule.head.principal != rs.self_id:
-            diags.append(Diagnostic(i, f"non-self head: attests for {rule.head.principal!r}"))
-        for err in rule_safety_errors(rule):
-            diags.append(Diagnostic(i, err))
-        for atom in (rule.head, *rule.body):
-            if isinstance(atom, RelationalAtom) and atom.principal not in seen:
-                diags.append(Diagnostic(i, f"undeclared principal {atom.principal!r}"))
-    return diags
 
 
 # ---------------------------------------------------------------------------

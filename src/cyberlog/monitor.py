@@ -23,14 +23,13 @@ from .engine import (
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
-    RelationalAtom,
     Substitution,
     canonical_atom,
 )
 from .errors import ConfigError, CyberlogError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
-from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet, validate_rulesheet
+from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet
 from .revision import (
     LogClient,
     LogReader,
@@ -141,9 +140,6 @@ class Monitor:
     ):
         if identity.name != rulesheet.self_id:
             raise ConfigError(f"identity {identity.name!r} does not match rulesheet self {rulesheet.self_id!r}")
-        diags = validate_rulesheet(rulesheet)
-        if diags:
-            raise ConfigError(f"invalid rulesheet: {diags[0].reason}")
         # others check the monitor's events and revisions under this key
         if trust_store.public_key(identity.name) != identity.public_key:
             raise ConfigError(f"trust store does not hold the public key of {identity.name!r}")
@@ -281,14 +277,13 @@ class Monitor:
 
     # -- queries --------------------------------------------------------------
 
-    def handle_query(self, pattern: str | RelationalAtom) -> list[Substitution]:
-        """The bindings of each stored atom the pattern matches (see
+    def handle_query(self, pattern: str) -> list[Substitution]:
+        """The bindings of each stored atom the pattern text matches (see
         `KnowledgeBase.query`). Whether a third party can prove an answer is
         the `Auditor`'s to say (`cyberlog audit` with the answer's atom)."""
-        if isinstance(pattern, str):
-            pattern = parse_query(pattern, self.name)
+        atom = parse_query(pattern, self.name)
         with self.lock:
-            return self.kb.query(pattern)
+            return self.kb.query(atom)
 
     def metrics_report(self) -> dict:
         with self.lock:

@@ -22,9 +22,9 @@ from cyberlog.lang import (
     RelationalAtom,
     Rule,
     RuleKind,
+    Rulesheet,
     StringConstant,
     Variable,
-    make_rulesheet,
 )
 
 Atom = tuple[str, str, tuple]  # (principal, predicate, args)
@@ -251,7 +251,7 @@ def random_program(seed: int):
         rules.append(Rule(RuleKind.STANDARD, RelationalAtom(SELF, name, head_args), tuple(body)))
 
     decls = [IdentityDecl(p, "s", "i") for p in PRINCIPALS]
-    return make_rulesheet(SELF, decls, rules), facts
+    return Rulesheet(SELF, decls, rules), facts
 
 
 # ---------------------------------------------------------------------------
@@ -333,4 +333,4 @@ def random_builtin_program(seed: int):
         rules.append(Rule(RuleKind.STANDARD, RelationalAtom(SELF, f"out{suffix}", head_args), tuple(body)))
 
     decls = [IdentityDecl(p, "s", "i") for p in PRINCIPALS]
-    return make_rulesheet(SELF, decls, rules), facts
+    return Rulesheet(SELF, decls, rules), facts

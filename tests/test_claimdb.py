@@ -199,6 +199,36 @@ def test_rulesheet_blob_storage(db_client):
     assert again["leaf_index"] == receipt["leaf_index"]
 
 
+def test_non_canonical_rulesheet_payload_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
+    """A rulesheet is logged only as `encode_rulesheet_payload` of its text:
+    a payload with another key is refused with 400, before and after the
+    canonical one is logged, and left unindexed with one warning on replay,
+    so its text's hash still names the canonical entry."""
+    import json
+
+    text = "'CTR': Subject: 's' Issuer: 'i'\n"
+    payload = json.dumps({"text": text, "kind": "rulesheet", "extra": [1, 2, 3]})
+    path = str(tmp_path / "db.log")
+    db = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    for _ in range(2):
+        with pytest.raises(SubmitError) as exc:
+            db.submit_revision(payload)
+        assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
+        db.submit_revision(encode_rulesheet_payload(text))
+    assert len(db.log) == 1
+    db.log.append(payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [record.getMessage() for record in caplog.records]
+        assert message.startswith("log entry 1 left unindexed: ") and "not in canonical form" in message
+        assert reopened.get_revision(rulesheet_entry_id(text))["payload"] == encode_rulesheet_payload(text)
+    finally:
+        reopened.log.close()
+
+
 def test_receipts_linearizable_and_consistent(db_client, identities):
     rs = parse_rulesheet("'CTR': Subject: 's' Issuer: 'i'\n", "CTR")
     publish_rulesheet(db_client, rs)
@@ -1139,12 +1169,16 @@ def _unlogged_rulesheet():
     return parse_rulesheet("'SB': Subject: 'another' Issuer: 'i'\n", "SB")
 
 
-def _foreign_rulesheet():
-    """A rulesheet whose one rule attests for MRM: it parses for MRM, not
-    for SB."""
-    from cyberlog.lang import make_rulesheet
+# a rulesheet whose one rule attests for MRM: it parses for MRM, not for SB
+FOREIGN_SHEET = SB_SHEET + MRM_SHEET + "'MRM' attests p(1).\n"
 
-    return make_rulesheet("SB", (), parse_rulesheet("'MRM' attests p(1).\n", "MRM").rules)
+
+def naming(identities, text, supersedes=None, commit_time=1):
+    """SB's signed revision, with no claims, that names the rulesheet
+    `text` by its hash, whatever the text holds."""
+    rs = parse_rulesheet(SB_SHEET, "SB")
+    _record, body = build_record("SB", supersedes, (), rs, (), commit_time)
+    return signed_body(identities, body.replace(rs.source_hash.hex(), rulesheet_entry_id(text)))
 
 
 DERIVED_EVIDENCE = '"kind":"derived_by_rule","rule":0'
@@ -1159,11 +1193,7 @@ REFUSED_RULE_REFERENCE = {
     },
     "rule-of-the-other-kind": lambda b: b.replace(DERIVED_EVIDENCE, '"kind":"derived_by_rule","rule":1'),
 }
-REFUSED_RULESHEET = {
-    "unlogged-rulesheet": _unlogged_rulesheet,
-    "rulesheet-not-parsing-for-owner": _foreign_rulesheet,
-    "revision-named-as-rulesheet": None,
-}
+REFUSED_RULESHEET = ("unlogged-rulesheet", "rulesheet-not-parsing-for-owner", "revision-named-as-rulesheet")
 
 
 def _refused_successor(db, identities, case):
@@ -1182,12 +1212,11 @@ def _refused_successor(db, identities, case):
     if case == "revision-named-as-rulesheet":
         body = retained(identities, base.id)[1].replace(base.rulesheet_hash, base.id)
         return base, signed_body(identities, body), f"rulesheet {base.id} is not logged"
-    sheet = REFUSED_RULESHEET[case]()
     if case == "rulesheet-not-parsing-for-owner":
-        publish_rulesheet(db, sheet)
-    record, body = build_record("SB", base.id, (), sheet, (), 2)
-    reason = "is not logged" if case == "unlogged-rulesheet" else "non-self head"
-    return base, encode_payload(body, sign_record(record, identities["SB"])), reason
+        db.submit_revision(encode_rulesheet_payload(FOREIGN_SHEET))
+        return base, naming(identities, FOREIGN_SHEET, base.id, 2), "non-self head"
+    record, body = build_record("SB", base.id, (), _unlogged_rulesheet(), (), 2)
+    return base, encode_payload(body, sign_record(record, identities["SB"])), "is not logged"
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_RULE_REFERENCE) + sorted(REFUSED_RULESHEET))
@@ -1266,18 +1295,16 @@ def test_rulesheet_not_parsing_for_its_owner_is_parsed_once(db, identities, monk
     revision, so short revisions cannot make the database parse a long
     logged text again and again."""
     import cyberlog.lang as lang
-    from cyberlog.lang import make_rulesheet
 
-    sheet = make_rulesheet("SB", (), parse_rulesheet("'MRM' attests parsed_once(1).\n", "MRM").rules)
-    publish_rulesheet(db, sheet)
+    foreign = SB_SHEET + MRM_SHEET + "'MRM' attests parsed_once(1).\n"
+    db.submit_revision(encode_rulesheet_payload(foreign))
     parses = []
     parse = lang.parse_rulesheet
     monkeypatch.setattr(lang, "parse_rulesheet", lambda text, owner: parses.append(owner) or parse(text, owner))
     lang._parse_logged_rulesheet.cache_clear()
     for commit_time in (1, 2, 3):
-        record, body = build_record("SB", None, (), sheet, (), commit_time)
         with pytest.raises(SubmitError) as exc:
-            db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+            db.submit_revision(naming(identities, foreign, commit_time=commit_time))
         assert exc.value.code == 400 and "non-self head" in str(exc.value)
     assert parses == ["SB"]
 
@@ -1314,30 +1341,31 @@ def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, t
         auditor.audit_atom("SB", APPROVED)
 
 
-# rulesheets that parse for SB but that a `Monitor` refuses to run, with the
-# first diagnostic of `validate_rulesheet`
+# rulesheet texts that do not make a rulesheet for SB, one for each reason
+# of the contract, with the reason given
 INVALID_CONTRACTS = {
     "undeclared-principals": ("p(X) :- 'NOBODY' attests q(X).\n", "self principal 'SB' is not declared"),
     "duplicate-declaration": (SB_SHEET + SB_SHEET + "p(1).\n", "duplicate identity declaration 'SB'"),
+    "non-self-head": (FOREIGN_SHEET, "rule 0 (line 3): non-self head: attests for 'MRM' but self is 'SB'"),
+    "undeclared-foreign-principal": (SB_SHEET + "p(X) :- 'NOBODY' attests q(X).\n", "undeclared principal 'NOBODY'"),
+    "unsafe-rule": (SB_SHEET + "p(X) :- q(Y).\n", "unsafe rule: head variable X is not bound by the body"),
+    "arithmetic-in-relational-atom": (SB_SHEET + "p(X) :- q(X + 1).\n", "arithmetic is not allowed inside relational atoms"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_CONTRACTS))
 def test_invalid_contract_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog, case):
     """The log takes only a contract a monitor would run: a revision naming
-    a logged rulesheet that parses for its owner but does not validate is
+    a logged rulesheet text that does not make a rulesheet for its owner is
     refused with 400 at submit, and left unindexed with one warning on
     replay."""
     text, reason = INVALID_CONTRACTS[case]
-    rs = parse_rulesheet(text, "SB")
-    record, body = build_record("SB", None, (), rs, (), 1)
-    payload = encode_payload(body, sign_record(record, identities["SB"]))
+    payload = naming(identities, text)
     path = str(tmp_path / "db.log")
-    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
-    publish_rulesheet(db, rs)
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1), text)
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(payload)
-    assert exc.value.code == 400 and f"invalid rulesheet: {reason}" in str(exc.value)
+    assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
     db.log.append(payload.encode("utf-8"))
     db.log.close()
 
@@ -1345,7 +1373,7 @@ def test_invalid_contract_refused_at_submit_and_on_replay(tmp_path, identities, 
         reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
         [message] = [record.getMessage() for record in caplog.records]
-        assert message.startswith("log entry 3 left unindexed: ") and f"invalid rulesheet: {reason}" in message
+        assert message.startswith("log entry 3 left unindexed: ") and reason in message
         with pytest.raises(NotFoundError):
             reopened.get_head("SB")
     finally:
@@ -1355,14 +1383,19 @@ def test_invalid_contract_refused_at_submit_and_on_replay(tmp_path, identities, 
 @pytest.mark.parametrize("case", sorted(INVALID_CONTRACTS))
 def test_reader_refuses_an_invalid_contract(db, identities, case):
     """Watchers and the Auditor read rulesheets through a `LogReader`, which
-    refuses a logged rulesheet that does not validate, as the database
-    does."""
+    refuses a logged rulesheet text that does not make a rulesheet for the
+    owner, as the database does, and so every revision that names it."""
     from cyberlog.errors import ParseError
+    from cyberlog.revision import decode_payload
 
     text, reason = INVALID_CONTRACTS[case]
-    rulesheet_hash = publish_rulesheet(db, parse_rulesheet(text, "SB"))
-    with pytest.raises(ParseError, match=f"invalid rulesheet: {reason}"):
+    rulesheet_hash = db.submit_revision(encode_rulesheet_payload(text))["revision_id"]
+    with pytest.raises(ParseError) as exc:
         reader(db, identities)(rulesheet_hash, "SB")
+    assert reason in str(exc.value)
+    with pytest.raises(LogIntegrityError) as exc:
+        decode_payload(naming(identities, text), reader(db, identities), db.trust_store)
+    assert reason in str(exc.value)
 
 
 # -- commit time ---------------------------------------------------------------

@@ -19,21 +19,42 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 BOOKING = os.path.join(SCENARIOS, "uav_booking.jsonl")
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(SCENARIOS, "rules"))))
+def test_every_scenario_sheet_passes_check(capsys, name):
+    """Each scenario sheet keeps its contract for the principal its file
+    is named after (`mrm_noretain.cyberlog` is MRM's)."""
+    principal = name.split(".")[0].split("_")[0].upper()
+    assert main(["check", os.path.join(SCENARIOS, "rules", name), "--self", principal]) == 0
+    assert capsys.readouterr().out.startswith(f"{os.path.join(SCENARIOS, 'rules', name)}: ok (")
+
+
 def test_parse_ok_and_error(tmp_path, capsys):
+    """`check` parses a sheet: ok for a good one, the syntax error for a bad one."""
     good = os.path.join(SCENARIOS, "rules", "dom.cyberlog")
-    assert main(["parse", good, "--self", "DOM"]) == 0
+    assert main(["check", good, "--self", "DOM"]) == 0
     bad = tmp_path / "bad.cyberlog"
     bad.write_text("p(X) :- q(X)")  # missing terminator
-    assert main(["parse", str(bad), "--self", "M"]) == 1
+    assert main(["check", str(bad), "--self", "M"]) == 1
     out = capsys.readouterr().out
     assert "ok" in out and "expected" in out
 
 
 def test_check_reports_diagnostics(tmp_path, capsys):
+    """`check` names every reason a sheet breaks its contract, on one line."""
     sheet = tmp_path / "undeclared.cyberlog"
-    sheet.write_text("'M': Subject: 's' Issuer: 'i'\np(X) :- 'ZZ' attests q(X).\n")
+    sheet.write_text("'M': Subject: 's' Issuer: 'i'\np(X) :- 'ZZ' attests q(Y).\n")
     assert main(["check", str(sheet), "--self", "M"]) == 1
-    assert "undeclared principal" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        f"{sheet}: invalid rulesheet: rule 0 (line 2): unsafe rule: head variable X is not bound by the body; "
+        "rule 0 (line 2): undeclared principal 'ZZ'\n"
+    )
+
+
+def test_fmt_refuses_an_invalid_sheet(tmp_path, capsys):
+    sheet = tmp_path / "undeclared.cyberlog"
+    sheet.write_text("p(1).\n")
+    assert main(["fmt", str(sheet), "--self", "M"]) == 1
+    assert capsys.readouterr().out.startswith(f"{sheet}: invalid rulesheet: self principal 'M' is not declared; ")
 
 
 def test_fmt_emits_canonical_fixpoint(capsys):
@@ -343,6 +364,18 @@ def test_serve_monitor_without_operator_key_exits_2(tmp_path, capsys):
     assert "no key for log operator 'log-operator'" in capsys.readouterr().out
 
 
+def test_serve_monitor_refuses_an_invalid_sheet_as_a_syntax_error(tmp_path, capsys, monkeypatch):
+    from cyberlog.monitor import MonitorService
+
+    monkeypatch.setattr(MonitorService, "run_forever", lambda service: pytest.fail("the monitor started"))
+    config = monitor_config(tmp_path, [generate_identity("log-operator", seed=bytes([6]) * 32)])
+    sheet = tmp_path / "sb.cyberlog"
+    for text, reason in [("p(1)\n", "expected '.'"), ("p(1).\n", "self principal 'SB' is not declared")]:
+        sheet.write_text(text)
+        assert main(["serve-monitor", "--config", str(config)]) == 1
+        assert reason in capsys.readouterr().out
+
+
 def test_serve_monitor_whose_trusted_key_is_not_its_own_exits_2(tmp_path, capsys, monkeypatch):
     from cyberlog.monitor import MonitorService
 
@@ -419,7 +452,36 @@ def test_verify_log_without_operator_key_exits_2(served_scenario, capsys):
     assert main([*argv, "--trust-store", served_scenario["trust"], "--operator", "nobody"]) == 2
     out = capsys.readouterr().out
     assert "no key for log operator 'nobody'" in out and "verdict" not in out
-    assert main(argv) == 0  # no trust store: no tree-head signature check is asked for
+    with pytest.raises(SystemExit) as exc:  # every tree head is checked: a trust store is required
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_log_refuses_a_forged_extension_of_a_cached_head(served_scenario, tmp_path, capsys):
+    """A database that serves the log extended by one entry under heads a
+    forger signed is refused, and the forged head is not cached."""
+    import shutil
+
+    from cyberlog.revision import encode_rulesheet_payload
+
+    forged_log = str(tmp_path / "forged.log")
+    shutil.copyfile(served_scenario["log"], forged_log)
+    forger = generate_identity(OPERATOR_NAME, seed=bytes([9]) * 32)
+    db = ClaimDb(MerkleLog(forged_log), forger, TrustStore.load(served_scenario["trust"]))
+    db.submit_revision(encode_rulesheet_payload("'EVE': Subject: 's' Issuer: 'i'\n"))
+    server, url = serve_db_in_thread(db)
+    with open(served_scenario["heads"], encoding="utf-8") as fh:
+        cached = fh.read()
+    try:
+        argv = ["verify-log", "--db", url, "--heads-cache", served_scenario["heads"]]
+        assert main([*argv, "--trust-store", served_scenario["trust"]]) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+        db.log.close()
+    assert "append-only consistent" not in capsys.readouterr().out
+    with open(served_scenario["heads"], encoding="utf-8") as fh:
+        assert fh.read() == cached
 
 
 def test_verify_log_with_a_malformed_trust_store_exits_2(served_scenario, tmp_path, capsys):
@@ -472,7 +534,8 @@ def test_malformed_heads_cache_line_fails_with_its_place(served_scenario, tmp_pa
     with open(served_scenario["heads"], encoding="utf-8") as fh:
         cache.write_text(fh.read() + line + "\n")
     where = f"{cache}:2: not a signed tree head"
-    assert main(["verify-log", "--db", served_scenario["url"], "--heads-cache", str(cache)]) == 1
+    argv = ["verify-log", "--db", served_scenario["url"], "--heads-cache", str(cache)]
+    assert main([*argv, "--trust-store", served_scenario["trust"]]) == 1
     assert where in capsys.readouterr().out
     code = main(
         ["audit", "--db", served_scenario["url"], "--trust-store", served_scenario["trust"], "--owner", "OM",

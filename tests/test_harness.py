@@ -246,7 +246,7 @@ def test_positive_answers_are_auditable():
     auditor = Auditor(run.client, run.trust_store, run.operator.public_key)
     for monitor, query in [("DOM", "good_rtf_exists(R, A)"), ("SB", "request(R, D, T)")]:
         pattern = parse_query(query, monitor)
-        answers = run.monitors[monitor].handle_query(pattern)
+        answers = run.monitors[monitor].handle_query(query)
         head, _ = run.reader.revision(run.db.get_head(monitor)["revision_id"])
         assert answers
         for bindings in answers:

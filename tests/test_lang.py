@@ -1,4 +1,6 @@
-"""Parser, validator and canonical formatter tests."""
+"""Parser, rulesheet contract and canonical formatter tests."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,20 +11,18 @@ from cyberlog.lang import (
     ArithExpr,
     BuiltinAtom,
     ComparisonAtom,
-    Diagnostic,
     IdentityDecl,
     IntConstant,
     RelationalAtom,
     Rule,
     RuleKind,
+    Rulesheet,
     StringConstant,
     Variable,
     format_rulesheet,
-    make_rulesheet,
     parse_query,
     parse_rulesheet,
     parse_standalone_rule,
-    validate_rulesheet,
 )
 
 BOOKING_SHEET = """\
@@ -51,6 +51,9 @@ delayed_rtf(RequestId, DelayTime, SentTime) :-
   DelayTime == TimeRTF - SentTime,
   DelayTime > 1000.
 """
+
+
+M_DECL = "'M': Subject: 's' Issuer: 'i'\n"
 
 
 @pytest.fixture
@@ -103,7 +106,7 @@ def test_identity_declarations(booking):
         "SB", "C=DE, ST=Hamburg, L=HH, O=ZAL, CN=SB", "C=DE, O=Lets Encrypt, CN=R3"
     )
     assert booking.self_id == "SB"
-    assert len(booking.source_hash) == 32
+    assert booking.source_hash == hashlib.sha256(format_rulesheet(booking).encode("utf-8")).digest()
 
 
 def test_non_self_head_rejected():
@@ -139,7 +142,7 @@ def test_arith_in_relational_atom_rejected():
 def test_int_literal_range_checked():
     with pytest.raises(ParseError, match="64-bit"):
         parse_rulesheet(f"p({2**63}).", "M")
-    rs = parse_rulesheet(f"p(-{2**63}).", "M")
+    rs = parse_rulesheet(f"{M_DECL}p(-{2**63}).", "M")
     assert rs.rules[0].head.args[0] == IntConstant(-(2**63))
 
 
@@ -150,20 +153,96 @@ def test_syntax_error_carries_position():
 
 
 def test_next_rule_and_next_named_predicate():
-    rs = parse_rulesheet("next p(X) :- q(X).\nnext(1).\n", "M")
+    rs = parse_rulesheet(f"{M_DECL}next p(X) :- q(X).\nnext(1).\n", "M")
     assert rs.rules[0].kind is RuleKind.NEXT
     assert rs.rules[1].kind is RuleKind.STANDARD
     assert rs.rules[1].head.predicate == "next"
 
 
+X, Y = Variable("X"), Variable("Y")
+
+
+def _rule(head, *body):
+    return Rule(RuleKind.STANDARD, head, body)
+
+
+def _m(predicate, *args):
+    return RelationalAtom("M", predicate, args)
+
+
+# each reason of a rulesheet's contract: the sheet for M as text and as
+# declarations and rules, and the reason either is refused for
+CONTRACT = {
+    "self-principal-undeclared": ("p(1).", (), [_rule(_m("p", IntConstant(1)))], "self principal 'M' is not declared"),
+    "duplicate-declaration": (
+        M_DECL * 2 + "p(1).",
+        (IdentityDecl("M", "s", "i"),) * 2,
+        [_rule(_m("p", IntConstant(1)))],
+        "duplicate identity declaration 'M'",
+    ),
+    "non-self-head": (
+        M_DECL + "'Z': Subject: 's' Issuer: 'i'\n'Z' attests p(1).",
+        (IdentityDecl("M", "s", "i"), IdentityDecl("Z", "s", "i")),
+        [_rule(RelationalAtom("Z", "p", (IntConstant(1),)))],
+        "non-self head: attests for 'Z' but self is 'M'",
+    ),
+    "undeclared-principal": (
+        M_DECL + "p(X) :- 'ZZ' attests q(X).",
+        (IdentityDecl("M", "s", "i"),),
+        [_rule(_m("p", X), RelationalAtom("ZZ", "q", (X,)))],
+        "undeclared principal 'ZZ'",
+    ),
+    "unsafe-rule": (
+        M_DECL + "p(X) :- q(Y).",
+        (IdentityDecl("M", "s", "i"),),
+        [_rule(_m("p", X), _m("q", Y))],
+        "unsafe rule: head variable X is not bound by the body",
+    ),
+    # an arithmetic argument would need the variables bound before it,
+    # wherever a join plan puts the atom
+    "arithmetic-in-relational-atom": (
+        M_DECL + "h(X) :- p(X), q(X + 1).",
+        (IdentityDecl("M", "s", "i"),),
+        [_rule(_m("h", X), _m("p", X), _m("q", ArithExpr("+", X, IntConstant(1))))],
+        "arithmetic is not allowed inside relational atom",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_a_sheet_that_breaks_its_contract_is_not_made(case):
+    text, identities, rules, reason = CONTRACT[case]
+    for make in (lambda: Rulesheet("M", identities, rules), lambda: parse_rulesheet(text, "M")):
+        with pytest.raises(ParseError) as exc:
+            make()
+        assert reason in str(exc.value)
+
+
+def test_every_reason_is_named_with_its_rule():
+    rules = [_rule(_m("p", IntConstant(1))), _rule(_m("p", X), RelationalAtom("ZZ", "q", (Y,)))]
+    with pytest.raises(ParseError) as exc:
+        Rulesheet("M", (IdentityDecl("M", "s", "i"),) * 2, rules)
+    assert str(exc.value) == (
+        "invalid rulesheet: duplicate identity declaration 'M'; "
+        "rule 1: unsafe rule: head variable X is not bound by the body; rule 1: undeclared principal 'ZZ'"
+    )
+
+
+def test_a_rulesheet_holds_tuples():
+    rs = Rulesheet("M", [IdentityDecl("M", "s", "i")], [_rule(_m("p", IntConstant(1)))])
+    assert isinstance(rs.identities, tuple) and isinstance(rs.rules, tuple)
+    assert rs == parse_rulesheet(M_DECL + "p(1).", "M")
+
+
 def test_validate_clean_sheet(booking):
-    assert validate_rulesheet(booking) == []
+    """A parsed sheet keeps its contract: building it again from its
+    declarations and rules raises nothing and yields an equal sheet."""
+    assert Rulesheet(booking.self_id, booking.identities, booking.rules) == booking
 
 
 def test_validate_reports_undeclared_principal():
-    rs = parse_rulesheet("'M': Subject: 's' Issuer: 'i'\np(X) :- 'ZZ' attests q(X).", "M")
-    diags = validate_rulesheet(rs)
-    assert any("undeclared principal 'ZZ'" in d.reason for d in diags)
+    with pytest.raises(ParseError, match="rule 0 \\(line 2\\): undeclared principal 'ZZ'"):
+        parse_rulesheet("'M': Subject: 's' Issuer: 'i'\np(X) :- 'ZZ' attests q(X).", "M")
 
 
 def test_validate_reports_safety_on_constructed_ast():
@@ -172,15 +251,15 @@ def test_validate_reports_safety_on_constructed_ast():
         RelationalAtom("M", "p", (Variable("X"),)),
         (RelationalAtom("M", "q", (Variable("Y"),)),),
     )
-    rs = make_rulesheet("M", [IdentityDecl("M", "s", "i")], [rule])
-    diags = validate_rulesheet(rs)
-    assert diags == [Diagnostic(0, "head variable X is not bound by the body")]
+    with pytest.raises(ParseError) as exc:
+        Rulesheet("M", [IdentityDecl("M", "s", "i")], [rule])
+    assert str(exc.value) == "invalid rulesheet: rule 0: unsafe rule: head variable X is not bound by the body"
 
 
 def test_validate_duplicate_identity():
     decls = [IdentityDecl("M", "s", "i"), IdentityDecl("M", "s2", "i2")]
-    diags = validate_rulesheet(make_rulesheet("M", decls, []))
-    assert any("duplicate" in d.reason for d in diags)
+    with pytest.raises(ParseError, match="duplicate identity declaration 'M'"):
+        Rulesheet("M", decls, [])
 
 
 def test_format_parse_fixpoint(booking):
@@ -191,7 +270,7 @@ def test_format_parse_fixpoint(booking):
 
 
 def test_format_empty_rulesheet():
-    rs = make_rulesheet("M", [IdentityDecl("M", "s", "i")], [])
+    rs = Rulesheet("M", (IdentityDecl("M", "s", "i"),), ())
     text = format_rulesheet(rs)
     assert "Subject" in text and ":-" not in text
     assert parse_rulesheet(text, "M") == rs
@@ -212,8 +291,10 @@ def test_parse_standalone_rule_roundtrip(booking):
     assert parse_standalone_rule(text) == rule
     assert parse_standalone_rule(text) is parse_standalone_rule(text)  # memoised by text
     for _ in range(2):  # errors are raised again, not cached
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="name principals explicitly"):
             parse_standalone_rule("p(X) :- q(X).")
+        with pytest.raises(ParseError, match="unsafe rule: head variable X is not bound by the body"):
+            parse_standalone_rule("'A' attests p(X) :- 'A' attests q(Y).")
 
 
 # --- property tests: random ASTs round-trip through the formatter ----------
@@ -277,8 +358,9 @@ def _exprs_bound(uses):
 @given(st.lists(_rules(), max_size=4))
 def test_random_rulesheets_roundtrip(rules):
     decls = [IdentityDecl(p, "s", "i") for p in ["SELF", "SB", "MRM", "a monitor", "x'y\\z"]]
-    rs = make_rulesheet("SELF", decls, rules)
-    if lang.validate_rulesheet(rs):
+    try:
+        rs = Rulesheet("SELF", decls, rules)
+    except ParseError:
         return  # generator occasionally builds unsafe comparisons; skip those
     text = format_rulesheet(rs)
     assert parse_rulesheet(text, "SELF") == rs
