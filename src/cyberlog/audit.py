@@ -1,16 +1,12 @@
-"""Recursive evidence verification against the claim database.
+"""Evidence audits, rendered from the revisions a `LogReader` accepts.
 
-Audits reconstruct how a claim was made. Each claim's own evidence goes
-through the engine's `check_evidence` and each rule instance's side
-conditions through `rule_premises`, the checker the knowledge base uses
-too; the auditor reads revisions through its `LogReader`, which checks
-each one's owner signature, and resolves premises. A direct assertion is
-evidence through the revision that holds it: its signer must be that
-revision's owner, whose signature covers the claim's text. Foreign
-premises are resolved through the auditing revision's includes,
-terminating in verified log inclusions. An optional trusted-heads cache,
-loaded into the same reader first, adds an append-only consistency check
-of the whole log, catching byte tampering outside the evidence path.
+The reader checks each revision's owner signature and inclusion, and
+accepts it only when every claim in it is supported (see
+`LogReader.revision`). An audit shows a claim with the revision holding
+each of its premises, and a head the reader refuses as the claim it was
+refused for. An optional trusted-heads cache, loaded into the same reader
+first, adds an append-only consistency check of the whole log, catching
+byte tampering outside the evidence path.
 """
 
 from __future__ import annotations
@@ -19,20 +15,11 @@ import json
 from dataclasses import dataclass, field
 
 from .claimlog import SignedTreeHead
-from .engine import (
-    CarriedByNextRule,
-    Claim,
-    DerivedByRule,
-    DirectAssertion,
-    GroundAtom,
-    canonical_atom,
-    check_evidence,
-    rule_premises,
-)
-from .errors import CyberlogError, LogIntegrityError, NotFoundError
+from .engine import Claim, DerivedByRule, DirectAssertion, GroundAtom, canonical_atom
+from .errors import CyberlogError, LogIntegrityError, NotFoundError, UnsupportedClaimError
 from .identity import TrustStore
 from .identity import verify_bytes  # noqa: F401  perfbench's tracer test reads this binding; nothing here calls it
-from .revision import LogClient, LogReader, RevisionRecord
+from .revision import LogClient, LogReader, RevisionRecord, claim_premises
 
 
 @dataclass
@@ -41,26 +28,18 @@ class AuditNode:
     kind: str
     ok: bool
     detail: str
-    children: list["AuditNode"] = field(default_factory=list)
+    children: list["AuditNode"] = field(default_factory=list)  # a claim's premises, which have none
 
     @property
     def all_ok(self) -> bool:
-        return self.ok and all(child.all_ok for child in self.children)
+        return self.ok and all(child.ok for child in self.children)
 
 
-def render_audit_tree(node: AuditNode, indent: int = 0) -> str:
-    mark = "ok  " if node.ok else "FAIL"
-    lines = [f"{'  ' * indent}[{mark}] {node.atom} <- {node.kind}: {node.detail}"]
-    for child in node.children:
-        lines.append(render_audit_tree(child, indent + 1))
-    return "\n".join(lines)
-
-
-_KINDS = {
-    DirectAssertion: "direct_assertion",
-    DerivedByRule: "derived_by_rule",
-    CarriedByNextRule: "carried_by_next_rule",
-}
+def render_audit_tree(node: AuditNode) -> str:
+    return "\n".join(
+        f"{'  ' * indent}[{'ok  ' if each.ok else 'FAIL'}] {each.atom} <- {each.kind}: {each.detail}"
+        for indent, each in [(0, node)] + [(1, child) for child in node.children]
+    )
 
 
 class Auditor:
@@ -69,96 +48,57 @@ class Auditor:
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.reader = LogReader(db, trust_store, operator_key)
-        self._holders: dict[str, dict[GroundAtom, str]] = {}  # record id -> included atom -> include
-
-    # -- revision access -------------------------------------------------
 
     def fetch_revision(self, rev_id: str) -> RevisionRecord:
         return self.reader.revision(rev_id)[0]
 
-    # -- entry points ------------------------------------------------------
-
     def audit_atom(self, owner: str, atom: GroundAtom) -> AuditNode:
-        """Audit one atom of the owner's head revision."""
-        record = self._head(owner)
-        claim = record.by_atom.get(atom)
+        """Audit one atom of the owner's head revision; a refused head shows
+        as the claim it was refused for, whatever the atom."""
+        record, refused = self._head(owner)
+        claim = refused or record.by_atom.get(atom)
         if claim is None:
             raise NotFoundError(f"atom {canonical_atom(atom)} not in head revision {record.id} of {owner!r}")
         return self.audit_claim(record, claim)
 
     def audit_head(self, owner: str) -> list[AuditNode]:
-        """Audit every claim in the owner's head revision."""
-        record = self._head(owner)
-        return [self.audit_claim(record, claim) for claim in record.claims]
+        """Audit every claim in the owner's head revision; a refused head
+        shows as the claim it was refused for alone."""
+        record, refused = self._head(owner)
+        return [self.audit_claim(record, claim) for claim in ((refused,) if refused else record.claims)]
 
-    def _head(self, owner: str) -> RevisionRecord:
+    def _head(self, owner: str) -> tuple[RevisionRecord, Claim | None]:
+        """The owner's head and None, or the revision and claim the reader refused the head for."""
         head = self.reader.owner_head(owner)
         if head is None:
             raise NotFoundError(f"owner {owner!r} has no revisions")
-        return self.fetch_revision(head[0])
-
-    # -- recursive verification ---------------------------------------------
-
-    def audit_claim(self, record: RevisionRecord, claim: Claim, depth: int = 0) -> AuditNode:
-        """Check the claim's evidence with the engine's checker and that a
-        direct assertion's signer owns both its atom and `record`, whose
-        owner signature the reader checked, then audit its premises: a
-        rule instance's own premises in `record`, a carried claim's in its
-        source, the revision `record` supersedes."""
-        if depth > 500:
-            return self._fail(claim.atom, "depth", "evidence chain exceeds depth limit")
-        ev = claim.evidence
-        kind = _KINDS.get(type(ev), "unknown")
         try:
-            check_evidence(claim)
-            node = AuditNode(canonical_atom(claim.atom), kind, True, "")
-            if isinstance(ev, DirectAssertion):
-                if not ev.signer == claim.atom.principal == record.owner:
-                    return self._fail(claim.atom, kind, f"asserted by {ev.signer!r} in {record.owner!r}'s revision")
-                node.detail = f"asserted by {ev.signer} in revision {record.id[:8]}"
-            else:  # a rule instance: a logged claim carries no other kind
-                source = record
-                node.detail = "rule re-derivation checked"
-                if isinstance(ev, CarriedByNextRule):
-                    if record.supersedes is None:
-                        detail = f"carried in revision {record.id[:8]}, which supersedes none"
-                        return self._fail(claim.atom, kind, detail)
-                    source = self.fetch_revision(record.supersedes)
-                    node.detail = f"carried from revision {record.supersedes[:8]}"
-                for atom in rule_premises(ev.rule, ev.substitution):
-                    node.children.append(self._audit_premise(source, atom, depth + 1))
-            return node
+            return self.fetch_revision(head[0]), None
+        except UnsupportedClaimError as exc:
+            return exc.record, exc.claim
+
+    def audit_claim(self, record: RevisionRecord, claim: Claim) -> AuditNode:
+        """A node for `claim` of `record` and, one level down, one for each
+        of its premises, naming the revision that holds it, as the reader's
+        check finds them (`claim_premises`): every node passes for a
+        revision the reader accepted; the claim it refused one for fails."""
+        ev = claim.evidence
+        if isinstance(ev, DirectAssertion):
+            kind, detail = "direct_assertion", f"asserted by {ev.signer} in revision {record.id[:8]}"
+        elif isinstance(ev, DerivedByRule):
+            kind, detail = "derived_by_rule", f"derived in revision {record.id[:8]}"
+        else:
+            kind, detail = "carried_by_next_rule", f"carried from revision {record.supersedes[:8]}"
+        node = AuditNode(canonical_atom(claim.atom), kind, True, detail)
+        try:
+            premises = claim_premises(record, claim, self.fetch_revision)
         except CyberlogError as exc:
-            return self._fail(claim.atom, kind, str(exc))
-
-    def _fail(self, atom: GroundAtom, kind: str, detail: str) -> AuditNode:
-        return AuditNode(canonical_atom(atom), kind, False, detail)
-
-    def _audit_premise(self, record: RevisionRecord, premise: GroundAtom, depth: int) -> AuditNode:
-        """Audit the premise atom: an own claim of `record` is audited in
-        turn, and a claim of a revision `record` includes rests on that
-        revision's verified fetch, found through an atom -> include index
-        of the includes that fetch, kept per record once all of them do. A
-        premise no usable include holds fails, naming an unusable one."""
-        claim = record.by_atom.get(premise)
-        if claim is not None:
-            return self.audit_claim(record, claim, depth)
-        holders = self._holders.get(record.id)
-        if holders is None:
-            holders, unusable = {}, ""
-            for rev_id in record.includes:
-                try:
-                    holders.update(dict.fromkeys(self.fetch_revision(rev_id).by_atom, rev_id))
-                except (LogIntegrityError, NotFoundError) as exc:
-                    unusable = f"included revision {rev_id[:8]} unusable: {exc}"
-            if not unusable:
-                self._holders[record.id] = holders
-            elif premise not in holders:
-                return self._fail(premise, "log_inclusion", unusable)
-        if premise not in holders:
-            return self._fail(premise, "premise", f"premise not found in revision {record.id[:8]} or its includes")
-        detail = f"included from {holders[premise][:8]}, fetched with verified proof"
-        return AuditNode(canonical_atom(premise), "log_inclusion", True, detail)
+            node.ok, node.detail = False, str(exc)
+            return node
+        for atom, holder, detail in premises:
+            kind = "premise" if holder in (None, record.id, record.supersedes) else "log_inclusion"
+            node.children.append(AuditNode(canonical_atom(atom), kind, holder is not None, detail))
+        return node
 
 
 # ---------------------------------------------------------------------------

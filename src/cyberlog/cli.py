@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.set_defaults(fn=cmd_query)
 
-    p = sub.add_parser("audit", help="recursively verify evidence for claims")
+    p = sub.add_parser("audit", help="verify the evidence of claims of an owner's head revision")
     p.add_argument("--db", required=True, help="claim database URL, or a log file path for offline audit")
     p.add_argument("--trust-store", required=True)
     p.add_argument("--owner", required=True)

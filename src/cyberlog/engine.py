@@ -365,7 +365,7 @@ def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
 
 
 # ---------------------------------------------------------------------------
-# Evidence checking, shared by the knowledge base and the auditor
+# Evidence checking, shared by the knowledge base and the log reader
 
 
 def check_evidence(claim: Claim) -> None:
@@ -373,11 +373,11 @@ def check_evidence(claim: Claim) -> None:
 
     A rule instance (derived or carried) must reproduce the claim's atom,
     a derivation's premise atoms must ground, and the evidence must be of
-    a known type. Signatures and inclusion proofs are checked where a claim
-    enters the program: a commit signs the revision that holds its events,
-    a watcher's fetch verifies inclusion and the tree head, and the auditor
-    verifies what it reads. Whether the premises hold, and the side
-    conditions, are not checked here (see `rule_premises`).
+    a known type. Signatures, inclusion proofs and premises are checked
+    where a claim enters the program: a commit signs the revision that
+    holds its events, and a `LogReader` verifies what it fetches and
+    accepts a revision only when its claims' premises hold
+    (`rule_premises`, `revision.claim_premises`).
     """
     ev = claim.evidence
     if isinstance(ev, (DerivedByRule, CarriedByNextRule)):

@@ -32,6 +32,14 @@ class SignatureError(LogIntegrityError):
     """A logged revision is not signed by its owner under a trusted key."""
 
 
+class UnsupportedClaimError(LogIntegrityError):
+    """A logged revision, `record`, holds a claim, `claim`, that the revisions it names do not support."""
+
+    def __init__(self, message: str, record, claim):
+        super().__init__(message)
+        self.record, self.claim = record, claim
+
+
 class NotFoundError(CyberlogError):
     """A requested entity does not exist."""
 

@@ -25,16 +25,20 @@ from .claimlog import verify_consistency, verify_inclusion, verify_tree_head
 from .engine import (
     CarriedByNextRule,
     Claim,
+    DerivedByRule,
+    DirectAssertion,
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
     Substitution,
     canonical_atom,
+    check_evidence,
     instantiate_head,
     match_rule_body,
+    rule_premises,
     rule_substitution,
 )
-from .errors import EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError
+from .errors import EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError, UnsupportedClaimError
 from .identity import Identity, TrustStore, sign_bytes, verify_bytes
 from .lang import RelationalAtom, RuleKind, Rulesheet, parse_logged_rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
@@ -317,10 +321,10 @@ def _served(what: str) -> Iterator[None]:
 class LogReader:
     """The one client of the claim database `db`, which parses and verifies
     all `db` answers, and the one cache of what it verified: the last
-    accepted tree head, revisions by id and rulesheet texts by hash. Heads
-    are checked under `operator_key` unless it is None (an offline audit:
-    no operator signed), owners under `trust_store`. Heads must come in the
-    order asked for: one thread at a time."""
+    accepted tree head, accepted revisions by id and rulesheet texts by
+    hash. Heads are checked under `operator_key` unless it is None (an
+    offline audit: no operator signed), owners under `trust_store`. Heads
+    must come in the order asked for: one thread at a time."""
 
     def __init__(self, db: LogClient, trust_store: TrustStore, operator_key: bytes | None):
         self.db = db
@@ -402,14 +406,34 @@ class LogReader:
 
     def revision(self, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
         """The revision logged under `rev_id` and the inclusion its claims
-        share, fetched and verified on the first call only."""
-        if rev_id not in self._revisions:
-            self._revisions[rev_id] = fetch_verified_revision(self, rev_id)
+        share, fetched, verified and accepted on the first call only: after
+        the one it supersedes, if revisions accepted before support each of
+        its claims (`claim_premises`). A cold chain is fetched back to its
+        first accepted revision, or its root, and accepted forward. Raises
+        UnsupportedClaimError for the first revision that holds an
+        unsupported claim, and for every later one of its chain."""
+        cold, cursor = [], rev_id
+        while cursor is not None and cursor not in self._revisions:
+            cold.append(fetch_verified_revision(self, cursor))
+            cursor = cold[-1][0].supersedes
+        for record, inclusion in reversed(cold):
+            for claim in record.claims:
+                try:
+                    premises = claim_premises(record, claim, lambda rev_id: self.revision(rev_id)[0])
+                    why = next((f"premise {canonical_atom(a)}: {where}" for a, held, where in premises if not held), "")
+                except EvidenceError as exc:
+                    why = str(exc)
+                if why:
+                    refused = f"revision {record.id[:8]} by {record.owner!r} holds an unsupported claim"
+                    raise UnsupportedClaimError(f"{refused} {canonical_atom(claim.atom)}: {why}", record, claim)
+            self._revisions[record.id] = record, inclusion
         return self._revisions[rev_id]
 
-    def forget(self, rev_ids: Iterable[str]) -> None:  # superseded: bounds the cache
-        for rev_id in rev_ids:
-            self._revisions.pop(rev_id, None)
+    def forget_before(self, rev_id: str) -> None:
+        """Forget the revisions the cached `rev_id` supersedes: a watcher keeps each chain's head only."""
+        cursor = self._revisions[rev_id][0].supersedes
+        while cursor in self._revisions:
+            cursor = self._revisions.pop(cursor)[0].supersedes
 
     def __call__(self, rulesheet_hash: str, owner: str) -> Rulesheet:
         if rulesheet_hash not in self._texts:
@@ -432,53 +456,80 @@ def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRec
     return record, inclusion
 
 
+def claim_premises(
+    record: RevisionRecord, claim: Claim, read: Callable[[str], RevisionRecord]
+) -> list[tuple[GroundAtom, str | None, str]]:
+    """Each premise of `claim`, a claim of `record`, with the id of the
+    revision holding it, or None, and where it is or why not: the rule
+    instance's premises (`check_evidence`, `rule_premises`) are looked up in
+    its source, `record` or, for a carry-over, the revision it supersedes,
+    then in the source's includes, read through `read` in id order only
+    for a premise the source lacks; one `read` refuses is unusable. A
+    direct assertion has none. Raises EvidenceError for a bad instance."""
+    ev = claim.evidence
+    if isinstance(ev, DirectAssertion):
+        return []
+    check_evidence(claim)
+    source = record if isinstance(ev, DerivedByRule) else read(record.supersedes)
+    included, unusable, premises = None, f"premise not found in revision {source.id[:8]} or its includes", []
+    for atom in rule_premises(ev.rule, ev.substitution):
+        if atom in source.by_atom:
+            premises.append((atom, source.id, f"held by revision {source.id[:8]}"))
+            continue
+        if included is None:
+            included = []
+            for rev_id in source.includes:
+                try:
+                    included.append(read(rev_id))
+                except (LogIntegrityError, NotFoundError) as exc:
+                    unusable = f"included revision {rev_id[:8]} unusable: {exc}"
+        holder = next((include.id for include in included if atom in include.by_atom), None)
+        where = f"included from {holder[:8]}, fetched with verified proof" if holder else unusable
+        premises.append((atom, holder, where))
+    return premises
+
+
 def _check_owner(record: RevisionRecord, owner: str) -> None:
     if record.owner != owner:
         raise EvidenceError(f"revision {record.id} belongs to {record.owner!r}, not to the watched {owner!r}")
 
 
 def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
-    """Import all claims of `owner`'s logged revision into the KB under
-    inclusion evidence, read through `reader`; returns the claims whose
+    """Import all claims of `owner`'s logged revision, which `reader`
+    accepted, into the KB under inclusion evidence; returns the claims whose
     atoms are new. A refusal leaves the KB's claims as they were: it refuses
     before the KB changes if the reader refuses the revision or it belongs
     to someone else, and `revise` undoes the import if saturation raises."""
     record, inclusion = reader.revision(rev_id)
     _check_owner(record, owner)
     added = kb.revise((), [Claim(claim.atom, inclusion) for claim in record.claims])
+    reader.forget_before(rev_id)
     return [claim for claim in added if claim.evidence is inclusion]
 
 
-def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> list[str]:
-    """Revision ids from the new record (exclusive) back to old (inclusive),
-    following supersedes links. Each revision in between is read through
-    `reader` and must belong to the new record's owner; the old one is not
-    read, since its owner was checked when it was included. Raises
-    EvidenceError if the chain never reaches old or crosses owners."""
-    chain: list[str] = []
+def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> None:
+    """Check that the new record supersedes old: each revision in between,
+    read through `reader`, belongs to its owner (the old one's owner was
+    checked when it was included); raises EvidenceError if not."""
     cursor = new_record.supersedes
-    while cursor is not None:
-        chain.append(cursor)
-        if cursor == old_rev_id:
-            return chain
+    while cursor != old_rev_id:
+        if cursor is None:
+            raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
         older, _ = reader.revision(cursor)
         if older.owner != new_record.owner:
             raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
         cursor = older.supersedes
-    raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
 
 
 def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
     """Update the KB in place after `owner`'s included revision was
     superseded; returns the admitted claims whose atoms are new.
 
-    The new revision must belong to `owner`, whom the old revision was
-    checked to belong to when it was included. The new revision and each
-    revision between it and the old one are read through `reader`, and the
-    old one too, which the reader holds since its inclusion. In one
-    `KnowledgeBase.revise`, the atoms the old revision holds and the new
-    one does not are retracted, with every derivation downstream of them,
-    and the new revision's atoms that the old one does not hold are
+    The new revision, read through `reader`, which holds the old one since
+    its inclusion, must belong to `owner`, as the old one was checked to.
+    In one `KnowledgeBase.revise`, the atoms the old revision holds and the
+    new one does not are retracted, with every derivation downstream of
+    them, and the new revision's atoms that the old one does not hold are
     included under the new revision's inclusion evidence; the reader then
     forgets the replaced chain. An atom both hold keeps its stored claim,
     whose inclusion names an earlier revision of the same chain, which
@@ -486,10 +537,10 @@ def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: L
     for `include_revision`.
     """
     record, inclusion = reader.revision(new_rev_id)
-    dropped = supersession_chain(reader, record, old_rev_id)
+    supersession_chain(reader, record, old_rev_id)
     _check_owner(record, owner)
     held = reader.revision(old_rev_id)[0].by_atom
     retracted = [atom for atom in held if atom not in record.by_atom]
     added = kb.revise(retracted, [Claim(claim.atom, inclusion) for claim in record.claims if claim.atom not in held])
-    reader.forget(dropped)
+    reader.forget_before(new_rev_id)
     return [claim for claim in added if claim.evidence is inclusion]

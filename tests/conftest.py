@@ -128,3 +128,25 @@ def raw_http_status(address, request: bytes) -> int:
             response += chunk
     assert response.startswith(b"HTTP/"), f"no HTTP response: {response!r}"
     return int(response.split(b" ", 2)[1])
+
+
+def audit_agrees_with_reader(db, trust_store, operator_key, owner) -> bool:
+    """Assert that a fresh `Auditor` passes `owner`'s head exactly when a
+    fresh `LogReader` accepts it, the audit being the reader's check
+    rendered; returns whether the reader accepts it."""
+    from cyberlog.audit import Auditor
+    from cyberlog.errors import CyberlogError
+    from cyberlog.revision import LogReader
+
+    reader = LogReader(db, trust_store, operator_key)
+    try:
+        reader.revision(reader.owner_head(owner)[0])
+        accepted = True
+    except CyberlogError:
+        accepted = False
+    try:
+        passed = all(node.all_ok for node in Auditor(db, trust_store, operator_key).audit_head(owner))
+    except CyberlogError:
+        passed = False
+    assert passed is accepted, f"the Auditor {'passes' if passed else 'fails'} {owner}'s head, the reader does not"
+    return accepted

@@ -11,7 +11,7 @@ from cyberlog.claimlog import MerkleLog
 from cyberlog.engine import GroundAtom
 from cyberlog.errors import NotFoundError
 from cyberlog.harness import OPERATOR_NAME, ScenarioRun, identity_seed, load_scenario
-from conftest import OPERATOR, rulesheets_of
+from conftest import OPERATOR, audit_agrees_with_reader, rulesheets_of
 from cyberlog.identity import generate_identity
 from cyberlog.revision import REVISION_PAYLOAD_HEAD, LogReader, decode_payload
 
@@ -166,6 +166,7 @@ def test_audit_fails_when_evidence_path_tampered(tmp_path):
     auditor = Auditor(client, run.trust_store, operator.public_key)
     node = auditor.audit_atom("DOM", GroundAtom("DOM", "good_rtf_exists", (7, 3)))
     assert not node.all_ok, render_audit_tree(node)
+    assert not audit_agrees_with_reader(client, run.trust_store, operator.public_key, "DOM")
 
 
 def test_altered_event_fails_its_owner_signature_everywhere(db, identities, trust_store):
@@ -204,7 +205,9 @@ def test_altered_event_fails_its_owner_signature_everywhere(db, identities, trus
         log_reader(Altering(), identities).revision(record.id)
     with pytest.raises(LogIntegrityError, match="bad signature on revision by 'SB'"):
         Auditor(Altering(), trust_store, identities[OPERATOR].public_key).audit_head("SB")
+    assert not audit_agrees_with_reader(Altering(), trust_store, identities[OPERATOR].public_key, "SB")
     assert all(node.all_ok for node in Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head("SB"))
+    assert audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
 
 
 def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_store):
@@ -236,6 +239,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
     node = auditor.audit_atom("SB", forged_atom)
     assert not node.all_ok
+    assert not audit_agrees_with_reader(db_client, trust_store, identities[OPERATOR].public_key, "SB")
     assert node.ok and [child.detail for child in node.children] == [
         f"premise not found in revision {record.id[:8]} or its includes"
     ]
@@ -268,6 +272,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     auditor = Auditor(db_client, trust_store, identities[OPERATOR].public_key)
     node = auditor.audit_atom("SB", verdict_atom)
     assert not node.all_ok
+    assert not audit_agrees_with_reader(db_client, trust_store, identities[OPERATOR].public_key, "SB")
     assert [(child.atom, child.ok) for child in node.children] == [('"SB"|request(7,"b")', False), ('"SB"|ok("b")', True)]
     assert node.children[0].detail == f"premise not found in revision {record.id[:8]} or its includes"
 
@@ -307,6 +312,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
     assert [(child.ok, child.detail) for child in node.children] == [
         (False, f"premise not found in revision {r2.id[:8]} or its includes")
     ] * 2
+    assert not audit_agrees_with_reader(db_client, trust_store, identities[OPERATOR].public_key, "SB")
 
 
 def _dom_including(db_client, identities, owners, body):
@@ -395,3 +401,91 @@ def test_premise_of_a_usable_include_passes_beside_an_unusable_one(db_client, id
         (True, f"included from {sb[:8]}, fetched with verified proof"),
         (False, f"included revision {mrm[:8]} unusable: no revision {mrm}"),
     ]
+
+
+@pytest.mark.parametrize("lost", [(), ("MRM",), ("SB", "MRM")])
+def test_the_audit_of_a_head_with_foreign_premises_is_the_readers_check(db_client, identities, trust_store, lost):
+    """DOM's revision includes SB's and MRM's and derives from a premise of
+    each. With the claim DB unable to serve the revisions of `lost`, a fresh
+    Auditor passes DOM's head exactly when a fresh reader accepts it, which
+    it does only when it loses neither."""
+    included, _both = _dom_including(db_client, identities, ("SB", "MRM"), lambda _: "'SB' attests p(X), 'MRM' attests p(X)")
+
+    class LosingClient:
+        def get_revision(self, rev_id):
+            if included.get(rev_id) in lost:
+                raise NotFoundError(f"no revision {rev_id}")
+            return db_client.get_revision(rev_id)
+
+        def __getattr__(self, name):
+            return getattr(db_client, name)
+
+    assert audit_agrees_with_reader(LosingClient(), trust_store, identities[OPERATOR].public_key, "DOM") == (not lost)
+
+
+@pytest.mark.parametrize("name", sorted(f[:-len(".jsonl")] for f in os.listdir(SCENARIOS) if f.endswith(".jsonl")))
+def test_every_scenario_head_passes_the_audit_the_reader_accepts(name):
+    """On each scenario's log, a fresh Auditor passes every owner's head
+    exactly when a fresh reader accepts it, and both do."""
+    run = ScenarioRun(load_scenario(os.path.join(SCENARIOS, f"{name}.jsonl")))
+    try:
+        run.run()
+        owners = [owner for owner in run.monitors if run.reader.owner_head(owner) is not None]
+        assert owners
+        for owner in owners:
+            assert audit_agrees_with_reader(run.client, run.trust_store, run.operator.public_key, owner)
+    finally:
+        run.close()
+
+
+CARRYING_SB = """\
+'SB': Subject: 's' Issuer: 'i'
+request(RequestId, Data, Time) :-
+  postRequest('/servicerequest', Time, Data),
+  get_param_int(Data, 'request_id', RequestId).
+next request(Id, Data, T) :- request(Id, Data, T).
+"""
+
+
+def test_a_claim_carried_across_more_revisions_than_the_recursion_limit_audits(
+    tmp_path, identities, trust_store, capsys
+):
+    """SB's request is carried across 1100 revisions, each logging one new
+    event, more than Python's default recursion limit. The Auditor passes
+    it, `cyberlog audit` of the log exits 0, and a fresh watcher includes
+    SB's head: a cold chain is read back and accepted forward, one revision
+    at a time."""
+    import itertools
+
+    from cyberlog.cli import main
+    from cyberlog.lang import parse_rulesheet
+    from cyberlog.monitor import EventEnvelope, Monitor
+
+    operator_key = identities[OPERATOR].public_key
+    log_path, trust_path = str(tmp_path / "claims.log"), str(tmp_path / "trust.jsonl")
+    db = ClaimDb(MerkleLog(log_path), identities[OPERATOR], trust_store)
+    try:
+        clock = itertools.count(1000, 1000).__next__
+        sb = Monitor(identities["SB"], parse_rulesheet(CARRYING_SB, "SB"), db, trust_store, operator_key, (), clock)
+        sb.ingest_event(EventEnvelope("POST", "/servicerequest", '{"request_id":7}', 5))
+        sb.commit()
+        for k in range(1100):
+            base = sb._base
+            sb.ingest_event(EventEnvelope("GET", "/other", "", 10 + k))
+            assert sb.commit() is not base
+        head = db.get_head("SB")
+        assert head["chain_length"] == 1101
+        request = GroundAtom("SB", "request", (7, '{"request_id":7}', 5))
+        node = Auditor(db, trust_store, operator_key).audit_atom("SB", request)
+        assert node.all_ok and node.kind == "carried_by_next_rule", render_audit_tree(node)
+        watcher_sheet = "'DOM': Subject: 's' Issuer: 'i'\n'SB': Subject: 's' Issuer: 'i'\n"
+        watcher_sheet += "verdict(R) :- 'SB' attests request(R, Data, T).\n"
+        dom = Monitor(identities["DOM"], parse_rulesheet(watcher_sheet, "DOM"), db, trust_store, operator_key, ("SB",))
+        assert dom.poll_and_include() == [head["revision_id"]]
+        assert dom.handle_query("verdict(R)") == [{"R": 7}]
+    finally:
+        db.log.close()
+    trust_store.save(trust_path)
+    capsys.readouterr()
+    assert main(["audit", "--db", log_path, "--trust-store", trust_path, "--owner", "SB"]) == 0
+    assert "audit: fully verified" in capsys.readouterr().out

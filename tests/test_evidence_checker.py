@@ -1,13 +1,13 @@
-"""Forged rule instances fail the recursive `Auditor`, which checks them
-with the engine's evidence checker, and honest ones pass it. A knowledge
-base refuses every one of them on entry, honest or forged: it makes its
-own derivations.
+"""Forged rule instances fail the `Auditor` and honest ones pass it. The
+audit renders the check its `LogReader` makes of every revision it
+accepts, with the engine's evidence checker; a knowledge base refuses every
+one of them on entry, honest or forged: it makes its own derivations.
 
-Every forged claim passes submission to the claim DB (which checks only the
-revision signature); the audit must catch them. A direct assertion is
-evidence through the signed revision that holds it: the reader checks that
-revision's owner signature, and the Auditor that the assertion is its
-owner's, of its owner's atom.
+Every forged rule instance passes submission to the claim DB (which checks
+only the revision's signature and structure); the reader must catch them. A
+direct assertion is evidence through the signed revision that holds it:
+the reader checks that revision's owner signature, and that the assertion
+is its owner's, of its owner's atom.
 """
 
 import pytest
@@ -21,11 +21,11 @@ from cyberlog.engine import (
     GroundAtom,
     KnowledgeBase,
 )
-from cyberlog.errors import EvidenceError, SignatureError, SubmitError
+from cyberlog.errors import EvidenceError, LogIntegrityError, SignatureError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import build_record, encode_payload, sign_record
 
-from conftest import OPERATOR, publish_rulesheet
+from conftest import OPERATOR, audit_agrees_with_reader, publish_rulesheet
 
 SHEET = (
     "'SB': Subject: 's' Issuer: 'i'\n"
@@ -79,6 +79,7 @@ def log_and_audit(db, identities, trust_store, claims, supersedes=None, commit_t
     record, body = build_record("SB", supersedes, (), RS, claims, commit_time)
     publish_rulesheet(db, RS)
     db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+    audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
     return record, Auditor(db, trust_store, identities[OPERATOR].public_key)
 
 
@@ -147,25 +148,19 @@ FORGERIES = {
 @pytest.mark.parametrize("forgery", sorted(FORGERIES))
 def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forgery):
     """A direct assertion passes the audit only as SB's own atom asserted by
-    SB in a revision SB signed. The forgeries, held in a revision another
+    SB in a revision SB signed. Each forgery, held in a revision another
     owner signed, of another principal's atom, or by a signer other than
-    its atom's principal, fail it. None of them can be logged, since the
-    claim DB refuses a claim of anyone but a revision's owner and the
-    encoder an assertion by anyone but its atom's principal; so the auditor
-    is handed the honest revision as its reader fetched it, holding the
-    forgery instead."""
-    import dataclasses
-
+    its atom's principal, is refused where it would enter: the encoder
+    refuses an assertion by anyone but its atom's principal, and the claim
+    DB a revision holding a claim of anyone but its owner, as does a reader
+    served one from a log that skipped that check, and so the Auditor."""
     claim, owner = FORGERIES[forgery]
     honest, auditor = log_and_audit(db, identities, trust_store, [FORGERIES["honest"][0]])
-    record = dataclasses.replace(auditor.fetch_revision(honest.id), owner=owner, claims=(claim,))
-    node = auditor.audit_claim(record, claim)
-    assert node.all_ok is (forgery == "honest"), render_audit_tree(node)
-    assert node.kind == "direct_assertion"
     if forgery == "honest":
+        [node] = auditor.audit_head("SB")
+        assert node.all_ok and node.kind == "direct_assertion", render_audit_tree(node)
         assert node.detail == f"asserted by SB in revision {honest.id[:8]}"
         return
-    assert "asserted by" in node.detail and f"in {owner!r}'s revision" in node.detail
     if forgery == "other-signer":
         with pytest.raises(EvidenceError, match="direct assertion by 'MRM'"):
             build_record(owner, None, (), RS, [claim], 2)
@@ -173,5 +168,10 @@ def test_forged_direct_assertion_fails_audit(db, identities, trust_store, forger
     rs = RS if owner == "SB" else parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     publish_rulesheet(db, rs)
     forged, body = build_record(owner, None if owner == "MRM" else honest.id, (), rs, [claim], 2)
+    payload = encode_payload(body, sign_record(forged, identities[owner]))
     with pytest.raises(SubmitError, match="holds a claim of"):
-        db.submit_revision(encode_payload(body, sign_record(forged, identities[owner])))
+        db.submit_revision(payload)
+    db._index_revision(forged, db.log.append(payload.encode("utf-8")))  # a log that skipped the check
+    with pytest.raises(LogIntegrityError, match="holds a claim of"):
+        Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head(owner)
+    assert not audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, owner)

@@ -138,6 +138,23 @@ def test_only_the_reader_calls_the_claim_database():
     assert list(log_reads_outside_the_reader()) == []
 
 
+# the checker of a logged claim's evidence: the engine defines it, and the
+# reader runs it on every revision it accepts, so the Auditor renders that
+# check and no module checks evidence of its own
+EVIDENCE_CHECKERS = {"engine.py", "revision.py"}
+
+
+def modules_naming_rule_premises():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(name == "rule_premises" for _kind, name in _referenced_names(tree, ())):
+            yield path.name
+
+
+def test_only_the_reader_checks_logged_evidence():
+    assert [name for name in modules_naming_rule_premises() if name not in EVIDENCE_CHECKERS] == []
+
+
 # the owner signs what it logs (revision.py) and the log operator its tree
 # heads (claimlog.py): no module on the request path signs
 SIGNERS = {"identity.py", "revision.py", "claimlog.py"}

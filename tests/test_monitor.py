@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cyberlog.engine import GroundAtom
+from cyberlog.engine import GroundAtom, canonical_atom
 from cyberlog.errors import ConfigError, EvaluationError, NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope, Monitor
@@ -1199,6 +1199,77 @@ def test_split_view_is_refused(identities, trust_store, db, caplog):
     auditor.reader.db = other
     with pytest.raises(LogIntegrityError, match="split-view/tamper suspected"):
         auditor.audit_head("SB")
+
+
+def _refused_everywhere(db, identities, trust_store, claim, revision_id):
+    """A fresh reader refuses SB's head for `claim` of the revision
+    `revision_id`, and a fresh Auditor fails the head, naming that claim."""
+    from cyberlog.audit import Auditor
+    from cyberlog.errors import UnsupportedClaimError
+    from conftest import audit_agrees_with_reader, log_reader
+
+    head = db.get_head("SB")["revision_id"]
+    with pytest.raises(UnsupportedClaimError, match=f"revision {revision_id[:8]} by 'SB' holds an unsupported claim"):
+        log_reader(db, identities).revision(head)
+    [node] = Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head("SB")
+    assert node.atom == canonical_atom(claim.atom) and not node.all_ok
+    assert not audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
+
+
+def test_watcher_refuses_a_carried_claim_its_superseded_revision_does_not_support(
+    identities, trust_store, db, caplog
+):
+    """Under a retention next-rule, r1 holds `request(7,"d",5)` and
+    `in_process(7)`, r2 carries nothing, and r3, superseding r2, logs the
+    request as carried, undoing the retention cut. DOM, which included r2,
+    refuses r3 with a warning, its KB and includes as they were, and never
+    derives `verdict(7)` from it; a fresh reader and the Auditor refuse r3,
+    naming the request."""
+    from cyberlog.engine import CarriedByNextRule, Claim, DirectAssertion
+    from cyberlog.revision import build_record, encode_payload, sign_record
+    from conftest import publish_rulesheet
+
+    rs = parse_rulesheet(
+        "'SB': Subject: 's' Issuer: 'i'\n"
+        "next request(Id, Data, TimeRequest) :- request(Id, Data, TimeRequest), in_process(Id).\n",
+        "SB",
+    )
+    publish_rulesheet(db, rs)
+    request, in_process = GroundAtom("SB", "request", (7, "d", 5)), GroundAtom("SB", "in_process", (7,))
+
+    def commit(claims, supersedes, now):
+        record, body = build_record("SB", supersedes, (), rs, claims, now)
+        db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+        return record
+
+    dom = make_monitor(identities, trust_store, db, "DOM", DOM_SHEET, watched=("SB",))
+    r1 = commit([Claim(a, DirectAssertion("SB")) for a in (request, in_process)], None, 1)
+    assert dom.poll_and_include() == [r1.id] and dom.handle_query("verdict(R)") == [{"R": 7}]
+    r2 = commit([], r1.id, 2)
+    assert dom.poll_and_include() == [r2.id] and dom.handle_query("verdict(R)") == []
+    carried = Claim(request, CarriedByNextRule(rs.rules[0], {"Id": 7, "Data": "d", "TimeRequest": 5}))
+    r3 = commit([carried], r2.id, 3)
+    _refused_poll(dom, db, caplog, f"poll of SB refused: revision {r3.id[:8]} by 'SB' holds an unsupported claim")
+    assert dom.handle_query("verdict(R)") == [] and dom.active_includes == {"SB": r2.id}
+    _refused_everywhere(db, identities, trust_store, carried, r3.id)
+
+
+def test_watcher_refuses_a_derived_claim_without_its_premise(identities, trust_store, db, caplog):
+    """SB logs, beside its carried `request(7, …)`, a derived `request(9, …)`
+    whose `postRequest` premise it does not hold. DOM's poll refuses the
+    revision with a warning, its KB and includes as they were; a fresh
+    reader and the Auditor refuse it, naming `request(9, …)`."""
+    from cyberlog.engine import Claim, DerivedByRule
+    from cyberlog.revision import build_record, encode_payload, sign_record
+
+    sb, dom = _watching_dom(identities, trust_store, db, [7])
+    included = dom.active_includes["SB"]
+    forged = Claim(GroundAtom("SB", "request", (9, '{"request_id":9}', 6)), DerivedByRule(sb.rulesheet.rules[0], {}))
+    record, body = build_record("SB", included, (), sb.rulesheet, [*sb._base.claims, forged], 9000)
+    db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+    _refused_poll(dom, db, caplog, rf'holds an unsupported claim "SB"\|request\(9,.*premise "SB"\|postRequest')
+    assert dom.handle_query("verdict(R)") == [{"R": 7}] and dom.active_includes == {"SB": included}
+    _refused_everywhere(db, identities, trust_store, forged, record.id)
 
 
 def test_rolled_back_log_is_refused(identities, trust_store, db, caplog):

@@ -41,5 +41,5 @@ def test_one_tiny_repetition(perfbench, kind, traced):
         assert res.lag_ms
     if traced:
         assert spans.stats["revision.commit_staging"].calls > 0
-        assert spans.stats["audit.Auditor.audit_claim"].calls >= len(res.audit_ms)  # it recurses into premises
+        assert spans.stats["audit.Auditor.audit_claim"].calls >= len(res.audit_ms)  # one call per head claim
         assert (spans.stats["revision.on_superseded"].calls > 0) == (kind == "watch")
