@@ -2,11 +2,12 @@
 
 The reader checks each revision's owner signature and inclusion, and
 accepts it only when every claim in it is supported (see
-`LogReader.revision`). An audit shows a claim with the revision holding
-each of its premises, and a head the reader refuses as the claim it was
-refused for. An optional trusted-heads cache, loaded into the same reader
-first, adds an append-only consistency check of the whole log, catching
-byte tampering outside the evidence path.
+`LogReader.revision`); a checked claim keeps its premise atoms. An audit
+shows a claim with the revision holding each of its premises, evaluating
+no rule instance of an accepted claim again, and a head the reader refuses
+as the claim it was refused for. An optional trusted-heads cache, loaded
+into the same reader first, adds an append-only consistency check of the
+whole log, catching byte tampering outside the evidence path.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class Auditor:
         """A node for `claim` of `record` and, one level down, one for each
         of its premises, naming the revision that holds it, as the reader's
         check finds them (`claim_premises`): every node passes for a
-        revision the reader accepted; the claim it refused one for fails."""
+        revision the reader accepted, whose claim objects keep the premise
+        atoms their check yielded; the claim it refused one for fails."""
         ev = claim.evidence
         if isinstance(ev, DirectAssertion):
             kind, detail = "direct_assertion", f"asserted by {ev.signer} in revision {record.id[:8]}"

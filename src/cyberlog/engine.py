@@ -143,15 +143,44 @@ def _scan_string(text: str, pos: int) -> tuple[str, int]:
 
 
 @dataclass(frozen=True)
-class DerivedByRule:
+class RuleInstance:
+    """A rule with a substitution of its variables: the evidence of a
+    derived or a carried claim."""
+
     rule: Rule
     substitution: Mapping[str, GroundTerm]
 
     @functools.cached_property
     def premises(self) -> tuple[GroundAtom, ...]:
         """The rule's relational body atoms under the substitution, in body
-        order; raises EvaluationError when one does not ground."""
+        order, grounded once (`_body_atoms`); raises EvaluationError when
+        one does not ground."""
         return _body_atoms(self.rule, self.substitution)
+
+    @functools.cached_property
+    def _evaluated(self) -> tuple[GroundAtom, tuple[GroundAtom, ...]]:
+        """The head atom and the premises of the instance, once its builtins
+        and comparisons hold; raises EvidenceError. Kept on the evidence
+        rather than on the claim: a value cached on an object gives it an
+        instance dict, which slows every read of its attributes, and
+        saturation reads claims' atoms in every join."""
+        try:
+            head = instantiate_head(self.rule.head, self.substitution)
+            premises = self.premises
+            for atom in self.rule.body:
+                if isinstance(atom, BuiltinAtom):
+                    if not eval_builtin(atom.name, atom.args, self.substitution):
+                        raise EvidenceError(f"builtin {atom.name} does not hold under the stored substitution")
+                elif isinstance(atom, ComparisonAtom) and not _eval_comparison(atom, self.substitution):
+                    raise EvidenceError(f"comparison {atom.op} does not hold under the stored substitution")
+        except EvaluationError as exc:
+            raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
+        return head, premises
+
+
+@dataclass(frozen=True)
+class DerivedByRule(RuleInstance):
+    """A standard-rule instance over the claims that hold its premises."""
 
 
 @dataclass(frozen=True)
@@ -168,13 +197,10 @@ class LogInclusion:
 
 
 @dataclass(frozen=True)
-class CarriedByNextRule:
+class CarriedByNextRule(RuleInstance):
     """A next-rule instance over the revision that the revision holding
     the claim supersedes: the source is that record's `supersedes`, so
     equal rule instances are equal claims in every revision of a chain."""
-
-    rule: Rule
-    substitution: Mapping[str, GroundTerm]
 
 
 Evidence = DerivedByRule | DirectAssertion | LogInclusion | CarriedByNextRule
@@ -368,51 +394,36 @@ def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
 # Evidence checking, shared by the knowledge base and the log reader
 
 
-def check_evidence(claim: Claim) -> None:
-    """Check a claim's own evidence structurally; raises EvidenceError.
+def check_evidence(claim: Claim) -> tuple[GroundAtom, ...]:
+    """The premise atoms of a claim, once its evidence is checked; raises
+    EvidenceError.
 
     A rule instance (derived or carried) must reproduce the claim's atom,
-    a derivation's premise atoms must ground, and the evidence must be of
-    a known type. Signatures, inclusion proofs and premises are checked
-    where a claim enters the program: a commit signs the revision that
-    holds its events, and a `LogReader` verifies what it fetches and
-    accepts a revision only when its claims' premises hold
-    (`rule_premises`, `revision.claim_premises`).
+    its builtins and comparisons must hold, and its premise atoms, the
+    rule's relational body atoms in body order (`RuleInstance.premises`),
+    must ground; any other evidence must be of a known type, and has no
+    premise. A rule instance is evaluated once per evidence object, so
+    once per claim object, which keeps the head and premise atoms it
+    yields: a later check of that claim compares the kept head with its
+    atom and evaluates nothing.
+
+    Signatures, inclusion proofs and premises are checked where a claim
+    enters the program: a commit signs the revision that holds its events,
+    and a `LogReader` verifies what it fetches and accepts a revision only
+    when its claims' premises hold (`revision.claim_premises`).
     """
     ev = claim.evidence
-    if isinstance(ev, (DerivedByRule, CarriedByNextRule)):
-        try:
-            head = instantiate_head(ev.rule.head, ev.substitution)
-            if isinstance(ev, DerivedByRule):
-                ev.premises  # grounds the premise atoms now, and keeps them
-        except EvaluationError as exc:
-            raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
-        if head != claim.atom:
-            raise EvidenceError(
-                f"rule instance mismatch: rule head yields {canonical_atom(head)}, "
-                f"which does not reproduce the claim {canonical_atom(claim.atom)}"
-            )
-    elif not isinstance(ev, (DirectAssertion, LogInclusion)):
+    if isinstance(ev, (DirectAssertion, LogInclusion)):
+        return ()
+    if not isinstance(ev, RuleInstance):
         raise EvidenceError(f"unknown evidence type {type(ev).__name__}")
-
-
-def rule_premises(rule: Rule, substitution: Mapping[str, GroundTerm]) -> tuple[GroundAtom, ...]:
-    """The relational body atoms of a rule instance (`_body_atoms`), once
-    its builtins and comparisons are checked to hold.
-
-    Raises EvidenceError when a side condition does not hold or the
-    instance cannot be evaluated.
-    """
-    try:
-        for atom in rule.body:
-            if isinstance(atom, BuiltinAtom):
-                if not eval_builtin(atom.name, atom.args, substitution):
-                    raise EvidenceError(f"builtin {atom.name} does not hold under the stored substitution")
-            elif isinstance(atom, ComparisonAtom) and not _eval_comparison(atom, substitution):
-                raise EvidenceError(f"comparison {atom.op} does not hold under the stored substitution")
-        return _body_atoms(rule, substitution)
-    except EvaluationError as exc:
-        raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
+    head, premises = ev._evaluated
+    if head != claim.atom:
+        raise EvidenceError(
+            f"rule instance mismatch: rule head yields {canonical_atom(head)}, "
+            f"which does not reproduce the claim {canonical_atom(claim.atom)}"
+        )
+    return premises
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +504,9 @@ class KnowledgeBase:
     under the standard rules of the rulesheet it is built with.
 
     Owned by a single logical actor; not safe for concurrent mutation.
-    Every claim a caller offers is checked on entry, by structure only
-    (`KnowledgeBase.check_evidence`), so the KB runs no Ed25519 check and
-    no proof. The KB makes every derivation itself, over stored premises,
+    Every claim a caller offers is checked on entry, by its own evidence
+    only (`KnowledgeBase.check_evidence`), so the KB runs no Ed25519 check
+    and no proof. The KB makes every derivation itself, over stored premises,
     so every stored derivation rests on stored claims.
 
     A monitor keeps one KB for its lifetime and changes it only through
@@ -650,7 +661,7 @@ class KnowledgeBase:
     def check_evidence(self, claim: Claim) -> None:
         """Check a claim a caller offers; raises EvidenceError. A derivation
         is refused, since the KB makes its own; any other claim's own
-        evidence is checked by structure (see `check_evidence`)."""
+        evidence is checked (`check_evidence`), once per claim object."""
         if isinstance(claim.evidence, DerivedByRule):
             raise EvidenceError(f"a derivation is the KB's own to make: {canonical_atom(claim.atom)} is offered as one")
         check_evidence(claim)

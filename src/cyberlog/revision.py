@@ -16,7 +16,7 @@ import contextlib
 import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha256
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
@@ -35,7 +35,6 @@ from .engine import (
     check_evidence,
     instantiate_head,
     match_rule_body,
-    rule_premises,
     rule_substitution,
 )
 from .errors import EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError, UnsupportedClaimError
@@ -184,14 +183,15 @@ def decode_payload(
     `rulesheet_of` gives, once, for the record's rulesheet hash and owner.
     Raises LogIntegrityError on a payload outside the revision layout, on a
     rulesheet that does not parse for the owner, on malformed data, which
-    includes a rule reference that is not an index of a rule of the right
-    kind and a carried claim in a chain root (a carried claim's source is
-    the revision its record supersedes), on claims whose atom texts do not
-    strictly increase (a claim is named by its atom, so a revision holds
-    one claim per atom), and on a claim whose principal is not the record's
-    owner, since nobody may make claims on someone else's behalf; any other
-    refusal of `rulesheet_of` passes through. Claims and includes keep the
-    payload's order."""
+    includes a commit time that is not a JSON integer, a rule reference
+    that is not an index of a rule of the right kind and a carried claim in
+    a chain root (a carried claim's source is the revision its record
+    supersedes), on claims whose atom texts do not strictly increase (a
+    claim is named by its atom, so a revision holds one claim per atom),
+    and on a claim whose principal is not the record's owner, since nobody
+    may make claims on someone else's behalf; any other refusal of
+    `rulesheet_of` passes through. Claims and includes keep the payload's
+    order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
@@ -221,7 +221,9 @@ def decode_payload(
                 raise LogIntegrityError(f"claim atoms of revision by {owner!r} do not strictly increase at {atom}")
             claims.append(claim)
             last = atom
-        commit_time = int(obj["commit_time"])
+        commit_time = obj["commit_time"]
+        if type(commit_time) is not int:
+            raise TypeError(f"commit_time must be an integer, not {commit_time!r}")
         record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, tuple(claims), commit_time)
     except (KeyError, TypeError, ValueError, EvidenceError, ParseError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
@@ -409,14 +411,21 @@ class LogReader:
         share, fetched, verified and accepted on the first call only: after
         the one it supersedes, if revisions accepted before support each of
         its claims (`claim_premises`). A cold chain is fetched back to its
-        first accepted revision, or its root, and accepted forward. Raises
-        UnsupportedClaimError for the first revision that holds an
-        unsupported claim, and for every later one of its chain."""
+        first accepted revision, or its root, and accepted forward. A claim
+        equal to one of the revision it supersedes is that claim object, so
+        its rule instance, checked already, is not evaluated again; its
+        premises are still looked up. Raises UnsupportedClaimError for the
+        first revision that holds an unsupported claim, and for every later
+        one of its chain."""
         cold, cursor = [], rev_id
         while cursor is not None and cursor not in self._revisions:
             cold.append(fetch_verified_revision(self, cursor))
             cursor = cold[-1][0].supersedes
         for record, inclusion in reversed(cold):
+            if record.supersedes is not None:
+                kept = self._revisions[record.supersedes][0].by_atom
+                claims = tuple(old if (old := kept.get(c.atom)) == c else c for c in record.claims)
+                record = replace(record, claims=claims)
             for claim in record.claims:
                 try:
                     premises = claim_premises(record, claim, lambda rev_id: self.revision(rev_id)[0])
@@ -461,18 +470,19 @@ def claim_premises(
 ) -> list[tuple[GroundAtom, str | None, str]]:
     """Each premise of `claim`, a claim of `record`, with the id of the
     revision holding it, or None, and where it is or why not: the rule
-    instance's premises (`check_evidence`, `rule_premises`) are looked up in
-    its source, `record` or, for a carry-over, the revision it supersedes,
-    then in the source's includes, read through `read` in id order only
-    for a premise the source lacks; one `read` refuses is unusable. A
-    direct assertion has none. Raises EvidenceError for a bad instance."""
+    instance's premises (`check_evidence`, which evaluates a claim object
+    once) are looked up in its source, `record` or, for a carry-over, the
+    revision it supersedes, then in the source's includes, read through
+    `read` in id order only for a premise the source lacks; one `read`
+    refuses is unusable. A direct assertion has none. Raises EvidenceError
+    for a bad instance."""
     ev = claim.evidence
     if isinstance(ev, DirectAssertion):
         return []
-    check_evidence(claim)
+    atoms = check_evidence(claim)
     source = record if isinstance(ev, DerivedByRule) else read(record.supersedes)
     included, unusable, premises = None, f"premise not found in revision {source.id[:8]} or its includes", []
-    for atom in rule_premises(ev.rule, ev.substitution):
+    for atom in atoms:
         if atom in source.by_atom:
             premises.append((atom, source.id, f"held by revision {source.id[:8]}"))
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 
-from cyberlog.engine import DerivedByRule, canonical_atom, check_evidence, rule_premises
+from cyberlog.engine import DerivedByRule, canonical_atom, check_evidence
 from cyberlog.errors import EvidenceError
 from cyberlog.lang import (
     ArithExpr,
@@ -163,8 +163,7 @@ def naive_saturate(base_atoms, rules) -> set[Atom]:
 
 def derivation_faults(kb) -> list[str]:
     """What is wrong with the derivations a knowledge base stores: each must
-    pass `engine.check_evidence` and `engine.rule_premises`, every premise
-    must be stored, and no derivation may rest on itself through its
+    pass `engine.check_evidence`, every premise it yields must be stored, and no derivation may rest on itself through its
     premises. Empty for a KB whose every derivation rests on stored claims
     (the Delete-and-Rederive invariant)."""
     faults, premises = [], {}
@@ -172,8 +171,7 @@ def derivation_faults(kb) -> list[str]:
         if not isinstance(claim.evidence, DerivedByRule):
             continue
         try:
-            check_evidence(claim)
-            premises[atom] = rule_premises(claim.evidence.rule, claim.evidence.substitution)
+            premises[atom] = check_evidence(claim)
         except EvidenceError as exc:
             faults.append(f"{canonical_atom(atom)}: {exc}")
             continue

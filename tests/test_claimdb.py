@@ -645,6 +645,34 @@ def test_reopen_leaves_refused_revision_unindexed(tmp_path, identities, trust_st
         reopened.log.close()
 
 
+@pytest.mark.parametrize("commit_time", ["1000", True, 1.5], ids=["string", "bool", "fraction"])
+def test_commit_time_that_is_not_a_json_integer_is_refused(tmp_path, identities, trust_store, commit_time):
+    """An SB successor, signed by SB, whose commit time is a string, a
+    boolean or a fraction is refused at submit; appended to the log file
+    and indexed directly, a reader refuses it, and on reopen it is left
+    unindexed, the genuine head staying SB's head."""
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    bad, bad_payload = sb_payload(identities, supersedes=base.id, commit_time=commit_time)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(bad_payload)
+    assert exc.value.code == 400
+    db._index_revision(bad, db.log.append(bad_payload.encode("utf-8")))  # a log that skipped the check
+    with pytest.raises(LogIntegrityError, match=f"commit_time must be an integer, not {commit_time!r}"):
+        reader(db, identities).revision(bad.id)
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(bad.id)
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+    finally:
+        reopened.log.close()
+
+
 def test_reopen_without_an_owners_key_leaves_its_revisions_unindexed(tmp_path, identities, trust_store):
     from cyberlog.identity import TrustStore
 

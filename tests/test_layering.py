@@ -144,15 +144,15 @@ def test_only_the_reader_calls_the_claim_database():
 EVIDENCE_CHECKERS = {"engine.py", "revision.py"}
 
 
-def modules_naming_rule_premises():
+def modules_naming_check_evidence():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        if any(name == "rule_premises" for _kind, name in _referenced_names(tree, ())):
+        if any(name == "check_evidence" for _kind, name in _referenced_names(tree, ())):
             yield path.name
 
 
 def test_only_the_reader_checks_logged_evidence():
-    assert [name for name in modules_naming_rule_premises() if name not in EVIDENCE_CHECKERS] == []
+    assert [name for name in modules_naming_check_evidence() if name not in EVIDENCE_CHECKERS] == []
 
 
 # the owner signs what it logs (revision.py) and the log operator its tree

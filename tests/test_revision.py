@@ -787,3 +787,128 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
         assert set(replayed._entries) == set(db._entries) and replayed._heads == db._heads
 
     check()
+
+
+# -- a logged rule instance is evaluated once ----------------------------------
+
+ONCE_SHEET = (
+    "'SB': Subject: 's' Issuer: 'i'\n"
+    "verdict(Id) :- request(Id).\n"
+    "next carried(Id) :- request(Id), Id > 5.\n"
+)
+ONCE_RS = parse_rulesheet(ONCE_SHEET, "SB")
+
+
+def _sb_claim(kind, n):
+    """SB's direct `request(n)`, derived `verdict(n)` or carried `carried(n)`."""
+    from cyberlog.engine import DerivedByRule
+
+    if kind == "request":
+        return Claim(GroundAtom("SB", "request", (n,)), DirectAssertion("SB"))
+    rule = ONCE_RS.rules[0 if kind == "verdict" else 1]
+    evidence = (DerivedByRule if kind == "verdict" else CarriedByNextRule)(rule, {"Id": n})
+    return Claim(GroundAtom("SB", kind, (n,)), evidence)
+
+
+def _log_once(db, identities, claims, supersedes, now):
+    """Log SB's revision of `claims` (kind, n) over `supersedes` under ONCE_RS; returns its record."""
+    record, body = build_record("SB", supersedes, (), ONCE_RS, [_sb_claim(*c) for c in claims], now)
+    db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+    return record
+
+
+def _counting_evaluations(monkeypatch):
+    """Record the head predicate of each rule instance whose body is grounded
+    (`engine._body_atoms`) and each comparison evaluated."""
+    import cyberlog.engine as engine
+
+    grounded, compared = [], []
+    body_atoms, compare = engine._body_atoms, engine._eval_comparison
+    monkeypatch.setattr(engine, "_body_atoms", lambda rule, s: grounded.append(rule.head.predicate) or body_atoms(rule, s))
+    monkeypatch.setattr(engine, "_eval_comparison", lambda atom, s: compared.append(atom.op) or compare(atom, s))
+    return grounded, compared
+
+
+def test_a_supersession_evaluates_only_its_changed_rule_instances(db, identities, trust_store, monkeypatch):
+    """A reader that accepted a revision evaluates, for its successor, only
+    the rule instances that changed: each claim equal to one of the
+    revision it supersedes is that claim object. A fresh Auditor evaluates
+    each rule instance of a chain once while it stays unchanged, on
+    accepting the chain, and auditing the accepted head evaluates none."""
+    from cyberlog.audit import Auditor
+
+    publish_rulesheet(db, ONCE_RS)
+    r1 = _log_once(db, identities, [("request", 6), ("request", 7), ("verdict", 6), ("verdict", 7)], None, 1)
+    changed = [("request", 7), ("request", 8), ("verdict", 7), ("verdict", 8), ("carried", 6), ("carried", 7)]
+    r2 = _log_once(db, identities, changed, r1.id, 2)
+    r3 = _log_once(db, identities, [("request", 7), ("verdict", 7), ("carried", 7), ("carried", 8)], r2.id, 3)
+    grounded, compared = _counting_evaluations(monkeypatch)
+    chain_reader = reader(db, identities)
+    counts = []
+    for record in (r1, r2, r3):
+        chain_reader.revision(record.id)
+        counts.append((sorted(grounded), len(compared)))
+        grounded.clear()
+        compared.clear()
+    assert counts == [(["verdict", "verdict"], 0), (["carried", "carried", "verdict"], 2), (["carried"], 1)]
+    accepted = [chain_reader.revision(record.id)[0] for record in (r1, r2, r3)]
+    verdict, carried = GroundAtom("SB", "verdict", (7,)), GroundAtom("SB", "carried", (7,))
+    assert accepted[2].by_atom[verdict] is accepted[1].by_atom[verdict] is accepted[0].by_atom[verdict]
+    assert accepted[2].by_atom[carried] is accepted[1].by_atom[carried]
+
+    auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
+    auditor.fetch_revision(r3.id)
+    assert (len(grounded), len(compared)) == (6, 3)
+    grounded.clear()
+    compared.clear()
+    nodes = auditor.audit_head("SB")
+    assert (grounded, compared) == ([], [])
+    assert len(nodes) == 4 and all(node.all_ok for node in nodes)
+
+
+def test_a_kept_derivation_whose_premise_was_dropped_is_refused(db, identities, trust_store, monkeypatch):
+    """r2 keeps r1's derived `verdict(7)`, equal to r1's claim, but drops its
+    premise `request(7)`. A reader that accepted r1 takes r1's claim
+    object, evaluating nothing, and still looks the premise up in r2, so it
+    refuses r2 naming `verdict(7)`; so do a fresh reader and the Auditor."""
+    from cyberlog.errors import UnsupportedClaimError
+    from conftest import audit_agrees_with_reader
+
+    publish_rulesheet(db, ONCE_RS)
+    r1 = _log_once(db, identities, [("request", 7), ("verdict", 7)], None, 1)
+    r2 = _log_once(db, identities, [("verdict", 7)], r1.id, 2)
+    chain_reader = reader(db, identities)
+    kept = chain_reader.revision(r1.id)[0].by_atom[GroundAtom("SB", "verdict", (7,))]
+    grounded, compared = _counting_evaluations(monkeypatch)
+    refusal = rf"revision {r2.id[:8]} by 'SB' holds an unsupported claim \"SB\"\|verdict\(7\): premise \"SB\"\|request\(7\)"
+    with pytest.raises(UnsupportedClaimError, match=refusal) as exc:
+        chain_reader.revision(r2.id)
+    assert exc.value.claim is kept and (grounded, compared) == ([], [])
+    assert not audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
+
+
+def test_a_kept_carry_over_whose_source_lacks_its_premise_is_refused(db, identities, trust_store, monkeypatch):
+    """r2 carries `carried(7)` from r1, which holds `request(7)`; r3 logs the
+    same carried claim, equal to r2's, though r2, its source, holds no
+    `request(7)`. A reader that accepted r2 takes r2's claim object,
+    evaluating nothing, and still looks the premise up in r2, so it refuses
+    r3 naming `carried(7)`; so do a fresh reader and the Auditor."""
+    from cyberlog.audit import Auditor
+    from cyberlog.engine import canonical_atom
+    from cyberlog.errors import UnsupportedClaimError
+    from conftest import audit_agrees_with_reader
+
+    publish_rulesheet(db, ONCE_RS)
+    r1 = _log_once(db, identities, [("request", 7)], None, 1)
+    r2 = _log_once(db, identities, [("carried", 7)], r1.id, 2)
+    r3 = _log_once(db, identities, [("carried", 7)], r2.id, 3)
+    chain_reader = reader(db, identities)
+    kept = chain_reader.revision(r2.id)[0].by_atom[GroundAtom("SB", "carried", (7,))]
+    grounded, compared = _counting_evaluations(monkeypatch)
+    refusal = rf"revision {r3.id[:8]} by 'SB' holds an unsupported claim \"SB\"\|carried\(7\): premise \"SB\"\|request\(7\)"
+    with pytest.raises(UnsupportedClaimError, match=refusal) as exc:
+        chain_reader.revision(r3.id)
+    assert exc.value.claim is kept and (grounded, compared) == ([], [])
+    [node] = Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head("SB")
+    assert node.atom == canonical_atom(kept.atom) and not node.all_ok
+    assert not audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
