@@ -69,14 +69,14 @@ class Auditor:
         return [self.audit_claim(record, claim) for claim in ((refused,) if refused else record.claims)]
 
     def _head(self, owner: str) -> tuple[RevisionRecord, Claim | None]:
-        """The owner's head and None, or the revision and claim the reader refused the head for."""
-        head = self.reader.owner_head(owner)
-        if head is None:
-            raise NotFoundError(f"owner {owner!r} has no revisions")
+        """The owner's accepted head and None, or the revision and claim the reader refused the head for."""
         try:
-            return self.fetch_revision(head[0]), None
+            head = self.reader.accept_head(owner)
         except UnsupportedClaimError as exc:
             return exc.record, exc.claim
+        if head is None:
+            raise NotFoundError(f"owner {owner!r} has no revisions")
+        return head, None
 
     def audit_claim(self, record: RevisionRecord, claim: Claim) -> AuditNode:
         """A node for `claim` of `record` and, one level down, one for each

@@ -29,7 +29,7 @@ from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SignatureError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
-from .lang import Rulesheet, parse_logged_rulesheet
+from .lang import Rulesheet, parse_rulesheet
 from .revision import (
     REVISION_PAYLOAD_HEAD,
     RevisionRecord,
@@ -141,7 +141,7 @@ class ClaimDb:
         text = self._rulesheets.get(rulesheet_hash)
         if text is None:
             raise LogIntegrityError(f"rulesheet {rulesheet_hash} is not logged")
-        return parse_logged_rulesheet(text, owner)
+        return parse_rulesheet(text, owner)
 
     def _check_chain(self, record: RevisionRecord) -> None:
         """Raise SubmitError unless the record may extend its owner's chain

@@ -21,7 +21,7 @@ from .errors import ConfigError, CyberlogError, ParseError
 from .harness import load_scenario, run_scenario, scenario_identities
 from .identity import TrustStore, generate_identity
 from .lang import format_rulesheet, parse_query, parse_rulesheet
-from .monitor import HttpMonitorClient, Monitor, MonitorService, load_rulesheet_file
+from .monitor import HttpMonitorClient, Monitor, MonitorService
 from .revision import LogReader
 
 DEFAULT_OPERATOR = "log-operator"
@@ -131,7 +131,7 @@ def cmd_serve_monitor(args) -> int:
     operator_key = _operator_key(trust, cfg.get("operator_name", DEFAULT_OPERATOR))
     monitor = Monitor(
         identity,
-        load_rulesheet_file(_required(cfg, "rulesheet", "monitor"), name),
+        parse_rulesheet(_read(_required(cfg, "rulesheet", "monitor")), name),
         HttpLogClient(_required(cfg, "db_url", "monitor")),
         trust,
         operator_key=operator_key,

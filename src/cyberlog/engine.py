@@ -86,7 +86,7 @@ def parse_canonical_atom(text: str) -> GroundAtom:
     """Decode canonical atom text; raises ValueError on malformed text.
 
     Every revision that carries a claim repeats its atom's text, so decodes
-    are memoised by text, like `parse_logged_rulesheet`; a GroundAtom is
+    are memoised by text, like `parse_rulesheet`; a GroundAtom is
     immutable, and its text is recomputed from its fields, never taken from
     the input. A text that fails to decode raises again on every call.
     """

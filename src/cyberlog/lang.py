@@ -523,28 +523,22 @@ def _contract_violations(rs: Rulesheet) -> list[str]:
 def parse_rulesheet(text: str, self_id: str) -> Rulesheet:
     """Parse rulesheet source into a desugared AST. Raises ParseError on
     syntax errors and unknown builtins, and for a sheet that breaks its
-    contract (`Rulesheet`)."""
-    identities, rules = _Parser(_lex(text), self_id).parse_sheet()
-    return Rulesheet(self_id, identities, rules)
-
-
-def parse_logged_rulesheet(text: str, owner: str) -> Rulesheet:
-    """`parse_rulesheet` of a rulesheet text logged in the claim database,
-    for the owner of a revision that names it. Every revision of an owner
-    names the same few texts, so outcomes are memoised by text and owner:
-    a Rulesheet is immutable, and a text that is refused raises a copy of
-    its first ParseError without being parsed again, so a short revision
+    contract (`Rulesheet`). Every revision of an owner names the same few
+    logged texts, so outcomes are memoised by text and principal: a
+    Rulesheet is immutable, and a text that is refused raises a copy of its
+    first ParseError without being parsed again, so a short revision
     naming a long logged text costs no parse once that text has failed."""
-    parsed = _parse_logged_rulesheet(text, owner)
+    parsed = _parse_rulesheet(text, self_id)
     if isinstance(parsed, ParseError):
         raise copy.copy(parsed)
     return parsed
 
 
 @functools.lru_cache(maxsize=256)
-def _parse_logged_rulesheet(text: str, owner: str) -> Rulesheet | ParseError:
+def _parse_rulesheet(text: str, self_id: str) -> Rulesheet | ParseError:
     try:
-        return parse_rulesheet(text, owner)
+        identities, rules = _Parser(_lex(text), self_id).parse_sheet()
+        return Rulesheet(self_id, identities, rules)
     except ParseError as exc:
         return exc.with_traceback(None)
 

@@ -29,7 +29,7 @@ from .engine import (
 from .errors import ConfigError, CyberlogError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
-from .lang import Rulesheet, format_rulesheet, parse_query, parse_rulesheet
+from .lang import Rulesheet, format_rulesheet, parse_query
 from .revision import (
     LogClient,
     LogReader,
@@ -249,30 +249,26 @@ class Monitor:
     # -- polling ------------------------------------------------------------
 
     def poll_and_include(self) -> list[str]:
-        """Fetch watched owners' heads, include new revisions, handle
-        supersessions; returns ids newly loaded this poll.
-
-        A head is included only if it belongs to the owner polled, so each
-        id in `active_includes` is known to be that owner's revision and a
-        later supersession need not fetch it again."""
+        """Include each watched owner's new head that the reader accepts (`LogReader.accept_head`),
+        keeping only it in the reader; returns the ids newly loaded this poll."""
         loaded: list[str] = []
         with self.lock:
             for owner in self.watched_owners:
                 last = self.active_includes.get(owner)
                 try:
-                    # an owner without revisions has nothing new either
-                    head, _length = self.reader.owner_head(owner) or (last, 0)
-                    if head == last:
+                    head = self.reader.accept_head(owner)
+                    if head is None or head.id == last:  # an owner without revisions has nothing new either
                         continue
                     if last is None:
-                        include_revision(self.kb, head, self.reader, owner)
+                        include_revision(self.kb, head.id, self.reader)
                     else:
-                        on_superseded(self.kb, last, head, self.reader, owner)
+                        on_superseded(self.kb, last, head.id, self.reader)
+                    self.reader.forget_before(head.id)
                 except (CyberlogError, OSError) as exc:
                     self._warn("poll", f"poll of {owner} refused: {exc}")
                     continue
-                self.active_includes[owner] = head
-                loaded.append(head)
+                self.active_includes[owner] = head.id
+                loaded.append(head.id)
         return loaded
 
     # -- queries --------------------------------------------------------------
@@ -422,8 +418,3 @@ class HttpMonitorClient:
 
     def health(self) -> dict:
         return self._request("GET", "/health")
-
-
-def load_rulesheet_file(path: str, self_id: str) -> Rulesheet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_rulesheet(fh.read(), self_id)

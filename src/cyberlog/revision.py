@@ -39,7 +39,7 @@ from .engine import (
 )
 from .errors import EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError, UnsupportedClaimError
 from .identity import Identity, TrustStore, sign_bytes, verify_bytes
-from .lang import RelationalAtom, RuleKind, Rulesheet, parse_logged_rulesheet
+from .lang import RelationalAtom, RuleKind, Rulesheet, parse_rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
 
 
@@ -183,15 +183,15 @@ def decode_payload(
     `rulesheet_of` gives, once, for the record's rulesheet hash and owner.
     Raises LogIntegrityError on a payload outside the revision layout, on a
     rulesheet that does not parse for the owner, on malformed data, which
-    includes a commit time that is not a JSON integer, a rule reference
-    that is not an index of a rule of the right kind and a carried claim in
-    a chain root (a carried claim's source is the revision its record
-    supersedes), on claims whose atom texts do not strictly increase (a
-    claim is named by its atom, so a revision holds one claim per atom),
-    and on a claim whose principal is not the record's owner, since nobody
-    may make claims on someone else's behalf; any other refusal of
-    `rulesheet_of` passes through. Claims and includes keep the payload's
-    order."""
+    includes a commit time that is not a JSON integer, includes that are
+    not a JSON list of strings, a rule reference that is not an index of a
+    rule of the right kind and a carried claim in a chain root (a carried
+    claim's source is the revision its record supersedes), on claims whose
+    atom texts do not strictly increase (a claim is named by its atom, so a
+    revision holds one claim per atom), and on a claim whose principal is
+    not the record's owner, since nobody may make claims on someone else's
+    behalf; any other refusal of `rulesheet_of` passes through. Claims and
+    includes keep the payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
@@ -201,10 +201,10 @@ def decode_payload(
         obj = json.loads(payload)
         rev_id = sha256(("{" + payload[len(REVISION_PAYLOAD_HEAD) : split] + "}").encode("utf-8")).hexdigest()
         owner, supersedes, rulesheet_hash = obj["owner"], obj["supersedes"], obj["rulesheet_hash"]
-        includes = tuple(obj["includes"])
+        includes = obj["includes"]
         names = (owner, rulesheet_hash, *includes) + (() if supersedes is None else (supersedes,))
-        if not all(isinstance(name, str) for name in names):
-            raise TypeError("owner, supersedes, includes and rulesheet_hash must be strings")
+        if type(includes) is not list or not all(isinstance(name, str) for name in names):
+            raise TypeError("owner, supersedes and rulesheet_hash must be strings, includes a list of strings")
         key = trust_store.public_key(owner)
         if key is None:
             raise SignatureError(f"unknown owner {owner!r}")
@@ -224,7 +224,7 @@ def decode_payload(
         commit_time = obj["commit_time"]
         if type(commit_time) is not int:
             raise TypeError(f"commit_time must be an integer, not {commit_time!r}")
-        record = RevisionRecord(rev_id, owner, supersedes, includes, rulesheet_hash, tuple(claims), commit_time)
+        record = RevisionRecord(rev_id, owner, supersedes, tuple(includes), rulesheet_hash, tuple(claims), commit_time)
     except (KeyError, TypeError, ValueError, EvidenceError, ParseError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
     return record, signature, rs
@@ -323,8 +323,8 @@ def _served(what: str) -> Iterator[None]:
 class LogReader:
     """The one client of the claim database `db`, which parses and verifies
     all `db` answers, and the one cache of what it verified: the last
-    accepted tree head, accepted revisions by id and rulesheet texts by
-    hash. Heads are checked under `operator_key` unless it is None (an
+    accepted tree head, owner heads and revisions by id and rulesheet texts
+    by hash. Heads are checked under `operator_key` unless it is None (an
     offline audit: no operator signed), owners under `trust_store`. Heads
     must come in the order asked for: one thread at a time."""
 
@@ -334,6 +334,7 @@ class LogReader:
         self.operator_key = operator_key
         self.head: SignedTreeHead | None = None
         self._revisions: dict[str, tuple[RevisionRecord, LogInclusion]] = {}
+        self._heads: dict[str, str] = {}  # owner -> id of its last accepted head
         self._texts: dict[str, str] = {}
 
     def accept(self, head: SignedTreeHead) -> None:
@@ -361,7 +362,7 @@ class LogReader:
         self.head = head
 
     def owner_head(self, owner: str) -> tuple[str, int] | None:
-        """`owner`'s head revision id and chain length; None if it has none."""
+        """`owner`'s head revision id and chain length as served; None if it has none."""
         with _served(f"head of {owner!r}"):
             try:
                 response = self.db.get_head(owner)
@@ -371,6 +372,19 @@ class LogReader:
             if not isinstance(head[0], str) or not isinstance(head[1], int):
                 raise TypeError(f"not a revision id and a chain length: {head!r}")
             return head
+
+    def accept_head(self, owner: str) -> RevisionRecord | None:
+        """`owner`'s head as served, accepted through `revision` and kept as its last; None if it has none. Raises
+        LogIntegrityError for another owner's revision and for a head whose chain does not reach the last one kept."""
+        served = self.owner_head(owner)
+        if served is None:
+            return None
+        record = self.revision(served[0])[0]
+        if record.owner != owner:
+            raise LogIntegrityError(f"revision {record.id} belongs to {record.owner!r}, not to {owner!r}")
+        supersession_chain(self, record, self._heads.get(owner, record.id))
+        self._heads[owner] = record.id
+        return record
 
     def log_root(self) -> SignedTreeHead:
         """The log's current tree head as served, for `accept` to check."""
@@ -409,22 +423,27 @@ class LogReader:
     def revision(self, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
         """The revision logged under `rev_id` and the inclusion its claims
         share, fetched, verified and accepted on the first call only: after
-        the one it supersedes, if revisions accepted before support each of
-        its claims (`claim_premises`). A cold chain is fetched back to its
-        first accepted revision, or its root, and accepted forward. A claim
-        equal to one of the revision it supersedes is that claim object, so
-        its rule instance, checked already, is not evaluated again; its
-        premises are still looked up. Raises UnsupportedClaimError for the
-        first revision that holds an unsupported claim, and for every later
-        one of its chain."""
+        the one it supersedes, if that is its owner's at no later commit
+        time, and if revisions accepted before support each of its claims
+        (`claim_premises`). A cold chain is fetched back to its first
+        accepted revision, or its root, and accepted forward. A claim equal
+        to one of the revision it supersedes is that claim object, so its
+        rule instance is not evaluated again; its premises are looked up.
+        Raises LogIntegrityError (UnsupportedClaimError for a claim) for the
+        first revision refused, and for every later one of its chain."""
         cold, cursor = [], rev_id
         while cursor is not None and cursor not in self._revisions:
             cold.append(fetch_verified_revision(self, cursor))
             cursor = cold[-1][0].supersedes
         for record, inclusion in reversed(cold):
             if record.supersedes is not None:
-                kept = self._revisions[record.supersedes][0].by_atom
-                claims = tuple(old if (old := kept.get(c.atom)) == c else c for c in record.claims)
+                previous = self._revisions[record.supersedes][0]
+                if previous.owner != record.owner or previous.commit_time > record.commit_time:
+                    raise LogIntegrityError(
+                        f"revision {record.id} by {record.owner!r} at commit time {record.commit_time}"
+                        f" may not supersede {previous.id} by {previous.owner!r} at {previous.commit_time}"
+                    )
+                claims = tuple(old if (old := previous.by_atom.get(c.atom)) == c else c for c in record.claims)
                 record = replace(record, claims=claims)
             for claim in record.claims:
                 try:
@@ -450,7 +469,7 @@ class LogReader:
             if rulesheet_entry_id(text) != rulesheet_hash:
                 raise LogIntegrityError(f"rulesheet hashes to {rulesheet_entry_id(text)}, expected {rulesheet_hash}")
             self._texts[rulesheet_hash] = text
-        return parse_logged_rulesheet(self._texts[rulesheet_hash], owner)
+        return parse_rulesheet(self._texts[rulesheet_hash], owner)
 
 
 def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRecord, LogInclusion]:
@@ -499,58 +518,43 @@ def claim_premises(
     return premises
 
 
-def _check_owner(record: RevisionRecord, owner: str) -> None:
-    if record.owner != owner:
-        raise EvidenceError(f"revision {record.id} belongs to {record.owner!r}, not to the watched {owner!r}")
-
-
-def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
-    """Import all claims of `owner`'s logged revision, which `reader`
-    accepted, into the KB under inclusion evidence; returns the claims whose
-    atoms are new. A refusal leaves the KB's claims as they were: it refuses
-    before the KB changes if the reader refuses the revision or it belongs
-    to someone else, and `revise` undoes the import if saturation raises."""
+def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader) -> list[Claim]:
+    """Import all claims of the revision `rev_id`, which `reader` accepted
+    (`LogReader.accept_head`), into the KB under inclusion evidence; returns
+    the claims whose atoms are new. A refusal leaves the KB's claims as they
+    were: the reader refuses before the KB changes, and `revise` undoes the
+    import if saturation raises."""
     record, inclusion = reader.revision(rev_id)
-    _check_owner(record, owner)
     added = kb.revise((), [Claim(claim.atom, inclusion) for claim in record.claims])
-    reader.forget_before(rev_id)
     return [claim for claim in added if claim.evidence is inclusion]
 
 
 def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> None:
-    """Check that the new record supersedes old: each revision in between,
-    read through `reader`, belongs to its owner (the old one's owner was
-    checked when it was included); raises EvidenceError if not."""
-    cursor = new_record.supersedes
+    """Raise LogIntegrityError unless `new_record`, which `reader` accepted, is `old_rev_id` or supersedes it."""
+    cursor = new_record.id
     while cursor != old_rev_id:
+        cursor = reader.revision(cursor)[0].supersedes
         if cursor is None:
-            raise EvidenceError(f"revision {new_record.id} does not supersede {old_rev_id}")
-        older, _ = reader.revision(cursor)
-        if older.owner != new_record.owner:
-            raise EvidenceError(f"supersession crosses owners: {older.owner!r} vs {new_record.owner!r}")
-        cursor = older.supersedes
+            raise LogIntegrityError(f"revision {new_record.id} does not supersede {old_rev_id}")
 
 
-def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: LogReader, owner: str) -> list[Claim]:
-    """Update the KB in place after `owner`'s included revision was
-    superseded; returns the admitted claims whose atoms are new.
+def on_superseded(kb: KnowledgeBase, old_rev_id: str, new_rev_id: str, reader: LogReader) -> list[Claim]:
+    """Update the KB in place after its included revision `old_rev_id` was
+    superseded by `new_rev_id`, which `reader` accepted
+    (`LogReader.accept_head`); returns the admitted claims whose atoms are
+    new.
 
-    The new revision, read through `reader`, which holds the old one since
-    its inclusion, must belong to `owner`, as the old one was checked to.
-    In one `KnowledgeBase.revise`, the atoms the old revision holds and the
-    new one does not are retracted, with every derivation downstream of
-    them, and the new revision's atoms that the old one does not hold are
-    included under the new revision's inclusion evidence; the reader then
-    forgets the replaced chain. An atom both hold keeps its stored claim,
-    whose inclusion names an earlier revision of the same chain, which
-    logged that atom too. A refusal leaves the KB's claims as they were, as
-    for `include_revision`.
+    The reader holds the old revision since its inclusion. In one
+    `KnowledgeBase.revise`, the atoms the old revision holds and the new
+    one does not are retracted, with every derivation downstream of them,
+    and the new revision's atoms that the old one does not hold are
+    included under the new revision's inclusion evidence. An atom both
+    hold keeps its stored claim, whose inclusion names an earlier revision
+    of the same chain, which logged that atom too. A refusal leaves the
+    KB's claims as they were, as for `include_revision`.
     """
     record, inclusion = reader.revision(new_rev_id)
-    supersession_chain(reader, record, old_rev_id)
-    _check_owner(record, owner)
     held = reader.revision(old_rev_id)[0].by_atom
     retracted = [atom for atom in held if atom not in record.by_atom]
     added = kb.revise(retracted, [Claim(claim.atom, inclusion) for claim in record.claims if claim.atom not in held])
-    reader.forget_before(new_rev_id)
     return [claim for claim in added if claim.evidence is inclusion]

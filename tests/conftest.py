@@ -140,7 +140,7 @@ def audit_agrees_with_reader(db, trust_store, operator_key, owner) -> bool:
 
     reader = LogReader(db, trust_store, operator_key)
     try:
-        reader.revision(reader.owner_head(owner)[0])
+        reader.accept_head(owner)
         accepted = True
     except CyberlogError:
         accepted = False

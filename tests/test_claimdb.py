@@ -673,6 +673,41 @@ def test_commit_time_that_is_not_a_json_integer_is_refused(tmp_path, identities,
         reopened.log.close()
 
 
+@pytest.mark.parametrize("includes", ['"ab"', '{"ab":"cd"}'], ids=["string", "object"])
+def test_includes_that_are_not_a_json_list_are_refused(tmp_path, identities, trust_store, includes):
+    """An SB successor, signed by SB, whose includes are a JSON string or
+    object, which a reader would once have taken as a tuple of the string's
+    letters or of the object's keys, is refused at submit; appended to the
+    log file and indexed directly, a reader refuses it, and on reopen it is
+    left unindexed, the genuine head staying SB's head."""
+    import hashlib
+    from dataclasses import replace
+
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    db.submit_revision(payload)
+    record, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), (), 2)
+    body = body.replace('"includes":[]', f'"includes":{includes}')
+    bad = replace(record, id=hashlib.sha256(body.encode("utf-8")).hexdigest())
+    bad_payload = encode_payload(body, sign_record(bad, identities["SB"]))
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(bad_payload)
+    assert exc.value.code == 400 and "includes a list of strings" in str(exc.value)
+    db._index_revision(bad, db.log.append(bad_payload.encode("utf-8")))  # a log that skipped the check
+    with pytest.raises(LogIntegrityError, match="includes a list of strings"):
+        reader(db, identities).revision(bad.id)
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(bad.id)
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+    finally:
+        reopened.log.close()
+
+
 def test_reopen_without_an_owners_key_leaves_its_revisions_unindexed(tmp_path, identities, trust_store):
     from cyberlog.identity import TrustStore
 
@@ -1280,8 +1315,8 @@ def test_rulesheet_is_read_for_a_trusted_owner_once_per_revision(db, identities,
     from cyberlog.identity import generate_identity
 
     resolved, decoded = [], []
-    parse, decode = claimdb.parse_logged_rulesheet, claimdb.decode_rulesheet_payload
-    monkeypatch.setattr(claimdb, "parse_logged_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
+    parse, decode = claimdb.parse_rulesheet, claimdb.decode_rulesheet_payload
+    monkeypatch.setattr(claimdb, "parse_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
     monkeypatch.setattr(claimdb, "decode_rulesheet_payload", lambda payload: decoded.append(payload) or decode(payload))
     stranger = generate_identity("EVE", seed=bytes(32))
     record, body = build_record("EVE", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
@@ -1305,8 +1340,8 @@ def test_revision_not_signed_by_its_trusted_owner_is_refused_before_its_ruleshee
     import cyberlog.claimdb as claimdb
 
     resolved = []
-    parse = claimdb.parse_logged_rulesheet
-    monkeypatch.setattr(claimdb, "parse_logged_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
+    parse = claimdb.parse_rulesheet
+    monkeypatch.setattr(claimdb, "parse_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
     record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
     signature = bytes(64) if signer == "unsigned" else sign_record(record, identities[signer])
     with pytest.raises(SubmitError) as exc:
@@ -1326,13 +1361,14 @@ def test_rulesheet_not_parsing_for_its_owner_is_parsed_once(db, identities, monk
 
     foreign = SB_SHEET + MRM_SHEET + "'MRM' attests parsed_once(1).\n"
     db.submit_revision(encode_rulesheet_payload(foreign))
+    payloads = [naming(identities, foreign, commit_time=commit_time) for commit_time in (1, 2, 3)]
     parses = []
-    parse = lang.parse_rulesheet
-    monkeypatch.setattr(lang, "parse_rulesheet", lambda text, owner: parses.append(owner) or parse(text, owner))
-    lang._parse_logged_rulesheet.cache_clear()
-    for commit_time in (1, 2, 3):
+    parser = lang._Parser
+    monkeypatch.setattr(lang, "_Parser", lambda tokens, owner: parses.append(owner) or parser(tokens, owner))
+    lang._parse_rulesheet.cache_clear()
+    for payload in payloads:
         with pytest.raises(SubmitError) as exc:
-            db.submit_revision(naming(identities, foreign, commit_time=commit_time))
+            db.submit_revision(payload)
         assert exc.value.code == 400 and "non-self head" in str(exc.value)
     assert parses == ["SB"]
 
@@ -1431,8 +1467,9 @@ def test_reader_refuses_an_invalid_contract(db, identities, case):
 
 def test_commit_time_going_back_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
     """A revision at commit time 1000 that supersedes one at 5000 is refused
-    with 409 at submit and left unindexed, with one warning, on replay; an
-    equal commit time is taken."""
+    with 409 at submit; appended to the log file and indexed directly, a
+    reader refuses it; it is left unindexed, with one warning, on replay;
+    an equal commit time is taken."""
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, commit_time=5000)
@@ -1442,6 +1479,9 @@ def test_commit_time_going_back_refused_at_submit_and_on_replay(tmp_path, identi
         db.submit_revision(backwards_payload)
     assert exc.value.code == 409 and "commit time 1000 is before 5000" in str(exc.value)
     index = db.log.append(backwards_payload.encode("utf-8"))
+    db._index_revision(backwards, index)  # a log that skipped the check
+    with pytest.raises(LogIntegrityError, match=f"revision {backwards.id} by 'SB' at commit time 1000 may not supersede"):
+        reader(db, identities).revision(backwards.id)
     db.log.close()
 
     with caplog.at_level("WARNING", logger="cyberlog.claimdb"):

@@ -841,7 +841,7 @@ def test_supersession_matches_scratch():
             # DOM's KB is its inclusions and their consequences: rebuild it from scratch
             scratch = KnowledgeBase(dom.rulesheet)
             for owner, rev_id in dom.active_includes.items():
-                include_revision(scratch, rev_id, reader, owner)
+                include_revision(scratch, rev_id, reader)
             assert dom.kb.claims.keys() == scratch.claims.keys(), f"window {k}"
         assert run.query_count("DOM", "good_rtf_exists(R, A)") == windows
     finally:
@@ -862,11 +862,13 @@ class PassThroughDb:
         return getattr(self.inner, name)
 
 
-def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None):
+def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None, commit_time=10_000):
     """Log and index a revision without the claim DB's admission checks, as
     a claim DB that lies would; returns its id. It names the owner's
     identity-only rulesheet, logged, since its claims are direct
-    assertions, and carries `signature`, by default the owner's own."""
+    assertions, and carries `signature`, by default the owner's own. Its
+    commit time is by default later than any commit of these tests'
+    monitors, so a reader refuses it for nothing else."""
     from cyberlog.engine import Claim, DirectAssertion
     from conftest import publish_rulesheet
     from cyberlog.revision import build_record, encode_payload, sign_record
@@ -874,7 +876,7 @@ def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
     publish_rulesheet(db, rs)
     claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
-    record, body = build_record(owner, supersedes, (), rs, claims, 5)
+    record, body = build_record(owner, supersedes, (), rs, claims, commit_time)
     if signature is None:
         signature = sign_record(record, identities[owner])
     index = db.log.append(encode_payload(body, signature).encode("utf-8"))
@@ -909,16 +911,24 @@ FORGED_FETCHES = {
 }
 
 
+# heads no reader may accept as SB's, so an Auditor refuses them too
+REFUSED_HEADS = ("unreachable", "foreign-head", "crossing", "foreign-first-head", "backwards")
+
+
 @pytest.mark.parametrize(
     "refusal",
-    ["tampered", "unreachable", "foreign-head", "crossing", "foreign-first-head", "saturation", "first-saturation",
-     *FORGED_FETCHES],
+    ["tampered", *REFUSED_HEADS, "saturation", "first-saturation", *FORGED_FETCHES],
 )
 def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, caplog):
     """A refused head leaves DOM's atoms, evidence objects and active
     includes exactly as they were, and DOM's KB as saturated as it was. A
     forged tree head or inclusion proof is refused by the fetch, which is
-    the only place a watcher checks them."""
+    the only place a watcher checks them. The Auditor refuses each head
+    the reader's `accept_head` refuses: a fresh one, or for a rolled-back
+    head one that read the newer head first."""
+    from cyberlog.audit import Auditor
+    from cyberlog.errors import LogIntegrityError
+
     sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
     # an ordered comparison that raises once SB logs a non-integer time
     late = "late(R) :- 'SB' attests request(R, Data, T), T > 3.\n"
@@ -949,15 +959,18 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
         expected = f"does not supersede {r2.id}"
     elif refusal == "foreign-first-head":
         wrapped.get_head = lambda owner: dict(db.get_head(owner), revision_id=other.id)
-        expected = "belongs to 'MRM', not to the watched 'SB'"
+        expected = f"revision {other.id} belongs to 'MRM', not to 'SB'"
     elif refusal == "foreign-head":  # an MRM revision that supersedes r1
         foreign = _append_directly(db, identities, "MRM", r1.id)
         wrapped.get_head = lambda owner: dict(db.get_head(owner), revision_id=foreign)
-        expected = "belongs to 'MRM', not to the watched 'SB'"
+        expected = f"revision {foreign} by 'MRM' at commit time 10000 may not supersede {r1.id} by 'SB' at 1000"
     elif refusal == "crossing":  # SB's new head supersedes a CTR revision that supersedes r1
         crossing = _append_directly(db, identities, "CTR", r1.id)
         _append_directly(db, identities, "SB", crossing, [GroundAtom("SB", "request", (9, "d", 1))])
-        expected = "supersession crosses owners: 'CTR' vs 'SB'"
+        expected = f"revision {crossing} by 'CTR' at commit time 10000 may not supersede {r1.id} by 'SB' at 1000"
+    elif refusal == "backwards":  # SB's new head was committed before r1
+        backwards = _append_directly(db, identities, "SB", r1.id, [GroundAtom("SB", "request", (9, "d", 1))], commit_time=5)
+        expected = f"revision {backwards} by 'SB' at commit time 5 may not supersede {r1.id} by 'SB' at 1000"
     elif refusal == "first-saturation":  # the first SB head DOM sees holds a request whose time is not an integer
         dom.kb.saturate()
         assert len(dom.kb) == 0
@@ -977,6 +990,35 @@ def test_refused_poll_changes_nothing(refusal, identities, trust_store, db, capl
     assert at_fixpoint(dom.kb) == saturated
     [record] = caplog.records
     assert record.stage == "poll" and re.search(expected, record.getMessage()), record.getMessage()
+    if refusal in REFUSED_HEADS:
+        auditor = Auditor(db if refusal == "unreachable" else wrapped, trust_store, identities[OPERATOR].public_key)
+        if refusal == "unreachable":  # r1 stays in the Auditor's reader, accepted as r2's predecessor
+            assert all(node.all_ok for node in auditor.audit_head("SB"))
+            auditor.reader.db = wrapped
+        with pytest.raises(LogIntegrityError, match=re.escape(expected)):
+            auditor.audit_head("SB")
+
+
+def test_cli_audit_refuses_a_head_committed_before_its_predecessor(identities, trust_store, db, tmp_path, capsys):
+    """`cyberlog audit` exits 1 for an SB head whose commit time is before
+    that of the revision it supersedes, which the claim DB was made to log."""
+    from cyberlog.claimdb import serve_db_in_thread
+    from cyberlog.cli import main
+
+    sb = make_monitor(identities, trust_store, db, "SB", SB_SHEET)
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    r1 = sb.commit()
+    backwards = _append_directly(db, identities, "SB", r1.id, [GroundAtom("SB", "request", (9, "d", 1))], commit_time=5)
+    trust = str(tmp_path / "trust.jsonl")
+    trust_store.save(trust)
+    server, url = serve_db_in_thread(db)
+    try:
+        code = main(["audit", "--db", url, "--trust-store", trust, "--owner", "SB"])
+    finally:
+        server.shutdown()
+        server.server_close()
+    out = capsys.readouterr().out
+    assert code == 1 and f"audit failed: revision {backwards} by 'SB' at commit time 5 may not supersede {r1.id}" in out, out
 
 
 def test_commit_keeps_derived_claims_whose_premises_survive(identities, trust_store, db_client):
@@ -1287,6 +1329,27 @@ def test_rolled_back_log_is_refused(identities, trust_store, db, caplog):
     auditor = Auditor(rolled_back, trust_store, identities[OPERATOR].public_key)
     auditor.reader.accept(SignedTreeHead.from_obj(db.get_log_root()))
     with pytest.raises(LogIntegrityError, match="tree size went backwards"):
+        auditor.audit_head("SB")
+
+
+def test_an_auditor_refuses_an_older_head_it_holds(identities, trust_store, db):
+    """An Auditor that accepted SB's head r2 is then served r1 as SB's head,
+    which its reader holds, accepted as r2's predecessor: it refuses r1
+    without a fetch. A fresh Auditor passes r1, since no proof covers a
+    head answer."""
+    from cyberlog.audit import Auditor
+    from cyberlog.errors import LogIntegrityError
+
+    sb, _dom = _watching_dom(identities, trust_store, db, [7, 8])
+    r2 = sb._base
+    auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
+    assert all(node.all_ok for node in auditor.audit_head("SB"))
+    rolled_back = PassThroughDb(db)
+    rolled_back.get_head = lambda owner: dict(db.get_head(owner), revision_id=r2.supersedes)
+    assert all(node.all_ok for node in Auditor(rolled_back, trust_store, identities[OPERATOR].public_key).audit_head("SB"))
+    rolled_back.get_revision = lambda rev_id: pytest.fail(f"fetched {rev_id}")
+    auditor.reader.db = rolled_back
+    with pytest.raises(LogIntegrityError, match=f"revision {r2.supersedes} does not supersede {r2.id}"):
         auditor.audit_head("SB")
 
 

@@ -176,7 +176,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
     record = mrm_commit(
         db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1
     )
-    added = include_revision(kb, record.id, reader(db_client, identities), "MRM")
+    added = include_revision(kb, record.id, reader(db_client, identities))
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (7, 3))]
     assert isinstance(added[0].evidence, LogInclusion)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
@@ -185,7 +185,7 @@ def test_include_enables_foreign_derivation(db_client, identities, dom_setup):
 def test_include_empty_revision(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     record = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    assert include_revision(kb, record.id, reader(db_client, identities), "MRM") == []
+    assert include_revision(kb, record.id, reader(db_client, identities)) == []
     assert len(kb) == 0
 
 
@@ -208,7 +208,7 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
             return getattr(self.inner, name)
 
     with pytest.raises(LogIntegrityError):
-        include_revision(kb, record.id, reader(TamperingClient(db_client), identities), "MRM")
+        include_revision(kb, record.id, reader(TamperingClient(db_client), identities))
     assert len(kb) == 0
 
 
@@ -218,16 +218,16 @@ def test_include_refuses_tampered_body(db_client, identities, dom_setup):
 def test_supersession_retracts_consequences(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
+    include_revision(kb, r1.id, reader(db_client, identities))
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 7}]
 
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
-    on_superseded(kb, r1.id, r2.id, reader(db_client, identities), "MRM")
+    on_superseded(kb, r1.id, r2.id, reader(db_client, identities))
     assert kb.query(parse_query("verdict(R)", "DOM")) == []
 
     # oracle: from-scratch saturation over current inclusions only
     oracle = KnowledgeBase(rs_dom)
-    include_revision(oracle, r2.id, reader(db_client, identities), "MRM")
+    include_revision(oracle, r2.id, reader(db_client, identities))
     assert kb.claims.keys() == oracle.claims.keys()
 
 
@@ -235,29 +235,38 @@ def test_supersession_with_identical_claims_is_fixpoint(db_client, identities, d
     kb, rs_dom, rs_mrm = dom_setup
     atoms = [GroundAtom("MRM", "feasible_config", (7, 3))]
     r1 = mrm_commit(db_client, identities, rs_mrm, None, atoms, 1)
-    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
+    include_revision(kb, r1.id, reader(db_client, identities))
     before = set(kb.claims)
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, atoms, 2)
-    assert on_superseded(kb, r1.id, r2.id, reader(db_client, identities), "MRM") == []
+    assert on_superseded(kb, r1.id, r2.id, reader(db_client, identities)) == []
     assert kb.claims.keys() == before
 
 
-def test_supersession_chain_must_reach_old(db_client, identities, dom_setup):
-    kb, rs_dom, rs_mrm = dom_setup
-    r1 = mrm_commit(db_client, identities, rs_mrm, None, [], 1)
-    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
-    unrelated, _, _ = commit(db_client, identities, parse_rulesheet(CTR_SHEET, "CTR"), now_ms=1)
-    with pytest.raises(EvidenceError, match="does not supersede"):
-        on_superseded(kb, r1.id, unrelated.id, reader(db_client, identities), "MRM")
+def test_supersession_chain_must_reach_old(db, identities, dom_setup):
+    """A reader that accepted MRM's head r1 accepts r3, whose chain reaches
+    r1 through r2. It refuses a head on another MRM chain, which a claim DB
+    that skipped its check logged, and keeps r3 as MRM's head."""
+    _kb, _rs_dom, rs_mrm = dom_setup
+    r1 = mrm_commit(db, identities, rs_mrm, None, [], 1)
+    log_reader = reader(db, identities)
+    assert log_reader.accept_head("MRM").id == r1.id
+    r2 = mrm_commit(db, identities, rs_mrm, r1.id, [GroundAtom("MRM", "feasible_config", (7, 3))], 2)
+    r3 = mrm_commit(db, identities, rs_mrm, r2.id, [], 3)
+    assert log_reader.accept_head("MRM").id == r3.id
+    unrelated, body = build_record("MRM", None, (), rs_mrm, (), 4)
+    db._index_revision(unrelated, db.log.append(encode_payload(body, sign_record(unrelated, identities["MRM"])).encode()))
+    for _ in range(2):
+        with pytest.raises(LogIntegrityError, match=f"revision {unrelated.id} does not supersede {r3.id}"):
+            log_reader.accept_head("MRM")
 
 
 def test_multi_step_supersession_drops_whole_chain(db_client, identities, dom_setup):
     kb, rs_dom, rs_mrm = dom_setup
     r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
-    include_revision(kb, r1.id, reader(db_client, identities), "MRM")
+    include_revision(kb, r1.id, reader(db_client, identities))
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
     r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, [GroundAtom("MRM", "feasible_config", (9, 1))], 3)
-    on_superseded(kb, r1.id, r3.id, reader(db_client, identities), "MRM")
+    on_superseded(kb, r1.id, r3.id, reader(db_client, identities))
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
 
@@ -282,18 +291,18 @@ def test_supersession_admits_only_the_atoms_it_changes(
 
     log_reader = reader(db_client, identities)
     r1 = mrm_commit(db_client, identities, rs_mrm, None, shared + gone, 1)
-    include_revision(kb, r1.id, log_reader, "MRM")
+    include_revision(kb, r1.id, log_reader)
     before = dict(kb.claims)
     r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, shared + added, 2)
     checked, check = [], KnowledgeBase.check_evidence
     monkeypatch.setattr(KnowledgeBase, "check_evidence", lambda kb, claim: checked.append(claim.atom) or check(kb, claim))
-    assert [c.atom for c in on_superseded(kb, r1.id, r2.id, log_reader, "MRM")] == added
+    assert [c.atom for c in on_superseded(kb, r1.id, r2.id, log_reader)] == added
     assert checked == added
     assert all(kb.claims[atom] is before[atom] and before[atom].evidence.revision_id == r1.id for atom in shared)
     assert not any(atom in kb for atom in gone)
     assert verdicts() == [atom.args[0] for atom in shared + added]
     r3 = mrm_commit(db_client, identities, rs_mrm, r2.id, added, 3)
-    on_superseded(kb, r2.id, r3.id, log_reader, "MRM")
+    on_superseded(kb, r2.id, r3.id, log_reader)
     assert {c.atom for c in kb.claims_for("MRM", "feasible_config")} == set(added)
     assert verdicts() == [atom.args[0] for atom in added]
 
@@ -320,15 +329,15 @@ def test_supersession_fetches_new_and_intermediates_once(db_client, identities, 
         records.append(mrm_commit(db_client, identities, rs_mrm, records[-1].id if records else None, atoms, t))
     client = CountingClient(db_client)
     log_reader = reader(client, identities)
-    include_revision(kb, records[0].id, log_reader, "MRM")
+    include_revision(kb, records[0].id, log_reader)
     client.fetched.clear()
-    added = on_superseded(kb, records[0].id, records[3].id, log_reader, "MRM")
+    added = on_superseded(kb, records[0].id, records[3].id, log_reader)
     assert [c.atom for c in added] == [GroundAtom("MRM", "feasible_config", (9, 1))]
     assert client.fetched == [records[3].id, records[2].id, records[1].id]  # never the old one
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
     client.fetched.clear()
     newer = mrm_commit(db_client, identities, rs_mrm, records[3].id, [], 9)
-    on_superseded(kb, records[3].id, newer.id, log_reader, "MRM")
+    on_superseded(kb, records[3].id, newer.id, log_reader)
     assert len(client.fetched) == 1
 
 
@@ -370,11 +379,11 @@ def test_include_and_supersession_check_each_fetched_revision_once(db_client, id
             elif value is verify_bytes:
                 monkeypatch.setattr(module, binding, counting_bytes)
     log_reader = reader(db_client, identities)
-    include_revision(kb, r1.id, log_reader, "MRM")
+    include_revision(kb, r1.id, log_reader)
     assert (len(proofs), len(heads)) == (2, 1)
     proofs.clear()
     heads.clear()
-    on_superseded(kb, r1.id, r2.id, log_reader, "MRM")
+    on_superseded(kb, r1.id, r2.id, log_reader)
     assert (len(proofs), len(heads)) == (1, 0)
     assert kb.query(parse_query("verdict(R)", "DOM")) == [{"R": 9}]
 
@@ -398,7 +407,7 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
             return dict(self.inner.get_revision(record.id), payload=payload)
 
     with pytest.raises(LogIntegrityError, match="holds a claim of 'SB'"):
-        include_revision(kb, forged.id, reader(ForgingClient(db_client), identities), "MRM")
+        include_revision(kb, forged.id, reader(ForgingClient(db_client), identities))
     assert len(kb) == 0
 
 
