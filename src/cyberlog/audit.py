@@ -86,7 +86,7 @@ class Auditor:
         atoms their check yielded; the claim it refused one for fails."""
         ev = claim.evidence
         if isinstance(ev, DirectAssertion):
-            kind, detail = "direct_assertion", f"asserted by {ev.signer} in revision {record.id[:8]}"
+            kind, detail = "direct_assertion", f"asserted by {claim.atom.principal} in revision {record.id[:8]}"
         elif isinstance(ev, DerivedByRule):
             kind, detail = "derived_by_rule", f"derived in revision {record.id[:8]}"
         else:

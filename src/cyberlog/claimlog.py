@@ -123,7 +123,6 @@ class MerkleLog:
         self._payloads: list[bytes] = []
         self._leaf_hashes: list[bytes] = []
         self._subtree_cache: dict[tuple[int, int], bytes] = {}
-        self._path = path
         self._fh = None
         if path is not None:
             if os.path.exists(path):

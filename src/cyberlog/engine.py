@@ -81,61 +81,33 @@ def canonical_atom(atom: GroundAtom) -> str:
     return atom._text
 
 
+# not strict: canonical text escapes only '\\' and '"', so a string may hold raw control characters
+_JSON = json.JSONDecoder(strict=False)
+
+
 @functools.lru_cache(maxsize=4096)
 def parse_canonical_atom(text: str) -> GroundAtom:
     """Decode canonical atom text; raises ValueError on malformed text.
 
-    Every revision that carries a claim repeats its atom's text, so decodes
-    are memoised by text, like `parse_rulesheet`; a GroundAtom is
-    immutable, and its text is recomputed from its fields, never taken from
-    the input. A text that fails to decode raises again on every call.
+    The principal is a JSON string, and the arguments, between the first
+    `(` after the `|` and the final `)`, are the items of a JSON array,
+    each an integer or a string. Every revision that carries a claim
+    repeats its atom's text, so decodes are memoised by text, like
+    `parse_rulesheet`; a GroundAtom is immutable, and its text is
+    recomputed from its fields, never taken from the input. A text that
+    fails to decode raises again on every call.
     """
     try:
-        principal, pos = _scan_string(text, 0)
-        if text[pos] != "|":
-            raise ValueError(f"bad canonical atom: {text!r}")
-        pos += 1
-        open_paren = text.index("(", pos)
-        predicate = text[pos:open_paren]
-        pos = open_paren + 1
-        args: list[GroundTerm] = []
-        if text[pos] != ")":
-            while True:
-                if text[pos] == '"':
-                    value, pos = _scan_string(text, pos)
-                    args.append(value)
-                else:
-                    end = pos
-                    while text[end] not in ",)":
-                        end += 1
-                    args.append(int(text[pos:end]))
-                    pos = end
-                if text[pos] == ")":
-                    break
-                pos += 1  # skip comma
-    except IndexError as exc:
-        raise ValueError(f"truncated canonical atom: {text!r}") from exc
-    if text[pos + 1 :]:
-        raise ValueError(f"trailing data in canonical atom: {text!r}")
-    return GroundAtom(principal, predicate, tuple(args))
-
-
-def _scan_string(text: str, pos: int) -> tuple[str, int]:
-    if text[pos] != '"':
-        raise ValueError(f"expected string at {pos} in {text!r}")
-    out: list[str] = []
-    i = pos + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            out.append(text[i + 1])
-            i += 2
-        elif ch == '"':
-            return "".join(out), i + 1
-        else:
-            out.append(ch)
-            i += 1
-    raise ValueError(f"unterminated string in {text!r}")
+        principal, bar = _JSON.raw_decode(text)
+        open_paren = text.find("(", bar)
+        if type(principal) is not str or text[bar : bar + 1] != "|" or open_paren < 0 or text[-1] != ")":
+            raise ValueError("not a string principal, '|', a predicate and '(' ... ')'")
+        args = _JSON.decode(f"[{text[open_paren + 1 : -1]}]")
+        if not all(type(arg) in (int, str) for arg in args):
+            raise ValueError("an argument is neither an integer nor a string")
+    except ValueError as exc:
+        raise ValueError(f"bad canonical atom {text!r}: {exc}") from exc
+    return GroundAtom(principal, text[bar + 1 : open_paren], tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +157,7 @@ class DerivedByRule(RuleInstance):
 
 @dataclass(frozen=True)
 class DirectAssertion:
-    signer: str  # the atom's principal, who signs the revision that logs it
+    """An atom asserted by its principal, who signs the revision that logs it."""
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,9 @@ def load_scenario(path: str) -> Scenario:
                 obj.get("body", ""),
                 timestamp,
             )
+            envelope.validate()
             events.append(ScenarioEvent(at, obj["monitor"], envelope))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"bad scenario event {line!r}: {exc}") from exc
     scenario = Scenario(
         name=header.get("name", os.path.basename(path)),

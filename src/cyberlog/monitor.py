@@ -169,7 +169,7 @@ class Monitor:
         env.validate()
         started = time.perf_counter()
         atom = GroundAtom(self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body))
-        claim = Claim(atom, DirectAssertion(self.name))  # signed by the revision that logs it
+        claim = Claim(atom, DirectAssertion())  # signed by the revision that logs it
         with self.lock:
             # the event first if it is new, then its consequences; a known
             # event adds nothing, since the KB is at its fixpoint

@@ -185,13 +185,14 @@ def decode_payload(
     rulesheet that does not parse for the owner, on malformed data, which
     includes a commit time that is not a JSON integer, includes that are
     not a JSON list of strings, a rule reference that is not an index of a
-    rule of the right kind and a carried claim in a chain root (a carried
-    claim's source is the revision its record supersedes), on claims whose
-    atom texts do not strictly increase (a claim is named by its atom, so a
-    revision holds one claim per atom), and on a claim whose principal is
-    not the record's owner, since nobody may make claims on someone else's
-    behalf; any other refusal of `rulesheet_of` passes through. Claims and
-    includes keep the payload's order."""
+    rule of the right kind and a logged substitution binding anything but
+    its rule's variables to integers or strings, on claims whose atom texts
+    do not strictly increase (a claim is named by its atom, so a revision
+    holds one claim per atom), on a claim whose principal is not the
+    record's owner, since nobody may make claims on someone else's behalf,
+    and on a carried claim in a chain root (a carried claim's source is the
+    revision its record supersedes); any other refusal of `rulesheet_of`
+    passes through. Claims and includes keep the payload's order."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
@@ -213,10 +214,12 @@ def decode_payload(
         rs = rulesheet_of(rulesheet_hash, owner)
         claims, last = [], ""
         for value in obj["claims"]:
-            claim = claim_from_obj(value, supersedes, rs)
+            claim = claim_from_obj(value, rs)
             atom = canonical_atom(claim.atom)
             if claim.atom.principal != owner:
                 raise LogIntegrityError(f"revision by {owner!r} holds a claim of {claim.atom.principal!r}: {atom}")
+            if supersedes is None and isinstance(claim.evidence, CarriedByNextRule):
+                raise LogIntegrityError(f"carried claim {atom} in a revision that supersedes none")
             if atom <= last:
                 raise LogIntegrityError(f"claim atoms of revision by {owner!r} do not strictly increase at {atom}")
             claims.append(claim)

@@ -15,9 +15,9 @@ head to the claim's atom gives back, and the key itself when nothing is
 left. A carried claim leaves out its source revision, which is the
 supersedes of the revision that logs it, and a derived claim its premises,
 which are its rule's relational body atoms under the substitution. A direct
-assertion logs nothing but its kind: its signer is the claim atom's
-principal, and its owner's signature is the revision's, over the id that
-hashes the claim's text.
+assertion logs nothing but its kind: it is the claim atom's principal's,
+and its owner's signature is the revision's, over the id that hashes the
+claim's text.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ def canonical_json(obj) -> str:
 _RULE_KINDS = {"derived_by_rule": RuleKind.STANDARD, "carried_by_next_rule": RuleKind.NEXT}
 
 
-def evidence_to_obj(ev: Evidence, atom: GroundAtom, rs: Rulesheet) -> dict:
-    """The logged object of the evidence of the claim of `atom`; a direct
-    assertion by anyone but `atom`'s principal has none."""
+def evidence_to_obj(ev: Evidence, rs: Rulesheet) -> dict:
+    """The logged object of a claim's evidence under rulesheet `rs`."""
     if isinstance(ev, DirectAssertion):
-        if ev.signer != atom.principal:
-            raise EvidenceError(f"direct assertion by {ev.signer!r} of {canonical_atom(atom)}")
         return {"kind": "direct_assertion"}
     if isinstance(ev, DerivedByRule):
         return _rule_instance_obj("derived_by_rule", ev.rule, ev.substitution, rs)
@@ -86,29 +83,29 @@ def _logged_rule(kind: str, ref, rs: Rulesheet) -> Rule:
     return rule
 
 
-def evidence_from_obj(obj: dict, atom: GroundAtom, supersedes: str | None, rs: Rulesheet) -> Evidence:
-    """The evidence of the claim of `atom` in a revision superseding
-    `supersedes` (None for a chain root, which holds no carried claim)
-    under rulesheet `rs`; a rule instance's substitution is its head bound
-    to `atom` plus the logged entries. Which revision is superseded changes
-    nothing else: a carried claim's source is that revision."""
+def evidence_from_obj(obj: dict, atom: GroundAtom, rs: Rulesheet) -> Evidence:
+    """The evidence of the claim of `atom` under rulesheet `rs`; a rule
+    instance's substitution is its head bound to `atom` plus the logged
+    entries, which bind only variables of its rule, each to an integer or
+    a string."""
     try:
         kind = obj["kind"]
         if kind == "direct_assertion":
             if obj.keys() != {"kind"}:
                 raise EvidenceError(f"direct assertion logs more than its kind: {sorted(obj)}")
-            return DirectAssertion(atom.principal)
+            return DirectAssertion()
         if kind in _RULE_KINDS:
             rule = _logged_rule(kind, obj["rule"], rs)
             substitution = bind_head(rule.head, atom)
             if substitution is None:
                 raise EvidenceError(f"rule head does not bind the claim {canonical_atom(atom)}")
-            substitution.update(obj.get("substitution", {}))
-            if kind == "derived_by_rule":
-                return DerivedByRule(rule, substitution)
-            if supersedes is None:
-                raise EvidenceError(f"carried claim {canonical_atom(atom)} in a revision that supersedes none")
-            return CarriedByNextRule(rule, substitution)
+            logged = obj.get("substitution", {})
+            if type(logged) is not dict or not all(
+                name in rule.variables and type(value) in (int, str) for name, value in logged.items()
+            ):
+                raise EvidenceError(f"substitution {logged!r} binds more than rule variables to integers or strings")
+            substitution.update(logged)
+            return (DerivedByRule if kind == "derived_by_rule" else CarriedByNextRule)(rule, substitution)
     except (KeyError, TypeError, ValueError) as exc:
         raise EvidenceError(f"malformed evidence object: {exc}") from exc
     raise EvidenceError(f"unknown evidence kind {obj.get('kind')!r}")
@@ -116,14 +113,13 @@ def evidence_from_obj(obj: dict, atom: GroundAtom, supersedes: str | None, rs: R
 
 def claim_to_obj(claim: Claim, rs: Rulesheet) -> dict:
     """The logged object of a claim of a revision under rulesheet `rs`."""
-    return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence, claim.atom, rs)}
+    return {"atom": canonical_atom(claim.atom), "evidence": evidence_to_obj(claim.evidence, rs)}
 
 
-def claim_from_obj(obj: dict, supersedes: str | None, rs: Rulesheet) -> Claim:
-    """The claim of a logged claim object in a revision superseding
-    `supersedes` (None for a chain root) under rulesheet `rs`."""
+def claim_from_obj(obj: dict, rs: Rulesheet) -> Claim:
+    """The claim of a logged claim object under rulesheet `rs`."""
     try:
         atom = parse_canonical_atom(obj["atom"])
     except (KeyError, ValueError) as exc:
         raise EvidenceError(f"malformed claim object: {exc}") from exc
-    return Claim(atom, evidence_from_obj(obj["evidence"], atom, supersedes, rs))
+    return Claim(atom, evidence_from_obj(obj["evidence"], atom, rs))

@@ -14,7 +14,7 @@ OPERATOR = "log-operator"
 
 def claims_from_atoms(atoms):
     """Wrap bare atoms as claims their principals assert."""
-    return [Claim(a, DirectAssertion(a.principal)) for a in atoms]
+    return [Claim(a, DirectAssertion()) for a in atoms]
 
 
 @dataclass(frozen=True)

@@ -317,11 +317,9 @@ def random_builtin_program(seed: int):
             body.append(ComparisonAtom(rng.choice(("<", ">", "<=", ">=", "==", "!=")), left, right))
         if rng.random() < 0.4 and int_vars:
             bound = f"B{suffix}"
-            body.append(
-                ComparisonAtom(
-                    "==", Variable(bound), ArithExpr("+", Variable(rng.choice(int_vars)), IntConstant(rng.randint(1, 4)))
-                )
-            )
+            expr = ArithExpr("+", Variable(rng.choice(int_vars)), IntConstant(rng.randint(1, 4)))
+            # the binding `==` with its new variable on either side
+            body.append(ComparisonAtom("==", *((Variable(bound), expr) if rng.random() < 0.5 else (expr, Variable(bound)))))
             int_vars.append(bound)
         head_pool = int_vars + str_vars
         head_args = tuple(

@@ -62,7 +62,7 @@ def test_criterion_1_engine_oracle_equivalence():
         expected = naive_saturate(facts, rs.rules)
         kb = KnowledgeBase(rs)
         for principal, name, args in facts:
-            kb.assert_claim(Claim(GroundAtom(principal, name, args), DirectAssertion(principal)))
+            kb.assert_claim(Claim(GroundAtom(principal, name, args), DirectAssertion()))
         kb.saturate()
         got = {(a.principal, a.predicate, a.args) for a in kb.claims}
         assert got == expected, f"engine diverges from oracle at seed {seed}"
@@ -228,7 +228,7 @@ def test_criterion_5a_step_counter(db_client, identities):
         "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n", "CTR"
     )
     seed_atom = GroundAtom("CTR", "counter", (0,))
-    claims = [Claim(seed_atom, DirectAssertion("CTR"))]
+    claims = [Claim(seed_atom, DirectAssertion())]
     publish_rulesheet(db_client, rs)
     reader = log_reader(db_client, identities)
     record, _, claims = commit_staging(identities["CTR"], rs, reader, None, (), claims, 0)

@@ -183,7 +183,7 @@ def test_altered_event_fails_its_owner_signature_everywhere(db, identities, trus
 
     rs = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
     events = [GroundAtom("SB", "request", (n,)) for n in (7, 8)]
-    record, body = build_record("SB", None, (), rs, [Claim(a, DirectAssertion("SB")) for a in events], 1)
+    record, body = build_record("SB", None, (), rs, [Claim(a, DirectAssertion()) for a in events], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     altered = payload.replace("request(7)", "request(9)")
     assert altered != payload
@@ -227,7 +227,7 @@ def test_forged_derivation_evidence_fails_audit(db_client, identities, trust_sto
     rule = rs.rules[0]
 
     base_atom = GroundAtom("SB", "request", (7,))
-    base = Claim(base_atom, DirectAssertion("SB"))
+    base = Claim(base_atom, DirectAssertion())
     # head claims verdict(99), but the substitution instantiates verdict(7)
     forged_atom = GroundAtom("SB", "verdict", (99,))
     forged = Claim(forged_atom, DerivedByRule(rule, {"Id": 7}))
@@ -262,7 +262,7 @@ def test_premise_id_swap_fails_audit(db_client, identities, trust_store):
     rule = rs.rules[0]
 
     atoms = [GroundAtom("SB", "request", (7, "a")), GroundAtom("SB", "ok", ("a",)), GroundAtom("SB", "ok", ("b",))]
-    claims = [Claim(a, DirectAssertion("SB")) for a in atoms]
+    claims = [Claim(a, DirectAssertion()) for a in atoms]
     verdict_atom = GroundAtom("SB", "verdict", (7,))
     swapped = Claim(verdict_atom, DerivedByRule(rule, {"Id": 7, "Data": "b"}))
     record, body = build_record("SB", None, (), rs, claims + [swapped], 1)
@@ -301,7 +301,7 @@ def test_carried_claim_is_audited_in_the_revision_its_record_supersedes(db_clien
         db_client.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
         return record
 
-    r1 = commit([Claim(a, DirectAssertion("SB")) for a in (request, in_process)], None, 1)
+    r1 = commit([Claim(a, DirectAssertion()) for a in (request, in_process)], None, 1)
     r2 = commit([], r1.id, 2)
     substitution = {"Id": 7, "Data": "d", "TimeRequest": 5}
     commit([Claim(request, CarriedByNextRule(rs.rules[0], substitution))], r2.id, 3)
@@ -330,7 +330,7 @@ def _dom_including(db_client, identities, owners, body):
         rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
         publish_rulesheet(db_client, rs)
         atoms = [GroundAtom(owner, "p", (1,)), GroundAtom(owner, "q", (1,))]
-        claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
+        claims = [Claim(a, DirectAssertion()) for a in atoms]
         record, record_body = build_record(owner, None, (), rs, claims, 1)
         db_client.submit_revision(encode_payload(record_body, sign_record(record, identities[owner])))
         included[record.id] = owner

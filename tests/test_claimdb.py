@@ -52,7 +52,7 @@ def reader(client, identities):
 
 def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     rs = parse_rulesheet(SB_SHEET, "SB")
-    claims = [Claim(atom, DirectAssertion("SB")) for atom in atoms]
+    claims = [Claim(atom, DirectAssertion()) for atom in atoms]
     record, body = build_record("SB", supersedes, (), rs, claims, commit_time)
     return record, encode_payload(body, sign_record(record, identities["SB"]))
 
@@ -516,7 +516,7 @@ def test_concurrent_submits_keep_each_owners_head_claims_whole(db, identities, t
         for i in range(15):
             head = db.get_head("SB")["revision_id"]
             claims = decode_payload(db.get_revision(head)["payload"], rulesheet_of, trust_store)[0].claims
-            claims += (Claim(GroundAtom("SB", "p", (worker, i)), DirectAssertion("SB")),)
+            claims += (Claim(GroundAtom("SB", "p", (worker, i)), DirectAssertion()),)
             record, body = build_record("SB", head, (), rs, claims, next(clock))
             try:
                 db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
@@ -548,7 +548,7 @@ def test_revision_holding_another_owners_claim_refused(db, http_client, identiti
     from cyberlog.revision import decode_payload
 
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
-    foreign = Claim(atom, DirectAssertion("MRM"))
+    foreign = Claim(atom, DirectAssertion())
     record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
     with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
@@ -569,7 +569,7 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
-    foreign_claim = Claim(atom, DirectAssertion("MRM"))
+    foreign_claim = Claim(atom, DirectAssertion())
     foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
     db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
     root = db.get_log_root()
@@ -816,7 +816,7 @@ def signed_body(identities, body: str) -> str:
 
 def canonical_body(identities):
     atoms = [GroundAtom("SB", "p", (7,)), GroundAtom("SB", "q", ("x",))]
-    claims = [Claim(atom, DirectAssertion("SB")) for atom in atoms]
+    claims = [Claim(atom, DirectAssertion()) for atom in atoms]
     return build_record("SB", None, INCLUDES, parse_rulesheet(SB_SHEET, "SB"), claims, 1)[1]
 
 
@@ -853,8 +853,11 @@ def test_non_canonical_revision_refused_with_400(db, http_client, identities, fo
     assert mutated != body
     payload = signed_body(identities, mutated)
     rulesheet_of = rulesheets_of(parse_rulesheet(SB_SHEET, "SB"))
-    if form == "unsorted-claims":  # a revision names its claims by strictly increasing atoms, for readers too
-        with pytest.raises(LogIntegrityError, match="do not strictly increase"):
+    # a revision names its claims by strictly increasing atoms, and an atom's
+    # arguments are JSON integers and strings, for readers too
+    refusals = {"unsorted-claims": "do not strictly increase", "atom-text": "bad canonical atom"}
+    if form in refusals:
+        with pytest.raises(LogIntegrityError, match=refusals[form]):
             decode_payload(payload, rulesheet_of, db.trust_store)
     else:
         decode_payload(payload, rulesheet_of, db.trust_store)  # well-formed, only not canonical
@@ -1030,7 +1033,7 @@ def retained(identities, supersedes=None):
     verdict, carry = rs.rules
     if supersedes is None:
         atoms = (REQUEST, GroundAtom("SB", "in_process", (7,)))
-        claims = [Claim(a, DirectAssertion("SB")) for a in atoms]
+        claims = [Claim(a, DirectAssertion()) for a in atoms]
     else:
         substitution = {"Id": 7, "Data": "d", "T": 5}
         claims = [
@@ -1084,6 +1087,68 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
         assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
     assert len(db.log) == 4  # three rulesheets and `base`
     db.submit_revision(signed_body(identities, body))
+
+
+# a logged substitution that binds more than its rule's variables to ground terms
+BAD_SUBSTITUTION = {
+    "unknown-key": '"substitution":{"Data":"d","T":5,"Z":1}',
+    "float": '"substitution":{"Data":5.5,"T":5}',
+    "bool": '"substitution":{"Data":true,"T":5}',
+    "list": '"substitution":{"Data":["d"],"T":5}',
+}
+
+
+@pytest.mark.parametrize("form", sorted(BAD_SUBSTITUTION))
+def test_substitution_binding_other_than_rule_variables_to_terms_refused(tmp_path, identities, trust_store, caplog, form):
+    """A derived claim's logged substitution binds only variables of its
+    rule, each to an integer or a string: one binding another name, or a
+    variable to a fraction, a boolean or a list, is refused with 400 at
+    submit; appended to the log file and indexed directly, a reader refuses
+    it, a watcher warns and keeps its KB, and on reopen it is left
+    unindexed, the genuine head staying SB's head."""
+    import hashlib
+    import itertools
+    from dataclasses import replace
+
+    from cyberlog.monitor import Monitor
+
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    rs = parse_rulesheet(RETAIN_SHEET, "SB")
+    publish_rulesheet(db, rs)
+    base, body = retained(identities)
+    db.submit_revision(signed_body(identities, body))
+    watcher_sheet = parse_rulesheet("'DOM': Subject: 's' Issuer: 'i'\n" + SB_SHEET, "DOM")
+    operator_key = identities[OPERATOR].public_key
+    clock = itertools.count(1000, 1000).__next__
+    dom = Monitor(identities["DOM"], watcher_sheet, db, trust_store, operator_key, ("SB",), clock)
+    assert dom.poll_and_include() == [base.id]
+    kb = dict(dom.kb.claims)
+
+    record, body = retained(identities, base.id)
+    body = body.replace(DERIVED_SUBSTITUTION, BAD_SUBSTITUTION[form])
+    payload = signed_body(identities, body)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(payload)
+    assert exc.value.code == 400 and "binds more than rule variables" in str(exc.value)
+    bad = replace(record, id=hashlib.sha256(body.encode("utf-8")).hexdigest())
+    db._index_revision(bad, db.log.append(payload.encode("utf-8")))  # a log that skipped the check
+    with pytest.raises(LogIntegrityError, match="binds more than rule variables"):
+        reader(db, identities).revision(bad.id)
+    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
+        assert dom.poll_and_include() == []
+    [message] = [entry.getMessage() for entry in caplog.records]
+    assert "poll of SB refused" in message and "binds more than rule variables" in message
+    assert dict(dom.kb.claims) == kb
+    db.log.close()
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        with pytest.raises(NotFoundError):
+            reopened.get_revision(bad.id)
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+    finally:
+        reopened.log.close()
 
 
 # SB's chain root and its successor from `retained`, as the encoder wrote

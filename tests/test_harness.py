@@ -313,6 +313,27 @@ def test_scenario_event_offsets_must_be_json_integers(tmp_path, field, value):
     assert (loaded.at_ms, loaded.envelope.timestamp_ms) == (5, 7)
 
 
+@pytest.mark.parametrize(
+    "field, value, refusal",
+    [("method", "PATCH", "unsupported method 'PATCH'"), ("path", 5, "event path and body must be strings")],
+    ids=["method", "path"],
+)
+def test_scenario_event_is_validated_at_load(tmp_path, field, value, refusal):
+    """An event `EventEnvelope.validate` refuses fails the load, not the run
+    partway through."""
+    import json
+
+    from cyberlog.errors import ConfigError
+
+    (tmp_path / "m.cyberlog").write_text("'M': Subject: 's' Issuer: 'i'\n")
+    header = {"name": "x", "monitors": [{"name": "M", "rulesheet": "m.cyberlog"}], "expected": []}
+    event = {"at": 5, "monitor": "M", "path": "/x", field: value}
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
+    with pytest.raises(ConfigError, match=f"bad scenario event .*: {refusal}"):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".jsonl")))
 def test_every_bundled_scenario_loads(name):
     assert load_scenario(os.path.join(SCENARIOS, name)).events

@@ -276,6 +276,21 @@ def test_format_empty_rulesheet():
     assert parse_rulesheet(text, "M") == rs
 
 
+def test_fact_and_binding_from_the_right_round_trip():
+    """A fact formats as a rule with an empty body, and `X + 1 == Y` binds
+    `Y` from the right: the sheet formats, parses back equal with its
+    source hash, and its KB derives `q(2)`."""
+    from cyberlog.engine import GroundAtom, KnowledgeBase
+
+    rs = parse_rulesheet("'M': Subject: 's' Issuer: 'i'\nflag(1).\nq(Y) :- flag(X), X + 1 == Y.\n", "M")
+    assert rs.rules[0].body == ()
+    again = parse_rulesheet(format_rulesheet(rs), "M")
+    assert again == rs and again.source_hash == rs.source_hash
+    kb = KnowledgeBase(again)
+    kb.saturate()
+    assert GroundAtom("M", "q", (2,)) in kb.claims
+
+
 def test_parse_query_patterns():
     atom = parse_query("good_rtf_exists(R, A)", "DOM")
     assert atom.principal == "DOM" and atom.args == (Variable("R"), Variable("A"))

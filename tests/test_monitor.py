@@ -345,10 +345,10 @@ def test_failed_commit_keeps_its_events_and_its_retry_logs_the_same_record(
     event = GroundAtom("SB", "postRequest", ("/servicerequest", 5, '{"request_id":7}'))
     monkeypatch.setattr(db, "submit_revision", refuse_revisions)
     assert retrying.commit() is None
-    assert retrying.kb.claims[event].evidence == DirectAssertion("SB")
+    assert retrying.kb.claims[event].evidence == DirectAssertion()
     monkeypatch.setattr(db, "submit_revision", submit)
     retried = retrying.commit()
-    assert retried.by_atom[event].evidence == DirectAssertion("SB")
+    assert retried.by_atom[event].evidence == DirectAssertion()
     once = sb_with_event(ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1000)).commit()
     assert retried.id == once.id
 
@@ -875,7 +875,7 @@ def _append_directly(db, identities, owner, supersedes, atoms=(), signature=None
 
     rs = parse_rulesheet(f"'{owner}': Subject: 's' Issuer: 'i'\n", owner)
     publish_rulesheet(db, rs)
-    claims = [Claim(a, DirectAssertion(owner)) for a in atoms]
+    claims = [Claim(a, DirectAssertion()) for a in atoms]
     record, body = build_record(owner, supersedes, (), rs, claims, commit_time)
     if signature is None:
         signature = sign_record(record, identities[owner])
@@ -1285,7 +1285,7 @@ def test_watcher_refuses_a_carried_claim_its_superseded_revision_does_not_suppor
         return record
 
     dom = make_monitor(identities, trust_store, db, "DOM", DOM_SHEET, watched=("SB",))
-    r1 = commit([Claim(a, DirectAssertion("SB")) for a in (request, in_process)], None, 1)
+    r1 = commit([Claim(a, DirectAssertion()) for a in (request, in_process)], None, 1)
     assert dom.poll_and_include() == [r1.id] and dom.handle_query("verdict(R)") == [{"R": 7}]
     r2 = commit([], r1.id, 2)
     assert dom.poll_and_include() == [r2.id] and dom.handle_query("verdict(R)") == []

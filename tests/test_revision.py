@@ -41,7 +41,7 @@ def latest_revision(db, owner):
 
 def signed(owner, atom):
     """`owner`'s direct assertion of `atom`, signed by the revision that logs it."""
-    return Claim(atom, DirectAssertion(owner))
+    return Claim(atom, DirectAssertion())
 
 
 def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
@@ -411,6 +411,36 @@ def test_revision_holding_another_owners_claim_refused_at_fetch(db_client, ident
     assert len(kb) == 0
 
 
+class SwappingClient(CountingClient):
+    """Serves the logged entry `served`, with its own head and proof, when asked for entry `asked`."""
+
+    def __init__(self, inner, asked, served):
+        super().__init__(inner)
+        self.swap = {asked: served}
+
+    def get_revision(self, rev_id):
+        return super().get_revision(self.swap.get(rev_id, rev_id))
+
+
+def test_revision_served_for_another_id_is_refused(db_client, identities, dom_setup):
+    """A reader asked for one logged revision and served another, validly
+    signed and proven, refuses it: its body hashes to another id."""
+    _kb, _rs_dom, rs_mrm = dom_setup
+    r1 = mrm_commit(db_client, identities, rs_mrm, None, [GroundAtom("MRM", "feasible_config", (7, 3))], 1)
+    r2 = mrm_commit(db_client, identities, rs_mrm, r1.id, [], 2)
+    with pytest.raises(LogIntegrityError, match=f"revision body hashes to {r1.id}, expected {r2.id}"):
+        reader(SwappingClient(db_client, r2.id, r1.id), identities).revision(r2.id)
+
+
+def test_rulesheet_served_for_another_hash_is_refused(db_client, identities, dom_setup):
+    """A reader asked for one logged rulesheet and served another, proven
+    in the log, refuses it: its text hashes to another hash."""
+    _kb, rs_dom, rs_mrm = dom_setup
+    mrm_sheet, dom_sheet = publish_rulesheet(db_client, rs_mrm), publish_rulesheet(db_client, rs_dom)
+    with pytest.raises(LogIntegrityError, match=f"rulesheet hashes to {dom_sheet}, expected {mrm_sheet}"):
+        reader(SwappingClient(db_client, mrm_sheet, dom_sheet), identities)(mrm_sheet, "MRM")
+
+
 def test_commit_serialises_each_claim_once_in_committer_and_claim_db(db_client, identities, trust_store, monkeypatch):
     """Each logged claim is serialised exactly once by its committer, before
     it submits, and once by the claim DB, which encodes every claim it
@@ -651,7 +681,7 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
 
     def claim(kind, atom, extra, supersedes):
         if kind == "direct":
-            return Claim(atom, DirectAssertion("SB"))
+            return Claim(atom, DirectAssertion())
         if kind == "derived":
             substitution = {term.name: value for term, value in zip(derive.head.args, atom.args)}
             return Claim(atom, DerivedByRule(derive, substitution))
@@ -706,7 +736,7 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
 
     def claim(kind, atom):
         if kind == "direct":
-            return Claim(atom, DirectAssertion("SB"))
+            return Claim(atom, DirectAssertion())
         rule = derive if kind == "derived" else carry
         substitution = {term.name: value for term, value in zip(rule.head.args, atom.args)}
         return Claim(atom, (DerivedByRule if kind == "derived" else CarriedByNextRule)(rule, substitution))
@@ -750,9 +780,11 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
         if mutation == "changed-evidence":
             changed = other_evidence(text)
             try:
-                decoded = claim_from_obj(json.loads(changed), supersedes, rs)
+                decoded = claim_from_obj(json.loads(changed), rs)
             except EvidenceError:
                 return 400
+            if supersedes is None and isinstance(decoded.evidence, CarriedByNextRule):
+                return 400  # a chain root holds no carried claim
             return "logged" if canonical_json(claim_to_obj(decoded, rs)) == changed else 400
         return 400
 
@@ -813,7 +845,7 @@ def _sb_claim(kind, n):
     from cyberlog.engine import DerivedByRule
 
     if kind == "request":
-        return Claim(GroundAtom("SB", "request", (n,)), DirectAssertion("SB"))
+        return Claim(GroundAtom("SB", "request", (n,)), DirectAssertion())
     rule = ONCE_RS.rules[0 if kind == "verdict" else 1]
     evidence = (DerivedByRule if kind == "verdict" else CarriedByNextRule)(rule, {"Id": n})
     return Claim(GroundAtom("SB", kind, (n,)), evidence)

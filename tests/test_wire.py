@@ -16,15 +16,15 @@ def claims_to_jsonl(claims, rs):
     return "".join(canonical_json(claim_to_obj(c, rs)) + "\n" for c in claims)
 
 
-def claims_from_jsonl(text, source, rs):
-    """The claims of an export from a revision that supersedes `source`."""
-    return [claim_from_obj(json.loads(line), source, rs) for line in text.splitlines() if line.strip()]
+def claims_from_jsonl(text, rs):
+    """The claims of an export under rulesheet `rs`."""
+    return [claim_from_obj(json.loads(line), rs) for line in text.splitlines() if line.strip()]
 
 
 def test_claims_jsonl_roundtrip():
     rs = parse_rulesheet(IDS + "next v(R) :- 'OM' attests t(R, A), R > 0.", "SB")
     claims = [
-        Claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion("OM")),
+        Claim(GroundAtom("OM", "t", (7, "x")), DirectAssertion()),
         Claim(
             GroundAtom("SB", "v", (7,)),
             CarriedByNextRule(rs.rules[0], {"R": 7, "A": "x"}),
@@ -33,7 +33,7 @@ def test_claims_jsonl_roundtrip():
     text = claims_to_jsonl(claims, rs)
     assert text.splitlines()[0] == '{"atom":"\\"OM\\"|t(7,\\"x\\")","evidence":{"kind":"direct_assertion"}}'
     assert '"rule":0' in text.splitlines()[1]
-    back = claims_from_jsonl(text, "ab" * 32, rs)
+    back = claims_from_jsonl(text, rs)
     assert back == claims
 
 
@@ -46,30 +46,28 @@ def test_derived_claim_roundtrip_preserves_rule():
         kb.assert_claim(claim)
     kb.saturate()
     derived = kb.claims[GroundAtom("SB", "good", (3,))]
-    restored = claim_from_obj(claim_to_obj(derived, rs), None, rs)
+    restored = claim_from_obj(claim_to_obj(derived, rs), rs)
     assert restored.evidence.rule == derived.evidence.rule
     assert restored.evidence.substitution == dict(derived.evidence.substitution)
     assert restored.evidence.premises == derived.evidence.premises == (GroundAtom("OM", "t", (3, "y")),)
 
 
 def test_direct_assertion_by_another_principal_has_no_wire_form():
-    """A direct assertion logs its kind only, and decodes as asserted by its
-    atom's principal: one by anyone else cannot be encoded, and a logged one
-    that names a signer or a signature does not decode."""
+    """A direct assertion logs its kind only, and is its atom's principal's:
+    no representation names anyone else, and a logged one that names a
+    signer or a signature does not decode."""
     import pytest
 
     from cyberlog.errors import EvidenceError
 
     rs = parse_rulesheet(IDS, "SB")
     atom = GroundAtom("SB", "t", (7,))
-    with pytest.raises(EvidenceError, match="""direct assertion by 'OM' of "SB"\\|t\\(7\\)"""):
-        claim_to_obj(Claim(atom, DirectAssertion("OM")), rs)
-    obj = claim_to_obj(Claim(atom, DirectAssertion("SB")), rs)
+    obj = claim_to_obj(Claim(atom, DirectAssertion()), rs)
     assert obj["evidence"] == {"kind": "direct_assertion"}
-    assert claim_from_obj(obj, None, rs) == Claim(atom, DirectAssertion("SB"))
+    assert claim_from_obj(obj, rs) == Claim(atom, DirectAssertion())
     for logged in ({"signer": "SB"}, {"signature": "ab" * 64}, {"signer": "OM", "signature": ""}):
         with pytest.raises(EvidenceError, match="direct assertion logs more than its kind"):
-            claim_from_obj(dict(obj, evidence=dict(obj["evidence"], **logged)), None, rs)
+            claim_from_obj(dict(obj, evidence=dict(obj["evidence"], **logged)), rs)
 
 
 def test_inclusion_evidence_has_no_wire_form():
@@ -87,7 +85,7 @@ def test_inclusion_evidence_has_no_wire_form():
     proof, head = log.prove_inclusion(0, 1), SignedTreeHead(1, log.root(), 1, bytes(64))
     rs = parse_rulesheet(IDS, "SB")
     with pytest.raises(EvidenceError, match="unknown evidence type LogInclusion"):
-        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head), GroundAtom("SB", "p", (1,)), rs)
+        evidence_to_obj(LogInclusion("ab" * 32, bytes(32), proof, head), rs)
     obj = {
         "kind": "log_inclusion",
         "revision_id": "ab" * 32,
@@ -97,7 +95,7 @@ def test_inclusion_evidence_has_no_wire_form():
     }
     assert InclusionProof.from_obj(obj["proof"]) == proof
     with pytest.raises(EvidenceError, match="unknown evidence kind 'log_inclusion'"):
-        evidence_from_obj(obj, GroundAtom("SB", "p", (1,)), None, rs)
+        evidence_from_obj(obj, GroundAtom("SB", "p", (1,)), rs)
 
 
 def _instance_strategy():
@@ -132,27 +130,23 @@ def _instance_strategy():
 
 
 def test_claim_round_trips_with_head_bound_names_left_out():
-    """`claim_from_obj(claim_to_obj(c), source) == c` for derived and carried
+    """`claim_from_obj(claim_to_obj(c)) == c` for derived and carried
     claims; the logged substitution holds no bare head variable, and is
     left out when nothing else is bound; a derived claim logs no premises,
     which its rule's body gives back under the substitution."""
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import given, settings
 
     from cyberlog.engine import DerivedByRule
 
     @settings(max_examples=300, deadline=None)
-    @given(_instance_strategy(), st.sampled_from([None, "cd" * 32]))
-    def check(instance, source):
+    @given(_instance_strategy())
+    def check(instance):
         rs, values, atom = instance
         rule = rs.rules[0]
-        if rule.is_next:
-            evidence, source = CarriedByNextRule(rule, values), "ab" * 32
-        else:
-            evidence = DerivedByRule(rule, values)
-        claim = Claim(atom, evidence)
+        claim = Claim(atom, (CarriedByNextRule if rule.is_next else DerivedByRule)(rule, values))
         obj = claim_to_obj(claim, rs)
         assert obj["evidence"]["rule"] == 0
-        restored = claim_from_obj(json.loads(canonical_json(obj)), source, rs)
+        restored = claim_from_obj(json.loads(canonical_json(obj)), rs)
         assert restored == claim
         if not rule.is_next:
             assert restored.evidence.premises == (GroundAtom("SB", "q", (values["A"], values["B"], values["C"])),)
@@ -176,11 +170,11 @@ def test_rule_head_that_does_not_bind_the_claim_is_refused():
     for index, rule in enumerate(rs.rules):
         kind = "carried_by_next_rule" if rule.is_next else "derived_by_rule"
         obj = {"kind": kind, "rule": index, "substitution": {"A": "a"}}
-        honest = claim_from_obj({"atom": '"SB"|v(7,7,"x")', "evidence": obj}, "cd" * 32, rs)
+        honest = claim_from_obj({"atom": '"SB"|v(7,7,"x")', "evidence": obj}, rs)
         assert honest.evidence.substitution == {"R": 7, "A": "a"}
         for text in ['"SB"|w(7,7,"x")', '"SB"|v(7,7)', '"SB"|v(7,8,"x")', '"SB"|v(7,7,"y")']:
             with pytest.raises(EvidenceError, match="rule head does not bind the claim"):
-                claim_from_obj({"atom": text, "evidence": obj}, "cd" * 32, rs)
+                claim_from_obj({"atom": text, "evidence": obj}, rs)
 
 
 TWICE = IDS + "v(R) :- 'OM' attests t(R, A).\nnext v(R) :- 'OM' attests t(R, A).\nv(R) :- 'OM' attests t(R, A).\n"
@@ -203,15 +197,15 @@ def test_rule_reference_is_an_index_of_a_rule_of_its_kind():
     carried = claim_to_obj(Claim(atom, CarriedByNextRule(rs.rules[1], {"R": 7, "A": "a"})), rs)
     assert carried["evidence"]["rule"] == 1
     good = {"kind": "derived_by_rule", "rule": 2, "substitution": {"A": "a"}}
-    assert claim_from_obj({"atom": '"SB"|v(7)', "evidence": good}, None, rs).evidence.rule == rs.rules[0]
+    assert claim_from_obj({"atom": '"SB"|v(7)', "evidence": good}, rs).evidence.rule == rs.rules[0]
     for ref in ["0", True, False, 0.0, 1.5, -1, 3, None, [0]]:
         with pytest.raises(EvidenceError, match="not an index"):
-            claim_from_obj({"atom": '"SB"|v(7)', "evidence": dict(good, rule=ref)}, None, rs)
+            claim_from_obj({"atom": '"SB"|v(7)', "evidence": dict(good, rule=ref)}, rs)
     with pytest.raises(EvidenceError, match="derived_by_rule names rule 1, a next rule"):
-        claim_from_obj({"atom": '"SB"|v(7)', "evidence": dict(good, rule=1)}, None, rs)
+        claim_from_obj({"atom": '"SB"|v(7)', "evidence": dict(good, rule=1)}, rs)
     wrong = {"kind": "carried_by_next_rule", "rule": 0, "substitution": {"A": "a"}}
     with pytest.raises(EvidenceError, match="carried_by_next_rule names rule 0, a standard rule"):
-        claim_from_obj({"atom": '"SB"|v(7)', "evidence": wrong}, "cd" * 32, rs)
+        claim_from_obj({"atom": '"SB"|v(7)', "evidence": wrong}, rs)
 
 
 def test_rule_outside_the_rulesheet_cannot_be_encoded():
