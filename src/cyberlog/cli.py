@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import signal
 import sys
 
@@ -72,8 +73,11 @@ def _operator_key(trust: TrustStore, operator: str) -> bytes:
 
 
 def _split_listen(listen: str) -> tuple[str, int]:
-    host, _, port = listen.partition(":")
-    return host or "127.0.0.1", int(port or 0)
+    """`host:port`; an empty host is 127.0.0.1, an empty port 0 (any free port)."""
+    match = re.fullmatch(r"([^:]*)(?::([0-9]{0,5}))?", listen) if isinstance(listen, str) else None
+    if match is None or int(match[2] or 0) > 65535:
+        raise ConfigError(f"'listen' must be 'host:port' with a port from 0 to 65535, not {listen!r}")
+    return match[1] or "127.0.0.1", int(match[2] or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +109,8 @@ def cmd_serve_db(args) -> int:
     operator = _identity_from_config(cfg, cfg.get("operator_name", DEFAULT_OPERATOR), "claim db")
     trust = TrustStore.load(_required(cfg, "trust_store", "claim db"))
     trust.add(operator)
+    host, port = _split_listen(cfg.get("listen", "127.0.0.1:8440"))  # before the log file is opened
     db = ClaimDb(MerkleLog(cfg.get("log_file")), operator, trust)
-    host, port = _split_listen(cfg.get("listen", "127.0.0.1:8440"))
     server = make_db_server(db, host, port)
     signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on Ctrl-C
     try:
@@ -135,14 +139,14 @@ def cmd_serve_monitor(args) -> int:
         HttpLogClient(_required(cfg, "db_url", "monitor")),
         trust,
         operator_key=operator_key,
-        watched_owners=tuple(cfg.get("watched_owners", ())),
+        watched_owners=cfg.get("watched_owners", ()),
         authz_predicate=cfg.get("authz_predicate"),
     )
     host, port = _split_listen(cfg.get("listen", "127.0.0.1:8441"))
     service = MonitorService(
         monitor,
-        commit_interval_ms=int(cfg.get("commit_interval_ms", 1000)),
-        poll_interval_ms=int(cfg.get("poll_interval_ms", 500)),
+        commit_interval_ms=cfg.get("commit_interval_ms", 1000),
+        poll_interval_ms=cfg.get("poll_interval_ms", 500),
         host=host,
         port=port,
     )

@@ -459,16 +459,9 @@ def _join_plan(
 def bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
     """Bindings of the head's variables that make it match `atom`, or None
     when the predicate, an arity or a constant disagrees."""
-    if (head.principal, head.predicate) != (atom.principal, atom.predicate) or len(head.args) != len(atom.args):
+    if (head.principal, head.predicate) != (atom.principal, atom.predicate):
         return None
-    subst: Substitution = {}
-    for term, value in zip(head.args, atom.args):
-        if isinstance(term, Variable):
-            if subst.setdefault(term.name, value) != value:
-                return None
-        elif term.value != value:
-            return None
-    return subst
+    return _unify_args(head.args, atom.args, {})  # a fresh dict: callers may add to it
 
 
 class KnowledgeBase:

@@ -20,7 +20,7 @@ from .claimlog import MerkleLog
 from .errors import ConfigError
 from .identity import Identity, TrustStore, generate_identity
 from .lang import parse_rulesheet
-from .monitor import EventEnvelope, HttpMonitorClient, Monitor, MonitorService
+from .monitor import EventEnvelope, HttpMonitorClient, Monitor, MonitorService, require_int
 from .audit import append_heads_cache
 from .revision import LogReader
 
@@ -47,7 +47,7 @@ def scenario_identities(scenario: "Scenario") -> tuple[Identity, dict[str, Ident
 class MonitorSpec:
     name: str
     rulesheet_text: str
-    watched: tuple[str, ...] = ()
+    watched: tuple[str, ...] | list[str] = ()
     authz_predicate: str | None = None
 
     def monitor(self, identities: dict[str, Identity], db, trust: TrustStore, operator: Identity, clock=None) -> Monitor:
@@ -70,8 +70,10 @@ class Expectation:
     count: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A scenario, checked on construction; a zero interval would fire the same tick forever."""
+
     name: str
     monitors: list[MonitorSpec]
     events: list[ScenarioEvent]
@@ -80,24 +82,31 @@ class Scenario:
     poll_interval_ms: int = 1000
     drain_rounds: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         names = {m.name for m in self.monitors}
         if len(names) != len(self.monitors):
             raise ConfigError("duplicate monitor names in scenario")
+        require_int("'commit_interval_ms'", self.commit_interval_ms, 1)
+        require_int("'poll_interval_ms'", self.poll_interval_ms, 1)
+        require_int("'drain_rounds'", self.drain_rounds, 0)
         last = 0
         for event in self.events:
             if event.monitor not in names:
                 raise ConfigError(f"event targets unknown monitor {event.monitor!r}")
+            require_int("event 'at'", event.at_ms, 0)
             if event.at_ms < last:
                 raise ConfigError("event offsets must be nondecreasing")
             last = event.at_ms
         for exp in self.expected:
             if exp.monitor not in names:
                 raise ConfigError(f"expectation targets unknown monitor {exp.monitor!r}")
+            require_int(f"expected 'count' of {exp.query!r}", exp.count, 0)
 
 
 def load_scenario(path: str) -> Scenario:
-    """Scenario files are JSON lines: a header object, then one event per line.
+    """Scenario files are JSON lines: a header object, then one event per
+    line, mapped as they stand onto the constructors that check them. An
+    event's `method` defaults to POST and its `timestamp` to its `at`.
 
     Rulesheet paths in the header resolve relative to the scenario file.
     """
@@ -106,49 +115,33 @@ def load_scenario(path: str) -> Scenario:
         lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     if not lines:
         raise ConfigError(f"scenario file {path!r} is empty")
+    where = "header"
     try:
         header = json.loads(lines[0])
-    except ValueError as exc:
-        raise ConfigError(f"bad scenario header: {exc}") from exc
-    monitors = []
-    for m in header.get("monitors", []):
-        sheet_path = os.path.join(base, m["rulesheet"])
-        with open(sheet_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        monitors.append(
-            MonitorSpec(m["name"], text, tuple(m.get("watched", ())), m.get("authz_predicate"))
-        )
-    expected = [Expectation(e["monitor"], e["query"], int(e["count"])) for e in header.get("expected", [])]
-    events = []
-    for line in lines[1:]:
-        try:
+        monitors = []
+        for m in header.get("monitors", []):
+            with open(os.path.join(base, m["rulesheet"]), "r", encoding="utf-8") as fh:
+                monitors.append(MonitorSpec(m["name"], fh.read(), m.get("watched", ()), m.get("authz_predicate")))
+        expected = [Expectation(e["monitor"], e["query"], e["count"]) for e in header.get("expected", [])]
+        events = []
+        for line in lines[1:]:
+            where = f"event {line!r}"
             obj = json.loads(line)
-            at = obj["at"]
-            timestamp = obj.get("timestamp", at)
-            for key, value in (("at", at), ("timestamp", timestamp)):
-                if type(value) is not int or value < 0:  # as EventEnvelope.validate: refuses bool, 5.9 and "7"
-                    raise ValueError(f"{key!r} must be a non-negative integer, not {value!r}")
-            envelope = EventEnvelope(
-                str(obj.get("method", "POST")).upper(),
-                obj["path"],
-                obj.get("body", ""),
-                timestamp,
-            )
-            envelope.validate()
-            events.append(ScenarioEvent(at, obj["monitor"], envelope))
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"bad scenario event {line!r}: {exc}") from exc
-    scenario = Scenario(
+            envelope = EventEnvelope.from_obj({"method": "POST", "timestamp": obj["at"], **obj})
+            events.append(ScenarioEvent(obj["at"], obj["monitor"], envelope))
+    except KeyError as exc:
+        raise ConfigError(f"bad scenario {where}: missing {exc}") from None
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"bad scenario {where}: {exc}") from exc
+    return Scenario(
         name=header.get("name", os.path.basename(path)),
         monitors=monitors,
         events=events,
         expected=expected,
-        commit_interval_ms=int(header.get("commit_interval_ms", 1000)),
-        poll_interval_ms=int(header.get("poll_interval_ms", 1000)),
-        drain_rounds=int(header.get("drain_rounds", 3)),
+        commit_interval_ms=header.get("commit_interval_ms", 1000),
+        poll_interval_ms=header.get("poll_interval_ms", 1000),
+        drain_rounds=header.get("drain_rounds", 3),
     )
-    scenario.validate()
-    return scenario
 
 
 @dataclass
@@ -226,7 +219,6 @@ class ScenarioRun:
     """Deterministic in-process execution with a stepped virtual clock."""
 
     def __init__(self, scenario: Scenario, log_path: str | None = None):
-        scenario.validate()
         self.scenario = scenario
         self.now = 0
         self.operator, self.identities, self.trust_store = scenario_identities(scenario)
@@ -324,7 +316,6 @@ def run_scenario_integration(
 ) -> ScenarioReport:
     """Execute over real HTTP servers; commit/poll timers run on scaled-down
     wall-clock intervals; expectations are polled until they settle."""
-    scenario.validate()
     operator, identities, trust = scenario_identities(scenario)
     db = ClaimDb(MerkleLog(log_path), operator, trust)
     db_server, db_url = serve_db_in_thread(db)

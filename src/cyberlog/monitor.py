@@ -50,6 +50,12 @@ EVENT_PREDICATES = {
 }
 
 
+def require_int(field: str, value, least: int) -> None:
+    """Refuse `value` unless it is a JSON integer (not a bool, 5.9 or "7") of at least `least`, 0 or 1."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{field} must be a {'positive' if least else 'non-negative'} integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class EventEnvelope:
     method: str
@@ -60,13 +66,11 @@ class EventEnvelope:
     @classmethod
     def from_obj(cls, obj: dict) -> "EventEnvelope":
         try:
-            env = cls(str(obj["method"]).upper(), obj["path"], obj.get("body", ""), obj["timestamp"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(str(obj["method"]).upper(), obj["path"], obj.get("body", ""), obj["timestamp"])
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed event envelope: {exc}") from exc
-        env.validate()
-        return env
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.method not in EVENT_PREDICATES:
             raise ConfigError(f"unsupported method {self.method!r}")
         if not isinstance(self.path, str) or not isinstance(self.body, str):
@@ -76,8 +80,7 @@ class EventEnvelope:
             self.body.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ConfigError("event path and body must be valid Unicode") from exc
-        if type(self.timestamp_ms) is not int or self.timestamp_ms < 0:  # refuses bool, 5.9 and "7"
-            raise ConfigError("event timestamp must be a non-negative integer")
+        require_int("event 'timestamp'", self.timestamp_ms, 0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class Monitor:
         db: LogClient,
         trust_store: TrustStore,
         operator_key: bytes,
-        watched_owners: tuple[str, ...] = (),
+        watched_owners: tuple[str, ...] | list[str] = (),
         clock: Callable[[], int] | None = None,
         authz_predicate: str | None = None,
     ):
@@ -148,9 +151,11 @@ class Monitor:
         # its reader checks every tree head it is served under this key
         if operator_key is None:
             raise ConfigError("a monitor needs the log operator's key")
+        if not isinstance(watched_owners, (list, tuple)) or not all(isinstance(o, str) for o in watched_owners):
+            raise ConfigError(f"{identity.name!r}: watched owners must be a list of names, not {watched_owners!r}")
         self.identity = identity
         self.rulesheet = rulesheet
-        self.watched_owners = tuple(watched_owners)
+        self.watched_owners = watched_owners
         self.clock = clock or (lambda: int(time.time() * 1000))
         self.authz_predicate = authz_predicate
         self.name = identity.name
@@ -159,14 +164,12 @@ class Monitor:
         self._base: RevisionRecord | None = None  # the revision holding the last committed snapshot
         self.active_includes: dict[str, str] = {}
         self.metrics = MonitorMetrics()
-        self._rulesheet_published = False
         # the monitor's one way to the claim database, to commit and to watch
         self.reader = LogReader(db, trust_store, operator_key)
 
     # -- ingestion ------------------------------------------------------
 
     def ingest_event(self, env: EventEnvelope) -> IngestResult:
-        env.validate()
         started = time.perf_counter()
         atom = GroundAtom(self.name, EVENT_PREDICATES[env.method], (env.path, env.timestamp_ms, env.body))
         claim = Claim(atom, DirectAssertion())  # signed by the revision that logs it
@@ -195,7 +198,8 @@ class Monitor:
         includes) logs nothing and returns the base: its carry-overs are
         what the KB took when the base was committed, so a head's
         `commit_time` is the time of the owner's last change. The rulesheet
-        is logged before the first revision, which names it. A receipt of
+        is logged before each commit until a revision, which names it, is
+        logged (a repeat gets its original receipt). A receipt of
         either whose tree head or inclusion proof the reader refuses raises
         LogIntegrityError, with the KB and the base untouched. After a
         successful submit the KB keeps its inclusions and takes the
@@ -206,10 +210,9 @@ class Monitor:
         with self.lock:
             # either failure is retried next interval, with the KB untouched
             try:
-                if not self._rulesheet_published:
+                if self._base is None:
                     payload = encode_rulesheet_payload(format_rulesheet(self.rulesheet))
                     self.reader.submit("rulesheet", self.rulesheet.source_hash.hex(), payload)
-                    self._rulesheet_published = True
             except (SubmitError, OSError) as exc:
                 self._warn("commit", f"rulesheet not published, nothing committed: {exc}")
                 return None
@@ -352,6 +355,8 @@ class MonitorService:
 
     def __init__(self, monitor: Monitor, commit_interval_ms: int = 1000, poll_interval_ms: int = 500,
                  host: str = "127.0.0.1", port: int = 0):
+        require_int("'commit_interval_ms'", commit_interval_ms, 1)  # a timer of 0 would spin
+        require_int("'poll_interval_ms'", poll_interval_ms, 1)
         self.monitor = monitor
         self.commit_interval_ms = commit_interval_ms
         self.poll_interval_ms = poll_interval_ms

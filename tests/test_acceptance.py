@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 pass/fail lines as they complete.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -248,10 +249,10 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
     scenario = load_scenario(os.path.join(SCENARIOS, "uav_booking.jsonl"))
     with open(os.path.join(SCENARIOS, "rules", "mrm_noretain.cyberlog")) as fh:
         noretain = fh.read()
-    scenario.monitors = [
+    scenario = dataclasses.replace(scenario, monitors=[
         MonitorSpec(m.name, noretain if m.name == "MRM" else m.rulesheet_text, m.watched, m.authz_predicate)
         for m in scenario.monitors
-    ]
+    ])
     run = ScenarioRun(scenario)
     run.advance_to(1000)
     assert run.query_count("DOM", "good_rtf_exists(R, A)") == 1

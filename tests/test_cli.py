@@ -389,6 +389,83 @@ def test_serve_monitor_whose_trusted_key_is_not_its_own_exits_2(tmp_path, capsys
     assert "trust store does not hold the public key of 'SB'" in capsys.readouterr().out
 
 
+BAD_LISTEN = ["127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:8e3", 8441]
+
+
+@pytest.mark.parametrize(
+    "key, value, refusal",
+    [
+        ("commit_interval_ms", 0, "'commit_interval_ms' must be a positive integer, not 0"),
+        ("commit_interval_ms", "1000", "'commit_interval_ms' must be a positive integer, not '1000'"),
+        ("poll_interval_ms", -1, "'poll_interval_ms' must be a positive integer, not -1"),
+        ("poll_interval_ms", 0.5, "'poll_interval_ms' must be a positive integer, not 0.5"),
+        ("watched_owners", "MRM", "'SB': watched owners must be a list of names, not 'MRM'"),
+        *(("listen", listen, f"'listen' must be 'host:port' with a port from 0 to 65535, not {listen!r}")
+          for listen in BAD_LISTEN),
+    ],
+)
+def test_serve_monitor_refuses_a_bad_config_value_with_exit_2(tmp_path, capsys, monkeypatch, key, value, refusal):
+    """Values are checked as given, not coerced: a zero interval would make
+    a timer spin, and "MRM" would watch 'M' and 'R'."""
+    from cyberlog.monitor import MonitorService
+
+    # a monitor that is built anyway would serve forever
+    monkeypatch.setattr(MonitorService, "run_forever", lambda service: pytest.fail("the monitor started"))
+    config = monitor_config(tmp_path, [generate_identity("log-operator", seed=bytes([6]) * 32)])
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+    assert main(["serve-monitor", "--config", str(config)]) == 2
+    assert refusal in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("listen", BAD_LISTEN)
+def test_serve_db_refuses_a_bad_listen_port_with_exit_2_and_opens_no_log(tmp_path, capsys, listen):
+    operator_seed = bytes([4]) * 32
+    trust_path = tmp_path / "trust.jsonl"
+    TrustStore.from_identities([generate_identity("log-operator", seed=operator_seed)]).save(str(trust_path))
+    log_path = tmp_path / "db.log"
+    config = tmp_path / "db.json"
+    config.write_text(json.dumps(
+        {"listen": listen, "log_file": str(log_path), "trust_store": str(trust_path), "seed_hex": operator_seed.hex()}
+    ))
+    assert main(["serve-db", "--config", str(config)]) == 2
+    assert f"'listen' must be 'host:port' with a port from 0 to 65535, not {listen!r}" in capsys.readouterr().out
+    assert not log_path.exists()
+
+
+def _dom_watches(header, watched):
+    header["monitors"] = [{**m, "watched": watched} if m["name"] == "DOM" else m for m in header["monitors"]]
+
+
+@pytest.mark.parametrize(
+    "change, refusal",
+    [
+        (lambda h: h.update(commit_interval_ms=0), "'commit_interval_ms' must be a positive integer, not 0"),
+        (lambda h: h.update(poll_interval_ms=-1000), "'poll_interval_ms' must be a positive integer, not -1000"),
+        (lambda h: h.update(drain_rounds=1.5), "'drain_rounds' must be a non-negative integer, not 1.5"),
+        (
+            lambda h: h["expected"][0].update(count=1.7),
+            "expected 'count' of 'good_rtf_exists(R, A)' must be a non-negative integer, not 1.7",
+        ),
+        (lambda h: _dom_watches(h, "SBOM"), "'DOM': watched owners must be a list of names, not 'SBOM'"),
+    ],
+    ids=["commit-interval", "poll-interval", "drain-rounds", "count", "watched"],
+)
+def test_run_scenario_refuses_a_bad_header_value_with_exit_2(tmp_path, capsys, monkeypatch, change, refusal):
+    """The scenario is refused before it runs; with a zero interval it
+    would never finish."""
+    monkeypatch.setattr(ScenarioRun, "finish", lambda run: pytest.fail("the scenario ran"))
+    lines = open(BOOKING).read().splitlines()
+    header = json.loads(lines[0])
+    header["monitors"] = [  # rulesheet paths are relative to the scenario file
+        {**m, "rulesheet": os.path.join(SCENARIOS, m["rulesheet"])} for m in header["monitors"]
+    ]
+    change(header)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert main(["run-scenario", str(bad)]) == 2
+    assert refusal in capsys.readouterr().out
+
+
 # -- a missing or unreadable configuration is a configuration error ---------
 
 

@@ -881,7 +881,7 @@ def test_booking_run_makes_no_check_inside_a_kb(count_verify, count_inclusion, m
     monkeypatch.setattr(KnowledgeBase, "check_evidence", lambda kb, claim: offered.append(claim) or check(kb, claim))
     monkeypatch.setattr(KnowledgeBase, "verify_claim_chain", lambda kb, atom: walked.append(atom))
     scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
-    assert [m.watched for m in scenario.monitors if m.name == "DOM"] == [("SB", "MRM", "OM", "CA")]
+    assert [m.watched for m in scenario.monitors if m.name == "DOM"] == [["SB", "MRM", "OM", "CA"]]
     report = run_scenario(scenario, mode="memory")
     assert report.passed
     assert offered and not [c for c in offered if isinstance(c.evidence, DerivedByRule)]

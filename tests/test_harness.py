@@ -1,5 +1,6 @@
 """Scenario harness: bundled workflow runs, determinism, integration mode."""
 
+import dataclasses
 import os
 
 import pytest
@@ -157,8 +158,7 @@ def test_stepped_supersession_retracts_verdict():
             with open(os.path.join(SCENARIOS, "rules", "mrm_noretain.cyberlog")) as fh:
                 spec = type(spec)(spec.name, fh.read(), spec.watched, spec.authz_predicate)
         specs.append(spec)
-    scenario.monitors = specs
-    run = ScenarioRun(scenario)
+    run = ScenarioRun(dataclasses.replace(scenario, monitors=specs))
     # first cycle: all premises land, DOM includes and derives the verdict
     run.advance_to(1000)
     assert run.query_count("DOM", "good_rtf_exists(R, A)") == 1
@@ -295,8 +295,8 @@ def test_scenario_loader_rejects_malformed_files(tmp_path):
 @pytest.mark.parametrize("field", ["at", "timestamp"])
 @pytest.mark.parametrize("value", [5.9, True, "7", -1, None], ids=["float", "bool", "string", "negative", "null"])
 def test_scenario_event_offsets_must_be_json_integers(tmp_path, field, value):
-    """`at` and `timestamp` pass the check `EventEnvelope.validate` makes:
-    5.9 is refused, not run as 5."""
+    """`at` (checked by `Scenario`) and `timestamp` (by `EventEnvelope`)
+    pass the same check: 5.9 is refused, not run as 5."""
     import json
 
     from cyberlog.errors import ConfigError
@@ -319,8 +319,8 @@ def test_scenario_event_offsets_must_be_json_integers(tmp_path, field, value):
     ids=["method", "path"],
 )
 def test_scenario_event_is_validated_at_load(tmp_path, field, value, refusal):
-    """An event `EventEnvelope.validate` refuses fails the load, not the run
-    partway through."""
+    """An event `EventEnvelope` refuses fails the load, not the run partway
+    through."""
     import json
 
     from cyberlog.errors import ConfigError
@@ -332,6 +332,92 @@ def test_scenario_event_is_validated_at_load(tmp_path, field, value, refusal):
     path.write_text(json.dumps(header) + "\n" + json.dumps(event) + "\n")
     with pytest.raises(ConfigError, match=f"bad scenario event .*: {refusal}"):
         load_scenario(str(path))
+
+
+def write_scenario(tmp_path, header=(), event=None):
+    """A scenario file of one monitor M, with `header` merged into its
+    header and `event`, if given, as its one event line; returns its path."""
+    import json
+
+    (tmp_path / "m.cyberlog").write_text("'M': Subject: 's' Issuer: 'i'\n")
+    head = {"name": "x", "monitors": [{"name": "M", "rulesheet": "m.cyberlog"}], "expected": [], **dict(header)}
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in (head, event) if line is not None) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, refusal",
+    [
+        ("commit_interval_ms", 0, "positive"),
+        ("commit_interval_ms", -1000, "positive"),
+        ("commit_interval_ms", 1.5, "positive"),
+        ("poll_interval_ms", 0, "positive"),
+        ("poll_interval_ms", "1000", "positive"),
+        ("drain_rounds", -1, "non-negative"),
+        ("drain_rounds", 2.5, "non-negative"),
+        ("drain_rounds", True, "non-negative"),
+    ],
+)
+def test_scenario_intervals_and_drain_rounds_are_refused_not_coerced(tmp_path, field, value, refusal):
+    """A zero interval would fire the same tick forever, so it is refused
+    when the scenario is loaded or built, before anything runs."""
+    from cyberlog.errors import ConfigError
+    from cyberlog.harness import Scenario
+
+    with pytest.raises(ConfigError, match=f"'{field}' must be a {refusal} integer, not "):
+        load_scenario(write_scenario(tmp_path, {field: value}))
+    with pytest.raises(ConfigError, match=f"'{field}' must be a {refusal} integer"):
+        Scenario("x", [], [], [], **{field: value})
+
+
+@pytest.mark.parametrize("count", [1.7, -1, "1", True, None])
+def test_expected_count_must_be_a_non_negative_integer(tmp_path, count):
+    """`"count": 1.7` is refused, not run as an expectation of 1."""
+    from cyberlog.errors import ConfigError
+
+    expected = [{"monitor": "M", "query": "p(X)", "count": count}]
+    with pytest.raises(ConfigError, match=r"expected 'count' of 'p\(X\)' must be a non-negative integer"):
+        load_scenario(write_scenario(tmp_path, {"expected": expected}))
+
+
+def test_watched_owners_that_are_not_a_list_refuse_the_run_before_any_event(tmp_path):
+    """`"watched": "SBOM"` is not read as the owners S, B, O and M."""
+    from cyberlog.errors import ConfigError
+
+    path = write_scenario(
+        tmp_path,
+        {"monitors": [{"name": "M", "rulesheet": "m.cyberlog", "watched": "SBOM"}]},
+        {"at": 5, "monitor": "M", "path": "/x"},
+    )
+    scenario = load_scenario(path)
+    assert scenario.monitors[0].watched == "SBOM"  # mapped as it stands
+    with pytest.raises(ConfigError, match="'M': watched owners must be a list of names, not 'SBOM'"):
+        ScenarioRun(scenario)
+
+
+@pytest.mark.parametrize("field", ["at", "monitor"])
+def test_event_line_without_its_offset_or_monitor_names_what_is_missing(tmp_path, field):
+    from cyberlog.errors import ConfigError
+
+    event = {"at": 5, "monitor": "M", "path": "/x"}
+    del event[field]
+    with pytest.raises(ConfigError, match=f"bad scenario event .*: missing '{field}'$"):
+        load_scenario(write_scenario(tmp_path, event=event))
+
+
+def test_a_scenario_and_its_envelopes_cannot_change_after_their_checks():
+    """Both are frozen; a changed copy is built, and checked, anew."""
+    from cyberlog.errors import ConfigError
+
+    scenario = load_scenario(scenario_path("uav_booking"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.commit_interval_ms = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.events[0].envelope.timestamp_ms = -1
+    assert dataclasses.replace(scenario, poll_interval_ms=500).poll_interval_ms == 500
+    with pytest.raises(ConfigError, match="'poll_interval_ms' must be a positive integer, not 0"):
+        dataclasses.replace(scenario, poll_interval_ms=0)
 
 
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".jsonl")))

@@ -427,7 +427,8 @@ def test_http_event_timestamp_not_a_json_integer_gets_400(sb, timestamp):
     event = {"method": "POST", "path": "/servicerequest", "body": '{"request_id":7}'}
     try:
         before = dict(sb.kb.claims)
-        with pytest.raises(SubmitError, match="event timestamp must be a non-negative integer") as exc:
+        refusal = f"event 'timestamp' must be a non-negative integer, not {timestamp!r}"
+        with pytest.raises(SubmitError, match=re.escape(refusal)) as exc:
             request_json("POST", url, {**event, "timestamp": timestamp}, 5)
         assert exc.value.code == 400
         assert sb.kb.claims == before and all(sb.kb.claims[a] is c for a, c in before.items())
@@ -513,6 +514,47 @@ def test_watching_monitor_without_operator_key_is_refused(identities, trust_stor
         Monitor(identities["DOM"], parse_rulesheet(DOM_SHEET, "DOM"), zeroing, trust_store, None, ("SB",))
     with pytest.raises(ConfigError, match="a monitor needs the log operator's key"):
         Monitor(identities["SB"], parse_rulesheet(SB_SHEET, "SB"), db, trust_store, None)
+
+
+@pytest.mark.parametrize("watched", ["SB", [1], {"SB": 1}, None])
+def test_watched_owners_must_be_a_list_of_names(identities, trust_store, db_client, watched):
+    """A string is not read as its letters: "SB" would watch 'S' and 'B',
+    that is nobody."""
+    with pytest.raises(ConfigError, match="'DOM': watched owners must be a list of names"):
+        make_monitor(identities, trust_store, db_client, "DOM", DOM_SHEET, watched=watched)
+    assert make_monitor(identities, trust_store, db_client, "DOM", DOM_SHEET, watched=["SB"]).watched_owners == ["SB"]
+
+
+@pytest.mark.parametrize("field", ["commit_interval_ms", "poll_interval_ms"])
+@pytest.mark.parametrize("value", [0, -5, 1.5, "1000", True], ids=["zero", "negative", "float", "string", "bool"])
+def test_service_interval_must_be_a_positive_integer(sb, field, value):
+    """A timer of 0 would fire without pause; the service is refused before
+    it binds a socket or starts a thread."""
+    from cyberlog.monitor import MonitorService
+
+    with pytest.raises(ConfigError, match=f"'{field}' must be a positive integer, not {re.escape(repr(value))}"):
+        MonitorService(sb, **{field: value})
+
+
+def test_failed_first_revision_publishes_the_rulesheet_again_and_logs_it_once(sb, db, monkeypatch):
+    """Until a revision is logged, each commit submits the rulesheet; the
+    claim DB answers a repeat with the original receipt and logs nothing."""
+    from cyberlog.revision import REVISION_PAYLOAD_HEAD
+
+    submit, submitted = db.submit_revision, []
+
+    def refuse_the_first_revision(payload):
+        submitted.append("revision" if payload.startswith(REVISION_PAYLOAD_HEAD) else "rulesheet")
+        if submitted == ["rulesheet", "revision"]:
+            raise OSError("connection reset")
+        return submit(payload)
+
+    monkeypatch.setattr(db, "submit_revision", refuse_the_first_revision)
+    assert sb.commit() is None
+    record = sb.commit()
+    assert sb.commit() is record
+    assert submitted == ["rulesheet", "revision", "rulesheet", "revision"]
+    assert len(db.log) == 2 and db.get_head("SB")["revision_id"] == record.id
 
 
 def test_identity_rulesheet_mismatch(identities, trust_store, db_client):
