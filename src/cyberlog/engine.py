@@ -471,13 +471,13 @@ class KnowledgeBase:
     Owned by a single logical actor; not safe for concurrent mutation.
     Every claim a caller offers is checked on entry, by its own evidence
     only (`KnowledgeBase.check_evidence`), so the KB runs no Ed25519 check
-    and no proof. The KB makes every derivation itself, over stored premises,
-    so every stored derivation rests on stored claims.
+    and no proof. The KB makes every derivation and carry-over itself, over
+    stored premises, so every stored derivation rests on stored claims.
 
     A monitor keeps one KB for its lifetime and changes it only through
-    `revise`, which retracts atoms by Delete-and-Rederive, admits claims
-    and saturates, or changes nothing; so between calls the KB is at its
-    fixpoint. `assert_claim` admits one claim without saturating.
+    `revise` and `carry`, which retract atoms by Delete-and-Rederive, admit
+    claims and saturate, or change nothing; so between calls the KB is at
+    its fixpoint. `assert_claim` admits one claim without saturating.
 
     Joins are planned once per standard rule with two or more relational
     atoms (`_join_plan`): for each delta position, an order and, per
@@ -500,6 +500,7 @@ class KnowledgeBase:
         # each standard rule with its relational body atoms in body order,
         # the join plan of each delta position, and its head-bound plan
         std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
+        self._next_rules = [rule for rule in rulesheet.rules if rule.kind is RuleKind.NEXT]
         rels = [[a for a in rule.body if isinstance(a, RelationalAtom)] for rule in std]
         plans = [[_join_plan(rule, k) for k in range(len(rel))] for rule, rel in zip(std, rels)]
         for body, steps in (plan for rule_plans in plans for plan in rule_plans):
@@ -579,6 +580,28 @@ class KnowledgeBase:
             # a stored claim was checked when it entered, unless the KB derived it
             if isinstance(claim.evidence, DerivedByRule) or self.claims.get(claim.atom) is not claim:
                 self.check_evidence(claim)
+        return self._revise(retract, claims)
+
+    def carry(self, retract: Iterable[GroundAtom]) -> list[Claim]:
+        """Admit the next-rule carry-overs of the claims held, each head atom's
+        from its first match, and retract `retract`, as `revise` does but
+        unchecked, since the KB made them; returns them. A carry-over equal
+        to a stored claim is that stored object. If a match or saturation
+        raises, the KB is as it was on entry. Not matched by `_fire`: a branch
+        there on the rule's kind made perfbench's `watch` ingests 3% slower."""
+        carried: dict[GroundAtom, Claim] = {}
+        for rule in self._next_rules:
+            for full in match_rule_body(rule.body, lambda _i, a, _s: self.claims_for(a.principal, a.predicate)):
+                atom = instantiate_head(rule.head, full)
+                if atom not in carried:
+                    claim = Claim(atom, CarriedByNextRule(rule, rule_substitution(rule, full)))
+                    carried[atom] = stored if (stored := self.claims.get(atom)) == claim else claim
+        claims = list(carried.values())
+        self._revise(retract, claims)
+        return claims
+
+    def _revise(self, retract: Iterable[GroundAtom], claims: list[Claim]) -> list[Claim]:
+        """`revise` after its checks."""
         added, displaced = self._apply(retract, claims)
         try:
             derived = self.saturate()

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .claimdb import ClaimDb, HttpLogClient, serve_db_in_thread
 from .claimlog import MerkleLog
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .identity import Identity, TrustStore, generate_identity
-from .lang import parse_rulesheet
+from .lang import parse_query, parse_rulesheet
 from .monitor import EventEnvelope, HttpMonitorClient, Monitor, MonitorService, require_int
 from .audit import append_heads_cache
 from .revision import LogReader
@@ -100,6 +100,10 @@ class Scenario:
         for exp in self.expected:
             if exp.monitor not in names:
                 raise ConfigError(f"expectation targets unknown monitor {exp.monitor!r}")
+            try:
+                parse_query(exp.query, exp.monitor)
+            except (ParseError, TypeError) as exc:  # TypeError: not a string
+                raise ConfigError(f"expected 'query' {exp.query!r} of {exp.monitor!r} is not a query: {exc}") from exc
             require_int(f"expected 'count' of {exp.query!r}", exp.count, 0)
 
 

@@ -17,7 +17,6 @@ from http.server import ThreadingHTTPServer
 from typing import Callable
 
 from .engine import (
-    CarriedByNextRule,
     Claim,
     DirectAssertion,
     GroundAtom,
@@ -34,6 +33,7 @@ from .revision import (
     LogClient,
     LogReader,
     RevisionRecord,
+    apply_next_rules,
     commit_staging,
     encode_rulesheet_payload,
     include_revision,
@@ -153,6 +153,8 @@ class Monitor:
             raise ConfigError("a monitor needs the log operator's key")
         if not isinstance(watched_owners, (list, tuple)) or not all(isinstance(o, str) for o in watched_owners):
             raise ConfigError(f"{identity.name!r}: watched owners must be a list of names, not {watched_owners!r}")
+        if authz_predicate is not None and not isinstance(authz_predicate, str):
+            raise ConfigError(f"{identity.name!r}: authz_predicate must be a predicate name, not {authz_predicate!r}")
         self.identity = identity
         self.rulesheet = rulesheet
         self.watched_owners = watched_owners
@@ -202,11 +204,11 @@ class Monitor:
         logged (a repeat gets its original receipt). A receipt of
         either whose tree head or inclusion proof the reader refuses raises
         LogIntegrityError, with the KB and the base untouched. After a
-        successful submit the KB keeps its inclusions and takes the
-        next-rule carry-overs as its own claims. If the carry-overs make
-        saturation raise, the error propagates with the record logged, and
-        the KB drops the record's own claims without taking the
-        carry-overs, so the next commit does not log them again."""
+        successful submit the record is the base, and the KB keeps its
+        inclusions and takes its own next-rule carry-overs in place of the
+        record's events and carried claims (`apply_next_rules`). If the
+        carry-overs, or their match, make a rule raise, the error propagates
+        and the KB drops the record's own claims without the carry-overs."""
         with self.lock:
             # either failure is retried next interval, with the KB untouched
             try:
@@ -217,7 +219,6 @@ class Monitor:
                 self._warn("commit", f"rulesheet not published, nothing committed: {exc}")
                 return None
             own = [c for c in self.kb.claims.values() if not isinstance(c.evidence, LogInclusion)]
-            included = [c for c in self.kb.claims.values() if isinstance(c.evidence, LogInclusion)]
             base = self._base
             # an unchanged snapshot (the base's claim objects, so an equal
             # claim built anew is a change, and the base's includes) logs
@@ -230,23 +231,16 @@ class Monitor:
                 self.metrics.commits_unchanged += 1
                 return base
             try:
-                record, _inclusion, carried = commit_staging(
+                record, _inclusion = commit_staging(
                     self.identity, self.rulesheet, self.reader, base and base.id, self.active_includes.values(),
-                    own, self.clock(), included,
+                    own, self.clock(),
                 )
             except (SubmitError, OSError) as exc:
                 self._warn("commit", f"commit failed, keeping own claims: {exc}")
                 return None
             self._base = record
             self.metrics.commits_logged += 1
-            # own claims not carried go, with what was derived from them;
-            # derived claims whose recorded premises survive stay
-            logged = [c.atom for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
-            try:
-                self.kb.revise(logged, carried)
-            except CyberlogError:
-                self.kb.revise(logged, ())
-                raise
+            apply_next_rules(self.kb, record)
             return record
 
     # -- polling ------------------------------------------------------------

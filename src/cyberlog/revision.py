@@ -30,16 +30,13 @@ from .engine import (
     GroundAtom,
     KnowledgeBase,
     LogInclusion,
-    Substitution,
     canonical_atom,
     check_evidence,
-    instantiate_head,
-    match_rule_body,
-    rule_substitution,
 )
-from .errors import EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError, UnsupportedClaimError
+from .errors import CyberlogError, EvidenceError, LogIntegrityError, NotFoundError, ParseError, SignatureError
+from .errors import UnsupportedClaimError
 from .identity import Identity, TrustStore, sign_bytes, verify_bytes
-from .lang import RelationalAtom, RuleKind, Rulesheet, parse_rulesheet
+from .lang import Rulesheet, parse_rulesheet
 from .wire import canonical_json, claim_from_obj, claim_to_obj
 
 
@@ -250,44 +247,6 @@ def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: 
 # Operations
 
 
-def apply_next_rules(
-    record: RevisionRecord, rs: Rulesheet, included_claims: Sequence[Claim] = ()
-) -> list[Claim]:
-    """Heads of next-rules whose bodies hold in the committed snapshot.
-
-    Bodies match the committed revision's claims plus the claims of the
-    revisions it includes; each distinct head atom is emitted once with
-    carried-forward evidence, whose source is the record. A carry-over
-    equal to a claim of the record is that claim object, so a commit of
-    the same carry-overs again changes nothing (`Monitor.commit`), and one
-    of an atom of the record reuses that atom.
-    """
-    next_rules = [rule for rule in rs.rules if rule.kind is RuleKind.NEXT]
-    if not next_rules:
-        return []
-    pool: dict[tuple[str, str], list[Claim]] = {}
-    for claim in list(record.claims) + list(included_claims):
-        pool.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
-
-    def candidates(_i: int, atom: RelationalAtom, _subst: Substitution):
-        return pool.get((atom.principal, atom.predicate), ())
-
-    carried: dict[GroundAtom, Claim] = {}
-    for rule in next_rules:
-        for subst in match_rule_body(rule.body, candidates):
-            atom = instantiate_head(rule.head, subst)
-            if atom not in carried:
-                substitution = rule_substitution(rule, subst)
-                logged = record.by_atom.get(atom)
-                ev = None if logged is None else logged.evidence
-                if isinstance(ev, CarriedByNextRule) and (ev.rule, ev.substitution) == (rule, substitution):
-                    carried[atom] = logged
-                else:
-                    evidence = CarriedByNextRule(rule, substitution)
-                    carried[atom] = Claim(atom if logged is None else logged.atom, evidence)
-    return list(carried.values())
-
-
 def commit_staging(
     identity: Identity,
     rs: Rulesheet,
@@ -296,19 +255,17 @@ def commit_staging(
     includes: Iterable[str],
     claims: Iterable[Claim],
     now_ms: int,
-    included_claims: Sequence[Claim] = (),
-) -> tuple[RevisionRecord, LogInclusion, list[Claim]]:
+) -> tuple[RevisionRecord, LogInclusion]:
     """Commit `identity`'s claims as a revision superseding `base` and
-    including `includes`; returns (record, inclusion, next-rule carry-overs).
-    The one signature is `identity`'s over the record's id.
+    including `includes`; returns the record and its inclusion. The one
+    signature is `identity`'s over the record's id.
 
     Raises SubmitError if the claim database refuses; nothing is committed
     in that case. The database refuses a revision whose rulesheet `rs` it
     has not logged. Raises LogIntegrityError if `reader` refuses the receipt.
     """
     record, body = build_record(identity.name, base, includes, rs, claims, now_ms)
-    inclusion = reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
-    return record, inclusion, apply_next_rules(record, rs, included_claims)
+    return record, reader.submit("revision", record.id, encode_payload(body, sign_record(record, identity)))
 
 
 @contextlib.contextmanager
@@ -530,6 +487,20 @@ def include_revision(kb: KnowledgeBase, rev_id: str, reader: LogReader) -> list[
     record, inclusion = reader.revision(rev_id)
     added = kb.revise((), [Claim(claim.atom, inclusion) for claim in record.claims])
     return [claim for claim in added if claim.evidence is inclusion]
+
+
+def apply_next_rules(kb: KnowledgeBase, record: RevisionRecord) -> list[Claim]:
+    """The KB step after the commit of `record`, while the KB holds exactly
+    the record's claims and its includes': the record's events and carried
+    claims leave and the KB's carry-overs enter (`KnowledgeBase.carry`);
+    returns those. On a CyberlogError the record's claims leave without
+    carry-overs, so the next commit does not log them again, and it propagates."""
+    logged = [c.atom for c in record.claims if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
+    try:
+        return kb.carry(logged)
+    except CyberlogError:
+        kb.revise(logged, ())
+        raise
 
 
 def supersession_chain(reader: LogReader, new_record: RevisionRecord, old_rev_id: str) -> None:

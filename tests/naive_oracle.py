@@ -2,8 +2,9 @@
 
 Deliberately unshared with the engine: plain backtracking joins over the full
 atom set, no deltas, no indexes, no evidence. Used as the ground truth for
-saturation equivalence tests. `derivation_faults` checks a knowledge base's
-stored evidence, with the engine's own rule-instance checks.
+saturation and next-rule carry-over equivalence tests. `derivation_faults`
+checks a knowledge base's stored evidence, with the engine's own
+rule-instance checks.
 """
 
 from __future__ import annotations
@@ -159,6 +160,17 @@ def naive_saturate(base_atoms, rules) -> set[Atom]:
                     atoms.add(head)
                     changed = True
     return atoms
+
+
+def naive_carry(atoms, rules) -> set[Atom]:
+    """The heads of the next-rules over the atoms: one pass, one head per atom."""
+    snapshot = list(atoms)
+    return {
+        (rule.head.principal, rule.head.predicate, tuple(_resolve(a, env) for a in rule.head.args))
+        for rule in rules
+        if rule.kind is RuleKind.NEXT
+        for env in _solutions(list(rule.body), snapshot, {})
+    }
 
 
 def derivation_faults(kb) -> list[str]:

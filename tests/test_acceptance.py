@@ -34,6 +34,7 @@ from cyberlog.lang import parse_rulesheet
 from cyberlog.monitor import EventEnvelope
 from cyberlog.revision import (
     LogReader,
+    apply_next_rules,
     build_record,
     commit_staging,
     encode_payload,
@@ -229,13 +230,15 @@ def test_criterion_5a_step_counter(db_client, identities):
         "'CTR': Subject: 's' Issuer: 'i'\nnext counter(N1) :- counter(N), N1 == N + 1.\n", "CTR"
     )
     seed_atom = GroundAtom("CTR", "counter", (0,))
-    claims = [Claim(seed_atom, DirectAssertion())]
+    kb = KnowledgeBase(rs)
+    kb.revise((), [Claim(seed_atom, DirectAssertion())])
     publish_rulesheet(db_client, rs)
     reader = log_reader(db_client, identities)
-    record, _, claims = commit_staging(identities["CTR"], rs, reader, None, (), claims, 0)
+    record = None
     k = 7
-    for step in range(1, k + 1):
-        record, _, claims = commit_staging(identities["CTR"], rs, reader, record.id, (), claims, step)
+    for step in range(k + 1):  # each commit's carry-overs are the KB's claims for the next
+        record, _ = commit_staging(identities["CTR"], rs, reader, record and record.id, (), kb.claims.values(), step)
+        apply_next_rules(kb, record)
     fetched, _ = fetch_verified_revision(reader, record.id)
     atoms = [c.atom for c in fetched.claims]
     verdict(
@@ -280,7 +283,7 @@ def test_criterion_5b_supersession_retracts_and_matches_oracle():
 def test_criterion_5c_non_owner_supersession_rejected(db_client, identities):
     rs_sb = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
     publish_rulesheet(db_client, rs_sb)
-    record, _, _ = commit_staging(identities["SB"], rs_sb, log_reader(db_client, identities), None, (), (), 1)
+    record, _ = commit_staging(identities["SB"], rs_sb, log_reader(db_client, identities), None, (), (), 1)
     rs_mrm = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     publish_rulesheet(db_client, rs_mrm)
     hostile, body = build_record("MRM", record.id, (), rs_mrm, (), 2)

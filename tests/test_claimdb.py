@@ -234,7 +234,7 @@ def test_receipts_linearizable_and_consistent(db_client, identities):
     publish_rulesheet(db_client, rs)
     base, inclusions = None, []
     for t in range(6):
-        record, inclusion, _ = commit_staging(identities["CTR"], rs, reader(db_client, identities), base, (), (), t)
+        record, inclusion = commit_staging(identities["CTR"], rs, reader(db_client, identities), base, (), (), t)
         base = record.id
         inclusions.append(inclusion)
     indices = [i.proof.leaf_index for i in inclusions]

@@ -301,7 +301,7 @@ def test_serve_db_subprocess_restart_same_root(tmp_path):
         rs = parse_rulesheet("'SB': Subject: 's' Issuer: 'i'\n", "SB")
         publish_rulesheet(client, rs)
         reader = LogReader(client, TrustStore.load(trust_path), operator.public_key)
-        record, receipt, _ = commit_staging(sb, rs, reader, None, (), (), 1)
+        record, receipt = commit_staging(sb, rs, reader, None, (), (), 1)
         fetched = client.get_revision(record.id)
         assert json.loads(fetched["payload"])["owner"] == "SB"
         root_before = client.get_log_root()["root_hash"]

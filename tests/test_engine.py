@@ -21,7 +21,7 @@ from cyberlog.errors import EvaluationError, EvidenceError
 from cyberlog.lang import Rulesheet, StringConstant, Variable, parse_query, parse_rulesheet
 
 from conftest import at_fixpoint, claims_from_atoms
-from naive_oracle import derivation_faults, naive_saturate, random_builtin_program, random_program
+from naive_oracle import derivation_faults, naive_carry, naive_saturate, random_builtin_program, random_program
 
 IDS = "'SB': Subject: 's' Issuer: 'i'\n'MRM': Subject: 's' Issuer: 'i'\n'OM': Subject: 's' Issuer: 'i'\n'CA': Subject: 's' Issuer: 'i'\n"
 NO_RULES = parse_rulesheet(IDS, "SB")
@@ -971,6 +971,53 @@ def test_revise_and_saturate_match_oracle():
             kb.revise(retract, claims)
             base = (base - {(a.principal, a.predicate, a.args) for a in retract}) | set(admit)
             _check_against_oracle(kb, rs, base)
+
+    check()
+
+
+def test_carry_matches_naive_next_rule_oracle():
+    """Random programs with some rules made next-rules, over a few KB steps
+    after a commit, each retracting some of the claims not derived: each
+    step admits exactly the naive oracle's next-rule heads over the claims
+    held, each passing `engine.check_evidence` with premises held, a
+    carry-over equal to a stored claim is that stored object, and the KB is
+    then the fixpoint of its carry-overs and the claims kept."""
+    import dataclasses
+
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.lang import RelationalAtom, Rule, RuleKind
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2000), st.booleans(), st.data())
+    def check(seed, builtins, data):
+        rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        made_next = data.draw(st.lists(st.booleans(), min_size=len(rs.rules), max_size=len(rs.rules)))
+        rules = [dataclasses.replace(r, kind=RuleKind.NEXT) if n else r for r, n in zip(rs.rules, made_next)]
+        if data.draw(st.booleans()):  # a retention rule, so that later steps meet their own carry-overs
+            principal, predicate, args = data.draw(st.sampled_from(sorted(facts, key=repr)))
+            keep = tuple(Variable(f"K{i}") for i in range(len(args)))
+            head, body = RelationalAtom(rs.self_id, predicate, keep), RelationalAtom(principal, predicate, keep)
+            rules.append(Rule(RuleKind.NEXT, head, (body,)))
+        rs = Rulesheet(rs.self_id, rs.identities, rules)
+        kb = KnowledgeBase(rs)
+        kb.revise((), claims_from_atoms([GroundAtom(*f) for f in facts]))
+        for _step in range(data.draw(st.integers(1, 3))):
+            held = dict(kb.claims)
+            expected = naive_carry(atoms_of(kb), rs.rules)
+            given_atoms = sorted((a for a, c in held.items() if not isinstance(c.evidence, DerivedByRule)), key=repr)
+            retract = data.draw(st.lists(st.sampled_from(given_atoms), unique=True)) if given_atoms else []
+            carried = kb.carry(retract)
+            heads = [(c.atom.principal, c.atom.predicate, c.atom.args) for c in carried]
+            assert len(heads) == len(expected) and set(heads) == expected
+            for claim in carried:
+                assert isinstance(claim.evidence, CarriedByNextRule) and kb.claims[claim.atom] is claim
+                assert set(check_evidence(claim)) <= held.keys()
+                if held.get(claim.atom) == claim:
+                    assert held[claim.atom] is claim
+            kept = {a for a in given_atoms if a not in retract} | {c.atom for c in carried}
+            assert {a for a, c in kb.claims.items() if not isinstance(c.evidence, DerivedByRule)} == kept
+            _check_against_oracle(kb, rs, {(a.principal, a.predicate, a.args) for a in kept})
 
     check()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 
 import pytest
 
@@ -381,6 +382,16 @@ def test_expected_count_must_be_a_non_negative_integer(tmp_path, count):
         load_scenario(write_scenario(tmp_path, {"expected": expected}))
 
 
+@pytest.mark.parametrize("query", [5, None, "p(X", "p(X) q(Y)", "get_param_int(D, 'a', V)"])
+def test_expected_query_that_does_not_parse_refuses_the_scenario(tmp_path, query):
+    """`"query": 5` is refused at load, not after the whole run."""
+    from cyberlog.errors import ConfigError
+
+    expected = [{"monitor": "M", "query": query, "count": 1}]
+    with pytest.raises(ConfigError, match=f"expected 'query' {re.escape(repr(query))} of 'M' is not a query"):
+        load_scenario(write_scenario(tmp_path, {"expected": expected}))
+
+
 def test_watched_owners_that_are_not_a_list_refuse_the_run_before_any_event(tmp_path):
     """`"watched": "SBOM"` is not read as the owners S, B, O and M."""
     from cyberlog.errors import ConfigError
@@ -393,6 +404,22 @@ def test_watched_owners_that_are_not_a_list_refuse_the_run_before_any_event(tmp_
     scenario = load_scenario(path)
     assert scenario.monitors[0].watched == "SBOM"  # mapped as it stands
     with pytest.raises(ConfigError, match="'M': watched owners must be a list of names, not 'SBOM'"):
+        ScenarioRun(scenario)
+
+
+@pytest.mark.parametrize("predicate", [5, ["ok"], True])
+def test_authz_predicate_that_is_not_a_name_refuses_the_run_before_any_event(tmp_path, predicate):
+    """`"authz_predicate": 5` is refused, not taken to deny every event."""
+    from cyberlog.errors import ConfigError
+
+    path = write_scenario(
+        tmp_path,
+        {"monitors": [{"name": "M", "rulesheet": "m.cyberlog", "authz_predicate": predicate}]},
+        {"at": 5, "monitor": "M", "path": "/x"},
+    )
+    scenario = load_scenario(path)
+    refusal = f"'M': authz_predicate must be a predicate name, not {re.escape(repr(predicate))}"
+    with pytest.raises(ConfigError, match=refusal):
         ScenarioRun(scenario)
 
 

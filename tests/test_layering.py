@@ -155,6 +155,22 @@ def test_only_the_reader_checks_logged_evidence():
     assert [name for name in modules_naming_check_evidence() if name not in EVIDENCE_CHECKERS] == []
 
 
+# rules are matched in one module: the knowledge base joins standard rules
+# and next-rules alike, so no module keeps a matcher or a claim pool of its own
+RULE_MATCHERS = {"engine.py"}
+
+
+def modules_naming_match_rule_body():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(name == "match_rule_body" for _kind, name in _referenced_names(tree, ())):
+            yield path.name
+
+
+def test_only_the_knowledge_base_matches_rules():
+    assert [name for name in modules_naming_match_rule_body() if name not in RULE_MATCHERS] == []
+
+
 # the owner signs what it logs (revision.py) and the log operator its tree
 # heads (claimlog.py): no module on the request path signs
 SIGNERS = {"identity.py", "revision.py", "claimlog.py"}

@@ -797,7 +797,8 @@ def test_an_unchanged_commit_is_the_commit_it_skips(identities, trust_store):
     returns its base, that base is the record the commit would have logged
     but for its supersedes and commit time, the base's carry-overs are the
     KB's direct and carried claims as they are, and the KB and the log are
-    untouched. Every owner's head then passes a fresh Auditor."""
+    untouched, even by the KB step that would follow it (`apply_next_rules`). Every
+    owner's head then passes a fresh Auditor."""
     from hypothesis import given, settings, strategies as st
 
     from cyberlog.audit import Auditor
@@ -841,7 +842,6 @@ def test_an_unchanged_commit_is_the_commit_it_skips(identities, trust_store):
                 monitor = monitors[step[1]]
                 base, claims, entries = monitor._base, dict(monitor.kb.claims), len(db.log)
                 own = [c for c in claims.values() if not isinstance(c.evidence, LogInclusion)]
-                included = [c for c in claims.values() if isinstance(c.evidence, LogInclusion)]
                 includes = tuple(monitor.active_includes.values())
                 record = monitor.commit()
                 assert record is not None
@@ -852,7 +852,7 @@ def test_an_unchanged_commit_is_the_commit_it_skips(identities, trust_store):
                     record.owner, record.supersedes, includes, monitor.rulesheet, own, record.commit_time
                 )
                 assert skipped.id == record.id
-                carried = apply_next_rules(record, monitor.rulesheet, included)
+                carried = apply_next_rules(monitor.kb, record)  # the KB step after the skipped commit
                 retracted = [c for c in own if isinstance(c.evidence, (DirectAssertion, CarriedByNextRule))]
                 assert {id(c) for c in carried} == {id(c) for c in retracted}
                 assert len(db.log) == entries
@@ -1126,12 +1126,21 @@ def test_http_event_whose_consequence_raises_gets_400(identities, trust_store, d
         thread.join(timeout=5)
 
 
-def test_commit_whose_carried_claims_raise_starts_the_next_clean(identities, trust_store, db_client):
+@pytest.mark.parametrize(
+    "rules",
+    [
+        # a carry-over makes a standard rule raise
+        "next held(Id) :- request(Id, Data, T).\nheld10(M) :- held(Id), M == Id * 10.\n",
+        # the next-rule's own match raises
+        "next tenfold(M) :- request(Id, Data, T), M == Id * 10.\n",
+    ],
+    ids=["carried", "matched"],
+)
+def test_commit_whose_carried_claims_raise_starts_the_next_clean(identities, trust_store, db_client, rules):
     """The error propagates with the record logged and taken as the base; the
     KB drops the record's claims without the carry-overs, stays at its
     fixpoint, and ingest and the next commit work without logging them again."""
-    sheet = SB_SHEET + "next held(Id) :- request(Id, Data, T).\nheld10(M) :- held(Id), M == Id * 10.\n"
-    sb = make_monitor(identities, trust_store, db_client, "SB", sheet)
+    sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET + rules)
     sb.ingest_event(HUGE)
     committed = set(sb.kb.claims)
     with pytest.raises(EvaluationError, match="integer overflow"):

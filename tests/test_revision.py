@@ -48,7 +48,18 @@ def commit(db_client, identities, rs, claims=(), base=None, now_ms=0):
     """Log the rulesheet, then commit its owner's claims over `base`,
     including nothing; returns (record, its inclusion, next-rule carry-overs)."""
     publish_rulesheet(db_client, rs)
-    return commit_staging(identities[rs.self_id], rs, reader(db_client, identities), base, (), claims, now_ms)
+    committer = reader(db_client, identities)
+    record, inclusion = commit_staging(identities[rs.self_id], rs, committer, base, (), claims, now_ms)
+    return record, inclusion, carry_overs(rs, record)
+
+
+def carry_overs(rs, record, included=()):
+    """The carry-overs that the KB step after the commit of `record` admits
+    into a KB holding the record's claim objects and `included` (the sheets
+    here have no standard rule, so a record holds no derivation)."""
+    kb = KnowledgeBase(rs)
+    kb.revise((), [*record.claims, *included])
+    return apply_next_rules(kb, record)
 
 
 def reader(db_client, identities):
@@ -108,7 +119,7 @@ def test_next_rule_keeps_in_process_request(identities):
         signed("SB", GroundAtom("SB", "in_process", (7,))),
     ]
     record, _ = build_record("SB", None, (), rs, claims, 1)
-    carried = apply_next_rules(record, rs)
+    carried = carry_overs(rs, record)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7, "d", 5))]
     ev = carried[0].evidence
     assert isinstance(ev, CarriedByNextRule) and ev.substitution == {"Id": 7, "Data": "d", "TimeRequest": 5}
@@ -121,7 +132,7 @@ def test_next_rule_drops_completed_request(identities):
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     claims = [signed("SB", GroundAtom("SB", "request", (7, "d", 5)))]
     record, _ = build_record("SB", None, (), rs, claims, 1)
-    assert apply_next_rules(record, rs) == []
+    assert carry_overs(rs, record) == []
 
 
 def test_next_rule_sees_included_claims(identities):
@@ -133,8 +144,8 @@ def test_next_rule_sees_included_claims(identities):
     own = [signed("SB", GroundAtom("SB", "request", (7,)))]
     foreign = [signed("OM", GroundAtom("OM", "in_process", (7,)))]
     record, _ = build_record("SB", None, (), rs, own, 1)
-    assert apply_next_rules(record, rs) == []
-    carried = apply_next_rules(record, rs, included_claims=foreign)
+    assert carry_overs(rs, record) == []
+    carried = carry_overs(rs, record, included=foreign)
     assert [c.atom for c in carried] == [GroundAtom("SB", "request", (7,))]
 
 
@@ -460,9 +471,9 @@ def test_commit_serialises_each_claim_once_in_committer_and_claim_db(db_client, 
     committer, ends = reader(db_client, identities), []
 
     def commit(base, claims, now_ms):
-        record, _, carried = commit_staging(identities["SB"], rs, committer, base, (), claims, now_ms)
+        record, _ = commit_staging(identities["SB"], rs, committer, base, (), claims, now_ms)
         ends.append(len(calls))
-        return record, carried
+        return record, carry_overs(rs, record)
 
     record, carried = commit(None, claims, 3)
     second, again = commit(record.id, carried + [in_process], 4)
