@@ -12,7 +12,10 @@ Rulesheet texts are stored as ordinary log entries (payload kind
 "rulesheet", in canonical form) submitted through POST /revisions and
 fetched by their content hash via GET /revisions/{hash}. A revision names
 its owner's rulesheet by that hash, and is refused unless the rulesheet is
-logged before it and parses for the owner, contract and all.
+logged before it. A revision is admitted on its header alone, as in
+Certificate Transparency (RFC 9162 §4.1): no claim is decoded here, so a
+trusted owner's malformed revision is logged and ends that owner's chain
+at every reader, all of which check every claim.
 """
 
 from __future__ import annotations
@@ -29,16 +32,9 @@ from .claimlog import MerkleLog, SignedTreeHead, sign_tree_head
 from .errors import CyberlogError, LogIntegrityError, NotFoundError, SignatureError, SubmitError
 from .httpjson import JsonRequestHandler, request_json
 from .identity import Identity, TrustStore
-from .lang import Rulesheet, parse_rulesheet
-from .revision import (
-    REVISION_PAYLOAD_HEAD,
-    RevisionRecord,
-    check_canonical,
-    decode_payload,
-    decode_rulesheet_payload,
-    encode_rulesheet_payload,
-    rulesheet_entry_id,
-)
+from .revision import REVISION_PAYLOAD_HEAD, RevisionHeader, decode_header, decode_rulesheet_payload
+from .revision import decode_payload  # noqa: F401  perfbench's tracer test reads this binding; nothing here calls it
+from .revision import encode_rulesheet_payload, rulesheet_entry_id
 
 
 _log = logging.getLogger("cyberlog.claimdb")
@@ -71,8 +67,7 @@ class ClaimDb:
         self.clock = clock
         self._lock = threading.Lock()
         self._entries: dict[str, int] = {}  # entry id -> log index
-        self._rulesheets: dict[str, str] = {}  # rulesheet hash -> logged text
-        self._owners: dict[str, str] = {}  # revision id -> owner; rulesheets have none
+        self._owners: dict[str, str] = {}  # revision id -> owner; a logged id without one is a rulesheet's
         self._heads: dict[str, _HeadState] = {}
         self._signed_head: SignedTreeHead | None = None  # the last head signed
         self._replay_existing()
@@ -86,105 +81,92 @@ class ClaimDb:
             payload = self.log.payload(index).decode("utf-8", errors="replace")
             try:
                 if payload.startswith(REVISION_PAYLOAD_HEAD):
-                    record = self._signed_record(payload)
-                    self._check_chain(record)
-                    self._index_revision(record, index)
+                    header = self._signed_header(payload)
+                    self._check_chain(header)
+                    self._index_revision(header, index)
                 else:
-                    text = _rulesheet_text(payload)
-                    self._index_rulesheet(rulesheet_entry_id(text), text, index)
+                    self._entries[rulesheet_entry_id(_rulesheet_text(payload))] = index
             except CyberlogError as exc:
                 _log.warning("log entry %d left unindexed: %s", index, exc)
 
-    def _index_revision(self, record: RevisionRecord, index: int) -> None:
-        self._entries[record.id] = index
-        self._owners[record.id] = record.owner
-        head = self._heads.get(record.owner)
-        self._heads[record.owner] = _HeadState(record.id, (head.chain_length if head else 0) + 1, record.commit_time)
+    def _index_revision(self, header: RevisionHeader, index: int) -> None:
+        self._entries[header.id] = index
+        self._owners[header.id] = header.owner
+        head = self._heads.get(header.owner)
+        self._heads[header.owner] = _HeadState(header.id, (head.chain_length if head else 0) + 1, header.commit_time)
 
     # -- submission -----------------------------------------------------
 
     def submit_revision(self, payload: str) -> dict:
-        """Validate and append a revision (or rulesheet blob); the per-owner
-        head index is updated atomically with the append. A revision that
-        is not exactly in canonical form is refused with 400."""
+        """Admit and append a revision (or rulesheet blob); the per-owner
+        head index is updated atomically with the append. A payload already
+        logged, byte for byte, is answered with its entry's receipt and not
+        appended again."""
         if not payload.startswith(REVISION_PAYLOAD_HEAD):
-            return self._submit_rulesheet(payload, _rulesheet_text(payload))
-        record = self._signed_record(payload)
+            return self._submit_rulesheet(payload, rulesheet_entry_id(_rulesheet_text(payload)))
+        header, data = self._signed_header(payload), payload.encode("utf-8")
         with self._lock:
-            self._check_chain(record)
-            index = self.log.append(payload.encode("utf-8"))
-            self._index_revision(record, index)
-            return self._receipt(index, record.id)
+            index = self._entries.get(header.id)
+            if index is None or self.log.payload(index) != data:
+                self._check_chain(header)
+                index = self.log.append(data)
+                self._index_revision(header, index)
+            return self._receipt(index, header.id)
 
     # Admission: submit and replay take a revision only if it passes both
     # checks below, in this order.
 
-    def _signed_record(self, payload: str) -> RevisionRecord:
-        """The record of a revision payload signed by its trusted owner (else
-        401, before any rulesheet is read) that names a logged rulesheet that
-        parses for that owner and is its canonical encoding under that
-        rulesheet (else 400): every claim is decoded and encoded again, in
-        one parse and one encode. Raises SubmitError."""
+    def _signed_header(self, payload: str) -> RevisionHeader:
+        """The header of a revision payload signed by its trusted owner (else
+        401, before the rulesheet is looked up) that names a logged rulesheet
+        (else 400). Decodes no claim and parses no rulesheet. Raises
+        SubmitError."""
         try:
-            record, signature, rs = decode_payload(payload, self._logged_rulesheet, self.trust_store)
-            check_canonical(record, signature, payload, rs)
+            header = decode_header(payload, self.trust_store)[0]
         except SignatureError as exc:
             raise SubmitError(401, str(exc)) from exc
         except LogIntegrityError as exc:
             raise SubmitError(400, str(exc)) from exc
-        return record
+        if header.rulesheet_hash not in self._entries or header.rulesheet_hash in self._owners:
+            raise SubmitError(400, f"rulesheet {header.rulesheet_hash} is not logged")
+        return header
 
-    def _logged_rulesheet(self, rulesheet_hash: str, owner: str) -> Rulesheet:
-        """The rulesheet logged under `rulesheet_hash`, parsed for `owner`.
-        Raises LogIntegrityError if no rulesheet is logged under that hash,
-        and ParseError if it does not parse for the owner."""
-        text = self._rulesheets.get(rulesheet_hash)
-        if text is None:
-            raise LogIntegrityError(f"rulesheet {rulesheet_hash} is not logged")
-        return parse_rulesheet(text, owner)
-
-    def _check_chain(self, record: RevisionRecord) -> None:
-        """Raise SubmitError unless the record may extend its owner's chain
+    def _check_chain(self, header: RevisionHeader) -> None:
+        """Raise SubmitError unless the revision may extend its owner's chain
         now: a first revision only while the owner has no head, otherwise
         one superseding a logged revision of the same owner that nothing
         supersedes yet, at a commit time no earlier than that revision's;
         and its id names no logged entry. The caller holds the lock, or is
         replaying."""
-        if record.supersedes is None:
-            if record.owner in self._heads:
-                raise SubmitError(409, f"owner {record.owner!r} already has a revision chain")
+        if header.supersedes is None:
+            if header.owner in self._heads:
+                raise SubmitError(409, f"owner {header.owner!r} already has a revision chain")
         else:
-            target_owner = self._owners.get(record.supersedes)
+            target_owner = self._owners.get(header.supersedes)
             if target_owner is None:
-                raise SubmitError(400, f"supersedes target {record.supersedes} is not a logged revision")
-            if target_owner != record.owner:
+                raise SubmitError(400, f"supersedes target {header.supersedes} is not a logged revision")
+            if target_owner != header.owner:
                 raise SubmitError(401, f"only the owner may supersede: target owned by {target_owner!r}")
             # an owner's chain is linear: each of its revisions but the head
             # is superseded
-            head = self._heads[record.owner]
-            if head.revision_id != record.supersedes:
-                raise SubmitError(409, f"revision {record.supersedes} is already superseded")
+            head = self._heads[header.owner]
+            if head.revision_id != header.supersedes:
+                raise SubmitError(409, f"revision {header.supersedes} is already superseded")
             before = head.commit_time
-            if record.commit_time < before:
+            if header.commit_time < before:
                 raise SubmitError(
-                    409, f"commit time {record.commit_time} is before {before}, that of revision {record.supersedes}"
+                    409, f"commit time {header.commit_time} is before {before}, that of revision {header.supersedes}"
                 )
-        if record.id in self._entries:
-            raise SubmitError(409, f"revision {record.id} already logged")
+        if header.id in self._entries:
+            raise SubmitError(409, f"revision {header.id} already logged")
 
-    def _submit_rulesheet(self, payload: str, text: str) -> dict:
-        entry_id = rulesheet_entry_id(text)
+    def _submit_rulesheet(self, payload: str, entry_id: str) -> dict:
         with self._lock:
             existing = self._entries.get(entry_id)
             if existing is not None:
                 return self._receipt(existing, entry_id)
-            index = self.log.append(payload.encode("utf-8"))
-            self._index_rulesheet(entry_id, text, index)
+            index = self._entries[entry_id] = self.log.append(payload.encode("utf-8"))
             return self._receipt(index, entry_id)
-
-    def _index_rulesheet(self, entry_id: str, text: str, index: int) -> None:
-        self._entries[entry_id] = index
-        self._rulesheets[entry_id] = text
 
     def _tree_head(self) -> SignedTreeHead:
         """The log's signed head at its current size and time; the caller

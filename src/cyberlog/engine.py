@@ -587,15 +587,19 @@ class KnowledgeBase:
         from its first match, and retract `retract`, as `revise` does but
         unchecked, since the KB made them; returns them. A carry-over equal
         to a stored claim is that stored object. If a match or saturation
-        raises, the KB is as it was on entry. Not matched by `_fire`: a branch
+        raises, the KB is as it was on entry; a match's EvaluationError names
+        its rule, as `_fire`'s does. Not matched by `_fire`: a branch
         there on the rule's kind made perfbench's `watch` ingests 3% slower."""
         carried: dict[GroundAtom, Claim] = {}
         for rule in self._next_rules:
-            for full in match_rule_body(rule.body, lambda _i, a, _s: self.claims_for(a.principal, a.predicate)):
-                atom = instantiate_head(rule.head, full)
-                if atom not in carried:
-                    claim = Claim(atom, CarriedByNextRule(rule, rule_substitution(rule, full)))
-                    carried[atom] = stored if (stored := self.claims.get(atom)) == claim else claim
+            try:
+                for full in match_rule_body(rule.body, lambda _i, a, _s: self.claims_for(a.principal, a.predicate)):
+                    atom = instantiate_head(rule.head, full)
+                    if atom not in carried:
+                        claim = Claim(atom, CarriedByNextRule(rule, rule_substitution(rule, full)))
+                        carried[atom] = stored if (stored := self.claims.get(atom)) == claim else claim
+            except EvaluationError as exc:
+                raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
         claims = list(carried.values())
         self._revise(retract, claims)
         return claims

@@ -63,14 +63,21 @@ _T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
-class RevisionRecord:
+class RevisionHeader:
+    """A revision's fields but its claims, which the claim DB admits it on
+    (`decode_header`)."""
+
     id: str
     owner: str
     supersedes: str | None
     includes: tuple[str, ...]
     rulesheet_hash: str
-    claims: tuple[Claim, ...]
     commit_time: int
+
+
+@dataclass(frozen=True)
+class RevisionRecord(RevisionHeader):
+    claims: tuple[Claim, ...]
 
     # `claims` indexed by atom; built on first use and kept, as a record is
     # immutable
@@ -85,11 +92,13 @@ class RevisionRecord:
 #
 # A payload is `{"kind":"revision",` + the body's fields + `,"signature":"…"}`,
 # so the body the id hashes is a slice of the logged bytes: readers hash that
-# slice and never re-encode. A body is encoded in one call, every claim in
-# it, and a payload is parsed in one. The claim DB refuses, at submit, a
-# payload that is not exactly the canonical encoding (`check_canonical`), so
-# every logged body is the one `build_record` gives for its fields. Claims
-# name their rules by index into the rulesheet the record names (`wire`).
+# slice. A body is encoded in one call, every claim in it, and a payload is
+# parsed in one. The claim DB admits a payload on its header alone
+# (`decode_header`) and decodes no claim; every reader decodes the claims
+# (`decode_payload`) and refuses a payload that is not exactly the canonical
+# encoding of its fields, so every revision a reader accepts is the one
+# `build_record` gives for its fields. Claims name their rules by index into
+# the rulesheet the record names (`wire`).
 
 REVISION_PAYLOAD_HEAD = '{"kind":"revision",'
 _SIGNATURE_TAIL = re.compile(r',"signature":"([0-9a-f]{128})"\}')
@@ -134,7 +143,7 @@ def build_record(
     includes_t, rulesheet_hash = tuple(sorted(set(includes))), rs.source_hash.hex()
     body = _body_text(owner, supersedes, includes_t, rulesheet_hash, ordered, commit_time, rs)
     rev_id = sha256(body.encode("utf-8")).hexdigest()
-    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, ordered, commit_time), body
+    return RevisionRecord(rev_id, owner, supersedes, includes_t, rulesheet_hash, commit_time, ordered), body
 
 
 def sign_record(record: RevisionRecord, identity: Identity) -> bytes:
@@ -169,48 +178,59 @@ def rulesheet_entry_id(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def decode_payload(
-    payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore
-) -> tuple[RevisionRecord, bytes, Rulesheet]:
-    """Parse a logged revision payload once into its record, its owner's
-    signature and the rulesheet its claims were decoded under. The id is
-    the SHA-256 of the body bytes inside the payload; the owner's signature
-    over it is checked under `trust_store` before any rulesheet is read
-    (SignatureError). The claims' rules are those of the rulesheet
-    `rulesheet_of` gives, once, for the record's rulesheet hash and owner.
-    Raises LogIntegrityError on a payload outside the revision layout, on a
-    rulesheet that does not parse for the owner, on malformed data, which
-    includes a commit time that is not a JSON integer, includes that are
-    not a JSON list of strings, a rule reference that is not an index of a
-    rule of the right kind and a logged substitution binding anything but
-    its rule's variables to integers or strings, on claims whose atom texts
-    do not strictly increase (a claim is named by its atom, so a revision
-    holds one claim per atom), on a claim whose principal is not the
-    record's owner, since nobody may make claims on someone else's behalf,
-    and on a carried claim in a chain root (a carried claim's source is the
-    revision its record supersedes); any other refusal of `rulesheet_of`
-    passes through. Claims and includes keep the payload's order."""
+def decode_header(payload: str, trust_store: TrustStore) -> tuple[RevisionHeader, list]:
+    """Parse a revision payload once into its header and its claim objects,
+    still to decode; decodes no claim and encodes nothing. The id is the
+    SHA-256 of the body bytes inside the payload, and the owner's signature
+    over it is checked under `trust_store` (SignatureError). Raises
+    LogIntegrityError on a payload outside the revision layout and on
+    malformed fields: an owner, supersedes or rulesheet hash that is not a
+    string, includes that are not a JSON list of strings, a commit time
+    that is not a JSON integer."""
     split = len(payload) - _SIGNATURE_TAIL_LEN
     tail = _SIGNATURE_TAIL.fullmatch(payload, split) if split > len(REVISION_PAYLOAD_HEAD) else None
     if tail is None or not payload.startswith(REVISION_PAYLOAD_HEAD):
         raise LogIntegrityError("payload is not a revision record")
-    signature = bytes.fromhex(tail.group(1))
     try:
         obj = json.loads(payload)
         rev_id = sha256(("{" + payload[len(REVISION_PAYLOAD_HEAD) : split] + "}").encode("utf-8")).hexdigest()
         owner, supersedes, rulesheet_hash = obj["owner"], obj["supersedes"], obj["rulesheet_hash"]
-        includes = obj["includes"]
+        includes, commit_time, claims = obj["includes"], obj["commit_time"], obj["claims"]
         names = (owner, rulesheet_hash, *includes) + (() if supersedes is None else (supersedes,))
         if type(includes) is not list or not all(isinstance(name, str) for name in names):
             raise TypeError("owner, supersedes and rulesheet_hash must be strings, includes a list of strings")
-        key = trust_store.public_key(owner)
-        if key is None:
-            raise SignatureError(f"unknown owner {owner!r}")
-        if not verify_bytes(key, signature, bytes.fromhex(rev_id)):
-            raise SignatureError(f"bad signature on revision by {owner!r}")
-        rs = rulesheet_of(rulesheet_hash, owner)
+        if type(commit_time) is not int:
+            raise TypeError(f"commit_time must be an integer, not {commit_time!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LogIntegrityError(f"malformed revision record: {exc}") from exc
+    key = trust_store.public_key(owner)
+    if key is None:
+        raise SignatureError(f"unknown owner {owner!r}")
+    if not verify_bytes(key, bytes.fromhex(tail.group(1)), bytes.fromhex(rev_id)):
+        raise SignatureError(f"bad signature on revision by {owner!r}")
+    return RevisionHeader(rev_id, owner, supersedes, tuple(includes), rulesheet_hash, commit_time), claims
+
+
+def decode_payload(payload: str, rulesheet_of: RulesheetOf, trust_store: TrustStore) -> RevisionRecord:
+    """The record of a revision payload: its header (`decode_header`) and
+    its claims, decoded under the rulesheet `rulesheet_of` gives, once, for
+    its hash and owner. Raises LogIntegrityError on a rulesheet that does
+    not parse for the owner, on a malformed claim (a rule reference that is
+    not an index of a rule of its kind, a substitution binding anything but
+    its rule's variables to integers or strings), on claims whose atom
+    texts do not strictly increase (a revision holds one claim per atom),
+    on a claim of another principal (nobody claims on someone else's
+    behalf), on a carried claim in a chain root (its source is the
+    superseded revision), and on a payload that is not exactly the
+    canonical encoding of its fields, which it encodes again in one call.
+    Other refusals of `decode_header` and `rulesheet_of` pass through.
+    Claims and includes keep the payload's order."""
+    header, values = decode_header(payload, trust_store)
+    owner, supersedes = header.owner, header.supersedes
+    try:
+        rs = rulesheet_of(header.rulesheet_hash, owner)
         claims, last = [], ""
-        for value in obj["claims"]:
+        for value in values:
             claim = claim_from_obj(value, rs)
             atom = canonical_atom(claim.atom)
             if claim.atom.principal != owner:
@@ -221,26 +241,14 @@ def decode_payload(
                 raise LogIntegrityError(f"claim atoms of revision by {owner!r} do not strictly increase at {atom}")
             claims.append(claim)
             last = atom
-        commit_time = obj["commit_time"]
-        if type(commit_time) is not int:
-            raise TypeError(f"commit_time must be an integer, not {commit_time!r}")
-        record = RevisionRecord(rev_id, owner, supersedes, tuple(includes), rulesheet_hash, tuple(claims), commit_time)
+        del values  # the parsed claim objects go before the body is encoded again, which sets a reader's peak memory
+        claims = tuple(claims)
+        body = _body_text(owner, supersedes, header.includes, header.rulesheet_hash, claims, header.commit_time, rs)
     except (KeyError, TypeError, ValueError, EvidenceError, ParseError) as exc:
         raise LogIntegrityError(f"malformed revision record: {exc}") from exc
-    return record, signature, rs
-
-
-def check_canonical(record: RevisionRecord, signature: bytes, payload: str, rs: Rulesheet) -> None:
-    """Raise LogIntegrityError unless `payload`, which decoded to `record`
-    and `signature` under rulesheet `rs`, is exactly their canonical
-    encoding: no whitespace, sorted includes, lowercase hex, canonical atom
-    text, the first index of a rule the sheet holds twice and no duplicate
-    keys (`decode_payload` refused unsorted claims). Re-encodes the
-    record's claims once, in one call; hashes nothing."""
-    owner, rulesheet_hash = record.owner, record.rulesheet_hash
-    body = _body_text(owner, record.supersedes, record.includes, rulesheet_hash, record.claims, record.commit_time, rs)
-    if encode_payload(body, signature) != payload:
-        raise LogIntegrityError(f"revision {record.id} is not in canonical form")
+    if payload[len(REVISION_PAYLOAD_HEAD) : -_SIGNATURE_TAIL_LEN] != body[1:-1]:
+        raise LogIntegrityError(f"revision {header.id} is not in canonical form")
+    return RevisionRecord(**vars(header), claims=claims)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +446,7 @@ def fetch_verified_revision(reader: LogReader, rev_id: str) -> tuple[RevisionRec
     and id, decoding its payload once; returns the record and the inclusion
     its claims share."""
     decode = functools.partial(decode_payload, rulesheet_of=reader, trust_store=reader.trust_store)
-    (record, _signature, _rs), inclusion = reader._fetch("revision", rev_id, decode)
+    record, inclusion = reader._fetch("revision", rev_id, decode)
     if record.id != rev_id:
         raise LogIntegrityError(f"revision body hashes to {record.id}, expected {rev_id}")
     return record, inclusion

@@ -153,7 +153,7 @@ def test_audit_fails_when_evidence_path_tampered(tmp_path):
     for offset, length in payload_byte_offsets(log_path):
         payload = data[offset : offset + length]
         if payload.startswith(REVISION_PAYLOAD_HEAD.encode()):
-            revisions.append((decode_payload(payload.decode("utf-8"), rulesheets, run.trust_store)[0], offset, payload))
+            revisions.append((decode_payload(payload.decode("utf-8"), rulesheets, run.trust_store), offset, payload))
     dom_head = [record for record, _offset, _payload in revisions if record.owner == "DOM"][-1]
     [target] = [
         offset + payload.index(b"feasible_config")

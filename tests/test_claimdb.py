@@ -1,5 +1,9 @@
 """Claim database service: submissions, retrieval, proofs, HTTP wire."""
 
+import hashlib
+import logging
+import re
+
 import pytest
 
 from cyberlog.claimdb import ClaimDb, HttpLogClient, serve_db_in_thread
@@ -17,9 +21,11 @@ from cyberlog.engine import Claim, DirectAssertion, GroundAtom
 from cyberlog.errors import LogIntegrityError, NotFoundError, SubmitError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
+    REVISION_PAYLOAD_HEAD,
     LogReader,
     build_record,
     commit_staging,
+    decode_payload,
     encode_payload,
     encode_rulesheet_payload,
     fetch_verified_revision,
@@ -55,6 +61,49 @@ def sb_payload(identities, supersedes=None, atoms=(), commit_time=1):
     claims = [Claim(atom, DirectAssertion()) for atom in atoms]
     record, body = build_record("SB", supersedes, (), rs, claims, commit_time)
     return record, encode_payload(body, sign_record(record, identities["SB"]))
+
+
+def payload_id(payload: str) -> str:
+    """The id of a revision payload: the SHA-256 of the body bytes between
+    its kind and its signature."""
+    body = payload[len(REVISION_PAYLOAD_HEAD) : -len(',"signature":"') - 128 - len('"}')]
+    return hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
+
+
+WATCHER_SHEET = "'DOM': Subject: 's' Issuer: 'i'\n" + SB_SHEET
+
+
+def assert_readers_refuse(db, identities, payload, reason, watcher=None):
+    """SB's revision `payload`, which `db` logged and serves as SB's head,
+    is refused by every reader with a LogIntegrityError naming `reason`:
+    `fetch_verified_revision` raises, a monitor watching SB (`watcher`, or a
+    fresh one) warns on its poll and keeps its KB as it was, and a fresh
+    `Auditor` fails SB's head. The claim database admits a revision on its
+    header, so a claim-level defect is refused here, by the readers."""
+    from cyberlog.audit import Auditor
+    from cyberlog.monitor import Monitor
+
+    rev_id = payload_id(payload)
+    assert db.get_revision(rev_id)["payload"] == payload and db.get_head("SB")["revision_id"] == rev_id
+    with pytest.raises(LogIntegrityError, match=re.escape(reason)):
+        fetch_verified_revision(reader(db, identities), rev_id)
+    trust_store, operator_key = db.trust_store, identities[OPERATOR].public_key
+    if watcher is None:
+        sheet = parse_rulesheet(WATCHER_SHEET, "DOM")
+        watcher = Monitor(identities["DOM"], sheet, db, trust_store, operator_key, ("SB",))
+    kb, warnings = dict(watcher.kb.claims), []
+    handler, logger = logging.Handler(), logging.getLogger("cyberlog.monitor")
+    handler.emit = warnings.append
+    logger.addHandler(handler)
+    try:
+        assert watcher.poll_and_include() == []
+    finally:
+        logger.removeHandler(handler)
+    [message] = [warning.getMessage() for warning in warnings]
+    assert "poll of SB refused" in message and reason in message
+    assert dict(watcher.kb.claims) == kb
+    with pytest.raises(LogIntegrityError, match=re.escape(reason)):
+        Auditor(db, trust_store, operator_key).audit_head("SB")
 
 
 def test_first_submission_receipt_verifies(db, db_client, identities):
@@ -197,6 +246,56 @@ def test_rulesheet_blob_storage(db_client):
     # resubmission is idempotent
     again = db_client.submit_revision(encode_rulesheet_payload(text))
     assert again["leaf_index"] == receipt["leaf_index"]
+
+
+def test_resubmitting_a_logged_revision_returns_its_receipt(db, http_client, identities):
+    """A revision submitted again byte for byte, in process or over HTTP,
+    is answered with its entry's receipt, also once its owner's chain has
+    moved on, and the log does not grow. Another payload under a logged id
+    is refused with 409: here SB's next body, which a rulesheet with that
+    body as its text logged first under the same hash."""
+    record, payload = sb_payload(identities)
+    first = db.submit_revision(payload)
+    nxt, nxt_payload = sb_payload(identities, supersedes=record.id, commit_time=2)
+    db.submit_revision(nxt_payload)
+    size = len(db.log)
+    for client in (db, http_client):
+        again = client.submit_revision(payload)
+        assert (again["leaf_index"], again["revision_id"]) == (first["leaf_index"], record.id)
+        head, proof = SignedTreeHead.from_obj(again["tree_head"]), InclusionProof.from_obj(again["inclusion_proof"])
+        assert head.tree_size == size and verify_inclusion(head.root_hash, leaf_hash(payload.encode()), proof)
+    assert len(db.log) == size and db.get_head("SB")["revision_id"] == nxt.id
+
+    third, body = build_record("SB", nxt.id, (), parse_rulesheet(SB_SHEET, "SB"), (), 3)
+    assert db.submit_revision(encode_rulesheet_payload(body))["revision_id"] == third.id
+    for client in (db, http_client):
+        with pytest.raises(SubmitError) as exc:
+            client.submit_revision(encode_payload(body, sign_record(third, identities["SB"])))
+        assert exc.value.code == 409 and f"revision {third.id} already logged" in str(exc.value)
+    assert len(db.log) == size + 1 and db.get_head("SB")["revision_id"] == nxt.id
+
+
+def test_reopen_leaves_a_repeated_revision_unindexed(tmp_path, identities, trust_store, caplog):
+    """A revision appended to the log file a second time is left unindexed
+    on reopen, with one warning: replay admits each entry as a first
+    submit, and the owner's chain already holds it."""
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    record, payload = sb_payload(identities)
+    first = db.submit_revision(payload)["leaf_index"]
+    again = db.log.append(payload.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [entry.getMessage() for entry in caplog.records]
+        assert message == f"log entry {again} left unindexed: owner 'SB' already has a revision chain"
+        assert reopened.get_revision(record.id)["proof"]["leaf_index"] == first
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": record.id, "chain_length": 1}
+        assert reopened.submit_revision(payload)["leaf_index"] == first and len(reopened.log) == again + 1
+    finally:
+        reopened.log.close()
 
 
 def test_non_canonical_rulesheet_payload_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
@@ -442,8 +541,8 @@ def test_supersede_reads_owner_from_index(tmp_path, identities, trust_store, mon
 
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 2)
     decoded = []
-    original = claimdb.decode_payload
-    monkeypatch.setattr(claimdb, "decode_payload", lambda p, *rest: decoded.append(p) or original(p, *rest))
+    original = claimdb.decode_header
+    monkeypatch.setattr(claimdb, "decode_header", lambda p, *rest: decoded.append(p) or original(p, *rest))
     rs = parse_rulesheet("'MRM': Subject: 's' Issuer: 'i'\n", "MRM")
     foreign, body = build_record("MRM", base, (), rs, (), 2)
     foreign_payload = encode_payload(body, sign_record(foreign, identities["MRM"]))
@@ -505,8 +604,6 @@ def test_concurrent_submits_keep_each_owners_head_claims_whole(db, identities, t
     import sys
     import threading
 
-    from cyberlog.revision import decode_payload
-
     rs = parse_rulesheet(SB_SHEET, "SB")
     rulesheet_of, clock = rulesheets_of(rs), itertools.count(1)
     db.submit_revision(sb_payload(identities)[1])
@@ -515,7 +612,7 @@ def test_concurrent_submits_keep_each_owners_head_claims_whole(db, identities, t
     def extend(worker):
         for i in range(15):
             head = db.get_head("SB")["revision_id"]
-            claims = decode_payload(db.get_revision(head)["payload"], rulesheet_of, trust_store)[0].claims
+            claims = decode_payload(db.get_revision(head)["payload"], rulesheet_of, trust_store).claims
             claims += (Claim(GroundAtom("SB", "p", (worker, i)), DirectAssertion()),)
             record, body = build_record("SB", head, (), rs, claims, next(clock))
             try:
@@ -536,34 +633,29 @@ def test_concurrent_submits_keep_each_owners_head_claims_whole(db, identities, t
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and logged
     for rev_id, record in logged.items():
-        assert decode_payload(db.get_revision(rev_id)["payload"], rulesheet_of, trust_store)[0] == record
+        assert decode_payload(db.get_revision(rev_id)["payload"], rulesheet_of, trust_store) == record
     head = db.get_head("SB")
     assert head["revision_id"] in logged and head["chain_length"] == len(logged) + 1
 
 
 def test_revision_holding_another_owners_claim_refused(db, http_client, identities):
     """Nobody may make claims on someone else's behalf: a revision by SB that
-    holds a claim of MRM is refused with 400, in process and over HTTP."""
-    from cyberlog.errors import LogIntegrityError
-    from cyberlog.revision import decode_payload
-
+    holds a claim of MRM is logged on its header, in process and, again,
+    over HTTP, once, and every reader refuses it."""
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign = Claim(atom, DirectAssertion())
     record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), [foreign], 1)
     payload = encode_payload(body, sign_record(record, identities["SB"]))
-    with pytest.raises(LogIntegrityError, match="holds a claim of 'MRM'"):
-        decode_payload(payload, rulesheets_of(parse_rulesheet(SB_SHEET, "SB")), db.trust_store)
-    for client in (db, http_client):
-        with pytest.raises(SubmitError) as exc:
-            client.submit_revision(payload)
-        assert exc.value.code == 400 and "holds a claim of 'MRM'" in str(exc.value)
-    assert len(db.log) == 2  # the rulesheets
+    assert [client.submit_revision(payload)["leaf_index"] for client in (db, http_client)] == [2, 2]
+    assert len(db.log) == 3  # the rulesheets and the revision
+    assert_readers_refuse(db, identities, payload, "holds a claim of 'MRM'")
 
 
-def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path, identities, trust_store):
+def test_reopen_indexes_revision_holding_another_owners_claim(tmp_path, identities, trust_store):
     """A log written before the ownership rule may hold a revision by SB with
-    a claim of MRM. Reopening it still works; that entry is left unindexed like
-    any other entry that no longer decodes, while the tree keeps its bytes."""
+    a claim of MRM. Reopening it indexes that entry as SB's head, as a
+    submit would have logged it, with the tree keeping its bytes, and every
+    reader refuses it."""
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
@@ -571,17 +663,16 @@ def test_reopen_leaves_revision_holding_another_owners_claim_unindexed(tmp_path,
     atom = GroundAtom("MRM", "feasible_config", (7, 3))
     foreign_claim = Claim(atom, DirectAssertion())
     foreign, body = build_record("SB", base.id, (), parse_rulesheet(SB_SHEET, "SB"), [foreign_claim], 2)
-    db.log.append(encode_payload(body, sign_record(foreign, identities["SB"])).encode("utf-8"))
+    foreign_payload = encode_payload(body, sign_record(foreign, identities["SB"]))
+    db.log.append(foreign_payload.encode("utf-8"))
     root = db.get_log_root()
     db.log.close()
 
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        with pytest.raises(NotFoundError):
-            reopened.get_revision(foreign.id)
-        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": foreign.id, "chain_length": 2}
         assert reopened.get_log_root() == root
-        reopened.get_revision(base.id)
+        assert_readers_refuse(reopened, identities, foreign_payload, "holds a claim of 'MRM'")
     finally:
         reopened.log.close()
 
@@ -731,6 +822,34 @@ def test_reopen_without_an_owners_key_leaves_its_revisions_unindexed(tmp_path, i
         reopened.log.close()
 
 
+def test_admission_decodes_no_claim(tmp_path, identities, trust_store, monkeypatch):
+    """The claim database admits a revision on its header: reopening a
+    file-backed log of revisions with claims, and submitting one more,
+    decode no claim. A reader decodes each claim it fetches."""
+    import cyberlog.revision as revision
+    import cyberlog.wire as wire
+
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (n,)) for n in range(3)])
+    db.submit_revision(payload)
+    db.log.close()
+    nxt, nxt_payload = sb_payload(identities, base.id, [GroundAtom("SB", "q", (n,)) for n in range(4)], 2)
+    decoded = []
+    for module in (wire, revision):
+        count = lambda obj, rs, original=module.claim_from_obj: decoded.append(obj) or original(obj, rs)
+        monkeypatch.setattr(module, "claim_from_obj", count)
+
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        assert reopened.get_head("SB")["revision_id"] == base.id and decoded == []
+        assert reopened.submit_revision(nxt_payload)["revision_id"] == nxt.id and decoded == []
+        fetch_verified_revision(reader(reopened, identities), nxt.id)
+        assert len(decoded) == 4
+    finally:
+        reopened.log.close()
+
+
 def test_reopen_of_a_genuine_log_keeps_heads_and_chain_lengths(tmp_path):
     import os
 
@@ -760,8 +879,6 @@ def test_reopen_warns_of_each_entry_it_leaves_unindexed(tmp_path, caplog):
     from cyberlog.errors import SignatureError
     from cyberlog.harness import ScenarioEvent, ScenarioRun, load_scenario
     from cyberlog.monitor import EventEnvelope
-    from cyberlog.revision import decode_payload
-
     scenario = load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios", "uav_booking.jsonl"))
     # an MRM event in a second commit window: an unchanged commit logs
     # nothing, so the booking alone gives MRM a chain of two
@@ -844,29 +961,21 @@ NON_CANONICAL = {
 
 @pytest.mark.parametrize("form", sorted(NON_CANONICAL))
 def test_non_canonical_revision_refused_with_400(db, http_client, identities, form):
-    """A revision is logged only in the canonical form `build_record` gives
-    for its fields, whatever it is signed over."""
-    from cyberlog.revision import decode_payload
-
+    """Readers take a revision only in the canonical form `build_record`
+    gives for its fields, whatever it is signed over. The claim database
+    admits one on its header, in process and, again, over HTTP, once, and
+    every reader refuses it."""
     body = canonical_body(identities)
     mutated = NON_CANONICAL[form](body)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    rulesheet_of = rulesheets_of(parse_rulesheet(SB_SHEET, "SB"))
     # a revision names its claims by strictly increasing atoms, and an atom's
-    # arguments are JSON integers and strings, for readers too
+    # arguments are JSON integers and strings
     refusals = {"unsorted-claims": "do not strictly increase", "atom-text": "bad canonical atom"}
-    if form in refusals:
-        with pytest.raises(LogIntegrityError, match=refusals[form]):
-            decode_payload(payload, rulesheet_of, db.trust_store)
-    else:
-        decode_payload(payload, rulesheet_of, db.trust_store)  # well-formed, only not canonical
-    for client in (db, http_client):
-        with pytest.raises(SubmitError) as exc:
-            client.submit_revision(payload)
-        assert exc.value.code == 400, str(exc.value)
-    assert len(db.log) == 2  # the rulesheets
-    db.submit_revision(signed_body(identities, body))  # the canonical form is logged
+    assert [client.submit_revision(payload)["leaf_index"] for client in (db, http_client)] == [2, 2]
+    assert len(db.log) == 3  # the rulesheets and the revision
+    assert_readers_refuse(db, identities, payload, refusals.get(form, "not in canonical form"))
+    decode_payload(signed_body(identities, body), rulesheets_of(parse_rulesheet(SB_SHEET, "SB")), db.trust_store)
 
 
 def test_non_canonical_signature_hex_refused_with_400(db, identities):
@@ -878,36 +987,37 @@ def test_non_canonical_signature_hex_refused_with_400(db, identities):
 
 
 @pytest.mark.parametrize("form", ["whitespace", "duplicate-key", "atom-text"])
-def test_reopen_leaves_non_canonical_revision_unindexed(tmp_path, identities, trust_store, form):
-    """A non-canonical revision appended to the log file directly is left
-    unindexed when the log is reopened: its byte hash is not found, and the
-    canonical entries around it are indexed as before."""
-    import hashlib
-
+def test_reopen_indexes_non_canonical_revision(tmp_path, identities, trust_store, form):
+    """A non-canonical revision appended to the log file directly is indexed
+    when the log is reopened, as a submit would have logged it, with the
+    canonical entries around it, and every reader refuses it."""
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
     body = NON_CANONICAL[form](canonical_body(identities)).replace('"supersedes":null', f'"supersedes":"{base.id}"')
-    db.log.append(signed_body(identities, body).encode("utf-8"))
-    rulesheet = db.submit_revision(encode_rulesheet_payload(SB_SHEET))["revision_id"]
+    mutated = signed_body(identities, body)
+    db.log.append(mutated.encode("utf-8"))
+    rulesheet = db.submit_revision(encode_rulesheet_payload("'CTR': Subject: 's' Issuer: 'i'\n"))["revision_id"]
     root = db.get_log_root()
     db.log.close()
 
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        with pytest.raises(NotFoundError):
-            reopened.get_revision(hashlib.sha256(body.encode("utf-8")).hexdigest())
-        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        assert reopened.get_head("SB")["chain_length"] == 2
         assert reopened.get_log_root() == root
+        reopened.get_revision(base.id)
         reopened.get_revision(rulesheet)
+        reason = "bad canonical atom" if form == "atom-text" else "not in canonical form"
+        assert_readers_refuse(reopened, identities, mutated, reason)
     finally:
         reopened.log.close()
 
 
 def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identities, trust_store):
     """Inclusion evidence is not a wire kind: a revision whose claim carries
-    it is refused with 400 at submit, and left unindexed on reopen."""
+    it is logged on its header, indexed again on reopen, and refused by
+    every reader."""
     from cyberlog.claimlog import sign_tree_head
     from cyberlog.wire import canonical_json
 
@@ -925,15 +1035,14 @@ def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identi
     body = canonical_body(identities).replace('"supersedes":null', f'"supersedes":"{base.id}"')
     body = body.replace(DIRECT, canonical_json(inclusion), 1)
     forged = signed_body(identities, body)
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(forged)
-    assert exc.value.code == 400 and "unknown evidence kind 'log_inclusion'" in str(exc.value)
-    db.log.append(forged.encode("utf-8"))
+    db.submit_revision(forged)
+    refusal = "unknown evidence kind 'log_inclusion'"
+    assert_readers_refuse(db, identities, forged, refusal)
     db.log.close()
 
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        assert_readers_refuse(reopened, identities, forged, refusal)
     finally:
         reopened.log.close()
 
@@ -948,67 +1057,44 @@ def test_direct_assertion_logging_a_signer_or_signature_refused_at_submit_and_on
 ):
     """A direct assertion logs its kind only: its signer is its atom's
     principal and its signature the revision's. One that logs a signer or a
-    signature, signed over its body as any revision, is refused with 400 at
-    submit and left unindexed, with one warning, on replay."""
-    import hashlib
-
+    signature, signed over its body as any revision, is logged on its
+    header and indexed again on replay, without a warning, and every reader
+    refuses it."""
     from cyberlog.wire import canonical_json
 
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     body = canonical_body(identities).replace(DIRECT, canonical_json({"kind": "direct_assertion", **logged}), 1)
     payload = signed_body(identities, body)
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(payload)
-    assert exc.value.code == 400 and "direct assertion logs more than its kind" in str(exc.value)
-    db.log.append(payload.encode("utf-8"))
+    assert db.submit_revision(payload)["leaf_index"] == 2
     db.log.close()
 
     with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
         reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        [message] = [record.getMessage() for record in caplog.records]
-        assert message.startswith("log entry 2 left unindexed: ") and "logs more than its kind" in message
-        with pytest.raises(NotFoundError):
-            reopened.get_revision(hashlib.sha256(body.encode("utf-8")).hexdigest())
-        with pytest.raises(NotFoundError):
-            reopened.get_head("SB")
+        assert caplog.records == []
+        assert_readers_refuse(reopened, identities, payload, "direct assertion logs more than its kind")
     finally:
         reopened.log.close()
 
 
-def test_revision_holding_two_claims_of_one_atom_refused_everywhere(tmp_path, identities, trust_store, caplog):
+def test_revision_holding_two_claims_of_one_atom_refused_everywhere(tmp_path, identities, trust_store):
     """A claim is named by its atom, so a revision holds one claim per atom,
     in strictly increasing atom order. One that holds two claims of one
-    atom, signed as any revision, is refused with 400 at submit, left
-    unindexed with one warning on replay, and refused by a reader to which
-    a claim DB that lies serves it."""
-    import hashlib
-
+    atom, signed as any revision, is logged on its header and indexed again
+    on replay, and every reader refuses it."""
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     atom = GroundAtom("SB", "p", (7,))
     record, payload = sb_payload(identities, atoms=(atom, atom))
     assert len(record.claims) == 2
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(payload)
-    assert exc.value.code == 400 and "do not strictly increase" in str(exc.value)
-    index = db.log.append(payload.encode("utf-8"))
-    db._index_revision(record, index)  # as a claim DB that lies would
-    with pytest.raises(LogIntegrityError, match="do not strictly increase"):
-        fetch_verified_revision(reader(db, identities), record.id)
+    assert db.submit_revision(payload)["revision_id"] == record.id
+    assert_readers_refuse(db, identities, payload, "do not strictly increase")
     db.log.close()
 
-    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
-        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        [message] = [entry.getMessage() for entry in caplog.records]
-        assert message.startswith("log entry 2 left unindexed: ") and "do not strictly increase" in message
-        body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
-        with pytest.raises(NotFoundError):
-            reopened.get_revision(hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest())
-        with pytest.raises(NotFoundError):
-            reopened.get_head("SB")
+        assert_readers_refuse(reopened, identities, payload, "do not strictly increase")
     finally:
         reopened.log.close()
 
@@ -1066,10 +1152,9 @@ RECOMPUTED_FIELD = {
 def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, identities, form):
     """A rule instance logs no substitution entry of a bare head variable,
     right or wrong, and no empty substitution; a carried claim logs no
-    source revision, and a derived claim no premises. Each decodes, and is
-    refused as non-canonical."""
-    from cyberlog.revision import decode_payload
-
+    source revision, and a derived claim no premises. Each decodes, is
+    logged on its header, in process and, again, over HTTP, once, and every
+    reader refuses it as non-canonical."""
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     publish_rulesheet(db, rs)
     base, body = retained(identities)
@@ -1079,14 +1164,11 @@ def test_logged_recomputable_evidence_field_refused_with_400(db, http_client, id
     mutated = RECOMPUTED_FIELD[form](body, base.id)
     assert mutated != body
     payload = signed_body(identities, mutated)
-    decoded, _signature, _rs = decode_payload(payload, rulesheets_of(rs), db.trust_store)
-    assert decoded.claims[0] == record.claims[0]  # the carried request, source `base`
-    for client in (db, http_client):
-        with pytest.raises(SubmitError) as exc:
-            client.submit_revision(payload)
-        assert exc.value.code == 400 and "not in canonical form" in str(exc.value)
-    assert len(db.log) == 4  # three rulesheets and `base`
-    db.submit_revision(signed_body(identities, body))
+    with pytest.raises(LogIntegrityError, match="not in canonical form"):
+        decode_payload(payload, rulesheets_of(rs), db.trust_store)
+    assert [client.submit_revision(payload)["leaf_index"] for client in (db, http_client)] == [4, 4]
+    assert len(db.log) == 5  # three rulesheets, `base` and the revision
+    assert_readers_refuse(db, identities, payload, "not in canonical form")
 
 
 # a logged substitution that binds more than its rule's variables to ground terms
@@ -1099,16 +1181,13 @@ BAD_SUBSTITUTION = {
 
 
 @pytest.mark.parametrize("form", sorted(BAD_SUBSTITUTION))
-def test_substitution_binding_other_than_rule_variables_to_terms_refused(tmp_path, identities, trust_store, caplog, form):
+def test_substitution_binding_other_than_rule_variables_to_terms_refused(tmp_path, identities, trust_store, form):
     """A derived claim's logged substitution binds only variables of its
     rule, each to an integer or a string: one binding another name, or a
-    variable to a fraction, a boolean or a list, is refused with 400 at
-    submit; appended to the log file and indexed directly, a reader refuses
-    it, a watcher warns and keeps its KB, and on reopen it is left
-    unindexed, the genuine head staying SB's head."""
-    import hashlib
+    variable to a fraction, a boolean or a list, is logged on its header
+    and indexed again on reopen, and every reader refuses it, a watcher that
+    included SB's root keeping its KB."""
     import itertools
-    from dataclasses import replace
 
     from cyberlog.monitor import Monitor
 
@@ -1118,35 +1197,21 @@ def test_substitution_binding_other_than_rule_variables_to_terms_refused(tmp_pat
     publish_rulesheet(db, rs)
     base, body = retained(identities)
     db.submit_revision(signed_body(identities, body))
-    watcher_sheet = parse_rulesheet("'DOM': Subject: 's' Issuer: 'i'\n" + SB_SHEET, "DOM")
+    watcher_sheet = parse_rulesheet(WATCHER_SHEET, "DOM")
     operator_key = identities[OPERATOR].public_key
     clock = itertools.count(1000, 1000).__next__
     dom = Monitor(identities["DOM"], watcher_sheet, db, trust_store, operator_key, ("SB",), clock)
     assert dom.poll_and_include() == [base.id]
-    kb = dict(dom.kb.claims)
 
-    record, body = retained(identities, base.id)
-    body = body.replace(DERIVED_SUBSTITUTION, BAD_SUBSTITUTION[form])
-    payload = signed_body(identities, body)
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(payload)
-    assert exc.value.code == 400 and "binds more than rule variables" in str(exc.value)
-    bad = replace(record, id=hashlib.sha256(body.encode("utf-8")).hexdigest())
-    db._index_revision(bad, db.log.append(payload.encode("utf-8")))  # a log that skipped the check
-    with pytest.raises(LogIntegrityError, match="binds more than rule variables"):
-        reader(db, identities).revision(bad.id)
-    with caplog.at_level("WARNING", logger="cyberlog.monitor"):
-        assert dom.poll_and_include() == []
-    [message] = [entry.getMessage() for entry in caplog.records]
-    assert "poll of SB refused" in message and "binds more than rule variables" in message
-    assert dict(dom.kb.claims) == kb
+    _record, body = retained(identities, base.id)
+    payload = signed_body(identities, body.replace(DERIVED_SUBSTITUTION, BAD_SUBSTITUTION[form]))
+    db.submit_revision(payload)
+    assert_readers_refuse(db, identities, payload, "binds more than rule variables", watcher=dom)
     db.log.close()
 
     reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        with pytest.raises(NotFoundError):
-            reopened.get_revision(bad.id)
-        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        assert_readers_refuse(reopened, identities, payload, "binds more than rule variables")
     finally:
         reopened.log.close()
 
@@ -1217,10 +1282,9 @@ PREMISE_ID_SUCCESSOR = (
 def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
     """Logs written before the change do not verify: each earlier encoding
     of a revision, whose direct assertions log a signer and a signature and
-    whose rule instances log rule texts or premise ids, is refused with 400
-    at submit and left unindexed, with one warning, on replay."""
-    import hashlib
-
+    whose rule instances log rule texts or premise ids, is logged on its
+    header, indexed again, without a warning, on replay, and refused by
+    every reader."""
     base, body = retained(identities)
     root = signed_body(identities, body)
     assert root != EARLIER_ROOT and root.count(DIRECT) == 2
@@ -1235,31 +1299,24 @@ def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identitie
         path = str(tmp_path / f"db{n}.log")
         db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
         publish_rulesheet(db, parse_rulesheet(RETAIN_SHEET, "SB"))
-        db.submit_revision(root)
-        with pytest.raises(SubmitError) as exc:
-            db.submit_revision(earlier)
-        assert exc.value.code == 400 and refusal in str(exc.value)
-        db.log.append(earlier.encode("utf-8"))
+        for payload in dict.fromkeys([EARLIER_ROOT, earlier]):  # each earlier successor supersedes the earlier root
+            db.submit_revision(payload)
         db.log.close()
 
         caplog.clear()
         with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
             reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
         try:
-            [message] = [record.getMessage() for record in caplog.records]
-            assert message.startswith("log entry 4 left unindexed: ") and refusal in message
-            assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
-            body = earlier[len('{"kind":"revision",') : earlier.index(',"signature":')]
-            with pytest.raises(NotFoundError):
-                reopened.get_revision(hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest())
+            assert caplog.records == []
+            assert_readers_refuse(reopened, identities, earlier, refusal)
         finally:
             reopened.log.close()
 
 
-def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
+def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path, identities, trust_store):
     """A carried claim's source is the revision its record supersedes, so a
-    chain root cannot hold one: 400 at submit, and on replay one warning
-    and the entry left unindexed."""
+    chain root cannot hold one: such a root is logged on its header and
+    indexed again on replay, and every reader refuses it."""
     from cyberlog.engine import CarriedByNextRule
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
@@ -1270,20 +1327,12 @@ def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path,
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     publish_rulesheet(db, rs)
     refusal = 'carried claim "SB"|request(7,"d",5) in a revision that supersedes none'
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(payload)
-    assert exc.value.code == 400 and refusal in str(exc.value)
-    db.log.append(payload.encode("utf-8"))
+    assert db.submit_revision(payload)["revision_id"] == record.id
     db.log.close()
 
-    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
-        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        messages = [record.getMessage() for record in caplog.records]
-        assert len(messages) == 1 and messages[0].startswith("log entry 3 left unindexed: ")
-        assert refusal in messages[0]
-        with pytest.raises(NotFoundError):
-            reopened.get_head("SB")
+        assert_readers_refuse(reopened, identities, payload, refusal)
     finally:
         reopened.log.close()
 
@@ -1350,100 +1399,112 @@ def _refused_successor(db, identities, case):
 @pytest.mark.parametrize("case", sorted(REFUSED_RULE_REFERENCE) + sorted(REFUSED_RULESHEET))
 def test_rule_reference_or_rulesheet_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog, case):
     """A revision whose rule instances do not name rules of its owner's
-    logged rulesheet, by an index of a rule of their kind, is refused with
-    400 at submit, and left unindexed with one warning on replay."""
+    logged rulesheet, by an index of a rule of their kind, or that names a
+    rulesheet that does not parse for its owner, is logged on its header,
+    indexed again on replay, and refused by every reader. One that names a
+    hash the database holds no rulesheet under is refused with 400 at
+    submit, and left unindexed with one warning on replay."""
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
     base, payload, reason = _refused_successor(db, identities, case)
-    with pytest.raises(SubmitError) as exc:
+    unlogged = case in ("unlogged-rulesheet", "revision-named-as-rulesheet")
+    if unlogged:
+        with pytest.raises(SubmitError) as exc:
+            db.submit_revision(payload)
+        assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
+        index = db.log.append(payload.encode("utf-8"))
+    else:
         db.submit_revision(payload)
-    assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
-    index = db.log.append(payload.encode("utf-8"))
     db.log.close()
 
     with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
         reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        [message] = [record.getMessage() for record in caplog.records]
-        assert message.startswith(f"log entry {index} left unindexed: ") and reason in message
-        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        if unlogged:
+            [message] = [record.getMessage() for record in caplog.records]
+            assert message.startswith(f"log entry {index} left unindexed: ") and reason in message
+            assert reopened.get_head("SB") == {"owner": "SB", "revision_id": base.id, "chain_length": 1}
+        else:
+            assert caplog.records == []
+            assert_readers_refuse(reopened, identities, payload, reason)
     finally:
         reopened.log.close()
 
 
 def test_rulesheet_is_read_for_a_trusted_owner_once_per_revision(db, identities, monkeypatch):
     """A revision by an owner outside the trust store is refused with 401
-    before the database looks up or parses the rulesheet it names. A trusted
-    owner's revision resolves its rulesheet once, from the text kept when
-    the rulesheet was logged, without decoding its payload again."""
+    before the database looks up the rulesheet it names. A trusted owner's
+    revision looks its rulesheet up by hash: the database neither parses
+    the rulesheet nor decodes its logged payload again."""
     import cyberlog.claimdb as claimdb
+    import cyberlog.lang as lang
     from cyberlog.identity import generate_identity
 
-    resolved, decoded = [], []
-    parse, decode = claimdb.parse_rulesheet, claimdb.decode_rulesheet_payload
-    monkeypatch.setattr(claimdb, "parse_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
-    monkeypatch.setattr(claimdb, "decode_rulesheet_payload", lambda payload: decoded.append(payload) or decode(payload))
     stranger = generate_identity("EVE", seed=bytes(32))
-    record, body = build_record("EVE", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    record, body = build_record("EVE", None, (), _unlogged_rulesheet(), (), 1)
+    _record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
+    parses, decoded = [], []
+    parser, decode = lang._Parser, claimdb.decode_rulesheet_payload
+    monkeypatch.setattr(lang, "_Parser", lambda tokens, owner: parses.append(owner) or parser(tokens, owner))
+    monkeypatch.setattr(claimdb, "decode_rulesheet_payload", lambda payload: decoded.append(payload) or decode(payload))
+    lang._parse_rulesheet.cache_clear()
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(encode_payload(body, sign_record(record, stranger)))
     assert exc.value.code == 401 and "unknown owner 'EVE'" in str(exc.value)
-    assert resolved == []
-    _record, payload = sb_payload(identities, atoms=[GroundAtom("SB", "p", (1,))])
     db.submit_revision(payload)
-    assert resolved == ["SB"] and decoded == []
+    assert parses == [] and decoded == []
 
 
 @pytest.mark.parametrize("signer", ["unsigned", "MRM"])
-def test_revision_not_signed_by_its_trusted_owner_is_refused_before_its_rulesheet_is_read(
-    db, identities, monkeypatch, signer
-):
+def test_revision_not_signed_by_its_trusted_owner_is_refused_before_its_rulesheet_is_read(db, identities, signer):
     """The owner's signature covers the record id, which is known before
     any claim decodes: a revision under SB's name with an all-zero
-    signature, or MRM's, is refused with 401 without the database parsing
-    the rulesheet it names."""
-    import cyberlog.claimdb as claimdb
-
-    resolved = []
-    parse = claimdb.parse_rulesheet
-    monkeypatch.setattr(claimdb, "parse_rulesheet", lambda text, owner: resolved.append(owner) or parse(text, owner))
-    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    signature, or MRM's, is refused with 401, also when the rulesheet it
+    names is not logged, which would be a 400."""
+    record, body = build_record("SB", None, (), _unlogged_rulesheet(), (), 1)
     signature = bytes(64) if signer == "unsigned" else sign_record(record, identities[signer])
     with pytest.raises(SubmitError) as exc:
         db.submit_revision(encode_payload(body, signature))
     assert exc.value.code == 401 and "bad signature on revision by 'SB'" in str(exc.value)
-    assert resolved == []
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))
+    assert exc.value.code == 400 and "is not logged" in str(exc.value)
     with pytest.raises(NotFoundError):
         db.get_head("SB")
 
 
 def test_rulesheet_not_parsing_for_its_owner_is_parsed_once(db, identities, monkeypatch):
     """Every revision naming a logged rulesheet that does not parse for its
-    owner is refused with 400, and the text is parsed once, not once per
-    revision, so short revisions cannot make the database parse a long
-    logged text again and again."""
+    owner is logged on its header, and a reader refuses each; the text is
+    parsed once, by the reader and not by the database, not once per
+    revision, so short revisions cannot make anyone parse a long logged
+    text again and again."""
     import cyberlog.lang as lang
 
     foreign = SB_SHEET + MRM_SHEET + "'MRM' attests parsed_once(1).\n"
     db.submit_revision(encode_rulesheet_payload(foreign))
-    payloads = [naming(identities, foreign, commit_time=commit_time) for commit_time in (1, 2, 3)]
+    payloads = []
+    for commit_time in (1, 2, 3):
+        payloads.append(naming(identities, foreign, payloads and payload_id(payloads[-1]) or None, commit_time))
     parses = []
     parser = lang._Parser
     monkeypatch.setattr(lang, "_Parser", lambda tokens, owner: parses.append(owner) or parser(tokens, owner))
     lang._parse_rulesheet.cache_clear()
-    for payload in payloads:
-        with pytest.raises(SubmitError) as exc:
-            db.submit_revision(payload)
-        assert exc.value.code == 400 and "non-self head" in str(exc.value)
+    ids = [db.submit_revision(payload)["revision_id"] for payload in payloads]
+    assert parses == []
+    checker = reader(db, identities)
+    for rev_id in ids:
+        with pytest.raises(LogIntegrityError, match="non-self head"):
+            fetch_verified_revision(checker, rev_id)
     assert parses == ["SB"]
 
 
 def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, trust_store):
     """SB derives `approved(7)` by a rule in no rulesheet it published. The
-    claim has no wire form under SB's logged rulesheet, naming a published
-    rule whose head does not give the claim is refused, and so is the rule's
-    text; the Auditor then finds no such claim in SB's head."""
-    from cyberlog.audit import Auditor
+    claim has no wire form under SB's logged rulesheet, so `build_record`
+    refuses it. Logged by hand instead, naming a published rule whose head
+    does not give the claim, or by the rule's text, it is refused by every
+    reader, so no audit of SB's head shows it."""
     from cyberlog.engine import DerivedByRule
     from cyberlog.errors import EvidenceError
 
@@ -1462,12 +1523,11 @@ def test_rule_outside_the_published_rulesheet_cannot_be_logged(db, identities, t
         (body.replace('"SB\\"|verdict(7)', '"SB\\"|approved(7)'), "rule head does not bind the claim"),
         (body.replace('"rule":0', as_text), "not an index"),
     ]:
-        with pytest.raises(SubmitError) as exc:
-            db.submit_revision(signed_body(identities, forged))
-        assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
-    auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
-    with pytest.raises(NotFoundError):
-        auditor.audit_atom("SB", APPROVED)
+        payload = signed_body(identities, forged)
+        with pytest.raises(LogIntegrityError, match=reason):
+            decode_payload(payload, rulesheets_of(rs), trust_store)
+    db.submit_revision(payload)
+    assert_readers_refuse(db, identities, payload, "not an index")
 
 
 # rulesheet texts that do not make a rulesheet for SB, one for each reason
@@ -1484,27 +1544,22 @@ INVALID_CONTRACTS = {
 
 @pytest.mark.parametrize("case", sorted(INVALID_CONTRACTS))
 def test_invalid_contract_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog, case):
-    """The log takes only a contract a monitor would run: a revision naming
+    """Readers take only a contract a monitor would run: a revision naming
     a logged rulesheet text that does not make a rulesheet for its owner is
-    refused with 400 at submit, and left unindexed with one warning on
-    replay."""
+    logged on its header, since the database parses no rulesheet, indexed
+    again, without a warning, on replay, and refused by every reader."""
     text, reason = INVALID_CONTRACTS[case]
     payload = naming(identities, text)
     path = str(tmp_path / "db.log")
     db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1), text)
-    with pytest.raises(SubmitError) as exc:
-        db.submit_revision(payload)
-    assert exc.value.code == 400 and reason in str(exc.value), str(exc.value)
-    db.log.append(payload.encode("utf-8"))
+    assert db.submit_revision(payload)["leaf_index"] == 3
     db.log.close()
 
     with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
         reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
     try:
-        [message] = [record.getMessage() for record in caplog.records]
-        assert message.startswith("log entry 3 left unindexed: ") and reason in message
-        with pytest.raises(NotFoundError):
-            reopened.get_head("SB")
+        assert caplog.records == []
+        assert_readers_refuse(reopened, identities, payload, reason)
     finally:
         reopened.log.close()
 
@@ -1515,8 +1570,6 @@ def test_reader_refuses_an_invalid_contract(db, identities, case):
     refuses a logged rulesheet text that does not make a rulesheet for the
     owner, as the database does, and so every revision that names it."""
     from cyberlog.errors import ParseError
-    from cyberlog.revision import decode_payload
-
     text, reason = INVALID_CONTRACTS[case]
     rulesheet_hash = db.submit_revision(encode_rulesheet_payload(text))["revision_id"]
     with pytest.raises(ParseError) as exc:

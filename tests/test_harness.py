@@ -212,7 +212,7 @@ def test_supersedes_chains_linear_and_all_revisions_audit(tmp_path):
         payload = run.db.log.payload(index).decode()
         if json.loads(payload).get("kind") != "revision":
             continue
-        record, _sig, _rs = decode_payload(payload, rulesheets, run.trust_store)
+        record = decode_payload(payload, rulesheets, run.trust_store)
         records.append(record)
 
     by_owner = {}

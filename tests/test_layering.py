@@ -218,3 +218,31 @@ def modules_naming_verify_bytes():
 
 def test_only_the_log_writers_signatures_are_checked():
     assert list(modules_naming_verify_bytes()) == []
+
+
+# the claim database admits a revision on its header: it decodes no claim
+# and parses no rulesheet, so it imports neither the engine, the language
+# nor the claim wire format, by any import form
+HEADER_ONLY = {"claimdb.py": {"engine", "lang", "wire"}}
+
+
+def package_imports(path):
+    """The names of the package modules a module file imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"cyberlog.{node.module}"] if node.module else [f"cyberlog.{a.name}" for a in node.names]
+        else:
+            continue
+        for module in modules:
+            if module.startswith("cyberlog."):
+                yield module.split(".")[1]
+
+
+def test_the_claim_database_imports_no_claim_decoder():
+    for name, forbidden in HEADER_ONLY.items():
+        assert set(package_imports(PACKAGE / name)) & forbidden == set(), name

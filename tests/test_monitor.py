@@ -708,10 +708,10 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
     and verify nothing and log nothing: each commit returns its owner's head
     and leaves its KB's claims as they were, and DOM's next poll loads
     nothing. After one new event SB's commit supersedes that head and logs
-    its claim objects again: the committer and the claim DB encode each
-    claim once, the claim DB decodes each once, SB's `revise` checks none
-    of the head's, and DOM's poll decodes each claim once and checks only
-    the new ones."""
+    its claim objects again: the committer encodes each claim once, nothing
+    decodes a claim (the claim DB admits the revision on its header), SB's
+    `revise` checks none of the head's, and DOM's poll decodes each claim
+    once and checks only the new ones."""
     from collections import Counter
 
     import cyberlog.revision as revision
@@ -767,8 +767,8 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
         new = {c.atom for c in record.claims if id(c) not in held}
         assert new == {event.event_atom, *event.derived}
         logged = [c.atom for c in record.claims]
-        assert Counter(c.atom for c in encoded) == Counter(logged * 2)  # committer, claim DB
-        assert Counter(c.atom for c in decoded) == Counter(logged)
+        assert Counter(c.atom for c in encoded) == Counter(logged)  # the committer's
+        assert decoded == []
         assert not held & {id(c) for c in checked}
         decoded.clear()
         checked.clear()
@@ -1154,6 +1154,18 @@ def test_commit_whose_carried_claims_raise_starts_the_next_clean(identities, tru
     assert record.supersedes == head and sb._base is record
     assert {c.atom for c in record.claims} == {result.event_atom, *result.derived}
     assert not committed & sb.kb.claims.keys()
+
+
+def test_next_rule_whose_match_raises_is_named_in_the_error(identities, trust_store, db_client):
+    """A next-rule whose match raises names itself in the error the commit
+    propagates, as a standard rule does, so a failed commit's warning says
+    which rule raised."""
+    next_rule = "next tenfold(M) :- request(Id, Data, T), M == Id * 10.\n"
+    sb = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET + next_rule)
+    sb.ingest_event(HUGE)
+    rule = "next 'SB' attests tenfold(M) :- 'SB' attests request(Id, Data, T), M == Id * 10."
+    with pytest.raises(EvaluationError, match=r"^integer overflow: .* in rule: " + re.escape(rule) + "$"):
+        sb.commit()
 
 
 def test_fact_rules_hold_from_construction(identities, trust_store, db_client):

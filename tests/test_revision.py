@@ -104,7 +104,7 @@ def test_fetched_record_rehashes_to_id(db_client, identities, trust_store):
     record, _, _ = commit(db_client, identities, rs, claims, now_ms=1)
     fetched, _inclusion = fetch_verified_revision(reader(db_client, identities), record.id)
     assert fetched.id == record.id
-    again, _sig, _rs = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
+    again = decode_payload(db_client.get_revision(record.id)["payload"], rulesheets_of(rs), trust_store)
     assert again.id == record.id
     assert [c.atom for c in fetched.claims] == [GroundAtom("CTR", "counter", (0,))]
 
@@ -454,10 +454,10 @@ def test_rulesheet_served_for_another_hash_is_refused(db_client, identities, dom
 
 def test_commit_serialises_each_claim_once_in_committer_and_claim_db(db_client, identities, trust_store, monkeypatch):
     """Each logged claim is serialised exactly once by its committer, before
-    it submits, and once by the claim DB, which encodes every claim it
-    admits again, in the record's order: also along a chain that logs the
-    same claim objects again, the carry-overs and an unchanged claim, since
-    no claim text outlives the commit that encoded it."""
+    it submits, in the record's order, and the claim DB, which admits a
+    revision on its header, serialises none: also along a chain that logs
+    the same claim objects again, the carry-overs and an unchanged claim,
+    since no claim text outlives the commit that encoded it."""
     import cyberlog.revision as revision
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
@@ -482,13 +482,13 @@ def test_commit_serialises_each_claim_once_in_committer_and_claim_db(db_client, 
     assert third.claims == second.claims
     for logged, start, submitted, end in zip((record, second, third), [0] + ends, at_submit, ends):
         assert all(a is b for a, b in zip(calls[start:submitted], logged.claims))  # the committer's own objects
-        assert calls[start:submitted] == calls[submitted:end] == list(logged.claims)  # then the claim DB's
+        assert calls[start:submitted] == list(logged.claims) and calls[submitted:end] == []
     monkeypatch.undo()
     payload = db_client.get_revision(record.id)["payload"]
     rebuilt, body = build_record("SB", None, (), rs, claims, 3)
     assert payload == encode_payload(body, sign_record(record, identities["SB"]))
     assert record == rebuilt
-    assert decode_payload(payload, rulesheets_of(rs), trust_store)[0] == record
+    assert decode_payload(payload, rulesheets_of(rs), trust_store) == record
 
 
 def test_latest_revision_per_owner_independent(db_client, identities):
@@ -607,7 +607,7 @@ def test_decode_payload_never_crashes_on_mutations(db_client, identities, trust_
         pos = rng.randrange(len(payload))
         mutated = payload[:pos] + chr(rng.randrange(32, 127)) + payload[pos + 1 :]
         try:
-            decoded, _sig, _rs = decode_payload(mutated, rulesheets_of(rs), trust_store)
+            decoded = decode_payload(mutated, rulesheets_of(rs), trust_store)
         except LogIntegrityError:
             continue
         if mutated != payload:
@@ -658,21 +658,20 @@ def test_decode_payload_hashes_the_body_bytes_and_never_rebuilds(identities, tru
     payload = layout_payload(identities)
     monkeypatch.setattr(revision, "build_record", None)
     monkeypatch.setattr(revision, "claim_to_obj", None)
-    record, _sig, _rs = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
+    record = decode_payload(payload, rulesheets_of(parse_rulesheet(CTR_SHEET, "CTR")), trust_store)
     body = payload[len('{"kind":"revision",') : payload.index(',"signature":')]
     assert record.id == hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
 
 def test_spliced_payload_round_trips_through_decode(identities, trust_store):
     """For generated claims, decoding the payload spliced from
-    `build_record`'s body gives back its record, id and signature, and the
-    payload is in the canonical form the claim DB logs. Rule instances are
+    `build_record`'s body gives back its record and id, the payload being in
+    the canonical form every reader takes. Rule instances are
     instances of their rule's head, as only those have a wire form, and a
     carried claim's source is the revision its record supersedes."""
     from hypothesis import given, settings, strategies as st
 
     from cyberlog.engine import DerivedByRule
-    from cyberlog.revision import check_canonical
 
     rs = parse_rulesheet(RETAIN_SHEET + "request(Id, Data, T) :- ev(Id, Data, T).\n", "SB")
     carry, derive = rs.rules
@@ -705,11 +704,9 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
         kept = [claim(*d, supersedes) for d in drawn if supersedes is not None or d[0] != "carried"]
         claims = list({c.atom: c for c in kept}.values())  # one claim per atom
         record, body = build_record("SB", supersedes, includes, rs, claims, commit_time)
-        signature = sign_record(record, identities["SB"])
-        payload = encode_payload(body, signature)
-        decoded, decoded_signature, _rs = decode_payload(payload, rulesheets_of(rs), trust_store)
-        assert (decoded, decoded.id, decoded_signature) == (record, record.id, signature)
-        check_canonical(decoded, decoded_signature, payload, rs)
+        payload = encode_payload(body, sign_record(record, identities["SB"]))
+        decoded = decode_payload(payload, rulesheets_of(rs), trust_store)
+        assert (decoded, decoded.id) == (record, record.id)
 
     check()
 
@@ -717,14 +714,15 @@ def test_spliced_payload_round_trips_through_decode(identities, trust_store):
 def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities, trust_store):
     """Along chains of SB revisions built from random direct, derived and
     carried claims, each keeping some claim objects of the last one logged,
-    some payloads mutated and signed again: a payload the mutation made
-    non-canonical (whitespace, a claim's keys reordered or repeated, a claim
-    repeated, a carried claim in a chain root) is refused with 400 at
-    submit. A claim's evidence changed under its atom is logged exactly
-    when that claim decodes and encodes again to the changed text; every
-    other payload is logged, or refused with 409 as a second chain root.
-    Replaying a log of every payload, refused ones too, indexes exactly
-    what submit logged."""
+    some payloads mutated and signed again. The claim database admits a
+    revision on its header, so it logs every payload but a second chain
+    root, which it refuses with 409. A reader (`decode_payload`) refuses
+    with LogIntegrityError a payload the mutation made non-canonical
+    (whitespace, a claim's keys reordered or repeated, a claim repeated, a
+    carried claim in a chain root), and accepts a claim's evidence changed
+    under its atom exactly when that claim decodes and encodes again to the
+    changed text. Replaying a log of every payload, refused ones too,
+    indexes exactly what submit logged."""
     import hashlib
     import json
 
@@ -780,24 +778,25 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
     )
 
     def expected(mutation, supersedes, claims, text, has_head):
-        """What submit answers for a payload mutated at a claim's `text`:
-        "logged", or the status of its refusal."""
+        """What becomes of a payload mutated at a claim's `text`: 409 if the
+        claim database refuses it, else whether readers accept it once it is
+        logged, "accepted" or "refused"."""
         if mutation == "carried-in-root":
-            if any(isinstance(c.evidence, CarriedByNextRule) for c in claims):
-                return 400
-            return 409 if has_head else "logged"
+            if has_head:
+                return 409
+            return "refused" if any(isinstance(c.evidence, CarriedByNextRule) for c in claims) else "accepted"
         if mutation is None or text is None:
-            return "logged"
+            return "accepted"
         if mutation == "changed-evidence":
             changed = other_evidence(text)
             try:
                 decoded = claim_from_obj(json.loads(changed), rs)
             except EvidenceError:
-                return 400
+                return "refused"
             if supersedes is None and isinstance(decoded.evidence, CarriedByNextRule):
-                return 400  # a chain root holds no carried claim
-            return "logged" if canonical_json(claim_to_obj(decoded, rs)) == changed else 400
-        return 400
+                return "refused"  # a chain root holds no carried claim
+            return "accepted" if canonical_json(claim_to_obj(decoded, rs)) == changed else "refused"
+        return "refused"
 
     @settings(max_examples=120, deadline=None)
     @given(steps)
@@ -805,7 +804,7 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
         db = ClaimDb(MerkleLog(), identities[OPERATOR], trust_store, clock=lambda: 1)
         publish_rulesheet(db, rs)
         payloads = [db.log.payload(0)]
-        kept: list[Claim] = []  # the claim objects of the last revision logged
+        kept: list[Claim] = []  # the claim objects of the last revision readers accept
         for t, (keep, new, mutation, pick) in enumerate(steps):
             head = db._heads.get("SB")
             supersedes = None if head is None or mutation == "carried-in-root" else head.revision_id
@@ -829,9 +828,12 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
             except SubmitError as exc:
                 outcome = exc.code
             rev_id = hashlib.sha256(body.encode("utf-8")).hexdigest()
-            assert outcome == (rev_id if want == "logged" else want), mutation
-            if outcome == rev_id:
-                kept = list(decode_payload(payload, db._logged_rulesheet, trust_store)[0].claims)
+            assert outcome == (409 if want == 409 else rev_id), mutation
+            if want == "refused":
+                with pytest.raises(LogIntegrityError):
+                    decode_payload(payload, rulesheets_of(rs), trust_store)
+            elif want == "accepted":
+                kept = list(decode_payload(payload, rulesheets_of(rs), trust_store).claims)
         log = MerkleLog()
         for payload in payloads:
             log.append(payload)
