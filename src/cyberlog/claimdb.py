@@ -85,7 +85,10 @@ class ClaimDb:
                     self._check_chain(header)
                     self._index_revision(header, index)
                 else:
-                    self._entries[rulesheet_entry_id(_rulesheet_text(payload))] = index
+                    entry_id = rulesheet_entry_id(_rulesheet_text(payload))
+                    if entry_id in self._entries:
+                        raise SubmitError(409, f"entry {entry_id} already logged")
+                    self._entries[entry_id] = index
             except CyberlogError as exc:
                 _log.warning("log entry %d left unindexed: %s", index, exc)
 
@@ -161,11 +164,16 @@ class ClaimDb:
             raise SubmitError(409, f"revision {header.id} already logged")
 
     def _submit_rulesheet(self, payload: str, entry_id: str) -> dict:
+        """Append a rulesheet payload, or answer one logged byte for byte
+        with its entry's receipt; another entry under its text's hash (a
+        revision whose body is that text) is a 409."""
+        data = payload.encode("utf-8")
         with self._lock:
-            existing = self._entries.get(entry_id)
-            if existing is not None:
-                return self._receipt(existing, entry_id)
-            index = self._entries[entry_id] = self.log.append(payload.encode("utf-8"))
+            index = self._entries.get(entry_id)
+            if index is None:
+                index = self._entries[entry_id] = self.log.append(data)
+            elif self.log.payload(index) != data:
+                raise SubmitError(409, f"entry {entry_id} already logged")
             return self._receipt(index, entry_id)
 
     def _tree_head(self) -> SignedTreeHead:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CyberlogError, EvaluationError, EvidenceError
 from .lang import (
+    ARITH_OPS,
     INT64_MAX,
     INT64_MIN,
     ArithExpr,
@@ -201,18 +202,19 @@ def resolve_term(term, subst: Substitution) -> GroundTerm | None:
         right = resolve_term(term.right, subst)
         if left is None or right is None:
             return None
-        if not isinstance(left, int) or not isinstance(right, int):
-            raise EvaluationError(f"arithmetic on non-integer values: {left!r} {term.op} {right!r}")
-        if term.op == "+":
-            value = left + right
-        elif term.op == "-":
-            value = left - right
-        else:
-            value = left * right
-        if not (INT64_MIN <= value <= INT64_MAX):
-            raise EvaluationError(f"integer overflow: {left} {term.op} {right}")
-        return value
+        return _arith(term.op, left, right)
     raise TypeError(term)
+
+
+def _arith(op: str, left: GroundTerm, right: GroundTerm) -> int:
+    """`left op right` for integer operands in the 64-bit range; raises
+    EvaluationError otherwise."""
+    if not isinstance(left, int) or not isinstance(right, int):
+        raise EvaluationError(f"arithmetic on non-integer values: {left!r} {op} {right!r}")
+    value = left + right if op == "+" else left - right if op == "-" else left * right
+    if not (INT64_MIN <= value <= INT64_MAX):
+        raise EvaluationError(f"integer overflow: {left} {op} {right}")
+    return value
 
 
 def _unify_args(pattern: Sequence, ground: Sequence[GroundTerm], subst: Substitution) -> Substitution | None:
@@ -248,6 +250,20 @@ def _json_lookup(data: str, path: str):
     return value, True
 
 
+# registered builtins and the type of the value each reads
+_PARAM_TYPES: dict[str, type] = {"get_param_int": int, "get_param_str": str}
+
+
+def _get_param(want: type, data: GroundTerm, path: GroundTerm) -> GroundTerm | None:
+    """The value of type `want` at the dotted `path` in the JSON text
+    `data`, or None when there is none: a builtin that misses yields no
+    match rather than an error."""
+    if not isinstance(data, str) or not isinstance(path, str):
+        return None
+    value, found = _json_lookup(data, path)
+    return value if found and type(value) is want else None
+
+
 def eval_builtin(name: str, args: Sequence, subst: Substitution | None = None) -> list[Substitution]:
     """Evaluate a registered builtin against partially bound arguments.
 
@@ -255,17 +271,15 @@ def eval_builtin(name: str, args: Sequence, subst: Substitution | None = None) -
     value yields no substitutions rather than an error.
     """
     subst = subst or {}
-    if name not in ("get_param_int", "get_param_str"):
+    want = _PARAM_TYPES.get(name)
+    if want is None:
         raise EvaluationError(f"unknown builtin {name!r}")
     data = resolve_term(args[0], subst)
     path = resolve_term(args[1], subst)
     if data is None or path is None:
         raise EvaluationError(f"unbound input to builtin {name!r}")
-    if not isinstance(data, str) or not isinstance(path, str):
-        return []
-    value, found = _json_lookup(data, path)
-    want = int if name == "get_param_int" else str
-    if not found or type(value) is not want:
+    value = _get_param(want, data, path)
+    if value is None:
         return []
     out = args[2]
     if isinstance(out, Variable) and out.name not in subst:
@@ -273,6 +287,10 @@ def eval_builtin(name: str, args: Sequence, subst: Substitution | None = None) -
         bound[out.name] = value
         return [bound]
     return [subst] if resolve_term(out, subst) == value else []
+
+
+def _not_integers(left: GroundTerm, op: str, right: GroundTerm):
+    raise EvaluationError(f"ordered comparison on non-integers: {left!r} {op} {right!r}")
 
 
 def _eval_comparison(atom: ComparisonAtom, subst: Substitution) -> list[Substitution]:
@@ -295,7 +313,7 @@ def _eval_comparison(atom: ComparisonAtom, subst: Substitution) -> list[Substitu
     if atom.op == "!=":
         return [subst] if left != right else []
     if not isinstance(left, int) or not isinstance(right, int):
-        raise EvaluationError(f"ordered comparison on non-integers: {left!r} {atom.op} {right!r}")
+        _not_integers(left, atom.op, right)
     ok = {"<": left < right, ">": left > right, "<=": left <= right, ">=": left >= right}[atom.op]
     return [subst] if ok else []
 
@@ -315,51 +333,6 @@ def _body_atoms(rule: Rule, substitution: Mapping[str, GroundTerm]) -> tuple[Gro
     in body order; raises EvaluationError when one does not ground."""
     unbound = "unbound variable in body atom {}"
     return tuple(instantiate_head(a, substitution, unbound) for a in rule.body if isinstance(a, RelationalAtom))
-
-
-def match_rule_body(
-    body: Sequence[BodyAtom],
-    candidates,
-    subst: Substitution | None = None,
-) -> Iterator[Substitution]:
-    """All substitutions satisfying the body left-to-right.
-
-    `candidates(rel_index, atom, subst)` supplies the claims to try at the
-    i-th relational position of `body`, given the partial substitution
-    that reaches it; builtins and comparisons evaluate in place.
-    """
-
-    def walk(i: int, rel_i: int, subst: Substitution):
-        if i == len(body):
-            yield subst
-            return
-        atom = body[i]
-        if isinstance(atom, RelationalAtom):
-            for claim in candidates(rel_i, atom, subst):
-                bound = _unify_args(atom.args, claim.atom.args, subst)
-                if bound is not None:
-                    yield from walk(i + 1, rel_i + 1, bound)
-        elif isinstance(atom, BuiltinAtom):
-            try:
-                results = eval_builtin(atom.name, atom.args, subst)
-            except EvaluationError as exc:
-                raise EvaluationError(f"{exc} [bindings: {subst}]") from exc
-            for bound in results:
-                yield from walk(i + 1, rel_i, bound)
-        else:
-            try:
-                results = _eval_comparison(atom, subst)
-            except EvaluationError as exc:
-                raise EvaluationError(f"{exc} [bindings: {subst}]") from exc
-            for bound in results:
-                yield from walk(i + 1, rel_i, bound)
-
-    yield from walk(0, 0, subst or {})
-
-
-def rule_substitution(rule: Rule, subst: Substitution) -> dict[str, GroundTerm]:
-    """Restrict a full match substitution to the variables of the rule."""
-    return {name: subst[name] for name in rule.variables if name in subst}
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +372,28 @@ def check_evidence(claim: Claim) -> tuple[GroundAtom, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Join plans
+# Join plans, compiled
 
 Probe = tuple[int, str]  # (argument position, variable bound before the atom)
-JoinPlan = tuple[tuple[BodyAtom, ...], tuple[tuple[int, Probe | None], ...]]
+# one relational atom of a plan: its (principal, predicate), the argument
+# position its candidates are probed on (None: all the predicate's atoms)
+# and its index among the rule's relational body atoms
+Step = tuple[tuple[str, str], int | None, int]
 _NO_INDEX: Mapping[int, dict] = {}
 
 
 def _join_plan(
-    rule: Rule, delta: int | None, indexed: Mapping[tuple[str, str], Collection[int]] | None = None
-) -> JoinPlan:
+    rule: Rule,
+    delta: int | None,
+    known: Collection[str] = (),
+    indexed: Mapping[tuple[str, str], Collection[int]] | None = None,
+) -> tuple[tuple[BodyAtom, ...], tuple[tuple[int, Probe | None], ...]]:
     """The body in join order and, for each relational atom in that order,
     its body-order relational index and its probe: the first argument that
     is a bare variable bound before the atom (and, with `indexed`, whose
-    position is indexed for the atom's predicate). Without a `delta`
-    position the head is bound, and the body keeps its order.
+    position is indexed for the atom's predicate). The variables in
+    `known` are bound before the body. Without a `delta` position the body
+    keeps its order.
 
     For a `delta` position, that atom goes first when every body atom
     before it is relational: such atoms cannot raise, and match the same
@@ -431,7 +411,7 @@ def _join_plan(
     order = list(range(len(body)))
     if delta is not None and rel[delta] == delta:  # only relational atoms before it
         order.insert(0, order.pop(delta))
-    known = set(rule.head_variables if delta is None else ())
+    known = set(known)
     steps: list[tuple[int, Probe | None]] = []
     for j in order:
         atom = body[j]
@@ -450,6 +430,226 @@ def _join_plan(
             if isinstance(term, Variable):
                 known.add(term.name)
     return tuple(body[j] for j in order), tuple(steps)
+
+
+class JoinPlan(NamedTuple):
+    """A rule's body in join order, compiled (`_compile`).
+
+    `match(candidates, claims, sink, *head)` runs the join. At the j-th
+    relational atom of `body` it tries each atom of `candidates(j, value)`,
+    where `value` is the bound value of the probe variable of `steps[j]`
+    (None without a probe). For each match whose head atom is in neither
+    `claims` nor `sink`, it puts the claim into `sink`, its evidence the
+    rule under the rule's variables. A head-bound plan takes the values of
+    the head's variables, in head order (`bind_head`), and stops at its
+    first match. An EvaluationError of a builtin or a comparison names the
+    bindings that reach it, in binding order, and every EvaluationError
+    names the rule."""
+
+    rule: Rule
+    body: tuple[BodyAtom, ...]
+    steps: tuple[Step, ...]
+    match: Callable
+
+
+def _compile(
+    rule: Rule, delta: int | None = None, head: bool = False, indexed: Mapping[tuple[str, str], Collection[int]] | None = None
+) -> JoinPlan:
+    """The join plan of `rule` (`_join_plan`), with its delta position or,
+    with `head`, its head's variables bound, compiled into one Python
+    function (`_plan_source`)."""
+    known = tuple(dict.fromkeys(arg.name for arg in rule.head.args if isinstance(arg, Variable))) if head else ()
+    body, probes = _join_plan(rule, delta, known, indexed)
+    namespace: dict = {}
+    exec(compile(_plan_source(rule, body, probes, known, head), "<join plan>", "exec"), globals(), namespace)
+    rel = [atom for atom in body if isinstance(atom, RelationalAtom)]
+    steps = tuple(((a.principal, a.predicate), None if p is None else p[0], i) for a, (i, p) in zip(rel, probes))
+    return JoinPlan(rule, body, steps, namespace["_make"](rule))
+
+
+def _literal(value) -> str:
+    """Source text of an integer or string constant."""
+    if type(value) not in (int, str):
+        raise ValueError(f"not an integer or string constant: {value!r}")
+    return repr(value)
+
+
+def _plan_source(
+    rule: Rule, body: Sequence[BodyAtom], probes: Sequence[tuple[int, Probe | None]], known: Sequence[str], first: bool
+) -> str:
+    """Python source of `_make(rule)`, which returns the matcher of one
+    join plan (`JoinPlan.match`): nested loops over the candidates of the
+    relational atoms in plan order, with each variable in a local, `v` and
+    its binding order, and each builtin and comparison evaluated in place.
+    Only integer and string constants enter the source, as `repr` text;
+    the rule enters through `_make`'s argument.
+
+    Every term evaluated is bound, or a bare variable that a builtin's
+    output or an `==` binds: a `Rulesheet` holds only safe rules, and a
+    plan binds no fewer variables before an atom than body order does.
+    A rule that breaks this raises ValueError."""
+    slots = {name: f"v{n}" for n, name in enumerate(known)}  # variable -> local, in binding order
+    lines: list[str] = []
+    depth = 3
+
+    def emit(*texts: str) -> None:
+        lines.extend("    " * depth + text for text in texts)
+
+    def term(t) -> str:
+        if isinstance(t, Variable):
+            if t.name not in slots:
+                raise ValueError(f"variable {t.name} is used before it is bound")
+            return slots[t.name]
+        if isinstance(t, ArithExpr):
+            if t.op not in ARITH_OPS:
+                raise ValueError(f"unknown arithmetic operator {t.op!r}")
+            return f"_arith({_literal(t.op)}, {term(t.left)}, {term(t.right)})"
+        return _literal(t.value)
+
+    def bind(name: str) -> str:
+        slots[name] = f"v{len(slots)}"
+        return slots[name]
+
+    def guarded(*statements: str) -> None:
+        """Statements whose EvaluationError names the bindings so far."""
+        bindings = ", ".join(f"{_literal(name)}: {local}" for name, local in slots.items())
+        emit("try:", *("    " + s for s in statements), "except EvaluationError as exc:")
+        emit(f"    raise _with_bindings(exc, {{{bindings}}}) from exc")
+
+    j = -1  # the relational atom's place in plan order
+    for k, atom in enumerate(body):
+        if isinstance(atom, RelationalAtom):
+            j += 1
+            probe = probes[j][1]
+            emit(f"for a{j} in cands({j}, {slots[probe[1]] if probe else None}):")
+            depth += 1
+            emit(f"t{j} = a{j}.args")
+            tests, fresh = [f"len(t{j}) == {len(atom.args)}"], {}
+            for position, arg in enumerate(atom.args):
+                if isinstance(arg, ArithExpr):
+                    raise ValueError(f"arithmetic inside relational atom {atom.predicate!r}")
+                if isinstance(arg, Variable) and arg.name not in slots:
+                    if arg.name in fresh:  # repeated inside the atom
+                        tests.append(f"t{j}[{position}] == t{j}[{fresh[arg.name]}]")
+                    else:
+                        fresh[arg.name] = position
+                else:
+                    tests.append(f"t{j}[{position}] == {term(arg)}")
+            emit("if " + " and ".join(tests) + ":")
+            depth += 1
+            emit(*(f"{bind(name)} = t{j}[{position}]" for name, position in fresh.items()))
+        elif isinstance(atom, BuiltinAtom):
+            want = _PARAM_TYPES.get(atom.name)
+            if want is None:
+                guarded(f"raise EvaluationError({_literal(f'unknown builtin {atom.name!r}')})")
+                break  # it raises at every match that reaches it
+            data, path, out = atom.args
+            call = f"x{k} = _get_param({want.__name__}, {term(data)}, {term(path)})"
+            if isinstance(out, Variable) and out.name not in slots:
+                guarded(call)
+                emit(f"if x{k} is not None:")
+                depth += 1
+                emit(f"{bind(out.name)} = x{k}")
+            else:
+                guarded(call, f"x{k} = x{k} is not None and {term(out)} == x{k}")
+                emit(f"if x{k}:")
+                depth += 1
+        else:
+            left, right, op = atom.left, atom.right, atom.op
+            raises = any(isinstance(t, ArithExpr) for t in (left, right))
+            unbound = [t for t in (left, right) if isinstance(t, Variable) and t.name not in slots]
+            if op == "==" and len(unbound) == 1:  # binds the unbound side to the other's value
+                value = term(right if unbound[0] is left else left)
+                local = f"v{len(slots)}"
+                (guarded if raises else emit)(f"{local} = {value}")
+                bind(unbound[0].name)
+            elif op in ("==", "!="):
+                if raises:
+                    guarded(f"x{k} = {term(left)} {op} {term(right)}")
+                    emit(f"if x{k}:")
+                else:
+                    emit(f"if {term(left)} {op} {term(right)}:")
+                depth += 1
+            elif op in ("<", ">", "<=", ">="):
+                # arithmetic yields an integer, an integer constant is one
+                operands = [f"{side}{k}" if isinstance(t, ArithExpr) else term(t) for side, t in (("l", left), ("r", right))]
+                checked = [o for o, t in zip(operands, (left, right)) if not isinstance(t, (ArithExpr, IntConstant))]
+                statements = [f"{o} = {term(t)}" for o, t in zip(operands, (left, right)) if isinstance(t, ArithExpr)]
+                if checked:
+                    test = " or ".join(f"not isinstance({o}, int)" for o in checked)
+                    statements.append(f"if {test}: _not_integers({operands[0]}, {op!r}, {operands[1]})")
+                if statements:
+                    guarded(*statements)
+                emit(f"if {operands[0]} {op} {operands[1]}:")
+                depth += 1
+            else:
+                raise ValueError(f"unknown comparison operator {op!r}")
+    else:
+        head = rule.head
+        args = "".join(f"{term(arg)}, " for arg in head.args)
+        evidence = "CarriedByNextRule" if rule.kind is RuleKind.NEXT else "DerivedByRule"
+        subst = ", ".join(f"{_literal(name)}: {slots[name]}" for name in rule.variables if name in slots)
+        emit(f"h = GroundAtom({_literal(head.principal)}, {_literal(head.predicate)}, ({args}))")
+        emit("if h not in claims and h not in sink:", f"    sink[h] = Claim(h, {evidence}(rule, {{{subst}}}))")
+        if first:
+            emit("return")
+    params = "".join(f", {slots[name]}" for name in known)
+    return "\n".join(
+        [
+            "def _make(rule):",
+            f"    def match(cands, claims, sink{params}):",
+            "        try:",
+            *lines,
+            "        except EvaluationError as exc:",
+            "            raise _in_rule(exc, rule) from exc",
+            "    return match",
+            "",
+        ]
+    )
+
+
+def _with_bindings(exc: EvaluationError, subst: Substitution) -> EvaluationError:
+    return EvaluationError(f"{exc} [bindings: {subst}]")
+
+
+def _in_rule(exc: EvaluationError, rule: Rule) -> EvaluationError:
+    return EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}")
+
+
+class _SheetPlans(NamedTuple):
+    index: dict[tuple[str, str], tuple[int, ...]]  # the argument positions the joins probe, per predicate
+    facts: tuple[JoinPlan, ...]  # the standard rules without relational atoms
+    # per standard rule: (its delta predicate and plan per relational atom, its head-bound plan)
+    joins: tuple[tuple[tuple[tuple[tuple[str, str], JoinPlan], ...], JoinPlan], ...]
+    next_rules: tuple[JoinPlan, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _sheet_plans(rulesheet: Rulesheet) -> _SheetPlans:
+    """Every join plan of a rulesheet's rules, compiled once per sheet: a
+    Rulesheet is immutable, and the monitors of one owner, and every
+    reader's KB over a logged sheet, share it (`parse_rulesheet`).
+
+    Each standard rule has, per relational atom, a plan with that atom as
+    the delta, with the predicate it takes its delta claims of, and a
+    plan with its head bound, for re-derivation, which probes only the
+    positions the delta plans index. A standard rule without relational
+    atoms has one plan in body order, and so has each next-rule, probing
+    the same indexes."""
+    std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
+    rels = [[a for a in rule.body if isinstance(a, RelationalAtom)] for rule in std]
+    deltas = [tuple(((a.principal, a.predicate), _compile(rule, k)) for k, a in enumerate(rel)) for rule, rel in zip(std, rels)]
+    index: dict[tuple[str, str], dict[int, None]] = {}
+    for _key, plan in (pair for pairs in deltas for pair in pairs):
+        for key, position, _i in plan.steps:
+            if position is not None:
+                index.setdefault(key, {})[position] = None
+    return _SheetPlans(
+        {key: tuple(positions) for key, positions in index.items()},
+        tuple(_compile(rule) for rule, rel in zip(std, rels) if not rel),
+        tuple((pairs, _compile(rule, head=True, indexed=index)) for rule, pairs in zip(std, deltas)),
+        tuple(_compile(rule, indexed=index) for rule in rulesheet.rules if rule.kind is RuleKind.NEXT),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +679,12 @@ class KnowledgeBase:
     claims and saturate, or change nothing; so between calls the KB is at
     its fixpoint. `assert_claim` admits one claim without saturating.
 
-    Joins are planned once per standard rule with two or more relational
-    atoms (`_join_plan`): for each delta position, an order and, per
-    atom, a probe into an argument index kept with the claims, so a delta
-    claim meets only the claims that share its join values. A head-bound
-    re-derivation probes only the indexes saturation keeps.
+    Rules are matched only by join plans compiled once per rulesheet
+    (`_sheet_plans`): for each delta position of a standard rule, an order
+    and, per atom, a probe into an argument index kept with the claims, so
+    a delta claim meets only the claims that share its join values. A
+    head-bound re-derivation and the next-rules probe only the indexes
+    saturation keeps.
     """
 
     def __init__(self, rulesheet: Rulesheet):
@@ -497,25 +698,13 @@ class KnowledgeBase:
         self._removed: dict[GroundAtom, None] = {}
         # premise atom -> atoms of the claims whose recorded derivation names it
         self._dependents: dict[GroundAtom, dict[GroundAtom, None]] = {}
-        # each standard rule with its relational body atoms in body order,
-        # the join plan of each delta position, and its head-bound plan
-        std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
-        self._next_rules = [rule for rule in rulesheet.rules if rule.kind is RuleKind.NEXT]
-        rels = [[a for a in rule.body if isinstance(a, RelationalAtom)] for rule in std]
-        plans = [[_join_plan(rule, k) for k in range(len(rel))] for rule, rel in zip(std, rels)]
-        for body, steps in (plan for rule_plans in plans for plan in rule_plans):
-            for atom, (_i, probe) in zip((a for a in body if isinstance(a, RelationalAtom)), steps):
-                if probe is not None:
-                    self._arg_index.setdefault((atom.principal, atom.predicate), {})[probe[0]] = {}
-        self._joins = [
-            (rule, rel, rule_plans, _join_plan(rule, None, self._arg_index))
-            for rule, rel, rule_plans in zip(std, rels, plans)
-        ]
+        self._plans = _sheet_plans(rulesheet)
+        for key, positions in self._plans.index.items():
+            self._arg_index[key] = {position: {} for position in positions}
         # a rule without relational atoms fires once, here
         facts: dict[GroundAtom, Claim] = {}
-        for rule, rel, _plans, _rederive in self._joins:
-            if not rel:
-                self._fire(rule, rule.body, lambda i, a, s: (), facts)
+        for plan in self._plans.facts:
+            plan.match(None, self.claims, facts)
         for claim in facts.values():
             self.assert_claim(claim)
         self.saturate()
@@ -530,19 +719,21 @@ class KnowledgeBase:
         claims = self._index.get((principal, predicate))
         return claims.values() if claims is not None else ()
 
-    def _probe(self, atom: RelationalAtom, probe: Probe | None, subst: Substitution) -> Collection[Claim]:
-        """The stored claims the atom can match: with a probe, only those
-        whose argument at its position is its variable's value."""
-        if probe is None:
-            return self.claims_for(atom.principal, atom.predicate)
-        position, name = probe
-        bucket = self._arg_index[(atom.principal, atom.predicate)][position].get(subst[name])
-        return bucket.values() if bucket is not None else ()
+    def _pool(self, step: Step, value: GroundTerm | None) -> Collection[GroundAtom]:
+        """The stored atoms a plan's step can match: with a probed position,
+        only those whose argument there is `value`."""
+        key, position, _i = step
+        atoms = self._index.get(key) if position is None else self._arg_index[key][position].get(value)
+        return atoms if atoms is not None else ()
+
+    def _candidates(self, steps: Sequence[Step]):
+        """A plan's candidates over the stored atoms (`JoinPlan.match`)."""
+        return lambda j, value: self._pool(steps[j], value)
 
     # -- admission ------------------------------------------------------
 
     def assert_claim(self, claim: Claim) -> bool:
-        """Add a claim `_fire` has just built, unchecked; returns False if
+        """Add a claim a join plan has just built, unchecked; returns False if
         the atom is already present (set semantics, first evidence wins)."""
         if claim.atom in self.claims:
             return False
@@ -588,19 +779,17 @@ class KnowledgeBase:
         unchecked, since the KB made them; returns them. A carry-over equal
         to a stored claim is that stored object. If a match or saturation
         raises, the KB is as it was on entry; a match's EvaluationError names
-        its rule, as `_fire`'s does. Not matched by `_fire`: a branch
-        there on the rule's kind made perfbench's `watch` ingests 3% slower."""
+        its rule. A carry-over of a stored atom is built on the stored atom
+        object, whose canonical text is kept."""
         carried: dict[GroundAtom, Claim] = {}
-        for rule in self._next_rules:
-            try:
-                for full in match_rule_body(rule.body, lambda _i, a, _s: self.claims_for(a.principal, a.predicate)):
-                    atom = instantiate_head(rule.head, full)
-                    if atom not in carried:
-                        claim = Claim(atom, CarriedByNextRule(rule, rule_substitution(rule, full)))
-                        carried[atom] = stored if (stored := self.claims.get(atom)) == claim else claim
-            except EvaluationError as exc:
-                raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
-        claims = list(carried.values())
+        for plan in self._plans.next_rules:
+            plan.match(self._candidates(plan.steps), {}, carried)
+        claims = []
+        for claim in carried.values():
+            stored = self.claims.get(claim.atom)
+            if stored is not None:
+                claim = stored if stored == claim else Claim(stored.atom, claim.evidence)
+            claims.append(claim)
         self._revise(retract, claims)
         return claims
 
@@ -722,67 +911,42 @@ class KnowledgeBase:
         if self._removed:
             rederived: dict[GroundAtom, Claim] = {}
             for atom in self._removed:
-                for rule, _rel, _plans, (body, steps) in self._joins:
+                for _deltas, plan in self._plans.joins:
                     if atom in self.claims or atom in rederived:
                         break
-                    self._fire(rule, body, lambda j, a, s, steps=steps: self._probe(a, steps[j][1], s), rederived, atom)
+                    head = bind_head(plan.rule.head, atom)
+                    if head is not None:
+                        plan.match(self._candidates(plan.steps), self.claims, rederived, *head.values())
             for claim in rederived.values():
                 self.assert_claim(claim)
         delta = list(self._unsaturated)
 
         while delta:
             delta_atoms = {c.atom for c in delta}
-            delta_index: dict[tuple[str, str], list[Claim]] = {}
+            delta_index: dict[tuple[str, str], list[GroundAtom]] = {}
             for claim in delta:
-                delta_index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim)
+                delta_index.setdefault((claim.atom.principal, claim.atom.predicate), []).append(claim.atom)
             pending: dict[GroundAtom, Claim] = {}
-            for rule, rel, plans, _rederive in self._joins:
-                for k, atom_k in enumerate(rel):
-                    delta_k = delta_index.get((atom_k.principal, atom_k.predicate))
+            for deltas, _rederive in self._plans.joins:
+                for k, (key, plan) in enumerate(deltas):
+                    delta_k = delta_index.get(key)
                     if delta_k is None:
                         continue
-                    body, steps = plans[k]
 
-                    def candidates(
-                        j: int, atom: RelationalAtom, subst: Substitution, k=k, delta_k=delta_k, steps=steps
-                    ):
-                        i, probe = steps[j]
-                        if i == k:
+                    def candidates(j: int, value: GroundTerm | None, k=k, delta_k=delta_k, steps=plan.steps):
+                        step = steps[j]
+                        if step[2] == k:
                             return delta_k
-                        pool = self._probe(atom, probe, subst)
-                        if i < k:
-                            return [c for c in pool if c.atom not in delta_atoms]
-                        return pool
+                        pool = self._pool(step, value)
+                        return pool if step[2] > k else [a for a in pool if a not in delta_atoms]
 
-                    self._fire(rule, body, candidates, pending)
+                    plan.match(candidates, self.claims, pending)
             delta = [claim for claim in pending.values() if self.assert_claim(claim)]
         added = self._unsaturated[start:]
         self._unsaturated = []
         if self._removed:
             self._removed = {}
         return added
-
-    def _fire(
-        self, rule: Rule, body: Sequence[BodyAtom], candidates, sink: dict, target: GroundAtom | None = None
-    ) -> None:
-        """Derive into `sink` each match of the rule, its body joined in the
-        order `body` gives, over `candidates` whose head is not stored yet;
-        with a `target` atom, bind the head to it and stop at the first
-        match that yields it."""
-        subst = None
-        if target is not None:
-            subst = bind_head(rule.head, target)
-            if subst is None:
-                return
-        try:
-            for full in match_rule_body(body, candidates, subst):
-                atom = instantiate_head(rule.head, full)
-                if atom not in self.claims and atom not in sink:
-                    sink[atom] = Claim(atom, DerivedByRule(rule, rule_substitution(rule, full)))
-                if target is not None:
-                    return
-        except EvaluationError as exc:
-            raise EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}") from exc
 
     # -- queries ----------------------------------------------------------
 

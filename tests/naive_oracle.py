@@ -4,7 +4,10 @@ Deliberately unshared with the engine: plain backtracking joins over the full
 atom set, no deltas, no indexes, no evidence. Used as the ground truth for
 saturation and next-rule carry-over equivalence tests. `derivation_faults`
 checks a knowledge base's stored evidence, with the engine's own
-rule-instance checks.
+rule-instance checks. `match_rule_body` is the interpreter the engine's
+compiled join plans replaced, kept as the reference for their match order
+and for where and with what message they raise: it evaluates each term,
+builtin and comparison with the engine's own functions.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import json
 import random
 
+from cyberlog import engine
 from cyberlog.engine import DerivedByRule, canonical_atom, check_evidence
-from cyberlog.errors import EvidenceError
+from cyberlog.errors import EvaluationError, EvidenceError
 from cyberlog.lang import (
     ArithExpr,
     BuiltinAtom,
@@ -139,6 +143,38 @@ def _eval_comparison(atom, env):
     ok = {"<": left < right, ">": left > right, "<=": left <= right, ">=": left >= right}[atom.op]
     if ok:
         yield env
+
+
+def match_rule_body(body, candidates, subst=None):
+    """All substitutions satisfying the body left to right.
+
+    `candidates(j, atom, subst)` supplies the ground atoms to try at the
+    j-th relational atom of `body`, given the partial substitution that
+    reaches it; builtins and comparisons evaluate in place, and an
+    EvaluationError names the partial substitution, in binding order."""
+
+    def walk(i, rel_i, subst):
+        if i == len(body):
+            yield subst
+            return
+        atom = body[i]
+        if isinstance(atom, RelationalAtom):
+            for candidate in candidates(rel_i, atom, subst):
+                bound = engine._unify_args(atom.args, candidate.args, subst)
+                if bound is not None:
+                    yield from walk(i + 1, rel_i + 1, bound)
+            return
+        try:
+            if isinstance(atom, BuiltinAtom):
+                results = engine.eval_builtin(atom.name, atom.args, subst)
+            else:
+                results = engine._eval_comparison(atom, subst)
+        except EvaluationError as exc:
+            raise EvaluationError(f"{exc} [bindings: {subst}]") from exc
+        for bound in results:
+            yield from walk(i + 1, rel_i, bound)
+
+    yield from walk(0, 0, subst or {})
 
 
 def naive_saturate(base_atoms, rules) -> set[Atom]:

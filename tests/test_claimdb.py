@@ -275,6 +275,35 @@ def test_resubmitting_a_logged_revision_returns_its_receipt(db, http_client, ide
     assert len(db.log) == size + 1 and db.get_head("SB")["revision_id"] == nxt.id
 
 
+def test_rulesheet_under_a_logged_revisions_id_is_refused(tmp_path, identities, trust_store, caplog):
+    """A rulesheet whose text is a logged revision's body hashes to that
+    revision's id: its submit is refused with 409 and the log does not
+    grow. Appended to the log file anyway, it is left unindexed on reopen,
+    with one warning, and the id still names the revision."""
+    path = str(tmp_path / "db.log")
+    db = with_rulesheets(ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1))
+    record, body = build_record("SB", None, (), parse_rulesheet(SB_SHEET, "SB"), (), 1)
+    first = db.submit_revision(encode_payload(body, sign_record(record, identities["SB"])))["leaf_index"]
+    sheet = encode_rulesheet_payload(body)
+    size = len(db.log)
+    with pytest.raises(SubmitError) as exc:
+        db.submit_revision(sheet)
+    assert exc.value.code == 409 and f"entry {record.id} already logged" in str(exc.value)
+    assert len(db.log) == size
+    again = db.log.append(sheet.encode("utf-8"))
+    db.log.close()
+
+    with caplog.at_level("WARNING", logger="cyberlog.claimdb"):
+        reopened = ClaimDb(MerkleLog(path), identities[OPERATOR], trust_store, clock=lambda: 1)
+    try:
+        [message] = [entry.getMessage() for entry in caplog.records]
+        assert message == f"log entry {again} left unindexed: entry {record.id} already logged"
+        assert reopened.get_revision(record.id)["proof"]["leaf_index"] == first
+        assert reopened.get_head("SB") == {"owner": "SB", "revision_id": record.id, "chain_length": 1}
+    finally:
+        reopened.log.close()
+
+
 def test_reopen_leaves_a_repeated_revision_unindexed(tmp_path, identities, trust_store, caplog):
     """A revision appended to the log file a second time is left unindexed
     on reopen, with one warning: replay admits each entry as a first

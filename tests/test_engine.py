@@ -604,6 +604,8 @@ def test_interleaved_revise_batches_match_oracle():
 
 
 def test_failed_saturate_keeps_its_seed(monkeypatch):
+    """A builtin evaluation that raises, injected at the compiled matcher's
+    builtin hook (`engine._get_param`), leaves the seed pending."""
     import cyberlog.engine as engine
 
     rs = parse_rulesheet(IDS + "out(V) :- ev(P, T, D), get_param_int(D, 'a', V).", "SB")
@@ -611,13 +613,16 @@ def test_failed_saturate_keeps_its_seed(monkeypatch):
     kb.saturate()
     kb.assert_claim(Claim(GroundAtom("SB", "ev", ("/a", 1, '{"a": 4}')), DirectAssertion()))
 
+    calls = []
+
     def fail(*args, **kwargs):
+        calls.append(args)
         raise EvaluationError("injected")
 
-    monkeypatch.setattr(engine, "eval_builtin", fail)
+    monkeypatch.setattr(engine, "_get_param", fail)
     with pytest.raises(EvaluationError, match="injected"):
         kb.saturate()
-    assert not at_fixpoint(kb)
+    assert len(calls) == 1 and not at_fixpoint(kb)
     monkeypatch.undo()
     assert [c.atom for c in kb.saturate()] == [GroundAtom("SB", "out", (4,))]
     assert at_fixpoint(kb)
@@ -665,10 +670,12 @@ def test_join_after_a_comparison_keeps_body_order():
     """A comparison before b keeps b's delta join in body order, so every
     a row meets `Y > 3` as before: one with a string Y and no b partner
     still raises."""
+    import cyberlog.engine as engine
+
     rs = parse_rulesheet(IDS + "h(X) :- a(X, Y), Y > 3, b(X).", "SB")
     kb = KnowledgeBase(rs)
-    ((rule, _rel, plans, _rederive),) = kb._joins
-    assert [body for body, _steps in plans] == [rule.body, rule.body]
+    ((deltas, _rederive),) = engine._sheet_plans(rs).joins
+    assert [plan.body for _key, plan in deltas] == [rs.rules[0].body] * 2
     kb.revise((), claims_from_atoms([GroundAtom("SB", "b", (2,))]))
     for batch in ([GroundAtom("SB", "a", (1, "x"))], [GroundAtom("SB", "a", (1, "x")), GroundAtom("SB", "b", (3,))]):
         with pytest.raises(EvaluationError, match="ordered comparison on non-integers"):
@@ -689,30 +696,50 @@ def _booking_flow(r):
 
 
 def test_a_watchers_join_costs_what_it_derives_not_its_history(monkeypatch):
-    """One booking flow's claims cost DOM's saturation as many unifications
-    over 96 flows of history as over 24."""
-    import cyberlog.engine as engine
-
+    """One booking flow's claims cost DOM's saturation as many stored
+    candidates, the atoms its compiled joins are handed to try
+    (`KnowledgeBase._pool`), over 96 flows of history as over 24."""
     with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "rules", "dom.cyberlog")) as fh:
         rs = parse_rulesheet(fh.read(), "DOM")
-    unify = engine._unify_args
+    pool = KnowledgeBase._pool
     counts = []
     for history in (24, 96):
         kb = KnowledgeBase(rs)
         kb.revise((), claims_from_atoms([a for r in range(history) for a in _booking_flow(r)]))
-        calls = [0]
+        tried = [0]
 
-        def counting(*args):
-            calls[0] += 1
-            return unify(*args)
+        def counting(self, step, value):
+            atoms = pool(self, step, value)
+            tried[0] += len(atoms)
+            return atoms
 
-        monkeypatch.setattr(engine, "_unify_args", counting)
+        monkeypatch.setattr(KnowledgeBase, "_pool", counting)
         added = kb.revise((), claims_from_atoms(_booking_flow(history)))
-        monkeypatch.setattr(engine, "_unify_args", unify)
+        monkeypatch.undo()
         derived = {(c.atom.predicate, c.atom.args) for c in added if isinstance(c.evidence, DerivedByRule)}
         assert derived == {("good_rtf_exists", (history, 7)), ("delayed_rtf", (history, 2000, 10 * history))}
-        counts.append(calls[0])
-    assert counts[0] == counts[1]
+        counts.append(tried[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_second_kb_over_a_rulesheet_plans_and_compiles_nothing(monkeypatch):
+    """Join plans are compiled once per rulesheet: the first KB over a
+    sheet plans and compiles each of its joins, two delta-first, one
+    head-bound and one next-rule, and a second KB over it neither."""
+    import cyberlog.engine as engine
+
+    calls = []
+    for name in ("_join_plan", "_compile"):
+        original = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    rs = parse_rulesheet(
+        IDS + "planned_once(X) :- 'MRM' attests a(X, Y), 'OM' attests b(Y).\nnext planned_once(X) :- planned_once(X).", "SB"
+    )
+    KnowledgeBase(rs)
+    assert sorted(calls) == ["_compile"] * 4 + ["_join_plan"] * 4
+    calls.clear()
+    KnowledgeBase(rs)
+    assert calls == []
 
 
 # --- evidence checked on entry, by structure -----------------------------------
@@ -1039,3 +1066,222 @@ def test_rule_evidence_missing_head_variable_is_evidence_error(evidence_kind):
     with pytest.raises(EvidenceError, match=refusal):
         kb.revise((), [Claim(atom, evidence)])
     assert _same_state(kb, {}) and at_fixpoint(kb)
+
+
+# --- compiled join plans against the interpreter they replaced ------------------
+
+# Rules drawn for the cases a compiled matcher could get wrong: a variable
+# repeated inside one atom, an `==` that binds its left or its right side,
+# integer overflow, an ordered comparison on a string, each raising with
+# bindings whose binding order is not sorted, a builtin that misses or
+# checks a bound output, and string constants holding a quote, a backslash
+# and a line break.
+EDGE_SHEET = parse_rulesheet(
+    "'A': Subject: 's' Issuer: 'i'\n'B': Subject: 's' Issuer: 'i'\n"
+    "twice(X) :- p(X, X).\n"
+    "left(X, Z) :- p(X, Y), Z == Y + 1, 'B' attests q(Z).\n"
+    "right(X, Z) :- p(X, Y), Y - 1 == Z, 'B' attests q(Z, X).\n"
+    "big(X) :- p(X, W), W * 4611686018427387904 > 0.\n"
+    "small(Z) :- 'B' attests q(Z), p(Z, Y), Y < 3.\n"
+    "param(X, V) :- e(X, D), get_param_int(D, 'k', V), V >= 1.\n"
+    "named(X) :- e(X, D), get_param_str(D, 'k', 'it\\'s'), q(X, 'back\\\\slash').\n"
+    "one(X) :- e(X, D), get_param_int(D, 'k', 1), p(X, 'line\\nbreak').\n"
+    "next kept(X, Y) :- p(X, Y), 'B' attests q(Y).\n"
+    "next same(X) :- p(X, X), Y == X * 2, q(Y, 'it\\'s').\n",
+    "A",
+)
+EDGE_VALUES = (
+    -2, 0, 1, 2, 3, 4611686018427387904, "a", "it's", "back\\slash", "line\nbreak",
+    '{"k": 1}', '{"k": "it\'s"}', '{"k": 2}', "not json",
+)
+
+
+def _compiled_matches(plan, pool, k, delta, head):
+    """Every match of a compiled plan over `pool`, as (head atom, evidence
+    substitution), and the text of the error it raises (None if it does
+    not). Delta position k takes `delta` there, and no delta atom before
+    it, as saturation does; a head-bound plan takes the `head` bindings."""
+
+    class Every(dict):  # holds no head, so every match is recorded
+        def __contains__(self, atom):
+            return False
+
+        def __setitem__(self, atom, claim):
+            out.append((atom, list(claim.evidence.substitution.items())))
+
+    def cands(j, value):
+        key, position, i = plan.steps[j]
+        if i == k:
+            return delta
+        atoms = [
+            a for a in pool
+            if (a.principal, a.predicate) == key and (position is None or (position < len(a.args) and a.args[position] == value))
+        ]
+        return atoms if k is None or i > k else [a for a in atoms if a not in delta]
+
+    out = []
+    try:
+        plan.match(cands, {}, Every(), *(head or {}).values())
+    except EvaluationError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _reference_matches(plan, pool, k, delta, head):
+    """`_compiled_matches` by the interpreter (`naive_oracle.match_rule_body`)
+    over the plan's body order, every candidate of a predicate tried."""
+    from cyberlog.engine import instantiate_head
+    from cyberlog.lang import format_rule
+    from naive_oracle import match_rule_body
+
+    rule, rel = plan.rule, [i for _key, _position, i in plan.steps]
+
+    def candidates(j, atom, _subst):
+        if rel[j] == k:
+            return delta
+        atoms = [a for a in pool if (a.principal, a.predicate) == (atom.principal, atom.predicate)]
+        return atoms if k is None or rel[j] > k else [a for a in atoms if a not in delta]
+
+    out = []
+    try:
+        for full in match_rule_body(plan.body, candidates, dict(head or {})):
+            out.append((instantiate_head(rule.head, full), [(n, full[n]) for n in rule.variables if n in full]))
+            if head is not None:  # a head-bound plan stops at its first match
+                break
+    except EvaluationError as exc:
+        return out, f"{exc} in rule: {format_rule(rule, oneline=True)}"
+    return out, None
+
+
+def _check_plans(rs, pool, choose):
+    """Every compiled plan of the sheet, delta-first, head-bound, fact and
+    next-rule, matches as the interpreter does over `pool`: the same
+    matches in the same order, and the same error at the same match. A
+    delta plan takes `choose(atoms)` of its delta predicate's atoms as its
+    delta. Returns each plan's matches and error."""
+    from cyberlog.engine import _sheet_plans, bind_head
+
+    plans = _sheet_plans(rs)
+    runs = [(plan, None, [], None) for plan in (*plans.facts, *plans.next_rules)]
+    for deltas, rederive in plans.joins:
+        for k, (key, plan) in enumerate(deltas):
+            same = [a for a in pool if (a.principal, a.predicate) == key]
+            runs.append((plan, k, choose(same) if same else [], None))
+        targets = [a for a in pool if (a.principal, a.predicate) == (rederive.rule.head.principal, rederive.rule.head.predicate)]
+        for target in targets or [GroundAtom(rederive.rule.head.principal, rederive.rule.head.predicate, (1,))]:
+            head = bind_head(rederive.rule.head, target)
+            if head is not None:
+                runs.append((rederive, None, [], head))
+    results = []
+    for plan, k, delta, head in runs:
+        results.append(_reference_matches(plan, pool, k, delta, head))
+        assert _compiled_matches(plan, pool, k, delta, head) == results[-1]
+    return results
+
+
+def _draw_plans_check(rs, facts, data):
+    """`_check_plans` over the facts in a drawn order, with drawn deltas."""
+    from hypothesis import strategies as st
+
+    pool = data.draw(st.permutations(sorted({GroundAtom(*f) for f in facts}, key=repr)))
+    _check_plans(rs, pool, lambda atoms: data.draw(st.lists(st.sampled_from(atoms), unique=True)))
+
+
+def test_compiled_plans_match_the_interpreter_on_random_programs():
+    """Random programs, each rule also made a next-rule, over their facts
+    in a random order."""
+    import dataclasses
+
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.lang import RuleKind
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2000), st.booleans(), st.data())
+    def check(seed, builtins, data):
+        rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        rules = rs.rules + tuple(dataclasses.replace(rule, kind=RuleKind.NEXT) for rule in rs.rules)
+        facts |= {(rs.self_id, rule.head.predicate, (0,)) for rule in rs.rules}  # a few heads to re-derive
+        _draw_plans_check(Rulesheet(rs.self_id, rs.identities, rules), facts, data)
+
+    check()
+
+
+def test_compiled_plans_match_the_interpreter_on_edge_cases():
+    """The edge-case rules over drawn pools, and over one pool on which
+    each rule matches, or raises: overflow and an ordered comparison on a
+    string."""
+    from hypothesis import given, settings, strategies as st
+
+    names = [("A", "p"), ("B", "q"), ("A", "q"), ("A", "e")]
+    fact = st.tuples(st.sampled_from(names), st.lists(st.sampled_from(EDGE_VALUES), max_size=3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(fact, max_size=12), st.data())
+    def check(facts, data):
+        _draw_plans_check(EDGE_SHEET, {(p, q, tuple(args)) for (p, q), args in facts}, data)
+
+    check()
+    pool = [
+        GroundAtom("A", "p", (1, 1)), GroundAtom("B", "q", (2,)), GroundAtom("B", "q", (0, 1)), GroundAtom("A", "q", (2, "it's")),
+        GroundAtom("A", "p", (5, 4611686018427387904)), GroundAtom("B", "q", (7,)), GroundAtom("A", "p", (7, "a")),
+        GroundAtom("A", "e", (1, '{"k": 1}')), GroundAtom("A", "e", (2, "not json")), GroundAtom("A", "p", (1, "line\nbreak")),
+        GroundAtom("A", "e", (3, '{"k": "it\'s"}')), GroundAtom("A", "q", (3, "back\\slash")),
+        GroundAtom("B", "q", (1,)),
+    ]
+    results = _check_plans(EDGE_SHEET, pool, lambda atoms: atoms)
+    matched = {atom.predicate for matches, _error in results for atom, _subst in matches}
+    assert matched == {rule.head.predicate for rule in EDGE_SHEET.rules}
+    raised = [error for _matches, error in results if error is not None]
+    assert any("integer overflow" in e for e in raised) and any("ordered comparison on non-integers" in e for e in raised)
+
+
+def test_generated_source_holds_only_constants_and_prefixed_names(monkeypatch):
+    """The compiled source of every plan of the edge-case sheet names only
+    Python keywords, the engine's helpers and locals with a one-letter
+    prefix and a number; each string or number in it is a constant of its
+    rule (a principal, predicate, term, variable name or operator)."""
+    import ast
+    import io
+    import keyword
+    import re
+    import tokenize
+
+    import cyberlog.engine as engine
+    from cyberlog.lang import ArithExpr, BuiltinAtom, ComparisonAtom
+
+    sources = []
+    monkeypatch.setattr(engine, "compile", lambda text, *a: sources.append(text) or compile(text, *a), raising=False)
+    engine._sheet_plans.__wrapped__(EDGE_SHEET)
+    assert len(sources) == 23  # a plan per delta position, one head-bound per standard rule, one per next-rule
+
+    def constants(node):
+        if isinstance(node, Variable):
+            yield node.name
+        elif isinstance(node, ArithExpr):
+            yield node.op
+            yield from (c for side in (node.left, node.right) for c in constants(side))
+        elif isinstance(node, ComparisonAtom):
+            yield node.op
+            yield from (c for side in (node.left, node.right) for c in constants(side))
+        elif isinstance(node, BuiltinAtom):
+            yield node.name
+            yield from (c for arg in node.args for c in constants(arg))
+        elif hasattr(node, "predicate"):
+            yield from (node.principal, node.predicate)
+            yield from (c for arg in node.args for c in constants(arg))
+        else:
+            yield node.value
+
+    known = {c for rule in EDGE_SHEET.rules for atom in (rule.head, *rule.body) for c in constants(atom)}
+    helpers = {
+        "_make", "match", "rule", "cands", "claims", "sink", "h", "exc", "GroundAtom", "Claim", "DerivedByRule",
+        "CarriedByNextRule", "EvaluationError", "_arith", "_get_param", "_not_integers", "_with_bindings",
+        "_in_rule", "int", "str", "isinstance", "len", "args",
+    }
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert keyword.iskeyword(tok.string) or tok.string in helpers or re.fullmatch(r"[atvxlr]\d+", tok.string), tok
+            elif tok.type in (tokenize.STRING, tokenize.NUMBER):
+                assert ast.literal_eval(tok.string) in known, tok

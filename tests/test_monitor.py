@@ -164,6 +164,21 @@ def test_retention_carries_across_commits(sb, dom):
     assert isinstance(carried[0].evidence, CarriedByNextRule)
 
 
+def test_a_carry_over_keeps_the_stored_atom_object(sb):
+    """A commit carries each stored atom on its stored object, whose
+    canonical text the commit that logged it computed and kept, so the
+    next commit's sort computes none of them again."""
+    from cyberlog.engine import CarriedByNextRule
+
+    sb.ingest_event(post("/servicerequest", '{"request_id":7}', 5))
+    sb.ingest_event(post("/servicerequest", '{"request_id":8}', 6))
+    stored = {atom: atom for atom in sb.kb.claims}
+    sb.commit()
+    carried = [c for c in sb.kb.claims.values() if isinstance(c.evidence, CarriedByNextRule)]
+    assert len(carried) == 2
+    assert all(c.atom is stored[c.atom] and "_text" in vars(c.atom) for c in carried)
+
+
 def test_unchanged_commit_logs_nothing(sb, db_client):
     """A commit whose snapshot is its base revision's logs nothing and
     returns the base; only the first counts as logged."""
@@ -251,16 +266,18 @@ def test_metrics_count_every_concurrent_ingest(sb):
 
 
 def test_ingest_cost_flat_in_kb_size(identities, trust_store, db_client, monkeypatch):
+    """An ingest evaluates as many builtins, at the compiled matcher's
+    builtin hook (`engine._get_param`), over 300 events as over 10."""
     import cyberlog.engine as engine
 
-    original = engine.eval_builtin
+    original = engine._get_param
     calls = []
     counts = []
     for size in (10, 300):
         mon = make_monitor(identities, trust_store, db_client, "SB", SB_SHEET)
         for i in range(size):
             mon.ingest_event(post("/servicerequest", f'{{"request_id":{i}}}', i))
-        monkeypatch.setattr(engine, "eval_builtin", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(engine, "_get_param", lambda *args: calls.append(args) or original(*args))
         calls.clear()
         mon.ingest_event(post("/servicerequest", '{"request_id":-1}', size))
         monkeypatch.undo()
