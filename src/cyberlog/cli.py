@@ -17,11 +17,11 @@ import sys
 from .audit import Auditor, render_audit_tree, verify_log_consistency
 from .claimdb import ClaimDb, HttpLogClient, make_db_server
 from .claimlog import MerkleLog
-from .engine import GroundAtom, resolve_term
+from .engine import GroundAtom
 from .errors import ConfigError, CyberlogError, ParseError
 from .harness import load_scenario, run_scenario, scenario_identities
 from .identity import TrustStore, generate_identity
-from .lang import format_rulesheet, parse_query, parse_rulesheet
+from .lang import Variable, format_rulesheet, parse_query, parse_rulesheet
 from .monitor import HttpMonitorClient, Monitor, MonitorService
 from .revision import LogReader
 
@@ -218,13 +218,9 @@ def cmd_audit(args) -> int:
 
 def _ground_atom_from_text(text: str, owner: str) -> GroundAtom:
     pattern = parse_query(text, owner)
-    args = []
-    for term in pattern.args:
-        value = resolve_term(term, {})
-        if value is None:
-            raise ConfigError(f"audit needs a fully ground atom (no variables): {text!r}")
-        args.append(value)
-    return GroundAtom(pattern.principal, pattern.predicate, tuple(args))
+    if any(isinstance(term, Variable) for term in pattern.args):
+        raise ConfigError(f"audit needs a fully ground atom (no variables): {text!r}")
+    return GroundAtom(pattern.principal, pattern.predicate, tuple(term.value for term in pattern.args))
 
 
 def cmd_verify_log(args) -> int:

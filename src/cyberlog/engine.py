@@ -28,7 +28,6 @@ from .lang import (
     Rule,
     RuleKind,
     Rulesheet,
-    StringConstant,
     Variable,
     format_rule,
 )
@@ -132,23 +131,30 @@ class RuleInstance:
 
     @functools.cached_property
     def _evaluated(self) -> tuple[GroundAtom, tuple[GroundAtom, ...]]:
-        """The head atom and the premises of the instance, once its builtins
-        and comparisons hold; raises EvidenceError. Kept on the evidence
-        rather than on the claim: a value cached on an object gives it an
-        instance dict, which slows every read of its attributes, and
+        """The head atom and the premises of the instance, once its rule's
+        plan (`_instance_plan`), run over exactly its premises, derives it
+        under exactly its substitution; raises EvidenceError. Kept on the
+        evidence rather than on the claim: a value cached on an object gives
+        it an instance dict, which slows every read of its attributes, and
         saturation reads claims' atoms in every join."""
+        rule = self.rule
         try:
-            head = instantiate_head(self.rule.head, self.substitution)
+            head = instantiate_head(rule.head, self.substitution)
             premises = self.premises
-            for atom in self.rule.body:
-                if isinstance(atom, BuiltinAtom):
-                    if not eval_builtin(atom.name, atom.args, self.substitution):
-                        raise EvidenceError(f"builtin {atom.name} does not hold under the stored substitution")
-                elif isinstance(atom, ComparisonAtom) and not _eval_comparison(atom, self.substitution):
-                    raise EvidenceError(f"comparison {atom.op} does not hold under the stored substitution")
+            plan, built = _instance_plan(rule), {}
+            plan.match(lambda j, _value: (premises[plan.steps[j][2]],), {}, built)
         except EvaluationError as exc:
             raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
-        return head, premises
+        claim = next(iter(built.values()), None)  # one premise per relational atom: at most one match
+        if claim is not None and claim.evidence.substitution == self.substitution:
+            return head, premises
+        text = format_rule(rule, oneline=True)
+        if claim is None:
+            raise EvidenceError(f"rule instance does not hold under the stored substitution in rule: {text}")
+        raise EvidenceError(
+            f"stored substitution {dict(self.substitution)} is not {claim.evidence.substitution}, "
+            f"which the rule builds over the premises, in rule: {text}"
+        )
 
 
 @dataclass(frozen=True)
@@ -189,23 +195,6 @@ class Claim:
 # Term and body evaluation
 
 
-def resolve_term(term, subst: Substitution) -> GroundTerm | None:
-    """Ground value of a term under subst, or None if any variable is unbound."""
-    if isinstance(term, Variable):
-        return subst.get(term.name)
-    if isinstance(term, IntConstant):
-        return term.value
-    if isinstance(term, StringConstant):
-        return term.value
-    if isinstance(term, ArithExpr):
-        left = resolve_term(term.left, subst)
-        right = resolve_term(term.right, subst)
-        if left is None or right is None:
-            return None
-        return _arith(term.op, left, right)
-    raise TypeError(term)
-
-
 def _arith(op: str, left: GroundTerm, right: GroundTerm) -> int:
     """`left op right` for integer operands in the 64-bit range; raises
     EvaluationError otherwise."""
@@ -232,96 +221,47 @@ def _unify_args(pattern: Sequence, ground: Sequence[GroundTerm], subst: Substitu
                 out[p.name] = g
             elif bound != g:
                 return None
-        else:
-            if resolve_term(p, out) != g:
-                return None
+        elif p.value != g:
+            return None
     return out
 
 
-def _json_lookup(data: str, path: str):
-    try:
-        value = json.loads(data)
-    except ValueError:
-        return None, False
-    for key in path.split("."):
-        if not isinstance(value, dict) or key not in value:
-            return None, False
-        value = value[key]
-    return value, True
+def _parse_data(data: GroundTerm):
+    """The JSON value of the text `data`, or None when `data` is not JSON
+    text: no dotted path is found in it."""
+    if isinstance(data, str):
+        try:
+            return json.loads(data)
+        except ValueError:
+            pass
+    return None
 
 
 # registered builtins and the type of the value each reads
 _PARAM_TYPES: dict[str, type] = {"get_param_int": int, "get_param_str": str}
 
 
-def _get_param(want: type, data: GroundTerm, path: GroundTerm) -> GroundTerm | None:
-    """The value of type `want` at the dotted `path` in the JSON text
-    `data`, or None when there is none: a builtin that misses yields no
-    match rather than an error."""
-    if not isinstance(data, str) or not isinstance(path, str):
+def _get_param(want: type, value, path: GroundTerm) -> GroundTerm | None:
+    """The value of type `want` at the dotted `path` in the JSON value
+    `value` (`_parse_data`), or None when there is none: a builtin that
+    misses yields no match rather than an error."""
+    if not isinstance(path, str):
         return None
-    value, found = _json_lookup(data, path)
-    return value if found and type(value) is want else None
-
-
-def eval_builtin(name: str, args: Sequence, subst: Substitution | None = None) -> list[Substitution]:
-    """Evaluate a registered builtin against partially bound arguments.
-
-    Inputs must be bound (EvaluationError otherwise); failure to produce a
-    value yields no substitutions rather than an error.
-    """
-    subst = subst or {}
-    want = _PARAM_TYPES.get(name)
-    if want is None:
-        raise EvaluationError(f"unknown builtin {name!r}")
-    data = resolve_term(args[0], subst)
-    path = resolve_term(args[1], subst)
-    if data is None or path is None:
-        raise EvaluationError(f"unbound input to builtin {name!r}")
-    value = _get_param(want, data, path)
-    if value is None:
-        return []
-    out = args[2]
-    if isinstance(out, Variable) and out.name not in subst:
-        bound = dict(subst)
-        bound[out.name] = value
-        return [bound]
-    return [subst] if resolve_term(out, subst) == value else []
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            return None
+        value = value[key]
+    return value if type(value) is want else None
 
 
 def _not_integers(left: GroundTerm, op: str, right: GroundTerm):
     raise EvaluationError(f"ordered comparison on non-integers: {left!r} {op} {right!r}")
 
 
-def _eval_comparison(atom: ComparisonAtom, subst: Substitution) -> list[Substitution]:
-    left = resolve_term(atom.left, subst)
-    right = resolve_term(atom.right, subst)
-    if atom.op == "==":
-        if left is None and isinstance(atom.left, Variable) and right is not None:
-            bound = dict(subst)
-            bound[atom.left.name] = right
-            return [bound]
-        if right is None and isinstance(atom.right, Variable) and left is not None:
-            bound = dict(subst)
-            bound[atom.right.name] = left
-            return [bound]
-        if left is None or right is None:
-            raise EvaluationError("'==' with unbound operands")
-        return [subst] if left == right else []
-    if left is None or right is None:
-        raise EvaluationError(f"{atom.op!r} with unbound operands")
-    if atom.op == "!=":
-        return [subst] if left != right else []
-    if not isinstance(left, int) or not isinstance(right, int):
-        _not_integers(left, atom.op, right)
-    ok = {"<": left < right, ">": left > right, "<=": left <= right, ">=": left >= right}[atom.op]
-    return [subst] if ok else []
-
-
 def instantiate_head(head: RelationalAtom, subst: Substitution, unbound="unbound head variable in {}") -> GroundAtom:
     args = []
     for term in head.args:
-        value = resolve_term(term, subst)
+        value = subst.get(term.name) if isinstance(term, Variable) else term.value
         if value is None:
             raise EvaluationError(unbound.format(head.predicate))
         args.append(value)
@@ -344,13 +284,13 @@ def check_evidence(claim: Claim) -> tuple[GroundAtom, ...]:
     EvidenceError.
 
     A rule instance (derived or carried) must reproduce the claim's atom,
-    its builtins and comparisons must hold, and its premise atoms, the
-    rule's relational body atoms in body order (`RuleInstance.premises`),
-    must ground; any other evidence must be of a known type, and has no
-    premise. A rule instance is evaluated once per evidence object, so
-    once per claim object, which keeps the head and premise atoms it
-    yields: a later check of that claim compares the kept head with its
-    atom and evaluates nothing.
+    its premise atoms, the rule's relational body atoms in body order
+    (`RuleInstance.premises`), must ground, and its rule's plan over those
+    premises must derive it under exactly its substitution; any other
+    evidence must be of a known type, and has no premise. A rule instance
+    is evaluated once per evidence object, so once per claim object, which
+    keeps the head and premise atoms it yields: a later check of that claim
+    compares the kept head with its atom and evaluates nothing.
 
     Signatures, inclusion proofs and premises are checked where a claim
     enters the program: a commit signs the revision that holds its events,
@@ -481,6 +421,8 @@ def _plan_source(
     join plan (`JoinPlan.match`): nested loops over the candidates of the
     relational atoms in plan order, with each variable in a local, `v` and
     its binding order, and each builtin and comparison evaluated in place.
+    A data term that builtins read is parsed once per match, at the first
+    of them, into a local `d`.
     Only integer and string constants enter the source, as `repr` text;
     the rule enters through `_make`'s argument.
 
@@ -489,6 +431,7 @@ def _plan_source(
     plan binds no fewer variables before an atom than body order does.
     A rule that breaks this raises ValueError."""
     slots = {name: f"v{n}" for n, name in enumerate(known)}  # variable -> local, in binding order
+    parsed: dict[str, str] = {}  # data term's source -> local of its JSON value
     lines: list[str] = []
     depth = 3
 
@@ -544,7 +487,11 @@ def _plan_source(
                 guarded(f"raise EvaluationError({_literal(f'unknown builtin {atom.name!r}')})")
                 break  # it raises at every match that reaches it
             data, path, out = atom.args
-            call = f"x{k} = _get_param({want.__name__}, {term(data)}, {term(path)})"
+            source = term(data)
+            if source not in parsed:
+                parsed[source] = f"d{len(parsed)}"
+                (guarded if isinstance(data, ArithExpr) else emit)(f"{parsed[source]} = _parse_data({source})")
+            call = f"x{k} = _get_param({want.__name__}, {parsed[source]}, {term(path)})"
             if isinstance(out, Variable) and out.name not in slots:
                 guarded(call)
                 emit(f"if x{k} is not None:")
@@ -614,6 +561,13 @@ def _with_bindings(exc: EvaluationError, subst: Substitution) -> EvaluationError
 
 def _in_rule(exc: EvaluationError, rule: Rule) -> EvaluationError:
     return EvaluationError(f"{exc} in rule: {format_rule(rule, oneline=True)}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _instance_plan(rule: Rule) -> JoinPlan:
+    """The plan a rule instance is checked with (`RuleInstance._evaluated`):
+    the body in its order, with no probe."""
+    return _compile(rule, indexed=_NO_INDEX)
 
 
 class _SheetPlans(NamedTuple):

@@ -1,13 +1,14 @@
 """Independent naive Datalog oracle: repeat every rule until nothing changes.
 
 Deliberately unshared with the engine: plain backtracking joins over the full
-atom set, no deltas, no indexes, no evidence. Used as the ground truth for
-saturation and next-rule carry-over equivalence tests. `derivation_faults`
-checks a knowledge base's stored evidence, with the engine's own
-rule-instance checks. `match_rule_body` is the interpreter the engine's
-compiled join plans replaced, kept as the reference for their match order
-and for where and with what message they raise: it evaluates each term,
-builtin and comparison with the engine's own functions.
+atom set, no deltas, no indexes, no evidence, and an evaluator of its own
+for every term, builtin and comparison, with the engine's refusals and
+messages. Used as the ground truth for saturation and next-rule carry-over
+equivalence tests. `derivation_faults` checks a knowledge base's stored
+evidence, with the engine's own rule-instance checks. `match_rule_body` is
+the interpreter the engine's compiled join plans replaced, kept as the
+reference for their match order and for where and with what message they
+raise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import random
 
-from cyberlog import engine
 from cyberlog.engine import DerivedByRule, canonical_atom, check_evidence
 from cyberlog.errors import EvaluationError, EvidenceError
 from cyberlog.lang import (
@@ -36,22 +36,24 @@ Atom = tuple[str, str, tuple]  # (principal, predicate, args)
 
 
 def _resolve(term, env):
+    """The value of a term under env, or None if a variable is unbound;
+    raises EvaluationError for arithmetic on non-integers or out of the
+    64-bit range."""
     if isinstance(term, Variable):
         return env.get(term.name)
-    if isinstance(term, IntConstant):
-        return term.value
-    if isinstance(term, StringConstant):
+    if isinstance(term, (IntConstant, StringConstant)):
         return term.value
     if isinstance(term, ArithExpr):
         left = _resolve(term.left, env)
         right = _resolve(term.right, env)
         if left is None or right is None:
             return None
-        if term.op == "+":
-            return left + right
-        if term.op == "-":
-            return left - right
-        return left * right
+        if not isinstance(left, int) or not isinstance(right, int):
+            raise EvaluationError(f"arithmetic on non-integer values: {left!r} {term.op} {right!r}")
+        value = {"+": left + right, "-": left - right, "*": left * right}[term.op]
+        if not -(2**63) <= value < 2**63:
+            raise EvaluationError(f"integer overflow: {left} {term.op} {right}")
+        return value
     raise TypeError(term)
 
 
@@ -72,86 +74,63 @@ def _match_args(pattern_args, ground_args, env):
     return env
 
 
-def _solutions(body, atoms, env):
-    if not body:
-        yield env
-        return
-    first, rest = body[0], body[1:]
-    if isinstance(first, RelationalAtom):
-        for principal, predicate, args in atoms:
-            if principal != first.principal or predicate != first.predicate:
-                continue
-            new_env = _match_args(first.args, args, env)
-            if new_env is not None:
-                yield from _solutions(rest, atoms, new_env)
-    elif isinstance(first, BuiltinAtom):
-        for new_env in _eval_builtin(first, env):
-            yield from _solutions(rest, atoms, new_env)
-    elif isinstance(first, ComparisonAtom):
-        for new_env in _eval_comparison(first, env):
-            yield from _solutions(rest, atoms, new_env)
-    else:
-        raise TypeError(first)
-
-
 def _eval_builtin(atom, env):
+    """The extensions of env under which a builtin holds; raises
+    EvaluationError for an unknown builtin or an unbound input."""
+    want = {"get_param_int": int, "get_param_str": str}.get(atom.name)
+    if want is None:
+        raise EvaluationError(f"unknown builtin {atom.name!r}")
     data = _resolve(atom.args[0], env)
     path = _resolve(atom.args[1], env)
+    if data is None or path is None:
+        raise EvaluationError(f"unbound input to builtin {atom.name!r}")
     try:
         value = json.loads(data)
     except (ValueError, TypeError):
-        return
+        return []
+    if not isinstance(path, str):
+        return []
     for key in path.split("."):
         if not isinstance(value, dict) or key not in value:
-            return
+            return []
         value = value[key]
-    want = int if atom.name == "get_param_int" else str
     if type(value) is not want:
-        return
+        return []
     out = atom.args[2]
     if isinstance(out, Variable) and out.name not in env:
-        new_env = dict(env)
-        new_env[out.name] = value
-        yield new_env
-    elif _resolve(out, env) == value:
-        yield env
+        return [{**env, out.name: value}]
+    return [env] if _resolve(out, env) == value else []
 
 
 def _eval_comparison(atom, env):
+    """The extensions of env under which a comparison holds: an `==` with
+    one unbound bare variable binds it. Raises EvaluationError for other
+    unbound operands and an ordered comparison on non-integers."""
     left = _resolve(atom.left, env)
     right = _resolve(atom.right, env)
     if atom.op == "==":
-        if left is None and isinstance(atom.left, Variable):
-            new_env = dict(env)
-            new_env[atom.left.name] = right
-            yield new_env
-            return
-        if right is None and isinstance(atom.right, Variable):
-            new_env = dict(env)
-            new_env[atom.right.name] = left
-            yield new_env
-            return
-        if left == right:
-            yield env
-        return
-    if atom.op == "!=":
-        if left != right:
-            yield env
-        return
+        if left is None and isinstance(atom.left, Variable) and right is not None:
+            return [{**env, atom.left.name: right}]
+        if right is None and isinstance(atom.right, Variable) and left is not None:
+            return [{**env, atom.right.name: left}]
+    if left is None or right is None:
+        raise EvaluationError(f"{atom.op!r} with unbound operands")
+    if atom.op in ("==", "!="):
+        return [env] if (left == right) == (atom.op == "==") else []
     if not isinstance(left, int) or not isinstance(right, int):
-        return
+        raise EvaluationError(f"ordered comparison on non-integers: {left!r} {atom.op} {right!r}")
     ok = {"<": left < right, ">": left > right, "<=": left <= right, ">=": left >= right}[atom.op]
-    if ok:
-        yield env
+    return [env] if ok else []
 
 
 def match_rule_body(body, candidates, subst=None):
     """All substitutions satisfying the body left to right.
 
-    `candidates(j, atom, subst)` supplies the ground atoms to try at the
-    j-th relational atom of `body`, given the partial substitution that
-    reaches it; builtins and comparisons evaluate in place, and an
-    EvaluationError names the partial substitution, in binding order."""
+    `candidates(j, atom, subst)` supplies the argument tuples of the ground
+    atoms to try at the j-th relational atom of `body`, given the partial
+    substitution that reaches it; builtins and comparisons evaluate in
+    place, and an EvaluationError names the partial substitution, in
+    binding order."""
 
     def walk(i, rel_i, subst):
         if i == len(body):
@@ -159,22 +138,46 @@ def match_rule_body(body, candidates, subst=None):
             return
         atom = body[i]
         if isinstance(atom, RelationalAtom):
-            for candidate in candidates(rel_i, atom, subst):
-                bound = engine._unify_args(atom.args, candidate.args, subst)
+            for args in candidates(rel_i, atom, subst):
+                bound = _match_args(atom.args, args, subst)
                 if bound is not None:
                     yield from walk(i + 1, rel_i + 1, bound)
             return
         try:
-            if isinstance(atom, BuiltinAtom):
-                results = engine.eval_builtin(atom.name, atom.args, subst)
-            else:
-                results = engine._eval_comparison(atom, subst)
+            results = (_eval_builtin if isinstance(atom, BuiltinAtom) else _eval_comparison)(atom, subst)
         except EvaluationError as exc:
             raise EvaluationError(f"{exc} [bindings: {subst}]") from exc
         for bound in results:
             yield from walk(i + 1, rel_i, bound)
 
     yield from walk(0, 0, subst or {})
+
+
+def _solutions(body, atoms, env):
+    """The substitutions satisfying the body over the atoms, every atom of a
+    predicate tried at each of its relational atoms."""
+
+    def candidates(_j, atom, _subst):
+        return [args for principal, predicate, args in atoms if (principal, predicate) == (atom.principal, atom.predicate)]
+
+    return match_rule_body(body, candidates, env)
+
+
+def rule_instance_holds(rule, subst, atom) -> bool:
+    """Whether `rule` under `subst` is evidence of `atom`: its head and its
+    relational body atoms ground under `subst`, and evaluating its body,
+    each relational atom over its own premise only, yields `atom`'s head
+    and exactly `subst`."""
+    head = tuple(_resolve(arg, subst) for arg in rule.head.args)
+    premises = [tuple(_resolve(arg, subst) for arg in a.args) for a in rule.body if isinstance(a, RelationalAtom)]
+    if None in head or any(None in premise for premise in premises):
+        return False
+    if (rule.head.principal, rule.head.predicate, head) != (atom.principal, atom.predicate, atom.args):
+        return False
+    try:
+        return any(env == subst for env in match_rule_body(rule.body, lambda j, _atom, _subst: [premises[j]]))
+    except EvaluationError:
+        return False
 
 
 def naive_saturate(base_atoms, rules) -> set[Atom]:
@@ -186,7 +189,7 @@ def naive_saturate(base_atoms, rules) -> set[Atom]:
         changed = False
         snapshot = list(atoms)
         for rule in std:
-            for env in _solutions(list(rule.body), snapshot, {}):
+            for env in _solutions(rule.body, snapshot, {}):
                 head = (
                     rule.head.principal,
                     rule.head.predicate,
@@ -205,7 +208,7 @@ def naive_carry(atoms, rules) -> set[Atom]:
         (rule.head.principal, rule.head.predicate, tuple(_resolve(a, env) for a in rule.head.args))
         for rule in rules
         if rule.kind is RuleKind.NEXT
-        for env in _solutions(list(rule.body), snapshot, {})
+        for env in _solutions(rule.body, snapshot, {})
     }
 
 

@@ -17,8 +17,8 @@ from cyberlog.claimlog import (
     verify_inclusion,
     verify_tree_head,
 )
-from cyberlog.engine import Claim, DirectAssertion, GroundAtom
-from cyberlog.errors import LogIntegrityError, NotFoundError, SubmitError
+from cyberlog.engine import Claim, DerivedByRule, DirectAssertion, GroundAtom, canonical_atom
+from cyberlog.errors import LogIntegrityError, NotFoundError, SubmitError, UnsupportedClaimError
 from cyberlog.lang import parse_rulesheet
 from cyberlog.revision import (
     REVISION_PAYLOAD_HEAD,
@@ -76,17 +76,20 @@ WATCHER_SHEET = "'DOM': Subject: 's' Issuer: 'i'\n" + SB_SHEET
 def assert_readers_refuse(db, identities, payload, reason, watcher=None):
     """SB's revision `payload`, which `db` logged and serves as SB's head,
     is refused by every reader with a LogIntegrityError naming `reason`:
-    `fetch_verified_revision` raises, a monitor watching SB (`watcher`, or a
-    fresh one) warns on its poll and keeps its KB as it was, and a fresh
-    `Auditor` fails SB's head. The claim database admits a revision on its
-    header, so a claim-level defect is refused here, by the readers."""
+    a fresh `LogReader`'s fetch (`fetch_verified_revision`, then the checks
+    of the claims' evidence and premises) raises, a monitor watching SB
+    (`watcher`, or a fresh one) warns on its poll and keeps its KB as it
+    was, and a fresh `Auditor` fails SB's head: it raises, or, for a claim
+    the reader refuses (UnsupportedClaimError), shows that claim alone as a
+    failing node. The claim database admits a revision on its header, so a
+    claim-level defect is refused here, by the readers."""
     from cyberlog.audit import Auditor
     from cyberlog.monitor import Monitor
 
     rev_id = payload_id(payload)
     assert db.get_revision(rev_id)["payload"] == payload and db.get_head("SB")["revision_id"] == rev_id
-    with pytest.raises(LogIntegrityError, match=re.escape(reason)):
-        fetch_verified_revision(reader(db, identities), rev_id)
+    with pytest.raises(LogIntegrityError, match=re.escape(reason)) as refusal:
+        reader(db, identities).revision(rev_id)
     trust_store, operator_key = db.trust_store, identities[OPERATOR].public_key
     if watcher is None:
         sheet = parse_rulesheet(WATCHER_SHEET, "DOM")
@@ -102,8 +105,38 @@ def assert_readers_refuse(db, identities, payload, reason, watcher=None):
     [message] = [warning.getMessage() for warning in warnings]
     assert "poll of SB refused" in message and reason in message
     assert dict(watcher.kb.claims) == kb
+    if isinstance(refusal.value, UnsupportedClaimError):
+        [node] = Auditor(db, trust_store, operator_key).audit_head("SB")
+        assert node.atom == canonical_atom(refusal.value.claim.atom) and not node.ok and reason in node.detail
+        return
     with pytest.raises(LogIntegrityError, match=re.escape(reason)):
         Auditor(db, trust_store, operator_key).audit_head("SB")
+
+
+# a builtin's output and an `==` bind a variable that no head or premise names
+BODY_BOUND_SHEET = SB_SHEET + "seen(X) :- p(X, D), get_param_int(D, 'a', N).\nsucc(X) :- p(X, D), Y == X + 1.\n"
+
+
+@pytest.mark.parametrize("head, built", [("seen", {"N": 1}), ("succ", {"Y": 8})])
+def test_rule_instance_leaving_out_a_body_bound_variable_refused(db, identities, head, built):
+    """A derived claim whose substitution leaves out a variable that a
+    builtin's output or an `==` binds, which the KB always writes, has a
+    wire form; every reader refuses it, since its rule's plan over its
+    premises builds another substitution."""
+    from cyberlog.wire import claim_from_obj, claim_to_obj
+
+    rs = parse_rulesheet(BODY_BOUND_SHEET, "SB")
+    publish_rulesheet(db, rs)
+    [rule] = [rule for rule in rs.rules if rule.head.predicate == head]
+    data = '{"a": 1}'
+    claim = Claim(GroundAtom("SB", head, (7,)), DerivedByRule(rule, {"X": 7, "D": data}))
+    assert claim_from_obj(claim_to_obj(claim, rs), rs) == claim
+    premise = Claim(GroundAtom("SB", "p", (7, data)), DirectAssertion())
+    record, body = build_record("SB", None, (), rs, [premise, claim], 1)
+    payload = encode_payload(body, sign_record(record, identities["SB"]))
+    db.submit_revision(payload)
+    full = dict(sorted({"D": data, "X": 7, **built}.items()))
+    assert_readers_refuse(db, identities, payload, f"is not {full}, which the rule builds over the premises")
 
 
 def test_first_submission_receipt_verifies(db, db_client, identities):

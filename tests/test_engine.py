@@ -14,11 +14,10 @@ from cyberlog.engine import (
     KnowledgeBase,
     canonical_atom,
     check_evidence,
-    eval_builtin,
     parse_canonical_atom,
 )
 from cyberlog.errors import EvaluationError, EvidenceError
-from cyberlog.lang import Rulesheet, StringConstant, Variable, parse_query, parse_rulesheet
+from cyberlog.lang import Rulesheet, Variable, parse_query, parse_rulesheet
 
 from conftest import at_fixpoint, claims_from_atoms
 from naive_oracle import derivation_faults, naive_carry, naive_saturate, random_builtin_program, random_program
@@ -228,27 +227,56 @@ def test_saturate_idempotent_and_monotone():
 # --- builtins ---------------------------------------------------------------
 
 
+def _param(name, data, path):
+    """What builtin `name` reads at `path` of the JSON text `data`, as a
+    compiled plan evaluates it (`engine._parse_data`, `engine._get_param`)."""
+    from cyberlog.engine import _PARAM_TYPES, _get_param, _parse_data
+
+    return _get_param(_PARAM_TYPES[name], _parse_data(data), path)
+
+
 def test_get_param_int_binds():
-    out = eval_builtin("get_param_int", (StringConstant('{"request_id": 7}'), StringConstant("request_id"), Variable("X")))
-    assert out == [{"X": 7}]
+    assert _param("get_param_int", '{"request_id": 7}', "request_id") == 7
 
 
 def test_get_param_int_dotted_path():
-    out = eval_builtin("get_param_int", (StringConstant('{"a":{"b":2}}'), StringConstant("a.b"), Variable("X")))
-    assert out == [{"X": 2}]
+    assert _param("get_param_int", '{"a":{"b":2}}', "a.b") == 2
 
 
 def test_get_param_fails_silently():
-    assert eval_builtin("get_param_int", (StringConstant("not json"), StringConstant("k"), Variable("X"))) == []
-    assert eval_builtin("get_param_int", (StringConstant('{"k": "str"}'), StringConstant("k"), Variable("X"))) == []
-    assert eval_builtin("get_param_int", (StringConstant('{"k": true}'), StringConstant("k"), Variable("X"))) == []
-    assert eval_builtin("get_param_str", (StringConstant('{"k": 5}'), StringConstant("k"), Variable("X"))) == []
+    assert _param("get_param_int", "not json", "k") is None
+    assert _param("get_param_int", '{"k": "str"}', "k") is None
+    assert _param("get_param_int", '{"k": true}', "k") is None
+    assert _param("get_param_str", '{"k": 5}', "k") is None
+    assert _param("get_param_int", 5, "k") is None  # data that is not text
+    assert _param("get_param_int", '{"a": 1}', "a.b") is None  # a path through a non-object
 
 
 def test_get_param_test_mode():
-    args = (StringConstant('{"k": 5}'), StringConstant("k"), Variable("X"))
-    assert eval_builtin("get_param_int", args, {"X": 5}) == [{"X": 5}]
-    assert eval_builtin("get_param_int", args, {"X": 6}) == []
+    """A builtin whose output is bound holds only where it reads that value."""
+    rs = parse_rulesheet(IDS + "ok(X) :- e(D, X), get_param_int(D, 'k', X).", "SB")
+    kb = kb_with(rs, [GroundAtom("SB", "e", ('{"k": 5}', 5)), GroundAtom("SB", "e", ('{"k": 5}', 6))])
+    kb.saturate()
+    assert [atom for atom in kb.claims if atom.predicate == "ok"] == [GroundAtom("SB", "ok", (5,))]
+
+
+def test_a_match_parses_its_event_body_once(monkeypatch):
+    """OM's `tasks_done` and `ready_to_fly` read two parameters of one
+    event's `Data`: a match parses that body once, and a body that is not
+    JSON matches nothing."""
+    import json
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "rules", "om.cyberlog")) as fh:
+        rs = parse_rulesheet(fh.read(), "OM")
+    bodies = [json.dumps({"request_id": n, "aircraft_id": 10 + n}) for n in range(3)] + ["not json {"]
+    events = [GroundAtom("OM", "postRequest", (path, n, body)) for n, body in enumerate(bodies) for path in ("/tasksdone", "/readytofly")]
+    kb = kb_with(rs, events)
+    loads, parsed = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda text, *args, **kwargs: parsed.append(text) or loads(text, *args, **kwargs))
+    kb.saturate()
+    assert sorted(parsed) == sorted(bodies * 2)  # one parse per event, each matched by one rule
+    assert sorted(a.args for a in kb.claims if a.predicate == "tasks_done") == [(n, 10 + n) for n in range(3)]
+    assert len([a for a in kb.claims if a.predicate == "ready_to_fly"]) == 3
 
 
 # --- query ------------------------------------------------------------------
@@ -1138,9 +1166,9 @@ def _reference_matches(plan, pool, k, delta, head):
 
     def candidates(j, atom, _subst):
         if rel[j] == k:
-            return delta
+            return [a.args for a in delta]
         atoms = [a for a in pool if (a.principal, a.predicate) == (atom.principal, atom.predicate)]
-        return atoms if k is None or rel[j] > k else [a for a in atoms if a not in delta]
+        return [a.args for a in atoms if k is None or rel[j] > k or a not in delta]
 
     out = []
     try:
@@ -1203,6 +1231,45 @@ def test_compiled_plans_match_the_interpreter_on_random_programs():
         rules = rs.rules + tuple(dataclasses.replace(rule, kind=RuleKind.NEXT) for rule in rs.rules)
         facts |= {(rs.self_id, rule.head.predicate, (0,)) for rule in rs.rules}  # a few heads to re-derive
         _draw_plans_check(Rulesheet(rs.self_id, rs.identities, rules), facts, data)
+
+    check()
+
+
+def test_rule_instance_check_agrees_with_the_oracle():
+    """Over random programs, each rule also made a next-rule, `check_evidence`
+    accepts a rule instance the KB derives or carries, or one with an entry
+    of its substitution dropped or changed, exactly when the oracle's own
+    evaluation of its rule over its premises yields its atom and its whole
+    substitution (`naive_oracle.rule_instance_holds`)."""
+    import dataclasses
+
+    from hypothesis import given, settings, strategies as st
+
+    from cyberlog.lang import RuleKind
+    from naive_oracle import rule_instance_holds
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2000), st.booleans())
+    def check(seed, builtins):
+        rs, facts = (random_builtin_program if builtins else random_program)(seed)
+        rules = rs.rules + tuple(dataclasses.replace(rule, kind=RuleKind.NEXT) for rule in rs.rules)
+        kb = KnowledgeBase(Rulesheet(rs.self_id, rs.identities, rules))
+        kb.revise((), claims_from_atoms(GroundAtom(*fact) for fact in facts))
+        instances = [c for c in kb.claims.values() if isinstance(c.evidence, DerivedByRule)] + kb.carry(())
+        for claim in instances:
+            ev, variants = claim.evidence, [dict(claim.evidence.substitution)]
+            for name, value in ev.substitution.items():
+                variants.append({n: v for n, v in ev.substitution.items() if n != name})
+                for other in {value + 1 if isinstance(value, int) else value + "x", 0, "a"} - {value}:
+                    variants.append({**ev.substitution, name: other})
+            for subst in variants:
+                try:
+                    check_evidence(Claim(claim.atom, type(ev)(ev.rule, subst)))
+                    accepted = True
+                except EvidenceError:
+                    accepted = False
+                assert accepted is rule_instance_holds(ev.rule, subst, claim.atom), (ev.rule, subst, claim.atom)
+            assert rule_instance_holds(ev.rule, dict(ev.substitution), claim.atom)
 
     check()
 
@@ -1276,12 +1343,12 @@ def test_generated_source_holds_only_constants_and_prefixed_names(monkeypatch):
     known = {c for rule in EDGE_SHEET.rules for atom in (rule.head, *rule.body) for c in constants(atom)}
     helpers = {
         "_make", "match", "rule", "cands", "claims", "sink", "h", "exc", "GroundAtom", "Claim", "DerivedByRule",
-        "CarriedByNextRule", "EvaluationError", "_arith", "_get_param", "_not_integers", "_with_bindings",
+        "CarriedByNextRule", "EvaluationError", "_arith", "_parse_data", "_get_param", "_not_integers", "_with_bindings",
         "_in_rule", "int", "str", "isinstance", "len", "args",
     }
     for source in sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
-                assert keyword.iskeyword(tok.string) or tok.string in helpers or re.fullmatch(r"[atvxlr]\d+", tok.string), tok
+                assert keyword.iskeyword(tok.string) or tok.string in helpers or re.fullmatch(r"[atvxlrd]\d+", tok.string), tok
             elif tok.type in (tokenize.STRING, tokenize.NUMBER):
                 assert ast.literal_eval(tok.string) in known, tok

@@ -119,7 +119,8 @@ def test_carried_claim_side_condition_audited(db, identities, trust_store, value
     node = auditor.audit_atom("SB", atom)
     assert node.all_ok is holds, render_audit_tree(node)
     if not holds:
-        assert "comparison > does not hold" in node.detail
+        rule = "next 'SB' attests carried(Id) :- 'SB' attests request(Id), Id > 5."
+        assert node.detail == f"rule instance does not hold under the stored substitution in rule: {rule}"
 
 
 def test_direct_assertion_by_unknown_signer_fails_audit(db, identities, trust_store):

@@ -239,8 +239,8 @@ def test_positive_answers_are_auditable():
     """Every answer to the two queries is an atom of its monitor's head
     revision, and a fresh auditor proves it from the log."""
     from cyberlog.audit import Auditor, render_audit_tree
-    from cyberlog.engine import GroundAtom, resolve_term
-    from cyberlog.lang import parse_query
+    from cyberlog.engine import GroundAtom
+    from cyberlog.lang import Variable, parse_query
 
     run = ScenarioRun(load_scenario(scenario_path("uav_booking")))
     run.run()
@@ -251,7 +251,7 @@ def test_positive_answers_are_auditable():
         head, _ = run.reader.revision(run.db.get_head(monitor)["revision_id"])
         assert answers
         for bindings in answers:
-            args = tuple(resolve_term(arg, bindings) for arg in pattern.args)
+            args = tuple(bindings[arg.name] if isinstance(arg, Variable) else arg.value for arg in pattern.args)
             atom = GroundAtom(pattern.principal, pattern.predicate, args)
             assert atom in head.by_atom
             node = auditor.audit_atom(monitor, atom)

@@ -248,3 +248,41 @@ def package_imports(path):
 def test_the_claim_database_imports_no_claim_decoder():
     for name, forbidden in HEADER_ONLY.items():
         assert set(package_imports(PACKAGE / name)) & forbidden == set(), name
+
+
+# the oracle that the compiled plans and the rule-instance check are tested
+# against evaluates every term, builtin and comparison itself: of the engine
+# it takes only what `derivation_faults` needs
+ORACLE = Path(__file__).resolve().parent / "naive_oracle.py"
+ORACLE_ENGINE_NAMES = {"check_evidence", "DerivedByRule", "canonical_atom"}
+
+
+def oracle_engine_imports():
+    tree = ast.parse(ORACLE.read_text(encoding="utf-8"), str(ORACLE))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.startswith("cyberlog.engine"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "cyberlog.engine":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "cyberlog":
+            yield from (f"cyberlog.{alias.name}" for alias in node.names if alias.name == "engine")
+
+
+def test_the_oracle_takes_no_evaluator_of_the_engine():
+    assert set(oracle_engine_imports()) == ORACLE_ENGINE_NAMES
+
+
+# the compiled plans' evaluation helpers: only the engine that compiles
+# them names them
+PLAN_EVALUATORS = {"_get_param", "_arith", "_not_integers"}
+
+
+def modules_naming_a_plan_evaluator():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.name != "engine.py" and any(name in PLAN_EVALUATORS for _kind, name in _referenced_names(tree, ())):
+            yield path.name
+
+
+def test_only_the_engine_names_the_plan_evaluators():
+    assert list(modules_naming_a_plan_evaluator()) == []

@@ -873,14 +873,20 @@ def _log_once(db, identities, claims, supersedes, now):
 
 def _counting_evaluations(monkeypatch):
     """Record the head predicate of each rule instance whose body is grounded
-    (`engine._body_atoms`) and each comparison evaluated."""
+    (`engine._body_atoms`) and of each run of a rule instance's plan
+    (`engine._instance_plan`)."""
     import cyberlog.engine as engine
 
-    grounded, compared = [], []
-    body_atoms, compare = engine._body_atoms, engine._eval_comparison
+    grounded, ran = [], []
+    body_atoms, instance_plan = engine._body_atoms, engine._instance_plan
+
+    def counted_plan(rule):
+        plan = instance_plan(rule)
+        return plan._replace(match=lambda *args: ran.append(rule.head.predicate) or plan.match(*args))
+
     monkeypatch.setattr(engine, "_body_atoms", lambda rule, s: grounded.append(rule.head.predicate) or body_atoms(rule, s))
-    monkeypatch.setattr(engine, "_eval_comparison", lambda atom, s: compared.append(atom.op) or compare(atom, s))
-    return grounded, compared
+    monkeypatch.setattr(engine, "_instance_plan", counted_plan)
+    return grounded, ran
 
 
 def test_a_supersession_evaluates_only_its_changed_rule_instances(db, identities, trust_store, monkeypatch):
@@ -896,15 +902,16 @@ def test_a_supersession_evaluates_only_its_changed_rule_instances(db, identities
     changed = [("request", 7), ("request", 8), ("verdict", 7), ("verdict", 8), ("carried", 6), ("carried", 7)]
     r2 = _log_once(db, identities, changed, r1.id, 2)
     r3 = _log_once(db, identities, [("request", 7), ("verdict", 7), ("carried", 7), ("carried", 8)], r2.id, 3)
-    grounded, compared = _counting_evaluations(monkeypatch)
+    grounded, ran = _counting_evaluations(monkeypatch)
     chain_reader = reader(db, identities)
     counts = []
     for record in (r1, r2, r3):
         chain_reader.revision(record.id)
-        counts.append((sorted(grounded), len(compared)))
+        counts.append((sorted(grounded), sorted(ran)))
         grounded.clear()
-        compared.clear()
-    assert counts == [(["verdict", "verdict"], 0), (["carried", "carried", "verdict"], 2), (["carried"], 1)]
+        ran.clear()
+    evaluated = [["verdict", "verdict"], ["carried", "carried", "verdict"], ["carried"]]
+    assert counts == [(instances, instances) for instances in evaluated]
     accepted = [chain_reader.revision(record.id)[0] for record in (r1, r2, r3)]
     verdict, carried = GroundAtom("SB", "verdict", (7,)), GroundAtom("SB", "carried", (7,))
     assert accepted[2].by_atom[verdict] is accepted[1].by_atom[verdict] is accepted[0].by_atom[verdict]
@@ -912,11 +919,11 @@ def test_a_supersession_evaluates_only_its_changed_rule_instances(db, identities
 
     auditor = Auditor(db, trust_store, identities[OPERATOR].public_key)
     auditor.fetch_revision(r3.id)
-    assert (len(grounded), len(compared)) == (6, 3)
+    assert (len(grounded), len(ran)) == (6, 6)
     grounded.clear()
-    compared.clear()
+    ran.clear()
     nodes = auditor.audit_head("SB")
-    assert (grounded, compared) == ([], [])
+    assert (grounded, ran) == ([], [])
     assert len(nodes) == 4 and all(node.all_ok for node in nodes)
 
 
@@ -933,11 +940,11 @@ def test_a_kept_derivation_whose_premise_was_dropped_is_refused(db, identities, 
     r2 = _log_once(db, identities, [("verdict", 7)], r1.id, 2)
     chain_reader = reader(db, identities)
     kept = chain_reader.revision(r1.id)[0].by_atom[GroundAtom("SB", "verdict", (7,))]
-    grounded, compared = _counting_evaluations(monkeypatch)
+    grounded, ran = _counting_evaluations(monkeypatch)
     refusal = rf"revision {r2.id[:8]} by 'SB' holds an unsupported claim \"SB\"\|verdict\(7\): premise \"SB\"\|request\(7\)"
     with pytest.raises(UnsupportedClaimError, match=refusal) as exc:
         chain_reader.revision(r2.id)
-    assert exc.value.claim is kept and (grounded, compared) == ([], [])
+    assert exc.value.claim is kept and (grounded, ran) == ([], [])
     assert not audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
 
 
@@ -958,11 +965,11 @@ def test_a_kept_carry_over_whose_source_lacks_its_premise_is_refused(db, identit
     r3 = _log_once(db, identities, [("carried", 7)], r2.id, 3)
     chain_reader = reader(db, identities)
     kept = chain_reader.revision(r2.id)[0].by_atom[GroundAtom("SB", "carried", (7,))]
-    grounded, compared = _counting_evaluations(monkeypatch)
+    grounded, ran = _counting_evaluations(monkeypatch)
     refusal = rf"revision {r3.id[:8]} by 'SB' holds an unsupported claim \"SB\"\|carried\(7\): premise \"SB\"\|request\(7\)"
     with pytest.raises(UnsupportedClaimError, match=refusal) as exc:
         chain_reader.revision(r3.id)
-    assert exc.value.claim is kept and (grounded, compared) == ([], [])
+    assert exc.value.claim is kept and (grounded, ran) == ([], [])
     [node] = Auditor(db, trust_store, identities[OPERATOR].public_key).audit_head("SB")
     assert node.atom == canonical_atom(kept.atom) and not node.all_ok
     assert not audit_agrees_with_reader(db, trust_store, identities[OPERATOR].public_key, "SB")
