@@ -132,7 +132,7 @@ class RuleInstance:
     @functools.cached_property
     def _evaluated(self) -> tuple[GroundAtom, tuple[GroundAtom, ...]]:
         """The head atom and the premises of the instance, once its rule's
-        plan (`_instance_plan`), run over exactly its premises, derives it
+        plan (`_body_plan`), run over exactly its premises, derives it
         under exactly its substitution; raises EvidenceError. Kept on the
         evidence rather than on the claim: a value cached on an object gives
         it an instance dict, which slows every read of its attributes, and
@@ -141,7 +141,7 @@ class RuleInstance:
         try:
             head = instantiate_head(rule.head, self.substitution)
             premises = self.premises
-            plan, built = _instance_plan(rule), {}
+            plan, built = _body_plan(rule), {}
             plan.match(lambda j, _value: (premises[plan.steps[j][2]],), {}, built)
         except EvaluationError as exc:
             raise EvidenceError(f"rule instance unevaluable: {exc}") from exc
@@ -204,26 +204,6 @@ def _arith(op: str, left: GroundTerm, right: GroundTerm) -> int:
     if not (INT64_MIN <= value <= INT64_MAX):
         raise EvaluationError(f"integer overflow: {left} {op} {right}")
     return value
-
-
-def _unify_args(pattern: Sequence, ground: Sequence[GroundTerm], subst: Substitution) -> Substitution | None:
-    if len(pattern) != len(ground):
-        return None
-    out = subst
-    copied = False
-    for p, g in zip(pattern, ground):
-        if isinstance(p, Variable):
-            bound = out.get(p.name)
-            if bound is None:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[p.name] = g
-            elif bound != g:
-                return None
-        elif p.value != g:
-            return None
-    return out
 
 
 def _parse_data(data: GroundTerm):
@@ -314,26 +294,18 @@ def check_evidence(claim: Claim) -> tuple[GroundAtom, ...]:
 # ---------------------------------------------------------------------------
 # Join plans, compiled
 
-Probe = tuple[int, str]  # (argument position, variable bound before the atom)
 # one relational atom of a plan: its (principal, predicate), the argument
 # position its candidates are probed on (None: all the predicate's atoms)
 # and its index among the rule's relational body atoms
 Step = tuple[tuple[str, str], int | None, int]
-_NO_INDEX: Mapping[int, dict] = {}
+_NO_INDEX: Mapping[int, dict] = {}  # the argument indexes of a predicate that has none
 
 
-def _join_plan(
-    rule: Rule,
-    delta: int | None,
-    known: Collection[str] = (),
-    indexed: Mapping[tuple[str, str], Collection[int]] | None = None,
-) -> tuple[tuple[BodyAtom, ...], tuple[tuple[int, Probe | None], ...]]:
-    """The body in join order and, for each relational atom in that order,
-    its body-order relational index and its probe: the first argument that
-    is a bare variable bound before the atom (and, with `indexed`, whose
-    position is indexed for the atom's predicate). The variables in
-    `known` are bound before the body. Without a `delta` position the body
-    keeps its order.
+def _join_plan(rule: Rule, delta: int | None, known: Collection[str]) -> tuple[tuple[BodyAtom, ...], tuple[Step, ...]]:
+    """The body in join order and a step for each relational atom in that
+    order, probed on the first argument that is a bare variable bound
+    before the atom. The variables in `known` are bound before the body.
+    Without a `delta` position the body keeps its order.
 
     For a `delta` position, that atom goes first when every body atom
     before it is relational: such atoms cannot raise, and match the same
@@ -342,30 +314,20 @@ def _join_plan(
     variable of an atom is bound once the atom holds."""
     body = rule.body
     rel = [j for j, atom in enumerate(body) if isinstance(atom, RelationalAtom)]
-    if indexed is None:
-        unprobed = len(rel) < 2  # the one relational atom is the delta
-    else:
-        unprobed = all((body[j].principal, body[j].predicate) not in indexed for j in rel)
-    if unprobed:
-        return body, tuple((i, None) for i in range(len(rel)))
     order = list(range(len(body)))
     if delta is not None and rel[delta] == delta:  # only relational atoms before it
         order.insert(0, order.pop(delta))
     known = set(known)
-    steps: list[tuple[int, Probe | None]] = []
+    steps: list[Step] = []
     for j in order:
         atom = body[j]
         if isinstance(atom, RelationalAtom):
             i, probe = rel.index(j), None
             for position, arg in enumerate(atom.args if i != delta else ()):
-                if (
-                    isinstance(arg, Variable)
-                    and arg.name in known
-                    and (indexed is None or position in indexed.get((atom.principal, atom.predicate), ()))
-                ):
-                    probe = (position, arg.name)
+                if isinstance(arg, Variable) and arg.name in known:
+                    probe = position
                     break
-            steps.append((i, probe))
+            steps.append(((atom.principal, atom.predicate), probe, i))
         for term in (atom.left, atom.right) if isinstance(atom, ComparisonAtom) else atom.args:
             if isinstance(term, Variable):
                 known.add(term.name)
@@ -377,8 +339,9 @@ class JoinPlan(NamedTuple):
 
     `match(candidates, claims, sink, *head)` runs the join. At the j-th
     relational atom of `body` it tries each atom of `candidates(j, value)`,
-    where `value` is the bound value of the probe variable of `steps[j]`
-    (None without a probe). For each match whose head atom is in neither
+    where `value` is the value bound to the argument `steps[j]` probes
+    (None without a probe); the candidates need not agree with it, since
+    every argument is tested. For each match whose head atom is in neither
     `claims` nor `sink`, it puts the claim into `sink`, its evidence the
     rule under the rule's variables. A head-bound plan takes the values of
     the head's variables, in head order (`bind_head`), and stops at its
@@ -392,18 +355,14 @@ class JoinPlan(NamedTuple):
     match: Callable
 
 
-def _compile(
-    rule: Rule, delta: int | None = None, head: bool = False, indexed: Mapping[tuple[str, str], Collection[int]] | None = None
-) -> JoinPlan:
+def _compile(rule: Rule, delta: int | None = None, head: bool = False) -> JoinPlan:
     """The join plan of `rule` (`_join_plan`), with its delta position or,
     with `head`, its head's variables bound, compiled into one Python
     function (`_plan_source`)."""
     known = tuple(dict.fromkeys(arg.name for arg in rule.head.args if isinstance(arg, Variable))) if head else ()
-    body, probes = _join_plan(rule, delta, known, indexed)
+    body, steps = _join_plan(rule, delta, known)
     namespace: dict = {}
-    exec(compile(_plan_source(rule, body, probes, known, head), "<join plan>", "exec"), globals(), namespace)
-    rel = [atom for atom in body if isinstance(atom, RelationalAtom)]
-    steps = tuple(((a.principal, a.predicate), None if p is None else p[0], i) for a, (i, p) in zip(rel, probes))
+    exec(compile(_plan_source(rule, body, steps, known, head), "<join plan>", "exec"), globals(), namespace)
     return JoinPlan(rule, body, steps, namespace["_make"](rule))
 
 
@@ -415,7 +374,7 @@ def _literal(value) -> str:
 
 
 def _plan_source(
-    rule: Rule, body: Sequence[BodyAtom], probes: Sequence[tuple[int, Probe | None]], known: Sequence[str], first: bool
+    rule: Rule, body: Sequence[BodyAtom], steps: Sequence[Step], known: Sequence[str], first: bool
 ) -> str:
     """Python source of `_make(rule)`, which returns the matcher of one
     join plan (`JoinPlan.match`): nested loops over the candidates of the
@@ -463,8 +422,8 @@ def _plan_source(
     for k, atom in enumerate(body):
         if isinstance(atom, RelationalAtom):
             j += 1
-            probe = probes[j][1]
-            emit(f"for a{j} in cands({j}, {slots[probe[1]] if probe else None}):")
+            probe = steps[j][1]
+            emit(f"for a{j} in cands({j}, {None if probe is None else slots[atom.args[probe].name]}):")
             depth += 1
             emit(f"t{j} = a{j}.args")
             tests, fresh = [f"len(t{j}) == {len(atom.args)}"], {}
@@ -482,10 +441,7 @@ def _plan_source(
             depth += 1
             emit(*(f"{bind(name)} = t{j}[{position}]" for name, position in fresh.items()))
         elif isinstance(atom, BuiltinAtom):
-            want = _PARAM_TYPES.get(atom.name)
-            if want is None:
-                guarded(f"raise EvaluationError({_literal(f'unknown builtin {atom.name!r}')})")
-                break  # it raises at every match that reaches it
+            want = _PARAM_TYPES[atom.name]
             data, path, out = atom.args
             source = term(data)
             if source not in parsed:
@@ -531,15 +487,14 @@ def _plan_source(
                 depth += 1
             else:
                 raise ValueError(f"unknown comparison operator {op!r}")
-    else:
-        head = rule.head
-        args = "".join(f"{term(arg)}, " for arg in head.args)
-        evidence = "CarriedByNextRule" if rule.kind is RuleKind.NEXT else "DerivedByRule"
-        subst = ", ".join(f"{_literal(name)}: {slots[name]}" for name in rule.variables if name in slots)
-        emit(f"h = GroundAtom({_literal(head.principal)}, {_literal(head.predicate)}, ({args}))")
-        emit("if h not in claims and h not in sink:", f"    sink[h] = Claim(h, {evidence}(rule, {{{subst}}}))")
-        if first:
-            emit("return")
+    head = rule.head
+    args = "".join(f"{term(arg)}, " for arg in head.args)
+    evidence = "CarriedByNextRule" if rule.kind is RuleKind.NEXT else "DerivedByRule"
+    subst = ", ".join(f"{_literal(name)}: {slots[name]}" for name in rule.variables if name in slots)
+    emit(f"h = GroundAtom({_literal(head.principal)}, {_literal(head.predicate)}, ({args}))")
+    emit("if h not in claims and h not in sink:", f"    sink[h] = Claim(h, {evidence}(rule, {{{subst}}}))")
+    if first:
+        emit("return")
     params = "".join(f", {slots[name]}" for name in known)
     return "\n".join(
         [
@@ -564,14 +519,14 @@ def _in_rule(exc: EvaluationError, rule: Rule) -> EvaluationError:
 
 
 @functools.lru_cache(maxsize=1024)
-def _instance_plan(rule: Rule) -> JoinPlan:
-    """The plan a rule instance is checked with (`RuleInstance._evaluated`):
-    the body in its order, with no probe."""
-    return _compile(rule, indexed=_NO_INDEX)
+def _body_plan(rule: Rule) -> JoinPlan:
+    """The rule's body in its own order: the plan of a standard rule
+    without relational atoms, of a next-rule and of a rule instance's
+    check (`RuleInstance._evaluated`), compiled once per `Rule`."""
+    return _compile(rule)
 
 
 class _SheetPlans(NamedTuple):
-    index: dict[tuple[str, str], tuple[int, ...]]  # the argument positions the joins probe, per predicate
     facts: tuple[JoinPlan, ...]  # the standard rules without relational atoms
     # per standard rule: (its delta predicate and plan per relational atom, its head-bound plan)
     joins: tuple[tuple[tuple[tuple[tuple[str, str], JoinPlan], ...], JoinPlan], ...]
@@ -586,23 +541,17 @@ def _sheet_plans(rulesheet: Rulesheet) -> _SheetPlans:
 
     Each standard rule has, per relational atom, a plan with that atom as
     the delta, with the predicate it takes its delta claims of, and a
-    plan with its head bound, for re-derivation, which probes only the
-    positions the delta plans index. A standard rule without relational
-    atoms has one plan in body order, and so has each next-rule, probing
-    the same indexes."""
+    plan with its head bound, for re-derivation. A standard rule without
+    relational atoms, and each next-rule, has its body plan (`_body_plan`)."""
     std = [rule for rule in rulesheet.rules if rule.kind is RuleKind.STANDARD]
     rels = [[a for a in rule.body if isinstance(a, RelationalAtom)] for rule in std]
-    deltas = [tuple(((a.principal, a.predicate), _compile(rule, k)) for k, a in enumerate(rel)) for rule, rel in zip(std, rels)]
-    index: dict[tuple[str, str], dict[int, None]] = {}
-    for _key, plan in (pair for pairs in deltas for pair in pairs):
-        for key, position, _i in plan.steps:
-            if position is not None:
-                index.setdefault(key, {})[position] = None
     return _SheetPlans(
-        {key: tuple(positions) for key, positions in index.items()},
-        tuple(_compile(rule) for rule, rel in zip(std, rels) if not rel),
-        tuple((pairs, _compile(rule, head=True, indexed=index)) for rule, pairs in zip(std, deltas)),
-        tuple(_compile(rule, indexed=index) for rule in rulesheet.rules if rule.kind is RuleKind.NEXT),
+        tuple(_body_plan(rule) for rule, rel in zip(std, rels) if not rel),
+        tuple(
+            (tuple(((a.principal, a.predicate), _compile(rule, k)) for k, a in enumerate(rel)), _compile(rule, head=True))
+            for rule, rel in zip(std, rels)
+        ),
+        tuple(_body_plan(rule) for rule in rulesheet.rules if rule.kind is RuleKind.NEXT),
     )
 
 
@@ -613,9 +562,13 @@ def _sheet_plans(rulesheet: Rulesheet) -> _SheetPlans:
 def bind_head(head: RelationalAtom, atom: GroundAtom) -> Substitution | None:
     """Bindings of the head's variables that make it match `atom`, or None
     when the predicate, an arity or a constant disagrees."""
-    if (head.principal, head.predicate) != (atom.principal, atom.predicate):
+    if (head.principal, head.predicate) != (atom.principal, atom.predicate) or len(head.args) != len(atom.args):
         return None
-    return _unify_args(head.args, atom.args, {})  # a fresh dict: callers may add to it
+    subst: Substitution = {}  # a fresh dict: callers may add to it
+    for term, value in zip(head.args, atom.args):
+        if (subst.setdefault(term.name, value) if isinstance(term, Variable) else term.value) != value:
+            return None
+    return subst
 
 
 class KnowledgeBase:
@@ -634,11 +587,11 @@ class KnowledgeBase:
     its fixpoint. `assert_claim` admits one claim without saturating.
 
     Rules are matched only by join plans compiled once per rulesheet
-    (`_sheet_plans`): for each delta position of a standard rule, an order
-    and, per atom, a probe into an argument index kept with the claims, so
-    a delta claim meets only the claims that share its join values. A
-    head-bound re-derivation and the next-rules probe only the indexes
-    saturation keeps.
+    (`_sheet_plans`), each atom of which probes its first bare variable
+    bound before it, so a delta claim, a re-derived head or a next-rule's
+    partial match meets only the claims that share its join values. The KB
+    alone decides which argument positions it indexes: it builds the index
+    of a position on its first probe (`_pool`) and keeps it from then on.
     """
 
     def __init__(self, rulesheet: Rulesheet):
@@ -653,8 +606,6 @@ class KnowledgeBase:
         # premise atom -> atoms of the claims whose recorded derivation names it
         self._dependents: dict[GroundAtom, dict[GroundAtom, None]] = {}
         self._plans = _sheet_plans(rulesheet)
-        for key, positions in self._plans.index.items():
-            self._arg_index[key] = {position: {} for position in positions}
         # a rule without relational atoms fires once, here
         facts: dict[GroundAtom, Claim] = {}
         for plan in self._plans.facts:
@@ -675,9 +626,21 @@ class KnowledgeBase:
 
     def _pool(self, step: Step, value: GroundTerm | None) -> Collection[GroundAtom]:
         """The stored atoms a plan's step can match: with a probed position,
-        only those whose argument there is `value`."""
+        only those whose argument there is `value`. The first probe of a
+        position builds its index over the stored claims, which `_store`
+        and `_drop` then keep."""
         key, position, _i = step
-        atoms = self._index.get(key) if position is None else self._arg_index[key][position].get(value)
+        if position is None:
+            atoms = self._index.get(key)
+        else:
+            try:
+                buckets = self._arg_index[key][position]
+            except KeyError:  # the position's first probe
+                buckets = self._arg_index.setdefault(key, {})[position] = {}
+                for atom, claim in self._index.get(key, {}).items():
+                    if position < len(atom.args):
+                        buckets.setdefault(atom.args[position], {})[atom] = claim
+            atoms = buckets.get(value)
         return atoms if atoms is not None else ()
 
     def _candidates(self, steps: Sequence[Step]):
@@ -911,13 +874,9 @@ class KnowledgeBase:
         if not any(isinstance(arg, Variable) for arg in pattern.args):
             atom = GroundAtom(pattern.principal, pattern.predicate, tuple(arg.value for arg in pattern.args))
             return [{}] if atom in self.claims else []
-        matches: list[tuple[str, Substitution]] = []
-        for claim in self.claims_for(pattern.principal, pattern.predicate):
-            bound = _unify_args(pattern.args, claim.atom.args, {})
-            if bound is not None:
-                matches.append((canonical_atom(claim.atom), bound))
-        matches.sort(key=lambda pair: pair[0])
-        return [subst for _, subst in matches]
+        claims = self.claims_for(pattern.principal, pattern.predicate)
+        matches = [(canonical_atom(c.atom), bound) for c in claims if (bound := bind_head(pattern, c.atom)) is not None]
+        return [subst for _, subst in sorted(matches, key=lambda pair: pair[0])]
 
     # -- local audit -------------------------------------------------------
 

@@ -490,8 +490,9 @@ def rule_safety_errors(rule: Rule) -> list[str]:
 def _contract_violations(rs: Rulesheet) -> list[str]:
     """Every way the sheet breaks its contract, each rule's reasons naming
     the rule: the self principal is declared, and no principal twice; every
-    rule is safe, its head self-attested, and its relational atoms by
-    declared principals, with no arithmetic argument."""
+    rule is safe, its head self-attested, its relational atoms by declared
+    principals, with no arithmetic argument, its builtins registered, each
+    with its arity, and its operators known."""
     reasons: list[str] = []
     declared: set[str] = set()
     for decl in rs.identities:
@@ -512,6 +513,20 @@ def _contract_violations(rs: Rulesheet) -> list[str]:
         for atom in relational:
             if any(isinstance(arg, ArithExpr) for arg in atom.args):
                 errs.append(f"arithmetic is not allowed inside relational atom {atom.predicate!r}")
+        for atom in rule.body:
+            if isinstance(atom, BuiltinAtom) and atom.name not in BUILTIN_MODES:
+                errs.append(f"unknown builtin {atom.name!r}")
+            elif isinstance(atom, BuiltinAtom) and len(atom.args) != len(BUILTIN_MODES[atom.name]):
+                errs.append(f"builtin {atom.name!r} takes {len(BUILTIN_MODES[atom.name])} arguments")
+            elif isinstance(atom, ComparisonAtom) and atom.op not in COMPARISON_OPS:
+                errs.append(f"unknown comparison operator {atom.op!r}")
+        terms = [t for a in (rule.head, *rule.body) for t in ((a.left, a.right) if isinstance(a, ComparisonAtom) else a.args)]
+        while terms:
+            term = terms.pop()
+            if isinstance(term, ArithExpr):
+                terms.extend((term.left, term.right))
+                if term.op not in ARITH_OPS:
+                    errs.append(f"unknown arithmetic operator {term.op!r}")
         reasons.extend(f"{where}: {err}" for err in errs)
     return reasons
 

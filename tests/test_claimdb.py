@@ -1076,7 +1076,7 @@ def test_reopen_indexes_non_canonical_revision(tmp_path, identities, trust_store
         reopened.log.close()
 
 
-def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identities, trust_store):
+def test_log_inclusion_evidence_refused_by_readers_before_and_after_replay(tmp_path, identities, trust_store):
     """Inclusion evidence is not a wire kind: a revision whose claim carries
     it is logged on its header, indexed again on reopen, and refused by
     every reader."""
@@ -1114,7 +1114,7 @@ def test_log_inclusion_evidence_refused_at_submit_and_on_replay(tmp_path, identi
     [{"signer": "SB"}, {"signature": "ab" * 64}, {"signer": "SB", "signature": "ab" * 64}],
     ids=["signer", "signature", "signer-and-signature"],
 )
-def test_direct_assertion_logging_a_signer_or_signature_refused_at_submit_and_on_replay(
+def test_direct_assertion_logging_a_signer_or_signature_refused_by_readers_after_replay(
     tmp_path, identities, trust_store, caplog, logged
 ):
     """A direct assertion logs its kind only: its signer is its atom's
@@ -1341,7 +1341,7 @@ PREMISE_ID_SUCCESSOR = (
 )
 
 
-def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identities, trust_store, caplog):
+def test_earlier_wire_format_refused_by_readers_after_replay(tmp_path, identities, trust_store, caplog):
     """Logs written before the change do not verify: each earlier encoding
     of a revision, whose direct assertions log a signer and a signature and
     whose rule instances log rule texts or premise ids, is logged on its
@@ -1375,7 +1375,7 @@ def test_earlier_wire_format_refused_at_submit_and_on_replay(tmp_path, identitie
             reopened.log.close()
 
 
-def test_carried_claim_in_a_chain_root_refused_at_submit_and_on_replay(tmp_path, identities, trust_store):
+def test_carried_claim_in_a_chain_root_refused_by_readers_after_replay(tmp_path, identities, trust_store):
     """A carried claim's source is the revision its record supersedes, so a
     chain root cannot hold one: such a root is logged on its header and
     indexed again on replay, and every reader refuses it."""

@@ -307,12 +307,12 @@ def test_ground_query_is_one_lookup(saturated_kb, monkeypatch):
     still scans."""
     import cyberlog.engine as engine
 
-    unify, calls = engine._unify_args, []
-    monkeypatch.setattr(engine, "_unify_args", lambda *args: calls.append(args) or unify(*args))
+    unify, calls = engine.bind_head, []
+    monkeypatch.setattr(engine, "bind_head", lambda *args: calls.append(args) or unify(*args))
     for text in ("p(1, 'a')", "p(2, 'b')", "p(1, 'b')", "p('1', 'a')", "p(1)", "e(2, 'b')", "q(1, 'a')"):
         pattern = parse_query(text, "SB")
         claims = saturated_kb.claims_for("SB", pattern.predicate)
-        scan = [{} for c in claims if unify(pattern.args, c.atom.args, {}) is not None]
+        scan = [{} for c in claims if unify(pattern, c.atom) is not None]
         assert saturated_kb.query(pattern) == scan, text
     assert calls == []
     assert saturated_kb.query(parse_query("p(1, Y)", "SB")) == [{"Y": "a"}] and len(calls) == 2
@@ -723,31 +723,92 @@ def _booking_flow(r):
     ]
 
 
+def _scenario_sheet(name, self_id):
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "rules", name)) as fh:
+        return parse_rulesheet(fh.read(), self_id)
+
+
+def _service_request(r):
+    return GroundAtom("SB", "postRequest", ("/servicerequest", 10 * r, f'{{"request_id": {r}}}'))
+
+
+def _counting_pool(monkeypatch):
+    """Count the candidates `KnowledgeBase._pool` hands the plans, until `monkeypatch.undo()`."""
+    pool, tried = KnowledgeBase._pool, [0]
+
+    def counting(self, step, value):
+        atoms = pool(self, step, value)
+        tried[0] += len(atoms)
+        return atoms
+
+    monkeypatch.setattr(KnowledgeBase, "_pool", counting)
+    return tried
+
+
 def test_a_watchers_join_costs_what_it_derives_not_its_history(monkeypatch):
     """One booking flow's claims cost DOM's saturation as many stored
     candidates, the atoms its compiled joins are handed to try
     (`KnowledgeBase._pool`), over 96 flows of history as over 24."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "rules", "dom.cyberlog")) as fh:
-        rs = parse_rulesheet(fh.read(), "DOM")
-    pool = KnowledgeBase._pool
+    rs = _scenario_sheet("dom.cyberlog", "DOM")
     counts = []
     for history in (24, 96):
         kb = KnowledgeBase(rs)
         kb.revise((), claims_from_atoms([a for r in range(history) for a in _booking_flow(r)]))
-        tried = [0]
-
-        def counting(self, step, value):
-            atoms = pool(self, step, value)
-            tried[0] += len(atoms)
-            return atoms
-
-        monkeypatch.setattr(KnowledgeBase, "_pool", counting)
+        tried = _counting_pool(monkeypatch)
         added = kb.revise((), claims_from_atoms(_booking_flow(history)))
         monkeypatch.undo()
         derived = {(c.atom.predicate, c.atom.args) for c in added if isinstance(c.evidence, DerivedByRule)}
         assert derived == {("good_rtf_exists", (history, 7)), ("delayed_rtf", (history, 2000, 10 * history))}
         counts.append(tried[0])
     assert counts[0] == counts[1] > 0
+
+
+def test_a_rederived_head_costs_what_it_probes_not_its_history(monkeypatch):
+    """Re-deriving one retracted `request` of SB's sheet probes its
+    `postRequest` on the bound time: as many candidates over 96 requests
+    as over 24. The index is built on that first probe, after the events
+    are stored, and the KB is then the naive fixpoint."""
+    rs = _scenario_sheet("sb.cyberlog", "SB")
+    counts = []
+    for history in (24, 96):
+        events = [_service_request(r) for r in range(history)]
+        kb = KnowledgeBase(rs)
+        kb.revise((), claims_from_atoms(events))
+        assert ("SB", "postRequest") not in kb._arg_index
+        target = GroundAtom("SB", "request", (5, '{"request_id": 5}', 50))
+        tried = _counting_pool(monkeypatch)
+        rederived = kb.revise([target], ())
+        monkeypatch.undo()
+        assert [c.atom for c in rederived] == [target]
+        _check_against_oracle(kb, rs, {(a.principal, a.predicate, a.args) for a in events})
+        counts.append(tried[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_next_rule_carry_costs_what_it_probes_not_its_history(monkeypatch):
+    """One carry of `sb_retention`'s next-rule probes `in_process` on the
+    bound request id: as many candidates per request over 96 open
+    requests as over 24. The index is built on that first probe, after
+    the claims are stored; the carry-overs are the naive oracle's."""
+    rs = _scenario_sheet("sb_retention.cyberlog", "SB")
+    per_request = []
+    for history in (24, 96):
+        events = [_service_request(r) for r in range(history)]
+        events += [
+            GroundAtom("SB", "postRequest", ("/status", 10 * r + 5, f'{{"request_id": {r}, "state": "open"}}'))
+            for r in range(history)
+        ]
+        kb = KnowledgeBase(rs)
+        kb.revise((), claims_from_atoms(events))
+        assert ("SB", "in_process") not in kb._arg_index
+        expected = naive_carry(atoms_of(kb), rs.rules)
+        tried = _counting_pool(monkeypatch)
+        carried = kb.carry(events)
+        monkeypatch.undo()
+        assert {(c.atom.principal, c.atom.predicate, c.atom.args) for c in carried} == expected and len(carried) == history
+        _check_against_oracle(kb, rs, expected)
+        per_request.append(tried[0] / history)
+    assert per_request[0] == per_request[1] > 0
 
 
 def test_a_second_kb_over_a_rulesheet_plans_and_compiles_nothing(monkeypatch):
@@ -1018,6 +1079,9 @@ def test_revise_and_saturate_match_oracle():
         base: set = set()
         for _ in range(data.draw(st.integers(1, 6))):
             retract = [GroundAtom(*f) for f in data.draw(st.lists(st.sampled_from(pool), unique=True))]
+            derived = sorted((a for a, c in kb.claims.items() if isinstance(c.evidence, DerivedByRule)), key=repr)
+            if derived:  # re-derived with the head bound, probing indexes that may not exist yet
+                retract += data.draw(st.lists(st.sampled_from(derived), unique=True))
             admit = data.draw(st.lists(st.sampled_from(pool), unique=True))
             claims = claims_from_atoms([GroundAtom(*f) for f in admit])
             if data.draw(st.booleans()):
@@ -1319,6 +1383,7 @@ def test_generated_source_holds_only_constants_and_prefixed_names(monkeypatch):
 
     sources = []
     monkeypatch.setattr(engine, "compile", lambda text, *a: sources.append(text) or compile(text, *a), raising=False)
+    engine._body_plan.cache_clear()
     engine._sheet_plans.__wrapped__(EDGE_SHEET)
     assert len(sources) == 23  # a plan per delta position, one head-bound per standard rule, one per next-rule
 

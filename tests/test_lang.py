@@ -218,6 +218,29 @@ def test_a_sheet_that_breaks_its_contract_is_not_made(case):
         assert reason in str(exc.value)
 
 
+# a built sheet the parser cannot make, and the reason it is refused for:
+# each would compile to a plan that cannot run
+D = Variable("D")
+_EVENT = _m("e", X, D)
+UNCOMPILABLE = {
+    "unregistered-builtin": (BuiltinAtom("get_param_float", (D, StringConstant("a"), X)), "unknown builtin 'get_param_float'"),
+    "builtin-arity": (BuiltinAtom("get_param_int", (D, StringConstant("a"))), "builtin 'get_param_int' takes 3 arguments"),
+    "comparison-operator": (ComparisonAtom("=~", D, IntConstant(1)), "unknown comparison operator '=~'"),
+    "arithmetic-operator": (
+        ComparisonAtom("==", X, ArithExpr("+", IntConstant(1), ArithExpr("/", D, IntConstant(1)))),
+        "unknown arithmetic operator '/'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCOMPILABLE))
+def test_a_built_sheet_the_compiler_cannot_compile_is_not_made(case):
+    atom, reason = UNCOMPILABLE[case]
+    with pytest.raises(ParseError) as exc:
+        Rulesheet("M", (IdentityDecl("M", "s", "i"),), [_rule(_m("p", X), _EVENT, atom)])
+    assert str(exc.value) == f"invalid rulesheet: rule 0: {reason}"
+
+
 def test_every_reason_is_named_with_its_rule():
     rules = [_rule(_m("p", IntConstant(1))), _rule(_m("p", X), RelationalAtom("ZZ", "q", (Y,)))]
     with pytest.raises(ParseError) as exc:

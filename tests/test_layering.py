@@ -159,7 +159,7 @@ def test_only_the_reader_checks_logged_evidence():
 # and next-rules alike through the join plans compiled once per rulesheet,
 # so no module keeps a matcher or a claim pool of its own
 RULE_MATCHERS = {"engine.py"}
-MATCHER_NAMES = {"_sheet_plans", "_compile", "_plan_source", "JoinPlan"}
+MATCHER_NAMES = {"_sheet_plans", "_body_plan", "_compile", "_plan_source", "JoinPlan"}
 
 
 def modules_naming_a_rule_matcher():

@@ -874,18 +874,18 @@ def _log_once(db, identities, claims, supersedes, now):
 def _counting_evaluations(monkeypatch):
     """Record the head predicate of each rule instance whose body is grounded
     (`engine._body_atoms`) and of each run of a rule instance's plan
-    (`engine._instance_plan`)."""
+    (`engine._body_plan`)."""
     import cyberlog.engine as engine
 
     grounded, ran = [], []
-    body_atoms, instance_plan = engine._body_atoms, engine._instance_plan
+    body_atoms, body_plan = engine._body_atoms, engine._body_plan
 
     def counted_plan(rule):
-        plan = instance_plan(rule)
+        plan = body_plan(rule)
         return plan._replace(match=lambda *args: ran.append(rule.head.predicate) or plan.match(*args))
 
     monkeypatch.setattr(engine, "_body_atoms", lambda rule, s: grounded.append(rule.head.predicate) or body_atoms(rule, s))
-    monkeypatch.setattr(engine, "_instance_plan", counted_plan)
+    monkeypatch.setattr(engine, "_body_plan", counted_plan)
     return grounded, ran
 
 
