@@ -41,12 +41,20 @@ Substitution = dict[str, GroundTerm]
 
 @dataclass(frozen=True)
 class GroundAtom:
-    """An immutable ground atom. Its canonical text is computed from its
-    fields on first use and kept (`canonical_atom`)."""
+    """An immutable ground atom. Its hash is computed once, when it is
+    built; its canonical text from its fields on first use, and kept
+    (`canonical_atom`)."""
 
     principal: str
     predicate: str
     args: tuple[GroundTerm, ...]
+
+    def __post_init__(self) -> None:
+        # a KB looks atoms up in every join, carry and revise
+        object.__setattr__(self, "_hash", hash((self.principal, self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.cached_property
     def _text(self) -> str:

@@ -169,17 +169,11 @@ class Rulesheet:
         """SHA-256 of the canonical text, computed on first use and kept."""
         return hashlib.sha256(format_rulesheet(self).encode("utf-8")).digest()
 
-    def rule_index(self, rule: Rule) -> int | None:
-        """The first index of a rule equal to `rule`, which evidence logs
-        to name it, or None if the sheet holds no such rule."""
-        return self._first_index.get(rule)
-
     @functools.cached_property
-    def _first_index(self) -> dict[Rule, int]:
-        first: dict[Rule, int] = {}
-        for index, rule in enumerate(self.rules):
-            first.setdefault(rule, index)
-        return first
+    def compiled(self) -> dict[str, object]:
+        """What another module compiles from the sheet, kept with it under
+        that module's key, on first use: `wire`'s claim codec."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

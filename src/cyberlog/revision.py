@@ -92,13 +92,14 @@ class RevisionRecord(RevisionHeader):
 #
 # A payload is `{"kind":"revision",` + the body's fields + `,"signature":"…"}`,
 # so the body the id hashes is a slice of the logged bytes: readers hash that
-# slice. A body is encoded in one call, every claim in it, and a payload is
-# parsed in one. The claim DB admits a payload on its header alone
-# (`decode_header`) and decodes no claim; every reader decodes the claims
-# (`decode_payload`) and refuses a payload that is not exactly the canonical
-# encoding of its fields, so every revision a reader accepts is the one
-# `build_record` gives for its fields. Claims name their rules by index into
-# the rulesheet the record names (`wire`).
+# slice. A body is written as text, each claim by its rule's encoder, and a
+# payload is parsed in one call. The claim DB admits a payload on its header
+# alone (`decode_header`) and decodes no claim; every reader decodes the
+# claims (`decode_payload`) and refuses a payload that is not exactly the
+# canonical encoding of its fields, which `_body_text` writes for both, so
+# every revision a reader accepts is the one `build_record` gives for its
+# fields. Claims name their rules by index into the rulesheet the record
+# names (`wire`).
 
 REVISION_PAYLOAD_HEAD = '{"kind":"revision",'
 _SIGNATURE_TAIL = re.compile(r',"signature":"([0-9a-f]{128})"\}')
@@ -115,16 +116,14 @@ def _body_text(
     rs: Rulesheet,
 ) -> str:
     """The canonical body text of the fields, with the includes sorted and
-    the claims in the order given, encoded under rulesheet `rs`."""
-    body = {
-        "owner": owner,
-        "supersedes": supersedes,
-        "includes": sorted(set(includes)),
-        "rulesheet_hash": rulesheet_hash,
-        "claims": [claim_to_obj(claim, rs) for claim in claims],
-        "commit_time": commit_time,
-    }
-    return canonical_json(body)
+    the claims in the order given, each the text of its rule's encoder
+    under rulesheet `rs` (`claim_to_obj`)."""
+    texts = ",".join([claim_to_obj(claim, rs) for claim in claims])
+    return (
+        f'{{"owner":{canonical_json(owner)},"supersedes":{canonical_json(supersedes)},'
+        f'"includes":{canonical_json(sorted(set(includes)))},"rulesheet_hash":{canonical_json(rulesheet_hash)},'
+        f'"claims":[{texts}],"commit_time":{canonical_json(commit_time)}}}'
+    )
 
 
 def build_record(
@@ -222,7 +221,7 @@ def decode_payload(payload: str, rulesheet_of: RulesheetOf, trust_store: TrustSt
     on a claim of another principal (nobody claims on someone else's
     behalf), on a carried claim in a chain root (its source is the
     superseded revision), and on a payload that is not exactly the
-    canonical encoding of its fields, which it encodes again in one call.
+    canonical encoding of its fields, which it writes again (`_body_text`).
     Other refusals of `decode_header` and `rulesheet_of` pass through.
     Claims and includes keep the payload's order."""
     header, values = decode_header(payload, trust_store)

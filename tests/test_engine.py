@@ -60,6 +60,21 @@ def test_canonical_ids_distinct():
     assert len({canonical_atom(a), canonical_atom(b), canonical_atom(c)}) == 3
 
 
+def test_equal_atoms_built_apart_find_each_other():
+    """An atom's hash, computed once when it is built, is its fields': an
+    atom built apart from an equal one, or parsed from its text, finds it
+    in a dict and in a set, and an atom that differs in a field does not."""
+    args = (7, "d", "é\"\\\n")
+    held = GroundAtom("SB", "request", args)
+    index, keys = {held: "held"}, {held}
+    for twin in (GroundAtom("SB", "request", tuple(list(args))), parse_canonical_atom(canonical_atom(held))):
+        assert twin is not held and twin == held
+        assert hash(twin) == hash(held) == hash(("SB", "request", args))
+        assert index[twin] == "held" and twin in keys
+    for other in (GroundAtom("SB", "request", (7, "d")), GroundAtom("OM", "request", args), GroundAtom("SB", "r", args)):
+        assert other not in index and other not in keys
+
+
 # --- assert_claim -----------------------------------------------------------
 
 

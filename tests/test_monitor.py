@@ -732,6 +732,7 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
     from collections import Counter
 
     import cyberlog.revision as revision
+    import cyberlog.wire as wire
     from cyberlog.claimdb import ClaimDb
     from cyberlog.engine import CarriedByNextRule, KnowledgeBase
     from cyberlog.harness import ScenarioRun
@@ -772,8 +773,11 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
 
             return wrapper
 
-        monkeypatch.setattr(revision, "claim_from_obj", recording(decoded, revision.claim_from_obj, lambda _a, c: c))
-        monkeypatch.setattr(revision, "claim_to_obj", recording(encoded, revision.claim_to_obj, lambda a, _o: a[0]))
+        decoding = recording(decoded, wire.claim_from_obj, lambda _a, c: c)
+        encoding = recording(encoded, wire.claim_to_obj, lambda a, _o: a[0])
+        for module in (wire, revision):  # the codec's entry points, wherever they are bound
+            monkeypatch.setattr(module, "claim_from_obj", decoding)
+            monkeypatch.setattr(module, "claim_to_obj", encoding)
         check = KnowledgeBase.check_evidence
         monkeypatch.setattr(KnowledgeBase, "check_evidence", recording(checked, check, lambda a, _n: a[1]))
         record = sb.commit()
@@ -794,6 +798,40 @@ def test_an_idle_monitor_costs_nothing(monkeypatch):
         assert Counter(c.atom for c in checked) == Counter(new)
     finally:
         run.close()
+
+
+@pytest.mark.parametrize("windows, encoded, decoded", [(24, 273, 125), (96, 1065, 485)])
+def test_last_window_codec_counts(monkeypatch, windows, encoded, decoded):
+    """Counts, not time: the claims that the last commit window of a steady
+    booking run encodes (`wire.claim_to_obj`: each commit's claims, and each
+    reader's canonical check of a revision it decodes) and decodes
+    (`wire.claim_from_obj`: DOM's poll of the superseding heads). Both grow
+    with history, as every window logs each owner's carried claims again
+    and DOM decodes each new head whole; the exact numbers show a change in
+    either direction."""
+    import sys
+
+    import cyberlog.wire as wire
+    from cyberlog.harness import ScenarioRun
+
+    run = ScenarioRun(steady_booking(windows))
+    try:
+        run.advance_to(1000 * (windows - 1))
+        counts = {"claim_to_obj": 0, "claim_from_obj": 0}
+        for name in counts:
+            original = getattr(wire, name)
+
+            def counting(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("cyberlog") and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counting)
+        run.advance_to(1000 * windows)  # the last flow's events, and the commits and polls that end its window
+    finally:
+        run.close()
+    assert counts == {"claim_to_obj": encoded, "claim_from_obj": decoded}
 
 
 # a watcher whose own claims are derived from its includes, and carried

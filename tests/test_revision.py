@@ -459,14 +459,16 @@ def test_commit_serialises_each_claim_once_in_committer_and_claim_db(db_client, 
     the same claim objects again, the carry-overs and an unchanged claim,
     since no claim text outlives the commit that encoded it."""
     import cyberlog.revision as revision
+    import cyberlog.wire as wire
 
     rs = parse_rulesheet(RETAIN_SHEET, "SB")
     in_process = signed("SB", GroundAtom("SB", "in_process", (1,)))
     claims = [signed("SB", GroundAtom("SB", "request", (n, "d", 5))) for n in range(4)] + [in_process]
     publish_rulesheet(db_client, rs)
-    original, submit = revision.claim_to_obj, db_client.submit_revision
+    original, submit = wire.claim_to_obj, db_client.submit_revision
     calls, at_submit = [], []
-    monkeypatch.setattr(revision, "claim_to_obj", lambda claim, rs: calls.append(claim) or original(claim, rs))
+    for module in (wire, revision):  # the encoder's entry point, wherever it is bound
+        monkeypatch.setattr(module, "claim_to_obj", lambda claim, rs: calls.append(claim) or original(claim, rs))
     monkeypatch.setattr(db_client, "submit_revision", lambda payload: at_submit.append(len(calls)) or submit(payload))
     committer, ends = reader(db_client, identities), []
 
@@ -795,7 +797,7 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
                 return "refused"
             if supersedes is None and isinstance(decoded.evidence, CarriedByNextRule):
                 return "refused"  # a chain root holds no carried claim
-            return "accepted" if canonical_json(claim_to_obj(decoded, rs)) == changed else "refused"
+            return "accepted" if claim_to_obj(decoded, rs) == changed else "refused"
         return "refused"
 
     @settings(max_examples=120, deadline=None)
@@ -815,7 +817,7 @@ def test_non_canonical_revisions_are_refused_at_submit_and_on_replay(identities,
             if supersedes is None and mutation != "carried-in-root":
                 claims = {a: c for a, c in claims.items() if not isinstance(c.evidence, CarriedByNextRule)}
             record, body = build_record("SB", supersedes, (), rs, claims.values(), t)
-            texts = [canonical_json(claim_to_obj(c, rs)) for c in record.claims]
+            texts = [claim_to_obj(c, rs) for c in record.claims]
             text = texts[pick % len(texts)] if texts else None
             if mutation in mutations and text is not None:
                 body = mutations[mutation](body, text)
